@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -41,27 +42,30 @@ from .repk import (
 )
 from .specfun import kummer_phi_seq
 
-SUITE_NAMES = [
-    "unitarity",
-    "intertwining",
-    "recurrence",
-    "eigen",
-    "lie-algebra",
-    "addition",
-    "identity-a",
-    "identity-b",
-    "hille-hardy",
-    "orthogonality",
-    "classical-limit",
-    "kummer-limit",
-]
 TABLE_KINDS = ["u-matrix", "irrep", "basis", "profile"]
+
+# every tolerance a suite reads, by its --tol name and default; one suite a line
+_TOLERANCES = {
+    "unitarity": 1e-8, "unitarity-monotone": 0.0,
+    "intertwining": 1e-8,
+    "recurrence": 1e-10,
+    "eigen": 1e-10, "eigen-grading": 0.0,
+    "lie-algebra": 0.0, "lie-algebra-adjoint": 1e-10,
+    "addition": 1e-7, "addition-vacuum": 1e-9,
+    "identity-a": 1e-10,
+    "identity-b": 1e-9,
+    "hille-hardy": 1e-8,
+    "orthogonality-grading": 0.0, "orthogonality-diagonal-growth": 0.0, "orthogonality-offdiagonal-bounded": 0.0,
+    "classical-limit": 1e-2, "classical-limit-monotone": 0.0,
+    "kummer-limit": 1e-2, "kummer-limit-monotone": 0.0,
+}  # fmt: skip
 
 # truncation-defect decay reaches float rounding by dim ~ 64; below this the
 # dim-doubling sequence is treated as floored rather than strictly decreasing
 _DEFECT_FLOOR = 1e-13
 
-_DEFAULT_ANGLES = {"psi": [0.7], "phi": [0.3]}
+_PSI, _PHI = 0.7, 0.3
+_GROUP_AXES = {"r": [0.5, 1.0, 1.5, 2.0], "psi": [_PSI], "phi": [_PHI]}
 
 
 class RunConfig:
@@ -72,6 +76,9 @@ class RunConfig:
             raise ValueError("dim must be >= 2")
         if format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
+        unknown = sorted(set(tol_overrides or ()) - set(_TOLERANCES))
+        if unknown:
+            raise ValueError(f"unknown tolerance {', '.join(unknown)}; valid names: {', '.join(_TOLERANCES)}")
         self.dim = dim
         self.dim_explicit = bool(dim_explicit)
         self.tol_overrides = dict(tol_overrides or {})
@@ -82,136 +89,133 @@ class RunConfig:
     def values(self, name, default):
         return self.grid.get(name, list(default))
 
-    def tol(self, name, default):
-        return float(self.tol_overrides.get(name, default))
+    def first(self, name, default):
+        return self.values(name, [default])[0]
+
+    def tol(self, name):
+        return float(self.tol_overrides.get(name, _TOLERANCES[name]))
 
 
-def _g(cfg, r, psi=None, phi=None):
-    psi = cfg.values("psi", _DEFAULT_ANGLES["psi"])[0] if psi is None else psi
-    phi = cfg.values("phi", _DEFAULT_ANGLES["phi"])[0] if phi is None else phi
-    return GroupElement(r, psi, phi)
+def _sweep(cfg, name, equation, tol, axes, check, params=dict):
+    """Run ``check`` once per point of a suite's grid, each call guarded.
+
+    ``axes`` maps each grid flag to its default values; the grid is their
+    product in declaration order, a flag given on the command line replacing
+    its default (an axis that is no flag keeps its declared values).
+    ``check(report, **point)`` returns one CheckReport or a list of them.
+    ``report(residual, detail=None)`` builds a record under this sweep's
+    name, equation, tolerance and ``params(**point)``; keywords ``name``,
+    ``equation`` and ``tolerance`` replace those, and any other keyword adds
+    or replaces a param.  A ValueError or OverflowError from the check
+    becomes one error record for the point.
+    """
+    reports = []
+    for values in itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())):
+        point = dict(zip(axes, values))
+        base = params(**point)
+
+        def report(residual, detail=None, name=name, equation=equation, tolerance=tol, **extra):
+            return CheckReport.from_residual(name, equation, {**base, **extra}, residual, tolerance, detail)
+
+        try:
+            got = check(report, **point)
+        except (ValueError, OverflowError) as exc:
+            got = CheckReport(name, equation, dict(base), math.inf, tol, False, f"error: {exc}")
+        reports.extend(got if isinstance(got, list) else [got])
+    return reports
 
 
-def _report(name, equation, params, residual, tol, detail=None):
-    return CheckReport.from_residual(name, equation, params, residual, tol, detail)
+def _ladder(cfg, report, values, label, monotone, **monotone_params):
+    # a decreasing error ladder: its last rung against the sweep's tolerance,
+    # and its worst step up as the record ``monotone``
+    worst_step = max(b - a for a, b in zip(values, values[1:]))
+    return [
+        report(values[-1], label + ", ".join(repr(v) for v in values)),
+        report(worst_step, name=monotone, tolerance=cfg.tol(monotone), **monotone_params),
+    ]
 
 
-def _error_report(name, equation, params, tol, exc):
-    return CheckReport(name, equation, dict(params), math.inf, tol, False, f"error: {exc}")
-
-
-def _guard(fn, name, equation, params, tol):
-    try:
-        return fn()
-    except (ValueError, OverflowError) as exc:
-        return _error_report(name, equation, params, tol, exc)
+def _unitarity_defect(U, dim, block):
+    return np.linalg.norm((U.conj().T @ U - np.eye(dim))[:block, :block])
 
 
 def suite_unitarity(cfg):
-    tol = cfg.tol("unitarity", 1e-8)
-    reports = []
-    for r in cfg.values("r", [0.5, 1.0, 1.5, 2.0]):
-        for psi in cfg.values("psi", _DEFAULT_ANGLES["psi"]):
-            for phi in cfg.values("phi", _DEFAULT_ANGLES["phi"]):
-                params = {"dim": cfg.dim, "r": r, "psi": psi, "phi": phi}
-
-                def run(r=r, psi=psi, phi=phi, params=params):
-                    U = u_matrix(GroupElement(r, psi, phi), cfg.dim)
-                    b = max(safe_block(cfg.dim, r), min(cfg.dim, 4))
-                    defect = np.linalg.norm((U.conj().T @ U - np.eye(cfg.dim))[:b, :b])
-                    return _report("unitarity", "unitarity", params, defect, tol)
-
-                reports.append(_guard(run, "unitarity", "unitarity", params, tol))
+    def unitary(report, dim, r, psi, phi):
+        U = u_matrix(GroupElement(r, psi, phi), dim)
+        return report(_unitarity_defect(U, dim, max(safe_block(dim, r), min(dim, 4))))
 
     # fixed-block truncation defect under dim doubling; strictly decreasing
     # until the float floor, non-increasing beyond it
     r = cfg.values("r", [1.5])[-1]
-    dims = [32, 64, 128]
-    block = safe_block(dims[0], r)
-    if block >= 2:
-        defects = []
-        for dim in dims:
-            U = u_matrix(_g(cfg, r), dim)
-            defects.append(float(np.linalg.norm((U.conj().T @ U - np.eye(dim))[:block, :block])))
+
+    def monotone(report):
+        block = safe_block(32, r)
+        if block < 2:
+            return []
+        g = GroupElement(r, cfg.first("psi", _PSI), cfg.first("phi", _PHI))
+        defects = [float(_unitarity_defect(u_matrix(g, dim), dim, block)) for dim in (32, 64, 128)]
         worst_step = max(d2 - max(d1, _DEFECT_FLOOR) for d1, d2 in zip(defects, defects[1:]))
-        reports.append(
-            _report(
-                "unitarity-monotone",
-                "unitarity",
-                {"r": r, "dims": "32..128", "block": block},
-                worst_step,
-                cfg.tol("unitarity-monotone", 0.0),
-                detail="defects " + ", ".join(repr(d) for d in defects) + f" (floor {_DEFECT_FLOOR})",
-            )
-        )
-    return reports
+        detail = "defects " + ", ".join(repr(d) for d in defects) + f" (floor {_DEFECT_FLOOR})"
+        return report(worst_step, detail, block=block)
+
+    axes = {"dim": [cfg.dim], **_GROUP_AXES}
+    tol_mono = cfg.tol("unitarity-monotone")
+    return _sweep(cfg, "unitarity", "unitarity", cfg.tol("unitarity"), axes, unitary) + _sweep(
+        cfg, "unitarity-monotone", "unitarity", tol_mono, {}, monotone, lambda: {"r": r, "dims": "32..128"}
+    )
 
 
 def suite_intertwining(cfg):
-    tol = cfg.tol("intertwining", 1e-8)
-    reports = []
-    for r in cfg.values("r", [0.5, 1.0, 1.5, 2.0]):
-        for psi in cfg.values("psi", _DEFAULT_ANGLES["psi"]):
-            for phi in cfg.values("phi", _DEFAULT_ANGLES["phi"]):
-                params = {"dim": cfg.dim, "r": r, "psi": psi, "phi": phi}
+    def check(report, dim, r, psi, phi):
+        g = GroupElement(r, psi, phi)
+        U = u_matrix(g, dim)
+        a = annihilator(dim)
+        target = np.exp(1j * g.phi) * a + g.w * np.eye(dim)
+        b = max(safe_block(dim, r), min(dim, 4))
+        return report(np.max(np.abs((U @ a @ U.conj().T - target)[:b, :b])))
 
-                def run(r=r, psi=psi, phi=phi, params=params):
-                    g = GroupElement(r, psi, phi)
-                    U = u_matrix(g, cfg.dim)
-                    a = annihilator(cfg.dim)
-                    target = np.exp(1j * g.phi) * a + g.w * np.eye(cfg.dim)
-                    b = max(safe_block(cfg.dim, r), min(cfg.dim, 4))
-                    resid = np.max(np.abs((U @ a @ U.conj().T - target)[:b, :b]))
-                    return _report("intertwining", "intertwining", params, resid, tol)
-
-                reports.append(_guard(run, "intertwining", "intertwining", params, tol))
-    return reports
+    axes = {"dim": [cfg.dim], **_GROUP_AXES}
+    return _sweep(cfg, "intertwining", "intertwining", cfg.tol("intertwining"), axes, check)
 
 
 def suite_recurrence(cfg):
-    tol = cfg.tol("recurrence", 1e-10)
-    zmax = int(cfg.values("zmax", [200])[0])
-    reports = []
-    for k in cfg.values("k", range(0, 21)):
-        b = 1 + int(k)
-        for c in cfg.values("x", [0.25, 1.0, 4.0, 16.0]):
-            params = {"k": int(k), "c": c, "zmax": zmax}
+    zmax = cfg.first("zmax", 200)
 
-            def run(b=b, c=c, params=params):
-                phis = kummer_phi_seq(zmax + 1, b, c)
-                worst = 0.0
-                for zeta in range(1, zmax + 1):
-                    a = -zeta
-                    t1 = a * phis[zeta - 1]
-                    t2 = (a - b) * phis[zeta + 1]
-                    t3 = (b - 2 * a - c) * phis[zeta]
-                    scale = max(abs(t1), abs(t2), abs(t3))
-                    worst = max(worst, abs(t1 + t2 + t3) / scale)
-                return _report("recurrence", "kummer-recurrence", params, worst, tol)
+    def check(report, k, x):
+        b, c = 1 + k, x
+        phis = kummer_phi_seq(zmax + 1, b, c)
+        worst = 0.0
+        for zeta in range(1, zmax + 1):
+            a = -zeta
+            t1 = a * phis[zeta - 1]
+            t2 = (a - b) * phis[zeta + 1]
+            t3 = (b - 2 * a - c) * phis[zeta]
+            scale = max(abs(t1), abs(t2), abs(t3))
+            worst = max(worst, abs(t1 + t2 + t3) / scale)
+        return report(worst)
 
-            reports.append(_guard(run, "recurrence", "kummer-recurrence", params, tol))
-    return reports
+    def params(k, x):
+        return {"k": k, "c": x, "zmax": zmax}
+
+    axes = {"k": range(0, 21), "x": [0.25, 1.0, 4.0, 16.0]}
+    return _sweep(cfg, "recurrence", "kummer-recurrence", cfg.tol("recurrence"), axes, check, params)
 
 
 def suite_eigen(cfg):
-    tol_c1 = cfg.tol("eigen", 1e-10)
-    zmax = int(cfg.values("zmax", [200])[0])
-    reports = []
-    for lam in cfg.values("lam", [1.0, 4.0, 8.0]):
-        for k in cfg.values("k", [-20, -5, 0, 5, 20]):
-            params = {"lam": lam, "k": int(k), "zmax": zmax}
+    zmax = cfg.first("zmax", 200)
 
-            def run(lam=lam, k=int(k), params=params):
-                c1, c2 = eigen_residuals(IrrepLabel(lam, k), zmax)
-                detail = "p p* = p* p (commuting translations); both orderings evaluated"
-                return [
-                    _report("eigen-casimir", "eigen-casimir", params, c1, tol_c1, detail),
-                    _report("eigen-grading", "eigen-grading", params, c2, cfg.tol("eigen-grading", 0.0)),
-                ]
+    def check(report, lam, k):
+        c1, c2 = eigen_residuals(IrrepLabel(lam, k), zmax)
+        return [
+            report(c1, "p p* = p* p (commuting translations); both orderings evaluated"),
+            report(c2, name="eigen-grading", equation="eigen-grading", tolerance=cfg.tol("eigen-grading")),
+        ]
 
-            got = _guard(run, "eigen-casimir", "eigen-casimir", params, tol_c1)
-            reports.extend(got if isinstance(got, list) else [got])
-    return reports
+    def params(lam, k):
+        return {"lam": lam, "k": k, "zmax": zmax}
+
+    axes = {"lam": [1.0, 4.0, 8.0], "k": [-20, -5, 0, 5, 20]}
+    return _sweep(cfg, "eigen-casimir", "eigen-casimir", cfg.tol("eigen"), axes, check, params)
 
 
 def _random_algebra_function(rng, zmax, windings, integer=False):
@@ -226,8 +230,8 @@ def _random_algebra_function(rng, zmax, windings, integer=False):
 
 
 def suite_lie_algebra(cfg):
-    tol_exact = cfg.tol("lie-algebra", 0.0)
-    tol_pair = cfg.tol("lie-algebra-adjoint", 1e-10)
+    tol_exact = cfg.tol("lie-algebra")
+    tol_pair = cfg.tol("lie-algebra-adjoint")
     rng = np.random.default_rng(cfg.seed)
     reports = []
     for trial in range(4):
@@ -243,7 +247,7 @@ def suite_lie_algebra(cfg):
             max((float(np.max(np.abs(c))) for c in comm_pb.terms.values()), default=0.0),
         )
         params = {"trial": trial, "windings": ",".join(str(w) for w in windings), "seed": cfg.seed}
-        reports.append(_report("lie-bracket", "lie-brackets", params, resid, tol_exact))
+        reports.append(CheckReport.from_residual("lie-bracket", "lie-brackets", params, resid, tol_exact))
     for trial in range(4):
         F = _random_algebra_function(rng, 20, [-3, 0, 2])
         G = _random_algebra_function(rng, 20, [-4, -1, 1])
@@ -254,110 +258,71 @@ def suite_lie_algebra(cfg):
         scale = max(abs(lhs), abs(rhs), abs(h_lhs), abs(h_rhs), 1e-300)
         resid = max(abs(lhs - rhs), abs(h_lhs - h_rhs)) / scale
         params = {"trial": trial, "zmax": 20, "seed": cfg.seed}
-        reports.append(_report("adjoint-pairing", "adjoint-structure", params, resid, tol_pair))
+        reports.append(CheckReport.from_residual("adjoint-pairing", "adjoint-structure", params, resid, tol_pair))
     return reports
 
 
 def suite_addition(cfg):
-    tol = cfg.tol("addition", 1e-7)
-    tol_vac = cfg.tol("addition-vacuum", 1e-9)
     dim = cfg.dim if cfg.dim_explicit else max(cfg.dim, 96)
-    reports = []
-    for lam in cfg.values("lam", [1.0, 2.0]):
-        for r in cfg.values("r", [0.5, 1.0, 2.0]):
-            if lam * r > 6.0:
-                continue
-            g = _g(cfg, r)
-            for k in cfg.values("k", [-4, -2, 0, 1, 3, 4]):
-                params = {"lam": lam, "k": int(k), "r": r, "psi": g.psi, "phi": g.phi, "dim": dim}
-                reports.append(
-                    _guard(
-                        lambda lam=lam, k=int(k), g=g: ident.addition_residual(
-                            g, IrrepLabel(lam, k), k, dim=dim, tolerance=tol
-                        ),
-                        "addition",
-                        "addition-theorem",
-                        params,
-                        tol,
-                    )
-                )
-            for k in cfg.values("k", [0, 2, 4]):
-                if k < 0:
-                    continue
-                params = {"lam": lam, "k": int(k), "r": r, "psi": g.psi, "phi": g.phi, "dim": dim}
-                reports.append(
-                    _guard(
-                        lambda lam=lam, k=int(k), g=g: ident.addition_vacuum_crosscheck(
-                            g, IrrepLabel(lam, k), k, dim=dim, tolerance=tol_vac
-                        ),
-                        "addition-vacuum",
-                        "addition-vacuum-element",
-                        params,
-                        tol_vac,
-                    )
-                )
-    return reports
+    tol, tol_vac = cfg.tol("addition"), cfg.tol("addition-vacuum")
+    theorem = ("addition", "addition-theorem", tol)
+
+    def pair(report, lam, r):
+        # every addition record of one (lam, r), then every vacuum record
+        if lam * r > 6.0:
+            return []
+        g = GroupElement(r, cfg.first("psi", _PSI), cfg.first("phi", _PHI))
+
+        def residual(report, k):
+            return ident.addition_residual(g, IrrepLabel(lam, k), k, dim=dim, tolerance=tol)
+
+        def crosscheck(report, k):
+            if k < 0:
+                return []
+            return ident.addition_vacuum_crosscheck(g, IrrepLabel(lam, k), k, dim=dim, tolerance=tol_vac)
+
+        def params(k):
+            return {"lam": lam, "k": k, "r": r, "psi": g.psi, "phi": g.phi, "dim": dim}
+
+        vacuum = ("addition-vacuum", "addition-vacuum-element", tol_vac)
+        return _sweep(cfg, *theorem, {"k": [-4, -2, 0, 1, 3, 4]}, residual, params) + _sweep(
+            cfg, *vacuum, {"k": [0, 2, 4]}, crosscheck, params
+        )
+
+    def params(lam, r):
+        return {"lam": lam, "r": r, "dim": dim}
+
+    return _sweep(cfg, *theorem, {"lam": [1.0, 2.0], "r": [0.5, 1.0, 2.0]}, pair, params)
 
 
 def suite_identity_a(cfg):
-    tol = cfg.tol("identity-a", 1e-10)
-    reports = []
-    for k in cfg.values("k", range(0, 11)):
-        for x in cfg.values("x", [0.25, 0.5, 1.0, 2.0]):
-            for r in cfg.values("r", [0.5, 1.0, 2.0]):
-                params = {"k": int(k), "x": x, "r": r}
-                reports.append(
-                    _guard(
-                        lambda k=int(k), x=x, r=r: ident.identity_a(k, x, r, tolerance=tol),
-                        "identity-a",
-                        "sandwich-identity-a",
-                        params,
-                        tol,
-                    )
-                )
-    return reports
+    tol = cfg.tol("identity-a")
+
+    def check(report, k, x, r):
+        return ident.identity_a(k, x, r, tolerance=tol)
+
+    axes = {"k": range(0, 11), "x": [0.25, 0.5, 1.0, 2.0], "r": [0.5, 1.0, 2.0]}
+    return _sweep(cfg, "identity-a", "sandwich-identity-a", tol, axes, check)
 
 
 def suite_identity_b(cfg):
-    tol = cfg.tol("identity-b", 1e-9)
-    reports = []
-    for m in cfg.values("m", range(0, 11)):
-        for k in cfg.values("k", range(0, 7)):
-            for x in cfg.values("x", [0.5, 1.0, 2.0]):
-                for r in cfg.values("r", [0.5, 1.0, 1.5]):
-                    params = {"m": int(m), "k": int(k), "x": x, "r": r}
-                    reports.append(
-                        _guard(
-                            lambda m=int(m), k=int(k), x=x, r=r: ident.identity_b(m, k, x, r, tolerance=tol),
-                            "identity-b",
-                            "sandwich-identity-b",
-                            params,
-                            tol,
-                        )
-                    )
-    return reports
+    tol = cfg.tol("identity-b")
+
+    def check(report, m, k, x, r):
+        return ident.identity_b(m, k, x, r, tolerance=tol)
+
+    axes = {"m": range(0, 11), "k": range(0, 7), "x": [0.5, 1.0, 2.0], "r": [0.5, 1.0, 1.5]}
+    return _sweep(cfg, "identity-b", "sandwich-identity-b", tol, axes, check)
 
 
 def suite_hille_hardy(cfg):
-    tol = cfg.tol("hille-hardy", 1e-8)
-    reports = []
-    for k in cfg.values("k", range(0, 7)):
-        for x in cfg.values("x", [0.5, 2.0, 4.0]):
-            for y in cfg.values("y", [0.5, 2.0, 4.0]):
-                for zq in cfg.values("zq", [0.5, 0.9]):
-                    params = {"k": int(k), "x": x, "y": y, "zq": zq}
-                    reports.append(
-                        _guard(
-                            lambda k=int(k), x=x, y=y, zq=zq: ident.hille_hardy_residual(
-                                k, x, y, zq, tolerance=tol
-                            ),
-                            "hille-hardy",
-                            "laguerre-bilinear-sum",
-                            params,
-                            tol,
-                        )
-                    )
-    return reports
+    tol = cfg.tol("hille-hardy")
+
+    def check(report, k, x, y, zq):
+        return ident.hille_hardy_residual(k, x, y, zq, tolerance=tol)
+
+    axes = {"k": range(0, 7), "x": [0.5, 2.0, 4.0], "y": [0.5, 2.0, 4.0], "zq": [0.5, 0.9]}
+    return _sweep(cfg, "hille-hardy", "laguerre-bilinear-sum", tol, axes, check)
 
 
 # off-diagonal weight pairs whose first oscillation peak falls well inside the
@@ -366,119 +331,85 @@ _PROFILE_PAIRS = [(0, 1.0, 3.0), (2, 1.0, 2.5), (3, 2.5, 5.0), (0, 2.0, 4.5)]
 
 
 def suite_orthogonality(cfg):
-    reports = []
-    tol_zero = cfg.tol("orthogonality-grading", 0.0)
     # the growth/boundedness checkpoints sit at zeta = 100/400/1000
-    zmax = max(int(cfg.values("zmax", [1000])[0]), 1001)
-    for k1, k2 in [(-2, 0), (0, 1), (1, 3), (-2, 3)]:
-        d1 = basis_d(IrrepLabel(2.0, k1), 60).coefficients
-        d2 = basis_d(IrrepLabel(3.0, k2), 60).coefficients
-        val = abs(inner_product(d1, d2))
-        params = {"k1": k1, "k2": k2, "lam1": 2.0, "lam2": 3.0}
-        reports.append(_report("orthogonality-grading", "orthogonality-grading", params, val, tol_zero))
-    for lam in cfg.values("lam", [1.0, 2.0, 4.0]):
-        for k in cfg.values("k", [0, 1]):
-            params = {"k": int(k), "lam1": lam, "lam2": lam, "zmax": zmax}
+    zmax = max(cfg.first("zmax", 1000), 1001)
 
-            def run(lam=lam, k=int(k), params=params):
-                curve = ident.orthogonality_profile_curve(k, lam, lam, zmax)
-                checkpoints = [curve[100], curve[400], curve[min(zmax, 1000) - 1]]
-                worst = max(a - b for a, b in zip(checkpoints, checkpoints[1:]))
-                detail = "diagonal profile " + ", ".join(repr(float(c)) for c in checkpoints)
-                return _report(
-                    "orthogonality-diagonal-growth",
-                    "orthogonality-profile",
-                    params,
-                    worst,
-                    cfg.tol("orthogonality-diagonal-growth", 0.0),
-                    detail,
-                )
+    def grading(report, windings):
+        d1 = basis_d(IrrepLabel(2.0, windings[0]), 60).coefficients
+        d2 = basis_d(IrrepLabel(3.0, windings[1]), 60).coefficients
+        return report(abs(inner_product(d1, d2)))
 
-            reports.append(_guard(run, "orthogonality-diagonal-growth", "orthogonality-profile", params, 0.0))
-    for k, lam1, lam2 in _PROFILE_PAIRS:
-        params = {"k": k, "lam1": lam1, "lam2": lam2, "zmax": zmax}
+    def growth(report, lam, k):
+        curve = ident.orthogonality_profile_curve(k, lam, lam, zmax)
+        checkpoints = [curve[100], curve[400], curve[min(zmax, 1000) - 1]]
+        worst = max(a - b for a, b in zip(checkpoints, checkpoints[1:]))
+        return report(worst, "diagonal profile " + ", ".join(repr(float(c)) for c in checkpoints))
 
-        def run(k=k, lam1=lam1, lam2=lam2, params=params):
-            curve = ident.orthogonality_profile_curve(k, lam1, lam2, zmax)
-            head = float(np.max(np.abs(curve[:101])))
-            tail = float(np.max(np.abs(curve[101:])))
-            return _report(
-                "orthogonality-offdiagonal-bounded",
-                "orthogonality-profile",
-                params,
-                (tail - head) / head,
-                cfg.tol("orthogonality-offdiagonal-bounded", 0.0),
-                detail=f"running max to 100: {head!r}; max beyond: {tail!r}",
-            )
+    def bounded(report, pair):
+        curve = ident.orthogonality_profile_curve(*pair, zmax)
+        head = float(np.max(np.abs(curve[:101])))
+        tail = float(np.max(np.abs(curve[101:])))
+        return report((tail - head) / head, f"running max to 100: {head!r}; max beyond: {tail!r}")
 
-        reports.append(_guard(run, "orthogonality-offdiagonal-bounded", "orthogonality-profile", params, 0.0))
-    return reports
+    def sweep(name, equation, axes, check, params):
+        return _sweep(cfg, name, equation, cfg.tol(name), axes, check, params)
+
+    return (
+        sweep(
+            "orthogonality-grading",
+            "orthogonality-grading",
+            {"windings": [(-2, 0), (0, 1), (1, 3), (-2, 3)]},
+            grading,
+            lambda windings: {"k1": windings[0], "k2": windings[1], "lam1": 2.0, "lam2": 3.0},
+        )
+        + sweep(
+            "orthogonality-diagonal-growth",
+            "orthogonality-profile",
+            {"lam": [1.0, 2.0, 4.0], "k": [0, 1]},
+            growth,
+            lambda lam, k: {"k": k, "lam1": lam, "lam2": lam, "zmax": zmax},
+        )
+        + sweep(
+            "orthogonality-offdiagonal-bounded",
+            "orthogonality-profile",
+            {"pair": _PROFILE_PAIRS},
+            bounded,
+            lambda pair: {"k": pair[0], "lam1": pair[1], "lam2": pair[2], "zmax": zmax},
+        )
+    )
 
 
 _SIGMA_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 def suite_classical_limit(cfg):
-    tol_err = cfg.tol("classical-limit", 1e-2)
-    tol_mono = cfg.tol("classical-limit-monotone", 0.0)
-    psi = cfg.values("psi", _DEFAULT_ANGLES["psi"])[0]
-    reports = []
-    for lam in cfg.values("lam", [1.0, 2.0, 4.0]):
-        for k in cfg.values("k", [0, 2, 5, 8]):
-            for r in cfg.values("r", [0.8, 1.0, 2.0]):
-                sigmas = tuple(cfg.values("sigma", _SIGMA_LADDER))
-                params = {"lam": lam, "k": int(k), "r": r, "sigma": sigmas[-1]}
+    psi = cfg.first("psi", _PSI)
+    sigmas = tuple(cfg.values("sigma", _SIGMA_LADDER))
 
-                def run(lam=lam, k=int(k), r=r, sigmas=sigmas, params=params):
-                    errs = ident.classical_limit_errors(IrrepLabel(lam, k), r, psi, sigmas)
-                    mono = max(b - a for a, b in zip(errs, errs[1:]))
-                    detail = "errors " + ", ".join(repr(e) for e in errs)
-                    return [
-                        _report("classical-limit", "classical-limit", params, errs[-1], tol_err, detail),
-                        _report(
-                            "classical-limit-monotone",
-                            "classical-limit",
-                            {**params, "sigmas": "1e-1..1e-4"},
-                            mono,
-                            tol_mono,
-                        ),
-                    ]
+    def check(report, lam, k, r):
+        errs = ident.classical_limit_errors(IrrepLabel(lam, k), r, psi, sigmas)
+        return _ladder(cfg, report, errs, "errors ", "classical-limit-monotone", sigmas="1e-1..1e-4")
 
-                got = _guard(run, "classical-limit", "classical-limit", params, tol_err)
-                reports.extend(got if isinstance(got, list) else [got])
-    return reports
+    def params(lam, k, r):
+        return {"lam": lam, "k": k, "r": r, "sigma": sigmas[-1]}
+
+    axes = {"lam": [1.0, 2.0, 4.0], "k": [0, 2, 5, 8], "r": [0.8, 1.0, 2.0]}
+    return _sweep(cfg, "classical-limit", "classical-limit", cfg.tol("classical-limit"), axes, check, params)
 
 
 def suite_kummer_limit(cfg):
-    tol_err = cfg.tol("kummer-limit", 1e-2)
-    tol_mono = cfg.tol("kummer-limit-monotone", 0.0)
-    ns = [int(v) for v in cfg.values("n", [100, 1000, 10000])]
-    reports = []
-    for b in cfg.values("m", [1, 2, 3, 10]):
-        for c in cfg.values("x", [0.5, 4.0, 9.0]):
-            params = {"b": int(b), "c": c, "n": ns[-1]}
+    ns = cfg.values("n", [100, 1000, 10000])
 
-            def run(b=int(b), c=c, params=params):
-                resids = [ident.kummer_bessel_limit_residual(n, b, c) for n in ns]
-                mono = max(r2 - r1 for r1, r2 in zip(resids, resids[1:]))
-                detail = (
-                    "evaluated as Phi(-n, b; -c/n); residuals "
-                    + ", ".join(repr(r) for r in resids)
-                )
-                return [
-                    _report("kummer-limit", "kummer-bessel-limit", params, resids[-1], tol_err, detail),
-                    _report(
-                        "kummer-limit-monotone",
-                        "kummer-bessel-limit",
-                        {**params, "n": "100,1000,10000"},
-                        mono,
-                        tol_mono,
-                    ),
-                ]
+    def check(report, m, x):
+        resids = [ident.kummer_bessel_limit_residual(n, m, x) for n in ns]
+        label = "evaluated as Phi(-n, b; -c/n); residuals "
+        return _ladder(cfg, report, resids, label, "kummer-limit-monotone", n="100,1000,10000")
 
-            got = _guard(run, "kummer-limit", "kummer-bessel-limit", params, tol_err)
-            reports.extend(got if isinstance(got, list) else [got])
-    return reports
+    def params(m, x):
+        return {"b": m, "c": x, "n": ns[-1]}
+
+    axes = {"m": [1, 2, 3, 10], "x": [0.5, 4.0, 9.0]}
+    return _sweep(cfg, "kummer-limit", "kummer-bessel-limit", cfg.tol("kummer-limit"), axes, check, params)
 
 
 SUITES = {
@@ -495,6 +426,7 @@ SUITES = {
     "classical-limit": suite_classical_limit,
     "kummer-limit": suite_kummer_limit,
 }
+SUITE_NAMES = list(SUITES)
 
 
 def run_verify(suite: str, cfg: RunConfig, stream) -> int:
@@ -505,6 +437,8 @@ def run_verify(suite: str, cfg: RunConfig, stream) -> int:
     reports = []
     for name in names:
         reports.extend(SUITES[name](cfg))
+    if not reports:
+        raise ValueError(f"verify {suite}: the grid gives no records, so nothing was checked")
     _emit_reports(reports, cfg.format, stream)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -534,87 +468,34 @@ def _emit_reports(reports, fmt, stream):
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["name", "equation", "params", "residual", "tolerance", "pass", "detail"])
         for r in reports:
-            writer.writerow(
-                [
-                    r.name,
-                    r.equation,
-                    _params_str(r.params),
-                    repr(r.residual),
-                    repr(r.tolerance),
-                    "true" if r.passed else "false",
-                    r.detail or "",
-                ]
-            )
+            row = [r.name, r.equation, _params_str(r.params), repr(r.residual), repr(r.tolerance)]
+            writer.writerow(row + ["true" if r.passed else "false", r.detail or ""])
 
 
 def _table_rows(kind: str, cfg: RunConfig):
     if kind == "u-matrix":
-        r = cfg.values("r", [1.0])[0]
-        g = GroupElement(r, cfg.values("psi", [0.0])[0], cfg.values("phi", [0.0])[0])
-        dim = cfg.dim
-        U = u_matrix(g, dim)
-        for m in range(dim):
-            for n in range(dim):
-                yield {
-                    "equation": "u-matrix-element",
-                    "r": r,
-                    "psi": g.psi,
-                    "phi": g.phi,
-                    "m": m,
-                    "n": n,
-                    "re": U[m, n].real,
-                    "im": U[m, n].imag,
-                }
+        r = cfg.first("r", 1.0)
+        g = GroupElement(r, cfg.first("psi", 0.0), cfg.first("phi", 0.0))
+        U = u_matrix(g, cfg.dim)
+        for m, n in itertools.product(range(cfg.dim), repeat=2):
+            z = U[m, n]
+            yield dict(equation="u-matrix-element", r=r, psi=g.psi, phi=g.phi, m=m, n=n, re=z.real, im=z.imag)
     elif kind == "irrep":
-        lam = cfg.values("lam", [1.0])[0]
-        r = cfg.values("r", [1.0])[0]
-        g = GroupElement(r, cfg.values("psi", [0.0])[0], cfg.values("phi", [0.0])[0])
-        ks = [int(v) for v in cfg.values("k", range(-3, 4))]
-        ns = [int(v) for v in cfg.values("n", range(-3, 4))]
-        label = IrrepLabel(lam, 0)
-        for k in ks:
-            for n in ns:
-                t = irrep_element(label, k, n, g)
-                yield {
-                    "equation": "irrep-element",
-                    "lam": lam,
-                    "r": r,
-                    "psi": g.psi,
-                    "phi": g.phi,
-                    "k": k,
-                    "n": n,
-                    "re": t.real,
-                    "im": t.imag,
-                }
+        lam, r = cfg.first("lam", 1.0), cfg.first("r", 1.0)
+        label, g = IrrepLabel(lam, 0), GroupElement(r, cfg.first("psi", 0.0), cfg.first("phi", 0.0))
+        for k, n in itertools.product(cfg.values("k", range(-3, 4)), cfg.values("n", range(-3, 4))):
+            t = irrep_element(label, k, n, g)
+            yield dict(equation="irrep-element", lam=lam, r=r, psi=g.psi, phi=g.phi, k=k, n=n, re=t.real, im=t.imag)
     elif kind == "basis":
-        lam = cfg.values("lam", [1.0])[0]
-        k = int(cfg.values("k", [0])[0])
-        zmax = int(cfg.values("zmax", [20])[0])
-        radial = basis_d(IrrepLabel(lam, k), zmax).radial
-        for zeta, val in enumerate(radial):
-            yield {
-                "equation": "basis-radial",
-                "lam": lam,
-                "k": k,
-                "zeta": zeta,
-                "re": val.real,
-                "im": val.imag,
-            }
+        lam, k = cfg.first("lam", 1.0), cfg.first("k", 0)
+        for zeta, val in enumerate(basis_d(IrrepLabel(lam, k), cfg.first("zmax", 20)).radial):
+            yield dict(equation="basis-radial", lam=lam, k=k, zeta=zeta, re=val.real, im=val.imag)
     elif kind == "profile":
-        k = int(cfg.values("k", [0])[0])
-        lam1 = cfg.values("lam", [2.0])[0]
-        lam2 = cfg.values("lam2", [3.0])[0]
-        zmaxes = [int(v) for v in cfg.values("zmax", [100, 400, 1000])]
+        k, lam1, lam2 = cfg.first("k", 0), cfg.first("lam", 2.0), cfg.first("lam2", 3.0)
+        zmaxes = cfg.values("zmax", [100, 400, 1000])
         curve = ident.orthogonality_profile_curve(k, lam1, lam2, max(zmaxes))
         for zm in zmaxes:
-            yield {
-                "equation": "orthogonality-profile",
-                "k": k,
-                "lam1": lam1,
-                "lam2": lam2,
-                "zmax": zm,
-                "value": float(curve[zm]),
-            }
+            yield dict(equation="orthogonality-profile", k=k, lam1=lam1, lam2=lam2, zmax=zm, value=float(curve[zm]))
 
 
 def run_table(kind: str, cfg: RunConfig, stream) -> int:
@@ -641,17 +522,23 @@ def _parse_value_token(tok: str):
         return [float(tok)]
 
 
-def _parse_values(text: str):
-    vals = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok:
-            vals.extend(_parse_value_token(tok))
-    return vals
-
-
 _PARAM_FLAGS = ["k", "m", "n", "x", "y", "r", "psi", "phi", "lambda", "lambda2", "zmax", "sigma", "zq"]
 _FLAG_DEST = {"lambda": "lam", "lambda2": "lam2"}
+_INTEGER_FLAGS = {"k", "m", "n", "zmax"}
+
+
+def _parse_grid(flag: str, text: str) -> list:
+    """An explicit grid: nonempty, finite, and integral for the integer flags."""
+    vals = [v for tok in text.split(",") if tok.strip() for v in _parse_value_token(tok.strip())]
+    if not vals:
+        raise ValueError(f"--{flag} {text!r} gives no values")
+    if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
+        raise ValueError(f"--{flag} {text!r}: values must be finite")
+    if flag in _INTEGER_FLAGS:
+        if any(isinstance(v, float) and not v.is_integer() for v in vals):
+            raise ValueError(f"--{flag} {text!r}: values must be integers")
+        vals = [int(v) for v in vals]
+    return vals
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -695,21 +582,16 @@ def _config_from_args(args) -> RunConfig:
         if "=" not in override:
             raise ValueError(f"bad --tol {override!r}: expected NAME=VAL")
         name, val = override.split("=", 1)
-        tols[name.strip()] = float(val)
+        tols[name.strip()] = value = float(val)
+        if not math.isfinite(value):
+            raise ValueError(f"bad --tol {override!r}: the tolerance must be finite")
     grid = {}
     for flag in _PARAM_FLAGS:
         dest = _FLAG_DEST.get(flag, flag)
         raw = getattr(args, dest)
         if raw is not None:
-            grid[dest] = _parse_values(raw)
-    return RunConfig(
-        dim=dim,
-        tol_overrides=tols,
-        grid=grid,
-        format=args.format,
-        seed=args.seed,
-        dim_explicit=dim_explicit,
-    )
+            grid[dest] = _parse_grid(flag, raw)
+    return RunConfig(dim, tols, grid, args.format, args.seed, dim_explicit)
 
 
 def _merge_negative_values(argv):
@@ -741,10 +623,6 @@ def main(argv=None, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
     try:
         cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "verify":
             return run_verify(args.suite, cfg, stream)
         return run_table(args.kind, cfg, stream)

@@ -69,6 +69,19 @@ class CheckReport:
         return cls(name, equation, dict(params), residual, float(tolerance), residual <= tolerance, detail)
 
 
+def _vacuum_terms(k: int, x: float, r: float) -> np.ndarray:
+    # terms (r^{2n}/n!) Phi(-n, 1+k; x^2) of identity-a's left side, truncated
+    # once the weight r^{2n}/n! drops below 1e-18 relative to e^{r^2}
+    r2 = r * r
+    nmax, t = 10, r2**10 / math.factorial(10)
+    while t > _TERM_EPS * math.exp(r2) and nmax < 400:
+        nmax += 1
+        t *= r2 / nmax
+    phis = kummer_phi_seq(nmax, 1 + k, x * x)
+    weights = np.exp(2 * np.arange(nmax + 1) * math.log(r) - np.array([log_factorial(n) for n in range(nmax + 1)]))
+    return weights * phis
+
+
 def identity_a(k: int, x: float, r: float, tolerance: float = 1e-10) -> CheckReport:
     """Vacuum sandwich of the addition theorem:
 
@@ -79,16 +92,9 @@ def identity_a(k: int, x: float, r: float, tolerance: float = 1e-10) -> CheckRep
     """
     if k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_a requires k >= 0, x > 0, r > 0")
-    r2 = r * r
-    nmax, t = 10, r2**10 / math.factorial(10)
-    while t > _TERM_EPS * math.exp(r2) and nmax < 400:
-        nmax += 1
-        t *= r2 / nmax
-    phis = kummer_phi_seq(nmax, 1 + k, x * x)
-    weights = np.exp(2 * np.arange(nmax + 1) * math.log(r) - np.array([log_factorial(n) for n in range(nmax + 1)]))
-    terms = weights * phis
+    terms = _vacuum_terms(k, x, r)
     lhs = float(np.sum(terms))
-    rhs = math.exp(log_factorial(k) - k * math.log(x * r) + r2) * bessel_j(k, 2 * x * r)
+    rhs = math.exp(log_factorial(k) - k * math.log(x * r) + r * r) * bessel_j(k, 2 * x * r)
     scale = max(abs(lhs), abs(rhs), float(np.max(np.abs(terms))))
     return CheckReport.from_residual(
         "identity-a",
@@ -226,14 +232,7 @@ def addition_vacuum_crosscheck(
     s1 = complex((U @ Mk @ U.conj().T)[0, 0])
     s3 = irrep_element(label, k, 0, g) * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
-    x = lam / 2.0
-    nmax, t = 10, r ** (2 * 10) / math.factorial(10)
-    while t > _TERM_EPS * math.exp(r * r) and nmax < 400:
-        nmax += 1
-        t *= r * r / nmax
-    phis = kummer_phi_seq(nmax, 1 + k, x * x)
-    weights = np.exp(2 * np.arange(nmax + 1) * math.log(r) - np.array([log_factorial(n) for n in range(nmax + 1)]))
-    lhs_sum = float(np.sum(weights * phis))
+    lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))
     s2 = (
         np.exp(-1j * k * g.psi)
         * math.exp(-r * r + k * math.log(r) - log_factorial(k) - lam * lam / 8.0)

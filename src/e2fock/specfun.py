@@ -10,6 +10,7 @@ recurrence), never naive alternating series.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,15 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
+def _kummer_terms(b: int, x: float):
+    # Phi(-n, b; x) for n = 0, 1, 2, ... by the forward degree recurrence
+    f_prev, f = 1.0, 1.0 - x / b
+    yield f_prev
+    for n in itertools.count(1):
+        yield f
+        f_prev, f = f, ((b + 2 * n - x) * f - n * f_prev) / (n + b)
+
+
 def kummer_phi_seq(nmax: int, b: int, x: float) -> np.ndarray:
     """All values Phi(-n, b; x) for n = 0..nmax.
 
@@ -88,14 +98,7 @@ def kummer_phi_seq(nmax: int, b: int, x: float) -> np.ndarray:
         raise ValueError("kummer_phi_seq requires nmax >= 0")
     if b < 1:
         raise ValueError("kummer_phi_seq requires integer b >= 1")
-    out = np.empty(nmax + 1)
-    out[0] = 1.0
-    if nmax == 0:
-        return out
-    out[1] = 1.0 - x / b
-    for n in range(1, nmax):
-        out[n + 1] = ((b + 2 * n - x) * out[n] - n * out[n - 1]) / (n + b)
-    return out
+    return np.fromiter(_kummer_terms(b, x), dtype=float, count=nmax + 1)
 
 
 def kummer_phi(n: int, b: int, x: float) -> float:
@@ -114,12 +117,7 @@ def kummer_phi(n: int, b: int, x: float) -> float:
         raise ValueError("kummer_phi requires n >= 0")
     if b < 1:
         raise ValueError("kummer_phi requires integer b >= 1")
-    f_prev, f = 1.0, 1.0 - x / b
-    if n == 0:
-        return f_prev
-    for m in range(1, n):
-        f_prev, f = f, ((b + 2 * m - x) * f - m * f_prev) / (m + b)
-    return f
+    return next(itertools.islice(_kummer_terms(b, x), n, None))
 
 
 def hyp2f0_poly(m: int, n: int, x: float) -> float:
@@ -140,6 +138,15 @@ def hyp2f0_poly(m: int, n: int, x: float) -> float:
     return s
 
 
+def _laguerre_terms(k: int, x: float):
+    # L^k_n(x) for n = 0, 1, 2, ... by the standard three-term recurrence
+    p_prev, p = 1.0, 1.0 + k - x
+    yield p_prev
+    for n in itertools.count(1):
+        yield p
+        p_prev, p = p, ((2 * n + 1 + k - x) * p - (n + k) * p_prev) / (n + 1)
+
+
 def laguerre_seq(nmax: int, k: int, x: float) -> np.ndarray:
     """Generalized Laguerre polynomials L^k_n(x) for n = 0..nmax.
 
@@ -148,32 +155,49 @@ def laguerre_seq(nmax: int, k: int, x: float) -> np.ndarray:
     """
     if nmax < 0 or k < 0:
         raise ValueError("laguerre_seq requires nmax, k >= 0")
-    out = np.empty(nmax + 1)
-    out[0] = 1.0
-    if nmax == 0:
-        return out
-    out[1] = 1.0 + k - x
-    for n in range(1, nmax):
-        out[n + 1] = ((2 * n + 1 + k - x) * out[n] - (n + k) * out[n - 1]) / (n + 1)
-    return out
+    return np.fromiter(_laguerre_terms(k, x), dtype=float, count=nmax + 1)
 
 
 def laguerre(n: int, k: int, x: float) -> float:
     """Generalized Laguerre polynomial L^k_n(x)."""
     if n < 0 or k < 0:
         raise ValueError("laguerre requires n, k >= 0")
-    p_prev, p = 1.0, 1.0 + k - x
-    if n == 0:
-        return p_prev
-    for m in range(1, n):
-        p_prev, p = p, ((2 * m + 1 + k - x) * p - (m + k) * p_prev) / (m + 1)
-    return p
+    return next(itertools.islice(_laguerre_terms(k, x), n, None))
 
 
 def _bessel_start_index(base: int) -> int:
     # Start far enough above max(order, argument) that the minimal solution
     # dominates the downward recursion at the turning point.
     return base + 40 + int(10.0 * (base + 1) ** (1.0 / 3.0)) + int(2.0 * math.sqrt(base + 1))
+
+
+def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
+    # Miller's normalized downward recurrence (Gautschi, SIAM Rev. 9, 1967):
+    # c_{k-1} = (2k/x) c_k + sign c_{k+1} from a start index well above
+    # max(nmax, x), normalized with c_0 + 2 sum_{k>=1, step | k} c_k.  With
+    # (sign, step) = (-1, 2) that is J_0 + 2 sum J_{2k} = 1, giving J_k(x);
+    # with (+1, 1) it is I_0 + 2 sum I_k = e^x, giving e^{-x} I_k(x).
+    out = np.zeros(nmax + 1)
+    if x == 0.0:
+        out[0] = 1.0
+        return out
+    base = max(nmax, int(math.ceil(x)))
+    start = _bessel_start_index(base)
+    c_up, c_cur = 0.0, 1e-300
+    norm = 0.0
+    for k in range(start, -1, -1):
+        c_down = (2.0 * (k + 1) / x) * c_cur + sign * c_up
+        c_up, c_cur = c_cur, c_down
+        if abs(c_cur) > 1e250:
+            c_cur *= 1e-250
+            c_up *= 1e-250
+            norm *= 1e-250
+            out *= 1e-250
+        if k <= nmax:
+            out[k] = c_cur
+        if k > 0 and k % step == 0:
+            norm += 2.0 * c_cur
+    return out / (c_cur + norm)
 
 
 def bessel_j_seq(nmax: int, x: float) -> np.ndarray:
@@ -187,27 +211,7 @@ def bessel_j_seq(nmax: int, x: float) -> np.ndarray:
         raise ValueError("bessel_j_seq requires nmax >= 0")
     if x < 0:
         raise ValueError("bessel_j_seq requires x >= 0")
-    out = np.zeros(nmax + 1)
-    if x == 0.0:
-        out[0] = 1.0
-        return out
-    base = max(nmax, int(math.ceil(x)))
-    start = _bessel_start_index(base)
-    j_up, j_cur = 0.0, 1e-300
-    even_sum = 0.0
-    for k in range(start, -1, -1):
-        j_down = (2.0 * (k + 1) / x) * j_cur - j_up
-        j_up, j_cur = j_cur, j_down
-        if abs(j_cur) > 1e250:
-            j_cur *= 1e-250
-            j_up *= 1e-250
-            even_sum *= 1e-250
-            out *= 1e-250
-        if k <= nmax:
-            out[k] = j_cur
-        if k > 0 and k % 2 == 0:
-            even_sum += 2.0 * j_cur
-    return out / (j_cur + even_sum)
+    return _miller_seq(nmax, x, -1, 2)
 
 
 def _bessel_j_series(nu: int, x: float) -> float:
@@ -251,32 +255,6 @@ def bessel_j(nu: int, x: float) -> float:
     return sign * bessel_j_seq(nu, x)[nu]
 
 
-def _bessel_i_scaled_seq(nmax: int, x: float) -> np.ndarray:
-    # e^{-x} I_k(x) for k = 0..nmax via downward recurrence normalized with
-    # I_0 + 2 sum_{k>=1} I_k = e^x.
-    out = np.zeros(nmax + 1)
-    if x == 0.0:
-        out[0] = 1.0
-        return out
-    base = max(nmax, int(math.ceil(x)))
-    start = _bessel_start_index(base)
-    i_up, i_cur = 0.0, 1e-300
-    total = 0.0
-    for k in range(start, -1, -1):
-        i_down = (2.0 * (k + 1) / x) * i_cur + i_up
-        i_up, i_cur = i_cur, i_down
-        if abs(i_cur) > 1e250:
-            i_cur *= 1e-250
-            i_up *= 1e-250
-            total *= 1e-250
-            out *= 1e-250
-        if k <= nmax:
-            out[k] = i_cur
-        if k > 0:
-            total += 2.0 * i_cur
-    return out / (i_cur + total)
-
-
 def _bessel_i_series(nu: int, x: float) -> float:
     q = 0.25 * x * x
     term = math.exp(nu * math.log(0.5 * x) - log_factorial(nu)) if x > 0 else (1.0 if nu == 0 else 0.0)
@@ -301,7 +279,7 @@ def bessel_i_scaled(nu: int, x: float) -> SpecValue:
     nu = abs(nu)
     if x <= 30.0:
         return SpecValue(_bessel_i_series(nu, x), 0.0)
-    scaled = _bessel_i_scaled_seq(nu, x)[nu]
+    scaled = _miller_seq(nu, x, 1, 1)[nu]
     if x > 500.0:
         return SpecValue(scaled, x)
     return SpecValue(scaled * math.exp(x), 0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -168,3 +169,53 @@ class TestSuiteHealth:
         recs = json_records(out)
         assert recs, suite
         assert code == 0, [r for r in recs if not r["pass"]]
+
+
+class TestStrictInput:
+    """Every input either yields records or is refused with exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "identity-a", "--tol", "identty-a=0"],  # a tolerance name no suite reads
+            ["verify", "identity-a", "--tol", "identity-a=nan"],
+            ["verify", "identity-a", "--k", "5..1"],  # an explicit grid with no values
+            ["verify", "addition", "--lambda", "4", "--r", "2"],  # lam * r > 6 everywhere: no records
+            ["verify", "identity-a", "--k", "1.7", "--x", "1", "--r", "1"],
+            ["verify", "kummer-limit", "--n", "100,1000.5"],
+            ["verify", "identity-a", "--k", "1", "--x", "nan", "--r", "1"],
+            ["verify", "identity-a", "--k", "1", "--x", "1", "--r", "inf"],
+            ["table", "basis", "--zmax", "1e400"],
+        ],
+    )
+    def test_refused(self, argv):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out == ""
+
+    def test_integral_float_accepted_as_integer(self):
+        code, out = run_cli(["verify", "identity-a", "--k", "2.0", "--x", "1", "--r", "1"])
+        assert code == 0
+        assert json_records(out)[0]["params"]["k"] == 2
+
+    def test_monotone_check_is_guarded(self):
+        # r < 0 is not a group element: error records and exit 1, not a crash
+        code, out = run_cli(["verify", "unitarity", "--r", "-1"])
+        assert code == 1
+        recs = json_records(out)
+        assert [r["name"] for r in recs] == ["unitarity", "unitarity-monotone"]
+        assert all(not r["pass"] and r["detail"].startswith("error:") for r in recs)
+
+
+def test_verify_all_record_schedule():
+    # names, equations, params and tolerances of every record, in order;
+    # residuals are left out so the digest holds across numpy/BLAS builds
+    code, out = run_cli(["verify", "all"])
+    assert code == 0
+    lines = [
+        json.dumps([r["name"], r["equation"], r["params"], r["tolerance"]], sort_keys=True) + "\n"
+        for r in json_records(out)
+    ]
+    assert len(lines) == 1246
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "bcc9e71c52537500b1df35d213ccad1f7353e97ff0a41bde8a172e32b47bfd9c"

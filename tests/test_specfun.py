@@ -277,3 +277,61 @@ def test_specvalue_reconstruction():
     sv = SpecValue(0.5, 2.0)
     assert sv.unscaled() == pytest.approx(0.5 * math.exp(2.0), rel=1e-15)
     assert SpecValue(3.0).log_scale == 0.0
+
+
+def _kummer_loop(nmax, b, x):
+    out = [1.0, 1.0 - x / b]
+    for n in range(1, nmax):
+        out.append(((b + 2 * n - x) * out[n] - n * out[n - 1]) / (n + b))
+    return out[: nmax + 1]
+
+
+def _laguerre_loop(nmax, k, x):
+    out = [1.0, 1.0 + k - x]
+    for n in range(1, nmax):
+        out.append(((2 * n + 1 + k - x) * out[n] - (n + k) * out[n - 1]) / (n + 1))
+    return out[: nmax + 1]
+
+
+def _miller_loop(nmax, x, modified):
+    # downward recurrence written out separately for J and for e^{-x} I
+    out = [0.0] * (nmax + 1)
+    start = max(nmax, math.ceil(x))
+    start += 40 + int(10.0 * (start + 1) ** (1.0 / 3.0)) + int(2.0 * math.sqrt(start + 1))
+    up, cur, norm = 0.0, 1e-300, 0.0
+    for k in range(start, -1, -1):
+        if modified:
+            up, cur = cur, (2.0 * (k + 1) / x) * cur + up
+        else:
+            up, cur = cur, (2.0 * (k + 1) / x) * cur - up
+        if abs(cur) > 1e250:
+            up, cur, norm = up * 1e-250, cur * 1e-250, norm * 1e-250
+            out = [v * 1e-250 for v in out]
+        if k <= nmax:
+            out[k] = cur
+        if k > 0 and (modified or k % 2 == 0):
+            norm += 2.0 * cur
+    return [v / (cur + norm) for v in out]
+
+
+class TestOneRecurrencePerFamily:
+    """Sequence and scalar forms share one recurrence: bit-identical to the plain loops."""
+
+    @pytest.mark.parametrize("b,x", [(1, 0.25), (3, 16.0), (7, -2.5), (2, -4e-4)])
+    def test_kummer(self, b, x):
+        ref = _kummer_loop(300, b, x)
+        assert kummer_phi_seq(300, b, x).tolist() == ref
+        assert [kummer_phi(n, b, x) for n in (0, 1, 2, 57, 300)] == [ref[n] for n in (0, 1, 2, 57, 300)]
+
+    @pytest.mark.parametrize("k,x", [(0, 0.5), (3, 4.0), (6, 40.0)])
+    def test_laguerre(self, k, x):
+        ref = _laguerre_loop(300, k, x)
+        assert laguerre_seq(300, k, x).tolist() == ref
+        assert [laguerre(n, k, x) for n in (0, 1, 2, 57, 300)] == [ref[n] for n in (0, 1, 2, 57, 300)]
+
+    @pytest.mark.parametrize("nmax,x", [(0, 0.3), (5, 2.0), (60, 7.5), (130, 300.0), (3, 900.0)])
+    def test_bessel_j_and_i(self, nmax, x):
+        assert bessel_j_seq(nmax, x).tolist() == _miller_loop(nmax, x, modified=False)
+        if x > 30.0:
+            scaled = _miller_loop(nmax, x, modified=True)[nmax]
+            assert bessel_i_scaled(nmax, x).value == (scaled if x > 500.0 else scaled * math.exp(x))
