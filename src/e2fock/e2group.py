@@ -152,28 +152,49 @@ def u_matrix_element(g: GroupElement, m: int, n: int) -> complex:
 
 
 def u_matrix(g: GroupElement, dim: int) -> np.ndarray:
-    """The truncated operator U(g), assembled diagonal by diagonal.
+    """The truncated operator U(g): a phase matrix times one real core.
 
-    Entries are the exact infinite-dimensional matrix elements (no truncation
-    error in the entries themselves); only products/conjugations of truncated
+    Row m of the real core T holds step m of the self-scaled recurrence of
+    :func:`_scaled_matrix_moduli` for every diagonal at once,
+    T[m, m+d] = T[m+d, m] = S_m(d), so the core costs one numpy step per row;
+    each entry is the same float operation as the scalar recurrence.  Entries
+    are the exact infinite-dimensional matrix elements (no truncation error
+    in the entries themselves); only products/conjugations of truncated
     matrices acquire boundary artifacts.
     """
     if dim < 2:
         raise ValueError("Fock truncation dimension must be >= 2")
-    U = np.zeros((dim, dim), dtype=complex)
     ms = np.arange(dim)
+    U = np.zeros((dim, dim), dtype=complex)
     if g.r < 1e-12:
         U[ms, ms] = np.exp(-1j * ms * g.phi)
         return U
-    damp = math.exp(-0.5 * g.r * g.r)
-    for d in range(dim):
-        vals = damp * _scaled_matrix_moduli(g.r, d, dim - d)
-        m = ms[: dim - d]
-        n = m + d
-        U[m, n] = np.exp(1j * ((m - n) * g.psi - m * g.phi)) * vals
-        if d > 0:
-            sign = (-1) ** d
-            U[n, m] = sign * np.exp(1j * ((n - m) * g.psi - n * g.phi)) * vals
+
+    # phase e^{1j * theta}, theta = (m-n) psi - m phi, built in place in U's
+    # imaginary part (adding 0.0 turns -0 into +0, as 1j * theta does; the
+    # real part stays 0, whose sign exp ignores), then times (-1)^{m-n}
+    # below the diagonal
+    theta = U.imag
+    np.subtract.outer(ms, ms, out=theta, dtype=float)
+    theta *= g.psi
+    theta -= (ms * g.phi)[:, None]
+    theta += 0.0
+    np.exp(U, out=U)
+    np.multiply(U, -1, out=U, where=(ms[:, None] > ms) & (ms[:, None] % 2 != ms % 2))
+
+    x, log_r = g.r * g.r, math.log(g.r)
+    T = np.empty((dim, dim))
+    T[0] = T[:, 0] = [math.exp(d * log_r - 0.5 * log_factorial(d)) if d > 0 else 1.0 for d in range(dim)]
+    coef = np.arange(2 * dim - 1) - x  # coef[2m+1+d] = 2m+1+d - x
+    root = np.sqrt(ms[1:])  # sqrt((m+1)(m+1+d)) at m = 0
+    T[1, 1:] = T[1:, 1] = coef[1:dim] * T[0, :-1] / root
+    for m in range(1, dim - 1):
+        # sqrt(m (m+d)) is the previous step's root, one entry shorter
+        lag, root = root[:-1], np.sqrt((m + 1) * ms[m + 1 :])
+        step = (coef[2 * m + 1 : m + dim] * T[m, m:-1] - lag * T[m - 1, m - 1 : -2]) / root
+        T[m + 1, m + 1 :] = T[m + 1 :, m + 1] = step
+    T *= math.exp(-0.5 * g.r * g.r)
+    U *= T
     return U
 
 

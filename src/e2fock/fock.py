@@ -63,6 +63,25 @@ def commutator_defect(dim: int) -> float:
     return float(np.linalg.norm(defect[: dim - 1, : dim - 1]))
 
 
+def times_diagonal(A: np.ndarray, values: np.ndarray, offset: int) -> np.ndarray:
+    """A @ M for the M whose only nonzero entries lie on one diagonal.
+
+    ``values`` are M's leading entries along diagonal ``offset``: M[i, i+offset]
+    for offset >= 0, M[i-offset, i] below.  Each column of the product is a
+    column of A times one entry of M, the one nonzero term of the dense
+    product.  When M's entries are real or purely imaginary that term is one
+    rounded float product per part, so the result equals the dense product
+    (up to the sign of zeros) at O(dim^2) cost.
+    """
+    out = np.zeros_like(A)
+    size, lag = len(values), abs(offset)
+    if offset >= 0:
+        out[:, offset : offset + size] = A[:, :size] * values
+    else:
+        out[:, :size] = A[:, lag : lag + size] * values
+    return out
+
+
 def boundary_margin(level: int, r: float) -> int:
     """Truncation margin needed above an occupied Fock level.
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .e2group import GroupElement, IrrepLabel, irrep_element, u_matrix
-from .fock import safe_block
-from .repk import basis_d, to_matrix
+from .fock import safe_block, times_diagonal
+from .repk import _winding_weights, basis_d
 from .specfun import (
     bessel_i,
     bessel_i_scaled,
@@ -149,8 +149,11 @@ def identity_b(m: int, k: int, x: float, r: float, tolerance: float = 1e-9, nter
     )
 
 
-def _basis_matrix(lam: float, n: int, dim: int) -> np.ndarray:
-    return to_matrix(basis_d(IrrepLabel(lam, n), dim - abs(n) - 2).coefficients, dim)
+def _basis_diagonal(lam: float, n: int, dim: int) -> np.ndarray:
+    # D_n as a truncated Fock matrix has one nonzero diagonal, offset -n; these
+    # are its leading entries there, as to_matrix places them
+    radial = basis_d(IrrepLabel(lam, n), dim - abs(n) - 2).radial
+    return radial * np.sqrt(_winding_weights(abs(n), len(radial) - 1))
 
 
 def addition_residual(
@@ -166,30 +169,33 @@ def addition_residual(
     Both sides are compared as truncated Fock matrices on the safe block;
     the n-sum is truncated where |J_{n-k}(lam r)| < 1e-16.  The residual is
     the Frobenius norm of the difference relative to that of D_k's block.
+    Each D_n occupies the single diagonal -n, so the right side is written
+    diagonal by diagonal.
     """
     lam = label.lam
     if lam * g.r > 6.0:
         raise ValueError("addition_residual requires lam * r <= 6")
     U = u_matrix(g, dim)
-    Mk = _basis_matrix(lam, k, dim)
-    lhs = U @ Mk @ U.conj().T
+    dk = _basis_diagonal(lam, k, dim)
+    lhs = times_diagonal(U, dk, -k) @ U.conj().T
 
     jmag = bessel_j_seq(nmax, lam * g.r)
     rhs = np.zeros_like(lhs)
-    used = []
+    terms = {}  # n -> (t_{kn}(g), diagonal of D_n)
     for n in range(k - nmax, k + nmax + 1):
         if abs(jmag[abs(n - k)]) < 1e-16:
             continue
-        rhs += irrep_element(label, k, n, g) * _basis_matrix(lam, n, dim)
-        used.append(n)
+        t, dn = terms[n] = irrep_element(label, k, n, g), _basis_diagonal(lam, n, dim)
+        i = np.arange(len(dn))
+        rhs[(i + n, i) if n >= 0 else (i, i - n)] = t * dn
 
     b = safe_block(dim, g.r)
     num = float(np.linalg.norm((lhs - rhs)[:b, :b]))
-    den = float(np.linalg.norm(Mk[:b, :b]))
+    den = float(np.linalg.norm(np.diag(dk, -k)[:b, :b]))
     residual = num / den
     detail = None
     if residual > tolerance:
-        detail = _addition_phase_diagnostic(lhs, label, k, used, dim, b, g)
+        detail = _addition_phase_diagnostic(lhs[:b, :b], terms)
     return CheckReport.from_residual(
         "addition",
         "addition-theorem",
@@ -200,15 +206,17 @@ def addition_residual(
     )
 
 
-def _addition_phase_diagnostic(lhs, label, k, used, dim, b, g) -> str:
-    # On failure, project the transformed operator onto each basis matrix and
-    # report the worst per-n coefficient mismatches against t_{kn}(g).
+def _addition_phase_diagnostic(block, terms) -> str:
+    # On failure, project the transformed operator's safe block onto each
+    # D_n's diagonal -n and report the worst per-n coefficient mismatches
+    # against t_{kn}(g); a diagonal with no entry in the block is skipped.
+    b = len(block)
     rows = []
-    for n in used:
-        Mn = _basis_matrix(label.lam, n, dim)[:b, :b]
-        denom = np.vdot(Mn, Mn).real
-        est = np.vdot(Mn, lhs[:b, :b]) / denom
-        ref = irrep_element(label, k, n, g)
+    for n, (ref, dn) in terms.items():
+        if abs(n) >= b:
+            continue
+        dn = dn[: b - abs(n)]
+        est = np.vdot(dn, np.diagonal(block, -n)) / np.vdot(dn, dn).real
         rows.append((abs(est - ref), n, est, ref))
     rows.sort(reverse=True)
     worst = "; ".join(f"n={n}: fitted {est:.6g}, expected {ref:.6g}" for _, n, est, ref in rows[:3])
@@ -228,8 +236,7 @@ def addition_vacuum_crosscheck(
         raise ValueError("vacuum cross-check uses k >= 0")
     lam, r = label.lam, g.r
     U = u_matrix(g, dim)
-    Mk = _basis_matrix(lam, k, dim)
-    s1 = complex((U @ Mk @ U.conj().T)[0, 0])
+    s1 = complex((times_diagonal(U, _basis_diagonal(lam, k, dim), -k) @ U.conj().T)[0, 0])
     s3 = irrep_element(label, k, 0, g) * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
     lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))

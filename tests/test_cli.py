@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -186,6 +187,7 @@ class TestStrictInput:
             ["verify", "identity-a", "--k", "1", "--x", "nan", "--r", "1"],
             ["verify", "identity-a", "--k", "1", "--x", "1", "--r", "inf"],
             ["table", "basis", "--zmax", "1e400"],
+            ["table", "u-matrix", "--dim", "513"],  # above the verify bound: dim^2 entries
         ],
     )
     def test_refused(self, argv):
@@ -219,3 +221,19 @@ def test_verify_all_record_schedule():
     assert len(lines) == 1246
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == "bcc9e71c52537500b1df35d213ccad1f7353e97ff0a41bde8a172e32b47bfd9c"
+
+
+def test_addition_diagnostic_skips_diagonals_outside_the_block():
+    # at dim 32 the r = 2 safe block misses the outer D_n diagonals; the
+    # per-n diagnostic skips those rather than dividing by a zero norm
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(["verify", "addition", "--dim", "32", "--seed", "7"])
+    assert [str(w.message) for w in caught] == []
+    recs = json_records(out)
+    assert code == 1 and len(recs) == 54
+    failing = [(r["params"]["lam"], r["params"]["k"], r["params"]["r"]) for r in recs if not r["pass"]]
+    assert failing == [(1.0, -4, 2.0), (1.0, 3, 2.0), (1.0, 4, 2.0)]
+    for r in recs:
+        assert "nan" not in (r["detail"] or "")
+        assert r["pass"] or r["detail"].startswith("per-n coefficient mismatch: n=")

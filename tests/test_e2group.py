@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from e2fock.e2group import (
     GroupElement,
     IrrepLabel,
+    _scaled_matrix_moduli,
     act_on_generator,
     compose,
     identity,
@@ -285,6 +286,39 @@ class TestUMatrix:
                 rhs = cmath.exp(1j * theta) * u_matrix(compose(g2, g1), dim)
                 b = safe_block(dim, max(g1.r + g2.r, 1.0))
                 assert np.max(np.abs((lhs - rhs)[:b, :b])) <= 1e-8
+
+
+def u_matrix_by_diagonals(g, dim):
+    # reference assembly: one scalar recurrence per diagonal, its phases
+    # evaluated on that diagonal's index arrays, (-1)^d on the phase below
+    U = np.zeros((dim, dim), dtype=complex)
+    ms = np.arange(dim)
+    if g.r < 1e-12:
+        U[ms, ms] = np.exp(-1j * ms * g.phi)
+        return U
+    damp = math.exp(-0.5 * g.r * g.r)
+    for d in range(dim):
+        vals = damp * _scaled_matrix_moduli(g.r, d, dim - d)
+        m = ms[: dim - d]
+        n = m + d
+        U[m, n] = np.exp(1j * ((m - n) * g.psi - m * g.phi)) * vals
+        if d > 0:
+            U[n, m] = (-1) ** d * np.exp(1j * ((n - m) * g.psi - n * g.phi)) * vals
+    return U
+
+
+class TestUMatrixBitIdentity:
+    @pytest.mark.parametrize("dim", [2, 3, 8, 17, 64, 96, 512])
+    def test_matches_per_diagonal_assembly(self, dim):
+        # tobytes also pins signed zeros, which table u-matrix prints; at
+        # r = 40 the damping underflows, so the core has -0 entries, and with
+        # psi < 0, phi = 0 the diagonal phases are e^{1j * -0}
+        angles = [(0.0, 0.0), (0.7, 0.3), (-2.9, 3.1), (4.0, -7.5), (-3.5, 9.0), (-1.0, 0.0)]
+        for i, r in enumerate([0.0, 1e-13, 1e-6, 0.5, 2.0, 3.9, 6.0]):
+            g = GroupElement(r, *angles[(i + dim) % len(angles)])
+            assert u_matrix(g, dim).tobytes() == u_matrix_by_diagonals(g, dim).tobytes(), (g, dim)
+        g = GroupElement(40.0, -1.0, 0.0)
+        assert u_matrix(g, min(dim, 17)).tobytes() == u_matrix_by_diagonals(g, min(dim, 17)).tobytes()
 
 
 class TestIrrepElements:

@@ -13,6 +13,7 @@ from e2fock.fock import (
     displaced_vacuum,
     number_op,
     safe_block,
+    times_diagonal,
 )
 
 
@@ -179,3 +180,20 @@ class TestSafeBlock:
         b = safe_block(64, 2.0)
         assert b + boundary_margin(b - 1, 2.0) <= 64
         assert (b + 1) + boundary_margin(b, 2.0) > 64
+
+
+class TestTimesDiagonal:
+    @pytest.mark.parametrize("offset", [-7, -1, 0, 1, 7])
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    def test_equals_dense_product(self, offset, unit):
+        # real or purely imaginary entries: the shifted columns are the dense
+        # product's floats, full diagonals and shorter ones alike
+        rng = np.random.default_rng(3)
+        dim = 24
+        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for size in (dim - abs(offset), dim - abs(offset) - 5):
+            values = unit * rng.standard_normal(size)
+            i = np.arange(size)
+            M = np.zeros((dim, dim), dtype=complex)
+            M[(i, i + offset) if offset >= 0 else (i - offset, i)] = values
+            assert np.array_equal(times_diagonal(A, values, offset), A @ M)

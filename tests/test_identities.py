@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from e2fock.e2group import GroupElement, IrrepLabel, identity
+from e2fock.e2group import GroupElement, IrrepLabel, identity, irrep_element, u_matrix
+from e2fock.fock import safe_block
 from e2fock.identities import (
     addition_residual,
     addition_vacuum_crosscheck,
@@ -17,7 +18,8 @@ from e2fock.identities import (
     orthogonality_profile,
     orthogonality_profile_curve,
 )
-from e2fock.repk import basis_d, inner_product
+from e2fock.repk import basis_d, inner_product, to_matrix
+from e2fock.specfun import bessel_j_seq
 
 
 class TestIdentityA:
@@ -150,6 +152,34 @@ class TestAdditionTheorem:
         g = GroupElement(2.0, 0.7, 0.3)
         rep = addition_residual(g, IrrepLabel(3.0, k), k, dim=96)
         assert rep.passed and rep.residual <= 1e-7
+
+
+def dense_addition_residual(g, lam, k, dim, nmax=60):
+    # reference: both sides of the addition theorem as dense matrix sums
+    def basis(n):
+        return to_matrix(basis_d(IrrepLabel(lam, n), dim - abs(n) - 2).coefficients, dim)
+
+    U, Mk = u_matrix(g, dim), basis(k)
+    lhs = U @ Mk @ U.conj().T
+    jmag = bessel_j_seq(nmax, lam * g.r)
+    rhs = np.zeros_like(lhs)
+    for n in range(k - nmax, k + nmax + 1):
+        if abs(jmag[abs(n - k)]) >= 1e-16:
+            rhs += irrep_element(IrrepLabel(lam, k), k, n, g) * basis(n)
+    b = safe_block(dim, g.r)
+    return float(np.linalg.norm((lhs - rhs)[:b, :b])) / float(np.linalg.norm(Mk[:b, :b]))
+
+
+class TestAdditionByDiagonals:
+    @pytest.mark.parametrize("dim,lam,r", [(32, 1.0, 2.0), (32, 2.0, 1.0), (96, 2.0, 0.5), (96, 3.0, 2.0)])
+    def test_residual_equals_dense_sum(self, dim, lam, r):
+        # each entry of the right side has one nonzero term, so writing it
+        # diagonal by diagonal gives the dense sum's residual bit for bit
+        g = GroupElement(r, 0.7, 0.3)
+        for k in (-4, 0, 1, 3):
+            assert addition_residual(g, IrrepLabel(lam, k), k, dim=dim).residual == dense_addition_residual(
+                g, lam, k, dim
+            )
 
 
 class TestHilleHardy:
