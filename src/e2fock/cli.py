@@ -28,7 +28,7 @@ import numpy as np
 
 from . import identities as ident
 from .e2group import GroupElement, IrrepLabel, irrep_element, u_matrix
-from .fock import annihilator, safe_block, times_diagonal
+from .fock import annihilator, flush_underflow, panel_size, safe_block, times_diagonal
 from .identities import CheckReport
 from .repk import (
     algebra_function,
@@ -138,14 +138,16 @@ def _ladder(cfg, report, values, label, monotone, **monotone_params):
     ]
 
 
-def _unitarity_defect(U, dim, block):
-    return np.linalg.norm((U.conj().T @ U - np.eye(dim))[:block, :block])
+def _unitarity_defect(U, block):
+    # the leading block of U* U - I needs only U's leading columns
+    V = U[:, : panel_size(len(U), block)]
+    return np.linalg.norm((V.conj().T @ V)[:block, :block] - np.eye(block))
 
 
 def suite_unitarity(cfg):
     def unitary(report, dim, r, psi, phi):
-        U = u_matrix(GroupElement(r, psi, phi), dim)
-        return report(_unitarity_defect(U, dim, max(safe_block(dim, r), min(dim, 4))))
+        U = flush_underflow(u_matrix(GroupElement(r, psi, phi), dim))
+        return report(_unitarity_defect(U, max(safe_block(dim, r), min(dim, 4))))
 
     # fixed-block truncation defect under dim doubling; strictly decreasing
     # until the float floor, non-increasing beyond it
@@ -156,7 +158,7 @@ def suite_unitarity(cfg):
         if block < 2:
             return []
         g = GroupElement(r, cfg.first("psi", _PSI), cfg.first("phi", _PHI))
-        defects = [float(_unitarity_defect(u_matrix(g, dim), dim, block)) for dim in (32, 64, 128)]
+        defects = [float(_unitarity_defect(flush_underflow(u_matrix(g, dim)), block)) for dim in (32, 64, 128)]
         worst_step = max(d2 - max(d1, _DEFECT_FLOOR) for d1, d2 in zip(defects, defects[1:]))
         detail = "defects " + ", ".join(repr(d) for d in defects) + f" (floor {_DEFECT_FLOOR})"
         return report(worst_step, detail, block=block)
@@ -171,12 +173,13 @@ def suite_unitarity(cfg):
 def suite_intertwining(cfg):
     def check(report, dim, r, psi, phi):
         g = GroupElement(r, psi, phi)
-        U = u_matrix(g, dim)
-        a = annihilator(dim)
-        Ua = times_diagonal(U, np.diagonal(a, 1), 1)  # U @ a
-        target = np.exp(1j * g.phi) * a + g.w * np.eye(dim)
+        U = flush_underflow(u_matrix(g, dim))
         b = max(safe_block(dim, r), min(dim, 4))
-        return report(np.max(np.abs((Ua @ U.conj().T - target)[:b, :b])))
+        # the leading block of U a U* needs only the leading rows of U a and U
+        rows = U[: panel_size(dim, b)]
+        Ua = times_diagonal(rows, np.sqrt(np.arange(1.0, dim)), 1)  # leading rows of U @ a
+        target = np.exp(1j * g.phi) * annihilator(b) + g.w * np.eye(b)
+        return report(np.max(np.abs((Ua @ rows.conj().T)[:b, :b] - target)))
 
     axes = {"dim": [cfg.dim], **_GROUP_AXES}
     return _sweep(cfg, "intertwining", "intertwining", cfg.tol("intertwining"), axes, check)
@@ -186,15 +189,22 @@ def suite_recurrence(cfg):
     zmax = cfg.first("zmax", 200)
 
     def check(report, k, x):
+        if zmax < 1:
+            raise ValueError(f"recurrence requires zmax >= 1, got {zmax}")
         b, c = 1 + k, x
         phis = kummer_phi_seq(zmax + 1, b, c)
         a = -np.arange(1.0, zmax + 1)  # a = -zeta, zeta = 1..zmax; floats, so any integer x converts
-        t1 = a * phis[:-2]
-        t2 = (a - b) * phis[2:]
-        t3 = (b - 2 * a - c) * phis[1:-1]
-        scale = np.maximum(np.maximum(abs(t1), abs(t2)), abs(t3))
-        # fmax skips NaN ratios, as a running max(worst, ratio) does
-        return report(np.fmax.reduce(abs(t1 + t2 + t3) / scale, initial=0.0))
+        # an overflowing value or term makes its ratios NaN or inf, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            t1 = a * phis[:-2]
+            t2 = (a - b) * phis[2:]
+            t3 = (b - 2 * a - c) * phis[1:-1]
+            scale = np.maximum(np.maximum(abs(t1), abs(t2)), abs(t3))
+            ratios = abs(t1 + t2 + t3) / scale
+        unchecked = np.flatnonzero(~np.isfinite(ratios))
+        if unchecked.size:
+            return report(math.inf, f"non-finite Kummer value or ratio at zeta={unchecked[0] + 1}")
+        return report(np.max(ratios))
 
     def params(k, x):
         return {"k": k, "c": x, "zmax": zmax}
@@ -387,10 +397,11 @@ _SIGMA_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 def suite_classical_limit(cfg):
     psi = cfg.first("psi", _PSI)
     sigmas = tuple(cfg.values("sigma", _SIGMA_LADDER))
+    sigma_label = "1e-1..1e-4" if sigmas == _SIGMA_LADDER else ",".join(repr(s) for s in sigmas)
 
     def check(report, lam, k, r):
         errs = ident.classical_limit_errors(IrrepLabel(lam, k), r, psi, sigmas)
-        return _ladder(cfg, report, errs, "errors ", "classical-limit-monotone", sigmas="1e-1..1e-4")
+        return _ladder(cfg, report, errs, "errors ", "classical-limit-monotone", sigmas=sigma_label)
 
     def params(lam, k, r):
         return {"lam": lam, "k": k, "r": r, "sigma": sigmas[-1]}
@@ -405,7 +416,7 @@ def suite_kummer_limit(cfg):
     def check(report, m, x):
         resids = [ident.kummer_bessel_limit_residual(n, m, x) for n in ns]
         label = "evaluated as Phi(-n, b; -c/n); residuals "
-        return _ladder(cfg, report, resids, label, "kummer-limit-monotone", n="100,1000,10000")
+        return _ladder(cfg, report, resids, label, "kummer-limit-monotone", n=",".join(map(str, ns)))
 
     def params(m, x):
         return {"b": m, "c": x, "n": ns[-1]}

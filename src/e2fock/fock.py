@@ -25,6 +25,9 @@ __all__ = [
     "displaced_basis",
 ]
 
+# a product of two float components of at least this size is a normal float
+_UNDERFLOW_FLOOR = 2.0**-511
+
 
 def _check_dim(dim: int) -> None:
     if dim < 2:
@@ -80,6 +83,34 @@ def times_diagonal(A: np.ndarray, values: np.ndarray, offset: int) -> np.ndarray
     else:
         out[:, :size] = A[:, lag : lag + size] * values
     return out
+
+
+def panel_size(dim: int, n: int) -> int:
+    """Leading rows or columns to multiply for the leading n x n block of a product.
+
+    zgemm kernels such as OpenBLAS's fill the output in panels of 4 rows and
+    columns and sum the entries of a partial panel in another order.  Keeping
+    n rounded up to whole panels (at most dim) gives, on such a BLAS, the bits
+    of the full dim x dim product's block; elsewhere it agrees to rounding.
+    """
+    return min(dim, -(-n // 4) * 4)
+
+
+def flush_underflow(A: np.ndarray) -> np.ndarray:
+    """Zero, in place, every real or imaginary component of A below 2**-511.
+
+    Any nonzero product of two remaining components is then a normal float,
+    so a dense product of such operands runs at full BLAS speed instead of
+    through subnormal arithmetic.  Dropping them moves an entry of a product
+    by at most about dim * 2**-511 times the operands' largest entry: below
+    1e-151 for U(g) at dim 512, whose entries are bounded by 1, and far below
+    every tolerance.  A dropped component becomes a zero of the same sign;
+    every other component, NaN and infinity included, keeps its bits.
+    Returns A.
+    """
+    parts = A.view(np.float64) if np.iscomplexobj(A) else A
+    np.multiply(parts, 0.0, out=parts, where=np.abs(parts) < _UNDERFLOW_FLOOR)
+    return A
 
 
 def boundary_margin(level: int, r: float) -> int:

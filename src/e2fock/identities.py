@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .e2group import GroupElement, IrrepLabel, irrep_element, u_matrix
-from .fock import safe_block, times_diagonal
+from .fock import panel_size, safe_block, times_diagonal
 from .repk import _winding_weights, basis_d
 from .specfun import (
     bessel_i,
@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 _TERM_EPS = 1e-18
+
+# most scalar Kummer recurrence steps one limit-check point may run, a
+# fraction of a second; the default grids need at most 40 000
+_MAX_KUMMER_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,7 @@ def _addition_phase_diagnostic(block, terms) -> str:
         est = np.vdot(dn, np.diagonal(block, -n)) / np.vdot(dn, dn).real
         rows.append((abs(est - ref), n, est, ref))
     rows.sort(reverse=True)
-    worst = "; ".join(f"n={n}: fitted {est:.6g}, expected {ref:.6g}" for _, n, est, ref in rows[:3])
+    worst = "; ".join(f"n={n}: fitted {complex(est)!r}, expected {ref!r}" for _, n, est, ref in rows[:3])
     return "per-n coefficient mismatch: " + worst
 
 
@@ -235,8 +239,9 @@ def addition_vacuum_crosscheck(
     if k < 0:
         raise ValueError("vacuum cross-check uses k >= 0")
     lam, r = label.lam, g.r
-    U = u_matrix(g, dim)
-    s1 = complex((times_diagonal(U, _basis_diagonal(lam, k, dim), -k) @ U.conj().T)[0, 0])
+    # the (0, 0) entry needs only U's leading rows
+    rows = u_matrix(g, dim)[: panel_size(dim, 1)]
+    s1 = complex((times_diagonal(rows, _basis_diagonal(lam, k, dim), -k) @ rows.conj().T)[0, 0])
     s3 = irrep_element(label, k, 0, g) * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
     lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))
@@ -342,11 +347,16 @@ def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float)
 
         | (lam r/2)^a/a! e^{-sigma lam^2/8} Phi(-zeta*, 1+a; sigma lam^2/4)
           - J_a(lam r) |,   a = |k|.
+
+    Raises ValueError when sigma <= 0, or when zeta* exceeds 10**6 steps of
+    the scalar Kummer recurrence.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     lam, a = label.lam, abs(label.k)
     zeta_star = round(r * r / sigma)
+    if zeta_star > _MAX_KUMMER_STEPS:
+        raise ValueError(f"r^2/sigma needs {zeta_star} Kummer steps, above the cap of {_MAX_KUMMER_STEPS}")
     lhs = (
         math.exp(a * math.log(lam * r / 2.0) - log_factorial(a) - sigma * lam * lam / 8.0)
         * kummer_phi(zeta_star, 1 + a, sigma * lam * lam / 4.0)
@@ -369,10 +379,13 @@ def kummer_bessel_limit_residual(n: int, b: int, c: float) -> float:
     Evaluates Phi(-n, b; -c/n) against (b-1)! c^{(1-b)/2} I_{b-1}(2 sqrt(c))
     and returns |ratio - 1|.  The first argument goes to -infinity with a
     negative argument scaling -c/n: that is the sign pattern under which the
-    modified-Bessel limit is actually approached.
+    modified-Bessel limit is actually approached.  Degrees above 10**6 are
+    refused with ValueError, since degree n costs n scalar recurrence steps.
     """
     if n < 1 or b < 1 or not (0 < c):
         raise ValueError("kummer_bessel_limit_residual requires n >= 1, b >= 1, c > 0")
+    if n > _MAX_KUMMER_STEPS:
+        raise ValueError(f"n = {n} is above the cap of {_MAX_KUMMER_STEPS} Kummer steps")
     lhs = kummer_phi(n, b, -c / n)
     rhs = math.factorial(b - 1) * c ** (0.5 * (1 - b)) * bessel_i(b - 1, 2.0 * math.sqrt(c))
     return abs(lhs / rhs - 1.0)

@@ -4,9 +4,12 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from e2fock.cli import main
+from e2fock.cli import RunConfig, main, suite_intertwining, suite_unitarity
+from e2fock.e2group import GroupElement, u_matrix
+from e2fock.fock import annihilator, safe_block, times_diagonal
 
 
 def run_cli(argv):
@@ -237,3 +240,123 @@ def test_addition_diagnostic_skips_diagonals_outside_the_block():
     for r in recs:
         assert "nan" not in (r["detail"] or "")
         assert r["pass"] or r["detail"].startswith("per-n coefficient mismatch: n=")
+
+
+def full_unitarity_defect(U, dim, block):
+    # the whole dim x dim product, then its leading block
+    return np.linalg.norm((U.conj().T @ U - np.eye(dim))[:block, :block])
+
+
+def full_intertwining_residual(g, dim, b):
+    U, a = u_matrix(g, dim), annihilator(dim)
+    Ua = times_diagonal(U, np.diagonal(a, 1), 1)
+    target = np.exp(1j * g.phi) * a + g.w * np.eye(dim)
+    return np.max(np.abs((Ua @ U.conj().T - target)[:b, :b]))
+
+
+class TestBlockProducts:
+    """The suites multiply only the checked block of flushed operands."""
+
+    # 0.9 at dim 512 is where a block cut to exactly b rows moved intertwining
+    # by 1.1e-14; the last r is the one the monotone record uses
+    RS = [1e-13, 0.3, 6.0, 3.9, 0.9, 1.7]
+
+    @pytest.mark.parametrize("dim", [8, 64, 512])
+    def test_unitarity_matches_full_product(self, dim):
+        cfg = RunConfig(dim=dim, grid={"r": self.RS})
+        recs = suite_unitarity(cfg)
+        assert [r.name for r in recs] == ["unitarity"] * len(self.RS) + ["unitarity-monotone"]
+        for rec, r in zip(recs, self.RS):
+            g = GroupElement(r, 0.7, 0.3)
+            old = full_unitarity_defect(u_matrix(g, dim), dim, max(safe_block(dim, r), min(dim, 4)))
+            assert abs(rec.residual - old) <= 1e-14, (dim, r, rec.residual, old)
+            assert rec.passed == (old <= rec.tolerance)
+        block = safe_block(32, 1.7)
+        g = GroupElement(1.7, 0.7, 0.3)
+        defects = [full_unitarity_defect(u_matrix(g, d), d, block) for d in (32, 64, 128)]
+        old = max(d2 - max(d1, 1e-13) for d1, d2 in zip(defects, defects[1:]))
+        assert abs(recs[-1].residual - old) <= 1e-14
+        assert recs[-1].passed == (old <= 0.0)
+
+    @pytest.mark.parametrize("dim", [8, 64, 512])
+    def test_intertwining_matches_full_product(self, dim):
+        recs = suite_intertwining(RunConfig(dim=dim, grid={"r": self.RS}))
+        assert len(recs) == len(self.RS)
+        for rec, r in zip(recs, self.RS):
+            g = GroupElement(r, 0.7, 0.3)
+            old = full_intertwining_residual(g, dim, max(safe_block(dim, r), min(dim, 4)))
+            assert abs(rec.residual - old) <= 1e-14, (dim, r, rec.residual, old)
+            assert rec.passed == (old <= rec.tolerance)
+
+
+def test_verify_all_raises_no_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(["verify", "all"])
+    assert code == 0 and len(json_records(out)) == 1246
+
+
+class TestRecurrenceOverflow:
+    def test_overflowing_kummer_values_fail(self):
+        # at x = 1e300 the degree-2 value overflows, at x = 1e20 the degree-17
+        # value; each such record fails and names the first unchecked zeta
+        code, out = run_cli(["verify", "recurrence", "--k", "0,3", "--x", "1e300,-5,1e20"])
+        assert code == 1
+        recs = {(r["params"]["k"], r["params"]["c"]): r for r in json_records(out)}
+        for k in (0, 3):
+            assert recs[k, -5]["pass"]
+            for x, zeta in ((1e300, 1), (1e20, 16)):
+                rec = recs[k, x]
+                assert not rec["pass"] and rec["residual"] is None
+                assert rec["detail"] == f"non-finite Kummer value or ratio at zeta={zeta}"
+
+    @pytest.mark.parametrize("zmax", ["0", "-1"])
+    def test_empty_zeta_range_is_an_error(self, zmax):
+        code, out = run_cli(["verify", "recurrence", "--k", "0", "--x", "1", "--zmax", zmax])
+        assert code == 1
+        (rec,) = json_records(out)
+        assert not rec["pass"] and rec["detail"].startswith("error:")
+
+
+class TestLadderLabels:
+    def test_kummer_limit_labels_its_n_ladder(self):
+        _, out = run_cli(["verify", "kummer-limit", "--m", "1", "--x", "4", "--n", "10,100"])
+        mono = [r for r in json_records(out) if r["name"] == "kummer-limit-monotone"]
+        assert [r["params"]["n"] for r in mono] == ["10,100"]
+
+    def test_classical_limit_labels_its_sigma_ladder(self):
+        argv = ["verify", "classical-limit", "--lambda", "1", "--k", "0", "--r", "1"]
+        _, out = run_cli(argv + ["--sigma", "0.1,0.01"])
+        mono = [r for r in json_records(out) if r["name"] == "classical-limit-monotone"]
+        assert [r["params"]["sigmas"] for r in mono] == ["0.1,0.01"]
+        _, out = run_cli(argv)
+        mono = [r for r in json_records(out) if r["name"] == "classical-limit-monotone"]
+        assert [r["params"]["sigmas"] for r in mono] == ["1e-1..1e-4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "classical-limit", "--lambda", "1", "--k", "0", "--r", "2", "--sigma", "0.1,1e-9"],
+        ["verify", "kummer-limit", "--m", "1", "--x", "4", "--n", "100,1000000000"],
+    ],
+)
+def test_kummer_step_cap(argv):
+    # without the cap these points run billions of scalar steps
+    code, out = run_cli(argv)
+    assert code == 1
+    (rec,) = json_records(out)
+    assert not rec["pass"] and rec["detail"].startswith("error:") and "cap" in rec["detail"]
+
+
+def test_addition_diagnostic_shows_full_precision():
+    _, out = run_cli(["verify", "addition", "--dim", "32", "--seed", "7"])
+    details = [r["detail"] for r in json_records(out) if not r["pass"]]
+    assert len(details) == 3
+    for detail in details:
+        rows = detail.removeprefix("per-n coefficient mismatch: ").split("; ")
+        assert len(rows) == 3
+        for row in rows:
+            fitted, expected = row.split(": ", 1)[1].removeprefix("fitted ").split(", expected ")
+            assert fitted != expected
+            assert complex(fitted) != complex(expected)

@@ -11,7 +11,9 @@ from e2fock.fock import (
     creator,
     displaced_basis,
     displaced_vacuum,
+    flush_underflow,
     number_op,
+    panel_size,
     safe_block,
     times_diagonal,
 )
@@ -182,6 +184,11 @@ class TestSafeBlock:
         assert (b + 1) + boundary_margin(b, 2.0) > 64
 
 
+def test_panel_size_rounds_up_to_whole_panels_of_four():
+    assert [panel_size(512, n) for n in (1, 4, 5, 8, 509)] == [4, 4, 8, 8, 512]
+    assert [panel_size(dim, n) for dim, n in ((2, 1), (6, 5), (6, 6))] == [2, 6, 6]
+
+
 class TestTimesDiagonal:
     @pytest.mark.parametrize("offset", [-7, -1, 0, 1, 7])
     @pytest.mark.parametrize("unit", [1.0, 1j])
@@ -197,3 +204,40 @@ class TestTimesDiagonal:
             M = np.zeros((dim, dim), dtype=complex)
             M[(i, i + offset) if offset >= 0 else (i - offset, i)] = values
             assert np.array_equal(times_diagonal(A, values, offset), A @ M)
+
+
+class TestFlushUnderflow:
+    FLOOR = 2.0**-511
+
+    def test_zeroes_exactly_the_components_below_the_floor(self):
+        below = np.nextafter(self.FLOOR, 0.0)
+        parts = np.array(
+            [1.0, -2.5, self.FLOOR, -self.FLOOR, below, -below, 1e-160, -1e-200, 5e-324, 1e-150,
+             0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 2.0**-600, 3.0]
+        )  # fmt: skip
+        A = parts.view(complex).reshape(3, 3).copy()
+        before = A.copy()
+        assert flush_underflow(A) is A
+        old, new = before.view(np.float64).ravel(), A.view(np.float64).ravel()
+        dropped = np.abs(old) < self.FLOOR
+        assert list(np.flatnonzero(dropped)) == [4, 5, 6, 7, 8, 10, 11, 16]
+        assert np.all(new[dropped] == 0.0)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+        kept = old.view(np.uint64)[~dropped]
+        assert np.array_equal(new.view(np.uint64)[~dropped], kept)
+
+    def test_works_in_place_on_real_arrays_and_views(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((6, 6)) * np.exp(rng.uniform(-700, 0, (6, 6)))
+        before = A.copy()
+        flush_underflow(A[:, :4])
+        assert np.array_equal(A[:, :4], np.where(np.abs(before[:, :4]) < self.FLOOR, 0.0, before[:, :4]))
+        assert np.count_nonzero(A[:, :4]) < np.count_nonzero(before[:, :4])
+        assert A[:, 4:].tobytes() == before[:, 4:].tobytes()
+
+    def test_products_of_kept_components_are_normal(self):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal(4000) * np.exp(rng.uniform(-800, 0, 4000))
+        kept = flush_underflow(A)[A != 0.0]
+        products = np.abs(np.multiply.outer(kept[:200], kept[:200]))
+        assert np.all(products >= np.finfo(float).tiny)
