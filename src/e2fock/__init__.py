@@ -17,125 +17,14 @@ This package realizes that action concretely:
 * ``cli``      -- the ``e2fock verify`` / ``e2fock table`` command line.
 """
 
-from .e2group import (
-    GroupElement,
-    IrrepLabel,
-    act_on_generator,
-    compose,
-    identity,
-    inverse,
-    irrep_element,
-    u_matrix,
-    u_matrix_element,
-)
-from .fock import (
-    annihilator,
-    boundary_margin,
-    commutator_defect,
-    creator,
-    displaced_basis,
-    displaced_vacuum,
-    number_op,
-    safe_block,
-)
-from .identities import (
-    CheckReport,
-    addition_residual,
-    addition_vacuum_crosscheck,
-    classical_limit_error,
-    classical_limit_errors,
-    hille_hardy_residual,
-    identity_a,
-    identity_b,
-    kummer_bessel_limit_residual,
-    orthogonality_profile,
-    orthogonality_profile_curve,
-)
-from .repk import (
-    AlgebraFunction,
-    BasisFunction,
-    act_T,
-    adjoint_p,
-    algebra_function,
-    basis_d,
-    basis_recurrence_residual,
-    eigen_residuals,
-    hs_norm,
-    inner_product,
-    op_h,
-    op_p,
-    op_pbar,
-    to_matrix,
-)
-from .specfun import (
-    SpecValue,
-    bessel_i,
-    bessel_i_scaled,
-    bessel_j,
-    bessel_j_seq,
-    hyp2f0_poly,
-    kummer_phi,
-    kummer_phi_seq,
-    laguerre,
-    laguerre_seq,
-    log_factorial,
-)
+from . import e2group, fock, identities, repk, specfun
+from .e2group import *  # noqa: F403
+from .fock import *  # noqa: F403
+from .identities import *  # noqa: F403
+from .repk import *  # noqa: F403
+from .specfun import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GroupElement",
-    "IrrepLabel",
-    "identity",
-    "compose",
-    "inverse",
-    "act_on_generator",
-    "u_matrix_element",
-    "u_matrix",
-    "irrep_element",
-    "annihilator",
-    "creator",
-    "number_op",
-    "commutator_defect",
-    "boundary_margin",
-    "safe_block",
-    "displaced_vacuum",
-    "displaced_basis",
-    "AlgebraFunction",
-    "BasisFunction",
-    "algebra_function",
-    "inner_product",
-    "hs_norm",
-    "to_matrix",
-    "op_p",
-    "op_pbar",
-    "op_h",
-    "adjoint_p",
-    "basis_d",
-    "basis_recurrence_residual",
-    "eigen_residuals",
-    "act_T",
-    "CheckReport",
-    "identity_a",
-    "identity_b",
-    "addition_residual",
-    "addition_vacuum_crosscheck",
-    "hille_hardy_residual",
-    "orthogonality_profile",
-    "orthogonality_profile_curve",
-    "classical_limit_error",
-    "classical_limit_errors",
-    "kummer_bessel_limit_residual",
-    "SpecValue",
-    "log_factorial",
-    "kummer_phi",
-    "kummer_phi_seq",
-    "hyp2f0_poly",
-    "laguerre",
-    "laguerre_seq",
-    "bessel_j",
-    "bessel_j_seq",
-    "bessel_i",
-    "bessel_i_scaled",
-    "__version__",
-]
+# each layer module's __all__ is its public API; the package re-exports them all
+__all__ = [*e2group.__all__, *fock.__all__, *repk.__all__, *identities.__all__, *specfun.__all__, "__version__"]

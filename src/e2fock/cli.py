@@ -131,6 +131,8 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict):
 def _ladder(cfg, report, values, label, monotone, **monotone_params):
     # a decreasing error ladder: its last rung against the sweep's tolerance,
     # and its worst step up as the record ``monotone``
+    if len(values) < 2:
+        raise ValueError(f"the monotone check needs at least two rungs, got {len(values)}")
     worst_step = max(b - a for a, b in zip(values, values[1:]))
     return [
         report(values[-1], label + ", ".join(repr(v) for v in values)),

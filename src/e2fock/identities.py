@@ -160,6 +160,13 @@ def _basis_diagonal(lam: float, n: int, dim: int) -> np.ndarray:
     return radial * np.sqrt(_winding_weights(abs(n), len(radial) - 1))
 
 
+def _transformed_block(g: GroupElement, dk: np.ndarray, k: int, dim: int, b: int) -> np.ndarray:
+    # the leading b x b block of U(g) D_k U(g)*, for D_k's diagonal dk; it
+    # needs only U's leading rows
+    rows = u_matrix(g, dim)[: panel_size(dim, b)]
+    return (times_diagonal(rows, dk, -k) @ rows.conj().T)[:b, :b]
+
+
 def addition_residual(
     g: GroupElement,
     label: IrrepLabel,
@@ -179,12 +186,12 @@ def addition_residual(
     lam = label.lam
     if lam * g.r > 6.0:
         raise ValueError("addition_residual requires lam * r <= 6")
-    U = u_matrix(g, dim)
+    b = safe_block(dim, g.r)
     dk = _basis_diagonal(lam, k, dim)
-    lhs = times_diagonal(U, dk, -k) @ U.conj().T
+    lhs = _transformed_block(g, dk, k, dim, b)
 
     jmag = bessel_j_seq(nmax, lam * g.r)
-    rhs = np.zeros_like(lhs)
+    rhs = np.zeros((dim, dim), dtype=complex)
     terms = {}  # n -> (t_{kn}(g), diagonal of D_n)
     for n in range(k - nmax, k + nmax + 1):
         if abs(jmag[abs(n - k)]) < 1e-16:
@@ -193,13 +200,12 @@ def addition_residual(
         i = np.arange(len(dn))
         rhs[(i + n, i) if n >= 0 else (i, i - n)] = t * dn
 
-    b = safe_block(dim, g.r)
-    num = float(np.linalg.norm((lhs - rhs)[:b, :b]))
+    num = float(np.linalg.norm(lhs - rhs[:b, :b]))
     den = float(np.linalg.norm(np.diag(dk, -k)[:b, :b]))
     residual = num / den
     detail = None
     if residual > tolerance:
-        detail = _addition_phase_diagnostic(lhs[:b, :b], terms)
+        detail = _addition_phase_diagnostic(lhs, terms)
     return CheckReport.from_residual(
         "addition",
         "addition-theorem",
@@ -239,9 +245,7 @@ def addition_vacuum_crosscheck(
     if k < 0:
         raise ValueError("vacuum cross-check uses k >= 0")
     lam, r = label.lam, g.r
-    # the (0, 0) entry needs only U's leading rows
-    rows = u_matrix(g, dim)[: panel_size(dim, 1)]
-    s1 = complex((times_diagonal(rows, _basis_diagonal(lam, k, dim), -k) @ rows.conj().T)[0, 0])
+    s1 = complex(_transformed_block(g, _basis_diagonal(lam, k, dim), k, dim, 1)[0, 0])
     s3 = irrep_element(label, k, 0, g) * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
     lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))

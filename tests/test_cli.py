@@ -337,6 +337,22 @@ class TestLadderLabels:
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "kummer-limit", "--m", "1", "--x", "4", "--n", "100"],
+        ["verify", "classical-limit", "--lambda", "1", "--k", "0", "--r", "1", "--sigma", "0.01"],
+    ],
+)
+def test_one_rung_ladder_is_an_error_record(argv):
+    # a monotone check compares rungs, so a single rung has nothing to check
+    code, out = run_cli(argv)
+    assert code == 1
+    (rec,) = json_records(out)
+    assert not rec["pass"] and rec["residual"] is None
+    assert rec["detail"] == "error: the monotone check needs at least two rungs, got 1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["verify", "classical-limit", "--lambda", "1", "--k", "0", "--r", "2", "--sigma", "0.1,1e-9"],
         ["verify", "kummer-limit", "--m", "1", "--x", "4", "--n", "100,1000000000"],
     ],
