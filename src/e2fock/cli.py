@@ -244,11 +244,9 @@ def _random_algebra_function(rng, zmax, windings, integer=False):
 
 
 def suite_lie_algebra(cfg):
-    tol_exact = cfg.tol("lie-algebra")
-    tol_pair = cfg.tol("lie-algebra-adjoint")
     rng = np.random.default_rng(cfg.seed)
-    reports = []
-    for trial in range(4):
+
+    def bracket(report, trial):
         windings = sorted(rng.choice(np.arange(-6, 7), size=3, replace=False))
         F = _random_algebra_function(rng, 20, windings, integer=True)
         # [h, p] = p and [h, pbar] = -pbar, exact on integer coefficients
@@ -260,9 +258,9 @@ def suite_lie_algebra(cfg):
             max((float(np.max(np.abs(c))) for c in comm_p.terms.values()), default=0.0),
             max((float(np.max(np.abs(c))) for c in comm_pb.terms.values()), default=0.0),
         )
-        params = {"trial": trial, "windings": ",".join(str(w) for w in windings), "seed": cfg.seed}
-        reports.append(CheckReport.from_residual("lie-bracket", "lie-brackets", params, resid, tol_exact))
-    for trial in range(4):
+        return report(resid, windings=",".join(str(w) for w in windings), seed=cfg.seed)
+
+    def pairing(report, trial):
         F = _random_algebra_function(rng, 20, [-3, 0, 2])
         G = _random_algebra_function(rng, 20, [-4, -1, 1])
         lhs = inner_product(op_p(F), G)
@@ -270,10 +268,12 @@ def suite_lie_algebra(cfg):
         h_lhs = inner_product(op_h(F), G)
         h_rhs = inner_product(F, op_h(G))
         scale = max(abs(lhs), abs(rhs), abs(h_lhs), abs(h_rhs), 1e-300)
-        resid = max(abs(lhs - rhs), abs(h_lhs - h_rhs)) / scale
-        params = {"trial": trial, "zmax": 20, "seed": cfg.seed}
-        reports.append(CheckReport.from_residual("adjoint-pairing", "adjoint-structure", params, resid, tol_pair))
-    return reports
+        return report(max(abs(lhs - rhs), abs(h_lhs - h_rhs)) / scale, zmax=20, seed=cfg.seed)
+
+    trials = {"trial": range(4)}
+    return _sweep(cfg, "lie-bracket", "lie-brackets", cfg.tol("lie-algebra"), trials, bracket) + _sweep(
+        cfg, "adjoint-pairing", "adjoint-structure", cfg.tol("lie-algebra-adjoint"), trials, pairing
+    )
 
 
 def suite_addition(cfg):
@@ -545,8 +545,12 @@ _INTEGER_FLAGS = {"k", "m", "n", "zmax"}
 
 
 def _parse_grid(flag: str, text: str) -> list:
-    """An explicit grid: nonempty, finite, and integral for the integer flags."""
-    vals = [v for tok in text.split(",") if tok.strip() for v in _parse_value_token(tok.strip())]
+    """An explicit grid: nonempty, no empty range in it, finite, and integral for the integer flags."""
+    vals = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        if not (got := _parse_value_token(tok)):
+            raise ValueError(f"--{flag} {text!r}: range {tok} gives no values")
+        vals += got
     if not vals:
         raise ValueError(f"--{flag} {text!r} gives no values")
     if any(isinstance(v, float) and not math.isfinite(v) for v in vals):

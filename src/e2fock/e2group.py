@@ -97,9 +97,7 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     Rotation angles add; translations compose as w1 + e^{i phi1} w2.
     """
     w = g1.w + cmath.exp(1j * g1.phi) * g2.w
-    r = abs(w)
-    psi = cmath.phase(w) if r >= 1e-15 else 0.0
-    return GroupElement(r, psi, g1.phi + g2.phi)
+    return GroupElement(abs(w), cmath.phase(w), g1.phi + g2.phi)
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -112,55 +110,29 @@ def act_on_generator(g: GroupElement) -> tuple[complex, complex]:
     return cmath.exp(1j * g.phi), g.w
 
 
-def _scaled_matrix_moduli(r: float, d: int, count: int) -> np.ndarray:
-    """|<m|U|m+d>| / e^{-r^2/2} for m = 0..count-1 at diagonal offset d >= 0.
-
-    S_m = r^d sqrt(m!/(m+d)!) L^{(d)}_m(r^2), run as a self-scaled recurrence
-    so intermediates stay O(1) (the matrix elements are bounded by 1).
-    """
-    x = r * r
-    s = np.empty(count)
-    s[0] = math.exp(d * math.log(r) - 0.5 * log_factorial(d)) if d > 0 else 1.0
-    if count == 1:
-        return s
-    s[1] = (1.0 + d - x) * s[0] / math.sqrt(1.0 + d)
-    for m in range(1, count - 1):
-        s[m + 1] = ((2 * m + 1 + d - x) * s[m] - math.sqrt(m * (m + d)) * s[m - 1]) / math.sqrt(
-            (m + 1) * (m + 1 + d)
-        )
-    return s
-
-
 def u_matrix_element(g: GroupElement, m: int, n: int) -> complex:
     """Matrix element <m|U(g)|n> of the unitary implementing g.
 
     Closed form: (-1)^m e^{i(m-n)psi - i m phi} r^{n+m} e^{-r^2/2} / sqrt(n! m!)
-    times 2F0(-m, -n; -1/r^2), evaluated through the equivalent scaled
-    Laguerre recurrence; the r -> 0 limit is the rotation diagonal
-    delta_{mn} e^{-i n phi}.
+    times 2F0(-m, -n; -1/r^2), the r -> 0 limit being the rotation diagonal
+    delta_{mn} e^{-i n phi}.  Read from the smallest :func:`u_matrix` that
+    holds it, so it equals that entry bit for bit and costs O(max(m, n)^2).
     """
     if m < 0 or n < 0:
         raise ValueError("matrix element indices must be >= 0")
-    if g.r < 1e-12:
-        return cmath.exp(-1j * n * g.phi) if m == n else 0.0
-    lo, d = min(m, n), abs(m - n)
-    modulus = math.exp(-0.5 * g.r * g.r) * _scaled_matrix_moduli(g.r, d, lo + 1)[lo]
-    phase = cmath.exp(1j * ((m - n) * g.psi - m * g.phi))
-    if m > n:
-        phase *= (-1) ** (m - n)
-    return phase * modulus
+    return complex(u_matrix(g, max(m, n, 1) + 1)[m, n])
 
 
 def u_matrix(g: GroupElement, dim: int) -> np.ndarray:
     """The truncated operator U(g): a phase matrix times one real core.
 
-    Row m of the real core T holds step m of the self-scaled recurrence of
-    :func:`_scaled_matrix_moduli` for every diagonal at once,
-    T[m, m+d] = T[m+d, m] = S_m(d), so the core costs one numpy step per row;
-    each entry is the same float operation as the scalar recurrence.  Entries
-    are the exact infinite-dimensional matrix elements (no truncation error
-    in the entries themselves); only products/conjugations of truncated
-    matrices acquire boundary artifacts.
+    The real core T[m, m+d] = T[m+d, m] = S_m(d) = r^d sqrt(m!/(m+d)!) L^{(d)}_m(r^2)
+    is |<m|U|m+d>| / e^{-r^2/2}, run as a self-scaled recurrence in m so that
+    intermediates stay O(1); row m holds step m of every diagonal at once, so
+    the core costs one numpy step per row.  Entries are the exact
+    infinite-dimensional matrix elements (no truncation error in the entries
+    themselves); only products/conjugations of truncated matrices acquire
+    boundary artifacts.
     """
     if dim < 2:
         raise ValueError("Fock truncation dimension must be >= 2")

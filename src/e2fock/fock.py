@@ -17,7 +17,6 @@ from .e2group import GroupElement
 __all__ = [
     "annihilator",
     "creator",
-    "number_op",
     "commutator_defect",
     "boundary_margin",
     "safe_block",
@@ -46,12 +45,6 @@ def annihilator(dim: int) -> np.ndarray:
 def creator(dim: int) -> np.ndarray:
     """Raising operator, the conjugate transpose of :func:`annihilator`."""
     return annihilator(dim).conj().T
-
-
-def number_op(dim: int) -> np.ndarray:
-    """diag(0, 1, ..., dim-1), the occupation-number operator."""
-    _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 def commutator_defect(dim: int) -> float:
@@ -131,7 +124,7 @@ def safe_block(dim: int, r: float) -> int:
     """
     _check_dim(dim)
     b = dim
-    while b > 0 and b + math.ceil(4.0 + 4.0 * r * math.sqrt(b)) > dim:
+    while b > 0 and b + boundary_margin(b - 1, r) > dim:
         b -= 1
     return b
 

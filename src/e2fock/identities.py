@@ -21,7 +21,7 @@ import numpy as np
 
 from .e2group import GroupElement, IrrepLabel, irrep_element, u_matrix
 from .fock import panel_size, safe_block, times_diagonal
-from .repk import _winding_weights, basis_d
+from .repk import _log_winding_weights, _winding_weights, basis_d
 from .specfun import (
     bessel_i,
     bessel_i_scaled,
@@ -41,7 +41,6 @@ __all__ = [
     "addition_residual",
     "addition_vacuum_crosscheck",
     "hille_hardy_residual",
-    "orthogonality_profile",
     "orthogonality_profile_curve",
     "classical_limit_error",
     "classical_limit_errors",
@@ -324,21 +323,12 @@ def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: in
     x1, x2 = lambda1 * lambda1 / 4.0, lambda2 * lambda2 / 4.0
     p1 = kummer_phi_seq(zmax, 1 + a, x1)
     p2 = kummer_phi_seq(zmax, 1 + a, x2)
-    z = np.arange(zmax + 1, dtype=float)
-    if a:
-        half_logw = 0.5 * np.sum(np.log(z[:, None] + np.arange(1, a + 1)), axis=1)
-    else:
-        half_logw = np.zeros(zmax + 1)
+    half_logw = 0.5 * _log_winding_weights(a, zmax)
     pref = math.exp(
         a * math.log(lambda1 * lambda2 / 4.0) - 2 * log_factorial(a) - (lambda1**2 + lambda2**2) / 8.0
     )
     summand = (p1 * np.exp(half_logw)) * (p2 * np.exp(half_logw))
     return pref * np.cumsum(summand)
-
-
-def orthogonality_profile(k: int, lambda1: float, lambda2: float, zmax: int) -> float:
-    """Truncated inner product (D^l1_k, D^l2_k) over zeta <= zmax."""
-    return float(orthogonality_profile_curve(k, lambda1, lambda2, zmax)[-1])
 
 
 def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "BasisFunction",
     "algebra_function",
     "inner_product",
-    "hs_norm",
     "to_matrix",
     "op_p",
     "op_pbar",
@@ -112,19 +111,21 @@ class BasisFunction:
 
     label: IrrepLabel
     coefficients: AlgebraFunction
-    phase_convention: str = "(i*lam)^k"
 
     @property
     def radial(self) -> np.ndarray:
         return self.coefficients.terms[-self.label.k]
 
 
+def _log_winding_weights(a: int, zmax: int) -> np.ndarray:
+    """log((zeta+a)!/zeta!) for zeta = 0..zmax; exact zeros at a = 0 (an empty sum)."""
+    z = np.arange(zmax + 1, dtype=float)
+    return np.sum(np.log(z[:, None] + np.arange(1, a + 1)), axis=1)
+
+
 def _winding_weights(a: int, zmax: int) -> np.ndarray:
     """(zeta+a)!/zeta! for zeta = 0..zmax, the trace weight of winding +-a."""
-    z = np.arange(zmax + 1, dtype=float)
-    if a == 0:
-        return np.ones(zmax + 1)
-    return np.exp(np.sum(np.log(z[:, None] + np.arange(1, a + 1)), axis=1))
+    return np.exp(_log_winding_weights(a, zmax))
 
 
 def inner_product(F: AlgebraFunction, G: AlgebraFunction) -> complex:
@@ -141,11 +142,6 @@ def inner_product(F: AlgebraFunction, G: AlgebraFunction) -> complex:
         m = min(len(cf), len(cg))
         total += np.sum(np.conj(cf[:m]) * cg[:m] * _winding_weights(abs(w), m - 1))
     return complex(total)
-
-
-def hs_norm(F: AlgebraFunction) -> float:
-    """Hilbert-Schmidt (trace) norm sqrt((F, F))."""
-    return math.sqrt(max(inner_product(F, F).real, 0.0))
 
 
 def to_matrix(F: AlgebraFunction, dim: int) -> np.ndarray:
@@ -269,8 +265,8 @@ def eigen_residuals(label: IrrepLabel, zmax: int) -> tuple[float, float]:
     D, f = basis.coefficients, basis.radial
     lam, k = label.lam, label.k
 
-    pp_star = op_p(op_pbar(D).scaled(-1.0))
-    star_pp = op_pbar(op_p(D).scaled(-1.0))
+    pp_star = op_p(adjoint_p(D))
+    star_pp = adjoint_p(op_p(D))
 
     z = np.arange(zmax - 1, dtype=float)
     a = abs(k)

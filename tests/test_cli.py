@@ -184,6 +184,7 @@ class TestStrictInput:
             ["verify", "identity-a", "--tol", "identty-a=0"],  # a tolerance name no suite reads
             ["verify", "identity-a", "--tol", "identity-a=nan"],
             ["verify", "identity-a", "--k", "5..1"],  # an explicit grid with no values
+            ["verify", "identity-a", "--k", "5..1,3", "--x", "1", "--r", "1"],  # a reversed range inside a list
             ["verify", "addition", "--lambda", "4", "--r", "2"],  # lam * r > 6 everywhere: no records
             ["verify", "identity-a", "--k", "1.7", "--x", "1", "--r", "1"],
             ["verify", "kummer-limit", "--n", "100,1000.5"],

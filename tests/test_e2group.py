@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from e2fock.e2group import (
     GroupElement,
     IrrepLabel,
-    _scaled_matrix_moduli,
     act_on_generator,
     compose,
     identity,
@@ -177,11 +176,15 @@ class TestUMatrix:
             assert np.max(np.abs(U[:, n] - col)) <= 1e-9
 
     def test_element_agrees_with_matrix(self):
-        g = GroupElement(1.3, -0.5, 0.9)
-        U = u_matrix(g, 20)
-        for m in (0, 3, 11, 19):
-            for n in (0, 2, 14):
-                assert U[m, n] == pytest.approx(u_matrix_element(g, m, n), rel=1e-13, abs=1e-250)
+        # the element is read from the one core, so it matches bit for bit;
+        # repr of the complex also pins the sign of zeros
+        angles = [(-0.5, 0.9), (4.0, -7.5), (-1.0, 0.0)]
+        for i, r in enumerate([0.0, 1e-13, 1e-6, 0.5, 1.3, 2.0, 3.9, 6.0, 40.0]):
+            g = GroupElement(r, *angles[i % len(angles)])
+            U = u_matrix(g, 30)
+            for m in range(30):
+                for n in range(30):
+                    assert repr(u_matrix_element(g, m, n)) == repr(complex(U[m, n])), (r, m, n)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0])
     def test_unitarity_on_safe_block(self, r):
@@ -286,6 +289,25 @@ class TestUMatrix:
                 rhs = cmath.exp(1j * theta) * u_matrix(compose(g2, g1), dim)
                 b = safe_block(dim, max(g1.r + g2.r, 1.0))
                 assert np.max(np.abs((lhs - rhs)[:b, :b])) <= 1e-8
+
+
+def _scaled_matrix_moduli(r: float, d: int, count: int) -> np.ndarray:
+    """|<m|U|m+d>| / e^{-r^2/2} for m = 0..count-1 at diagonal offset d >= 0.
+
+    S_m = r^d sqrt(m!/(m+d)!) L^{(d)}_m(r^2), run as a self-scaled recurrence
+    so intermediates stay O(1) (the matrix elements are bounded by 1).
+    """
+    x = r * r
+    s = np.empty(count)
+    s[0] = math.exp(d * math.log(r) - 0.5 * log_factorial(d)) if d > 0 else 1.0
+    if count == 1:
+        return s
+    s[1] = (1.0 + d - x) * s[0] / math.sqrt(1.0 + d)
+    for m in range(1, count - 1):
+        s[m + 1] = ((2 * m + 1 + d - x) * s[m] - math.sqrt(m * (m + d)) * s[m - 1]) / math.sqrt(
+            (m + 1) * (m + 1 + d)
+        )
+    return s
 
 
 def u_matrix_by_diagonals(g, dim):

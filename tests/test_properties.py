@@ -1,4 +1,5 @@
-"""Property tests of layer invariants: the grid parser, strict record output, group laws.
+"""Property tests of layer invariants: the grid parser, strict record output, group laws,
+the Kummer recurrence.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 deterministic.
@@ -7,6 +8,7 @@ deterministic.
 import io
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from conftest import group_matrix3
 from e2fock.cli import _parse_grid, main
 from e2fock.e2group import GroupElement, compose, identity, inverse
 from e2fock.fock import safe_block
+from e2fock.specfun import kummer_phi_seq
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 CLI = settings(PROPERTY, max_examples=12)
@@ -132,3 +135,21 @@ class TestGroupLaws:
     def test_associative(self, a, b, c):
         left, right = compose(compose(a, b), c), compose(a, compose(b, c))
         assert np.allclose(group_matrix3(left), group_matrix3(right), rtol=0, atol=GROUP_ATOL)
+
+
+class TestKummerSequence:
+    @settings(PROPERTY, max_examples=200)
+    @given(st.integers(0, 120), st.integers(1, 30), st.floats(-40.0, 40.0))
+    def test_matches_mpmath(self, nmax, b, x):
+        # each Phi(-n, b; x) against mpmath at 60 digits, relative to the larger
+        # of |Phi| and the largest term of the terminating series, which
+        # cancels to a small value near the polynomial's nodes
+        # (an exact zero at a node needs zeroprec: mpmath cannot reach a
+        # relative accuracy there)
+        phis = kummer_phi_seq(nmax, b, x)
+        with mpmath.workdps(60):
+            for n, got in enumerate(phis):
+                j = np.arange(n)
+                largest = np.max(np.cumprod((n - j) * abs(x) / ((j + 1) * (b + j))), initial=1.0)
+                want = mpmath.hyp1f1(-n, b, x, zeroprec=400)
+                assert float(abs(got - want)) <= 1e-12 * max(abs(float(want)), largest), (n, b, x)

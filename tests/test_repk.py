@@ -12,7 +12,6 @@ from e2fock.repk import (
     basis_d,
     basis_recurrence_residual,
     eigen_residuals,
-    hs_norm,
     inner_product,
     op_h,
     op_p,
@@ -20,6 +19,10 @@ from e2fock.repk import (
     to_matrix,
 )
 from e2fock.specfun import kummer_phi, laguerre, log_factorial
+
+
+def hs_norm(F):
+    return math.sqrt(inner_product(F, F).real)
 
 
 def random_af(rng, zmax, windings, integer=False):
