@@ -109,8 +109,8 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict):
     ``report(residual, detail=None)`` builds a record under this sweep's
     name, equation, tolerance and ``params(**point)``; keywords ``name``,
     ``equation`` and ``tolerance`` replace those, and any other keyword adds
-    or replaces a param.  A ValueError or OverflowError from the check
-    becomes one error record for the point.
+    or replaces a param.  A ValueError or ArithmeticError (overflow, division
+    by zero) from the check becomes one error record for the point.
     """
     reports = []
     for values in itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())):
@@ -122,7 +122,7 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict):
 
         try:
             got = check(report, **point)
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             got = CheckReport(name, equation, dict(base), math.inf, tol, False, f"error: {exc}")
         reports.extend(got if isinstance(got, list) else [got])
     return reports
@@ -345,8 +345,13 @@ _PROFILE_PAIRS = [(0, 1.0, 3.0), (2, 1.0, 2.5), (3, 2.5, 5.0), (0, 2.0, 4.5)]
 
 
 def suite_orthogonality(cfg):
-    # the growth/boundedness checkpoints sit at zeta = 100/400/1000
-    zmax = max(cfg.first("zmax", 1000), 1001)
+    zmax = cfg.first("zmax", 1001)
+
+    def curve(k, lam1, lam2):
+        # the growth/boundedness checkpoints sit at zeta = 100/400/1000
+        if zmax < 1001:
+            raise ValueError(f"zmax {zmax} is below 1001, so the profile does not reach its zeta = 1000 checkpoint")
+        return ident.orthogonality_profile_curve(k, lam1, lam2, zmax)
 
     def grading(report, windings):
         d1 = basis_d(IrrepLabel(2.0, windings[0]), 60).coefficients
@@ -354,15 +359,15 @@ def suite_orthogonality(cfg):
         return report(abs(inner_product(d1, d2)))
 
     def growth(report, lam, k):
-        curve = ident.orthogonality_profile_curve(k, lam, lam, zmax)
-        checkpoints = [curve[100], curve[400], curve[min(zmax, 1000) - 1]]
+        values = curve(k, lam, lam)
+        checkpoints = [values[100], values[400], values[999]]
         worst = max(a - b for a, b in zip(checkpoints, checkpoints[1:]))
         return report(worst, "diagonal profile " + ", ".join(repr(float(c)) for c in checkpoints))
 
     def bounded(report, pair):
-        curve = ident.orthogonality_profile_curve(*pair, zmax)
-        head = float(np.max(np.abs(curve[:101])))
-        tail = float(np.max(np.abs(curve[101:])))
+        values = curve(*pair)
+        head = float(np.max(np.abs(values[:101])))
+        tail = float(np.max(np.abs(values[101:])))
         return report((tail - head) / head, f"running max to 100: {head!r}; max beyond: {tail!r}")
 
     def sweep(name, equation, axes, check, params):
@@ -400,15 +405,24 @@ def suite_classical_limit(cfg):
     psi = cfg.first("psi", _PSI)
     sigmas = tuple(cfg.values("sigma", _SIGMA_LADDER))
     sigma_label = "1e-1..1e-4" if sigmas == _SIGMA_LADDER else ",".join(repr(s) for s in sigmas)
+    axes = {"lam": [1.0, 2.0, 4.0], "k": [0, 2, 5, 8], "r": [0.8, 1.0, 2.0]}
+    rs = cfg.values("r", axes["r"])
+    ladders = {}  # one Kummer ladder per (lam, |k|, sigma), run on first use over the whole r axis
+
+    def ladder(label, sigma):
+        key = (label.lam, abs(label.k), sigma)
+        if key not in ladders:
+            ladders[key] = ident.classical_limit_ladder(label, sigma, rs)
+        return ladders[key]
 
     def check(report, lam, k, r):
-        errs = ident.classical_limit_errors(IrrepLabel(lam, k), r, psi, sigmas)
+        label = IrrepLabel(lam, k)
+        errs = [ident.classical_limit_error(label, r, psi, s, ladder(label, s)) for s in sigmas]
         return _ladder(cfg, report, errs, "errors ", "classical-limit-monotone", sigmas=sigma_label)
 
     def params(lam, k, r):
         return {"lam": lam, "k": k, "r": r, "sigma": sigmas[-1]}
 
-    axes = {"lam": [1.0, 2.0, 4.0], "k": [0, 2, 5, 8], "r": [0.8, 1.0, 2.0]}
     return _sweep(cfg, "classical-limit", "classical-limit", cfg.tol("classical-limit"), axes, check, params)
 
 
@@ -451,7 +465,8 @@ def run_verify(suite: str, cfg: RunConfig, stream) -> int:
     names = SUITE_NAMES if suite == "all" else [suite]
     reports = []
     for name in names:
-        reports.extend(SUITES[name](cfg))
+        with ident.memo_scope():
+            reports.extend(SUITES[name](cfg))
     if not reports:
         raise ValueError(f"verify {suite}: the grid gives no records, so nothing was checked")
     _emit_reports(reports, cfg.format, stream)

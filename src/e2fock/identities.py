@@ -14,6 +14,7 @@ behavior (growth, boundedness, monotone decay) is asserted instead.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ from .specfun import (
     bessel_j_seq,
     hyp2f0_poly,
     kummer_phi,
+    kummer_phi_at,
     kummer_phi_seq,
     laguerre_seq,
     log_factorial,
@@ -42,9 +44,11 @@ __all__ = [
     "addition_vacuum_crosscheck",
     "hille_hardy_residual",
     "orthogonality_profile_curve",
+    "classical_limit_ladder",
     "classical_limit_error",
     "classical_limit_errors",
     "kummer_bessel_limit_residual",
+    "memo_scope",
 ]
 
 _TERM_EPS = 1e-18
@@ -52,6 +56,48 @@ _TERM_EPS = 1e-18
 # most scalar Kummer recurrence steps one limit-check point may run, a
 # fraction of a second; the default grids need at most 40 000
 _MAX_KUMMER_STEPS = 10**6
+
+# most array bytes the memo holds, four dim-512 U(g); past it, values are
+# recomputed, not kept (verify all's largest suite memo is 0.6 MB)
+_MEMO_BYTES = 16 * 2**20
+
+
+class _Memo(dict):
+    # arrays by (builder, *args), and the bytes they hold
+    nbytes = 0
+
+
+# the memo of the open memo_scope(), None outside one
+_memo = None
+
+
+@contextlib.contextmanager
+def memo_scope():
+    """Inside the block, compute each U(g), basis diagonal and Bessel J sequence once.
+
+    The identity checks read those arrays through one memo keyed by the
+    builder and its arguments; it is emptied when the block exits, however
+    it exits.  Arrays are read-only whether memoized or not.
+    """
+    global _memo
+    _memo = _Memo()
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _once(build, *args):
+    # build(*args) as a read-only array, memoized while a memo_scope() is open
+    key = (build, *args)
+    if _memo is not None and key in _memo:
+        return _memo[key]
+    value = build(*args)
+    value.flags.writeable = False
+    if _memo is not None and _memo.nbytes + value.nbytes <= _MEMO_BYTES:
+        _memo[key] = value
+        _memo.nbytes += value.nbytes
+    return value
 
 
 @dataclass(frozen=True)
@@ -120,7 +166,7 @@ def identity_b(m: int, k: int, x: float, r: float, tolerance: float = 1e-9, nter
         math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r))
         * kummer_phi(m, 1 + k, x * x)
     )
-    js = bessel_j_seq(nterms + abs(k), 2 * x * r)
+    js = _once(bessel_j_seq, nterms + abs(k), 2 * x * r)
 
     def j_signed(order: int) -> float:
         return js[order] if order >= 0 else (-1.0) ** (-order) * js[-order]
@@ -162,7 +208,7 @@ def _basis_diagonal(lam: float, n: int, dim: int) -> np.ndarray:
 def _transformed_block(g: GroupElement, dk: np.ndarray, k: int, dim: int, b: int) -> np.ndarray:
     # the leading b x b block of U(g) D_k U(g)*, for D_k's diagonal dk; it
     # needs only U's leading rows
-    rows = u_matrix(g, dim)[: panel_size(dim, b)]
+    rows = _once(u_matrix, g, dim)[: panel_size(dim, b)]
     return (times_diagonal(rows, dk, -k) @ rows.conj().T)[:b, :b]
 
 
@@ -186,16 +232,16 @@ def addition_residual(
     if lam * g.r > 6.0:
         raise ValueError("addition_residual requires lam * r <= 6")
     b = safe_block(dim, g.r)
-    dk = _basis_diagonal(lam, k, dim)
+    dk = _once(_basis_diagonal, lam, k, dim)
     lhs = _transformed_block(g, dk, k, dim, b)
 
-    jmag = bessel_j_seq(nmax, lam * g.r)
+    jmag = _once(bessel_j_seq, nmax, lam * g.r)
     rhs = np.zeros((dim, dim), dtype=complex)
     terms = {}  # n -> (t_{kn}(g), diagonal of D_n)
     for n in range(k - nmax, k + nmax + 1):
         if abs(jmag[abs(n - k)]) < 1e-16:
             continue
-        t, dn = terms[n] = irrep_element(label, k, n, g), _basis_diagonal(lam, n, dim)
+        t, dn = terms[n] = irrep_element(label, k, n, g), _once(_basis_diagonal, lam, n, dim)
         i = np.arange(len(dn))
         rhs[(i + n, i) if n >= 0 else (i, i - n)] = t * dn
 
@@ -244,7 +290,7 @@ def addition_vacuum_crosscheck(
     if k < 0:
         raise ValueError("vacuum cross-check uses k >= 0")
     lam, r = label.lam, g.r
-    s1 = complex(_transformed_block(g, _basis_diagonal(lam, k, dim), k, dim, 1)[0, 0])
+    s1 = complex(_transformed_block(g, _once(_basis_diagonal, lam, k, dim), k, dim, 1)[0, 0])
     s3 = irrep_element(label, k, 0, g) * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
     lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))
@@ -331,7 +377,31 @@ def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: in
     return pref * np.cumsum(summand)
 
 
-def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float) -> float:
+def _classical_zeta(r: float, sigma: float) -> int:
+    # zeta* = r^2/sigma to the nearest integer, refused for sigma <= 0 or above the step cap
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    zeta_star = round(r * r / sigma)
+    if zeta_star > _MAX_KUMMER_STEPS:
+        raise ValueError(f"r^2/sigma needs {zeta_star} Kummer steps, above the cap of {_MAX_KUMMER_STEPS}")
+    return zeta_star
+
+
+def classical_limit_ladder(label: IrrepLabel, sigma: float, rs) -> dict[int, float]:
+    """Phi(-zeta*, 1+a; sigma lam^2/4) at the zeta* of each r in ``rs``, a = |k|.
+
+    One Kummer ladder to the largest zeta* serves the whole r axis, since
+    the argument does not depend on r; an r that :func:`classical_limit_error`
+    refuses is left out.
+    """
+    degrees = []
+    for r in rs:
+        with contextlib.suppress(ValueError, ArithmeticError):
+            degrees.append(_classical_zeta(r, sigma))
+    return kummer_phi_at(degrees, 1 + abs(label.k), sigma * label.lam * label.lam / 4.0)
+
+
+def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float, ladder=None) -> float:
     """Distance between the rescaled basis element and the plane matrix element.
 
     After the commutator rescaling by sigma, D_k evaluated at the classical
@@ -342,18 +412,17 @@ def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float)
         | (lam r/2)^a/a! e^{-sigma lam^2/8} Phi(-zeta*, 1+a; sigma lam^2/4)
           - J_a(lam r) |,   a = |k|.
 
-    Raises ValueError when sigma <= 0, or when zeta* exceeds 10**6 steps of
-    the scalar Kummer recurrence.
+    The Kummer value is read from ``ladder``, a :func:`classical_limit_ladder`
+    of (label, sigma) over an r axis holding r, so a grid shares one ladder
+    per (lam, |k|, sigma); by default the ladder is run for r alone.  Either
+    way it is the same float.  Raises ValueError when sigma <= 0, or when
+    zeta* exceeds 10**6 steps of the scalar Kummer recurrence.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    zeta_star = _classical_zeta(r, sigma)
     lam, a = label.lam, abs(label.k)
-    zeta_star = round(r * r / sigma)
-    if zeta_star > _MAX_KUMMER_STEPS:
-        raise ValueError(f"r^2/sigma needs {zeta_star} Kummer steps, above the cap of {_MAX_KUMMER_STEPS}")
     lhs = (
         math.exp(a * math.log(lam * r / 2.0) - log_factorial(a) - sigma * lam * lam / 8.0)
-        * kummer_phi(zeta_star, 1 + a, sigma * lam * lam / 4.0)
+        * (ladder if ladder is not None else classical_limit_ladder(label, sigma, [r]))[zeta_star]
         if r > 0
         else (1.0 if a == 0 else 0.0) * math.exp(-sigma * lam * lam / 8.0)
     )

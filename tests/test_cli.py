@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import warnings
@@ -7,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from e2fock import identities
 from e2fock.cli import RunConfig, main, suite_intertwining, suite_unitarity
-from e2fock.e2group import GroupElement, u_matrix
+from e2fock.e2group import GroupElement, IrrepLabel, u_matrix
 from e2fock.fock import annihilator, safe_block, times_diagonal
 
 
@@ -377,3 +379,81 @@ def test_addition_diagnostic_shows_full_precision():
             fitted, expected = row.split(": ", 1)[1].removeprefix("fitted ").split(", expected ")
             assert fitted != expected
             assert complex(fitted) != complex(expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "identity-b", "--r", "1e-200"],  # -1 / r^2 divides by zero
+        ["verify", "addition", "--lambda", "1e-300"],  # D_k's block norm is 0
+    ],
+)
+def test_division_by_zero_is_an_error_record(argv):
+    code, out = run_cli(argv)
+    assert code == 1
+    errors = [r for r in json_records(out) if r["residual"] is None]
+    assert all(r["detail"].startswith("error: ") and not r["pass"] for r in errors)
+    assert "error: float division by zero" in {r["detail"] for r in errors}
+
+
+class TestOrthogonalityZmax:
+    def test_default_and_larger_zmax_are_recorded(self):
+        for extra, zmax in (([], 1001), (["--zmax", "1200"], 1200)):
+            code, out = run_cli(["verify", "orthogonality", *extra])
+            assert code == 0
+            assert {r["params"].get("zmax") for r in json_records(out)} == {None, zmax}
+
+    def test_zmax_short_of_the_last_checkpoint_is_an_error(self):
+        code, out = run_cli(["verify", "orthogonality", "--zmax", "5"])
+        assert code == 1
+        recs = json_records(out)
+        profile = [r for r in recs if r["name"] != "orthogonality-grading"]
+        assert len(profile) == 10 and all(r["params"]["zmax"] == 5 and not r["pass"] for r in profile)
+        assert all("zeta = 1000 checkpoint" in r["detail"] for r in profile)
+        assert all(r["pass"] for r in recs if r["name"] == "orthogonality-grading")
+
+
+class TestComputedOnce:
+    def test_shared_ladder_gives_each_points_own_errors(self):
+        # an unsorted r axis with 0 and a point above the step cap: each r's
+        # record is what its own ladder (classical_limit_errors) gives
+        lams, ks, rs, sigmas = (1.0, 3.0), (-2, 5), (2.0, 0.0, 1e4, 0.8, 1.0), (0.1, 1e-3)
+        argv = ["verify", "classical-limit", "--lambda", "1.0,3.0", "--k", "-2,5", "--r", "2.0,0.0,1e4,0.8,1.0"]
+        code, out = run_cli(argv + ["--sigma", "0.1,1e-3"])
+        expected = []
+        for lam, k, r in itertools.product(lams, ks, rs):
+            try:
+                errs = identities.classical_limit_errors(IrrepLabel(lam, k), r, 0.7, sigmas)
+            except ValueError as exc:
+                expected.append(f"error: {exc}")
+            else:
+                expected += ["errors " + ", ".join(map(repr, errs)), None]
+        capped = "error: r^2/sigma needs 1000000000 Kummer steps, above the cap of 1000000"
+        assert code == 1 and expected.count(capped) == 4
+        assert [r["detail"] for r in json_records(out)] == expected
+
+    def test_memo_is_dropped_after_main(self):
+        run_cli(["verify", "addition", "--dim", "32", "--r", "0.5"])
+        assert identities._memo is None
+
+    def test_memo_is_dropped_when_a_check_raises(self, monkeypatch):
+        held = []
+
+        def broken(*args):
+            held.append(len(identities._memo))
+            raise RuntimeError("broken irrep element")
+
+        monkeypatch.setattr(identities, "irrep_element", broken)
+        with pytest.raises(RuntimeError):
+            run_cli(["verify", "addition", "--dim", "32", "--r", "0.5"])
+        assert held and held[0] > 0
+        assert identities._memo is None
+
+    def test_memoized_arrays_are_shared_and_read_only(self):
+        g = GroupElement(0.5, 0.7, 0.3)
+        with identities.memo_scope():
+            U = identities._once(u_matrix, g, 8)
+            assert identities._once(u_matrix, g, 8) is U
+            with pytest.raises(ValueError, match="read-only"):
+                U[0, 0] = 1.0
+        assert identities._once(u_matrix, g, 8) is not U

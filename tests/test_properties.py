@@ -18,7 +18,7 @@ from conftest import group_matrix3
 from e2fock.cli import _parse_grid, main
 from e2fock.e2group import GroupElement, compose, identity, inverse
 from e2fock.fock import safe_block
-from e2fock.specfun import kummer_phi_seq
+from e2fock.specfun import kummer_phi, kummer_phi_at, kummer_phi_seq
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 CLI = settings(PROPERTY, max_examples=12)
@@ -153,3 +153,14 @@ class TestKummerSequence:
                 largest = np.max(np.cumprod((n - j) * abs(x) / ((j + 1) * (b + j))), initial=1.0)
                 want = mpmath.hyp1f1(-n, b, x, zeroprec=400)
                 assert float(abs(got - want)) <= 1e-12 * max(abs(float(want)), largest), (n, b, x)
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 400), max_size=8), st.integers(1, 30), st.floats(-1e3, 1e3))
+    def test_at_is_kummer_phi_bit_for_bit(self, degrees, b, x):
+        # one shared ladder gives each degree's own float, for unsorted and
+        # repeated degrees, 0 among them
+        degrees = [*degrees, 0, *degrees[:2]]
+        got = kummer_phi_at(degrees, b, x)
+        assert sorted(got) == sorted(set(degrees))
+        for n in degrees:
+            assert repr(got[n]) == repr(kummer_phi(n, b, x)), (n, b, x)
