@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import identities as ident
 from .e2group import GroupElement, IrrepLabel, irrep_element, u_matrix
-from .fock import annihilator, flush_underflow, panel_size, safe_block, times_diagonal
+from .fock import annihilator, conjugated_block, flush_underflow, panel_size, safe_block
 from .identities import CheckReport
 from .repk import (
     algebra_function,
@@ -177,11 +178,8 @@ def suite_intertwining(cfg):
         g = GroupElement(r, psi, phi)
         U = flush_underflow(u_matrix(g, dim))
         b = max(safe_block(dim, r), min(dim, 4))
-        # the leading block of U a U* needs only the leading rows of U a and U
-        rows = U[: panel_size(dim, b)]
-        Ua = times_diagonal(rows, np.sqrt(np.arange(1.0, dim)), 1)  # leading rows of U @ a
         target = np.exp(1j * g.phi) * annihilator(b) + g.w * np.eye(b)
-        return report(np.max(np.abs((Ua @ rows.conj().T)[:b, :b] - target)))
+        return report(np.max(np.abs(conjugated_block(U, np.sqrt(np.arange(1.0, dim)), 1, b) - target)))
 
     axes = {"dim": [cfg.dim], **_GROUP_AXES}
     return _sweep(cfg, "intertwining", "intertwining", cfg.tol("intertwining"), axes, check)
@@ -469,37 +467,38 @@ def run_verify(suite: str, cfg: RunConfig, stream) -> int:
             reports.extend(SUITES[name](cfg))
     if not reports:
         raise ValueError(f"verify {suite}: the grid gives no records, so nothing was checked")
-    _emit_reports(reports, cfg.format, stream)
+    _write_rows([dict(zip(_RECORD_FIELDS, dataclasses.astuple(r))) for r in reports], cfg.format, stream)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _record_dict(r: CheckReport) -> dict:
-    # error records carry residual = inf, which is not valid strict JSON
-    return {
-        "name": r.name,
-        "equation": r.equation,
-        "params": r.params,
-        "residual": r.residual if math.isfinite(r.residual) else None,
-        "tolerance": r.tolerance,
-        "pass": r.passed,
-        "detail": r.detail,
-    }
+# a record's CSV columns, CheckReport's fields in order
+_RECORD_FIELDS = ("name", "equation", "params", "residual", "tolerance", "pass", "detail")
 
 
-def _params_str(params: dict) -> str:
-    return ";".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}" for k, v in params.items())
+def _json_value(v):
+    # strict JSON: a non-finite float is null
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _emit_reports(reports, fmt, stream):
+def _csv_value(v):
+    if isinstance(v, dict):
+        return ";".join(f"{k}={_csv_value(x)}" for k, x in v.items())
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v) if isinstance(v, float) else "" if v is None else v
+
+
+def _write_rows(rows, fmt, stream):
+    """Write dict rows as JSON lines, or as CSV under a header of the first row's keys."""
     if fmt == "json":
-        for r in reports:
-            stream.write(json.dumps(_record_dict(r), sort_keys=True, default=repr) + "\n")
+        for row in rows:
+            stream.write(json.dumps(_json_value(row), sort_keys=True, default=repr) + "\n")
     else:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["name", "equation", "params", "residual", "tolerance", "pass", "detail"])
-        for r in reports:
-            row = [r.name, r.equation, _params_str(r.params), repr(r.residual), repr(r.tolerance)]
-            writer.writerow(row + ["true" if r.passed else "false", r.detail or ""])
+        writer.writerow(rows[0])
+        writer.writerows([_csv_value(v) for v in row.values()] for row in rows)
 
 
 def _table_rows(kind: str, cfg: RunConfig):
@@ -531,16 +530,7 @@ def _table_rows(kind: str, cfg: RunConfig):
 
 
 def run_table(kind: str, cfg: RunConfig, stream) -> int:
-    rows = list(_table_rows(kind, cfg))
-    if cfg.format == "json":
-        for row in rows:
-            stream.write(json.dumps(row, sort_keys=True) + "\n")
-    else:
-        writer = csv.writer(stream, lineterminator="\n")
-        header = list(rows[0].keys()) if rows else ["equation"]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in (row[h] for h in header)])
+    _write_rows(list(_table_rows(kind, cfg)), cfg.format, stream)
     return 0
 
 

@@ -89,6 +89,12 @@ def panel_size(dim: int, n: int) -> int:
     return min(dim, -(-n // 4) * 4)
 
 
+def conjugated_block(U: np.ndarray, values: np.ndarray, offset: int, n: int) -> np.ndarray:
+    """The leading n x n block of U M U*, M as for :func:`times_diagonal`, from U's leading panel_size rows."""
+    rows = U[: panel_size(len(U), n)]
+    return (times_diagonal(rows, values, offset) @ rows.conj().T)[:n, :n]
+
+
 def flush_underflow(A: np.ndarray) -> np.ndarray:
     """Zero, in place, every real or imaginary component of A below 2**-511.
 

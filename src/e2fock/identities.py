@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .e2group import GroupElement, IrrepLabel, irrep_element, u_matrix
-from .fock import panel_size, safe_block, times_diagonal
+from .fock import conjugated_block, safe_block
 from .repk import _log_winding_weights, _winding_weights, basis_d
 from .specfun import (
     bessel_i,
@@ -30,7 +30,6 @@ from .specfun import (
     bessel_j_seq,
     hyp2f0_poly,
     kummer_phi,
-    kummer_phi_at,
     kummer_phi_seq,
     laguerre_seq,
     log_factorial,
@@ -52,6 +51,8 @@ __all__ = [
 ]
 
 _TERM_EPS = 1e-18
+
+_ADDITION_NMAX = 60  # the addition theorem's n-sum runs over |n - k| <= this
 
 # most scalar Kummer recurrence steps one limit-check point may run, a
 # fraction of a second; the default grids need at most 40 000
@@ -205,40 +206,28 @@ def _basis_diagonal(lam: float, n: int, dim: int) -> np.ndarray:
     return radial * np.sqrt(_winding_weights(abs(n), len(radial) - 1))
 
 
-def _transformed_block(g: GroupElement, dk: np.ndarray, k: int, dim: int, b: int) -> np.ndarray:
-    # the leading b x b block of U(g) D_k U(g)*, for D_k's diagonal dk; it
-    # needs only U's leading rows
-    rows = _once(u_matrix, g, dim)[: panel_size(dim, b)]
-    return (times_diagonal(rows, dk, -k) @ rows.conj().T)[:b, :b]
-
-
 def addition_residual(
-    g: GroupElement,
-    label: IrrepLabel,
-    k: int,
-    dim: int = 96,
-    nmax: int = 60,
-    tolerance: float = 1e-7,
+    g: GroupElement, label: IrrepLabel, k: int, dim: int = 96, tolerance: float = 1e-7
 ) -> CheckReport:
     """Operator addition theorem U(g) D_k U(g)* = sum_n t_{kn}(g) D_n.
 
     Both sides are compared as truncated Fock matrices on the safe block;
-    the n-sum is truncated where |J_{n-k}(lam r)| < 1e-16.  The residual is
-    the Frobenius norm of the difference relative to that of D_k's block.
-    Each D_n occupies the single diagonal -n, so the right side is written
-    diagonal by diagonal.
+    the n-sum runs over |n - k| <= 60 where |J_{n-k}(lam r)| >= 1e-16.  The
+    residual is the Frobenius norm of the difference relative to that of
+    D_k's block.  Each D_n occupies the single diagonal -n, so the right side
+    is written diagonal by diagonal.
     """
     lam = label.lam
     if lam * g.r > 6.0:
         raise ValueError("addition_residual requires lam * r <= 6")
     b = safe_block(dim, g.r)
     dk = _once(_basis_diagonal, lam, k, dim)
-    lhs = _transformed_block(g, dk, k, dim, b)
+    lhs = conjugated_block(_once(u_matrix, g, dim), dk, -k, b)
 
-    jmag = _once(bessel_j_seq, nmax, lam * g.r)
+    jmag = _once(bessel_j_seq, _ADDITION_NMAX, lam * g.r)
     rhs = np.zeros((dim, dim), dtype=complex)
     terms = {}  # n -> (t_{kn}(g), diagonal of D_n)
-    for n in range(k - nmax, k + nmax + 1):
+    for n in range(k - _ADDITION_NMAX, k + _ADDITION_NMAX + 1):
         if abs(jmag[abs(n - k)]) < 1e-16:
             continue
         t, dn = terms[n] = irrep_element(label, k, n, g), _once(_basis_diagonal, lam, n, dim)
@@ -290,7 +279,7 @@ def addition_vacuum_crosscheck(
     if k < 0:
         raise ValueError("vacuum cross-check uses k >= 0")
     lam, r = label.lam, g.r
-    s1 = complex(_transformed_block(g, _once(_basis_diagonal, lam, k, dim), k, dim, 1)[0, 0])
+    s1 = complex(conjugated_block(_once(u_matrix, g, dim), _once(_basis_diagonal, lam, k, dim), -k, 1)[0, 0])
     s3 = irrep_element(label, k, 0, g) * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
     lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))
@@ -398,7 +387,8 @@ def classical_limit_ladder(label: IrrepLabel, sigma: float, rs) -> dict[int, flo
     for r in rs:
         with contextlib.suppress(ValueError, ArithmeticError):
             degrees.append(_classical_zeta(r, sigma))
-    return kummer_phi_at(degrees, 1 + abs(label.k), sigma * label.lam * label.lam / 4.0)
+    phis = kummer_phi_seq(max(degrees, default=0), 1 + abs(label.k), sigma * label.lam * label.lam / 4.0)
+    return {n: float(phis[n]) for n in degrees}
 
 
 def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float, ladder=None) -> float:

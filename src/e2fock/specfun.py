@@ -21,7 +21,6 @@ __all__ = [
     "log_factorial",
     "kummer_phi",
     "kummer_phi_seq",
-    "kummer_phi_at",
     "hyp2f0_poly",
     "laguerre",
     "laguerre_seq",
@@ -119,25 +118,6 @@ def kummer_phi(n: int, b: int, x: float) -> float:
     if b < 1:
         raise ValueError("kummer_phi requires integer b >= 1")
     return next(itertools.islice(_kummer_terms(b, x), n, None))
-
-
-def kummer_phi_at(degrees, b: int, x: float) -> dict[int, float]:
-    """Phi(-n, b; x) for each n in ``degrees``, as a dict keyed by n.
-
-    One run of the degree recurrence, to the largest n, serves every degree,
-    and each value is the same float as :func:`kummer_phi` ``(n, b, x)``.
-    ``degrees`` may be unsorted and may repeat.
-    """
-    degrees = sorted(set(degrees))
-    if degrees and degrees[0] < 0:
-        raise ValueError("kummer_phi_at requires degrees >= 0")
-    if b < 1:
-        raise ValueError("kummer_phi_at requires integer b >= 1")
-    terms, pos, out = _kummer_terms(b, x), 0, {}
-    for n in degrees:
-        out[n] = next(itertools.islice(terms, n - pos, None))
-        pos = n + 1
-    return out
 
 
 def hyp2f0_poly(m: int, n: int, x: float) -> float:

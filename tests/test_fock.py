@@ -8,6 +8,7 @@ from e2fock.fock import (
     annihilator,
     boundary_margin,
     commutator_defect,
+    conjugated_block,
     creator,
     displaced_basis,
     displaced_vacuum,
@@ -207,6 +208,23 @@ class TestTimesDiagonal:
             M = np.zeros((dim, dim), dtype=complex)
             M[(i, i + offset) if offset >= 0 else (i - offset, i)] = values
             assert np.array_equal(times_diagonal(A, values, offset), A @ M)
+
+
+class TestConjugatedBlock:
+    @pytest.mark.parametrize("offset", [-3, 0, 1])
+    @pytest.mark.parametrize("n", [1, 5, 8, 24])
+    def test_is_the_leading_block_from_the_leading_panel_rows(self, offset, n):
+        # against the dense U M U*; rows past the whole panels are never read
+        rng = np.random.default_rng(4)
+        dim = 24
+        U = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        values = rng.standard_normal(dim - abs(offset))
+        M = np.diag(values, offset)
+        want = (U @ M @ U.conj().T)[:n, :n]
+        U[panel_size(dim, n) :] = np.nan
+        got = conjugated_block(U, values, offset, n)
+        assert got.shape == (n, n)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 class TestFlushUnderflow:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from e2fock.e2group import GroupElement, IrrepLabel, identity, irrep_element, u_matrix
-from e2fock import identities
+from e2fock import fock
 from e2fock.fock import safe_block
 from e2fock.identities import (
     addition_residual,
@@ -193,7 +193,7 @@ class TestAdditionVacuumRows:
         g = GroupElement(0.5, 0.7, 0.3)
         cases = [(lam, k) for lam in (1.0, 2.0, 4.0) for k in (0, 1, 3, 6)]
         rows = [addition_vacuum_crosscheck(g, IrrepLabel(lam, k), k, dim=dim) for lam, k in cases]
-        monkeypatch.setattr(identities, "panel_size", lambda dim, n: dim)
+        monkeypatch.setattr(fock, "panel_size", lambda dim, n: dim)
         full = [addition_vacuum_crosscheck(g, IrrepLabel(lam, k), k, dim=dim) for lam, k in cases]
         for a, b in zip(rows, full):
             assert a.passed and b.passed and abs(a.residual - b.residual) <= 1e-14

@@ -7,6 +7,7 @@ deterministic.
 
 import io
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 from conftest import group_matrix3
 from e2fock.cli import _parse_grid, main
-from e2fock.e2group import GroupElement, compose, identity, inverse
+from e2fock.e2group import GroupElement, IrrepLabel, compose, identity, inverse
 from e2fock.fock import safe_block
-from e2fock.specfun import kummer_phi, kummer_phi_at, kummer_phi_seq
+from e2fock.identities import classical_limit_ladder
+from e2fock.specfun import kummer_phi, kummer_phi_seq
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 CLI = settings(PROPERTY, max_examples=12)
@@ -155,12 +157,12 @@ class TestKummerSequence:
                 assert float(abs(got - want)) <= 1e-12 * max(abs(float(want)), largest), (n, b, x)
 
     @PROPERTY
-    @given(st.lists(st.integers(0, 400), max_size=8), st.integers(1, 30), st.floats(-1e3, 1e3))
-    def test_at_is_kummer_phi_bit_for_bit(self, degrees, b, x):
+    @given(st.lists(st.integers(0, 400), max_size=8), st.integers(-29, 29), st.floats(1e-3, 60.0))
+    def test_ladder_is_kummer_phi_bit_for_bit(self, degrees, k, lam):
         # one shared ladder gives each degree's own float, for unsorted and
-        # repeated degrees, 0 among them
+        # repeated degrees, 0 among them; at sigma = 1, r = sqrt(n) has degree n
         degrees = [*degrees, 0, *degrees[:2]]
-        got = kummer_phi_at(degrees, b, x)
+        got = classical_limit_ladder(IrrepLabel(lam, k), 1.0, [math.sqrt(n) for n in degrees])
         assert sorted(got) == sorted(set(degrees))
         for n in degrees:
-            assert repr(got[n]) == repr(kummer_phi(n, b, x)), (n, b, x)
+            assert repr(got[n]) == repr(kummer_phi(n, 1 + abs(k), lam * lam / 4.0)), (n, k, lam)
