@@ -358,7 +358,7 @@ def suite_orthogonality(cfg):
 
     def growth(report, lam, k):
         values = curve(k, lam, lam)
-        checkpoints = [values[100], values[400], values[999]]
+        checkpoints = [values[100], values[400], values[1000]]
         worst = max(a - b for a, b in zip(checkpoints, checkpoints[1:]))
         return report(worst, "diagonal profile " + ", ".join(repr(float(c)) for c in checkpoints))
 

@@ -229,6 +229,17 @@ def test_verify_all_record_schedule():
     assert digest == "bcc9e71c52537500b1df35d213ccad1f7353e97ff0a41bde8a172e32b47bfd9c"
 
 
+def test_orthogonality_growth_reads_the_zeta_1000_checkpoint():
+    # the third value of each growth detail is the running sum to zeta = 1000
+    code, out = run_cli(["verify", "orthogonality"])
+    growth = [r for r in json_records(out) if r["name"] == "orthogonality-diagonal-growth"]
+    assert code == 0 and len(growth) == 6
+    for r in growth:
+        k, lam = r["params"]["k"], r["params"]["lam1"]
+        want = repr(float(identities.orthogonality_profile_curve(k, lam, lam, 1001)[1000]))
+        assert r["detail"].split(", ")[-1] == want
+
+
 def test_addition_diagnostic_skips_diagonals_outside_the_block():
     # at dim 32 the r = 2 safe block misses the outer D_n diagonals; the
     # per-n diagnostic skips those rather than dividing by a zero norm
