@@ -89,15 +89,28 @@ class RunConfig:
         self.grid = {k: list(v) for k, v in (grid or {}).items()}
         self.format = format
         self.seed = int(seed)
+        self.read = set()  # the grid flags and tolerance names read so far
 
     def values(self, name, default):
+        self.read.add(name)
         return self.grid.get(name, list(default))
 
     def first(self, name, default):
-        return self.values(name, [default])[0]
+        values = self.values(name, [default])
+        if len(values) > 1:
+            raise ValueError(f"--{_DEST_FLAG.get(name, name)} takes one value here, got {len(values)}")
+        return values[0]
 
     def tol(self, name):
+        self.read.add(name)
         return float(self.tol_overrides.get(name, _TOLERANCES[name]))
+
+    def check_read(self, run):
+        """Refuse a grid flag or --tol name that ``run`` did not read, rather than ignore it."""
+        unread = [f"--{_DEST_FLAG.get(n, n)}" for n in self.grid if n not in self.read]
+        unread += [f"--tol {n}" for n in self.tol_overrides if n not in self.read]
+        if unread:
+            raise ValueError(f"{run} does not read {', '.join(unread)}")
 
 
 def _sweep(cfg, name, equation, tol, axes, check, params=dict):
@@ -129,7 +142,7 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict):
     return reports
 
 
-def _ladder(cfg, report, values, label, monotone, **monotone_params):
+def _ladder(report, values, label, monotone, tolerance, **monotone_params):
     # a decreasing error ladder: its last rung against the sweep's tolerance,
     # and its worst step up as the record ``monotone``
     if len(values) < 2:
@@ -137,7 +150,7 @@ def _ladder(cfg, report, values, label, monotone, **monotone_params):
     worst_step = max(b - a for a, b in zip(values, values[1:]))
     return [
         report(values[-1], label + ", ".join(repr(v) for v in values)),
-        report(worst_step, name=monotone, tolerance=cfg.tol(monotone), **monotone_params),
+        report(worst_step, name=monotone, tolerance=tolerance, **monotone_params),
     ]
 
 
@@ -154,13 +167,13 @@ def suite_unitarity(cfg):
 
     # fixed-block truncation defect under dim doubling; strictly decreasing
     # until the float floor, non-increasing beyond it
-    r = cfg.values("r", [1.5])[-1]
+    r, psi, phi = cfg.values("r", [1.5])[-1], cfg.values("psi", [_PSI])[-1], cfg.values("phi", [_PHI])[-1]
 
     def monotone(report):
         block = safe_block(32, r)
         if block < 2:
             return []
-        g = GroupElement(r, cfg.first("psi", _PSI), cfg.first("phi", _PHI))
+        g = GroupElement(r, psi, phi)
         defects = [float(_unitarity_defect(flush_underflow(u_matrix(g, dim)), block)) for dim in (32, 64, 128)]
         worst_step = max(d2 - max(d1, _DEFECT_FLOOR) for d1, d2 in zip(defects, defects[1:]))
         detail = "defects " + ", ".join(repr(d) for d in defects) + f" (floor {_DEFECT_FLOOR})"
@@ -214,13 +227,13 @@ def suite_recurrence(cfg):
 
 
 def suite_eigen(cfg):
-    zmax = cfg.first("zmax", 200)
+    zmax, tol_grading = cfg.first("zmax", 200), cfg.tol("eigen-grading")
 
     def check(report, lam, k):
         c1, c2 = eigen_residuals(IrrepLabel(lam, k), zmax)
         return [
             report(c1, "p p* = p* p (commuting translations); both orderings evaluated"),
-            report(c2, name="eigen-grading", equation="eigen-grading", tolerance=cfg.tol("eigen-grading")),
+            report(c2, name="eigen-grading", equation="eigen-grading", tolerance=tol_grading),
         ]
 
     def params(lam, k):
@@ -278,12 +291,13 @@ def suite_addition(cfg):
     dim = cfg.dim if cfg.dim_explicit else max(cfg.dim, 96)
     tol, tol_vac = cfg.tol("addition"), cfg.tol("addition-vacuum")
     theorem = ("addition", "addition-theorem", tol)
+    k_theorem, k_vacuum = cfg.values("k", [-4, -2, 0, 1, 3, 4]), cfg.values("k", [0, 2, 4])
 
-    def pair(report, lam, r):
-        # every addition record of one (lam, r), then every vacuum record
+    def pair(report, lam, r, psi, phi):
+        # every addition record of one group element, then every vacuum record
         if lam * r > 6.0:
             return []
-        g = GroupElement(r, cfg.first("psi", _PSI), cfg.first("phi", _PHI))
+        g = GroupElement(r, psi, phi)
 
         def residual(report, k):
             return ident.addition_residual(g, IrrepLabel(lam, k), k, dim=dim, tolerance=tol)
@@ -297,14 +311,15 @@ def suite_addition(cfg):
             return {"lam": lam, "k": k, "r": r, "psi": g.psi, "phi": g.phi, "dim": dim}
 
         vacuum = ("addition-vacuum", "addition-vacuum-element", tol_vac)
-        return _sweep(cfg, *theorem, {"k": [-4, -2, 0, 1, 3, 4]}, residual, params) + _sweep(
-            cfg, *vacuum, {"k": [0, 2, 4]}, crosscheck, params
+        return _sweep(cfg, *theorem, {"k": k_theorem}, residual, params) + _sweep(
+            cfg, *vacuum, {"k": k_vacuum}, crosscheck, params
         )
 
-    def params(lam, r):
-        return {"lam": lam, "r": r, "dim": dim}
+    def params(lam, r, psi, phi):
+        return {"lam": lam, "r": r, "psi": psi, "phi": phi, "dim": dim}
 
-    return _sweep(cfg, *theorem, {"lam": [1.0, 2.0], "r": [0.5, 1.0, 2.0]}, pair, params)
+    axes = {"lam": [1.0, 2.0], "r": [0.5, 1.0, 2.0], "psi": [_PSI], "phi": [_PHI]}
+    return _sweep(cfg, *theorem, axes, pair, params)
 
 
 def suite_identity_a(cfg):
@@ -400,7 +415,7 @@ _SIGMA_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 def suite_classical_limit(cfg):
-    psi = cfg.first("psi", _PSI)
+    tol_mono = cfg.tol("classical-limit-monotone")
     sigmas = tuple(cfg.values("sigma", _SIGMA_LADDER))
     sigma_label = "1e-1..1e-4" if sigmas == _SIGMA_LADDER else ",".join(repr(s) for s in sigmas)
     axes = {"lam": [1.0, 2.0, 4.0], "k": [0, 2, 5, 8], "r": [0.8, 1.0, 2.0]}
@@ -415,8 +430,8 @@ def suite_classical_limit(cfg):
 
     def check(report, lam, k, r):
         label = IrrepLabel(lam, k)
-        errs = [ident.classical_limit_error(label, r, psi, s, ladder(label, s)) for s in sigmas]
-        return _ladder(cfg, report, errs, "errors ", "classical-limit-monotone", sigmas=sigma_label)
+        errs = [ident.classical_limit_error(label, r, _PSI, s, ladder(label, s)) for s in sigmas]
+        return _ladder(report, errs, "errors ", "classical-limit-monotone", tol_mono, sigmas=sigma_label)
 
     def params(lam, k, r):
         return {"lam": lam, "k": k, "r": r, "sigma": sigmas[-1]}
@@ -425,12 +440,12 @@ def suite_classical_limit(cfg):
 
 
 def suite_kummer_limit(cfg):
-    ns = cfg.values("n", [100, 1000, 10000])
+    ns, tol_mono = cfg.values("n", [100, 1000, 10000]), cfg.tol("kummer-limit-monotone")
 
     def check(report, m, x):
         resids = [ident.kummer_bessel_limit_residual(n, m, x) for n in ns]
         label = "evaluated as Phi(-n, b; -c/n); residuals "
-        return _ladder(cfg, report, resids, label, "kummer-limit-monotone", n=",".join(map(str, ns)))
+        return _ladder(report, resids, label, "kummer-limit-monotone", tol_mono, n=",".join(map(str, ns)))
 
     def params(m, x):
         return {"b": m, "c": x, "n": ns[-1]}
@@ -467,6 +482,7 @@ def run_verify(suite: str, cfg: RunConfig, stream) -> int:
             reports.extend(SUITES[name](cfg))
     if not reports:
         raise ValueError(f"verify {suite}: the grid gives no records, so nothing was checked")
+    cfg.check_read(f"verify {suite}")
     _write_rows([dict(zip(_RECORD_FIELDS, dataclasses.astuple(r))) for r in reports], cfg.format, stream)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -530,7 +546,9 @@ def _table_rows(kind: str, cfg: RunConfig):
 
 
 def run_table(kind: str, cfg: RunConfig, stream) -> int:
-    _write_rows(list(_table_rows(kind, cfg)), cfg.format, stream)
+    rows = list(_table_rows(kind, cfg))
+    cfg.check_read(f"table {kind}")
+    _write_rows(rows, cfg.format, stream)
     return 0
 
 
@@ -546,6 +564,7 @@ def _parse_value_token(tok: str):
 
 _PARAM_FLAGS = ["k", "m", "n", "x", "y", "r", "psi", "phi", "lambda", "lambda2", "zmax", "sigma", "zq"]
 _FLAG_DEST = {"lambda": "lam", "lambda2": "lam2"}
+_DEST_FLAG = {dest: flag for flag, dest in _FLAG_DEST.items()}
 _INTEGER_FLAGS = {"k", "m", "n", "zmax"}
 
 
@@ -652,7 +671,7 @@ def main(argv=None, stream=None) -> int:
         if args.command == "verify":
             return run_verify(args.suite, cfg, stream)
         return run_table(args.kind, cfg, stream)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

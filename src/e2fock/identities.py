@@ -74,7 +74,7 @@ _memo = None
 
 @contextlib.contextmanager
 def memo_scope():
-    """Inside the block, compute each U(g), basis diagonal and Bessel J sequence once.
+    """Inside the block, compute each U(g), basis diagonal, Bessel J and Laguerre sequence once.
 
     The identity checks read those arrays through one memo keyed by the
     builder and its arguments; it is emptied when the block exits, however
@@ -311,8 +311,7 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float, tolerance: float
     if zq > 0.95:
         raise ValueError("hille_hardy_residual requires zq <= 0.95")
     nmax = min(4000, max(30, int(math.log(_TERM_EPS) / math.log(zq)) + 50))
-    lx = laguerre_seq(nmax, k, x)
-    ly = laguerre_seq(nmax, k, y)
+    lx, ly = _once(laguerre_seq, nmax, k, x), _once(laguerre_seq, nmax, k, y)
     ns = np.arange(nmax + 1)
     logw = np.array([log_factorial(n) - log_factorial(n + k) for n in ns])
     terms = np.exp(logw + ns * math.log(zq)) * lx * ly

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import itertools
@@ -8,10 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from e2fock import identities
+from e2fock import cli, identities
 from e2fock.cli import RunConfig, main, suite_intertwining, suite_unitarity
 from e2fock.e2group import GroupElement, IrrepLabel, u_matrix
 from e2fock.fock import annihilator, safe_block, times_diagonal
+from e2fock.specfun import laguerre_seq
 
 
 def run_cli(argv):
@@ -238,6 +240,20 @@ def test_orthogonality_growth_reads_the_zeta_1000_checkpoint():
         k, lam = r["params"]["k"], r["params"]["lam1"]
         want = repr(float(identities.orthogonality_profile_curve(k, lam, lam, 1001)[1000]))
         assert r["detail"].split(", ")[-1] == want
+
+
+def test_hille_hardy_builds_each_laguerre_sequence_once(monkeypatch):
+    # 42 distinct (nmax, k, x or y) keys on the default grid, x and y sharing values
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return laguerre_seq(*args)
+
+    monkeypatch.setattr(identities, "laguerre_seq", counting)
+    code, out = run_cli(["verify", "hille-hardy"])
+    assert code == 0 and len(json_records(out)) == 126
+    assert len(built) == len(set(built)) == 42
 
 
 def test_addition_diagnostic_skips_diagonals_outside_the_block():
@@ -468,3 +484,92 @@ class TestComputedOnce:
             with pytest.raises(ValueError, match="read-only"):
                 U[0, 0] = 1.0
         assert identities._once(u_matrix, g, 8) is not U
+
+
+class TestEveryInputIsRead:
+    """A grid flag or --tol name that the run does not read is refused, not ignored."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "recurrence", "--lambda", "2"],
+            ["verify", "recurrence", "--tol", "eigen=1"],
+            ["verify", "classical-limit", "--lambda", "1", "--k", "0", "--r", "1", "--psi", "0.5"],
+            ["table", "basis", "--tol", "eigen=1"],
+            ["verify", "recurrence", "--zmax", "10,20"],  # a list for a single-valued flag
+            ["table", "u-matrix", "--r", "1,2"],
+        ],
+    )
+    def test_refused(self, argv, capsys):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_every_flag_is_read_by_some_suite_or_table(self):
+        cfg = RunConfig()
+        cli.run_verify("all", cfg, io.StringIO())
+        assert set(cli._TOLERANCES) <= cfg.read
+        for kind in cli.TABLE_KINDS:
+            list(cli._table_rows(kind, cfg))
+        assert {cli._FLAG_DEST.get(flag, flag) for flag in cli._PARAM_FLAGS} <= cfg.read
+
+    def test_addition_sweeps_psi_and_phi(self):
+        argv = ["verify", "addition", "--lambda", "1", "--r", "0.5", "--k", "0", "--psi", "0.1,0.2", "--phi", "0.3,0.4"]
+        code, out = run_cli(argv)
+        got = [(r["name"], r["params"]["psi"], r["params"]["phi"]) for r in json_records(out)]
+        points = itertools.product((0.1, 0.2), (0.3, 0.4))
+        assert code == 0
+        assert got == [(name, psi, phi) for psi, phi in points for name in ("addition", "addition-vacuum")]
+
+    def test_unitarity_monotone_takes_the_last_group_element(self, monkeypatch):
+        built = []
+
+        def recording(g, dim):
+            built.append((g.r, g.psi, g.phi, dim))
+            return u_matrix(g, dim)
+
+        monkeypatch.setattr(cli, "u_matrix", recording)
+        code, out = run_cli(["verify", "unitarity", "--r", "0.5,1", "--psi", "0.1,0.2", "--phi", "0.3,0.4"])
+        assert code == 0 and len(json_records(out)) == 9
+        assert built[-3:] == [(1.0, 0.2, 0.4, dim) for dim in (32, 64, 128)]
+
+
+class TestTableOutput:
+    def test_nan_is_written_as_null(self):
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        code, out = run_cli(["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"])
+        recs = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+        assert code == 0 and [r["value"] for r in recs] == [None, None, None]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "basis", "--lambda", "1e200", "--k", "3", "--zmax", "2"],
+            ["table", "profile", "--lambda", "1e200", "--lambda2", "1e200"],
+            ["table", "irrep", "--lambda", "1e308", "--r", "1e10"],
+        ],
+    )
+    def test_arithmetic_error_is_a_usage_error(self, argv, capsys):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_all_json_and_csv_agree_record_by_record():
+    _, json_out = run_cli(["verify", "all"])
+    _, csv_out = run_cli(["verify", "all", "--format", "csv"])
+    recs, rows = json_records(json_out), list(csv.DictReader(io.StringIO(csv_out)))
+    assert len(recs) == len(rows) == 1246
+    for rec, row in zip(recs, rows):
+        assert (row["name"], row["equation"]) == (rec["name"], rec["equation"])
+        params = dict(item.split("=", 1) for item in row["params"].split(";"))
+        assert params == {k: repr(v) if isinstance(v, float) else str(v) for k, v in rec["params"].items()}
+        if rec["residual"] is None:
+            assert row["residual"] in ("inf", "nan")
+        else:
+            assert row["residual"] == repr(rec["residual"])
+        assert row["tolerance"] == repr(rec["tolerance"])
+        assert row["pass"] == ("true" if rec["pass"] else "false")
+        assert row["detail"] == (rec["detail"] if rec["detail"] is not None else "")
