@@ -106,7 +106,11 @@ class RunConfig:
         return float(self.tol_overrides.get(name, _TOLERANCES[name]))
 
     def check_read(self, run):
-        """Refuse a grid flag or --tol name that ``run`` did not read, rather than ignore it."""
+        """Refuse a grid flag or --tol name that ``run`` did not read, rather than ignore it.
+
+        Suites read their flags and tolerances before their first check, so
+        a check that raises leaves none of them unread.
+        """
         unread = [f"--{_DEST_FLAG.get(n, n)}" for n in self.grid if n not in self.read]
         unread += [f"--tol {n}" for n in self.tol_overrides if n not in self.read]
         if unread:
