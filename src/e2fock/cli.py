@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -487,11 +486,11 @@ def run_verify(suite: str, cfg: RunConfig, stream) -> int:
     if not reports:
         raise ValueError(f"verify {suite}: the grid gives no records, so nothing was checked")
     cfg.check_read(f"verify {suite}")
-    _write_rows([dict(zip(_RECORD_FIELDS, dataclasses.astuple(r))) for r in reports], cfg.format, stream)
+    _write_rows([dict(zip(_RECORD_FIELDS, vars(r).values())) for r in reports], cfg.format, stream)
     return 0 if all(r.passed for r in reports) else 1
 
 
-# a record's CSV columns, CheckReport's fields in order
+# a record's columns: CheckReport's fields, in the order its __init__ sets them
 _RECORD_FIELDS = ("name", "equation", "params", "residual", "tolerance", "pass", "detail")
 
 
