@@ -486,25 +486,27 @@ class TestComputedOnce:
         assert identities._once(u_matrix, g, 8) is not U
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "recurrence", "--lambda", "2"],  # a flag the run does not read
+        ["verify", "recurrence", "--tol", "eigen=1"],
+        ["verify", "classical-limit", "--lambda", "1", "--k", "0", "--r", "1", "--psi", "0.5"],
+        ["table", "basis", "--tol", "eigen=1"],
+        ["verify", "recurrence", "--zmax", "10,20"],  # a list for a single-valued flag
+        ["table", "u-matrix", "--r", "1,2"],
+        ["table", "basis", "--lambda", "1e200", "--k", "3", "--zmax", "2"],  # an overflow in a table
+        ["table", "profile", "--lambda", "1e200", "--lambda2", "1e200"],
+        ["table", "irrep", "--lambda", "1e308", "--r", "1e10"],
+    ],
+)
+def test_refused_with_an_error_message(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestEveryInputIsRead:
-    """A grid flag or --tol name that the run does not read is refused, not ignored."""
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "recurrence", "--lambda", "2"],
-            ["verify", "recurrence", "--tol", "eigen=1"],
-            ["verify", "classical-limit", "--lambda", "1", "--k", "0", "--r", "1", "--psi", "0.5"],
-            ["table", "basis", "--tol", "eigen=1"],
-            ["verify", "recurrence", "--zmax", "10,20"],  # a list for a single-valued flag
-            ["table", "u-matrix", "--r", "1,2"],
-        ],
-    )
-    def test_refused(self, argv, capsys):
-        code, out = run_cli(argv)
-        assert code == 2 and out == ""
-        assert capsys.readouterr().err.startswith("error: ")
-
     def test_every_flag_is_read_by_some_suite_or_table(self):
         cfg = RunConfig()
         cli.run_verify("all", cfg, io.StringIO())
@@ -534,27 +536,13 @@ class TestEveryInputIsRead:
         assert built[-3:] == [(1.0, 0.2, 0.4, dim) for dim in (32, 64, 128)]
 
 
-class TestTableOutput:
-    def test_nan_is_written_as_null(self):
-        def reject(name):
-            raise ValueError(f"non-strict JSON constant {name}")
+def test_table_nan_is_written_as_null():
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
 
-        code, out = run_cli(["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"])
-        recs = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
-        assert code == 0 and [r["value"] for r in recs] == [None, None, None]
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["table", "basis", "--lambda", "1e200", "--k", "3", "--zmax", "2"],
-            ["table", "profile", "--lambda", "1e200", "--lambda2", "1e200"],
-            ["table", "irrep", "--lambda", "1e308", "--r", "1e10"],
-        ],
-    )
-    def test_arithmetic_error_is_a_usage_error(self, argv, capsys):
-        code, out = run_cli(argv)
-        assert code == 2 and out == ""
-        assert capsys.readouterr().err.startswith("error: ")
+    code, out = run_cli(["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"])
+    recs = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+    assert code == 0 and [r["value"] for r in recs] == [None, None, None]
 
 
 def test_verify_all_json_and_csv_agree_record_by_record():
