@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from . import identities as ident
-from .e2group import GroupElement, IrrepLabel, irrep_element, u_matrix
-from .fock import annihilator, conjugated_block, flush_underflow, panel_size, safe_block
+from .e2group import GroupElement, IrrepLabel, _u_factors, irrep_element, u_matrix
+from .fock import annihilator, flush_underflow, panel_size, safe_block, times_diagonal
 from .identities import CheckReport
 from .repk import (
     algebra_function,
@@ -104,8 +104,8 @@ class RunConfig:
         self.read.add(name)
         return float(self.tol_overrides.get(name, _TOLERANCES[name]))
 
-    def check_read(self, run):
-        """Refuse a grid flag or --tol name that ``run`` did not read, rather than ignore it.
+    def check_read(self):
+        """Refuse a grid flag or --tol name that the run did not read, rather than ignore it.
 
         Suites read their flags and tolerances before their first check, so
         a check that raises leaves none of them unread.
@@ -113,7 +113,7 @@ class RunConfig:
         unread = [f"--{_DEST_FLAG.get(n, n)}" for n in self.grid if n not in self.read]
         unread += [f"--tol {n}" for n in self.tol_overrides if n not in self.read]
         if unread:
-            raise ValueError(f"{run} does not read {', '.join(unread)}")
+            raise ValueError(f"the run does not read {', '.join(unread)}")
 
 
 def _sweep(cfg, name, equation, tol, axes, check, params=dict):
@@ -157,16 +157,15 @@ def _ladder(report, values, label, monotone, tolerance, **monotone_params):
     ]
 
 
-def _unitarity_defect(U, block):
-    # the leading block of U* U - I needs only U's leading columns
-    V = U[:, : panel_size(len(U), block)]
-    return np.linalg.norm((V.conj().T @ V)[:block, :block] - np.eye(block))
+def _unitarity_defect(g, dim, block):
+    # U* U = D_col* M^T M D_col and (M^T M)[i, j] = (-1)^(i+j) (M M^T)[i, j]: M's leading rows give the block
+    M = flush_underflow(_u_factors(g, dim, panel_size(dim, block))[2])
+    return np.linalg.norm((M @ M.T)[:block, :block] - np.eye(block))
 
 
 def suite_unitarity(cfg):
     def unitary(report, dim, r, psi, phi):
-        U = flush_underflow(u_matrix(GroupElement(r, psi, phi), dim))
-        return report(_unitarity_defect(U, max(safe_block(dim, r), min(dim, 4))))
+        return report(_unitarity_defect(GroupElement(r, psi, phi), dim, max(safe_block(dim, r), min(dim, 4))))
 
     # fixed-block truncation defect under dim doubling; strictly decreasing
     # until the float floor, non-increasing beyond it
@@ -177,7 +176,7 @@ def suite_unitarity(cfg):
         if block < 2:
             return []
         g = GroupElement(r, psi, phi)
-        defects = [float(_unitarity_defect(flush_underflow(u_matrix(g, dim)), block)) for dim in (32, 64, 128)]
+        defects = [float(_unitarity_defect(g, dim, block)) for dim in (32, 64, 128)]
         worst_step = max(d2 - max(d1, _DEFECT_FLOOR) for d1, d2 in zip(defects, defects[1:]))
         detail = "defects " + ", ".join(repr(d) for d in defects) + f" (floor {_DEFECT_FLOOR})"
         return report(worst_step, detail, block=block)
@@ -192,10 +191,14 @@ def suite_unitarity(cfg):
 def suite_intertwining(cfg):
     def check(report, dim, r, psi, phi):
         g = GroupElement(r, psi, phi)
-        U = flush_underflow(u_matrix(g, dim))
         b = max(safe_block(dim, r), min(dim, 4))
+        row, col, M = _u_factors(g, dim, panel_size(dim, b))
+        flush_underflow(M)
+        # U a U* = D_row M (D_col a D_col*) M^T D_row*, whose middle factor is one complex diagonal
+        mid = col[:-1] * np.sqrt(np.arange(1.0, dim)) * col[1:].conj()
+        X = (times_diagonal(M, mid.real, 1) @ M.T)[:b, :b] + 1j * (times_diagonal(M, mid.imag, 1) @ M.T)[:b, :b]
         target = np.exp(1j * g.phi) * annihilator(b) + g.w * np.eye(b)
-        return report(np.max(np.abs(conjugated_block(U, np.sqrt(np.arange(1.0, dim)), 1, b) - target)))
+        return report(np.max(np.abs(row[:b, None] * X * row[:b].conj() - target)))
 
     axes = {"dim": [cfg.dim], **_GROUP_AXES}
     return _sweep(cfg, "intertwining", "intertwining", cfg.tol("intertwining"), axes, check)
@@ -477,15 +480,15 @@ SUITE_NAMES = list(SUITES)
 def run_verify(suite: str, cfg: RunConfig, stream) -> int:
     """Run one suite (or 'all'); stream records; return the exit code."""
     if not 8 <= cfg.dim <= _MAX_DIM:
-        raise ValueError(f"verify requires dim in [8, {_MAX_DIM}]")
+        raise ValueError(f"dim must be in [8, {_MAX_DIM}]")
     names = SUITE_NAMES if suite == "all" else [suite]
     reports = []
     for name in names:
         with ident.memo_scope():
             reports.extend(SUITES[name](cfg))
     if not reports:
-        raise ValueError(f"verify {suite}: the grid gives no records, so nothing was checked")
-    cfg.check_read(f"verify {suite}")
+        raise ValueError("the grid gives no records, so nothing was checked")
+    cfg.check_read()
     _write_rows([dict(zip(_RECORD_FIELDS, vars(r).values())) for r in reports], cfg.format, stream)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -523,7 +526,7 @@ def _write_rows(rows, fmt, stream):
 def _table_rows(kind: str, cfg: RunConfig):
     if kind == "u-matrix":
         if cfg.dim > _MAX_DIM:
-            raise ValueError(f"table u-matrix requires dim in [2, {_MAX_DIM}]")
+            raise ValueError(f"dim must be in [2, {_MAX_DIM}]")
         r = cfg.first("r", 1.0)
         g = GroupElement(r, cfg.first("psi", 0.0), cfg.first("phi", 0.0))
         U = u_matrix(g, cfg.dim)
@@ -550,7 +553,10 @@ def _table_rows(kind: str, cfg: RunConfig):
 
 def run_table(kind: str, cfg: RunConfig, stream) -> int:
     rows = list(_table_rows(kind, cfg))
-    cfg.check_read(f"table {kind}")
+    cfg.check_read()
+    for row in rows:
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row.values()):
+            raise FloatingPointError("non-finite value in row " + ", ".join(f"{k}={v!r}" for k, v in row.items()))
     _write_rows(rows, cfg.format, stream)
     return 0
 
@@ -675,7 +681,8 @@ def main(argv=None, stream=None) -> int:
             return run_verify(args.suite, cfg, stream)
         return run_table(args.kind, cfg, stream)
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        run = f"{args.command} {args.suite if args.command == 'verify' else args.kind}"
+        print(f"error: {run}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

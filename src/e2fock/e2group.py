@@ -123,50 +123,58 @@ def u_matrix_element(g: GroupElement, m: int, n: int) -> complex:
     return complex(u_matrix(g, max(m, n, 1) + 1)[m, n])
 
 
-def u_matrix(g: GroupElement, dim: int) -> np.ndarray:
-    """The truncated operator U(g): a phase matrix times one real core.
+def _u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U(g) = diag(row) M diag(col): its unit-modulus phases and the leading ``rows`` rows of its real core M.
 
-    The real core T[m, m+d] = T[m+d, m] = S_m(d) = r^d sqrt(m!/(m+d)!) L^{(d)}_m(r^2)
-    is |<m|U|m+d>| / e^{-r^2/2}, run as a self-scaled recurrence in m so that
-    intermediates stay O(1); row m holds step m of every diagonal at once, so
-    the core costs one numpy step per row.  Entries are the exact
-    infinite-dimensional matrix elements (no truncation error in the entries
-    themselves); only products/conjugations of truncated matrices acquire
-    boundary artifacts.
+    row[m] = e^{i m (psi - phi)}, col[n] = e^{-i n psi} and M[m, m+d] = (-1)^d M[m+d, m] = e^{-r^2/2} S_m(d), where
+    S_m(d) = r^d sqrt(m!/(m+d)!) L^{(d)}_m(r^2) runs as a self-scaled recurrence in m, one numpy step per row.
+    It stops once ``rows`` rows are filled; each entry is the same float whatever ``rows`` is.
     """
+    ms = np.arange(dim)
+    if g.r < 1e-12:  # a rotation, as in u_matrix
+        return np.exp(-1j * ms * g.phi), np.ones(dim), np.eye(rows, dim)
+    x, log_r = g.r * g.r, math.log(g.r)
+    parity = 1 - 2 * (ms % 2)  # (-1)^d for the entries below the diagonal, which the recurrence never reads
+    M = np.empty((rows, dim))
+    M[0] = [math.exp(d * log_r - 0.5 * log_factorial(d)) if d > 0 else 1.0 for d in range(dim)]
+    M[:, 0] = M[0, :rows] * parity[:rows]
+    coef = np.arange(2 * dim - 1) - x  # coef[2m+1+d] = 2m+1+d - x
+    root = np.sqrt(ms[1:])  # sqrt((m+1)(m+1+d)) at m = 0
+    step = coef[1:dim] * M[0, :-1] / root
+    for m in range(1, rows):
+        M[m, m:], M[m:, m] = step, step[: rows - m] * parity[: rows - m]
+        # the next step; sqrt(m (m+d)) is this step's root, one entry shorter
+        lag, root = root[:-1], np.sqrt((m + 1) * ms[m + 1 :])
+        step = (coef[2 * m + 1 : m + dim] * M[m, m:-1] - lag * M[m - 1, m - 1 : -2]) / root
+    M *= math.exp(-0.5 * g.r * g.r)
+    return np.exp(1j * ms * (g.psi - g.phi)), np.exp(-1j * ms * g.psi), M
+
+
+def u_matrix(g: GroupElement, dim: int) -> np.ndarray:
+    """The truncated U(g), exact matrix elements: a phase matrix times the real core of :func:`_u_factors`."""
     if dim < 2:
         raise ValueError("Fock truncation dimension must be >= 2")
-    ms = np.arange(dim)
-    U = np.zeros((dim, dim), dtype=complex)
+    row, _, M = _u_factors(g, dim, dim)
     if g.r < 1e-12:
-        U[ms, ms] = np.exp(-1j * ms * g.phi)
-        return U
+        return np.diag(row)
 
     # phase e^{1j * theta}, theta = (m-n) psi - m phi, built in place in U's
     # imaginary part (adding 0.0 turns -0 into +0, as 1j * theta does; the
     # real part stays 0, whose sign exp ignores), then times (-1)^{m-n}
     # below the diagonal
+    ms = np.arange(dim)
+    U = np.zeros((dim, dim), dtype=complex)
     theta = U.imag
     np.subtract.outer(ms, ms, out=theta, dtype=float)
     theta *= g.psi
     theta -= (ms * g.phi)[:, None]
     theta += 0.0
     np.exp(U, out=U)
-    np.multiply(U, -1, out=U, where=(ms[:, None] > ms) & (ms[:, None] % 2 != ms % 2))
-
-    x, log_r = g.r * g.r, math.log(g.r)
-    T = np.empty((dim, dim))
-    T[0] = T[:, 0] = [math.exp(d * log_r - 0.5 * log_factorial(d)) if d > 0 else 1.0 for d in range(dim)]
-    coef = np.arange(2 * dim - 1) - x  # coef[2m+1+d] = 2m+1+d - x
-    root = np.sqrt(ms[1:])  # sqrt((m+1)(m+1+d)) at m = 0
-    T[1, 1:] = T[1:, 1] = coef[1:dim] * T[0, :-1] / root
-    for m in range(1, dim - 1):
-        # sqrt(m (m+d)) is the previous step's root, one entry shorter
-        lag, root = root[:-1], np.sqrt((m + 1) * ms[m + 1 :])
-        step = (coef[2 * m + 1 : m + dim] * T[m, m:-1] - lag * T[m - 1, m - 1 : -2]) / root
-        T[m + 1, m + 1 :] = T[m + 1 :, m + 1] = step
-    T *= math.exp(-0.5 * g.r * g.r)
-    U *= T
+    lower_odd = (ms[:, None] > ms) & (ms[:, None] % 2 != ms % 2)
+    np.multiply(U, -1, out=U, where=lower_odd)
+    # the sign rides on the phase, so it comes off the core again: the signed
+    # zeros of a complex product depend on which factor carries it
+    U *= np.negative(M, out=M, where=lower_odd)
     return U
 
 

@@ -498,6 +498,7 @@ class TestComputedOnce:
         ["table", "basis", "--lambda", "1e200", "--k", "3", "--zmax", "2"],  # an overflow in a table
         ["table", "profile", "--lambda", "1e200", "--lambda2", "1e200"],
         ["table", "irrep", "--lambda", "1e308", "--r", "1e10"],
+        ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],  # NaN values, not written
     ],
 )
 def test_refused_with_an_error_message(argv, capsys):
@@ -524,25 +525,81 @@ class TestEveryInputIsRead:
         assert got == [(name, psi, phi) for psi, phi in points for name in ("addition", "addition-vacuum")]
 
     def test_unitarity_monotone_takes_the_last_group_element(self, monkeypatch):
-        built = []
+        built, factors = [], cli._u_factors
 
-        def recording(g, dim):
+        def recording(g, dim, rows):
             built.append((g.r, g.psi, g.phi, dim))
-            return u_matrix(g, dim)
+            return factors(g, dim, rows)
 
-        monkeypatch.setattr(cli, "u_matrix", recording)
+        monkeypatch.setattr(cli, "_u_factors", recording)
         code, out = run_cli(["verify", "unitarity", "--r", "0.5,1", "--psi", "0.1,0.2", "--phi", "0.3,0.4"])
         assert code == 0 and len(json_records(out)) == 9
         assert built[-3:] == [(1.0, 0.2, 0.4, dim) for dim in (32, 64, 128)]
 
 
-def test_table_nan_is_written_as_null():
-    def reject(name):
-        raise ValueError(f"non-strict JSON constant {name}")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["table", "profile", "--lambda", "1e200", "--lambda2", "1e200"],
+            "table profile: OverflowError: (34, 'Numerical result out of range')",
+        ),
+        (
+            ["table", "basis", "--lambda", "1e200", "--k", "3", "--zmax", "2"],
+            "table basis: OverflowError: complex exponentiation",
+        ),
+        (
+            ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],
+            "table profile: FloatingPointError: non-finite value in row"
+            " equation='orthogonality-profile', k=200, lam1=60, lam2=1, zmax=100, value=nan",
+        ),
+        (["verify", "recurrence", "--lambda", "2"], "verify recurrence: ValueError: the run does not read --lambda"),
+    ],
+    ids=["profile-overflow", "basis-overflow", "profile-nan", "unread-flag"],
+)
+def test_error_message_names_the_run_and_the_exception(argv, message, capsys):
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
-    code, out = run_cli(["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"])
-    recs = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
-    assert code == 0 and [r["value"] for r in recs] == [None, None, None]
+
+def _odd_lower_flipped(row, col, M):
+    m, n = np.ogrid[: len(M), : M.shape[1]]
+    return row, col, np.where((m > n) & ((m - n) % 2 == 1), -M, M)
+
+
+class TestFaultInjection:
+    """A mutated factor of U(g) = D_row M D_col fails the default grid of the checks that read it."""
+
+    @pytest.mark.parametrize(
+        "mutate, unitarity_fails",
+        [
+            (lambda row, col, M: (row.conj(), col, M), False),  # the phases cancel in U* U
+            (lambda row, col, M: (row, col.conj(), M), False),
+            (_odd_lower_flipped, True),
+        ],
+        ids=["conjugated-row-phases", "conjugated-column-phases", "odd-lower-sign-flipped"],
+    )
+    def test_mutated_factor(self, monkeypatch, mutate, unitarity_fails):
+        factors = cli._u_factors
+        monkeypatch.setattr(cli, "_u_factors", lambda g, dim, rows: mutate(*factors(g, dim, rows)))
+        code, out = run_cli(["verify", "intertwining"])
+        recs = json_records(out)
+        assert code == 1 and len(recs) == 4
+        assert not any(r["pass"] for r in recs) and all(r["residual"] > 1e-3 for r in recs)
+        assert run_cli(["verify", "unitarity"])[0] == (1 if unitarity_fails else 0)
+
+    @pytest.mark.parametrize("suite", ["unitarity", "intertwining"])
+    def test_core_one_row_short_fails(self, monkeypatch, suite):
+        # at dim 64 the blocks of r = 1 and 1.5 are whole panels (36 and 28
+        # rows), so their rows are all read: a short core raises, not reads past
+        factors = cli._u_factors
+        monkeypatch.setattr(cli, "_u_factors", lambda g, dim, rows: factors(g, dim, rows - 1))
+        code, out = run_cli(["verify", suite])
+        failed = [r for r in json_records(out) if not r["pass"]]
+        assert code == 1
+        assert [r["params"]["r"] for r in failed if r["name"] == suite] == [1.0, 1.5]
+        assert all(r["detail"].startswith("error: operands could not be broadcast") for r in failed)
 
 
 def test_verify_all_json_and_csv_agree_record_by_record():

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from e2fock.e2group import (
     GroupElement,
     IrrepLabel,
+    _u_factors,
     act_on_generator,
     compose,
     identity,
@@ -16,7 +17,7 @@ from e2fock.e2group import (
     u_matrix,
     u_matrix_element,
 )
-from e2fock.fock import annihilator, displaced_basis, displaced_vacuum, safe_block
+from e2fock.fock import annihilator, displaced_basis, displaced_vacuum, panel_size, safe_block
 from e2fock.specfun import bessel_j, bessel_j_seq, hyp2f0_poly, log_factorial
 
 from conftest import group_matrix3
@@ -341,6 +342,35 @@ class TestUMatrixBitIdentity:
             assert u_matrix(g, dim).tobytes() == u_matrix_by_diagonals(g, dim).tobytes(), (g, dim)
         g = GroupElement(40.0, -1.0, 0.0)
         assert u_matrix(g, min(dim, 17)).tobytes() == u_matrix_by_diagonals(g, min(dim, 17)).tobytes()
+
+
+class TestUFactors:
+    """The phases and real core that the unitarity and intertwining checks read."""
+
+    # the r set of test_cli's TestBlockProducts
+    RS = [1e-13, 0.3, 6.0, 3.9, 0.9, 1.7]
+
+    @pytest.mark.parametrize("dim", [8, 64, 512])
+    def test_early_stopped_core_is_the_full_cores_leading_rows(self, dim):
+        parity = 1 - 2 * (np.arange(dim) % 2)
+        for r in self.RS:
+            g = GroupElement(r, 0.7, 0.3)
+            full = _u_factors(g, dim, dim)[2]
+            for rows in sorted({2, 5, panel_size(dim, max(safe_block(dim, r), min(dim, 4)))}):
+                assert _u_factors(g, dim, rows)[2].tobytes() == full[:rows].tobytes(), (dim, r, rows)
+                # the full core's leading columns are those rows, with (-1)^(m+n) below the diagonal
+                assert np.array_equal(full[:, :rows], np.outer(parity, parity[:rows]) * full[:rows].T)
+
+    @pytest.mark.parametrize("dim", [8, 64, 512])
+    def test_factors_multiply_to_u_matrix(self, dim):
+        # the phases round their angles m (psi - phi) and n psi where U rounds
+        # (m - n) psi - m phi: a few ulps of angles up to dim (|psi| + |phi|)
+        for r in self.RS:
+            for psi, phi in [(0.7, 0.3), (-2.9, 3.1), (4.0, -7.5)]:
+                g = GroupElement(r, psi, phi)
+                row, col, M = _u_factors(g, dim, dim)
+                bound = np.finfo(float).eps * dim * (abs(g.psi) + abs(g.phi) + 1)
+                assert np.max(np.abs(row[:, None] * M * col - u_matrix(g, dim))) <= bound, (dim, g)
 
 
 class TestIrrepElements:
