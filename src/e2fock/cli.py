@@ -556,7 +556,7 @@ def run_table(kind: str, cfg: RunConfig, stream) -> int:
     cfg.check_read()
     for row in rows:
         if any(isinstance(v, float) and not math.isfinite(v) for v in row.values()):
-            raise FloatingPointError("non-finite value in row " + ", ".join(f"{k}={v!r}" for k, v in row.items()))
+            raise FloatingPointError("non-finite value in row " + ", ".join(f"{k}={v}" for k, v in row.items()))
     _write_rows(rows, cfg.format, stream)
     return 0
 

@@ -551,7 +551,7 @@ class TestEveryInputIsRead:
         (
             ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],
             "table profile: FloatingPointError: non-finite value in row"
-            " equation='orthogonality-profile', k=200, lam1=60, lam2=1, zmax=100, value=nan",
+            " equation=orthogonality-profile, k=200, lam1=60, lam2=1, zmax=100, value=nan",
         ),
         (["verify", "recurrence", "--lambda", "2"], "verify recurrence: ValueError: the run does not read --lambda"),
     ],
