@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from . import identities as ident
-from .e2group import GroupElement, IrrepLabel, _u_factors, irrep_element, u_matrix
-from .fock import annihilator, flush_underflow, panel_size, safe_block, times_diagonal
+from .e2group import GroupElement, IrrepLabel, irrep_element, u_factors, u_matrix
+from .fock import annihilator, conjugated_block, panel_size, safe_block
 from .identities import CheckReport
 from .repk import (
     algebra_function,
@@ -159,7 +159,7 @@ def _ladder(report, values, label, monotone, tolerance, **monotone_params):
 
 def _unitarity_defect(g, dim, block):
     # U* U = D_col* M^T M D_col and (M^T M)[i, j] = (-1)^(i+j) (M M^T)[i, j]: M's leading rows give the block
-    M = flush_underflow(_u_factors(g, dim, panel_size(dim, block))[2])
+    M = u_factors(g, dim, panel_size(dim, block))[2]
     return np.linalg.norm((M @ M.T)[:block, :block] - np.eye(block))
 
 
@@ -192,13 +192,9 @@ def suite_intertwining(cfg):
     def check(report, dim, r, psi, phi):
         g = GroupElement(r, psi, phi)
         b = max(safe_block(dim, r), min(dim, 4))
-        row, col, M = _u_factors(g, dim, panel_size(dim, b))
-        flush_underflow(M)
-        # U a U* = D_row M (D_col a D_col*) M^T D_row*, whose middle factor is one complex diagonal
-        mid = col[:-1] * np.sqrt(np.arange(1.0, dim)) * col[1:].conj()
-        X = (times_diagonal(M, mid.real, 1) @ M.T)[:b, :b] + 1j * (times_diagonal(M, mid.imag, 1) @ M.T)[:b, :b]
+        UaU = conjugated_block(u_factors(g, dim, panel_size(dim, b)), np.sqrt(np.arange(1.0, dim)), 1, b)
         target = np.exp(1j * g.phi) * annihilator(b) + g.w * np.eye(b)
-        return report(np.max(np.abs(row[:b, None] * X * row[:b].conj() - target)))
+        return report(np.max(np.abs(UaU - target)))
 
     axes = {"dim": [cfg.dim], **_GROUP_AXES}
     return _sweep(cfg, "intertwining", "intertwining", cfg.tol("intertwining"), axes, check)

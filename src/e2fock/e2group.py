@@ -29,11 +29,15 @@ __all__ = [
     "inverse",
     "act_on_generator",
     "u_matrix_element",
+    "u_factors",
     "u_matrix",
     "irrep_element",
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# a product of two floats of at least this size is a normal float
+_UNDERFLOW_FLOOR = 2.0**-511
 
 
 def _wrap_angle(x: float) -> float:
@@ -123,15 +127,17 @@ def u_matrix_element(g: GroupElement, m: int, n: int) -> complex:
     return complex(u_matrix(g, max(m, n, 1) + 1)[m, n])
 
 
-def _u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U(g) = diag(row) M diag(col): its unit-modulus phases and the leading ``rows`` rows of its real core M.
 
     row[m] = e^{i m (psi - phi)}, col[n] = e^{-i n psi} and M[m, m+d] = (-1)^d M[m+d, m] = e^{-r^2/2} S_m(d), where
     S_m(d) = r^d sqrt(m!/(m+d)!) L^{(d)}_m(r^2) runs as a self-scaled recurrence in m, one numpy step per row.
-    It stops once ``rows`` rows are filled; each entry is the same float whatever ``rows`` is.
+    It stops once ``rows`` rows are filled; each entry is the same float whatever ``rows`` is.  Entries below
+    2^-511 read a zero of their sign, so products of cores never meet subnormal arithmetic and move by at most
+    about dim * 2^-511.  A returned row that overflows (at r = 40, dim 512) raises FloatingPointError.
     """
     ms = np.arange(dim)
-    if g.r < 1e-12:  # a rotation, as in u_matrix
+    if g.r < 1e-12:  # a rotation
         return np.exp(-1j * ms * g.phi), np.ones(dim), np.eye(rows, dim)
     x, log_r = g.r * g.r, math.log(g.r)
     parity = 1 - 2 * (ms % 2)  # (-1)^d for the entries below the diagonal, which the recurrence never reads
@@ -139,43 +145,27 @@ def _u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.nda
     M[0] = [math.exp(d * log_r - 0.5 * log_factorial(d)) if d > 0 else 1.0 for d in range(dim)]
     M[:, 0] = M[0, :rows] * parity[:rows]
     coef = np.arange(2 * dim - 1) - x  # coef[2m+1+d] = 2m+1+d - x
-    root = np.sqrt(ms[1:])  # sqrt((m+1)(m+1+d)) at m = 0
-    step = coef[1:dim] * M[0, :-1] / root
-    for m in range(1, rows):
-        M[m, m:], M[m:, m] = step, step[: rows - m] * parity[: rows - m]
-        # the next step; sqrt(m (m+d)) is this step's root, one entry shorter
-        lag, root = root[:-1], np.sqrt((m + 1) * ms[m + 1 :])
-        step = (coef[2 * m + 1 : m + dim] * M[m, m:-1] - lag * M[m - 1, m - 1 : -2]) / root
+    root = np.sqrt(ms[1:])  # sqrt(m (m+d)) at m = 1
+    with np.errstate(over="raise", invalid="raise"):
+        for m in range(1, rows):
+            # row m from rows m-1 and m-2; sqrt((m-1)(m-1+d)) is the last row's root, one entry shorter
+            step = coef[2 * m - 1 : m - 1 + dim] * M[m - 1, m - 1 : -1]
+            if m > 1:
+                lag, root = root[:-1], np.sqrt(m * ms[m:])
+                step -= lag * M[m - 2, m - 2 : -2]
+            step /= root
+            M[m, m:], M[m:, m] = step, step[: rows - m] * parity[: rows - m]
     M *= math.exp(-0.5 * g.r * g.r)
+    np.multiply(M, 0.0, out=M, where=np.abs(M) < _UNDERFLOW_FLOOR)
     return np.exp(1j * ms * (g.psi - g.phi)), np.exp(-1j * ms * g.psi), M
 
 
 def u_matrix(g: GroupElement, dim: int) -> np.ndarray:
-    """The truncated U(g), exact matrix elements: a phase matrix times the real core of :func:`_u_factors`."""
+    """The truncated U(g), exact matrix elements: the real core of :func:`u_factors` times its two phase vectors."""
     if dim < 2:
         raise ValueError("Fock truncation dimension must be >= 2")
-    row, _, M = _u_factors(g, dim, dim)
-    if g.r < 1e-12:
-        return np.diag(row)
-
-    # phase e^{1j * theta}, theta = (m-n) psi - m phi, built in place in U's
-    # imaginary part (adding 0.0 turns -0 into +0, as 1j * theta does; the
-    # real part stays 0, whose sign exp ignores), then times (-1)^{m-n}
-    # below the diagonal
-    ms = np.arange(dim)
-    U = np.zeros((dim, dim), dtype=complex)
-    theta = U.imag
-    np.subtract.outer(ms, ms, out=theta, dtype=float)
-    theta *= g.psi
-    theta -= (ms * g.phi)[:, None]
-    theta += 0.0
-    np.exp(U, out=U)
-    lower_odd = (ms[:, None] > ms) & (ms[:, None] % 2 != ms % 2)
-    np.multiply(U, -1, out=U, where=lower_odd)
-    # the sign rides on the phase, so it comes off the core again: the signed
-    # zeros of a complex product depend on which factor carries it
-    U *= np.negative(M, out=M, where=lower_odd)
-    return U
+    row, col, M = u_factors(g, dim, dim)
+    return row[:, None] * M * col
 
 
 def irrep_element(label: IrrepLabel, k: int, n: int, g: GroupElement) -> complex:

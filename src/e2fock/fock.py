@@ -24,10 +24,6 @@ __all__ = [
     "displaced_basis",
 ]
 
-# a product of two float components of at least this size is a normal float
-_UNDERFLOW_FLOOR = 2.0**-511
-
-
 def _check_dim(dim: int) -> None:
     if dim < 2:
         raise ValueError("Fock truncation dimension must be >= 2")
@@ -89,27 +85,18 @@ def panel_size(dim: int, n: int) -> int:
     return min(dim, -(-n // 4) * 4)
 
 
-def conjugated_block(U: np.ndarray, values: np.ndarray, offset: int, n: int) -> np.ndarray:
-    """The leading n x n block of U M U*, M as for :func:`times_diagonal`, from U's leading panel_size rows."""
-    rows = U[: panel_size(len(U), n)]
-    return (times_diagonal(rows, values, offset) @ rows.conj().T)[:n, :n]
+def conjugated_block(factors, values: np.ndarray, offset: int, n: int) -> np.ndarray:
+    """The leading n x n block of U V U*, V as M of :func:`times_diagonal`, from U's factors (row, col, M).
 
-
-def flush_underflow(A: np.ndarray) -> np.ndarray:
-    """Zero, in place, every real or imaginary component of A below 2**-511.
-
-    Any nonzero product of two remaining components is then a normal float,
-    so a dense product of such operands runs at full BLAS speed instead of
-    through subnormal arithmetic.  Dropping them moves an entry of a product
-    by at most about dim * 2**-511 times the operands' largest entry: below
-    1e-151 for U(g) at dim 512, whose entries are bounded by 1, and far below
-    every tolerance.  A dropped component becomes a zero of the same sign;
-    every other component, NaN and infinity included, keeps its bits.
-    Returns A.
+    As U = D_row M D_col (:func:`e2group.u_factors`), U V U* = D_row M (D_col V D_col*) M^T D_row*, with middle
+    diagonal col[i] v conj(col[j]): two real products of M's leading panel_size rows, then the row phases.
     """
-    parts = A.view(np.float64) if np.iscomplexobj(A) else A
-    np.multiply(parts, 0.0, out=parts, where=np.abs(parts) < _UNDERFLOW_FLOOR)
-    return A
+    row, col, M = factors
+    i = np.arange(len(values)) + max(-offset, 0)  # V's entries sit at (i, i + offset)
+    mid = col[i] * values * col[i + offset].conj()
+    rows = M[: panel_size(M.shape[1], n)]
+    re, im = ((times_diagonal(rows, part, offset) @ rows.T)[:n, :n] for part in (mid.real, mid.imag))
+    return row[:n, None] * (re + 1j * im) * row[:n].conj()
 
 
 def boundary_margin(level: int, r: float) -> int:

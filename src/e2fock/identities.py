@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .e2group import GroupElement, IrrepLabel, irrep_element, u_matrix
+from .e2group import GroupElement, IrrepLabel, irrep_element, u_factors
 from .fock import conjugated_block, safe_block
 from .repk import _log_winding_weights, _winding_weights, basis_d
 from .specfun import (
@@ -58,8 +58,8 @@ _ADDITION_NMAX = 60  # the addition theorem's n-sum runs over |n - k| <= this
 # fraction of a second; the default grids need at most 40 000
 _MAX_KUMMER_STEPS = 10**6
 
-# most array bytes the memo holds, four dim-512 U(g); past it, values are
-# recomputed, not kept (verify all's largest suite memo is 0.6 MB)
+# most array bytes the memo holds, the factors of eight dim-512 U(g); past it,
+# values are recomputed, not kept (verify all's largest suite memo is 0.36 MB)
 _MEMO_BYTES = 16 * 2**20
 
 
@@ -89,15 +89,18 @@ def memo_scope():
 
 
 def _once(build, *args):
-    # build(*args) as a read-only array, memoized while a memo_scope() is open
+    # build(*args), an array or a tuple of arrays, read-only and memoized while a memo_scope() is open
     key = (build, *args)
     if _memo is not None and key in _memo:
         return _memo[key]
     value = build(*args)
-    value.flags.writeable = False
-    if _memo is not None and _memo.nbytes + value.nbytes <= _MEMO_BYTES:
+    arrays = value if isinstance(value, tuple) else (value,)
+    for array in arrays:
+        array.flags.writeable = False
+    nbytes = sum(array.nbytes for array in arrays)
+    if _memo is not None and _memo.nbytes + nbytes <= _MEMO_BYTES:
         _memo[key] = value
-        _memo.nbytes += value.nbytes
+        _memo.nbytes += nbytes
     return value
 
 
@@ -222,7 +225,7 @@ def addition_residual(
         raise ValueError("addition_residual requires lam * r <= 6")
     b = safe_block(dim, g.r)
     dk = _once(_basis_diagonal, lam, k, dim)
-    lhs = conjugated_block(_once(u_matrix, g, dim), dk, -k, b)
+    lhs = conjugated_block(_once(u_factors, g, dim, dim), dk, -k, b)
 
     jmag = _once(bessel_j_seq, _ADDITION_NMAX, lam * g.r)
     rhs = np.zeros((dim, dim), dtype=complex)
@@ -279,7 +282,7 @@ def addition_vacuum_crosscheck(
     if k < 0:
         raise ValueError("vacuum cross-check uses k >= 0")
     lam, r = label.lam, g.r
-    s1 = complex(conjugated_block(_once(u_matrix, g, dim), _once(_basis_diagonal, lam, k, dim), -k, 1)[0, 0])
+    s1 = complex(conjugated_block(_once(u_factors, g, dim, dim), _once(_basis_diagonal, lam, k, dim), -k, 1)[0, 0])
     s3 = irrep_element(label, k, 0, g) * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
     lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))
@@ -351,7 +354,8 @@ def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: in
     Entry z is the sum over zeta <= z.  Different windings are exactly
     orthogonal (the trace grading), so only equal k is of interest; the
     diagonal l1 = l2 grows without bound (delta normalization) while
-    off-diagonal values oscillate boundedly.
+    off-diagonal values oscillate boundedly.  Raises FloatingPointError
+    where a value overflows or turns NaN.
     """
     a = abs(k)
     x1, x2 = lambda1 * lambda1 / 4.0, lambda2 * lambda2 / 4.0
@@ -361,8 +365,9 @@ def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: in
     pref = math.exp(
         a * math.log(lambda1 * lambda2 / 4.0) - 2 * log_factorial(a) - (lambda1**2 + lambda2**2) / 8.0
     )
-    summand = (p1 * np.exp(half_logw)) * (p2 * np.exp(half_logw))
-    return pref * np.cumsum(summand)
+    with np.errstate(over="raise", invalid="raise"):
+        summand = (p1 * np.exp(half_logw)) * (p2 * np.exp(half_logw))
+        return pref * np.cumsum(summand)
 
 
 def _classical_zeta(r: float, sigma: float) -> int:

@@ -4,6 +4,10 @@ import io
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 
 from e2fock import cli, identities
 from e2fock.cli import RunConfig, main, suite_intertwining, suite_unitarity
-from e2fock.e2group import GroupElement, IrrepLabel, u_matrix
+from e2fock.e2group import GroupElement, IrrepLabel, u_factors, u_matrix
 from e2fock.fock import annihilator, safe_block, times_diagonal
 from e2fock.specfun import laguerre_seq
 
@@ -479,11 +483,13 @@ class TestComputedOnce:
     def test_memoized_arrays_are_shared_and_read_only(self):
         g = GroupElement(0.5, 0.7, 0.3)
         with identities.memo_scope():
-            U = identities._once(u_matrix, g, 8)
-            assert identities._once(u_matrix, g, 8) is U
-            with pytest.raises(ValueError, match="read-only"):
-                U[0, 0] = 1.0
-        assert identities._once(u_matrix, g, 8) is not U
+            factors = identities._once(u_factors, g, 8, 8)
+            assert identities._once(u_factors, g, 8, 8) is factors
+            assert identities._memo.nbytes == sum(a.nbytes for a in factors)
+            for array in factors:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+        assert identities._once(u_factors, g, 8, 8) is not factors
 
 
 @pytest.mark.parametrize(
@@ -525,13 +531,13 @@ class TestEveryInputIsRead:
         assert got == [(name, psi, phi) for psi, phi in points for name in ("addition", "addition-vacuum")]
 
     def test_unitarity_monotone_takes_the_last_group_element(self, monkeypatch):
-        built, factors = [], cli._u_factors
+        built, factors = [], cli.u_factors
 
         def recording(g, dim, rows):
             built.append((g.r, g.psi, g.phi, dim))
             return factors(g, dim, rows)
 
-        monkeypatch.setattr(cli, "_u_factors", recording)
+        monkeypatch.setattr(cli, "u_factors", recording)
         code, out = run_cli(["verify", "unitarity", "--r", "0.5,1", "--psi", "0.1,0.2", "--phi", "0.3,0.4"])
         assert code == 0 and len(json_records(out)) == 9
         assert built[-3:] == [(1.0, 0.2, 0.4, dim) for dim in (32, 64, 128)]
@@ -550,8 +556,7 @@ class TestEveryInputIsRead:
         ),
         (
             ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],
-            "table profile: FloatingPointError: non-finite value in row"
-            " equation=orthogonality-profile, k=200, lam1=60, lam2=1, zmax=100, value=nan",
+            "table profile: FloatingPointError: overflow encountered in multiply",
         ),
         (["verify", "recurrence", "--lambda", "2"], "verify recurrence: ValueError: the run does not read --lambda"),
     ],
@@ -561,6 +566,24 @@ def test_error_message_names_the_run_and_the_exception(argv, message, capsys):
     code, out = run_cli(argv)
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],
+        ["table", "u-matrix", "--r", "40", "--dim", "512"],
+    ],
+    ids=["profile", "u-matrix"],
+)
+def test_overflow_prints_only_the_error_line(argv, capfd):
+    # a fresh interpreter, so numpy's floating-point warnings would reach stderr as they do for users
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = subprocess.run([sys.executable, "-m", "e2fock.cli", *argv], env=env, timeout=120).returncode
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} {argv[1]}: FloatingPointError: overflow encountered in multiply\n"
 
 
 def _odd_lower_flipped(row, col, M):
@@ -581,8 +604,8 @@ class TestFaultInjection:
         ids=["conjugated-row-phases", "conjugated-column-phases", "odd-lower-sign-flipped"],
     )
     def test_mutated_factor(self, monkeypatch, mutate, unitarity_fails):
-        factors = cli._u_factors
-        monkeypatch.setattr(cli, "_u_factors", lambda g, dim, rows: mutate(*factors(g, dim, rows)))
+        factors = cli.u_factors
+        monkeypatch.setattr(cli, "u_factors", lambda g, dim, rows: mutate(*factors(g, dim, rows)))
         code, out = run_cli(["verify", "intertwining"])
         recs = json_records(out)
         assert code == 1 and len(recs) == 4
@@ -593,8 +616,8 @@ class TestFaultInjection:
     def test_core_one_row_short_fails(self, monkeypatch, suite):
         # at dim 64 the blocks of r = 1 and 1.5 are whole panels (36 and 28
         # rows), so their rows are all read: a short core raises, not reads past
-        factors = cli._u_factors
-        monkeypatch.setattr(cli, "_u_factors", lambda g, dim, rows: factors(g, dim, rows - 1))
+        factors = cli.u_factors
+        monkeypatch.setattr(cli, "u_factors", lambda g, dim, rows: factors(g, dim, rows - 1))
         code, out = run_cli(["verify", suite])
         failed = [r for r in json_records(out) if not r["pass"]]
         assert code == 1

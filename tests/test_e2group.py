@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from scipy.linalg import expm
 from e2fock.e2group import (
     GroupElement,
     IrrepLabel,
-    _u_factors,
     act_on_generator,
     compose,
     identity,
     inverse,
     irrep_element,
+    u_factors,
     u_matrix,
     u_matrix_element,
 )
@@ -331,21 +332,26 @@ def u_matrix_by_diagonals(g, dim):
 
 
 class TestUMatrixBitIdentity:
+    """u_matrix, the real core times its phase vectors, against the per-diagonal assembly.
+
+    The phase vectors round the angles m (psi - phi) and n psi where the
+    assembly rounds (m - n) psi - m phi, so entries agree to a few ulps of
+    angles up to dim (|psi| + |phi|), not bit for bit.
+    """
+
     @pytest.mark.parametrize("dim", [2, 3, 8, 17, 64, 96, 512])
     def test_matches_per_diagonal_assembly(self, dim):
-        # tobytes also pins signed zeros, which table u-matrix prints; at
-        # r = 40 the damping underflows, so the core has -0 entries, and with
-        # psi < 0, phi = 0 the diagonal phases are e^{1j * -0}
+        # at r = 40 the damping underflows, so every entry is a signed zero
         angles = [(0.0, 0.0), (0.7, 0.3), (-2.9, 3.1), (4.0, -7.5), (-3.5, 9.0), (-1.0, 0.0)]
-        for i, r in enumerate([0.0, 1e-13, 1e-6, 0.5, 2.0, 3.9, 6.0]):
+        rs = [0.0, 1e-13, 1e-6, 0.3, 0.5, 0.9, 1.7, 2.0, 3.9, 6.0] + ([40.0] if dim <= 17 else [])
+        for i, r in enumerate(rs):
             g = GroupElement(r, *angles[(i + dim) % len(angles)])
-            assert u_matrix(g, dim).tobytes() == u_matrix_by_diagonals(g, dim).tobytes(), (g, dim)
-        g = GroupElement(40.0, -1.0, 0.0)
-        assert u_matrix(g, min(dim, 17)).tobytes() == u_matrix_by_diagonals(g, min(dim, 17)).tobytes()
+            bound = np.finfo(float).eps * dim * (abs(g.psi) + abs(g.phi) + 1)
+            assert np.max(np.abs(u_matrix(g, dim) - u_matrix_by_diagonals(g, dim))) <= bound, (g, dim)
 
 
 class TestUFactors:
-    """The phases and real core that the unitarity and intertwining checks read."""
+    """The phases and real core from which every product with U(g) is built."""
 
     # the r set of test_cli's TestBlockProducts
     RS = [1e-13, 0.3, 6.0, 3.9, 0.9, 1.7]
@@ -355,22 +361,42 @@ class TestUFactors:
         parity = 1 - 2 * (np.arange(dim) % 2)
         for r in self.RS:
             g = GroupElement(r, 0.7, 0.3)
-            full = _u_factors(g, dim, dim)[2]
+            full = u_factors(g, dim, dim)[2]
             for rows in sorted({2, 5, panel_size(dim, max(safe_block(dim, r), min(dim, 4)))}):
-                assert _u_factors(g, dim, rows)[2].tobytes() == full[:rows].tobytes(), (dim, r, rows)
+                assert u_factors(g, dim, rows)[2].tobytes() == full[:rows].tobytes(), (dim, r, rows)
                 # the full core's leading columns are those rows, with (-1)^(m+n) below the diagonal
                 assert np.array_equal(full[:, :rows], np.outer(parity, parity[:rows]) * full[:rows].T)
 
-    @pytest.mark.parametrize("dim", [8, 64, 512])
-    def test_factors_multiply_to_u_matrix(self, dim):
-        # the phases round their angles m (psi - phi) and n psi where U rounds
-        # (m - n) psi - m phi: a few ulps of angles up to dim (|psi| + |phi|)
-        for r in self.RS:
-            for psi, phi in [(0.7, 0.3), (-2.9, 3.1), (4.0, -7.5)]:
-                g = GroupElement(r, psi, phi)
-                row, col, M = _u_factors(g, dim, dim)
-                bound = np.finfo(float).eps * dim * (abs(g.psi) + abs(g.phi) + 1)
-                assert np.max(np.abs(row[:, None] * M * col - u_matrix(g, dim))) <= bound, (dim, g)
+    @pytest.mark.parametrize("dim", [17, 512])
+    def test_core_zeroes_entries_below_the_floor(self, dim):
+        # bit for bit the per-diagonal recurrence, (-1)^d below the diagonal, except that entries below
+        # 2^-511 read a zero of their own sign; a product of two kept entries is then a normal float
+        floor, negative_flushed = 2.0**-511, False
+        for r in (0.3, 2.0, 6.0) + ((40.0,) if dim <= 17 else ()):
+            M = u_factors(GroupElement(r, 0.7, 0.3), dim, dim)[2]
+            ref = np.empty((dim, dim))
+            for d in range(dim):
+                vals = math.exp(-0.5 * r * r) * _scaled_matrix_moduli(r, d, dim - d)
+                m = np.arange(dim - d)
+                ref[m, m + d], ref[m + d, m] = vals, (-1) ** d * vals
+            small = np.abs(ref) < floor
+            negative_flushed |= np.any(small & np.signbit(ref))
+            assert M.tobytes() == np.where(small, np.copysign(0.0, ref), ref).tobytes(), r
+            assert np.all(M[M != 0.0] ** 2 >= np.finfo(float).tiny), r
+        assert negative_flushed
+
+    def test_overflowing_rows_raise(self):
+        # at r = 40, dim 512, rows past about 150 overflow; the leading ones are finite and returned as they are
+        g = GroupElement(40.0, 0.7, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                u_matrix(g, 512)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                u_factors(g, 512, 512)
+            rows = u_factors(g, 512, 4)[2]
+            assert rows.tobytes() == u_factors(g, 512, 100)[2][:4].tobytes()
+        assert np.all(np.isfinite(rows))
 
 
 class TestIrrepElements:

@@ -12,7 +12,6 @@ from e2fock.fock import (
     creator,
     displaced_basis,
     displaced_vacuum,
-    flush_underflow,
     panel_size,
     safe_block,
     times_diagonal,
@@ -214,51 +213,16 @@ class TestConjugatedBlock:
     @pytest.mark.parametrize("offset", [-3, 0, 1])
     @pytest.mark.parametrize("n", [1, 5, 8, 24])
     def test_is_the_leading_block_from_the_leading_panel_rows(self, offset, n):
-        # against the dense U M U*; rows past the whole panels are never read
+        # against the dense diag(row) M diag(col) V (...)* for unit-modulus phases, a real core and a
+        # complex diagonal V; core rows past the whole panels are never read
         rng = np.random.default_rng(4)
         dim = 24
-        U = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        values = rng.standard_normal(dim - abs(offset))
-        M = np.diag(values, offset)
-        want = (U @ M @ U.conj().T)[:n, :n]
-        U[panel_size(dim, n) :] = np.nan
-        got = conjugated_block(U, values, offset, n)
+        row, col = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, dim)))
+        M = rng.standard_normal((dim, dim))
+        values = rng.standard_normal(dim - abs(offset)) + 1j * rng.standard_normal(dim - abs(offset))
+        U = row[:, None] * M * col
+        want = (U @ np.diag(values, offset) @ U.conj().T)[:n, :n]
+        M[panel_size(dim, n) :] = np.nan
+        got = conjugated_block((row, col, M), values, offset, n)
         assert got.shape == (n, n)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
-
-
-class TestFlushUnderflow:
-    FLOOR = 2.0**-511
-
-    def test_zeroes_exactly_the_components_below_the_floor(self):
-        below = np.nextafter(self.FLOOR, 0.0)
-        parts = np.array(
-            [1.0, -2.5, self.FLOOR, -self.FLOOR, below, -below, 1e-160, -1e-200, 5e-324, 1e-150,
-             0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 2.0**-600, 3.0]
-        )  # fmt: skip
-        A = parts.view(complex).reshape(3, 3).copy()
-        before = A.copy()
-        assert flush_underflow(A) is A
-        old, new = before.view(np.float64).ravel(), A.view(np.float64).ravel()
-        dropped = np.abs(old) < self.FLOOR
-        assert list(np.flatnonzero(dropped)) == [4, 5, 6, 7, 8, 10, 11, 16]
-        assert np.all(new[dropped] == 0.0)
-        assert np.array_equal(np.signbit(new), np.signbit(old))
-        kept = old.view(np.uint64)[~dropped]
-        assert np.array_equal(new.view(np.uint64)[~dropped], kept)
-
-    def test_works_in_place_on_real_arrays_and_views(self):
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((6, 6)) * np.exp(rng.uniform(-700, 0, (6, 6)))
-        before = A.copy()
-        flush_underflow(A[:, :4])
-        assert np.array_equal(A[:, :4], np.where(np.abs(before[:, :4]) < self.FLOOR, 0.0, before[:, :4]))
-        assert np.count_nonzero(A[:, :4]) < np.count_nonzero(before[:, :4])
-        assert A[:, 4:].tobytes() == before[:, 4:].tobytes()
-
-    def test_products_of_kept_components_are_normal(self):
-        rng = np.random.default_rng(6)
-        A = rng.standard_normal(4000) * np.exp(rng.uniform(-800, 0, 4000))
-        kept = flush_underflow(A)[A != 0.0]
-        products = np.abs(np.multiply.outer(kept[:200], kept[:200]))
-        assert np.all(products >= np.finfo(float).tiny)

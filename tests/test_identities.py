@@ -177,13 +177,13 @@ def dense_addition_residual(g, lam, k, dim, nmax=60):
 class TestAdditionByDiagonals:
     @pytest.mark.parametrize("dim,lam,r", [(32, 1.0, 2.0), (32, 2.0, 1.0), (96, 2.0, 0.5), (96, 3.0, 2.0)])
     def test_residual_equals_dense_sum(self, dim, lam, r):
-        # each entry of the right side has one nonzero term, so writing it
-        # diagonal by diagonal gives the dense sum's residual bit for bit
+        # the right side written diagonal by diagonal, the left from U's factors, against both sides as
+        # dense complex products: the residual moves by rounding only, the verdict not at all
         g = GroupElement(r, 0.7, 0.3)
         for k in (-4, 0, 1, 3):
-            assert addition_residual(g, IrrepLabel(lam, k), k, dim=dim).residual == dense_addition_residual(
-                g, lam, k, dim
-            )
+            rep = addition_residual(g, IrrepLabel(lam, k), k, dim=dim)
+            dense = dense_addition_residual(g, lam, k, dim)
+            assert abs(rep.residual - dense) <= 1e-14 and rep.passed == (dense <= rep.tolerance), (k, rep.residual)
 
 
 class TestAdditionVacuumRows:
