@@ -385,6 +385,19 @@ class TestUFactors:
             assert np.all(M[M != 0.0] ** 2 >= np.finfo(float).tiny), r
         assert negative_flushed
 
+    @pytest.mark.parametrize("dim", [8, 64, 512])
+    def test_factors_multiply_to_u_matrix(self, dim):
+        # the phases round their angles m (psi - phi) and n psi where the per-diagonal
+        # assembly rounds (m - n) psi - m phi: a few ulps of angles up to dim (|psi| + |phi|)
+        for r in self.RS:
+            for psi, phi in [(0.7, 0.3), (-2.9, 3.1), (4.0, -7.5)]:
+                g = GroupElement(r, psi, phi)
+                row, col, M = u_factors(g, dim, dim)
+                product = row[:, None] * M * col
+                bound = np.finfo(float).eps * dim * (abs(g.psi) + abs(g.phi) + 1)
+                assert np.max(np.abs(product - u_matrix_by_diagonals(g, dim))) <= bound, (dim, g)
+                assert product.tobytes() == u_matrix(g, dim).tobytes(), (dim, g)
+
     def test_overflowing_rows_raise(self):
         # at r = 40, dim 512, rows past about 150 overflow; the leading ones are finite and returned as they are
         g = GroupElement(40.0, 0.7, 0.3)
