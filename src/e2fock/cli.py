@@ -421,18 +421,9 @@ def suite_classical_limit(cfg):
     sigmas = tuple(cfg.values("sigma", _SIGMA_LADDER))
     sigma_label = "1e-1..1e-4" if sigmas == _SIGMA_LADDER else ",".join(repr(s) for s in sigmas)
     axes = {"lam": [1.0, 2.0, 4.0], "k": [0, 2, 5, 8], "r": [0.8, 1.0, 2.0]}
-    rs = cfg.values("r", axes["r"])
-    ladders = {}  # one Kummer ladder per (lam, |k|, sigma), run on first use over the whole r axis
-
-    def ladder(label, sigma):
-        key = (label.lam, abs(label.k), sigma)
-        if key not in ladders:
-            ladders[key] = ident.classical_limit_ladder(label, sigma, rs)
-        return ladders[key]
 
     def check(report, lam, k, r):
-        label = IrrepLabel(lam, k)
-        errs = [ident.classical_limit_error(label, r, _PSI, s, ladder(label, s)) for s in sigmas]
+        errs = ident.classical_limit_errors(IrrepLabel(lam, k), r, _PSI, sigmas)
         return _ladder(report, errs, "errors ", "classical-limit-monotone", tol_mono, sigmas=sigma_label)
 
     def params(lam, k, r):

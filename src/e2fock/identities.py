@@ -31,6 +31,7 @@ from .specfun import (
     hyp2f0_poly,
     kummer_phi,
     kummer_phi_seq,
+    kummer_phi_series,
     laguerre_seq,
     log_factorial,
 )
@@ -43,7 +44,6 @@ __all__ = [
     "addition_vacuum_crosscheck",
     "hille_hardy_residual",
     "orthogonality_profile_curve",
-    "classical_limit_ladder",
     "classical_limit_error",
     "classical_limit_errors",
     "kummer_bessel_limit_residual",
@@ -54,8 +54,8 @@ _TERM_EPS = 1e-18
 
 _ADDITION_NMAX = 60  # the addition theorem's n-sum runs over |n - k| <= this
 
-# most scalar Kummer recurrence steps one limit-check point may run, a
-# fraction of a second; the default grids need at most 40 000
+# most scalar Kummer recurrence steps one limit-check value may run where its
+# series is refused, a fraction of a second
 _MAX_KUMMER_STEPS = 10**6
 
 # most array bytes the memo holds, the factors of eight dim-512 U(g); past it,
@@ -370,32 +370,20 @@ def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: in
         return pref * np.cumsum(summand)
 
 
-def _classical_zeta(r: float, sigma: float) -> int:
-    # zeta* = r^2/sigma to the nearest integer, refused for sigma <= 0 or above the step cap
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    zeta_star = round(r * r / sigma)
-    if zeta_star > _MAX_KUMMER_STEPS:
-        raise ValueError(f"r^2/sigma needs {zeta_star} Kummer steps, above the cap of {_MAX_KUMMER_STEPS}")
-    return zeta_star
+def _limit_kummer(n: int, b: int, x: float, degree: str) -> float:
+    # Phi(-n, b; x) from its short series, or where that is refused from n recurrence
+    # steps under the cap; ``degree`` names n in the cap's message
+    value = kummer_phi_series(n, b, x)
+    if value is None:
+        if n > _MAX_KUMMER_STEPS:
+            raise ValueError(f"{degree} needs {n} Kummer steps, above the cap of {_MAX_KUMMER_STEPS}")
+        value = kummer_phi(n, b, x)
+    if not math.isfinite(value):
+        raise OverflowError(f"Phi(-{n}, {b}; {x!r}) is not finite")
+    return value
 
 
-def classical_limit_ladder(label: IrrepLabel, sigma: float, rs) -> dict[int, float]:
-    """Phi(-zeta*, 1+a; sigma lam^2/4) at the zeta* of each r in ``rs``, a = |k|.
-
-    One Kummer ladder to the largest zeta* serves the whole r axis, since
-    the argument does not depend on r; an r that :func:`classical_limit_error`
-    refuses is left out.
-    """
-    degrees = []
-    for r in rs:
-        with contextlib.suppress(ValueError, ArithmeticError):
-            degrees.append(_classical_zeta(r, sigma))
-    phis = kummer_phi_seq(max(degrees, default=0), 1 + abs(label.k), sigma * label.lam * label.lam / 4.0)
-    return {n: float(phis[n]) for n in degrees}
-
-
-def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float, ladder=None) -> float:
+def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float) -> float:
     """Distance between the rescaled basis element and the plane matrix element.
 
     After the commutator rescaling by sigma, D_k evaluated at the classical
@@ -406,17 +394,17 @@ def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float,
         | (lam r/2)^a/a! e^{-sigma lam^2/8} Phi(-zeta*, 1+a; sigma lam^2/4)
           - J_a(lam r) |,   a = |k|.
 
-    The Kummer value is read from ``ladder``, a :func:`classical_limit_ladder`
-    of (label, sigma) over an r axis holding r, so a grid shares one ladder
-    per (lam, |k|, sigma); by default the ladder is run for r alone.  Either
-    way it is the same float.  Raises ValueError when sigma <= 0, or when
-    zeta* exceeds 10**6 steps of the scalar Kummer recurrence.
+    The Kummer value comes from its series, whose n x = (lam r/2)^2 stays
+    small however small sigma is.  Raises ValueError when sigma <= 0, or when
+    the series is refused and zeta* exceeds 10**6 recurrence steps.
     """
-    zeta_star = _classical_zeta(r, sigma)
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    zeta_star = round(r * r / sigma)
     lam, a = label.lam, abs(label.k)
     lhs = (
         math.exp(a * math.log(lam * r / 2.0) - log_factorial(a) - sigma * lam * lam / 8.0)
-        * (ladder if ladder is not None else classical_limit_ladder(label, sigma, [r]))[zeta_star]
+        * _limit_kummer(zeta_star, 1 + a, sigma * lam * lam / 4.0, "r^2/sigma")
         if r > 0
         else (1.0 if a == 0 else 0.0) * math.exp(-sigma * lam * lam / 8.0)
     )
@@ -436,13 +424,12 @@ def kummer_bessel_limit_residual(n: int, b: int, c: float) -> float:
     Evaluates Phi(-n, b; -c/n) against (b-1)! c^{(1-b)/2} I_{b-1}(2 sqrt(c))
     and returns |ratio - 1|.  The first argument goes to -infinity with a
     negative argument scaling -c/n: that is the sign pattern under which the
-    modified-Bessel limit is actually approached.  Degrees above 10**6 are
-    refused with ValueError, since degree n costs n scalar recurrence steps.
+    modified-Bessel limit is actually approached.  The Kummer value comes
+    from its series (all terms positive, n x = -c); where that is refused,
+    degrees above 10**6 raise ValueError, since the recurrence costs n steps.
     """
     if n < 1 or b < 1 or not (0 < c):
         raise ValueError("kummer_bessel_limit_residual requires n >= 1, b >= 1, c > 0")
-    if n > _MAX_KUMMER_STEPS:
-        raise ValueError(f"n = {n} is above the cap of {_MAX_KUMMER_STEPS} Kummer steps")
-    lhs = kummer_phi(n, b, -c / n)
+    lhs = _limit_kummer(n, b, -c / n, "n")
     rhs = math.factorial(b - 1) * c ** (0.5 * (1 - b)) * bessel_i(b - 1, 2.0 * math.sqrt(c))
     return abs(lhs / rhs - 1.0)

@@ -6,6 +6,12 @@ Phi(-n, b; x) with nonpositive-integer first argument, the terminating
 and log-factorials.  Evaluation strategies are chosen for stability at
 large degree (three-term recurrences, Miller-style normalized downward
 recurrence), never naive alternating series.
+
+The Kummer polynomial is also summed as its series, by
+:func:`kummer_phi_series`, for large n at small n|x|: the sum stops once a
+bound on its tail is below eps |sum|, and it is refused (None) where it
+loses more than 4 digits to cancellation or needs over 200 terms, leaving
+the recurrence as the fallback.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ __all__ = [
     "log_factorial",
     "kummer_phi",
     "kummer_phi_seq",
+    "kummer_phi_series",
     "hyp2f0_poly",
     "laguerre",
     "laguerre_seq",
@@ -70,7 +77,7 @@ def _kummer_terms(b: int, x: float):
 
 
 def kummer_phi_seq(nmax: int, b: int, x: float) -> np.ndarray:
-    """All values Phi(-n, b; x) for n = 0..nmax.
+    """All values Phi(-n, b; x) for n = 0..nmax, b >= 1 and any finite real x.
 
     Uses the three-term recurrence in the degree,
 
@@ -78,46 +85,53 @@ def kummer_phi_seq(nmax: int, b: int, x: float) -> np.ndarray:
 
     which follows from the contiguous recurrence
     a*Phi(a+1) + (a-b)*Phi(a-1) + (b-2a-x)*Phi(a) = 0 at a = -n.  Forward
-    recursion is stable here (the Laguerre-type solution dominates), unlike
-    the alternating power series which loses all digits near n ~ 60.
-
-    Parameters
-    ----------
-    nmax : int
-        Largest degree, >= 0.
-    b : int
-        Second parameter, >= 1.
-    x : float
-        Argument, any finite real.
-
-    Returns
-    -------
-    ndarray, shape (nmax+1,)
+    recursion is stable here (the Laguerre-type solution dominates).  For
+    x > 0 the power series loses about 2 sqrt(n x) log10(e) digits to
+    cancellation, all 16 near n x ~ 340; :func:`kummer_phi_series` sums it
+    only where n x is small.
     """
-    if nmax < 0:
-        raise ValueError("kummer_phi_seq requires nmax >= 0")
-    if b < 1:
-        raise ValueError("kummer_phi_seq requires integer b >= 1")
+    if nmax < 0 or b < 1:
+        raise ValueError("kummer_phi_seq requires nmax >= 0 and integer b >= 1")
     return np.fromiter(_kummer_terms(b, x), dtype=float, count=nmax + 1)
 
 
 def kummer_phi(n: int, b: int, x: float) -> float:
-    """Kummer function Phi(-n, b; x), a degree-n polynomial in x.
-
-    Parameters
-    ----------
-    n : int
-        Nonnegative; the first parameter is -n.
-    b : int
-        Positive integer second parameter.
-    x : float
-        Real argument.
-    """
-    if n < 0:
-        raise ValueError("kummer_phi requires n >= 0")
-    if b < 1:
-        raise ValueError("kummer_phi requires integer b >= 1")
+    """Kummer function Phi(-n, b; x), a degree-n polynomial in x, by n steps of the recurrence."""
+    if n < 0 or b < 1:
+        raise ValueError("kummer_phi requires n >= 0 and integer b >= 1")
     return next(itertools.islice(_kummer_terms(b, x), n, None))
+
+
+# a series value may lose at most 4 of its 16 digits to cancellation (the limit
+# suites' grids and benchmark spans reach 427, at lam r = 8), in at most 200 terms
+_SERIES_MAX_LOSS, _SERIES_MAX_TERMS = 1e4, 200
+
+
+def kummer_phi_series(n: int, b: int, x: float) -> float | None:
+    """Phi(-n, b; x) from its terminating series in about sqrt(n|x|) + 20 terms, or None if refused.
+
+    The term ratio -(n-j) x / ((b+j)(j+1)) falls in modulus with j, so once
+    the next ratio rho is below 1 the tail is at most |t| rho / (1 - rho);
+    the sum stops when that is below eps |sum|, or at its last term.  Its
+    rounding error is about eps sum |t_j|, so the loss sum |t_j| / max(|sum|, 1)
+    is counted against the larger of the value and Phi(-n, b; 0) = 1: for
+    x >= 0, |Phi| <= e^{x/2}, and near a zero of Phi no method does better
+    than absolutely.  A loss above 10^4, or a sum not done in 200 terms,
+    returns None, and :func:`kummer_phi` is the fallback.
+    """
+    if n < 0 or b < 1:
+        raise ValueError("kummer_phi_series requires n >= 0 and integer b >= 1")
+    s = size = t = 1.0
+    for j in range(n):
+        if j == _SERIES_MAX_TERMS:
+            return None
+        t *= -(n - j) * x / ((b + j) * (j + 1))
+        s += t
+        size += abs(t)
+        rho = abs((n - j - 1) * x / ((b + j + 1) * (j + 2)))
+        if rho < 1.0 and abs(t) * rho <= 2.0**-53 * abs(s) * (1.0 - rho):
+            break
+    return s if size <= _SERIES_MAX_LOSS * max(abs(s), 1.0) else None
 
 
 def hyp2f0_poly(m: int, n: int, x: float) -> float:
@@ -252,7 +266,7 @@ def bessel_j(nu: int, x: float) -> float:
         return sign if nu == 0 else 0.0
     if x <= 6.0 or x * x <= 4.0 * (nu + 1):
         return sign * _bessel_j_series(nu, x)
-    return sign * bessel_j_seq(nu, x)[nu]
+    return sign * float(bessel_j_seq(nu, x)[nu])
 
 
 def _bessel_i_series(nu: int, x: float) -> float:

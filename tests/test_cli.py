@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -387,16 +388,72 @@ def test_one_rung_ladder_is_an_error_record(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "classical-limit", "--lambda", "1", "--k", "0", "--r", "2", "--sigma", "0.1,1e-9"],
-        ["verify", "kummer-limit", "--m", "1", "--x", "4", "--n", "100,1000000000"],
+        # lam r = 80: the alternating series would lose ~33 digits, so it is refused
+        ["verify", "classical-limit", "--lambda", "40", "--k", "0", "--r", "2", "--sigma", "0.1,1e-9"],
+        # c = 1e5: the series needs more than its 200 terms at n = 1e9
+        ["verify", "kummer-limit", "--m", "1", "--x", "100000", "--n", "100,1000000000"],
     ],
 )
 def test_kummer_step_cap(argv):
-    # without the cap these points run billions of scalar steps
+    # where the series is refused, these points would run billions of recurrence steps
     code, out = run_cli(argv)
     assert code == 1
     (rec,) = json_records(out)
     assert not rec["pass"] and rec["detail"].startswith("error:") and "cap" in rec["detail"]
+
+
+class TestLargeDegreesFromTheSeries:
+    """Degrees far above the recurrence's step cap are cheap, valid records from the series."""
+
+    def test_classical_limit_at_sigma_1e_9(self):
+        argv = ["verify", "classical-limit", "--lambda", "1", "--k", "0", "--r", "2", "--sigma", "0.1,1e-9"]
+        code, out = run_cli(argv)
+        rec, mono = json_records(out)
+        assert code == 0 and rec["pass"] and mono["pass"]
+        with mpmath.workdps(40):
+            want = [
+                abs(mpmath.exp(-s / 8) * mpmath.hyp1f1(-round(4 / s), 1, mpmath.mpf(s) / 4) - mpmath.besselj(0, 2))
+                for s in (0.1, 1e-9)
+            ]
+        got = [float(v) for v in rec["detail"].removeprefix("errors ").split(", ")]
+        assert got[-1] == rec["residual"] and 0 < got[-1] < 1e-9
+        assert all(abs(g - float(w)) <= 1e-14 for g, w in zip(got, want)), (got, want)
+
+    def test_kummer_limit_at_n_1e9(self):
+        code, out = run_cli(["verify", "kummer-limit", "--m", "1", "--x", "4", "--n", "100,1000000000"])
+        rec, mono = json_records(out)
+        assert code == 0 and rec["pass"] and mono["pass"]
+        with mpmath.workdps(40):
+            want = [abs(mpmath.hyp1f1(-n, 1, mpmath.mpf(-4) / n) / mpmath.besseli(0, 4) - 1) for n in (100, 10**9)]
+        got = [float(v) for v in rec["detail"].split("residuals ")[1].split(", ")]
+        assert got[-1] == rec["residual"] and 0 < got[-1] < 1e-8
+        assert all(abs(g - float(w)) <= 1e-14 for g, w in zip(got, want)), (got, want)
+
+    def test_records_are_each_points_own_errors(self):
+        # an unsorted r axis with 0 and a point whose series is refused and whose
+        # degree is above the step cap: each record is what classical_limit_errors gives
+        lams, ks, rs, sigmas = (1.0, 3.0), (-2, 5), (2.0, 0.0, 1e4, 0.8, 1.0), (0.1, 1e-3)
+        argv = ["verify", "classical-limit", "--lambda", "1.0,3.0", "--k", "-2,5", "--r", "2.0,0.0,1e4,0.8,1.0"]
+        code, out = run_cli(argv + ["--sigma", "0.1,1e-3"])
+        expected = []
+        for lam, k, r in itertools.product(lams, ks, rs):
+            try:
+                errs = identities.classical_limit_errors(IrrepLabel(lam, k), r, 0.7, sigmas)
+            except ValueError as exc:
+                expected.append(f"error: {exc}")
+            else:
+                expected += ["errors " + ", ".join(map(repr, errs)), None]
+        capped = "error: r^2/sigma needs 1000000000 Kummer steps, above the cap of 1000000"
+        assert code == 1 and expected.count(capped) == 4
+        assert [r["detail"] for r in json_records(out)] == expected
+
+    def test_overflowing_kummer_value_is_an_error_record(self):
+        # Phi(-100, 1; 1e8) ~ 1e484: an error record naming the value, not a NaN residual
+        argv = ["verify", "classical-limit", "--lambda", "2e5", "--k", "0", "--r", "1", "--sigma", "0.01,0.001"]
+        code, out = run_cli(argv)
+        (rec,) = json_records(out)
+        assert code == 1 and not rec["pass"] and rec["residual"] is None
+        assert rec["detail"] == "error: Phi(-100, 1; 100000000.0) is not finite"
 
 
 def test_addition_diagnostic_shows_full_precision():
@@ -445,24 +502,6 @@ class TestOrthogonalityZmax:
 
 
 class TestComputedOnce:
-    def test_shared_ladder_gives_each_points_own_errors(self):
-        # an unsorted r axis with 0 and a point above the step cap: each r's
-        # record is what its own ladder (classical_limit_errors) gives
-        lams, ks, rs, sigmas = (1.0, 3.0), (-2, 5), (2.0, 0.0, 1e4, 0.8, 1.0), (0.1, 1e-3)
-        argv = ["verify", "classical-limit", "--lambda", "1.0,3.0", "--k", "-2,5", "--r", "2.0,0.0,1e4,0.8,1.0"]
-        code, out = run_cli(argv + ["--sigma", "0.1,1e-3"])
-        expected = []
-        for lam, k, r in itertools.product(lams, ks, rs):
-            try:
-                errs = identities.classical_limit_errors(IrrepLabel(lam, k), r, 0.7, sigmas)
-            except ValueError as exc:
-                expected.append(f"error: {exc}")
-            else:
-                expected += ["errors " + ", ".join(map(repr, errs)), None]
-        capped = "error: r^2/sigma needs 1000000000 Kummer steps, above the cap of 1000000"
-        assert code == 1 and expected.count(capped) == 4
-        assert [r["detail"] for r in json_records(out)] == expected
-
     def test_memo_is_dropped_after_main(self):
         run_cli(["verify", "addition", "--dim", "32", "--r", "0.5"])
         assert identities._memo is None
@@ -591,6 +630,12 @@ def _odd_lower_flipped(row, col, M):
     return row, col, np.where((m > n) & ((m - n) % 2 == 1), -M, M)
 
 
+def _patch_factors(monkeypatch, factors):
+    # the suites in cli and the addition checks in identities each read their own binding
+    for module in (cli, identities):
+        monkeypatch.setattr(module, "u_factors", factors)
+
+
 class TestFaultInjection:
     """A mutated factor of U(g) = D_row M D_col fails the default grid of the checks that read it."""
 
@@ -605,19 +650,45 @@ class TestFaultInjection:
     )
     def test_mutated_factor(self, monkeypatch, mutate, unitarity_fails):
         factors = cli.u_factors
-        monkeypatch.setattr(cli, "u_factors", lambda g, dim, rows: mutate(*factors(g, dim, rows)))
+        _patch_factors(monkeypatch, lambda g, dim, rows: mutate(*factors(g, dim, rows)))
         code, out = run_cli(["verify", "intertwining"])
         recs = json_records(out)
         assert code == 1 and len(recs) == 4
         assert not any(r["pass"] for r in recs) and all(r["residual"] > 1e-3 for r in recs)
         assert run_cli(["verify", "unitarity"])[0] == (1 if unitarity_fails else 0)
 
+    @pytest.mark.parametrize(
+        "mutate, ks_passing, vacuum_failing",
+        [
+            (lambda row, col, M: (row.conj(), col, M), [], 0),
+            (lambda row, col, M: (row, col.conj(), M), [0], 12),
+            (_odd_lower_flipped, [], 0),
+        ],
+        ids=["conjugated-row-phases", "conjugated-column-phases", "odd-lower-sign-flipped"],
+    )
+    def test_mutated_factor_in_addition(self, monkeypatch, mutate, ks_passing, vacuum_failing):
+        # addition fails every record but those of k = 0 under conjugated column
+        # phases, which cancel on D_0's main diagonal.  addition-vacuum reads only
+        # the (0, 0) entry: row phase 0 is 1 and row 0 of M has no lower entries, so
+        # it is blind to the row and sign mutations and fails only for k != 0
+        factors = cli.u_factors
+        _patch_factors(monkeypatch, lambda g, dim, rows: mutate(*factors(g, dim, rows)))
+        code, out = run_cli(["verify", "addition"])
+        recs = json_records(out)
+        addition = [r for r in recs if r["name"] == "addition"]
+        vacuum = [r for r in recs if r["name"] == "addition-vacuum"]
+        assert code == 1 and len(addition) == 36 and len(vacuum) == 18
+        assert sorted({r["params"]["k"] for r in addition if r["pass"]}) == ks_passing
+        assert all(r["residual"] > 0.1 for r in addition if r["params"]["k"] not in ks_passing)
+        failing = [r for r in vacuum if not r["pass"]]
+        assert len(failing) == vacuum_failing and all(r["params"]["k"] != 0 for r in failing)
+
     @pytest.mark.parametrize("suite", ["unitarity", "intertwining"])
     def test_core_one_row_short_fails(self, monkeypatch, suite):
         # at dim 64 the blocks of r = 1 and 1.5 are whole panels (36 and 28
         # rows), so their rows are all read: a short core raises, not reads past
         factors = cli.u_factors
-        monkeypatch.setattr(cli, "u_factors", lambda g, dim, rows: factors(g, dim, rows - 1))
+        _patch_factors(monkeypatch, lambda g, dim, rows: factors(g, dim, rows - 1))
         code, out = run_cli(["verify", suite])
         failed = [r for r in json_records(out) if not r["pass"]]
         assert code == 1

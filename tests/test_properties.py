@@ -1,5 +1,5 @@
 """Property tests of layer invariants: the grid parser, strict record output, group laws,
-the Kummer recurrence.
+the Kummer recurrence and the Kummer series.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 deterministic.
@@ -7,7 +7,6 @@ deterministic.
 
 import io
 import json
-import math
 
 import mpmath
 import numpy as np
@@ -16,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import group_matrix3
+from e2fock import identities
 from e2fock.cli import _parse_grid, main
-from e2fock.e2group import GroupElement, IrrepLabel, compose, identity, inverse
+from e2fock.e2group import GroupElement, compose, identity, inverse
 from e2fock.fock import safe_block
-from e2fock.identities import classical_limit_ladder
-from e2fock.specfun import kummer_phi, kummer_phi_seq
+from e2fock.specfun import kummer_phi_seq, kummer_phi_series
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 CLI = settings(PROPERTY, max_examples=12)
@@ -156,13 +155,69 @@ class TestKummerSequence:
                 want = mpmath.hyp1f1(-n, b, x, zeroprec=400)
                 assert float(abs(got - want)) <= 1e-12 * max(abs(float(want)), largest), (n, b, x)
 
-    @PROPERTY
-    @given(st.lists(st.integers(0, 400), max_size=8), st.integers(-29, 29), st.floats(1e-3, 60.0))
-    def test_ladder_is_kummer_phi_bit_for_bit(self, degrees, k, lam):
-        # one shared ladder gives each degree's own float, for unsorted and
-        # repeated degrees, 0 among them; at sigma = 1, r = sqrt(n) has degree n
-        degrees = [*degrees, 0, *degrees[:2]]
-        got = classical_limit_ladder(IrrepLabel(lam, k), 1.0, [math.sqrt(n) for n in degrees])
-        assert sorted(got) == sorted(set(degrees))
-        for n in degrees:
-            assert repr(got[n]) == repr(kummer_phi(n, 1 + abs(k), lam * lam / 4.0)), (n, k, lam)
+
+class TestKummerSeries:
+    @settings(PROPERTY, max_examples=200)
+    @given(st.floats(0.0, 7.0), st.integers(1, 12), st.floats(0.0, 20.0), st.booleans())
+    def test_matches_mpmath(self, log_n, b, nx, positive):
+        # degrees up to 1e7 at n |x| <= 20, the limit suites' regime, against
+        # mpmath at 40 digits.  For x < 0 every term is positive; for x > 0 they
+        # alternate, and the error is measured against the larger of |Phi| and
+        # the largest term, as for the recurrence
+        n = round(10**log_n)
+        x = nx / n if positive else -nx / n
+        got = kummer_phi_series(n, b, x)
+        assert got is not None, (n, b, x)
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp1f1(-n, b, x, zeroprec=400))
+        if x < 0:
+            assert abs(got - want) <= 1e-14 * abs(want), (n, b, x)
+        else:
+            j = np.arange(min(n, 60))
+            largest = np.max(np.cumprod((n - j) * x / ((j + 1) * (b + j))), initial=1.0)
+            assert abs(got - want) <= 1e-13 * max(abs(want), largest), (n, b, x)
+
+    @pytest.mark.parametrize(
+        "n, b, x",
+        [
+            (40, 1, 40.0),  # n x = 1600: the terms reach 2.9e25 and cancel to 3.0e7
+            (10**6, 3, 1600 / 10**6),  # lam r = 80: terms up to 2.7e29 cancel to 8.6e-5
+            (10**9, 1, -1e5 / 10**9),  # all terms positive, but more than 200 of them
+        ],
+    )
+    def test_refused(self, n, b, x):
+        assert kummer_phi_series(n, b, x) is None
+
+    def test_exact_at_degree_0_and_at_its_last_term(self):
+        assert kummer_phi_series(0, 4, 123.0) == 1.0
+        assert kummer_phi_series(1, 2, 3.0) == 1.0 - 3.0 / 2.0
+        assert kummer_phi_series(2, 1, 1.0) == 1.0 - 2.0 + 0.5
+
+    def test_limit_suites_take_the_series_path(self, monkeypatch):
+        # the default grids, and a grid over perfbench's scalar-special spans
+        # (lam in [1, 4], r in [0.8, 2], c in [0.5, 9]), never reach the recurrence
+        def recurrence(n, b, x):
+            raise AssertionError(f"Phi(-{n}, {b}; {x!r}) fell back to the recurrence")
+
+        monkeypatch.setattr(identities, "kummer_phi", recurrence)
+        lams, rs, cs = (np.linspace(*span).tolist() for span in ((1.0, 4.0, 13), (0.8, 2.0, 13), (0.5, 9.0, 18)))
+        for argv in (
+            ["verify", "classical-limit"],
+            ["verify", "kummer-limit"],
+            ["verify", "classical-limit", "--lambda", _grid(lams), "--r", _grid(rs)],
+            ["verify", "kummer-limit", "--x", _grid(cs)],
+        ):
+            records = _strict_records(argv)
+            assert all(rec["residual"] is not None for rec in records), argv
+
+
+def test_kummer_limit_residual_is_mpmaths():
+    # the degree recurrence printed 2.56e-9 here; the limit is approached as 1.127e-8
+    buf = io.StringIO()
+    main(["verify", "kummer-limit", "--n", "10000,100000", "--m", "10", "--x", "0.5"], stream=buf)
+    rec = json.loads(buf.getvalue().splitlines()[0])
+    n, b, c = 100000, 10, mpmath.mpf(0.5)
+    with mpmath.workdps(40):
+        bessel = mpmath.factorial(b - 1) * c ** ((1 - b) / mpmath.mpf(2)) * mpmath.besseli(b - 1, 2 * mpmath.sqrt(c))
+        want = float(abs(mpmath.hyp1f1(-n, b, -c / n) / bessel - 1))
+    assert abs(rec["residual"] - want) <= 0.01 * want, (rec["residual"], want)
