@@ -15,7 +15,7 @@ from e2fock import (
     IrrepLabel,
     addition_residual,
     addition_vacuum_crosscheck,
-    classical_limit_errors,
+    classical_limit_error,
     hille_hardy_residual,
     identity_a,
     identity_b,
@@ -47,8 +47,8 @@ print("  mixed weights  (2.0, 3.0): same checkpoints            =", np.round([of
 print("  (the diagonal grows without bound, the off-diagonal just oscillates)")
 
 print("\nCommutative rescaling: D_k approaches the plane matrix element")
-errs = classical_limit_errors(IrrepLabel(2.0, 2), 1.5, 0.0)
-for sig, err in zip((1e-1, 1e-2, 1e-3, 1e-4), errs):
+for sig in (1e-1, 1e-2, 1e-3, 1e-4):
+    err = classical_limit_error(IrrepLabel(2.0, 2), 1.5, sig)
     print("  sigma = %7.0e: |rescaled D - t_k0| = %.3e" % (sig, err))
 
 print("\nLarge-degree Kummer values approach a modified Bessel profile:")

@@ -9,9 +9,10 @@ Two subcommands:
   blocks, basis radial values, orthogonality profiles).
 
 Integer grids accept inclusive ranges ``a..b``; real grids accept comma
-lists.  The default truncation dimension comes from ``--dim`` or the
-``E2FOCK_DIM`` environment variable.  Identical configurations (including
-``--seed``) produce byte-identical output.
+lists.  ``--dim`` (the Fock truncation) and ``--seed`` (the lie-algebra
+suite's random draws) take one integer each and, like every grid flag, are
+refused where the run does not read them.  Identical configurations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -72,22 +72,17 @@ _GROUP_AXES = {"r": [0.5, 1.0, 1.5, 2.0], "psi": [_PSI], "phi": [_PHI]}
 
 
 class RunConfig:
-    """Verification run parameters: dim, tolerance overrides, grids, format, seed."""
+    """Verification run parameters: tolerance overrides, grids (--dim and --seed among them), format."""
 
-    def __init__(self, dim=64, tol_overrides=None, grid=None, format="json", seed=1234, dim_explicit=False):
-        if dim < 2:
-            raise ValueError("dim must be >= 2")
+    def __init__(self, tol_overrides=None, grid=None, format="json"):
         if format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
         unknown = sorted(set(tol_overrides or ()) - set(_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerance {', '.join(unknown)}; valid names: {', '.join(_TOLERANCES)}")
-        self.dim = dim
-        self.dim_explicit = bool(dim_explicit)
         self.tol_overrides = dict(tol_overrides or {})
         self.grid = {k: list(v) for k, v in (grid or {}).items()}
         self.format = format
-        self.seed = int(seed)
         self.read = set()  # the grid flags and tolerance names read so far
 
     def values(self, name, default):
@@ -114,6 +109,13 @@ class RunConfig:
         unread += [f"--tol {n}" for n in self.tol_overrides if n not in self.read]
         if unread:
             raise ValueError(f"the run does not read {', '.join(unread)}")
+
+
+def _dim(cfg, default, low=8):
+    # the run's one --dim value, refused outside [low, _MAX_DIM]
+    if not low <= (dim := cfg.first("dim", default)) <= _MAX_DIM:
+        raise ValueError(f"--dim must be in [{low}, {_MAX_DIM}], got {dim}")
+    return dim
 
 
 def _sweep(cfg, name, equation, tol, axes, check, params=dict):
@@ -181,7 +183,7 @@ def suite_unitarity(cfg):
         detail = "defects " + ", ".join(repr(d) for d in defects) + f" (floor {_DEFECT_FLOOR})"
         return report(worst_step, detail, block=block)
 
-    axes = {"dim": [cfg.dim], **_GROUP_AXES}
+    axes = {"dim": [_dim(cfg, 64)], **_GROUP_AXES}
     tol_mono = cfg.tol("unitarity-monotone")
     return _sweep(cfg, "unitarity", "unitarity", cfg.tol("unitarity"), axes, unitary) + _sweep(
         cfg, "unitarity-monotone", "unitarity", tol_mono, {}, monotone, lambda: {"r": r, "dims": "32..128"}
@@ -196,7 +198,7 @@ def suite_intertwining(cfg):
         target = np.exp(1j * g.phi) * annihilator(b) + g.w * np.eye(b)
         return report(np.max(np.abs(UaU - target)))
 
-    axes = {"dim": [cfg.dim], **_GROUP_AXES}
+    axes = {"dim": [_dim(cfg, 64)], **_GROUP_AXES}
     return _sweep(cfg, "intertwining", "intertwining", cfg.tol("intertwining"), axes, check)
 
 
@@ -257,7 +259,8 @@ def _random_algebra_function(rng, zmax, windings, integer=False):
 
 
 def suite_lie_algebra(cfg):
-    rng = np.random.default_rng(cfg.seed)
+    seed = cfg.first("seed", 1234)
+    rng = np.random.default_rng(seed)
 
     def bracket(report, trial):
         windings = sorted(rng.choice(np.arange(-6, 7), size=3, replace=False))
@@ -271,7 +274,7 @@ def suite_lie_algebra(cfg):
             max((float(np.max(np.abs(c))) for c in comm_p.terms.values()), default=0.0),
             max((float(np.max(np.abs(c))) for c in comm_pb.terms.values()), default=0.0),
         )
-        return report(resid, windings=",".join(str(w) for w in windings), seed=cfg.seed)
+        return report(resid, windings=",".join(str(w) for w in windings), seed=seed)
 
     def pairing(report, trial):
         F = _random_algebra_function(rng, 20, [-3, 0, 2])
@@ -281,7 +284,7 @@ def suite_lie_algebra(cfg):
         h_lhs = inner_product(op_h(F), G)
         h_rhs = inner_product(F, op_h(G))
         scale = max(abs(lhs), abs(rhs), abs(h_lhs), abs(h_rhs), 1e-300)
-        return report(max(abs(lhs - rhs), abs(h_lhs - h_rhs)) / scale, zmax=20, seed=cfg.seed)
+        return report(max(abs(lhs - rhs), abs(h_lhs - h_rhs)) / scale, zmax=20, seed=seed)
 
     trials = {"trial": range(4)}
     return _sweep(cfg, "lie-bracket", "lie-brackets", cfg.tol("lie-algebra"), trials, bracket) + _sweep(
@@ -290,7 +293,7 @@ def suite_lie_algebra(cfg):
 
 
 def suite_addition(cfg):
-    dim = cfg.dim if cfg.dim_explicit else max(cfg.dim, 96)
+    dim = _dim(cfg, 96)
     tol, tol_vac = cfg.tol("addition"), cfg.tol("addition-vacuum")
     theorem = ("addition", "addition-theorem", tol)
     k_theorem, k_vacuum = cfg.values("k", [-4, -2, 0, 1, 3, 4]), cfg.values("k", [0, 2, 4])
@@ -423,7 +426,7 @@ def suite_classical_limit(cfg):
     axes = {"lam": [1.0, 2.0, 4.0], "k": [0, 2, 5, 8], "r": [0.8, 1.0, 2.0]}
 
     def check(report, lam, k, r):
-        errs = ident.classical_limit_errors(IrrepLabel(lam, k), r, _PSI, sigmas)
+        errs = [ident.classical_limit_error(IrrepLabel(lam, k), r, s) for s in sigmas]
         return _ladder(report, errs, "errors ", "classical-limit-monotone", tol_mono, sigmas=sigma_label)
 
     def params(lam, k, r):
@@ -466,8 +469,6 @@ SUITE_NAMES = list(SUITES)
 
 def run_verify(suite: str, cfg: RunConfig, stream) -> int:
     """Run one suite (or 'all'); stream records; return the exit code."""
-    if not 8 <= cfg.dim <= _MAX_DIM:
-        raise ValueError(f"dim must be in [8, {_MAX_DIM}]")
     names = SUITE_NAMES if suite == "all" else [suite]
     reports = []
     for name in names:
@@ -512,12 +513,10 @@ def _write_rows(rows, fmt, stream):
 
 def _table_rows(kind: str, cfg: RunConfig):
     if kind == "u-matrix":
-        if cfg.dim > _MAX_DIM:
-            raise ValueError(f"dim must be in [2, {_MAX_DIM}]")
-        r = cfg.first("r", 1.0)
+        dim, r = _dim(cfg, 64, low=2), cfg.first("r", 1.0)
         g = GroupElement(r, cfg.first("psi", 0.0), cfg.first("phi", 0.0))
-        U = u_matrix(g, cfg.dim)
-        for m, n in itertools.product(range(cfg.dim), repeat=2):
+        U = u_matrix(g, dim)
+        for m, n in itertools.product(range(dim), repeat=2):
             z = U[m, n]
             yield dict(equation="u-matrix-element", r=r, psi=g.psi, phi=g.phi, m=m, n=n, re=z.real, im=z.imag)
     elif kind == "irrep":
@@ -533,6 +532,8 @@ def _table_rows(kind: str, cfg: RunConfig):
     elif kind == "profile":
         k, lam1, lam2 = cfg.first("k", 0), cfg.first("lam", 2.0), cfg.first("lam2", 3.0)
         zmaxes = cfg.values("zmax", [100, 400, 1000])
+        if min(zmaxes) < 0:
+            raise ValueError(f"--zmax must be >= 0 here, got {min(zmaxes)}")
         curve = ident.orthogonality_profile_curve(k, lam1, lam2, max(zmaxes))
         for zm in zmaxes:
             yield dict(equation="orthogonality-profile", k=k, lam1=lam1, lam2=lam2, zmax=zm, value=float(curve[zm]))
@@ -551,26 +552,31 @@ def run_table(kind: str, cfg: RunConfig, stream) -> int:
 def _parse_value_token(tok: str):
     if ".." in tok:
         lo, hi = tok.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        if not (got := list(range(int(lo), int(hi) + 1))):
+            raise ValueError(f"range {tok} gives no values")
+        return got
     try:
         return [int(tok)]
     except ValueError:
         return [float(tok)]
 
 
-_PARAM_FLAGS = ["k", "m", "n", "x", "y", "r", "psi", "phi", "lambda", "lambda2", "zmax", "sigma", "zq"]
+_PARAM_FLAGS = ["dim", "seed", "k", "m", "n", "x", "y", "r", "psi", "phi", "lambda", "lambda2", "zmax", "sigma", "zq"]
 _FLAG_DEST = {"lambda": "lam", "lambda2": "lam2"}
 _DEST_FLAG = {dest: flag for flag, dest in _FLAG_DEST.items()}
-_INTEGER_FLAGS = {"k", "m", "n", "zmax"}
+_INTEGER_FLAGS = {"dim", "seed", "k", "m", "n", "zmax"}
+_FLAG_HELP = {
+    "dim": "Fock truncation dimension, one integer (default 64; 96 for addition)",
+    "seed": "random seed of the lie-algebra suite, one integer (default 1234)",
+}
 
 
 def _parse_grid(flag: str, text: str) -> list:
     """An explicit grid: nonempty, no empty range in it, finite, and integral for the integer flags."""
-    vals = []
-    for tok in filter(None, map(str.strip, text.split(","))):
-        if not (got := _parse_value_token(tok)):
-            raise ValueError(f"--{flag} {text!r}: range {tok} gives no values")
-        vals += got
+    try:
+        vals = [v for tok in filter(None, map(str.strip, text.split(","))) for v in _parse_value_token(tok)]
+    except ValueError as exc:  # a malformed token or an empty range
+        raise ValueError(f"--{flag} {text!r}: {exc}") from None
     if not vals:
         raise ValueError(f"--{flag} {text!r} gives no values")
     if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
@@ -590,17 +596,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--dim", type=int, default=None, help="Fock truncation dimension (default 64 or $E2FOCK_DIM)")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VAL", help="tolerance override")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=1234)
         for flag in _PARAM_FLAGS:
             p.add_argument(
                 f"--{flag}",
                 dest=_FLAG_DEST.get(flag, flag),
                 type=str,
                 default=None,
-                help=f"grid for {flag} (a..b ints or comma list)",
+                help=_FLAG_HELP.get(flag, f"grid for {flag} (a..b ints or comma list)"),
             )
 
     pv = sub.add_parser("verify", help="run a verification suite")
@@ -614,10 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    dim = args.dim
-    dim_explicit = dim is not None
-    if dim is None:
-        dim = int(os.environ.get("E2FOCK_DIM", "64"))
     tols = {}
     for override in args.tol:
         if "=" not in override:
@@ -632,7 +632,7 @@ def _config_from_args(args) -> RunConfig:
         raw = getattr(args, dest)
         if raw is not None:
             grid[dest] = _parse_grid(flag, raw)
-    return RunConfig(dim, tols, grid, args.format, args.seed, dim_explicit)
+    return RunConfig(tols, grid, args.format)
 
 
 def _merge_negative_values(argv):

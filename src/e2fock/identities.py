@@ -45,7 +45,6 @@ __all__ = [
     "hille_hardy_residual",
     "orthogonality_profile_curve",
     "classical_limit_error",
-    "classical_limit_errors",
     "kummer_bessel_limit_residual",
     "memo_scope",
 ]
@@ -321,15 +320,15 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float, tolerance: float
     lhs = float(np.sum(terms))
 
     arg = 2.0 * math.sqrt(x * y * zq) / (1.0 - zq)
-    ik = bessel_i_scaled(k, arg)
+    ik, ik_log_scale = bessel_i_scaled(k, arg)
     log_rhs_mag = (
         -0.5 * k * math.log(x * y * zq)
         - math.log(1.0 - zq)
         - zq * (x + y) / (1.0 - zq)
-        + math.log(abs(ik.value))
-        + ik.log_scale
+        + math.log(abs(ik))
+        + ik_log_scale
     )
-    rhs = math.copysign(math.exp(log_rhs_mag), ik.value)
+    rhs = math.copysign(math.exp(log_rhs_mag), ik)
 
     term_max = float(np.max(np.abs(terms)))
     scale = max(abs(lhs), abs(rhs), term_max)
@@ -383,13 +382,13 @@ def _limit_kummer(n: int, b: int, x: float, degree: str) -> float:
     return value
 
 
-def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float) -> float:
+def classical_limit_error(label: IrrepLabel, r: float, sigma: float) -> float:
     """Distance between the rescaled basis element and the plane matrix element.
 
     After the commutator rescaling by sigma, D_k evaluated at the classical
     point z = r e^{i psi}/sqrt(sigma) (i.e. zeta* = r^2/sigma, nearest
     integer) tends to t_{k0}(g(r, psi, 0)) as sigma -> 0.  The unit-modulus
-    phases agree identically on both sides, leaving
+    phases agree identically on both sides, whatever psi, leaving
 
         | (lam r/2)^a/a! e^{-sigma lam^2/8} Phi(-zeta*, 1+a; sigma lam^2/4)
           - J_a(lam r) |,   a = |k|.
@@ -409,13 +408,6 @@ def classical_limit_error(label: IrrepLabel, r: float, psi: float, sigma: float)
         else (1.0 if a == 0 else 0.0) * math.exp(-sigma * lam * lam / 8.0)
     )
     return abs(lhs - bessel_j(a, lam * r))
-
-
-def classical_limit_errors(
-    label: IrrepLabel, r: float, psi: float, sigmas: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
-) -> list[float]:
-    """Error ladder along a decreasing sigma sequence."""
-    return [classical_limit_error(label, r, psi, s) for s in sigmas]
 
 
 def kummer_bessel_limit_residual(n: int, b: int, c: float) -> float:

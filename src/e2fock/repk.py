@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .e2group import GroupElement, IrrepLabel, u_matrix
+from .e2group import IrrepLabel
 from .specfun import kummer_phi_seq
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "basis_d",
     "basis_recurrence_residual",
     "eigen_residuals",
-    "act_T",
 ]
 
 
@@ -261,6 +260,8 @@ def eigen_residuals(label: IrrepLabel, zmax: int) -> tuple[float, float]:
     [p, pbar] = 0); both orderings are evaluated and the larger residual is
     reported.
     """
+    if zmax < 2:
+        raise ValueError(f"eigen_residuals requires zmax >= 2, got {zmax}")
     basis = basis_d(label, zmax)
     D, f = basis.coefficients, basis.radial
     lam, k = label.lam, label.k
@@ -286,9 +287,3 @@ def eigen_residuals(label: IrrepLabel, zmax: int) -> tuple[float, float]:
         diff = c - k * D.coeff(w)[: len(c)]
         c2 = max(c2, float(np.max(np.abs(diff))))
     return c1, c2
-
-
-def act_T(g: GroupElement, F: AlgebraFunction, dim: int) -> np.ndarray:
-    """The regular action T(g)F = U(g) F U(g)*, as a truncated Fock matrix."""
-    U = u_matrix(g, dim)
-    return U @ to_matrix(F, dim) @ U.conj().T

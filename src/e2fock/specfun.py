@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SpecValue",
     "log_factorial",
     "kummer_phi",
     "kummer_phi_seq",
@@ -36,21 +34,6 @@ __all__ = [
     "bessel_i",
     "bessel_i_scaled",
 ]
-
-
-@dataclass(frozen=True)
-class SpecValue:
-    """A function value with an optional natural-log scaling exponent.
-
-    The represented number is ``value * exp(log_scale)``; ``log_scale == 0``
-    means ``value`` is the plain function value.
-    """
-
-    value: float
-    log_scale: float = 0.0
-
-    def unscaled(self) -> float:
-        return self.value * math.exp(self.log_scale)
 
 
 # logs of exact integer factorials (<= 1 ulp each); beyond 170! the factorial
@@ -282,21 +265,21 @@ def _bessel_i_series(nu: int, x: float) -> float:
             return s
 
 
-def bessel_i_scaled(nu: int, x: float) -> SpecValue:
-    """Modified Bessel I_nu(x), scaled when the plain value would be huge.
+def bessel_i_scaled(nu: int, x: float) -> tuple[float, float]:
+    """Modified Bessel I_nu(x) as ``(value, log_scale)``, I_nu(x) = value * e^log_scale.
 
-    Returns ``SpecValue(e^{-x} I_nu(x), log_scale=x)`` for x > 500 and the
-    plain value (log_scale 0) otherwise.
+    Returns ``(e^{-x} I_nu(x), x)`` for x > 500, where the plain value would
+    be huge, and ``(I_nu(x), 0.0)`` otherwise.
     """
     if x < 0:
         raise ValueError("bessel_i_scaled requires x >= 0")
     nu = abs(nu)
     if x <= 30.0:
-        return SpecValue(_bessel_i_series(nu, x), 0.0)
+        return _bessel_i_series(nu, x), 0.0
     scaled = _miller_seq(nu, x, 1, 1)[nu]
     if x > 500.0:
-        return SpecValue(scaled, x)
-    return SpecValue(scaled * math.exp(x), 0.0)
+        return scaled, x
+    return scaled * math.exp(x), 0.0
 
 
 def bessel_i(nu: int, x: float) -> float:
@@ -305,4 +288,5 @@ def bessel_i(nu: int, x: float) -> float:
     For x > 500 prefer :func:`bessel_i_scaled`; the plain value overflows
     near x ~ 709.
     """
-    return bessel_i_scaled(nu, x).unscaled()
+    value, log_scale = bessel_i_scaled(nu, x)
+    return value * math.exp(log_scale)

@@ -25,7 +25,7 @@ from e2fock.fock import annihilator, safe_block
 from e2fock.identities import (
     addition_residual,
     addition_vacuum_crosscheck,
-    classical_limit_errors,
+    classical_limit_error,
     hille_hardy_residual,
     identity_a,
     identity_b,
@@ -205,7 +205,7 @@ def test_criterion_9_limits():
     for lam in (1.0, 2.0, 4.0):
         for k in (0, 2, 5, 8):
             for r in (0.8, 1.0, 2.0):
-                errs = classical_limit_errors(IrrepLabel(lam, k), r, 0.7)
+                errs = [classical_limit_error(IrrepLabel(lam, k), r, s) for s in (1e-1, 1e-2, 1e-3, 1e-4)]
                 ok_mono = ok_mono and all(b < a for a, b in zip(errs, errs[1:]))
                 worst_final = max(worst_final, errs[-1])
     ok_kb = True

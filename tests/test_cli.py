@@ -53,7 +53,7 @@ class TestVerifyExitCodes:
         assert code == 2
 
     def test_dim_out_of_range_rejected(self):
-        code, _ = run_cli(["verify", "recurrence", "--dim", "4"])
+        code, _ = run_cli(["verify", "unitarity", "--dim", "4"])
         assert code == 2
 
     def test_precondition_violation_yields_error_record(self):
@@ -147,20 +147,6 @@ class TestTables:
         assert len(lines) == 5
 
 
-class TestEnvironment:
-    def test_env_dim_override(self, monkeypatch):
-        monkeypatch.setenv("E2FOCK_DIM", "16")
-        _, out = run_cli(["verify", "unitarity", "--r", "0.5"])
-        recs = [r for r in json_records(out) if r["name"] == "unitarity"]
-        assert all(r["params"]["dim"] == 16 for r in recs)
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("E2FOCK_DIM", "16")
-        _, out = run_cli(["verify", "unitarity", "--dim", "32", "--r", "0.5"])
-        recs = [r for r in json_records(out) if r["name"] == "unitarity"]
-        assert all(r["params"]["dim"] == 32 for r in recs)
-
-
 class TestSuiteHealth:
     @pytest.mark.parametrize(
         "suite,args",
@@ -201,6 +187,10 @@ class TestStrictInput:
             ["verify", "identity-a", "--k", "1", "--x", "1", "--r", "inf"],
             ["table", "basis", "--zmax", "1e400"],
             ["table", "u-matrix", "--dim", "513"],  # above the verify bound: dim^2 entries
+            ["table", "u-matrix", "--dim", "1"],
+            ["verify", "addition", "--dim", "600"],
+            ["verify", "unitarity", "--dim", "32,64"],  # --dim takes one value
+            ["verify", "lie-algebra", "--seed", "1..2"],
         ],
     )
     def test_refused(self, argv):
@@ -266,7 +256,7 @@ def test_addition_diagnostic_skips_diagonals_outside_the_block():
     # per-n diagnostic skips those rather than dividing by a zero norm
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out = run_cli(["verify", "addition", "--dim", "32", "--seed", "7"])
+        code, out = run_cli(["verify", "addition", "--dim", "32"])
     assert [str(w.message) for w in caught] == []
     recs = json_records(out)
     assert code == 1 and len(recs) == 54
@@ -298,7 +288,7 @@ class TestBlockProducts:
 
     @pytest.mark.parametrize("dim", [8, 64, 512])
     def test_unitarity_matches_full_product(self, dim):
-        cfg = RunConfig(dim=dim, grid={"r": self.RS})
+        cfg = RunConfig(grid={"dim": [dim], "r": self.RS})
         recs = suite_unitarity(cfg)
         assert [r.name for r in recs] == ["unitarity"] * len(self.RS) + ["unitarity-monotone"]
         for rec, r in zip(recs, self.RS):
@@ -315,7 +305,7 @@ class TestBlockProducts:
 
     @pytest.mark.parametrize("dim", [8, 64, 512])
     def test_intertwining_matches_full_product(self, dim):
-        recs = suite_intertwining(RunConfig(dim=dim, grid={"r": self.RS}))
+        recs = suite_intertwining(RunConfig(grid={"dim": [dim], "r": self.RS}))
         assert len(recs) == len(self.RS)
         for rec, r in zip(recs, self.RS):
             g = GroupElement(r, 0.7, 0.3)
@@ -431,14 +421,14 @@ class TestLargeDegreesFromTheSeries:
 
     def test_records_are_each_points_own_errors(self):
         # an unsorted r axis with 0 and a point whose series is refused and whose
-        # degree is above the step cap: each record is what classical_limit_errors gives
+        # degree is above the step cap: each record is what classical_limit_error gives along the ladder
         lams, ks, rs, sigmas = (1.0, 3.0), (-2, 5), (2.0, 0.0, 1e4, 0.8, 1.0), (0.1, 1e-3)
         argv = ["verify", "classical-limit", "--lambda", "1.0,3.0", "--k", "-2,5", "--r", "2.0,0.0,1e4,0.8,1.0"]
         code, out = run_cli(argv + ["--sigma", "0.1,1e-3"])
         expected = []
         for lam, k, r in itertools.product(lams, ks, rs):
             try:
-                errs = identities.classical_limit_errors(IrrepLabel(lam, k), r, 0.7, sigmas)
+                errs = [identities.classical_limit_error(IrrepLabel(lam, k), r, s) for s in sigmas]
             except ValueError as exc:
                 expected.append(f"error: {exc}")
             else:
@@ -457,7 +447,7 @@ class TestLargeDegreesFromTheSeries:
 
 
 def test_addition_diagnostic_shows_full_precision():
-    _, out = run_cli(["verify", "addition", "--dim", "32", "--seed", "7"])
+    _, out = run_cli(["verify", "addition", "--dim", "32"])
     details = [r["detail"] for r in json_records(out) if not r["pass"]]
     assert len(details) == 3
     for detail in details:
@@ -569,6 +559,20 @@ class TestEveryInputIsRead:
         assert code == 0
         assert got == [(name, psi, phi) for psi, phi in points for name in ("addition", "addition-vacuum")]
 
+    def test_dim_reaches_every_suite_that_reads_it(self):
+        # --dim replaces each reader's default, 96 for addition and 64 for the others
+        code, out = run_cli(["verify", "all", "--dim", "32"])
+        dims = {r["name"]: r["params"]["dim"] for r in json_records(out) if "dim" in r["params"]}
+        assert code == 1 and dims == dict.fromkeys(["unitarity", "intertwining", "addition", "addition-vacuum"], 32)
+        code, out = run_cli(["verify", "addition"])
+        assert code == 0 and {r["params"]["dim"] for r in json_records(out)} == {96}
+
+    def test_eigen_zmax_below_two_is_an_error_naming_the_minimum(self):
+        code, out = run_cli(["verify", "eigen", "--lambda", "1", "--k", "0,5", "--zmax", "1"])
+        recs = json_records(out)
+        assert code == 1 and len(recs) == 2
+        assert all(r["detail"] == "error: eigen_residuals requires zmax >= 2, got 1" for r in recs)
+
     def test_unitarity_monotone_takes_the_last_group_element(self, monkeypatch):
         built, factors = [], cli.u_factors
 
@@ -598,8 +602,43 @@ class TestEveryInputIsRead:
             "table profile: FloatingPointError: overflow encountered in multiply",
         ),
         (["verify", "recurrence", "--lambda", "2"], "verify recurrence: ValueError: the run does not read --lambda"),
+        (["verify", "recurrence", "--dim", "64"], "verify recurrence: ValueError: the run does not read --dim"),
+        (["verify", "addition", "--seed", "7"], "verify addition: ValueError: the run does not read --seed"),
+        (["table", "basis", "--dim", "10"], "table basis: ValueError: the run does not read --dim"),
+        (["verify", "unitarity", "--dim", "4"], "verify unitarity: ValueError: --dim must be in [8, 512], got 4"),
+        (
+            ["verify", "unitarity", "--dim", "abc"],
+            "verify unitarity: ValueError: --dim 'abc': could not convert string to float: 'abc'",
+        ),
+        (
+            ["verify", "lie-algebra", "--seed", "1.5"],
+            "verify lie-algebra: ValueError: --seed '1.5': values must be integers",
+        ),
+        (
+            ["verify", "identity-a", "--x", "abc"],
+            "verify identity-a: ValueError: --x 'abc': could not convert string to float: 'abc'",
+        ),
+        (
+            ["verify", "identity-a", "--k", "1..2..3"],
+            "verify identity-a: ValueError: --k '1..2..3': invalid literal for int() with base 10: '2..3'",
+        ),
+        (["table", "profile", "--zmax", "10,-5"], "table profile: ValueError: --zmax must be >= 0 here, got -5"),
     ],
-    ids=["profile-overflow", "basis-overflow", "profile-nan", "unread-flag"],
+    ids=[
+        "profile-overflow",
+        "basis-overflow",
+        "profile-nan",
+        "unread-flag",
+        "unread-dim",
+        "unread-seed",
+        "unread-dim-in-a-table",
+        "dim-out-of-range",
+        "malformed-dim",
+        "non-integer-seed",
+        "malformed-real",
+        "malformed-range",
+        "negative-profile-zmax",
+    ],
 )
 def test_error_message_names_the_run_and_the_exception(argv, message, capsys):
     code, out = run_cli(argv)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import warnings
 
@@ -293,22 +294,26 @@ class TestUMatrix:
                 assert np.max(np.abs((lhs - rhs)[:b, :b])) <= 1e-8
 
 
+@functools.cache
 def _scaled_matrix_moduli(r: float, d: int, count: int) -> np.ndarray:
-    """|<m|U|m+d>| / e^{-r^2/2} for m = 0..count-1 at diagonal offset d >= 0.
+    """|<m|U|m+d>| / e^{-r^2/2} for m = 0..count-1 at diagonal offset d >= 0, read-only.
 
     S_m = r^d sqrt(m!/(m+d)!) L^{(d)}_m(r^2), run as a self-scaled recurrence
-    so intermediates stay O(1) (the matrix elements are bounded by 1).
+    so intermediates stay O(1) (the matrix elements are bounded by 1).  The
+    moduli depend on (r, d, count) alone, not on the phases, so each is
+    computed once per test session: the dim-512 tests build U(g) for 8
+    distinct r under several (psi, phi).
     """
     x = r * r
     s = np.empty(count)
     s[0] = math.exp(d * math.log(r) - 0.5 * log_factorial(d)) if d > 0 else 1.0
-    if count == 1:
-        return s
-    s[1] = (1.0 + d - x) * s[0] / math.sqrt(1.0 + d)
+    if count > 1:
+        s[1] = (1.0 + d - x) * s[0] / math.sqrt(1.0 + d)
     for m in range(1, count - 1):
         s[m + 1] = ((2 * m + 1 + d - x) * s[m] - math.sqrt(m * (m + d)) * s[m - 1]) / math.sqrt(
             (m + 1) * (m + 1 + d)
         )
+    s.flags.writeable = False
     return s
 
 

@@ -11,7 +11,6 @@ from e2fock.identities import (
     addition_residual,
     addition_vacuum_crosscheck,
     classical_limit_error,
-    classical_limit_errors,
     hille_hardy_residual,
     identity_a,
     identity_b,
@@ -275,32 +274,36 @@ class TestOrthogonality:
         assert abs(ref.imag) <= 1e-12 * abs(ref.real)
 
 
+def classical_limit_ladder(label, r, sigmas=(1e-1, 1e-2, 1e-3, 1e-4)):
+    return [classical_limit_error(label, r, s) for s in sigmas]
+
+
 class TestClassicalLimit:
     def test_trivial_small_r(self):
         # k = 0, r -> 0: error is |e^{-sigma lam^2/8} - 1| ~ sigma lam^2/8
-        errs = classical_limit_errors(IrrepLabel(1.0, 0), 1e-6, 0.0)
+        errs = classical_limit_ladder(IrrepLabel(1.0, 0), 1e-6)
         assert errs[-1] == pytest.approx(1e-4 / 8, rel=1e-3)
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_example_monotone(self):
-        errs = classical_limit_errors(IrrepLabel(1.0, 0), 1.0, 0.0)
+        errs = classical_limit_ladder(IrrepLabel(1.0, 0), 1.0)
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_example_final_error(self):
-        errs = classical_limit_errors(IrrepLabel(2.0, 2), 1.5, 0.0)
+        errs = classical_limit_ladder(IrrepLabel(2.0, 2), 1.5)
         assert errs[-1] <= 1e-2
 
     def test_acceptance_grid(self):
         for lam in (1.0, 2.0, 4.0):
             for k in (0, 2, 5, 8):
                 for r in (0.8, 1.0, 2.0):
-                    errs = classical_limit_errors(IrrepLabel(lam, k), r, 0.7)
+                    errs = classical_limit_ladder(IrrepLabel(lam, k), r)
                     assert all(b < a for a, b in zip(errs, errs[1:])), (lam, k, r, errs)
                     assert errs[-1] <= 1e-2, (lam, k, r, errs)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            classical_limit_error(IrrepLabel(1.0, 0), 1.0, 0.0, 0.0)
+            classical_limit_error(IrrepLabel(1.0, 0), 1.0, 0.0)
 
 
 class TestKummerBesselLimit:

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from e2fock.e2group import GroupElement, IrrepLabel, identity
+from e2fock.e2group import GroupElement, IrrepLabel, identity, u_matrix
 from e2fock.fock import annihilator, safe_block
 from e2fock.repk import (
-    act_T,
     adjoint_p,
     algebra_function,
     basis_d,
@@ -275,6 +274,12 @@ class TestEigenEquations:
         )
         scale = np.abs(lam * lam * f[: zmax - 1]) + 4 * (k + 1 + 2 * zeta + lam * lam / 4) * np.max(np.abs(f))
         assert np.max(np.abs(eig + 4.0 * rec) / scale) <= 1e-13
+
+
+def act_T(g, F, dim):
+    # the regular action T(g)F = U(g) F U(g)*, as a truncated Fock matrix
+    U = u_matrix(g, dim)
+    return U @ to_matrix(F, dim) @ U.conj().T
 
 
 class TestRegularAction:

@@ -6,7 +6,6 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from e2fock.specfun import (
-    SpecValue,
     bessel_i,
     bessel_i_scaled,
     bessel_j,
@@ -208,17 +207,17 @@ class TestBesselI:
     def test_against_mpmath(self, x):
         for nu in (0, 1, 4, 9, 25, 60):
             ref = float(mp.besseli(nu, x) * mp.exp(-x))
-            sv = bessel_i_scaled(nu, x)
-            assert sv.value * math.exp(sv.log_scale - x) == pytest.approx(ref, rel=1e-12, abs=1e-290)
+            value, log_scale = bessel_i_scaled(nu, x)
+            assert value * math.exp(log_scale - x) == pytest.approx(ref, rel=1e-12, abs=1e-290)
 
     def test_scaled_form_invariants(self):
-        plain = bessel_i_scaled(2, 10.0)
-        assert plain.log_scale == 0.0
-        assert plain.value == pytest.approx(float(mp.besseli(2, 10.0)), rel=1e-12)
-        big = bessel_i_scaled(0, 800.0)
-        assert big.log_scale == 800.0
-        assert math.isfinite(big.value)
-        assert big.value == pytest.approx(float(mp.besseli(0, 800.0) * mp.exp(-800)), rel=1e-12)
+        plain, plain_log_scale = bessel_i_scaled(2, 10.0)
+        assert plain_log_scale == 0.0
+        assert plain == pytest.approx(float(mp.besseli(2, 10.0)), rel=1e-12)
+        big, big_log_scale = bessel_i_scaled(0, 800.0)
+        assert big_log_scale == 800.0
+        assert math.isfinite(big)
+        assert big == pytest.approx(float(mp.besseli(0, 800.0) * mp.exp(-800)), rel=1e-12)
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
@@ -228,8 +227,8 @@ class TestBesselI:
         # evaluation switches from series to normalized recurrence at x = 30
         for x in (29.999, 30.0, 30.001):
             ref = float(mp.besseli(7, x) * mp.exp(-x))
-            sv = bessel_i_scaled(7, x)
-            assert sv.value * math.exp(sv.log_scale - x) == pytest.approx(ref, rel=1e-13)
+            value, log_scale = bessel_i_scaled(7, x)
+            assert value * math.exp(log_scale - x) == pytest.approx(ref, rel=1e-13)
 
     def test_asymptotic_ratio(self):
         # I_nu(x) sqrt(2 pi x) e^{-x} -> 1, deviation shrinking in x; the
@@ -239,8 +238,8 @@ class TestBesselI:
         for nu in range(6):
             devs = []
             for x in xs:
-                sv = bessel_i_scaled(nu, x)
-                ratio = sv.value * math.exp(sv.log_scale - x) * math.sqrt(2 * math.pi * x)
+                value, log_scale = bessel_i_scaled(nu, x)
+                ratio = value * math.exp(log_scale - x) * math.sqrt(2 * math.pi * x)
                 devs.append(abs(ratio - 1.0))
             assert all(b < a for a, b in zip(devs, devs[1:])), (nu, devs)
             if nu <= 1:
@@ -274,9 +273,11 @@ class TestLogFactorial:
 
 
 def test_specvalue_reconstruction():
-    sv = SpecValue(0.5, 2.0)
-    assert sv.unscaled() == pytest.approx(0.5 * math.exp(2.0), rel=1e-15)
-    assert SpecValue(3.0).log_scale == 0.0
+    # bessel_i is the scaled pair's value * e^log_scale, bit for bit, on both sides of x = 500
+    for nu, x in ((3, 0.5), (2, 10.0), (0, 400.0), (1, 600.0)):
+        value, log_scale = bessel_i_scaled(nu, x)
+        assert log_scale == (x if x > 500.0 else 0.0)
+        assert bessel_i(nu, x) == value * math.exp(log_scale)
 
 
 def _kummer_loop(nmax, b, x):
@@ -334,4 +335,4 @@ class TestOneRecurrencePerFamily:
         assert bessel_j_seq(nmax, x).tolist() == _miller_loop(nmax, x, modified=False)
         if x > 30.0:
             scaled = _miller_loop(nmax, x, modified=True)[nmax]
-            assert bessel_i_scaled(nmax, x).value == (scaled if x > 500.0 else scaled * math.exp(x))
+            assert bessel_i_scaled(nmax, x)[0] == (scaled if x > 500.0 else scaled * math.exp(x))
