@@ -259,7 +259,8 @@ def _random_algebra_function(rng, zmax, windings, integer=False):
 
 
 def suite_lie_algebra(cfg):
-    seed = cfg.first("seed", 1234)
+    if (seed := cfg.first("seed", 1234)) < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def bracket(report, trial):
@@ -527,7 +528,9 @@ def _table_rows(kind: str, cfg: RunConfig):
             yield dict(equation="irrep-element", lam=lam, r=r, psi=g.psi, phi=g.phi, k=k, n=n, re=t.real, im=t.imag)
     elif kind == "basis":
         lam, k = cfg.first("lam", 1.0), cfg.first("k", 0)
-        for zeta, val in enumerate(basis_d(IrrepLabel(lam, k), cfg.first("zmax", 20)).radial):
+        if (zmax := cfg.first("zmax", 20)) < 1:
+            raise ValueError(f"--zmax must be >= 1 here, got {zmax}")
+        for zeta, val in enumerate(basis_d(IrrepLabel(lam, k), zmax).radial):
             yield dict(equation="basis-radial", lam=lam, k=k, zeta=zeta, re=val.real, im=val.imag)
     elif kind == "profile":
         k, lam1, lam2 = cfg.first("k", 0), cfg.first("lam", 2.0), cfg.first("lam2", 3.0)

@@ -18,7 +18,6 @@ from e2fock import cli, identities
 from e2fock.cli import RunConfig, main, suite_intertwining, suite_unitarity
 from e2fock.e2group import GroupElement, IrrepLabel, u_factors, u_matrix
 from e2fock.fock import annihilator, safe_block, times_diagonal
-from e2fock.specfun import laguerre_seq
 
 
 def run_cli(argv):
@@ -237,18 +236,49 @@ def test_orthogonality_growth_reads_the_zeta_1000_checkpoint():
         assert r["detail"].split(", ")[-1] == want
 
 
-def test_hille_hardy_builds_each_laguerre_sequence_once(monkeypatch):
-    # 42 distinct (nmax, k, x or y) keys on the default grid, x and y sharing values
+def _counting(monkeypatch, name):
+    # the arguments of every call to identities.<name>, which still builds
     built = []
+    build = getattr(identities, name)
 
     def counting(*args):
         built.append(args)
-        return laguerre_seq(*args)
+        return build(*args)
 
-    monkeypatch.setattr(identities, "laguerre_seq", counting)
+    monkeypatch.setattr(identities, name, counting)
+    return built
+
+
+def test_hille_hardy_builds_each_laguerre_sequence_once(monkeypatch):
+    # 42 distinct (nmax, k, x or y) keys on the default grid, x and y sharing values
+    built = _counting(monkeypatch, "laguerre_seq")
     code, out = run_cli(["verify", "hille-hardy"])
     assert code == 0 and len(json_records(out)) == 126
     assert len(built) == len(set(built)) == 42
+
+
+def test_identity_b_builds_each_hyp2f0_column_once(monkeypatch):
+    # 17 distinct m + k times 3 r on the default grid, each column 81 entries long
+    built = _counting(monkeypatch, "_hyp2f0_column")
+    code, out = run_cli(["verify", "identity-b"])
+    assert code == 0 and len(json_records(out)) == 693
+    assert len(built) == len(set(built)) == 51
+    assert {(m, nmax) for m, nmax, _ in built} == {(m, 80) for m in range(17)}
+
+
+def test_hille_hardy_builds_each_log_factorial_vector_once(monkeypatch):
+    # nmax is 109 at zq = 0.5 and 443 at zq = 0.9; k runs 0..6
+    built = _counting(monkeypatch, "_log_factorials")
+    code, out = run_cli(["verify", "hille-hardy"])
+    assert code == 0 and len(json_records(out)) == 126
+    assert sorted(built) == [(n,) for n in [*range(109, 116), *range(443, 450)]]
+
+
+@pytest.mark.parametrize("suite", ["identity-b", "hille-hardy", "identity-a"])
+def test_memo_does_not_change_a_byte(suite, monkeypatch):
+    code, memoized = run_cli(["verify", suite])
+    monkeypatch.setattr(identities, "_once", lambda build, *args: build(*args))
+    assert run_cli(["verify", suite]) == (code, memoized)
 
 
 def test_addition_diagnostic_skips_diagonals_outside_the_block():
@@ -623,6 +653,9 @@ class TestEveryInputIsRead:
             "verify identity-a: ValueError: --k '1..2..3': invalid literal for int() with base 10: '2..3'",
         ),
         (["table", "profile", "--zmax", "10,-5"], "table profile: ValueError: --zmax must be >= 0 here, got -5"),
+        (["verify", "lie-algebra", "--seed", "-3"], "verify lie-algebra: ValueError: --seed must be >= 0, got -3"),
+        (["table", "basis", "--zmax", "0"], "table basis: ValueError: --zmax must be >= 1 here, got 0"),
+        (["table", "basis", "--zmax", "-4"], "table basis: ValueError: --zmax must be >= 1 here, got -4"),
     ],
     ids=[
         "profile-overflow",
@@ -638,6 +671,9 @@ class TestEveryInputIsRead:
         "malformed-real",
         "malformed-range",
         "negative-profile-zmax",
+        "negative-seed",
+        "zero-basis-zmax",
+        "negative-basis-zmax",
     ],
 )
 def test_error_message_names_the_run_and_the_exception(argv, message, capsys):

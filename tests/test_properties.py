@@ -1,5 +1,5 @@
 """Property tests of layer invariants: the grid parser, strict record output, group laws,
-the Kummer recurrence and the Kummer series.
+the Kummer recurrence, the Kummer series and the memoized scalar vectors.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 deterministic.
@@ -19,7 +19,7 @@ from e2fock import identities
 from e2fock.cli import _parse_grid, main
 from e2fock.e2group import GroupElement, compose, identity, inverse
 from e2fock.fock import safe_block
-from e2fock.specfun import kummer_phi_seq, kummer_phi_series
+from e2fock.specfun import hyp2f0_poly, kummer_phi_seq, kummer_phi_series, log_factorial
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 CLI = settings(PROPERTY, max_examples=12)
@@ -209,6 +209,25 @@ class TestKummerSeries:
         ):
             records = _strict_records(argv)
             assert all(rec["residual"] is not None for rec in records), argv
+
+
+class TestMemoizedVectors:
+    # the identity checks read these vectors in place of per-term calls, so
+    # each entry must be the scalar function's float, signed zeros included
+    @PROPERTY
+    @given(st.integers(0, 40), st.integers(1, 40), st.floats(0.05, 20.0), st.booleans())
+    def test_hyp2f0_column_is_hyp2f0_poly(self, m, beyond, magnitude, negative):
+        # the column runs past n = m, so it holds entries with m above and below n
+        nmax, x = m + beyond, -magnitude if negative else magnitude
+        column = identities._hyp2f0_column(m, nmax, x)
+        assert [repr(v) for v in column.tolist()] == [repr(hyp2f0_poly(m, n, x)) for n in range(nmax + 1)]
+
+    @PROPERTY
+    @given(st.integers(171, 600))
+    def test_log_factorials_are_log_factorial(self, nmax):
+        # every vector runs past n = 170, where log_factorial leaves its exact table for lgamma
+        logf = identities._log_factorials(nmax)
+        assert [repr(v) for v in logf.tolist()] == [repr(log_factorial(n)) for n in range(nmax + 1)]
 
 
 def test_kummer_limit_residual_is_mpmaths():
