@@ -19,7 +19,6 @@ from e2fock import (
     irrep_element,
     safe_block,
     u_matrix,
-    u_matrix_element,
 )
 
 g = GroupElement(r=1.0, psi=0.7, phi=0.3)
@@ -30,11 +29,12 @@ gi = inverse(g)
 print("  g . g^-1 =", compose(g, gi))
 print("  identity =", identity())
 
-print("\nClosed-form matrix elements:")
-print("  <0|U|0> = e^{-r^2/2}:", u_matrix_element(g, 0, 0).real, "vs", np.exp(-0.5))
-print("  <1|U|1> at r=1, psi=phi=0 (node):", abs(u_matrix_element(GroupElement(1, 0, 0), 1, 1)))
-
 U = u_matrix(g, dim)
+
+print("\nClosed-form matrix elements:")
+print("  <0|U|0> = e^{-r^2/2}:", U[0, 0].real, "vs", np.exp(-0.5))
+print("  <1|U|1> at r=1, psi=phi=0 (node):", abs(u_matrix(GroupElement(1, 0, 0), dim)[1, 1]))
+
 a = annihilator(dim)
 b = safe_block(dim, g.r)
 alpha, beta = act_on_generator(g)

@@ -22,14 +22,15 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import identities as ident
 from .e2group import GroupElement, IrrepLabel, irrep_element, u_factors, u_matrix
 from .fock import annihilator, conjugated_block, panel_size, safe_block
-from .identities import CheckReport
 from .repk import (
     algebra_function,
     adjoint_p,
@@ -118,18 +119,33 @@ def _dim(cfg, default, low=8):
     return dim
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    """One record of a verify run: pass iff residual <= tolerance."""
+
+    name: str
+    equation: str
+    params: dict
+    residual: float
+    tolerance: float
+    passed: bool
+    detail: str | None = None
+
+
 def _sweep(cfg, name, equation, tol, axes, check, params=dict):
     """Run ``check`` once per point of a suite's grid, each call guarded.
 
     ``axes`` maps each grid flag to its default values; the grid is their
     product in declaration order, a flag given on the command line replacing
     its default (an axis that is no flag keeps its declared values).
-    ``check(report, **point)`` returns one CheckReport or a list of them.
-    ``report(residual, detail=None)`` builds a record under this sweep's
+    ``check(report, **point)`` returns one record or a list of them, each
+    built by ``report(residual, detail=None)``: the one place a record is
+    built and its pass decided.  It files the residual under this sweep's
     name, equation, tolerance and ``params(**point)``; keywords ``name``,
     ``equation`` and ``tolerance`` replace those, and any other keyword adds
-    or replaces a param.  A ValueError or ArithmeticError (overflow, division
-    by zero) from the check becomes one error record for the point.
+    or replaces a param.  A callable detail is called, for the note, only
+    when the record fails.  A ValueError or ArithmeticError (overflow,
+    division by zero) from the check becomes one error record for the point.
     """
     reports = []
     for values in itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())):
@@ -137,12 +153,16 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict):
         base = params(**point)
 
         def report(residual, detail=None, name=name, equation=equation, tolerance=tol, **extra):
-            return CheckReport.from_residual(name, equation, {**base, **extra}, residual, tolerance, detail)
+            residual = float(residual)
+            passed = residual <= tolerance
+            if callable(detail):
+                detail = None if passed else detail()
+            return CheckReport(name, equation, {**base, **extra}, residual, tolerance, passed, detail)
 
         try:
             got = check(report, **point)
         except (ValueError, ArithmeticError) as exc:
-            got = CheckReport(name, equation, dict(base), math.inf, tol, False, f"error: {exc}")
+            got = report(math.inf, f"error: {exc}")
         reports.extend(got if isinstance(got, list) else [got])
     return reports
 
@@ -295,8 +315,8 @@ def suite_lie_algebra(cfg):
 
 def suite_addition(cfg):
     dim = _dim(cfg, 96)
-    tol, tol_vac = cfg.tol("addition"), cfg.tol("addition-vacuum")
-    theorem = ("addition", "addition-theorem", tol)
+    theorem = ("addition", "addition-theorem", cfg.tol("addition"))
+    vacuum = ("addition-vacuum", "addition-vacuum-element", cfg.tol("addition-vacuum"))
     k_theorem, k_vacuum = cfg.values("k", [-4, -2, 0, 1, 3, 4]), cfg.values("k", [0, 2, 4])
 
     def pair(report, lam, r, psi, phi):
@@ -306,17 +326,16 @@ def suite_addition(cfg):
         g = GroupElement(r, psi, phi)
 
         def residual(report, k):
-            return ident.addition_residual(g, IrrepLabel(lam, k), k, dim=dim, tolerance=tol)
+            return report(*ident.addition_residual(g, IrrepLabel(lam, k), k, dim=dim))
 
         def crosscheck(report, k):
             if k < 0:
                 return []
-            return ident.addition_vacuum_crosscheck(g, IrrepLabel(lam, k), k, dim=dim, tolerance=tol_vac)
+            return report(*ident.addition_vacuum_crosscheck(g, IrrepLabel(lam, k), k, dim=dim))
 
         def params(k):
-            return {"lam": lam, "k": k, "r": r, "psi": g.psi, "phi": g.phi, "dim": dim}
+            return {"lam": lam, "k": k, "r": g.r, "psi": g.psi, "phi": g.phi, "dim": dim}
 
-        vacuum = ("addition-vacuum", "addition-vacuum-element", tol_vac)
         return _sweep(cfg, *theorem, {"k": k_theorem}, residual, params) + _sweep(
             cfg, *vacuum, {"k": k_vacuum}, crosscheck, params
         )
@@ -329,33 +348,27 @@ def suite_addition(cfg):
 
 
 def suite_identity_a(cfg):
-    tol = cfg.tol("identity-a")
-
     def check(report, k, x, r):
-        return ident.identity_a(k, x, r, tolerance=tol)
+        return report(*ident.identity_a(k, x, r))
 
     axes = {"k": range(0, 11), "x": [0.25, 0.5, 1.0, 2.0], "r": [0.5, 1.0, 2.0]}
-    return _sweep(cfg, "identity-a", "sandwich-identity-a", tol, axes, check)
+    return _sweep(cfg, "identity-a", "sandwich-identity-a", cfg.tol("identity-a"), axes, check)
 
 
 def suite_identity_b(cfg):
-    tol = cfg.tol("identity-b")
-
     def check(report, m, k, x, r):
-        return ident.identity_b(m, k, x, r, tolerance=tol)
+        return report(*ident.identity_b(m, k, x, r))
 
     axes = {"m": range(0, 11), "k": range(0, 7), "x": [0.5, 1.0, 2.0], "r": [0.5, 1.0, 1.5]}
-    return _sweep(cfg, "identity-b", "sandwich-identity-b", tol, axes, check)
+    return _sweep(cfg, "identity-b", "sandwich-identity-b", cfg.tol("identity-b"), axes, check)
 
 
 def suite_hille_hardy(cfg):
-    tol = cfg.tol("hille-hardy")
-
     def check(report, k, x, y, zq):
-        return ident.hille_hardy_residual(k, x, y, zq, tolerance=tol)
+        return report(*ident.hille_hardy_residual(k, x, y, zq))
 
     axes = {"k": range(0, 7), "x": [0.5, 2.0, 4.0], "y": [0.5, 2.0, 4.0], "zq": [0.5, 0.9]}
-    return _sweep(cfg, "hille-hardy", "laguerre-bilinear-sum", tol, axes, check)
+    return _sweep(cfg, "hille-hardy", "laguerre-bilinear-sum", cfg.tol("hille-hardy"), axes, check)
 
 
 # off-diagonal weight pairs whose first oscillation peak falls well inside the
@@ -677,7 +690,15 @@ def main(argv=None, stream=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as ``| head`` does); point it at devnull so the
+        # flush at interpreter exit does not raise again, and end as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

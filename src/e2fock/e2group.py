@@ -28,7 +28,6 @@ __all__ = [
     "compose",
     "inverse",
     "act_on_generator",
-    "u_matrix_element",
     "u_factors",
     "u_matrix",
     "irrep_element",
@@ -114,19 +113,6 @@ def act_on_generator(g: GroupElement) -> tuple[complex, complex]:
     return cmath.exp(1j * g.phi), g.w
 
 
-def u_matrix_element(g: GroupElement, m: int, n: int) -> complex:
-    """Matrix element <m|U(g)|n> of the unitary implementing g.
-
-    Closed form: (-1)^m e^{i(m-n)psi - i m phi} r^{n+m} e^{-r^2/2} / sqrt(n! m!)
-    times 2F0(-m, -n; -1/r^2), the r -> 0 limit being the rotation diagonal
-    delta_{mn} e^{-i n phi}.  Read from the smallest :func:`u_matrix` that
-    holds it, so it equals that entry bit for bit and costs O(max(m, n)^2).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("matrix element indices must be >= 0")
-    return complex(u_matrix(g, max(m, n, 1) + 1)[m, n])
-
-
 def u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U(g) = diag(row) M diag(col): its unit-modulus phases and the leading ``rows`` rows of its real core M.
 
@@ -161,7 +147,11 @@ def u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndar
 
 
 def u_matrix(g: GroupElement, dim: int) -> np.ndarray:
-    """The truncated U(g), exact matrix elements: the real core of :func:`u_factors` times its two phase vectors."""
+    """The truncated U(g), exact matrix elements: the real core of :func:`u_factors` times its two phase vectors.
+
+    Entry (m, n) is <m|U(g)|n> = (-1)^m e^{i(m-n)psi - i m phi} r^{n+m} e^{-r^2/2} / sqrt(n! m!) 2F0(-m, -n; -1/r^2),
+    the r -> 0 limit being the rotation diagonal delta_{mn} e^{-i n phi}; it is the same float whatever ``dim`` is.
+    """
     if dim < 2:
         raise ValueError("Fock truncation dimension must be >= 2")
     row, col, M = u_factors(g, dim, dim)

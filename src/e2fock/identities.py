@@ -1,10 +1,11 @@
 """Machine-checkable verification of the global identities of the theory.
 
-Each check returns a :class:`CheckReport` carrying the parameters, a scale-free
-residual, the tolerance, and the pass verdict.  Residuals are measured against
-max(|lhs|, |rhs|, largest term magnitude): both sandwich identities have
-parameter points where the two sides vanish identically, so a plain relative
-error would be 0/0 there.
+Each check returns a :class:`Residual`: a scale-free residual and, where the
+check found more than that number says, a detail.  The checks do not judge;
+the verifier (``e2fock verify``) holds the tolerances and decides each pass.
+Residuals are measured against max(|lhs|, |rhs|, largest term magnitude):
+both sandwich identities have parameter points where the two sides vanish
+identically, so a plain relative error would be 0/0 there.
 
 The orthogonality relation and the two limit statements are distributional /
 asymptotic and cannot be a single numeric equality at finite truncation; they
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .specfun import (
 )
 
 __all__ = [
-    "CheckReport",
+    "Residual",
     "identity_a",
     "identity_b",
     "addition_residual",
@@ -52,6 +53,8 @@ __all__ = [
 _TERM_EPS = 1e-18
 
 _ADDITION_NMAX = 60  # the addition theorem's n-sum runs over |n - k| <= this
+
+_IDENTITY_B_TERMS = 80  # identity-b's n-sum runs over n <= this
 
 # most scalar Kummer recurrence steps one limit-check value may run where its
 # series is refused, a fraction of a second
@@ -108,22 +111,16 @@ def _once(build, *args):
     return value
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one named verification: pass iff residual <= tolerance."""
+class Residual(NamedTuple):
+    """A check's scale-free residual, and what it found beyond that number.
 
-    name: str
-    equation: str
-    params: dict
+    ``detail`` is None, a note, or a zero-argument callable that builds the
+    note (:func:`addition_residual`'s diagnostic, too costly to build for a
+    record that passes).
+    """
+
     residual: float
-    tolerance: float
-    passed: bool
-    detail: str | None = None
-
-    @classmethod
-    def from_residual(cls, name, equation, params, residual, tolerance, detail=None):
-        residual = float(residual)
-        return cls(name, equation, dict(params), residual, float(tolerance), residual <= tolerance, detail)
+    detail: str | Callable[[], str] | None = None
 
 
 def _log_factorials(nmax: int) -> np.ndarray:
@@ -136,6 +133,11 @@ def _hyp2f0_column(m: int, nmax: int, x: float) -> np.ndarray:
     return np.array([hyp2f0_poly(m, n, x) for n in range(nmax + 1)])
 
 
+def _log_power(n, r: float):
+    # n log r for an integer or integer array n, with the limit of r^n at r = 0 (0^0 = 1)
+    return n * math.log(r) if r > 0 else np.where(n == 0, 0.0, -math.inf)
+
+
 def _vacuum_terms(k: int, x: float, r: float) -> np.ndarray:
     # terms (r^{2n}/n!) Phi(-n, 1+k; x^2) of identity-a's left side, truncated
     # once the weight r^{2n}/n! drops below 1e-18 relative to e^{r^2}
@@ -145,11 +147,11 @@ def _vacuum_terms(k: int, x: float, r: float) -> np.ndarray:
         nmax += 1
         t *= r2 / nmax
     phis = kummer_phi_seq(nmax, 1 + k, x * x)
-    weights = np.exp(2 * np.arange(nmax + 1) * math.log(r) - _once(_log_factorials, nmax))
+    weights = np.exp(_log_power(2 * np.arange(nmax + 1), r) - _once(_log_factorials, nmax))
     return weights * phis
 
 
-def identity_a(k: int, x: float, r: float, tolerance: float = 1e-10) -> CheckReport:
+def identity_a(k: int, x: float, r: float) -> Residual:
     """Vacuum sandwich of the addition theorem:
 
         sum_{n>=0} (r^{2n}/n!) Phi(-n, 1+k; x^2) = k! (xr)^{-k} e^{r^2} J_k(2xr).
@@ -163,20 +165,17 @@ def identity_a(k: int, x: float, r: float, tolerance: float = 1e-10) -> CheckRep
     lhs = float(np.sum(terms))
     rhs = math.exp(log_factorial(k) - k * math.log(x * r) + r * r) * bessel_j(k, 2 * x * r)
     scale = max(abs(lhs), abs(rhs), float(np.max(np.abs(terms))))
-    return CheckReport.from_residual(
-        "identity-a",
-        "sandwich-identity-a",
-        {"k": k, "x": x, "r": r},
-        abs(lhs - rhs) / scale,
-        tolerance,
-    )
+    return Residual(abs(lhs - rhs) / scale)
 
 
-def identity_b(m: int, k: int, x: float, r: float, tolerance: float = 1e-9, nterms: int = 80) -> CheckReport:
+def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     """Shifted sandwich of the addition theorem:
 
         ((m+k)!/(m! k!)) (x/r)^k Phi(-m, 1+k; x^2)
             = sum_{n>=0} ((-xr)^n/n!) 2F0(-m-k, -n; -1/r^2) J_{k-n}(2xr).
+
+    The sum runs to n = 80 at most; a last term above 1e-12 of the scale is
+    a non-convergent tail, named in the detail and counted in the residual.
     """
     if m < 0 or k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")
@@ -184,9 +183,9 @@ def identity_b(m: int, k: int, x: float, r: float, tolerance: float = 1e-9, nter
         math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r))
         * kummer_phi(m, 1 + k, x * x)
     )
-    js = _once(bessel_j_seq, nterms + abs(k), 2 * x * r)
+    js = _once(bessel_j_seq, _IDENTITY_B_TERMS + abs(k), 2 * x * r)
     # Python floats, as hyp2f0_poly returns, so a term that overflows does so silently as before
-    hyps = _once(_hyp2f0_column, m + k, nterms, -1.0 / (r * r)).tolist()
+    hyps = _once(_hyp2f0_column, m + k, _IDENTITY_B_TERMS, -1.0 / (r * r)).tolist()
 
     def j_signed(order: int) -> float:
         return js[order] if order >= 0 else (-1.0) ** (-order) * js[-order]
@@ -194,7 +193,7 @@ def identity_b(m: int, k: int, x: float, r: float, tolerance: float = 1e-9, nter
     rhs, term_max = 0.0, 0.0
     c = 1.0  # (-xr)^n / n!
     tail = 0.0
-    for n in range(nterms + 1):
+    for n in range(_IDENTITY_B_TERMS + 1):
         term = c * hyps[n] * j_signed(k - n)
         rhs += term
         term_max = max(term_max, abs(term))
@@ -208,14 +207,7 @@ def identity_b(m: int, k: int, x: float, r: float, tolerance: float = 1e-9, nter
     if tail > 1e-12 * scale:
         detail = f"non-convergent tail: last term {tail:.3e} vs scale {scale:.3e}"
         residual = max(residual, tail / scale)
-    return CheckReport.from_residual(
-        "identity-b",
-        "sandwich-identity-b",
-        {"m": m, "k": k, "x": x, "r": r},
-        residual,
-        tolerance,
-        detail,
-    )
+    return Residual(residual, detail)
 
 
 def _basis_diagonal(lam: float, n: int, dim: int) -> np.ndarray:
@@ -225,16 +217,16 @@ def _basis_diagonal(lam: float, n: int, dim: int) -> np.ndarray:
     return radial * np.sqrt(_winding_weights(abs(n), len(radial) - 1))
 
 
-def addition_residual(
-    g: GroupElement, label: IrrepLabel, k: int, dim: int = 96, tolerance: float = 1e-7
-) -> CheckReport:
+def addition_residual(g: GroupElement, label: IrrepLabel, k: int, dim: int = 96) -> Residual:
     """Operator addition theorem U(g) D_k U(g)* = sum_n t_{kn}(g) D_n.
 
     Both sides are compared as truncated Fock matrices on the safe block;
     the n-sum runs over |n - k| <= 60 where |J_{n-k}(lam r)| >= 1e-16.  The
     residual is the Frobenius norm of the difference relative to that of
     D_k's block.  Each D_n occupies the single diagonal -n, so the right side
-    is written diagonal by diagonal.
+    is written diagonal by diagonal.  The detail is a callable that fits
+    each D_n's coefficient to the left side and names the worst mismatches
+    against t_{kn}(g).
     """
     lam = label.lam
     if lam * g.r > 6.0:
@@ -255,24 +247,13 @@ def addition_residual(
 
     num = float(np.linalg.norm(lhs - rhs[:b, :b]))
     den = float(np.linalg.norm(np.diag(dk, -k)[:b, :b]))
-    residual = num / den
-    detail = None
-    if residual > tolerance:
-        detail = _addition_phase_diagnostic(lhs, terms)
-    return CheckReport.from_residual(
-        "addition",
-        "addition-theorem",
-        {"lam": lam, "k": k, "r": g.r, "psi": g.psi, "phi": g.phi, "dim": dim},
-        residual,
-        tolerance,
-        detail,
-    )
+    return Residual(num / den, lambda: _addition_phase_diagnostic(lhs, terms))
 
 
 def _addition_phase_diagnostic(block, terms) -> str:
-    # On failure, project the transformed operator's safe block onto each
-    # D_n's diagonal -n and report the worst per-n coefficient mismatches
-    # against t_{kn}(g); a diagonal with no entry in the block is skipped.
+    # Project the transformed operator's safe block onto each D_n's diagonal
+    # -n and report the worst per-n coefficient mismatches against t_{kn}(g);
+    # a diagonal with no entry in the block is skipped.
     b = len(block)
     rows = []
     for n, (ref, dn) in terms.items():
@@ -286,9 +267,7 @@ def _addition_phase_diagnostic(block, terms) -> str:
     return "per-n coefficient mismatch: " + worst
 
 
-def addition_vacuum_crosscheck(
-    g: GroupElement, label: IrrepLabel, k: int, dim: int = 96, tolerance: float = 1e-9
-) -> CheckReport:
+def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, k: int, dim: int = 96) -> Residual:
     """The <0|.|0> element of the addition theorem collapses to identity-a.
 
     Checks that (U D_k U*)_{00} equals both t_{k0}(g) f_0(0) and the
@@ -304,22 +283,15 @@ def addition_vacuum_crosscheck(
     lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))
     s2 = (
         np.exp(-1j * k * g.psi)
-        * math.exp(-r * r + k * math.log(r) - log_factorial(k) - lam * lam / 8.0)
+        * math.exp(-r * r + _log_power(k, r) - log_factorial(k) - lam * lam / 8.0)
         * (1j * lam / 2.0) ** k
         * lhs_sum
     )
     scale = max(abs(s1), abs(s3), 1e-300)
-    residual = max(abs(s1 - s2), abs(s1 - s3)) / scale
-    return CheckReport.from_residual(
-        "addition-vacuum",
-        "addition-vacuum-element",
-        {"lam": lam, "k": k, "r": r, "psi": g.psi, "phi": g.phi, "dim": dim},
-        residual,
-        tolerance,
-    )
+    return Residual(max(abs(s1 - s2), abs(s1 - s3)) / scale)
 
 
-def hille_hardy_residual(k: int, x: float, y: float, zq: float, tolerance: float = 1e-8) -> CheckReport:
+def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     """Bilinear Laguerre generating function:
 
         sum_n (n!/(n+k)!) L^k_n(x) L^k_n(y) z^n
@@ -355,14 +327,7 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float, tolerance: float
     if nmax == 4000 and abs(terms[-1]) > 1e-12 * scale:
         detail = "slow convergence: term cap reached"
         residual = max(residual, abs(terms[-1]) / scale)
-    return CheckReport.from_residual(
-        "hille-hardy",
-        "laguerre-bilinear-sum",
-        {"k": k, "x": x, "y": y, "zq": zq},
-        residual,
-        tolerance,
-        detail,
-    )
+    return Residual(residual, detail)
 
 
 def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: int) -> np.ndarray:

@@ -162,6 +162,10 @@ def laguerre(n: int, k: int, x: float) -> float:
     return next(itertools.islice(_laguerre_terms(k, x), n, None))
 
 
+# most downward steps one Miller recurrence may run, a fraction of a second
+_MAX_MILLER_STEPS = 10**6
+
+
 def _bessel_start_index(base: int) -> int:
     # Start far enough above max(order, argument) that the minimal solution
     # dominates the downward recursion at the turning point.
@@ -174,12 +178,16 @@ def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
     # max(nmax, x), normalized with c_0 + 2 sum_{k>=1, step | k} c_k.  With
     # (sign, step) = (-1, 2) that is J_0 + 2 sum J_{2k} = 1, giving J_k(x);
     # with (+1, 1) it is I_0 + 2 sum I_k = e^x, giving e^{-x} I_k(x).
+    start = _bessel_start_index(max(nmax, int(math.ceil(x))))
+    if start > _MAX_MILLER_STEPS:
+        raise ValueError(
+            f"Bessel argument {x!r} at order {nmax} needs {start:.3g} recurrence steps,"
+            f" above the cap of {_MAX_MILLER_STEPS}"
+        )
     out = np.zeros(nmax + 1)
     if x == 0.0:
         out[0] = 1.0
         return out
-    base = max(nmax, int(math.ceil(x)))
-    start = _bessel_start_index(base)
     c_up, c_cur = 0.0, 1e-300
     norm = 0.0
     for k in range(start, -1, -1):
@@ -202,7 +210,8 @@ def bessel_j_seq(nmax: int, x: float) -> np.ndarray:
 
     Miller's algorithm: recurse J_{k-1} = (2k/x) J_k - J_{k+1} downward from a
     start index well above max(nmax, x), then normalize with
-    J_0 + 2 sum_{k>=1} J_{2k} = 1.
+    J_0 + 2 sum_{k>=1} J_{2k} = 1.  Raises ValueError where max(nmax, x)
+    needs more than 10**6 recurrence steps.
     """
     if nmax < 0:
         raise ValueError("bessel_j_seq requires nmax >= 0")
@@ -269,7 +278,8 @@ def bessel_i_scaled(nu: int, x: float) -> tuple[float, float]:
     """Modified Bessel I_nu(x) as ``(value, log_scale)``, I_nu(x) = value * e^log_scale.
 
     Returns ``(e^{-x} I_nu(x), x)`` for x > 500, where the plain value would
-    be huge, and ``(I_nu(x), 0.0)`` otherwise.
+    be huge, and ``(I_nu(x), 0.0)`` otherwise.  Raises ValueError where
+    max(nu, x) needs more than 10**6 recurrence steps.
     """
     if x < 0:
         raise ValueError("bessel_i_scaled requires x >= 0")

@@ -19,7 +19,6 @@ from e2fock.e2group import (
     IrrepLabel,
     act_on_generator,
     u_matrix,
-    u_matrix_element,
 )
 from e2fock.fock import annihilator, safe_block
 from e2fock.identities import (
@@ -68,6 +67,7 @@ def test_criterion_2_matrix_element_consistency():
     worst = 0.0
     for r in (0.25, 0.5, 1.0, 2.0, 4.0):
         g = GroupElement(r, 0.7, 0.3)
+        U = u_matrix(g, 26)
         for m in (0, 1, 5, 12, 25):
             for n in (0, 2, 9, 25):
                 pref = math.exp(
@@ -79,7 +79,7 @@ def test_criterion_2_matrix_element_consistency():
                     * pref
                     * hyp2f0_poly(m, n, -1.0 / (r * r))
                 )
-                got = u_matrix_element(g, m, n)
+                got = U[m, n]
                 terms = [
                     math.exp(
                         log_factorial(m) - log_factorial(m - j)

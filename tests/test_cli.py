@@ -30,6 +30,12 @@ def json_records(out):
     return [json.loads(line) for line in out.splitlines() if line]
 
 
+def module_env():
+    # the environment of a fresh ``python -m e2fock.cli`` that imports this source tree
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 class TestVerifyExitCodes:
     def test_passing_suite_exits_zero(self):
         code, out = run_cli(["verify", "recurrence", "--k", "0..3", "--x", "1,4"])
@@ -223,6 +229,55 @@ def test_verify_all_record_schedule():
     assert len(lines) == 1246
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == "bcc9e71c52537500b1df35d213ccad1f7353e97ff0a41bde8a172e32b47bfd9c"
+
+
+def test_verify_all_csv_schedule():
+    # the CSV columns name, equation and params of every record, in order; unlike
+    # the JSON digest above, which sorts keys, this one sees the order of the params
+    code, out = run_cli(["verify", "all", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    lines = [json.dumps([row["name"], row["equation"], row["params"]]) + "\n" for row in rows]
+    assert len(lines) == 1246
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "63f5ad69252102b7c38843edb799e15358ddcce82bd89ff85c53af02da7a8634"
+
+
+def test_report_decides_each_pass_and_calls_a_detail_only_on_failure():
+    # report is the one builder of records: pass iff residual <= tolerance, and a
+    # callable detail (the addition diagnostic) runs once for each failing record only
+    calls = []
+
+    def diagnose():
+        calls.append(None)
+        return "diagnosed"
+
+    residuals = [0.0, 1e-3, 2e-3, math.inf, math.nan]
+    recs = cli._sweep(RunConfig(), "demo", "demo-equation", 1e-3, {"x": residuals}, lambda report, x: report(x, diagnose))
+    assert [r.passed for r in recs] == [r.residual <= r.tolerance for r in recs] == [True, True, False, False, False]
+    assert [r.detail for r in recs] == [None, None, "diagnosed", "diagnosed", "diagnosed"]
+    assert len(calls) == 3
+    (rec,) = cli.suite_identity_a(RunConfig(grid={"k": [2], "x": [1.0], "r": [1.0]}))
+    assert (rec.name, rec.equation, rec.params, rec.tolerance) == (
+        "identity-a",
+        "sandwich-identity-a",
+        {"k": 2, "x": 1.0, "r": 1.0},
+        1e-10,
+    )
+    assert rec.passed == (rec.residual <= rec.tolerance)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "addition", "--r", "0"], ["verify", "addition", "--r", "0,1e-16", "--lambda", "1", "--k", "0,2"]],
+)
+def test_addition_holds_at_the_identity_translation(argv):
+    # an r below 1e-15 is the identity translation: both checks hold there, and every record reads r = 0.0
+    code, out = run_cli(argv)
+    recs = json_records(out)
+    assert code == 0 and recs and all(r["pass"] for r in recs)
+    assert {r["name"] for r in recs} == {"addition", "addition-vacuum"}
+    assert {repr(r["params"]["r"]) for r in recs} == {"0.0"}
 
 
 def test_orthogonality_growth_reads_the_zeta_1000_checkpoint():
@@ -692,12 +747,45 @@ def test_error_message_names_the_run_and_the_exception(argv, message, capsys):
 )
 def test_overflow_prints_only_the_error_line(argv, capfd):
     # a fresh interpreter, so numpy's floating-point warnings would reach stderr as they do for users
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = subprocess.run([sys.executable, "-m", "e2fock.cli", *argv], env=env, timeout=120).returncode
+    code = subprocess.run([sys.executable, "-m", "e2fock.cli", *argv], env=module_env(), timeout=120).returncode
     out, err = capfd.readouterr()
     assert (code, out) == (2, "")
     assert err == f"error: {argv[0]} {argv[1]}: FloatingPointError: overflow encountered in multiply\n"
+
+
+# Miller's recurrence starts above its argument, 2xr = 1e200 and lam r = 1e200 here
+_MILLER_CAP = "Bessel argument 1e+200 at order {} needs 1e+200 recurrence steps, above the cap of 1000000"
+
+
+def test_miller_step_cap_gives_an_error_record():
+    argv = ["verify", "identity-b", "--x", "0.5", "--r", "1e200", "--m", "0", "--k", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "e2fock.cli", *argv], env=module_env(), capture_output=True, text=True, timeout=60
+    )
+    (rec,) = json_records(proc.stdout)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert not rec["pass"] and rec["detail"] == "error: " + _MILLER_CAP.format(80)
+
+
+def test_miller_step_cap_refuses_a_table():
+    argv = ["table", "irrep", "--r", "1e200"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "e2fock.cli", *argv], env=module_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: table irrep: ValueError: " + _MILLER_CAP.format(0) + "\n"
+
+
+def test_closed_pipe_ends_quietly():
+    # the reader is gone before the first write, as it is once ``| head -1`` has its line
+    argv = [sys.executable, "-m", "e2fock.cli", "verify", "lie-algebra", "--seed", "0"]
+    proc = subprocess.Popen(argv, env=module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def _odd_lower_flipped(row, col, M):

@@ -17,7 +17,6 @@ from e2fock.e2group import (
     irrep_element,
     u_factors,
     u_matrix,
-    u_matrix_element,
 )
 from e2fock.fock import annihilator, displaced_basis, displaced_vacuum, panel_size, safe_block
 from e2fock.specfun import bessel_j, bessel_j_seq, hyp2f0_poly, log_factorial
@@ -117,21 +116,23 @@ class TestGeneratorAction:
 class TestMatrixElement:
     def test_vacuum_element(self):
         for g in GENERIC:
-            assert u_matrix_element(g, 0, 0) == pytest.approx(math.exp(-g.r**2 / 2), rel=1e-13)
+            assert u_matrix(g, 2)[0, 0] == pytest.approx(math.exp(-g.r**2 / 2), rel=1e-13)
 
     def test_rotation_only_diagonal(self):
         g = GroupElement(0.0, 0.0, 1.2)
-        assert u_matrix_element(g, 3, 3) == pytest.approx(cmath.exp(-3.6j), rel=1e-15)
-        assert u_matrix_element(g, 2, 3) == 0
+        U = u_matrix(g, 4)
+        assert U[3, 3] == pytest.approx(cmath.exp(-3.6j), rel=1e-15)
+        assert U[2, 3] == 0
 
     def test_node_at_unit_radius(self):
-        assert abs(u_matrix_element(GroupElement(1, 0, 0), 1, 1)) <= 1e-15
+        assert abs(u_matrix(GroupElement(1, 0, 0), 2)[1, 1]) <= 1e-15
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_hyp2f0_route(self, r):
         # direct closed form through the terminating 2F0 sum; residual scale
         # includes the largest 2F0 term to stay meaningful at polynomial nodes
         g = GroupElement(r, 0.7, 0.3)
+        U = u_matrix(g, 26)
         for m in (0, 1, 2, 7, 13, 25):
             for n in (0, 3, 11, 25):
                 pref = math.exp(
@@ -143,7 +144,7 @@ class TestMatrixElement:
                     * pref
                     * hyp2f0_poly(m, n, -1.0 / (r * r))
                 )
-                got = u_matrix_element(g, m, n)
+                got = U[m, n]
                 # largest term of the 2F0 sum, for the residual scale
                 jmax = min(m, n)
                 terms = [
@@ -177,17 +178,6 @@ class TestUMatrix:
         for n in (1, 5, 12, 20):
             col = displaced_basis(g, dim, n)
             assert np.max(np.abs(U[:, n] - col)) <= 1e-9
-
-    def test_element_agrees_with_matrix(self):
-        # the element is read from the one core, so it matches bit for bit;
-        # repr of the complex also pins the sign of zeros
-        angles = [(-0.5, 0.9), (4.0, -7.5), (-1.0, 0.0)]
-        for i, r in enumerate([0.0, 1e-13, 1e-6, 0.5, 1.3, 2.0, 3.9, 6.0, 40.0]):
-            g = GroupElement(r, *angles[i % len(angles)])
-            U = u_matrix(g, 30)
-            for m in range(30):
-                for n in range(30):
-                    assert repr(u_matrix_element(g, m, n)) == repr(complex(U[m, n])), (r, m, n)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0])
     def test_unitarity_on_safe_block(self, r):

@@ -29,26 +29,26 @@ class TestIdentityA:
     def test_small_x_limit(self):
         # k = 0: both sides converge to e^{r^2}
         rep = identity_a(0, 1e-8, 1.0)
-        assert rep.passed and rep.residual <= 1e-12
+        assert rep.residual <= 1e-12
 
     def test_frozen_point(self):
         # k=0, x=1, r=1: both sides equal e * J_0(2)
         rep = identity_a(0, 1.0, 1.0)
-        assert rep.passed
+        assert rep.residual <= 1e-10
         ref = float(mp.e * mp.besselj(0, 2))
         rhs = math.exp(1.0) * float(mp.besselj(0, 2))
         assert abs(rhs - ref) <= 1e-14
 
     def test_example_point(self):
         rep = identity_a(3, 0.5, 2.0)
-        assert rep.passed and rep.residual <= 1e-10
+        assert rep.residual <= 1e-10
 
     def test_full_grid(self):
         for k in range(0, 11):
             for x in (0.25, 0.5, 1.0, 2.0):
                 for r in (0.5, 1.0, 2.0):
                     rep = identity_a(k, x, r)
-                    assert rep.residual <= 1e-10, rep.params
+                    assert rep.residual <= 1e-10, (k, x, r)
 
     def test_mpmath_oracle_spot(self):
         # independent high-precision evaluation of both sides
@@ -66,13 +66,7 @@ class TestIdentityA:
     @pytest.mark.parametrize("k,x,r", [(20, 4.0, 3.0), (20, 0.25, 3.0), (0, 4.0, 3.0), (20, 4.0, 0.25)])
     def test_contract_corners(self, k, x, r):
         rep = identity_a(k, x, r)
-        assert rep.passed and rep.residual <= 1e-10
-
-    def test_report_fields(self):
-        rep = identity_a(2, 1.0, 1.0)
-        assert rep.name == "identity-a"
-        assert rep.params == {"k": 2, "x": 1.0, "r": 1.0}
-        assert rep.passed == (rep.residual <= rep.tolerance)
+        assert rep.residual <= 1e-10
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -86,11 +80,11 @@ class TestIdentityB:
         # both sides vanish identically at m=1, k=0, x=r=1; the term-aware
         # residual scale keeps the check meaningful
         rep = identity_b(1, 0, 1.0, 1.0)
-        assert rep.passed and rep.residual <= 1e-9
+        assert rep.residual <= 1e-9
 
     def test_example_point(self):
         rep = identity_b(5, 3, 0.8, 1.5)
-        assert rep.passed and rep.residual <= 1e-9
+        assert rep.residual <= 1e-9
 
     def test_full_grid(self):
         for m in range(0, 11):
@@ -98,16 +92,17 @@ class TestIdentityB:
                 for x in (0.5, 1.0, 2.0):
                     for r in (0.5, 1.0, 1.5):
                         rep = identity_b(m, k, x, r)
-                        assert rep.residual <= 1e-9, rep.params
+                        assert rep.residual <= 1e-9, (m, k, x, r)
 
     def test_small_x_trivial(self):
         rep = identity_b(0, 0, 1e-9, 1.0)
-        assert rep.passed and rep.residual <= 1e-12
+        assert rep.residual <= 1e-12
 
     def test_flags_unconverged_tail(self):
-        rep = identity_b(5, 3, 2.0, 1.5, nterms=3)
-        assert not rep.passed
-        assert rep.detail and "tail" in rep.detail
+        # at 2xr = 100 the 80-term sum has not converged; the last term enters the residual
+        rep = identity_b(5, 3, 10.0, 5.0)
+        assert rep.residual > 1e-2
+        assert rep.detail.startswith("non-convergent tail: last term")
 
     @pytest.mark.parametrize(
         "m,k,x,r",
@@ -115,7 +110,7 @@ class TestIdentityB:
     )
     def test_contract_corners(self, m, k, x, r):
         rep = identity_b(m, k, x, r)
-        assert rep.passed and rep.residual <= 1e-9
+        assert rep.residual <= 1e-9
 
 
 class TestAdditionTheorem:
@@ -131,20 +126,20 @@ class TestAdditionTheorem:
     def test_example_point(self):
         g = GroupElement(1.0, 0.7, 0.3)
         rep = addition_residual(g, IrrepLabel(2.0, 1), 1, dim=96)
-        assert rep.passed and rep.residual <= 1e-7
+        assert rep.residual <= 1e-7
 
     @pytest.mark.parametrize("k", [-4, -2, 0, 3, 4])
     @pytest.mark.parametrize("lam,r", [(2.0, 2.0), (4.0, 1.0), (1.0, 0.5)])
     def test_acceptance_grid(self, k, lam, r):
         g = GroupElement(r, 0.7, 0.3)
         rep = addition_residual(g, IrrepLabel(lam, k), k, dim=96)
-        assert rep.residual <= 1e-7, rep.params
+        assert rep.residual <= 1e-7, (k, lam, r)
 
     def test_vacuum_crosscheck(self):
         for k in (0, 2, 4):
             g = GroupElement(1.0, 0.7, 0.3)
             rep = addition_vacuum_crosscheck(g, IrrepLabel(2.0, k), k, dim=96)
-            assert rep.residual <= 1e-9, rep.params
+            assert rep.residual <= 1e-9, k
 
     def test_guards_large_lam_r(self):
         with pytest.raises(ValueError):
@@ -154,7 +149,7 @@ class TestAdditionTheorem:
     def test_lam_r_contract_boundary(self, k):
         g = GroupElement(2.0, 0.7, 0.3)
         rep = addition_residual(g, IrrepLabel(3.0, k), k, dim=96)
-        assert rep.passed and rep.residual <= 1e-7
+        assert rep.residual <= 1e-7
 
 
 def dense_addition_residual(g, lam, k, dim, nmax=60):
@@ -182,7 +177,7 @@ class TestAdditionByDiagonals:
         for k in (-4, 0, 1, 3):
             rep = addition_residual(g, IrrepLabel(lam, k), k, dim=dim)
             dense = dense_addition_residual(g, lam, k, dim)
-            assert abs(rep.residual - dense) <= 1e-14 and rep.passed == (dense <= rep.tolerance), (k, rep.residual)
+            assert abs(rep.residual - dense) <= 1e-14 and (rep.residual <= 1e-7) == (dense <= 1e-7), (k, rep.residual)
 
 
 class TestAdditionVacuumRows:
@@ -195,13 +190,13 @@ class TestAdditionVacuumRows:
         monkeypatch.setattr(fock, "panel_size", lambda dim, n: dim)
         full = [addition_vacuum_crosscheck(g, IrrepLabel(lam, k), k, dim=dim) for lam, k in cases]
         for a, b in zip(rows, full):
-            assert a.passed and b.passed and abs(a.residual - b.residual) <= 1e-14
+            assert a.residual <= 1e-9 and b.residual <= 1e-9 and abs(a.residual - b.residual) <= 1e-14
 
 
 class TestHilleHardy:
     def test_small_z_limit(self):
         rep = hille_hardy_residual(0, 1.0, 1.0, 1e-6)
-        assert rep.passed and rep.residual <= 1e-10
+        assert rep.residual <= 1e-10
 
     def test_frozen_point(self):
         rep = hille_hardy_residual(0, 1.0, 1.0, 0.5)
@@ -217,7 +212,7 @@ class TestHilleHardy:
                 for y in (0.5, 2.0, 4.0):
                     for zq in (0.5, 0.9):
                         rep = hille_hardy_residual(k, x, y, zq)
-                        assert rep.residual <= 1e-8, rep.params
+                        assert rep.residual <= 1e-8, (k, x, y, zq)
 
     def test_hard_corner(self):
         rep = hille_hardy_residual(6, 4.0, 4.0, 0.95)
