@@ -13,9 +13,9 @@ from e2fock import (
     adjoint_p,
     algebra_function,
     basis_d,
-    basis_recurrence_residual,
     eigen_residuals,
     inner_product,
+    kummer_recurrence_residual,
     laguerre,
     log_factorial,
     op_h,
@@ -49,7 +49,8 @@ lag_route = (
     * laguerre(2, 3, 1.0)
 )
 print("  Laguerre route at zeta=2 agrees:", abs(d.radial[2] - lag_route))
-print("  three-term recurrence residual (zeta <= 200):", basis_recurrence_residual(label, 201))
+recurrence = kummer_recurrence_residual(1 + label.k, label.lam**2 / 4, 200)  # D_k's radial recurrence
+print("  three-term recurrence residual (zeta <= 200):", recurrence.residual)
 
 for lam, k in ((1.0, 0), (4.0, -7), (8.0, 20)):
     c1, c2 = eigen_residuals(IrrepLabel(lam, k), 200)

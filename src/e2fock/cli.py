@@ -29,19 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import identities as ident
-from .e2group import GroupElement, IrrepLabel, irrep_element, u_factors, u_matrix
-from .fock import annihilator, conjugated_block, panel_size, safe_block
-from .repk import (
-    algebra_function,
-    adjoint_p,
-    basis_d,
-    eigen_residuals,
-    inner_product,
-    op_h,
-    op_p,
-    op_pbar,
-)
-from .specfun import kummer_phi_seq
+from .e2group import GroupElement, IrrepLabel, irrep_element, u_matrix
+from .fock import safe_block
+from .repk import adjoint_residual, algebra_function, basis_d, bracket_residual, eigen_residuals
 
 TABLE_KINDS = ["u-matrix", "irrep", "basis", "profile"]
 
@@ -63,10 +53,6 @@ _TOLERANCES = {
 
 # largest Fock truncation a verify run or a u-matrix table may ask for
 _MAX_DIM = 512
-
-# truncation-defect decay reaches float rounding by dim ~ 64; below this the
-# dim-doubling sequence is treated as floored rather than strictly decreasing
-_DEFECT_FLOOR = 1e-13
 
 _PSI, _PHI = 0.7, 0.3
 _GROUP_AXES = {"r": [0.5, 1.0, 1.5, 2.0], "psi": [_PSI], "phi": [_PHI]}
@@ -138,14 +124,15 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict):
     ``axes`` maps each grid flag to its default values; the grid is their
     product in declaration order, a flag given on the command line replacing
     its default (an axis that is no flag keeps its declared values).
-    ``check(report, **point)`` returns one record or a list of them, each
-    built by ``report(residual, detail=None)``: the one place a record is
-    built and its pass decided.  It files the residual under this sweep's
-    name, equation, tolerance and ``params(**point)``; keywords ``name``,
-    ``equation`` and ``tolerance`` replace those, and any other keyword adds
-    or replaces a param.  A callable detail is called, for the note, only
-    when the record fails.  A ValueError or ArithmeticError (overflow,
-    division by zero) from the check becomes one error record for the point.
+    ``check(report, **point)`` calls a check of :mod:`identities` or
+    :mod:`repk`, which does all the arithmetic, and returns one record or a
+    list of them, each built by ``report(residual, detail=None)``: the one
+    place a record is built and its pass decided.  It files the residual
+    under this sweep's name, equation, tolerance and ``params(**point)``;
+    keywords ``name``, ``equation`` and ``tolerance`` replace those, and any
+    other keyword adds or replaces a param.  A callable detail is called,
+    for the note, only when the record fails.  A ValueError or
+    ArithmeticError from the check becomes one error record for the point.
     """
     reports = []
     for values in itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())):
@@ -170,38 +157,23 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict):
 def _ladder(report, values, label, monotone, tolerance, **monotone_params):
     # a decreasing error ladder: its last rung against the sweep's tolerance,
     # and its worst step up as the record ``monotone``
-    if len(values) < 2:
-        raise ValueError(f"the monotone check needs at least two rungs, got {len(values)}")
-    worst_step = max(b - a for a, b in zip(values, values[1:]))
     return [
         report(values[-1], label + ", ".join(repr(v) for v in values)),
-        report(worst_step, name=monotone, tolerance=tolerance, **monotone_params),
+        report(ident.worst_rise(values, -math.inf), name=monotone, tolerance=tolerance, **monotone_params),
     ]
-
-
-def _unitarity_defect(g, dim, block):
-    # U* U = D_col* M^T M D_col and (M^T M)[i, j] = (-1)^(i+j) (M M^T)[i, j]: M's leading rows give the block
-    M = u_factors(g, dim, panel_size(dim, block))[2]
-    return np.linalg.norm((M @ M.T)[:block, :block] - np.eye(block))
 
 
 def suite_unitarity(cfg):
     def unitary(report, dim, r, psi, phi):
-        return report(_unitarity_defect(GroupElement(r, psi, phi), dim, max(safe_block(dim, r), min(dim, 4))))
+        return report(*ident.unitarity_residual(GroupElement(r, psi, phi), dim))
 
-    # fixed-block truncation defect under dim doubling; strictly decreasing
-    # until the float floor, non-increasing beyond it
+    # the fixed-block truncation defect under dim doubling, on the last group element
     r, psi, phi = cfg.values("r", [1.5])[-1], cfg.values("psi", [_PSI])[-1], cfg.values("phi", [_PHI])[-1]
 
     def monotone(report):
-        block = safe_block(32, r)
-        if block < 2:
+        if (block := safe_block(32, r)) < 2:
             return []
-        g = GroupElement(r, psi, phi)
-        defects = [float(_unitarity_defect(g, dim, block)) for dim in (32, 64, 128)]
-        worst_step = max(d2 - max(d1, _DEFECT_FLOOR) for d1, d2 in zip(defects, defects[1:]))
-        detail = "defects " + ", ".join(repr(d) for d in defects) + f" (floor {_DEFECT_FLOOR})"
-        return report(worst_step, detail, block=block)
+        return report(*ident.unitarity_decay_residual(GroupElement(r, psi, phi), block), block=block)
 
     axes = {"dim": [_dim(cfg, 64)], **_GROUP_AXES}
     tol_mono = cfg.tol("unitarity-monotone")
@@ -212,11 +184,7 @@ def suite_unitarity(cfg):
 
 def suite_intertwining(cfg):
     def check(report, dim, r, psi, phi):
-        g = GroupElement(r, psi, phi)
-        b = max(safe_block(dim, r), min(dim, 4))
-        UaU = conjugated_block(u_factors(g, dim, panel_size(dim, b)), np.sqrt(np.arange(1.0, dim)), 1, b)
-        target = np.exp(1j * g.phi) * annihilator(b) + g.w * np.eye(b)
-        return report(np.max(np.abs(UaU - target)))
+        return report(*ident.intertwining_residual(GroupElement(r, psi, phi), dim))
 
     axes = {"dim": [_dim(cfg, 64)], **_GROUP_AXES}
     return _sweep(cfg, "intertwining", "intertwining", cfg.tol("intertwining"), axes, check)
@@ -226,22 +194,7 @@ def suite_recurrence(cfg):
     zmax = cfg.first("zmax", 200)
 
     def check(report, k, x):
-        if zmax < 1:
-            raise ValueError(f"recurrence requires zmax >= 1, got {zmax}")
-        b, c = 1 + k, x
-        phis = kummer_phi_seq(zmax + 1, b, c)
-        a = -np.arange(1.0, zmax + 1)  # a = -zeta, zeta = 1..zmax; floats, so any integer x converts
-        # an overflowing value or term makes its ratios NaN or inf, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            t1 = a * phis[:-2]
-            t2 = (a - b) * phis[2:]
-            t3 = (b - 2 * a - c) * phis[1:-1]
-            scale = np.maximum(np.maximum(abs(t1), abs(t2)), abs(t3))
-            ratios = abs(t1 + t2 + t3) / scale
-        unchecked = np.flatnonzero(~np.isfinite(ratios))
-        if unchecked.size:
-            return report(math.inf, f"non-finite Kummer value or ratio at zeta={unchecked[0] + 1}")
-        return report(np.max(ratios))
+        return report(*ident.kummer_recurrence_residual(1 + k, x, zmax))
 
     def params(k, x):
         return {"k": k, "c": x, "zmax": zmax}
@@ -268,14 +221,10 @@ def suite_eigen(cfg):
 
 
 def _random_algebra_function(rng, zmax, windings, integer=False):
-    terms = {}
-    for w in windings:
-        if integer:
-            coeffs = rng.integers(-5, 6, size=zmax + 1).astype(complex)
-        else:
-            coeffs = rng.standard_normal(zmax + 1) + 1j * rng.standard_normal(zmax + 1)
-        terms[int(w)] = coeffs
-    return algebra_function(terms, zmax)
+    def draw(n):
+        return rng.integers(-5, 6, size=n) if integer else rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    return algebra_function({int(w): draw(zmax + 1) for w in windings}, zmax)
 
 
 def suite_lie_algebra(cfg):
@@ -286,26 +235,11 @@ def suite_lie_algebra(cfg):
     def bracket(report, trial):
         windings = sorted(rng.choice(np.arange(-6, 7), size=3, replace=False))
         F = _random_algebra_function(rng, 20, windings, integer=True)
-        # [h, p] = p and [h, pbar] = -pbar, exact on integer coefficients
-        hp = op_h(op_p(F)) + op_p(op_h(F)).scaled(-1.0)
-        comm_p = hp + op_p(F).scaled(-1.0)
-        hpb = op_h(op_pbar(F)) + op_pbar(op_h(F)).scaled(-1.0)
-        comm_pb = hpb + op_pbar(F)
-        resid = max(
-            max((float(np.max(np.abs(c))) for c in comm_p.terms.values()), default=0.0),
-            max((float(np.max(np.abs(c))) for c in comm_pb.terms.values()), default=0.0),
-        )
-        return report(resid, windings=",".join(str(w) for w in windings), seed=seed)
+        return report(bracket_residual(F), windings=",".join(str(w) for w in windings), seed=seed)
 
     def pairing(report, trial):
-        F = _random_algebra_function(rng, 20, [-3, 0, 2])
-        G = _random_algebra_function(rng, 20, [-4, -1, 1])
-        lhs = inner_product(op_p(F), G)
-        rhs = inner_product(F, adjoint_p(G))
-        h_lhs = inner_product(op_h(F), G)
-        h_rhs = inner_product(F, op_h(G))
-        scale = max(abs(lhs), abs(rhs), abs(h_lhs), abs(h_rhs), 1e-300)
-        return report(max(abs(lhs - rhs), abs(h_lhs - h_rhs)) / scale, zmax=20, seed=seed)
+        F, G = _random_algebra_function(rng, 20, [-3, 0, 2]), _random_algebra_function(rng, 20, [-4, -1, 1])
+        return report(adjoint_residual(F, G), zmax=20, seed=seed)
 
     trials = {"trial": range(4)}
     return _sweep(cfg, "lie-bracket", "lie-brackets", cfg.tol("lie-algebra"), trials, bracket) + _sweep(
@@ -321,9 +255,9 @@ def suite_addition(cfg):
 
     def pair(report, lam, r, psi, phi):
         # every addition record of one group element, then every vacuum record
-        if lam * r > 6.0:
-            return []
         g = GroupElement(r, psi, phi)
+        if lam * g.r > 6.0:
+            return []
 
         def residual(report, k):
             return report(*ident.addition_residual(g, IrrepLabel(lam, k), k, dim=dim))
@@ -379,54 +313,33 @@ _PROFILE_PAIRS = [(0, 1.0, 3.0), (2, 1.0, 2.5), (3, 2.5, 5.0), (0, 2.0, 4.5)]
 def suite_orthogonality(cfg):
     zmax = cfg.first("zmax", 1001)
 
-    def curve(k, lam1, lam2):
-        # the growth/boundedness checkpoints sit at zeta = 100/400/1000
-        if zmax < 1001:
-            raise ValueError(f"zmax {zmax} is below 1001, so the profile does not reach its zeta = 1000 checkpoint")
-        return ident.orthogonality_profile_curve(k, lam1, lam2, zmax)
-
     def grading(report, windings):
-        d1 = basis_d(IrrepLabel(2.0, windings[0]), 60).coefficients
-        d2 = basis_d(IrrepLabel(3.0, windings[1]), 60).coefficients
-        return report(abs(inner_product(d1, d2)))
+        k1, k2 = windings
+        return report(*ident.orthogonality_grading_residual(IrrepLabel(2.0, k1), IrrepLabel(3.0, k2)))
 
     def growth(report, lam, k):
-        values = curve(k, lam, lam)
-        checkpoints = [values[100], values[400], values[1000]]
-        worst = max(a - b for a, b in zip(checkpoints, checkpoints[1:]))
-        return report(worst, "diagonal profile " + ", ".join(repr(float(c)) for c in checkpoints))
+        return report(*ident.orthogonality_growth_residual(k, lam, zmax))
 
     def bounded(report, pair):
-        values = curve(*pair)
-        head = float(np.max(np.abs(values[:101])))
-        tail = float(np.max(np.abs(values[101:])))
-        return report((tail - head) / head, f"running max to 100: {head!r}; max beyond: {tail!r}")
+        return report(*ident.orthogonality_bounded_residual(*pair, zmax))
 
     def sweep(name, equation, axes, check, params):
-        return _sweep(cfg, name, equation, cfg.tol(name), axes, check, params)
+        return _sweep(cfg, "orthogonality-" + name, equation, cfg.tol("orthogonality-" + name), axes, check, params)
 
+    def grading_params(windings):
+        return {"k1": windings[0], "k2": windings[1], "lam1": 2.0, "lam2": 3.0}
+
+    def growth_params(lam, k):
+        return {"k": k, "lam1": lam, "lam2": lam, "zmax": zmax}
+
+    def bounded_params(pair):
+        return {"k": pair[0], "lam1": pair[1], "lam2": pair[2], "zmax": zmax}
+
+    windings, lams = [(-2, 0), (0, 1), (1, 3), (-2, 3)], {"lam": [1.0, 2.0, 4.0], "k": [0, 1]}
     return (
-        sweep(
-            "orthogonality-grading",
-            "orthogonality-grading",
-            {"windings": [(-2, 0), (0, 1), (1, 3), (-2, 3)]},
-            grading,
-            lambda windings: {"k1": windings[0], "k2": windings[1], "lam1": 2.0, "lam2": 3.0},
-        )
-        + sweep(
-            "orthogonality-diagonal-growth",
-            "orthogonality-profile",
-            {"lam": [1.0, 2.0, 4.0], "k": [0, 1]},
-            growth,
-            lambda lam, k: {"k": k, "lam1": lam, "lam2": lam, "zmax": zmax},
-        )
-        + sweep(
-            "orthogonality-offdiagonal-bounded",
-            "orthogonality-profile",
-            {"pair": _PROFILE_PAIRS},
-            bounded,
-            lambda pair: {"k": pair[0], "lam1": pair[1], "lam2": pair[2], "zmax": zmax},
-        )
+        sweep("grading", "orthogonality-grading", {"windings": windings}, grading, grading_params)
+        + sweep("diagonal-growth", "orthogonality-profile", lams, growth, growth_params)
+        + sweep("offdiagonal-bounded", "orthogonality-profile", {"pair": _PROFILE_PAIRS}, bounded, bounded_params)
     )
 
 
@@ -577,7 +490,8 @@ def _parse_value_token(tok: str):
         return [float(tok)]
 
 
-_PARAM_FLAGS = ["dim", "seed", "k", "m", "n", "x", "y", "r", "psi", "phi", "lambda", "lambda2", "zmax", "sigma", "zq"]
+_PARAM_FLAGS = ["dim", "seed", "k", "m", "n", "x", "y", "r", "psi", "phi"]
+_PARAM_FLAGS += ["lambda", "lambda2", "zmax", "sigma", "zq"]
 _FLAG_DEST = {"lambda": "lam", "lambda2": "lam2"}
 _DEST_FLAG = {dest: flag for flag, dest in _FLAG_DEST.items()}
 _INTEGER_FLAGS = {"dim", "seed", "k", "m", "n", "zmax"}

@@ -1,8 +1,9 @@
 """Machine-checkable verification of the global identities of the theory.
 
-Each check returns a :class:`Residual`: a scale-free residual and, where the
-check found more than that number says, a detail.  The checks do not judge;
-the verifier (``e2fock verify``) holds the tolerances and decides each pass.
+Every check of ``e2fock verify`` computes here (:mod:`repk` has the Lie
+brackets and eigen-equations) and returns a :class:`Residual`: a scale-free
+residual and, where the check found more than that number says, a detail.
+The verifier only holds the tolerances, decides each pass and files records.
 Residuals are measured against max(|lhs|, |rhs|, largest term magnitude):
 both sandwich identities have parameter points where the two sides vanish
 identically, so a plain relative error would be 0/0 there.
@@ -22,8 +23,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .e2group import GroupElement, IrrepLabel, irrep_element, u_factors
-from .fock import conjugated_block, safe_block
-from .repk import _log_winding_weights, _winding_weights, basis_d
+from .fock import annihilator, conjugated_block, panel_size, safe_block
+from .repk import _log_winding_weights, _winding_weights, basis_d, inner_product
 from .specfun import (
     bessel_i,
     bessel_i_scaled,
@@ -39,14 +40,22 @@ from .specfun import (
 
 __all__ = [
     "Residual",
+    "unitarity_residual",
+    "unitarity_decay_residual",
+    "intertwining_residual",
+    "kummer_recurrence_residual",
     "identity_a",
     "identity_b",
     "addition_residual",
     "addition_vacuum_crosscheck",
     "hille_hardy_residual",
+    "orthogonality_grading_residual",
+    "orthogonality_growth_residual",
+    "orthogonality_bounded_residual",
     "orthogonality_profile_curve",
     "classical_limit_error",
     "kummer_bessel_limit_residual",
+    "worst_rise",
     "memo_scope",
 ]
 
@@ -55,6 +64,9 @@ _TERM_EPS = 1e-18
 _ADDITION_NMAX = 60  # the addition theorem's n-sum runs over |n - k| <= this
 
 _IDENTITY_B_TERMS = 80  # identity-b's n-sum runs over n <= this
+
+# float rounding, which the unitarity defect's decay under dim doubling reaches by dim ~ 64
+_DEFECT_FLOOR = 1e-13
 
 # most scalar Kummer recurrence steps one limit-check value may run where its
 # series is refused, a fraction of a second
@@ -121,6 +133,62 @@ class Residual(NamedTuple):
 
     residual: float
     detail: str | Callable[[], str] | None = None
+
+
+def worst_rise(values, floor: float) -> float:
+    """Largest step b - max(a, floor) from a rung a to the next b of a ladder that should fall; needs two rungs."""
+    if len(values) < 2:
+        raise ValueError(f"the monotone check needs at least two rungs, got {len(values)}")
+    return max(b - max(a, floor) for a, b in zip(values, values[1:]))
+
+
+def _unitarity_defect(g: GroupElement, dim: int, block: int) -> float:
+    # U* U = D_col* M^T M D_col and (M^T M)[i, j] = (-1)^(i+j) (M M^T)[i, j]: M's leading rows give the block
+    M = u_factors(g, dim, panel_size(dim, block))[2]
+    return np.linalg.norm((M @ M.T)[:block, :block] - np.eye(block))
+
+
+def _checked_block(dim: int, r: float) -> int:
+    # the block the U(g) checks read: the safe block, at least min(dim, 4) rows
+    return max(safe_block(dim, r), min(dim, 4))
+
+
+def unitarity_residual(g: GroupElement, dim: int) -> Residual:
+    """||U* U - 1|| (Frobenius) on the safe block, at least min(dim, 4) rows, of the dim-truncated U(g)."""
+    return Residual(_unitarity_defect(g, dim, _checked_block(dim, g.r)))
+
+
+def unitarity_decay_residual(g: GroupElement, block: int) -> Residual:
+    """Worst rise of the unitarity defect on a fixed block at dims 32, 64, 128, each from max(last, 1e-13)."""
+    defects = [float(_unitarity_defect(g, dim, block)) for dim in (32, 64, 128)]
+    detail = "defects " + ", ".join(repr(d) for d in defects) + f" (floor {_DEFECT_FLOOR})"
+    return Residual(worst_rise(defects, _DEFECT_FLOOR), detail)
+
+
+def intertwining_residual(g: GroupElement, dim: int) -> Residual:
+    """Largest entry of U a U* - (e^{i phi} a + r e^{i psi}) on the block of :func:`unitarity_residual`."""
+    b = _checked_block(dim, g.r)
+    UaU = conjugated_block(u_factors(g, dim, panel_size(dim, b)), np.sqrt(np.arange(1.0, dim)), 1, b)
+    return Residual(np.max(np.abs(UaU - (np.exp(1j * g.phi) * annihilator(b) + g.w * np.eye(b)))))
+
+
+def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
+    """Worst row of a Phi(a+1) + (a - b) Phi(a-1) + (b - 2a - x) Phi(a) = 0 at a = -1..-zmax, Phi = Phi(., b; x).
+
+    Rows are relative to their largest term; b = 1 + |k|, x = lam^2/4 gives D_k's radial
+    recurrence.  A non-finite value or ratio gives residual inf, its first zeta = -a in the detail.
+    """
+    if zmax < 1:
+        raise ValueError(f"recurrence requires zmax >= 1, got {zmax}")
+    phis = kummer_phi_seq(zmax + 1, b, x)
+    a = -np.arange(1.0, zmax + 1)  # floats, so any integer x converts
+    # an overflowing value or term makes its ratios NaN or inf, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1, t2, t3 = a * phis[:-2], (a - b) * phis[2:], (b - 2 * a - x) * phis[1:-1]
+        ratios = abs(t1 + t2 + t3) / np.maximum(np.maximum(abs(t1), abs(t2)), abs(t3))
+    if (unchecked := np.flatnonzero(~np.isfinite(ratios))).size:
+        return Residual(math.inf, f"non-finite Kummer value or ratio at zeta={unchecked[0] + 1}")
+    return Residual(np.max(ratios))
 
 
 def _log_factorials(nmax: int) -> np.ndarray:
@@ -350,6 +418,32 @@ def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: in
     with np.errstate(over="raise", invalid="raise"):
         summand = (p1 * np.exp(half_logw)) * (p2 * np.exp(half_logw))
         return pref * np.cumsum(summand)
+
+
+def _profile_to_1000(k: int, lambda1: float, lambda2: float, zmax: int) -> np.ndarray:
+    if zmax < 1001:
+        raise ValueError(f"zmax {zmax} is below 1001, so the profile does not reach its zeta = 1000 checkpoint")
+    return orthogonality_profile_curve(k, lambda1, lambda2, zmax)
+
+
+def orthogonality_grading_residual(label1: IrrepLabel, label2: IrrepLabel) -> Residual:
+    """|(D^l1_k1, D^l2_k2)| over zeta <= 60, exactly 0 for k1 != k2 (the trace grading)."""
+    return Residual(abs(inner_product(basis_d(label1, 60).coefficients, basis_d(label2, 60).coefficients)))
+
+
+def orthogonality_growth_residual(k: int, lam: float, zmax: int) -> Residual:
+    """Worst fall of the diagonal profile (D^lam_k, D^lam_k), unbounded in zeta, across zeta = 100, 400, 1000."""
+    values = _profile_to_1000(k, lam, lam, zmax)
+    checkpoints = [values[100], values[400], values[1000]]
+    detail = "diagonal profile " + ", ".join(repr(float(c)) for c in checkpoints)
+    return Residual(worst_rise([-c for c in checkpoints], -math.inf), detail)
+
+
+def orthogonality_bounded_residual(k: int, lambda1: float, lambda2: float, zmax: int) -> Residual:
+    """Relative excess of an off-diagonal profile's largest |value| beyond zeta = 100 over its largest up to 100."""
+    values = _profile_to_1000(k, lambda1, lambda2, zmax)
+    head, tail = float(np.max(np.abs(values[:101]))), float(np.max(np.abs(values[101:])))
+    return Residual((tail - head) / head, f"running max to 100: {head!r}; max beyond: {tail!r}")
 
 
 def _limit_kummer(n: int, b: int, x: float, degree: str) -> float:

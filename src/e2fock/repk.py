@@ -39,8 +39,9 @@ __all__ = [
     "op_h",
     "adjoint_p",
     "basis_d",
-    "basis_recurrence_residual",
     "eigen_residuals",
+    "bracket_residual",
+    "adjoint_residual",
 ]
 
 
@@ -217,35 +218,20 @@ def basis_d(label: IrrepLabel, zmax: int) -> BasisFunction:
     f_k(zeta) = ((i lam)^a / (2^a a!)) e^{-lam^2/8} Phi(-zeta, 1+a; lam^2/4)
     with a = |k|; stored at winding -k (z*^k f for k >= 0, f z^|k| for k < 0).
     The true eigenfunction has infinite radial support; zmax is a truncation,
-    so statements at the boundary point must be excluded.
+    so statements at the boundary point must be excluded.  Raises ValueError
+    where e^{-lam^2/8} underflows to 0 (lam > 77.2) or f_k is not finite.
     """
     if zmax < 1:
         raise ValueError("basis_d requires zmax >= 1")
     lam, k = label.lam, label.k
     a = abs(k)
-    pref = (1j * lam) ** a / (2.0**a * math.factorial(a)) * math.exp(-lam * lam / 8.0)
-    radial = pref * kummer_phi_seq(zmax, 1 + a, lam * lam / 4.0).astype(complex)
+    pref = (1j * lam) ** a / (2.0**a * math.factorial(a)) * (damping := math.exp(-lam * lam / 8.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        radial = pref * kummer_phi_seq(zmax, 1 + a, lam * lam / 4.0).astype(complex)
+    if damping == 0 or not np.all(np.isfinite(radial)):
+        why = "e^(-lam^2/8) underflows to 0" if damping == 0 else f"not finite up to zeta = {zmax}"
+        raise ValueError(f"basis_d at lam={lam!r}, k={k}: the radial part is lost, {why}")
     return BasisFunction(label, algebra_function({-k: radial}, zmax))
-
-
-def basis_recurrence_residual(label: IrrepLabel, zmax: int) -> float:
-    """Max pointwise residual of the three-term radial recurrence
-
-        (a+1+zeta) f(zeta+1) + (lam^2/4 - 2 zeta - a - 1) f(zeta) + zeta f(zeta-1) = 0,
-
-    relative to the local term-magnitude scale, over zeta <= zmax-1.
-    """
-    lam, a = label.lam, abs(label.k)
-    f = basis_d(IrrepLabel(label.lam, a), zmax).radial
-    z = np.arange(zmax, dtype=float)
-    t1 = (a + 1 + z) * f[1:]
-    t2 = (lam * lam / 4.0 - 2 * z - a - 1) * f[:-1]
-    t3 = z * np.concatenate(([0.0], f[:-2]))
-    scale = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
-    resid = np.abs(t1 + t2 + t3)
-    # rows where every term vanishes identically satisfy the recurrence exactly
-    live = scale > 0
-    return float(np.max(resid[live] / scale[live])) if np.any(live) else 0.0
 
 
 def eigen_residuals(label: IrrepLabel, zmax: int) -> tuple[float, float]:
@@ -266,9 +252,6 @@ def eigen_residuals(label: IrrepLabel, zmax: int) -> tuple[float, float]:
     D, f = basis.coefficients, basis.radial
     lam, k = label.lam, label.k
 
-    pp_star = op_p(adjoint_p(D))
-    star_pp = adjoint_p(op_p(D))
-
     z = np.arange(zmax - 1, dtype=float)
     a = abs(k)
     scale = 4.0 * (
@@ -276,14 +259,23 @@ def eigen_residuals(label: IrrepLabel, zmax: int) -> tuple[float, float]:
         + (a + 1 + 2 * z + lam * lam / 4.0) * np.abs(f[: zmax - 1])
         + z * np.abs(np.concatenate(([0.0], f[: zmax - 2])))
     )
-    c1 = 0.0
-    for casimir in (pp_star, star_pp):
-        resid = casimir.coeff(-k)[: zmax - 1] - lam * lam * f[: zmax - 1]
-        c1 = max(c1, float(np.max(np.abs(resid) / scale)))
+    # np.max, not max, so a NaN ratio is the residual rather than skipped
+    casimirs = (op_p(adjoint_p(D)), adjoint_p(op_p(D)))
+    c1 = np.max([np.abs(op.coeff(-k)[: zmax - 1] - lam * lam * f[: zmax - 1]) / scale for op in casimirs])
+    c2 = np.max([np.max(np.abs(c - k * D.coeff(w)[: len(c)])) for w, c in op_h(D).terms.items()])
+    return float(c1), float(c2)
 
-    graded = op_h(D)
-    c2 = 0.0
-    for w, c in graded.terms.items():
-        diff = c - k * D.coeff(w)[: len(c)]
-        c2 = max(c2, float(np.max(np.abs(diff))))
-    return c1, c2
+
+def bracket_residual(F: AlgebraFunction) -> float:
+    """Largest |coefficient| of [h, p]F - pF and [h, pbar]F + pbar F: 0, exactly so on integer coefficients."""
+    comm_p = op_h(op_p(F)) + op_p(op_h(F)).scaled(-1.0) + op_p(F).scaled(-1.0)
+    comm_pb = op_h(op_pbar(F)) + op_pbar(op_h(F)).scaled(-1.0) + op_pbar(F)
+    return max((float(np.max(np.abs(c))) for comm in (comm_p, comm_pb) for c in comm.terms.values()), default=0.0)
+
+
+def adjoint_residual(F: AlgebraFunction, G: AlgebraFunction) -> float:
+    """Defect of the real structure (pF, G) = (F, p*G), (hF, G) = (F, hG), relative to the largest product."""
+    lhs, rhs = inner_product(op_p(F), G), inner_product(F, adjoint_p(G))
+    h_lhs, h_rhs = inner_product(op_h(F), G), inner_product(F, op_h(G))
+    scale = max(abs(lhs), abs(rhs), abs(h_lhs), abs(h_rhs), 1e-300)
+    return max(abs(lhs - rhs), abs(h_lhs - h_rhs)) / scale

@@ -280,6 +280,35 @@ def test_addition_holds_at_the_identity_translation(argv):
     assert {repr(r["params"]["r"]) for r in recs} == {"0.0"}
 
 
+@pytest.mark.parametrize(
+    "argv, records",
+    [
+        (["verify", "eigen", "--lambda", "80", "--k", "0,3"], 2),
+        (["verify", "eigen", "--lambda", "1e8", "--k", "0,3"], 2),
+        (["verify", "addition", "--lambda", "80", "--r", "0.05", "--k", "0,2"], 4),
+    ],
+)
+def test_an_underflowed_eigenbasis_fails_its_records(argv, records):
+    # e^{-lam^2/8} is 0.0 above lam ~ 77.2, so D_k is lost: each point is an error record naming lam
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(argv)
+    recs = json_records(out)
+    assert code == 1 and len(recs) == records
+    for r in recs:
+        assert not r["pass"] and r["residual"] is None
+        assert r["detail"].startswith(f"error: basis_d at lam={r['params']['lam']!r}, k=")
+        assert r["detail"].endswith("the radial part is lost, e^(-lam^2/8) underflows to 0")
+
+
+def test_addition_skips_by_the_stored_r():
+    # r = 1e-16 is stored as 0.0, so lam * r = 0 and the point is checked, not skipped
+    code, out = run_cli(["verify", "addition", "--r", "1e-16", "--lambda", "1e20", "--k", "0"])
+    recs = json_records(out)
+    assert code == 1 and [r["name"] for r in recs] == ["addition", "addition-vacuum"]
+    assert all(r["params"]["r"] == 0.0 and "basis_d at lam=1e+20, k=0" in r["detail"] for r in recs)
+
+
 def test_orthogonality_growth_reads_the_zeta_1000_checkpoint():
     # the third value of each growth detail is the running sum to zeta = 1000
     code, out = run_cli(["verify", "orthogonality"])
@@ -659,13 +688,13 @@ class TestEveryInputIsRead:
         assert all(r["detail"] == "error: eigen_residuals requires zmax >= 2, got 1" for r in recs)
 
     def test_unitarity_monotone_takes_the_last_group_element(self, monkeypatch):
-        built, factors = [], cli.u_factors
+        built, factors = [], identities.u_factors
 
         def recording(g, dim, rows):
             built.append((g.r, g.psi, g.phi, dim))
             return factors(g, dim, rows)
 
-        monkeypatch.setattr(cli, "u_factors", recording)
+        monkeypatch.setattr(identities, "u_factors", recording)
         code, out = run_cli(["verify", "unitarity", "--r", "0.5,1", "--psi", "0.1,0.2", "--phi", "0.3,0.4"])
         assert code == 0 and len(json_records(out)) == 9
         assert built[-3:] == [(1.0, 0.2, 0.4, dim) for dim in (32, 64, 128)]
@@ -711,6 +740,10 @@ class TestEveryInputIsRead:
         (["verify", "lie-algebra", "--seed", "-3"], "verify lie-algebra: ValueError: --seed must be >= 0, got -3"),
         (["table", "basis", "--zmax", "0"], "table basis: ValueError: --zmax must be >= 1 here, got 0"),
         (["table", "basis", "--zmax", "-4"], "table basis: ValueError: --zmax must be >= 1 here, got -4"),
+        (
+            ["table", "basis", "--lambda", "80", "--k", "3"],
+            "table basis: ValueError: basis_d at lam=80, k=3: the radial part is lost, e^(-lam^2/8) underflows to 0",
+        ),
     ],
     ids=[
         "profile-overflow",
@@ -729,6 +762,7 @@ class TestEveryInputIsRead:
         "negative-seed",
         "zero-basis-zmax",
         "negative-basis-zmax",
+        "basis-underflow",
     ],
 )
 def test_error_message_names_the_run_and_the_exception(argv, message, capsys):
@@ -794,9 +828,8 @@ def _odd_lower_flipped(row, col, M):
 
 
 def _patch_factors(monkeypatch, factors):
-    # the suites in cli and the addition checks in identities each read their own binding
-    for module in (cli, identities):
-        monkeypatch.setattr(module, "u_factors", factors)
+    # every check that reads U(g) is in identities, through its one binding
+    monkeypatch.setattr(identities, "u_factors", factors)
 
 
 class TestFaultInjection:
@@ -812,7 +845,7 @@ class TestFaultInjection:
         ids=["conjugated-row-phases", "conjugated-column-phases", "odd-lower-sign-flipped"],
     )
     def test_mutated_factor(self, monkeypatch, mutate, unitarity_fails):
-        factors = cli.u_factors
+        factors = identities.u_factors
         _patch_factors(monkeypatch, lambda g, dim, rows: mutate(*factors(g, dim, rows)))
         code, out = run_cli(["verify", "intertwining"])
         recs = json_records(out)
@@ -834,7 +867,7 @@ class TestFaultInjection:
         # phases, which cancel on D_0's main diagonal.  addition-vacuum reads only
         # the (0, 0) entry: row phase 0 is 1 and row 0 of M has no lower entries, so
         # it is blind to the row and sign mutations and fails only for k != 0
-        factors = cli.u_factors
+        factors = identities.u_factors
         _patch_factors(monkeypatch, lambda g, dim, rows: mutate(*factors(g, dim, rows)))
         code, out = run_cli(["verify", "addition"])
         recs = json_records(out)
@@ -850,7 +883,7 @@ class TestFaultInjection:
     def test_core_one_row_short_fails(self, monkeypatch, suite):
         # at dim 64 the blocks of r = 1 and 1.5 are whole panels (36 and 28
         # rows), so their rows are all read: a short core raises, not reads past
-        factors = cli.u_factors
+        factors = identities.u_factors
         _patch_factors(monkeypatch, lambda g, dim, rows: factors(g, dim, rows - 1))
         code, out = run_cli(["verify", suite])
         failed = [r for r in json_records(out) if not r["pass"]]

@@ -8,14 +8,23 @@ from e2fock.e2group import GroupElement, IrrepLabel, identity, irrep_element, u_
 from e2fock import fock
 from e2fock.fock import safe_block
 from e2fock.identities import (
+    Residual,
     addition_residual,
     addition_vacuum_crosscheck,
     classical_limit_error,
     hille_hardy_residual,
     identity_a,
     identity_b,
+    intertwining_residual,
     kummer_bessel_limit_residual,
+    kummer_recurrence_residual,
+    orthogonality_bounded_residual,
+    orthogonality_grading_residual,
+    orthogonality_growth_residual,
     orthogonality_profile_curve,
+    unitarity_decay_residual,
+    unitarity_residual,
+    worst_rise,
 )
 from e2fock.repk import basis_d, inner_product, to_matrix
 from e2fock.specfun import bessel_j_seq
@@ -316,3 +325,44 @@ class TestKummerBesselLimit:
                 resids = [kummer_bessel_limit_residual(n, b, c) for n in (100, 1000, 10_000)]
                 assert resids[0] > resids[1] > resids[2], (b, c, resids)
                 assert resids[-1] <= 1e-2
+
+
+class TestWorstRise:
+    def test_falling_ladder_is_at_most_zero(self):
+        assert worst_rise([3.0, 2.0, 1.5], -math.inf) == -0.5
+        assert worst_rise([1.0, 2.0, 1.5], -math.inf) == 1.0
+
+    def test_steps_under_the_floor_count_from_it(self):
+        assert worst_rise([1e-15, 2e-15], 1e-13) < 0
+        assert worst_rise([1e-15, 2e-13], 1e-13) == pytest.approx(1e-13)
+
+
+class TestOperatorChecks:
+    G = GroupElement(1.5, 0.7, 0.3)
+
+    def test_unitarity_and_intertwining_hold_on_the_safe_block(self):
+        for dim in (64, 128):
+            assert unitarity_residual(self.G, dim).residual <= 1e-12
+            assert intertwining_residual(self.G, dim).residual <= 1e-12
+
+    def test_unitarity_decay(self):
+        rep = unitarity_decay_residual(self.G, safe_block(32, 1.5))
+        assert rep.residual <= 0.0 and rep.detail.startswith("defects ") and rep.detail.endswith("(floor 1e-13)")
+
+
+class TestKummerRecurrence:
+    @pytest.mark.parametrize("b, x", [(1, 0.25), (4, 1.0), (21, 16.0), (1, -5.0)])
+    def test_holds(self, b, x):
+        assert kummer_recurrence_residual(b, x, 200) == Residual(pytest.approx(0.0, abs=1e-10))
+
+
+class TestOrthogonalityChecks:
+    def test_grading_is_exact(self):
+        assert orthogonality_grading_residual(IrrepLabel(2.0, 1), IrrepLabel(3.0, 3)) == Residual(0.0)
+        assert orthogonality_grading_residual(IrrepLabel(2.0, 1), IrrepLabel(3.0, 1)).residual > 0
+
+    def test_diagonal_grows_and_offdiagonal_stays_bounded(self):
+        growth = orthogonality_growth_residual(0, 2.0, 1001)
+        assert growth.residual < 0 and growth.detail.startswith("diagonal profile ")
+        bounded = orthogonality_bounded_residual(0, 1.0, 3.0, 1001)
+        assert bounded.residual < 0 and bounded.detail.startswith("running max to 100: ")

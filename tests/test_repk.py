@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from e2fock import repk
 from e2fock.e2group import GroupElement, IrrepLabel, identity, u_matrix
 from e2fock.fock import annihilator, safe_block
+from e2fock.identities import kummer_recurrence_residual
 from e2fock.repk import (
     adjoint_p,
+    adjoint_residual,
     algebra_function,
     basis_d,
-    basis_recurrence_residual,
+    bracket_residual,
     eigen_residuals,
     inner_product,
     op_h,
@@ -192,6 +195,26 @@ class TestAdjoints:
         rhs = inner_product(F, op_h(G))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_adjoint_residual(self, rng, monkeypatch):
+        F, G = random_af(rng, 20, [-3, 0, 2]), random_af(rng, 20, [-4, -1, 1])
+        assert adjoint_residual(F, G) <= 1e-12
+        # p* = +pbar is the wrong real structure
+        monkeypatch.setattr(repk, "adjoint_p", op_pbar)
+        assert adjoint_residual(F, G) > 0.1
+
+
+class TestBracketResidual:
+    def test_exact_on_integer_coefficients(self, rng):
+        for _ in range(4):
+            F = random_af(rng, 20, sorted(rng.choice(np.arange(-6, 7), size=3, replace=False)), integer=True)
+            assert bracket_residual(F) == 0.0
+
+    def test_a_wrong_grading_fails(self, rng, monkeypatch):
+        # h scaling winding w by +w rather than -w breaks [h, p] = p
+        F = random_af(rng, 20, [-2, 1, 3], integer=True)
+        monkeypatch.setattr(repk, "op_h", lambda F: algebra_function({w: w * c for w, c in F.terms.items()}, F.zmax))
+        assert bracket_residual(F) >= 1.0
+
 
 class TestBasisFunctions:
     def test_ground_value(self):
@@ -230,7 +253,18 @@ class TestBasisFunctions:
     @pytest.mark.parametrize("lam", [0.5, 2.0, 8.0])
     @pytest.mark.parametrize("k", [0, 3, 20])
     def test_recurrence_residual(self, lam, k):
-        assert basis_recurrence_residual(IrrepLabel(lam, k), 201) <= 1e-10
+        # D_k's radial recurrence is Kummer's at b = 1 + k, x = lam^2/4, over zeta <= 200
+        assert kummer_recurrence_residual(1 + k, lam * lam / 4.0, 200).residual <= 1e-10
+
+    def test_lost_radial_part_is_refused(self):
+        # e^{-lam^2/8} is 0.0 above lam ~ 77.2; just below it the Kummer values overflow first
+        with pytest.raises(ValueError, match=r"lam=80, k=3: the radial part is lost, e\^\(-lam\^2/8\) underflows"):
+            basis_d(IrrepLabel(80, 3), 10)
+        with pytest.raises(ValueError, match="lam=76.0, k=0: the radial part is lost, not finite up to zeta = 1000"):
+            basis_d(IrrepLabel(76.0, 0), 1000)
+        with pytest.raises(OverflowError, match="complex exponentiation"):
+            basis_d(IrrepLabel(1e200, 3), 2)
+        assert np.all(np.isfinite(basis_d(IrrepLabel(76.0, 0), 200).radial))
 
     def test_frozen_recurrence_point(self):
         # (k+1+zeta) f(zeta+1) + (lam^2/4 - 2 zeta - k - 1) f(zeta) + zeta f(zeta-1)
@@ -252,6 +286,12 @@ class TestEigenEquations:
     def test_example_point(self):
         c1, c2 = eigen_residuals(IrrepLabel(1.0, 0), 100)
         assert c1 <= 1e-10 and c2 == 0.0
+
+    def test_nan_ratio_is_the_residual(self):
+        # (lam/2)^5/5! underflows at lam = 1e-300, so every ratio is 0/0
+        with np.errstate(invalid="ignore"):
+            c1, _ = eigen_residuals(IrrepLabel(1e-300, 5), 20)
+        assert math.isnan(c1)
 
     def test_deep_support_contract_corner(self):
         for lam, k in [(8.0, 20), (8.0, -20), (0.25, 0)]:
