@@ -16,7 +16,6 @@ from e2fock import (
     eigen_residuals,
     inner_product,
     kummer_recurrence_residual,
-    laguerre,
     log_factorial,
     op_h,
     op_p,
@@ -46,7 +45,7 @@ lag_route = (
     (1j * 2.0) ** 3
     * np.exp(log_factorial(2) - log_factorial(3 + 2) - 0.5)
     / 8.0
-    * laguerre(2, 3, 1.0)
+    * np.polyval([0.5, -5.0, 10.0], 1.0)  # L^(3)_2(x) = x^2/2 - 5x + 10
 )
 print("  Laguerre route at zeta=2 agrees:", abs(d.radial[2] - lag_route))
 recurrence = kummer_recurrence_residual(1 + label.k, label.lam**2 / 4, 200)  # D_k's radial recurrence

@@ -3,10 +3,11 @@
 The plane Euclidean group acts as automorphisms of the algebra [z, z*] = 1.
 This package realizes that action concretely:
 
-* ``specfun``  -- stable scalar special functions (Kummer polynomials,
-  terminating 2F0, Laguerre, integer-order Bessel J and I, log-factorials);
-* ``fock``     -- truncated Fock-space operators, displaced vacua and bases,
-  safe-block truncation bookkeeping;
+* ``specfun``  -- stable scalar special functions (Kummer polynomials, which
+  also give terminating 2F0 and Laguerre values, integer-order Bessel J and I,
+  log-factorials);
+* ``fock``     -- truncated Fock-space operators, conjugation by U(g)'s
+  factors, safe-block truncation bookkeeping;
 * ``e2group``  -- group elements, composition, closed-form matrix elements of
   the implementing unitary U(g), Bessel-type irreducible matrix elements;
 * ``repk``     -- the trace-inner-product space of functions on the algebra,

@@ -12,17 +12,12 @@ import math
 
 import numpy as np
 
-from .e2group import GroupElement
-
 __all__ = [
     "annihilator",
-    "creator",
-    "commutator_defect",
     "boundary_margin",
     "safe_block",
-    "displaced_vacuum",
-    "displaced_basis",
 ]
+
 
 def _check_dim(dim: int) -> None:
     if dim < 2:
@@ -36,23 +31,6 @@ def annihilator(dim: int) -> np.ndarray:
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
     return a
-
-
-def creator(dim: int) -> np.ndarray:
-    """Raising operator, the conjugate transpose of :func:`annihilator`."""
-    return annihilator(dim).conj().T
-
-
-def commutator_defect(dim: int) -> float:
-    """Frobenius norm of ([z, z*] - I) on the leading (dim-1)x(dim-1) block.
-
-    The truncation defect of the canonical commutator sits entirely in the
-    last row/column, so this is exactly zero.
-    """
-    a = annihilator(dim)
-    ad = a.conj().T
-    defect = a @ ad - ad @ a - np.eye(dim)
-    return float(np.linalg.norm(defect[: dim - 1, : dim - 1]))
 
 
 def times_diagonal(A: np.ndarray, values: np.ndarray, offset: int) -> np.ndarray:
@@ -120,72 +98,3 @@ def safe_block(dim: int, r: float) -> int:
     while b > 0 and b + boundary_margin(b - 1, r) > dim:
         b -= 1
     return b
-
-
-def displaced_vacuum(g: GroupElement, dim: int) -> np.ndarray:
-    """The transformed vacuum: the unit vector annihilated by gz.
-
-    Amplitudes are c_n = e^{-r^2/2} (-r e^{i(psi-phi)})^n / sqrt(n!), a
-    coherent state with parameter -r e^{i(psi-phi)}.
-
-    Raises
-    ------
-    ValueError
-        If the dropped tail mass exceeds 1e-20 * e^{r^2}, i.e. dim is too
-        small for this displacement.
-    """
-    _check_dim(dim)
-    r = g.r
-    _check_vacuum_tail(r, dim)
-    u = -r * np.exp(1j * (g.psi - g.phi))
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = math.exp(-0.5 * r * r)
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * u / math.sqrt(n)
-    return amps
-
-
-def _check_vacuum_tail(r: float, dim: int) -> None:
-    # Tail of sum_{n>=dim} r^{2n}/n! bounded by the first term times a
-    # geometric factor; requires r^2 < dim.
-    if r == 0.0:
-        return
-    q = r * r / dim
-    if q >= 1.0:
-        raise ValueError(f"dim={dim} too small for displacement r={r}")
-    log_first = 2 * dim * math.log(r) - math.lgamma(dim + 1)
-    log_bound = log_first - math.log1p(-q)
-    if log_bound > math.log(1e-20) + r * r:
-        raise ValueError(f"dim={dim} too small for displacement r={r}: tail bound violated")
-
-
-def displaced_basis(g: GroupElement, dim: int, n: int) -> np.ndarray:
-    """The transformed number state, (gz*)^n / sqrt(n!) applied to the
-    transformed vacuum, with gz* = e^{-i phi} z* + r e^{-i psi}.
-
-    Raises
-    ------
-    ValueError
-        If n sits too close to the truncation boundary for the ladder
-        relations to hold there (repeated application of the truncated gz*
-        degrades a few levels before the static safe block, hence the +8).
-    """
-    _check_dim(dim)
-    if n < 0:
-        raise ValueError("displaced_basis requires n >= 0")
-    if g.r == 0.0:
-        if n >= dim:
-            raise ValueError(f"level n={n} outside truncation dim={dim}")
-    elif n > 0 and n + boundary_margin(n, g.r) + 8 > dim:
-        raise ValueError(f"level n={n} too close to truncation boundary dim={dim} for r={g.r}")
-    vec = displaced_vacuum(g, dim)
-    if n == 0:
-        return vec
-    raise_phase = np.exp(-1j * g.phi)
-    shift = g.r * np.exp(-1j * g.psi)
-    sqrts = np.sqrt(np.arange(1, dim, dtype=float))
-    for m in range(1, n + 1):
-        up = np.zeros(dim, dtype=complex)
-        up[1:] = raise_phase * sqrts * vec[:-1]
-        vec = (up + shift * vec) / math.sqrt(m)
-    return vec

@@ -34,7 +34,6 @@ from .specfun import (
     kummer_phi,
     kummer_phi_seq,
     kummer_phi_series,
-    laguerre_seq,
     log_factorial,
 )
 
@@ -90,14 +89,15 @@ _memo = None
 def memo_scope():
     """Inside the block, compute each intermediate array of the identity checks once.
 
-    Those are each U(g), basis diagonal, Bessel J and Laguerre sequence,
-    2F0 column and log-factorial vector.  The checks read them through one
-    memo keyed by the builder and its arguments; it is emptied when the
-    block exits, however it exits.  Arrays are read-only whether memoized
-    or not.  On the default grids, ``verify identity-b`` builds 51 2F0
-    columns for its 693 checks, one per distinct (m + k, r), and
-    ``verify hille-hardy`` 14 log-factorial vectors for its 126, one per
-    distinct nmax + k.
+    Those are each U(g), basis diagonal, Bessel J sequence, Kummer
+    sequence of ``hille-hardy`` (its Laguerre values), 2F0 column and
+    log-factorial vector.  The checks read them through one memo keyed by
+    the builder and its arguments; it is emptied when the block exits,
+    however it exits.  Arrays are read-only whether memoized or not.  On
+    the default grids, ``verify identity-b`` builds 51 2F0 columns for its
+    693 checks, one per distinct (m + k, r), and ``verify hille-hardy`` 42
+    Kummer sequences and 14 log-factorial vectors for its 126, one per
+    distinct (nmax, k, x or y) and nmax + k.
     """
     global _memo
     _memo = _Memo()
@@ -252,8 +252,11 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
         * kummer_phi(m, 1 + k, x * x)
     )
     js = _once(bessel_j_seq, _IDENTITY_B_TERMS + abs(k), 2 * x * r)
+    column = _once(_hyp2f0_column, m + k, _IDENTITY_B_TERMS, -1.0 / (r * r))
+    if not np.isfinite(column).all():
+        raise OverflowError(f"2F0(-{m + k}, -n; -1/r^2) is not finite at r={r!r}")
     # Python floats, as hyp2f0_poly returns, so a term that overflows does so silently as before
-    hyps = _once(_hyp2f0_column, m + k, _IDENTITY_B_TERMS, -1.0 / (r * r)).tolist()
+    hyps = column.tolist()
 
     def j_signed(order: int) -> float:
         return js[order] if order >= 0 else (-1.0) ** (-order) * js[-order]
@@ -370,11 +373,12 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     if zq > 0.95:
         raise ValueError("hille_hardy_residual requires zq <= 0.95")
     nmax = min(4000, max(30, int(math.log(_TERM_EPS) / math.log(zq)) + 50))
-    lx, ly = _once(laguerre_seq, nmax, k, x), _once(laguerre_seq, nmax, k, y)
+    # L^k_n = C(n+k, n) Phi(-n, 1+k; .), so the weight (n!/(n+k)!) C(n+k, n)^2 is C(n+k, n)/k!
+    px, py = _once(kummer_phi_seq, nmax, 1 + k, x), _once(kummer_phi_seq, nmax, 1 + k, y)
     ns = np.arange(nmax + 1)
     logf = _once(_log_factorials, nmax + k)
-    logw = logf[: nmax + 1] - logf[k:]
-    terms = np.exp(logw + ns * math.log(zq)) * lx * ly
+    logw = logf[k:] - logf[: nmax + 1] - 2 * logf[k]
+    terms = np.exp(logw + ns * math.log(zq)) * px * py
     lhs = float(np.sum(terms))
 
     arg = 2.0 * math.sqrt(x * y * zq) / (1.0 - zq)

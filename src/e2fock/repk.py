@@ -219,7 +219,9 @@ def basis_d(label: IrrepLabel, zmax: int) -> BasisFunction:
     with a = |k|; stored at winding -k (z*^k f for k >= 0, f z^|k| for k < 0).
     The true eigenfunction has infinite radial support; zmax is a truncation,
     so statements at the boundary point must be excluded.  Raises ValueError
-    where e^{-lam^2/8} underflows to 0 (lam > 77.2) or f_k is not finite.
+    where e^{-lam^2/8} underflows to 0 (lam > 77.2), where the prefactor
+    underflows to 0 so that f_k vanishes identically (lam = 1e-300, k = 5),
+    or where f_k is not finite.
     """
     if zmax < 1:
         raise ValueError("basis_d requires zmax >= 1")
@@ -228,8 +230,10 @@ def basis_d(label: IrrepLabel, zmax: int) -> BasisFunction:
     pref = (1j * lam) ** a / (2.0**a * math.factorial(a)) * (damping := math.exp(-lam * lam / 8.0))
     with np.errstate(over="ignore", invalid="ignore"):
         radial = pref * kummer_phi_seq(zmax, 1 + a, lam * lam / 4.0).astype(complex)
-    if damping == 0 or not np.all(np.isfinite(radial)):
-        why = "e^(-lam^2/8) underflows to 0" if damping == 0 else f"not finite up to zeta = {zmax}"
+    if pref == 0 or not np.all(np.isfinite(radial)):
+        why = f"not finite up to zeta = {zmax}"
+        if pref == 0:
+            why = "e^(-lam^2/8) underflows to 0" if damping == 0 else f"(lam/2)^{a}/{a}! underflows to 0"
         raise ValueError(f"basis_d at lam={lam!r}, k={k}: the radial part is lost, {why}")
     return BasisFunction(label, algebra_function({-k: radial}, zmax))
 

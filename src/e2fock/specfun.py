@@ -2,10 +2,15 @@
 
 Everything here is polynomial or integer-order: the Kummer function
 Phi(-n, b; x) with nonpositive-integer first argument, the terminating
-2F0 sum, generalized Laguerre polynomials, integer-order Bessel J and I,
-and log-factorials.  Evaluation strategies are chosen for stability at
-large degree (three-term recurrences, Miller-style normalized downward
-recurrence), never naive alternating series.
+2F0 sum, integer-order Bessel J and I, and log-factorials.  Evaluation
+strategies are chosen for stability at large degree (three-term
+recurrences, Miller-style normalized downward recurrence), never naive
+alternating series.
+
+The confluent family is computed by one recurrence, the Kummer degree
+recurrence: the Laguerre polynomial is L^(k)_n(x) = C(n+k, n) Phi(-n, 1+k; x),
+and the terminating 2F0(-m, -n; x) = (q!/(q-p)!) x^p Phi(-p, 1+q-p; -1/x)
+with p = min(m, n) and q = max(m, n) (DLMF 13.6, 18.5).
 
 The Kummer polynomial is also summed as its series, by
 :func:`kummer_phi_series`, for large n at small n|x|: the sum stops once a
@@ -27,8 +32,6 @@ __all__ = [
     "kummer_phi_seq",
     "kummer_phi_series",
     "hyp2f0_poly",
-    "laguerre",
-    "laguerre_seq",
     "bessel_j",
     "bessel_j_seq",
     "bessel_i",
@@ -50,13 +53,14 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def _kummer_terms(b: int, x: float):
-    # Phi(-n, b; x) for n = 0, 1, 2, ... by the forward degree recurrence
-    f_prev, f = 1.0, 1.0 - x / b
+def _kummer_terms(b: int, x: float, s: float = 1.0):
+    # s^n Phi(-n, b; x) for n = 0, 1, 2, ... by the forward degree recurrence, each step
+    # carrying one more factor s (exact at s = 1), so s^n Phi is in range where Phi is not
+    f_prev, f = 1.0, s * (1.0 - x / b)
     yield f_prev
     for n in itertools.count(1):
         yield f
-        f_prev, f = f, ((b + 2 * n - x) * f - n * f_prev) / (n + b)
+        f_prev, f = f, ((b + 2 * n - x) * s * f - n * s * s * f_prev) / (n + b)
 
 
 def kummer_phi_seq(nmax: int, b: int, x: float) -> np.ndarray:
@@ -118,48 +122,20 @@ def kummer_phi_series(n: int, b: int, x: float) -> float | None:
 
 
 def hyp2f0_poly(m: int, n: int, x: float) -> float:
-    """Terminating sum 2F0(-m, -n; x) = sum_j (-m)_j (-n)_j x^j / j!.
+    """Terminating sum 2F0(-m, -n; x) = sum_j (-m)_j (-n)_j x^j / j!, by the Kummer recurrence.
 
-    Exactly symmetric in (m, n): arguments are ordered before summation so
-    swapped calls produce bit-identical results.
+    With p = min(m, n) and q = max(m, n) it is (q!/(q-p)!) x^p Phi(-p, 1+q-p; -1/x),
+    so swapped (m, n) give bit-identical results.  The recurrence carries the power
+    x^p step by step, so neither x^p nor Phi has to be in range on its own.  A 2F0
+    value beyond the float range is inf or NaN, and q!/(q-p)! above 1e308 raises
+    OverflowError.
     """
     if m < 0 or n < 0:
         raise ValueError("hyp2f0_poly requires m, n >= 0")
-    if m > n:
-        m, n = n, m
-    s = 1.0
-    t = 1.0
-    for j in range(m):
-        t *= (m - j) * (n - j) * x / (j + 1)
-        s += t
-    return s
-
-
-def _laguerre_terms(k: int, x: float):
-    # L^k_n(x) for n = 0, 1, 2, ... by the standard three-term recurrence
-    p_prev, p = 1.0, 1.0 + k - x
-    yield p_prev
-    for n in itertools.count(1):
-        yield p
-        p_prev, p = p, ((2 * n + 1 + k - x) * p - (n + k) * p_prev) / (n + 1)
-
-
-def laguerre_seq(nmax: int, k: int, x: float) -> np.ndarray:
-    """Generalized Laguerre polynomials L^k_n(x) for n = 0..nmax.
-
-    Standard three-term recurrence
-    (n+1) L_{n+1} = (2n+1+k-x) L_n - (n+k) L_{n-1}.
-    """
-    if nmax < 0 or k < 0:
-        raise ValueError("laguerre_seq requires nmax, k >= 0")
-    return np.fromiter(_laguerre_terms(k, x), dtype=float, count=nmax + 1)
-
-
-def laguerre(n: int, k: int, x: float) -> float:
-    """Generalized Laguerre polynomial L^k_n(x)."""
-    if n < 0 or k < 0:
-        raise ValueError("laguerre requires n, k >= 0")
-    return next(itertools.islice(_laguerre_terms(k, x), n, None))
+    if x == 0.0:
+        return 1.0
+    p, q = min(m, n), max(m, n)
+    return math.perm(q, p) * next(itertools.islice(_kummer_terms(1 + q - p, -1.0 / x, x), p, None))
 
 
 # most downward steps one Miller recurrence may run, a fraction of a second
@@ -211,12 +187,16 @@ def bessel_j_seq(nmax: int, x: float) -> np.ndarray:
     Miller's algorithm: recurse J_{k-1} = (2k/x) J_k - J_{k+1} downward from a
     start index well above max(nmax, x), then normalize with
     J_0 + 2 sum_{k>=1} J_{2k} = 1.  Raises ValueError where max(nmax, x)
-    needs more than 10**6 recurrence steps.
+    needs more than 10**6 recurrence steps.  Below x = 1e-30, where one step
+    could grow past the recurrence's rescaling, each J_k is its ascending
+    series, as :func:`bessel_j` computes it.
     """
     if nmax < 0:
         raise ValueError("bessel_j_seq requires nmax >= 0")
     if x < 0:
         raise ValueError("bessel_j_seq requires x >= 0")
+    if 0.0 < x < 1e-30:
+        return np.array([_bessel_j_series(k, x) for k in range(nmax + 1)])
     return _miller_seq(nmax, x, -1, 2)
 
 

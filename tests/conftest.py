@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's evaluation strategies: power series
 instead of recurrences, explicit matrix traces instead of closed-form sums,
-matrix exponentials instead of assembled blocks, so each check pits two
-independent routes against each other.
+matrix exponentials instead of assembled blocks, displaced states built
+one ladder step at a time instead of U(g)'s closed form, so each check pits
+two independent routes against each other.
 """
 
 import math
@@ -11,6 +12,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+
+from e2fock.fock import boundary_margin
 
 mp.mp.dps = 40
 
@@ -51,6 +54,65 @@ def annihilator_ref(dim: int) -> np.ndarray:
     for n in range(1, dim):
         a[n - 1, n] = math.sqrt(n)
     return a
+
+
+def displaced_vacuum(g, dim: int) -> np.ndarray:
+    """The transformed vacuum, the unit vector annihilated by gz: U(g)'s column 0 built as a state.
+
+    Amplitudes are c_n = e^{-r^2/2} (-r e^{i(psi-phi)})^n / sqrt(n!), a
+    coherent state with parameter -r e^{i(psi-phi)}.  Raises ValueError if
+    the dropped tail mass exceeds 1e-20 e^{r^2}, i.e. dim is too small for
+    this displacement.
+    """
+    r = g.r
+    _check_vacuum_tail(r, dim)
+    u = -r * np.exp(1j * (g.psi - g.phi))
+    amps = np.zeros(dim, dtype=complex)
+    amps[0] = math.exp(-0.5 * r * r)
+    for n in range(1, dim):
+        amps[n] = amps[n - 1] * u / math.sqrt(n)
+    return amps
+
+
+def _check_vacuum_tail(r: float, dim: int) -> None:
+    # Tail of sum_{n>=dim} r^{2n}/n! bounded by the first term times a
+    # geometric factor; requires r^2 < dim.
+    if r == 0.0:
+        return
+    q = r * r / dim
+    if q >= 1.0:
+        raise ValueError(f"dim={dim} too small for displacement r={r}")
+    log_first = 2 * dim * math.log(r) - math.lgamma(dim + 1)
+    log_bound = log_first - math.log1p(-q)
+    if log_bound > math.log(1e-20) + r * r:
+        raise ValueError(f"dim={dim} too small for displacement r={r}: tail bound violated")
+
+
+def displaced_basis(g, dim: int, n: int) -> np.ndarray:
+    """The transformed number state, (gz*)^n / sqrt(n!) applied to the transformed vacuum.
+
+    gz* = e^{-i phi} z* + r e^{-i psi}; this is U(g)'s column n, built one
+    ladder step at a time.  Raises ValueError if n sits too close to the
+    truncation boundary for the ladder relations to hold there (repeated
+    application of the truncated gz* degrades a few levels before the
+    static safe block, hence the +8).
+    """
+    if n < 0:
+        raise ValueError("displaced_basis requires n >= 0")
+    if g.r == 0.0:
+        if n >= dim:
+            raise ValueError(f"level n={n} outside truncation dim={dim}")
+    elif n > 0 and n + boundary_margin(n, g.r) + 8 > dim:
+        raise ValueError(f"level n={n} too close to truncation boundary dim={dim} for r={g.r}")
+    vec = displaced_vacuum(g, dim)
+    raise_phase = np.exp(-1j * g.phi)
+    shift = g.r * np.exp(-1j * g.psi)
+    sqrts = np.sqrt(np.arange(1, dim, dtype=float))
+    for m in range(1, n + 1):
+        up = np.zeros(dim, dtype=complex)
+        up[1:] = raise_phase * sqrts * vec[:-1]
+        vec = (up + shift * vec) / math.sqrt(m)
+    return vec
 
 
 def group_matrix3(g) -> np.ndarray:

@@ -301,6 +301,30 @@ def test_an_underflowed_eigenbasis_fails_its_records(argv, records):
         assert r["detail"].endswith("the radial part is lost, e^(-lam^2/8) underflows to 0")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "eigen", "--lambda", "1e-300", "--k", "5"],
+        ["verify", "eigen", "--lambda", "1e-30", "--k", "20"],
+        ["verify", "addition", "--lambda", "1e-300", "--r", "1", "--k", "2,4"],
+    ],
+)
+def test_a_vanished_eigenbasis_fails_its_records(argv, capfd):
+    # (lam/2)^|k|/|k|! underflows, so D_k is identically 0: no record passes on it, and nothing is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(argv)
+    recs = json_records(out)
+    assert code == 1 and recs and capfd.readouterr().err == ""
+    for r in recs:
+        k = r["params"]["k"]
+        assert not r["pass"] and r["residual"] is None
+        assert r["detail"] == (
+            f"error: basis_d at lam={r['params']['lam']!r}, k={k}: the radial part is lost, "
+            f"(lam/2)^{k}/{k}! underflows to 0"
+        )
+
+
 def test_addition_skips_by_the_stored_r():
     # r = 1e-16 is stored as 0.0, so lam * r = 0 and the point is checked, not skipped
     code, out = run_cli(["verify", "addition", "--r", "1e-16", "--lambda", "1e20", "--k", "0"])
@@ -334,8 +358,9 @@ def _counting(monkeypatch, name):
 
 
 def test_hille_hardy_builds_each_laguerre_sequence_once(monkeypatch):
-    # 42 distinct (nmax, k, x or y) keys on the default grid, x and y sharing values
-    built = _counting(monkeypatch, "laguerre_seq")
+    # each Laguerre sequence is a Kummer sequence Phi(-n, 1+k; x): 42 distinct
+    # (nmax, 1 + k, x or y) keys on the default grid, x and y sharing values
+    built = _counting(monkeypatch, "kummer_phi_seq")
     code, out = run_cli(["verify", "hille-hardy"])
     assert code == 0 and len(json_records(out)) == 126
     assert len(built) == len(set(built)) == 42
@@ -586,6 +611,14 @@ def test_division_by_zero_is_an_error_record(argv):
     errors = [r for r in json_records(out) if r["residual"] is None]
     assert all(r["detail"].startswith("error: ") and not r["pass"] for r in errors)
     assert "error: float division by zero" in {r["detail"] for r in errors}
+
+
+def test_overflowing_2f0_is_an_error_record():
+    # at r = 1e-100 the 2F0 values, about (1/r^2)^p, are out of the float range
+    code, out = run_cli(["verify", "identity-b", "--r", "1e-100", "--m", "3", "--k", "2", "--x", "1"])
+    (rec,) = json_records(out)
+    assert code == 1 and not rec["pass"] and rec["residual"] is None
+    assert rec["detail"] == "error: 2F0(-5, -n; -1/r^2) is not finite at r=1e-100"
 
 
 class TestOrthogonalityZmax:

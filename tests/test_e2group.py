@@ -18,10 +18,10 @@ from e2fock.e2group import (
     u_factors,
     u_matrix,
 )
-from e2fock.fock import annihilator, displaced_basis, displaced_vacuum, panel_size, safe_block
+from e2fock.fock import annihilator, panel_size, safe_block
 from e2fock.specfun import bessel_j, bessel_j_seq, hyp2f0_poly, log_factorial
 
-from conftest import group_matrix3
+from conftest import displaced_basis, displaced_vacuum, group_matrix3
 
 GENERIC = [
     GroupElement(0.9, 0.3, 1.1),

@@ -18,9 +18,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 class TestPublicApi:
     def test_names_and_order_are_pinned(self):
-        # 59 names: every layer module's __all__ in order, then __version__
+        # 53 names: every layer module's __all__ in order, then __version__
         digest = hashlib.sha256(json.dumps(e2fock.__all__).encode()).hexdigest()
-        assert digest == "cd024a20c4d0e5c19ee30972e6ceea4576afb35bc8b117135d68ea9649d4815c"
+        assert digest == "f4bce58326833468b504b82d91af02905b8aa61a2969a6e1dd09bd5ce28c63bc"
 
     def test_each_name_is_its_defining_module_object(self):
         for module in LAYERS:
@@ -52,3 +52,4 @@ def test_demo_runs(demo):
         [sys.executable, str(REPO / "demos" / demo)], cwd=REPO, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

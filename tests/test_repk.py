@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from e2fock import repk
 from e2fock.e2group import GroupElement, IrrepLabel, identity, u_matrix
@@ -20,7 +21,7 @@ from e2fock.repk import (
     op_pbar,
     to_matrix,
 )
-from e2fock.specfun import kummer_phi, laguerre, log_factorial
+from e2fock.specfun import kummer_phi, log_factorial
 
 
 def hs_norm(F):
@@ -239,7 +240,7 @@ class TestBasisFunctions:
                     (1j * lam) ** k
                     * math.exp(log_factorial(zeta) - log_factorial(k + zeta) - lam * lam / 8)
                     / 2**k
-                    * laguerre(zeta, k, lam * lam / 4)
+                    * float(eval_genlaguerre(zeta, k, lam * lam / 4))
                 )
                 assert b.radial[zeta] == pytest.approx(lag, rel=1e-11)
 
@@ -265,6 +266,12 @@ class TestBasisFunctions:
         with pytest.raises(OverflowError, match="complex exponentiation"):
             basis_d(IrrepLabel(1e200, 3), 2)
         assert np.all(np.isfinite(basis_d(IrrepLabel(76.0, 0), 200).radial))
+        # (lam/2)^|k|/|k|! underflows at tiny lam: D_k would vanish identically
+        for lam, k in ((1e-300, 5), (1e-300, -2), (1e-30, 20)):
+            lost = rf"k={k}: the radial part is lost, \(lam/2\)\^{abs(k)}/{abs(k)}! underflows to 0"
+            with pytest.raises(ValueError, match=lost):
+                basis_d(IrrepLabel(lam, k), 10)
+        assert basis_d(IrrepLabel(1e-300, 1), 10).radial[0] != 0
 
     def test_frozen_recurrence_point(self):
         # (k+1+zeta) f(zeta+1) + (lam^2/4 - 2 zeta - k - 1) f(zeta) + zeta f(zeta-1)
@@ -287,10 +294,13 @@ class TestEigenEquations:
         c1, c2 = eigen_residuals(IrrepLabel(1.0, 0), 100)
         assert c1 <= 1e-10 and c2 == 0.0
 
-    def test_nan_ratio_is_the_residual(self):
-        # (lam/2)^5/5! underflows at lam = 1e-300, so every ratio is 0/0
+    def test_nan_ratio_is_the_residual(self, monkeypatch):
+        # a D_k that vanished (basis_d refuses one) makes every ratio 0/0, and np.max keeps the NaN
+        label = IrrepLabel(1.0, 5)
+        vanished = repk.BasisFunction(label, algebra_function({-5: np.zeros(21, dtype=complex)}, 20))
+        monkeypatch.setattr(repk, "basis_d", lambda label, zmax: vanished)
         with np.errstate(invalid="ignore"):
-            c1, _ = eigen_residuals(IrrepLabel(1e-300, 5), 20)
+            c1, _ = eigen_residuals(label, 20)
         assert math.isnan(c1)
 
     def test_deep_support_contract_corner(self):
