@@ -24,13 +24,13 @@ import numpy as np
 
 from .e2group import GroupElement, IrrepLabel, irrep_element, u_factors
 from .fock import annihilator, conjugated_block, panel_size, safe_block
-from .repk import _log_winding_weights, _winding_weights, basis_d, inner_product
+from .repk import basis_d, inner_product
 from .specfun import (
     bessel_i,
     bessel_i_scaled,
     bessel_j,
     bessel_j_seq,
-    hyp2f0_poly,
+    hyp2f0_seq,
     kummer_phi,
     kummer_phi_seq,
     kummer_phi_series,
@@ -89,8 +89,9 @@ _memo = None
 def memo_scope():
     """Inside the block, compute each intermediate array of the identity checks once.
 
-    Those are each U(g), basis diagonal, Bessel J sequence, Kummer
-    sequence of ``hille-hardy`` (its Laguerre values), 2F0 column and
+    Those are each U(g), D_k diagonal (of ``addition`` and the orthogonality
+    profiles), Bessel J sequence, Kummer sequence of ``hille-hardy`` (its
+    Laguerre values), 2F0 column (:func:`specfun.hyp2f0_seq`) and
     log-factorial vector.  The checks read them through one memo keyed by
     the builder and its arguments; it is emptied when the block exits,
     however it exits.  Arrays are read-only whether memoized or not.  On
@@ -196,11 +197,6 @@ def _log_factorials(nmax: int) -> np.ndarray:
     return np.array([log_factorial(n) for n in range(nmax + 1)])
 
 
-def _hyp2f0_column(m: int, nmax: int, x: float) -> np.ndarray:
-    # hyp2f0_poly(m, n, x) for n = 0..nmax
-    return np.array([hyp2f0_poly(m, n, x) for n in range(nmax + 1)])
-
-
 def _log_power(n, r: float):
     # n log r for an integer or integer array n, with the limit of r^n at r = 0 (0^0 = 1)
     return n * math.log(r) if r > 0 else np.where(n == 0, 0.0, -math.inf)
@@ -252,10 +248,10 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
         * kummer_phi(m, 1 + k, x * x)
     )
     js = _once(bessel_j_seq, _IDENTITY_B_TERMS + abs(k), 2 * x * r)
-    column = _once(_hyp2f0_column, m + k, _IDENTITY_B_TERMS, -1.0 / (r * r))
+    column = _once(hyp2f0_seq, m + k, _IDENTITY_B_TERMS, -1.0 / (r * r))
     if not np.isfinite(column).all():
         raise OverflowError(f"2F0(-{m + k}, -n; -1/r^2) is not finite at r={r!r}")
-    # Python floats, as hyp2f0_poly returns, so a term that overflows does so silently as before
+    # Python floats, so a term that overflows does so silently
     hyps = column.tolist()
 
     def j_signed(order: int) -> float:
@@ -281,11 +277,9 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     return Residual(residual, detail)
 
 
-def _basis_diagonal(lam: float, n: int, dim: int) -> np.ndarray:
-    # D_n as a truncated Fock matrix has one nonzero diagonal, offset -n; these
-    # are its leading entries there, as to_matrix places them
-    radial = basis_d(IrrepLabel(lam, n), dim - abs(n) - 2).radial
-    return radial * np.sqrt(_winding_weights(abs(n), len(radial) - 1))
+def _basis_diagonal(lam: float, n: int, zmax: int) -> np.ndarray:
+    # D_n's entries on its Fock diagonal -n for zeta = 0..zmax
+    return basis_d(IrrepLabel(lam, n), zmax).diagonal
 
 
 def addition_residual(g: GroupElement, label: IrrepLabel, k: int, dim: int = 96) -> Residual:
@@ -303,7 +297,7 @@ def addition_residual(g: GroupElement, label: IrrepLabel, k: int, dim: int = 96)
     if lam * g.r > 6.0:
         raise ValueError("addition_residual requires lam * r <= 6")
     b = safe_block(dim, g.r)
-    dk = _once(_basis_diagonal, lam, k, dim)
+    dk = _once(_basis_diagonal, lam, k, dim - abs(k) - 2)
     lhs = conjugated_block(_once(u_factors, g, dim, dim), dk, -k, b)
 
     jmag = _once(bessel_j_seq, _ADDITION_NMAX, lam * g.r)
@@ -312,12 +306,14 @@ def addition_residual(g: GroupElement, label: IrrepLabel, k: int, dim: int = 96)
     for n in range(k - _ADDITION_NMAX, k + _ADDITION_NMAX + 1):
         if abs(jmag[abs(n - k)]) < 1e-16:
             continue
-        t, dn = terms[n] = irrep_element(label, k, n, g), _once(_basis_diagonal, lam, n, dim)
+        t, dn = terms[n] = irrep_element(label, k, n, g), _once(_basis_diagonal, lam, n, dim - abs(n) - 2)
         i = np.arange(len(dn))
         rhs[(i + n, i) if n >= 0 else (i, i - n)] = t * dn
 
     num = float(np.linalg.norm(lhs - rhs[:b, :b]))
     den = float(np.linalg.norm(np.diag(dk, -k)[:b, :b]))
+    if den == 0.0:
+        raise ValueError(f"addition at lam={lam!r}, k={k}: the norm of D_k's block underflows to 0")
     return Residual(num / den, lambda: _addition_phase_diagnostic(lhs, terms))
 
 
@@ -348,7 +344,8 @@ def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, k: int, dim: 
     if k < 0:
         raise ValueError("vacuum cross-check uses k >= 0")
     lam, r = label.lam, g.r
-    s1 = complex(conjugated_block(_once(u_factors, g, dim, dim), _once(_basis_diagonal, lam, k, dim), -k, 1)[0, 0])
+    dk = _once(_basis_diagonal, lam, k, dim - k - 2)
+    s1 = complex(conjugated_block(_once(u_factors, g, dim, dim), dk, -k, 1)[0, 0])
     s3 = irrep_element(label, k, 0, g) * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
     lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))
@@ -405,23 +402,17 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
 def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: int) -> np.ndarray:
     """Running values of the truncated inner product (D^l1_k, D^l2_k).
 
-    Entry z is the sum over zeta <= z.  Different windings are exactly
+    Entry z is the sum over zeta <= z of the products of the two Fock
+    diagonals of :func:`repk.basis_d`.  Different windings are exactly
     orthogonal (the trace grading), so only equal k is of interest; the
     diagonal l1 = l2 grows without bound (delta normalization) while
     off-diagonal values oscillate boundedly.  Raises FloatingPointError
-    where a value overflows or turns NaN.
+    where a diagonal entry, a product or a sum overflows, underflows or
+    turns NaN, so a value below the float range is refused, not read as 0.
     """
-    a = abs(k)
-    x1, x2 = lambda1 * lambda1 / 4.0, lambda2 * lambda2 / 4.0
-    p1 = kummer_phi_seq(zmax, 1 + a, x1)
-    p2 = kummer_phi_seq(zmax, 1 + a, x2)
-    half_logw = 0.5 * _log_winding_weights(a, zmax)
-    pref = math.exp(
-        a * math.log(lambda1 * lambda2 / 4.0) - 2 * log_factorial(a) - (lambda1**2 + lambda2**2) / 8.0
-    )
-    with np.errstate(over="raise", invalid="raise"):
-        summand = (p1 * np.exp(half_logw)) * (p2 * np.exp(half_logw))
-        return pref * np.cumsum(summand)
+    with np.errstate(over="raise", under="raise", invalid="raise"):
+        d1, d2 = (_once(_basis_diagonal, lam, k, zmax) for lam in (lambda1, lambda2))
+        return np.cumsum((d1.conj() * d2).real)
 
 
 def _profile_to_1000(k: int, lambda1: float, lambda2: float, zmax: int) -> np.ndarray:

@@ -116,16 +116,16 @@ class BasisFunction:
     def radial(self) -> np.ndarray:
         return self.coefficients.terms[-self.label.k]
 
-
-def _log_winding_weights(a: int, zmax: int) -> np.ndarray:
-    """log((zeta+a)!/zeta!) for zeta = 0..zmax; exact zeros at a = 0 (an empty sum)."""
-    z = np.arange(zmax + 1, dtype=float)
-    return np.sum(np.log(z[:, None] + np.arange(1, a + 1)), axis=1)
+    @property
+    def diagonal(self) -> np.ndarray:
+        """D_k's entries on its one nonzero Fock diagonal, offset -k, as :func:`to_matrix` places them."""
+        return self.radial * np.sqrt(_winding_weights(abs(self.label.k), self.coefficients.zmax))
 
 
 def _winding_weights(a: int, zmax: int) -> np.ndarray:
-    """(zeta+a)!/zeta! for zeta = 0..zmax, the trace weight of winding +-a."""
-    return np.exp(_log_winding_weights(a, zmax))
+    """(zeta+a)!/zeta! for zeta = 0..zmax, the trace weight of winding +-a, as the exp of a sum of logs."""
+    z = np.arange(zmax + 1, dtype=float)
+    return np.exp(np.sum(np.log(z[:, None] + np.arange(1, a + 1)), axis=1))
 
 
 def inner_product(F: AlgebraFunction, G: AlgebraFunction) -> complex:
@@ -227,7 +227,7 @@ def basis_d(label: IrrepLabel, zmax: int) -> BasisFunction:
         raise ValueError("basis_d requires zmax >= 1")
     lam, k = label.lam, label.k
     a = abs(k)
-    pref = (1j * lam) ** a / (2.0**a * math.factorial(a)) * (damping := math.exp(-lam * lam / 8.0))
+    pref = (0.5j * lam) ** a / math.factorial(a) * (damping := math.exp(-lam * lam / 8.0))
     with np.errstate(over="ignore", invalid="ignore"):
         radial = pref * kummer_phi_seq(zmax, 1 + a, lam * lam / 4.0).astype(complex)
     if pref == 0 or not np.all(np.isfinite(radial)):

@@ -10,7 +10,8 @@ alternating series.
 The confluent family is computed by one recurrence, the Kummer degree
 recurrence: the Laguerre polynomial is L^(k)_n(x) = C(n+k, n) Phi(-n, 1+k; x),
 and the terminating 2F0(-m, -n; x) = (q!/(q-p)!) x^p Phi(-p, 1+q-p; -1/x)
-with p = min(m, n) and q = max(m, n) (DLMF 13.6, 18.5).
+with p = min(m, n) and q = max(m, n) (DLMF 13.6, 18.5).  A 2F0 column
+n = 0..nmax is one run of that recurrence on the vector b = 1 + |m - n|.
 
 The Kummer polynomial is also summed as its series, by
 :func:`kummer_phi_series`, for large n at small n|x|: the sum stops once a
@@ -31,6 +32,7 @@ __all__ = [
     "kummer_phi",
     "kummer_phi_seq",
     "kummer_phi_series",
+    "hyp2f0_seq",
     "hyp2f0_poly",
     "bessel_j",
     "bessel_j_seq",
@@ -121,21 +123,31 @@ def kummer_phi_series(n: int, b: int, x: float) -> float | None:
     return s if size <= _SERIES_MAX_LOSS * max(abs(s), 1.0) else None
 
 
-def hyp2f0_poly(m: int, n: int, x: float) -> float:
-    """Terminating sum 2F0(-m, -n; x) = sum_j (-m)_j (-n)_j x^j / j!, by the Kummer recurrence.
+def hyp2f0_seq(m: int, nmax: int, x: float) -> np.ndarray:
+    """Terminating sums 2F0(-m, -n; x) = sum_j (-m)_j (-n)_j x^j / j! for n = 0..nmax, by one Kummer recurrence.
 
-    With p = min(m, n) and q = max(m, n) it is (q!/(q-p)!) x^p Phi(-p, 1+q-p; -1/x),
-    so swapped (m, n) give bit-identical results.  The recurrence carries the power
-    x^p step by step, so neither x^p nor Phi has to be in range on its own.  A 2F0
-    value beyond the float range is inf or NaN, and q!/(q-p)! above 1e308 raises
-    OverflowError.
+    Entry n is (q!/(q-p)!) x^p Phi(-p, 1+q-p; -1/x), p = min(m, n), q = max(m, n): the
+    recurrence runs on the vector b = 1 + |m - n| and entry n is read at step p, so it is
+    the float of a recurrence for that entry alone.  Carrying x^p through the recurrence keeps
+    a value in range where x^p or Phi alone is not.  A 2F0 value beyond the float range is
+    inf or NaN; q!/(q-p)! above 1e308 raises OverflowError.
     """
-    if m < 0 or n < 0:
-        raise ValueError("hyp2f0_poly requires m, n >= 0")
+    if m < 0 or nmax < 0:
+        raise ValueError("2F0(-m, -n; x) requires m, n >= 0")
     if x == 0.0:
-        return 1.0
-    p, q = min(m, n), max(m, n)
-    return math.perm(q, p) * next(itertools.islice(_kummer_terms(1 + q - p, -1.0 / x, x), p, None))
+        return np.ones(nmax + 1)
+    ns = np.arange(nmax + 1)
+    steps, out = np.minimum(ns, m), np.ones(nmax + 1)
+    # silent, as Python floats are: lanes past their own step may overflow, and out-of-range values are inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, values in zip(range(min(m, nmax) + 1), _kummer_terms(1 + abs(ns - m), -1.0 / x, x)):
+            out = np.where(steps == step, values, out)
+        return out * [float(math.perm(max(m, n), min(m, n))) for n in range(nmax + 1)]
+
+
+def hyp2f0_poly(m: int, n: int, x: float) -> float:
+    """Terminating sum 2F0(-m, -n; x), entry n of :func:`hyp2f0_seq`; swapped (m, n) give bit-identical results."""
+    return float(hyp2f0_seq(m, n, x)[n])
 
 
 # most downward steps one Miller recurrence may run, a fraction of a second
@@ -161,9 +173,6 @@ def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
             f" above the cap of {_MAX_MILLER_STEPS}"
         )
     out = np.zeros(nmax + 1)
-    if x == 0.0:
-        out[0] = 1.0
-        return out
     c_up, c_cur = 0.0, 1e-300
     norm = 0.0
     for k in range(start, -1, -1):
@@ -187,24 +196,29 @@ def bessel_j_seq(nmax: int, x: float) -> np.ndarray:
     Miller's algorithm: recurse J_{k-1} = (2k/x) J_k - J_{k+1} downward from a
     start index well above max(nmax, x), then normalize with
     J_0 + 2 sum_{k>=1} J_{2k} = 1.  Raises ValueError where max(nmax, x)
-    needs more than 10**6 recurrence steps.  Below x = 1e-30, where one step
-    could grow past the recurrence's rescaling, each J_k is its ascending
-    series, as :func:`bessel_j` computes it.
+    needs more than 10**6 recurrence steps.  Below x = 1e-30, 0 included,
+    where one step could grow past the recurrence's rescaling, each J_k is
+    its ascending series, as :func:`bessel_j` computes it.
     """
     if nmax < 0:
         raise ValueError("bessel_j_seq requires nmax >= 0")
     if x < 0:
         raise ValueError("bessel_j_seq requires x >= 0")
-    if 0.0 < x < 1e-30:
+    if x < 1e-30:
         return np.array([_bessel_j_series(k, x) for k in range(nmax + 1)])
     return _miller_seq(nmax, x, -1, 2)
+
+
+def _bessel_lead(nu: int, x: float) -> float:
+    # (x/2)^nu / nu!, the first term of J_nu's and I_nu's ascending series: 1 or 0 where x/2 is 0 (x = 0 or 5e-324)
+    return math.exp(nu * math.log(0.5 * x) - log_factorial(nu)) if 0.5 * x > 0 else float(nu == 0)
 
 
 def _bessel_j_series(nu: int, x: float) -> float:
     # Ascending series with compensated summation; used only where the terms
     # do not alternate destructively (x small or order dominating argument).
     q = 0.25 * x * x
-    term = math.exp(nu * math.log(0.5 * x) - log_factorial(nu)) if x > 0 else (1.0 if nu == 0 else 0.0)
+    term = _bessel_lead(nu, x)
     s = 0.0
     comp = 0.0
     j = 0
@@ -225,15 +239,8 @@ def bessel_j(nu: int, x: float) -> float:
     Negative orders via J_{-nu} = (-1)^nu J_nu, negative arguments via
     J_nu(-x) = (-1)^nu J_nu(x).
     """
-    sign = 1.0
-    if nu < 0:
-        nu = -nu
-        if nu % 2:
-            sign = -sign
-    if x < 0:
-        x = -x
-        if nu % 2:
-            sign = -sign
+    sign = -1.0 if nu % 2 and (nu < 0) != (x < 0) else 1.0
+    nu, x = abs(nu), abs(x)
     if x == 0.0:
         return sign if nu == 0 else 0.0
     if x <= 6.0 or x * x <= 4.0 * (nu + 1):
@@ -243,7 +250,7 @@ def bessel_j(nu: int, x: float) -> float:
 
 def _bessel_i_series(nu: int, x: float) -> float:
     q = 0.25 * x * x
-    term = math.exp(nu * math.log(0.5 * x) - log_factorial(nu)) if x > 0 else (1.0 if nu == 0 else 0.0)
+    term = _bessel_lead(nu, x)
     s = 0.0
     j = 0
     while True:

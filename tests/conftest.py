@@ -41,12 +41,55 @@ def hyp2f0_series(m: int, n: int, x) -> mp.mpf:
         return +s
 
 
+def hyp2f0_per_entry(m: int, n: int, x: float) -> float:
+    """2F0(-m, -n; x) as one scalar Kummer recurrence for this entry alone, in Python floats.
+
+    With p = min(m, n) and q = max(m, n) it runs p steps of the degree
+    recurrence of x^j Phi(-j, 1+q-p; -1/x) and multiplies by q!/(q-p)!: the
+    per-entry reference for the vectorized column of ``specfun.hyp2f0_seq``.
+    """
+    if x == 0.0:
+        return 1.0
+    p, q = min(m, n), max(m, n)
+    b, y = 1 + q - p, -1.0 / x
+    f_prev, f = 1.0, x * (1.0 - y / b)
+    for j in range(1, p):
+        f_prev, f = f, ((b + 2 * j - y) * x * f - j * x * x * f_prev) / (j + b)
+    return math.perm(q, p) * (f if p else f_prev)
+
+
 def laguerre_series(n: int, k: int, x) -> mp.mpf:
     with mp.workdps(50 + n):
         s = mp.mpf(0)
         for j in range(n + 1):
             s += (-1) ** j * mp.binomial(n + k, n - j) * mp.mpf(x) ** j / mp.factorial(j)
         return +s
+
+
+def orthogonality_profile_mp(k: int, lam1: float, lam2: float, zmax: int) -> mp.mpf:
+    """(D^lam1_k, D^lam2_k) summed over zeta <= zmax, in 40 digits.
+
+    Every factor is an mpmath number: the Kummer values by their forward
+    degree recurrence (stable, and exact to far below float rounding at this
+    precision), the trace weights (zeta+a)!/zeta! as running products, and the
+    prefactor (lam1 lam2/4)^a / a!^2 e^{-(lam1^2 + lam2^2)/8}, a = |k|, which no
+    float range limits.
+    """
+    a = abs(k)
+    with mp.workdps(40):
+        def phis(lam):
+            x = mp.mpf(lam) ** 2 / 4
+            out = [mp.mpf(1), 1 - x / (1 + a)]
+            for n in range(1, zmax):
+                out.append(((1 + a + 2 * n - x) * out[n] - n * out[n - 1]) / (n + 1 + a))
+            return out[: zmax + 1]
+
+        total, weight = mp.mpf(0), mp.factorial(a)
+        for zeta, (p1, p2) in enumerate(zip(phis(lam1), phis(lam2))):
+            total += p1 * p2 * weight
+            weight = weight * (zeta + 1 + a) / (zeta + 1)
+        l1, l2 = mp.mpf(lam1), mp.mpf(lam2)
+        return total * (l1 * l2 / 4) ** a / mp.factorial(a) ** 2 * mp.exp(-(l1**2 + l2**2) / 8)
 
 
 def annihilator_ref(dim: int) -> np.ndarray:

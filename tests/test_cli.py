@@ -19,6 +19,8 @@ from e2fock.cli import RunConfig, main, suite_intertwining, suite_unitarity
 from e2fock.e2group import GroupElement, IrrepLabel, u_factors, u_matrix
 from e2fock.fock import annihilator, safe_block, times_diagonal
 
+from conftest import orthogonality_profile_mp
+
 
 def run_cli(argv):
     buf = io.StringIO()
@@ -344,6 +346,32 @@ def test_orthogonality_growth_reads_the_zeta_1000_checkpoint():
         assert r["detail"].split(", ")[-1] == want
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "orthogonality", "--lambda", "1e-30", "--k", "20"],  # (lam/2)^20/20! underflows to 0
+        ["verify", "orthogonality", "--lambda", "1e-300", "--k", "1"],  # each product (lam/2)^2 (zeta+1) underflows
+    ],
+)
+def test_a_vanished_profile_fails_its_growth_record(argv, capfd):
+    # the diagonal profile was once read as 0.0, 0.0, 0.0, a growth that passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(argv)
+    (growth,) = [r for r in json_records(out) if r["name"] == "orthogonality-diagonal-growth"]
+    assert code == 1 and capfd.readouterr().err == ""
+    assert not growth["pass"] and growth["residual"] is None and growth["detail"].startswith("error: ")
+
+
+def test_a_tiny_profile_passes_on_its_values():
+    # D_100's profile at lam = 1 is about 5.6e-76 at zeta = 1000, far below the product of its two prefactors
+    code, out = run_cli(["verify", "orthogonality", "--lambda", "1", "--k", "100"])
+    (growth,) = [r for r in json_records(out) if r["name"] == "orthogonality-diagonal-growth"]
+    values = [float(v) for v in growth["detail"].removeprefix("diagonal profile ").split(", ")]
+    assert code == 0 and growth["pass"] and 0 < values[0] < values[1] < values[2]
+    assert values[2] == pytest.approx(float(orthogonality_profile_mp(100, 1.0, 1.0, 1000)), rel=1e-12)
+
+
 def _counting(monkeypatch, name):
     # the arguments of every call to identities.<name>, which still builds
     built = []
@@ -368,7 +396,7 @@ def test_hille_hardy_builds_each_laguerre_sequence_once(monkeypatch):
 
 def test_identity_b_builds_each_hyp2f0_column_once(monkeypatch):
     # 17 distinct m + k times 3 r on the default grid, each column 81 entries long
-    built = _counting(monkeypatch, "_hyp2f0_column")
+    built = _counting(monkeypatch, "hyp2f0_seq")
     code, out = run_cli(["verify", "identity-b"])
     assert code == 0 and len(json_records(out)) == 693
     assert len(built) == len(set(built)) == 51
@@ -602,7 +630,6 @@ def test_addition_diagnostic_shows_full_precision():
     "argv",
     [
         ["verify", "identity-b", "--r", "1e-200"],  # -1 / r^2 divides by zero
-        ["verify", "addition", "--lambda", "1e-300"],  # D_k's block norm is 0
     ],
 )
 def test_division_by_zero_is_an_error_record(argv):
@@ -611,6 +638,19 @@ def test_division_by_zero_is_an_error_record(argv):
     errors = [r for r in json_records(out) if r["residual"] is None]
     assert all(r["detail"].startswith("error: ") and not r["pass"] for r in errors)
     assert "error: float division by zero" in {r["detail"] for r in errors}
+
+
+def test_an_underflowed_block_norm_is_an_error_record(capfd):
+    # D_1's entries, about 5e-301, are in range, but the squares in the norm of its block are not;
+    # the run once divided by that norm of 0
+    code, out = run_cli(["verify", "addition", "--lambda", "1e-300", "--r", "1", "--k", "1"])
+    recs = {r["name"]: r for r in json_records(out)}
+    assert code == 1 and capfd.readouterr().err == ""
+    addition = recs["addition"]
+    assert not addition["pass"] and addition["residual"] is None
+    assert addition["detail"] == "error: addition at lam=1e-300, k=1: the norm of D_k's block underflows to 0"
+    code, out = run_cli(["verify", "addition", "--lambda", "1e-300"])
+    assert code == 1 and not any("division by zero" in (r["detail"] or "") for r in json_records(out))
 
 
 def test_overflowing_2f0_is_an_error_record():
@@ -680,7 +720,8 @@ class TestComputedOnce:
         ["table", "basis", "--lambda", "1e200", "--k", "3", "--zmax", "2"],  # an overflow in a table
         ["table", "profile", "--lambda", "1e200", "--lambda2", "1e200"],
         ["table", "irrep", "--lambda", "1e308", "--r", "1e10"],
-        ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],  # NaN values, not written
+        ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],  # 200! is beyond the float range
+        ["table", "profile", "--k", "0", "--lambda", "70", "--lambda2", "70"],  # products below the float range
     ],
 )
 def test_refused_with_an_error_message(argv, capsys):
@@ -738,7 +779,8 @@ class TestEveryInputIsRead:
     [
         (
             ["table", "profile", "--lambda", "1e200", "--lambda2", "1e200"],
-            "table profile: OverflowError: (34, 'Numerical result out of range')",
+            "table profile: ValueError: basis_d at lam=1e+200, k=0: the radial part is lost,"
+            " e^(-lam^2/8) underflows to 0",
         ),
         (
             ["table", "basis", "--lambda", "1e200", "--k", "3", "--zmax", "2"],
@@ -746,7 +788,7 @@ class TestEveryInputIsRead:
         ),
         (
             ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],
-            "table profile: FloatingPointError: overflow encountered in multiply",
+            "table profile: OverflowError: int too large to convert to float",
         ),
         (["verify", "recurrence", "--lambda", "2"], "verify recurrence: ValueError: the run does not read --lambda"),
         (["verify", "recurrence", "--dim", "64"], "verify recurrence: ValueError: the run does not read --dim"),
@@ -805,19 +847,19 @@ def test_error_message_names_the_run_and_the_exception(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, where",
     [
-        ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],
-        ["table", "u-matrix", "--r", "40", "--dim", "512"],
+        (["table", "profile", "--k", "150", "--lambda", "20", "--lambda2", "20"], "exp"),  # D_150's trace weights
+        (["table", "u-matrix", "--r", "40", "--dim", "512"], "multiply"),
     ],
     ids=["profile", "u-matrix"],
 )
-def test_overflow_prints_only_the_error_line(argv, capfd):
+def test_overflow_prints_only_the_error_line(argv, where, capfd):
     # a fresh interpreter, so numpy's floating-point warnings would reach stderr as they do for users
     code = subprocess.run([sys.executable, "-m", "e2fock.cli", *argv], env=module_env(), timeout=120).returncode
     out, err = capfd.readouterr()
     assert (code, out) == (2, "")
-    assert err == f"error: {argv[0]} {argv[1]}: FloatingPointError: overflow encountered in multiply\n"
+    assert err == f"error: {argv[0]} {argv[1]}: FloatingPointError: overflow encountered in {where}\n"
 
 
 # Miller's recurrence starts above its argument, 2xr = 1e200 and lam r = 1e200 here

@@ -29,6 +29,8 @@ from e2fock.identities import (
 from e2fock.repk import basis_d, inner_product, to_matrix
 from e2fock.specfun import bessel_j_seq
 
+from conftest import orthogonality_profile_mp
+
 
 def orthogonality_profile(k, lambda1, lambda2, zmax):
     return float(orthogonality_profile_curve(k, lambda1, lambda2, zmax)[-1])
@@ -262,8 +264,15 @@ class TestOrthogonality:
             float(orthogonality_profile_curve(1, 2.0, 3.0, 1000)[500]), rel=1e-15
         )
 
+    @pytest.mark.parametrize("k,l1,l2", [(100, 2.0, 2.0), (50, 0.001, 40.0)])
+    def test_profile_against_mpmath(self, k, l1, l2):
+        # the product of the two prefactors is subnormal here (e^-728.5 and about 1.5e-316) and would keep
+        # only a few digits; the profile multiplies the two D_k diagonals, whose entries are in range
+        ref = orthogonality_profile_mp(k, l1, l2, 1000)
+        assert orthogonality_profile(k, l1, l2, 1000) == pytest.approx(float(ref), rel=1e-12)
+
     def test_profile_deep_truncation(self):
-        # zmax = 2000, large winding: the log-space weights keep everything finite
+        # zmax = 2000, large winding: the diagonals of D_k stay finite
         for k, l1, l2 in [(6, 5.9, 6.0), (20, 0.5, 6.0)]:
             curve = orthogonality_profile_curve(k, l1, l2, 2000)
             assert np.all(np.isfinite(curve))

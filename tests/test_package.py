@@ -1,5 +1,6 @@
 """The package's public surface and the demos that use it."""
 
+import ast
 import hashlib
 import json
 import os
@@ -18,9 +19,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 class TestPublicApi:
     def test_names_and_order_are_pinned(self):
-        # 53 names: every layer module's __all__ in order, then __version__
+        # 54 names: every layer module's __all__ in order, then __version__
         digest = hashlib.sha256(json.dumps(e2fock.__all__).encode()).hexdigest()
-        assert digest == "f4bce58326833468b504b82d91af02905b8aa61a2969a6e1dd09bd5ce28c63bc"
+        assert digest == "14ac407e07b94f322372d62391e92ba23790e079cda52dfc3766c98d4c6dc3d1"
 
     def test_each_name_is_its_defining_module_object(self):
         for module in LAYERS:
@@ -33,6 +34,19 @@ class TestPublicApi:
         namespace = {}
         exec("from e2fock import *", namespace)
         assert set(namespace) - {"__builtins__"} == set(e2fock.__all__)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # each formula has one owner: a layer reads another's public names only
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted((REPO / "src" / "e2fock").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("e2fock"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_no_source_line_is_over_117_characters():

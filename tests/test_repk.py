@@ -273,6 +273,15 @@ class TestBasisFunctions:
                 basis_d(IrrepLabel(lam, k), 10)
         assert basis_d(IrrepLabel(1e-300, 1), 10).radial[0] != 0
 
+    @pytest.mark.parametrize("lam,k", [(2.0, 0), (1.7, 4), (1.7, -4), (3.0, 11)])
+    def test_diagonal_is_the_fock_matrix_diagonal(self, lam, k):
+        # D_k's Fock matrix has one nonzero diagonal, offset -k, and .diagonal holds its leading entries bit for bit
+        zmax = 30
+        basis = basis_d(IrrepLabel(lam, k), zmax)
+        diag = np.diagonal(to_matrix(basis.coefficients, zmax + abs(k) + 2), -k)
+        assert diag[: zmax + 1].tobytes() == basis.diagonal.tobytes()
+        assert not np.any(diag[zmax + 1 :])
+
     def test_frozen_recurrence_point(self):
         # (k+1+zeta) f(zeta+1) + (lam^2/4 - 2 zeta - k - 1) f(zeta) + zeta f(zeta-1)
         lam, k, zeta = 2.0, 3, 10

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,12 +12,13 @@ from e2fock.specfun import (
     bessel_j,
     bessel_j_seq,
     hyp2f0_poly,
+    hyp2f0_seq,
     kummer_phi,
     kummer_phi_seq,
     log_factorial,
 )
 
-from conftest import hyp2f0_series, kummer_series, laguerre_series
+from conftest import hyp2f0_per_entry, hyp2f0_series, kummer_series, laguerre_series
 
 
 class TestKummerPhi:
@@ -103,6 +105,23 @@ class TestHyp2F0:
     def test_against_series_oracle(self):
         for m, n, x in [(3, 8, -2.0), (10, 10, 0.3), (25, 12, -16.0)]:
             assert hyp2f0_poly(m, n, x) == pytest.approx(float(hyp2f0_series(m, n, x)), rel=1e-12)
+
+    @pytest.mark.parametrize("m,nmax,x", [(5, 12, -1e200), (40, 80, 1e-300), (30, 60, 1e160), (0, 3, 0.0)])
+    def test_column_out_of_range(self, m, nmax, x):
+        # entries beyond the float range are inf or NaN, as the per-entry floats are, and no warning is
+        # printed; at x = 0 every entry is the empty sum 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            column = hyp2f0_seq(m, nmax, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = [hyp2f0_per_entry(m, n, x) for n in range(nmax + 1)]
+        assert [repr(v) for v in column.tolist()] == [repr(v) for v in want]
+
+    def test_column_factorial_overflow(self):
+        # q!/(q-p)! above 1e308, 300!/150! here, raises as the per-entry product does
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            hyp2f0_seq(150, 300, -1.0)
 
 
 def _laguerre_route(nmax, k, x):
@@ -195,6 +214,13 @@ class TestBesselJ:
             assert seq.tolist() == want
         else:
             assert seq == pytest.approx(want, rel=1e-13)
+
+    def test_smallest_subnormal_argument(self):
+        # x / 2 underflows to 0 at x = 5e-324, so the leading term (x/2)^nu/nu! is 1 or 0
+        assert bessel_j(0, 5e-324) == 1.0
+        assert bessel_j(1, 5e-324) == 0.0
+        assert bessel_j_seq(3, 5e-324).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert bessel_i(1, 5e-324) == 0.0 and bessel_i(0, 5e-324) == 1.0
 
     def test_large_argument(self):
         assert bessel_j(3, 10000.0) == pytest.approx(float(mp.besselj(3, 10000.0)), rel=1e-10)
