@@ -16,7 +16,7 @@ from e2fock import (
     compose,
     identity,
     inverse,
-    irrep_element,
+    irrep_row,
     safe_block,
     u_matrix,
 )
@@ -49,6 +49,6 @@ print("  vs matrix exponential (one global phase):", np.max(np.abs((phase * U - 
 
 print("\nBessel-type irreducible matrix elements t_{kn}(g), weight lambda = 2:")
 label = IrrepLabel(2.0)
-row = [irrep_element(label, 0, n, g) for n in range(-3, 4)]
-print("  row k=0, n=-3..3 moduli:", np.round(np.abs(row), 6))
-print("  sum over the full row of |t|^2 (unitarity):", sum(abs(irrep_element(label, 0, n, g)) ** 2 for n in range(-60, 61)))
+row = irrep_row(label, g, 60)  # t_{0n}(g) for n = -60..60
+print("  row k=0, n=-3..3 moduli:", np.round(np.abs(row[57:64]), 6))
+print("  sum over the full row of |t|^2 (unitarity):", np.sum(np.abs(row) ** 2))

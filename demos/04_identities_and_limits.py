@@ -27,9 +27,9 @@ g = GroupElement(r=1.0, psi=0.7, phi=0.3)
 label = IrrepLabel(2.0, 1)
 
 print("Operator addition theorem, U(g) D_k U(g)* = sum_n t_kn(g) D_n:")
-rep = addition_residual(g, label, 1, dim=96)
+rep = addition_residual(g, label, dim=96)
 print("  relative Frobenius residual on the safe block:", rep.residual)
-rep = addition_vacuum_crosscheck(g, IrrepLabel(2.0, 2), 2, dim=96)
+rep = addition_vacuum_crosscheck(g, IrrepLabel(2.0, 2), dim=96)
 print("  <0|.|0> element reproduces the scalar identity:", rep.residual)
 
 print("\nScalar corollaries:")

@@ -11,8 +11,8 @@ Two subcommands:
 Integer grids accept inclusive ranges ``a..b``; real grids accept comma
 lists.  ``--dim`` (the Fock truncation) and ``--seed`` (the lie-algebra
 suite's random draws) take one integer each and, like every grid flag, are
-refused where the run does not read them.  Identical configurations
-produce byte-identical output.
+refused where the run does not read them.  Identical configurations produce
+byte-identical output on one numpy/BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import identities as ident
-from .e2group import GroupElement, IrrepLabel, irrep_element, u_matrix
+from .e2group import GroupElement, IrrepLabel, irrep_row, u_matrix
 from .fock import safe_block
 from .repk import adjoint_residual, algebra_function, basis_d, bracket_residual, eigen_residuals
 
@@ -260,12 +260,12 @@ def suite_addition(cfg):
             return []
 
         def residual(report, k):
-            return report(*ident.addition_residual(g, IrrepLabel(lam, k), k, dim=dim))
+            return report(*ident.addition_residual(g, IrrepLabel(lam, k), dim=dim))
 
         def crosscheck(report, k):
             if k < 0:
                 return []
-            return report(*ident.addition_vacuum_crosscheck(g, IrrepLabel(lam, k), k, dim=dim))
+            return report(*ident.addition_vacuum_crosscheck(g, IrrepLabel(lam, k), dim=dim))
 
         def params(k):
             return {"lam": lam, "k": k, "r": g.r, "psi": g.psi, "phi": g.phi, "dim": dim}
@@ -448,9 +448,11 @@ def _table_rows(kind: str, cfg: RunConfig):
             yield dict(equation="u-matrix-element", r=r, psi=g.psi, phi=g.phi, m=m, n=n, re=z.real, im=z.imag)
     elif kind == "irrep":
         lam, r = cfg.first("lam", 1.0), cfg.first("r", 1.0)
-        label, g = IrrepLabel(lam, 0), GroupElement(r, cfg.first("psi", 0.0), cfg.first("phi", 0.0))
-        for k, n in itertools.product(cfg.values("k", range(-3, 4)), cfg.values("n", range(-3, 4))):
-            t = irrep_element(label, k, n, g)
+        ks, ns = cfg.values("k", range(-3, 4)), cfg.values("n", range(-3, 4))
+        labels, g = [IrrepLabel(lam, k) for k in ks], GroupElement(r, cfg.first("psi", 0.0), cfg.first("phi", 0.0))
+        rows = {label.k: irrep_row(label, g, max(abs(n - label.k) for n in ns)) for label in labels}
+        for k, n in itertools.product(ks, ns):
+            t = complex(rows[k][len(rows[k]) // 2 + n - k])
             yield dict(equation="irrep-element", lam=lam, r=r, psi=g.psi, phi=g.phi, k=k, n=n, re=t.real, im=t.imag)
     elif kind == "basis":
         lam, k = cfg.first("lam", 1.0), cfg.first("k", 0)

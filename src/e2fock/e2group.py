@@ -7,8 +7,8 @@ A group element g = (r, psi, phi) acts on the generators as
 i.e. a rotation by phi composed with a translation by r e^{i psi}.  This
 module provides the group operations, the closed-form matrix elements of the
 unitary operator U(g) implementing the action on Fock space by conjugation,
-and the irreducible matrix elements t^lambda_{kn}(g) built from Bessel
-functions.
+and the rows of irreducible matrix elements t^lambda_{kn}(g) built from one
+Bessel sequence.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_j, log_factorial
+from .specfun import bessel_j_seq, log_factorial
 
 __all__ = [
     "GroupElement",
@@ -30,7 +30,7 @@ __all__ = [
     "act_on_generator",
     "u_factors",
     "u_matrix",
-    "irrep_element",
+    "irrep_row",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -158,10 +158,12 @@ def u_matrix(g: GroupElement, dim: int) -> np.ndarray:
     return row[:, None] * M * col
 
 
-def irrep_element(label: IrrepLabel, k: int, n: int, g: GroupElement) -> complex:
-    """Irreducible matrix element t^lam_{kn}(g) = i^{n-k} e^{-i(n phi + (k-n) psi)} J_{n-k}(lam r)."""
-    return (
-        1j ** ((n - k) % 4)
-        * cmath.exp(-1j * (n * g.phi + (k - n) * g.psi))
-        * bessel_j(n - k, label.lam * g.r)
-    )
+def irrep_row(label: IrrepLabel, g: GroupElement, nmax: int) -> np.ndarray:
+    """Row k = label.k of the irrep: t^lam_{k,k+d}(g) at index nmax + d, for d = -nmax..nmax.
+
+    t^lam_{kn}(g) = i^{n-k} e^{-i(n phi + (k-n) psi)} J_{n-k}(lam r) (Graf's theorem, DLMF 10.23(ii)), i^d exact from
+    a table of four and every J from one :func:`specfun.bessel_j_seq` run to order nmax, with J_{-m} = (-1)^m J_m.
+    """
+    d = np.arange(-nmax, nmax + 1)
+    js = bessel_j_seq(nmax, label.lam * g.r)[np.abs(d)] * np.where(d < 0, (-1.0) ** d, 1.0)
+    return np.array([1, 1j, -1, -1j])[d % 4] * np.exp(-1j * ((label.k + d) * g.phi - d * g.psi)) * js

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .e2group import GroupElement, IrrepLabel, irrep_element, u_factors
+from .e2group import GroupElement, IrrepLabel, irrep_row, u_factors
 from .fock import annihilator, conjugated_block, panel_size, safe_block
 from .repk import basis_d, inner_product
 from .specfun import (
@@ -269,6 +269,8 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
         if n > 10 and tail < _TERM_EPS * term_max:
             break
     scale = max(abs(lhs), abs(rhs), term_max)
+    if scale == 0.0:
+        raise ArithmeticError(f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: both sides and every term are 0")
     detail = None
     residual = abs(lhs - rhs) / scale
     if tail > 1e-12 * scale:
@@ -282,36 +284,34 @@ def _basis_diagonal(lam: float, n: int, zmax: int) -> np.ndarray:
     return basis_d(IrrepLabel(lam, n), zmax).diagonal
 
 
-def addition_residual(g: GroupElement, label: IrrepLabel, k: int, dim: int = 96) -> Residual:
-    """Operator addition theorem U(g) D_k U(g)* = sum_n t_{kn}(g) D_n.
+def addition_residual(g: GroupElement, label: IrrepLabel, dim: int = 96) -> Residual:
+    """Operator addition theorem U(g) D_k U(g)* = sum_n t_{kn}(g) D_n, k = label.k.
 
-    Both sides are compared as truncated Fock matrices on the safe block;
-    the n-sum runs over |n - k| <= 60 where |J_{n-k}(lam r)| >= 1e-16.  The
-    residual is the Frobenius norm of the difference relative to that of
-    D_k's block.  Each D_n occupies the single diagonal -n, so the right side
-    is written diagonal by diagonal.  The detail is a callable that fits
-    each D_n's coefficient to the left side and names the worst mismatches
-    against t_{kn}(g).
+    Both sides are compared as truncated Fock matrices on the safe block; the n-sum runs over |n - k| <= 60
+    where |t_{kn}(g)| >= 1e-16, every t_{kn} from one :func:`e2group.irrep_row`.  The residual is the Frobenius
+    norm of the difference relative to that of D_k's block.  Each D_n occupies the single diagonal -n, so the
+    right side is written diagonal by diagonal into the block.  The detail is a callable that fits each D_n's
+    coefficient to the left side and names the worst mismatches against t_{kn}(g).
     """
-    lam = label.lam
+    lam, k = label.lam, label.k
     if lam * g.r > 6.0:
         raise ValueError("addition_residual requires lam * r <= 6")
     b = safe_block(dim, g.r)
     dk = _once(_basis_diagonal, lam, k, dim - abs(k) - 2)
     lhs = conjugated_block(_once(u_factors, g, dim, dim), dk, -k, b)
 
-    jmag = _once(bessel_j_seq, _ADDITION_NMAX, lam * g.r)
-    rhs = np.zeros((dim, dim), dtype=complex)
-    terms = {}  # n -> (t_{kn}(g), diagonal of D_n)
-    for n in range(k - _ADDITION_NMAX, k + _ADDITION_NMAX + 1):
-        if abs(jmag[abs(n - k)]) < 1e-16:
+    rhs = np.zeros((b, b), dtype=complex)
+    terms = {}  # n -> (t_{kn}(g), D_n's entries in the block)
+    for n, t in zip(range(k - _ADDITION_NMAX, k + _ADDITION_NMAX + 1), irrep_row(label, g, _ADDITION_NMAX)):
+        if abs(t) < 1e-16 or abs(n) >= b:
             continue
-        t, dn = terms[n] = irrep_element(label, k, n, g), _once(_basis_diagonal, lam, n, dim - abs(n) - 2)
-        i = np.arange(len(dn))
+        i = np.arange(b - abs(n))
+        dn = _once(_basis_diagonal, lam, n, dim - abs(n) - 2)[: len(i)]
+        terms[n] = t, dn
         rhs[(i + n, i) if n >= 0 else (i, i - n)] = t * dn
 
-    num = float(np.linalg.norm(lhs - rhs[:b, :b]))
-    den = float(np.linalg.norm(np.diag(dk, -k)[:b, :b]))
+    num = float(np.linalg.norm(lhs - rhs))
+    den = float(np.linalg.norm(dk[: max(b - abs(k), 0)]))
     if den == 0.0:
         raise ValueError(f"addition at lam={lam!r}, k={k}: the norm of D_k's block underflows to 0")
     return Residual(num / den, lambda: _addition_phase_diagnostic(lhs, terms))
@@ -319,34 +319,29 @@ def addition_residual(g: GroupElement, label: IrrepLabel, k: int, dim: int = 96)
 
 def _addition_phase_diagnostic(block, terms) -> str:
     # Project the transformed operator's safe block onto each D_n's diagonal
-    # -n and report the worst per-n coefficient mismatches against t_{kn}(g);
-    # a diagonal with no entry in the block is skipped.
-    b = len(block)
+    # -n and report the worst per-n coefficient mismatches against t_{kn}(g).
     rows = []
     for n, (ref, dn) in terms.items():
-        if abs(n) >= b:
-            continue
-        dn = dn[: b - abs(n)]
         est = np.vdot(dn, np.diagonal(block, -n)) / np.vdot(dn, dn).real
         rows.append((abs(est - ref), n, est, ref))
     rows.sort(reverse=True)
-    worst = "; ".join(f"n={n}: fitted {complex(est)!r}, expected {ref!r}" for _, n, est, ref in rows[:3])
+    worst = "; ".join(f"n={n}: fitted {complex(est)!r}, expected {complex(ref)!r}" for _, n, est, ref in rows[:3])
     return "per-n coefficient mismatch: " + worst
 
 
-def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, k: int, dim: int = 96) -> Residual:
-    """The <0|.|0> element of the addition theorem collapses to identity-a.
+def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, dim: int = 96) -> Residual:
+    """The <0|.|0> element of the addition theorem collapses to identity-a, k = label.k.
 
     Checks that (U D_k U*)_{00} equals both t_{k0}(g) f_0(0) and the
     e^{-ik psi} e^{-r^2} r^k (i lam/2)^k/k! e^{-lam^2/8}-weighted left sum of
     identity-a, tying the operator statement to the scalar identity.
     """
+    lam, k, r = label.lam, label.k, g.r
     if k < 0:
         raise ValueError("vacuum cross-check uses k >= 0")
-    lam, r = label.lam, g.r
     dk = _once(_basis_diagonal, lam, k, dim - k - 2)
     s1 = complex(conjugated_block(_once(u_factors, g, dim, dim), dk, -k, 1)[0, 0])
-    s3 = irrep_element(label, k, 0, g) * basis_d(IrrepLabel(lam, 0), 4).radial[0]
+    s3 = irrep_row(label, g, k)[0] * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
     lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))
     s2 = (
@@ -496,4 +491,6 @@ def kummer_bessel_limit_residual(n: int, b: int, c: float) -> float:
         raise ValueError("kummer_bessel_limit_residual requires n >= 1, b >= 1, c > 0")
     lhs = _limit_kummer(n, b, -c / n, "n")
     rhs = math.factorial(b - 1) * c ** (0.5 * (1 - b)) * bessel_i(b - 1, 2.0 * math.sqrt(c))
+    if not math.isfinite(rhs) or rhs == 0.0:
+        raise ArithmeticError(f"(b-1)! c^((1-b)/2) I_(b-1)(2 sqrt(c)) is {rhs!r} at b={b}, c={c!r}")
     return abs(lhs / rhs - 1.0)

@@ -119,20 +119,20 @@ class BasisFunction:
     @property
     def diagonal(self) -> np.ndarray:
         """D_k's entries on its one nonzero Fock diagonal, offset -k, as :func:`to_matrix` places them."""
-        return self.radial * np.sqrt(_winding_weights(abs(self.label.k), self.coefficients.zmax))
+        return self.radial * _winding_roots(abs(self.label.k), self.coefficients.zmax)
 
 
-def _winding_weights(a: int, zmax: int) -> np.ndarray:
-    """(zeta+a)!/zeta! for zeta = 0..zmax, the trace weight of winding +-a, as the exp of a sum of logs."""
+def _winding_roots(a: int, zmax: int) -> np.ndarray:
+    """sqrt((zeta+a)!/zeta!) for zeta = 0..zmax, the root of winding +-a's trace weight, as exp(sum of logs / 2)."""
     z = np.arange(zmax + 1, dtype=float)
-    return np.exp(np.sum(np.log(z[:, None] + np.arange(1, a + 1)), axis=1))
+    return np.exp(0.5 * np.sum(np.log(z[:, None] + np.arange(1, a + 1)), axis=1))
 
 
 def inner_product(F: AlgebraFunction, G: AlgebraFunction) -> complex:
     """Trace scalar product (F, G) = tr(F* G) in closed form.
 
     Only matching windings contribute; winding w contributes
-    sum_zeta conj(f_w) g_w (zeta+|w|)!/zeta!.
+    sum_zeta conj(f_w) g_w (zeta+|w|)!/zeta!, summed as conj(f_w root) (g_w root), in range where the weight is not.
     """
     total = 0.0 + 0.0j
     for w in F.terms:
@@ -140,7 +140,8 @@ def inner_product(F: AlgebraFunction, G: AlgebraFunction) -> complex:
             continue
         cf, cg = F.terms[w], G.terms[w]
         m = min(len(cf), len(cg))
-        total += np.sum(np.conj(cf[:m]) * cg[:m] * _winding_weights(abs(w), m - 1))
+        root = _winding_roots(abs(w), m - 1)
+        total += np.sum(np.conj(cf[:m] * root) * (cg[:m] * root))
     return complex(total)
 
 
@@ -157,7 +158,7 @@ def to_matrix(F: AlgebraFunction, dim: int) -> np.ndarray:
     for w, c in F.terms.items():
         a = abs(w)
         zs = np.arange(min(len(c), dim - a))
-        vals = c[: len(zs)] * np.sqrt(_winding_weights(a, len(zs) - 1))
+        vals = c[: len(zs)] * _winding_roots(a, len(zs) - 1)
         if w >= 0:
             M[zs, zs + a] += vals
         else:

@@ -7,6 +7,7 @@ one ladder step at a time instead of U(g)'s closed form, so each check pits
 two independent routes against each other.
 """
 
+import cmath
 import math
 
 import mpmath as mp
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from e2fock.fock import boundary_margin
+from e2fock.specfun import bessel_j
 
 mp.mp.dps = 40
 
@@ -90,6 +92,16 @@ def orthogonality_profile_mp(k: int, lam1: float, lam2: float, zmax: int) -> mp.
             weight = weight * (zeta + 1 + a) / (zeta + 1)
         l1, l2 = mp.mpf(lam1), mp.mpf(lam2)
         return total * (l1 * l2 / 4) ** a / mp.factorial(a) ** 2 * mp.exp(-(l1**2 + l2**2) / 8)
+
+
+def irrep_element_series(label, n: int, g) -> complex:
+    """t^lam_{kn}(g) = i^{n-k} e^{-i(n phi + (k-n) psi)} J_{n-k}(lam r), k = label.k, one element at a time.
+
+    J is the scalar :func:`specfun.bessel_j`, its ascending series for lam r <= 6,
+    not the Miller sequence that ``e2group.irrep_row`` reads a whole row from.
+    """
+    k = label.k
+    return 1j ** ((n - k) % 4) * cmath.exp(-1j * (n * g.phi + (k - n) * g.psi)) * bessel_j(n - k, label.lam * g.r)
 
 
 def annihilator_ref(dim: int) -> np.ndarray:

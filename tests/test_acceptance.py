@@ -187,11 +187,11 @@ def test_criterion_8_addition_theorem():
     for lam, r in ((2.0, 2.0), (4.0, 1.0), (2.0, 1.0), (1.0, 2.0)):
         g = GroupElement(r, 0.7, 0.3)
         for k in (-4, -2, -1, 0, 1, 3, 4):
-            worst = max(worst, addition_residual(g, IrrepLabel(lam, k), k, dim=dim).residual)
+            worst = max(worst, addition_residual(g, IrrepLabel(lam, k), dim=dim).residual)
     worst_vac = 0.0
     for k in (0, 2, 4):
         g = GroupElement(1.5, 0.7, 0.3)
-        worst_vac = max(worst_vac, addition_vacuum_crosscheck(g, IrrepLabel(2.0, k), k, dim=dim).residual)
+        worst_vac = max(worst_vac, addition_vacuum_crosscheck(g, IrrepLabel(2.0, k), dim=dim).residual)
     dt = time.perf_counter() - t0
     ok = worst <= 1e-7 and worst_vac <= 1e-9
     report(8, "addition theorem <= 1e-7 (|k|<=4, lam r<=4, dim 96) + vacuum element = identity A (1e-9)",

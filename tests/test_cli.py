@@ -688,9 +688,9 @@ class TestComputedOnce:
 
         def broken(*args):
             held.append(len(identities._memo))
-            raise RuntimeError("broken irrep element")
+            raise RuntimeError("broken irrep row")
 
-        monkeypatch.setattr(identities, "irrep_element", broken)
+        monkeypatch.setattr(identities, "irrep_row", broken)
         with pytest.raises(RuntimeError):
             run_cli(["verify", "addition", "--dim", "32", "--r", "0.5"])
         assert held and held[0] > 0
@@ -847,19 +847,20 @@ def test_error_message_names_the_run_and_the_exception(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, where",
+    "argv, what",
     [
-        (["table", "profile", "--k", "150", "--lambda", "20", "--lambda2", "20"], "exp"),  # D_150's trace weights
-        (["table", "u-matrix", "--r", "40", "--dim", "512"], "multiply"),
+        # D_150's radial part falls below the float range before zeta = 20000
+        (["table", "profile", "--k", "150", "--lambda", "2", "--lambda2", "2", "--zmax", "20000"], "underflow"),
+        (["table", "u-matrix", "--r", "40", "--dim", "512"], "overflow"),
     ],
     ids=["profile", "u-matrix"],
 )
-def test_overflow_prints_only_the_error_line(argv, where, capfd):
+def test_overflow_prints_only_the_error_line(argv, what, capfd):
     # a fresh interpreter, so numpy's floating-point warnings would reach stderr as they do for users
     code = subprocess.run([sys.executable, "-m", "e2fock.cli", *argv], env=module_env(), timeout=120).returncode
     out, err = capfd.readouterr()
     assert (code, out) == (2, "")
-    assert err == f"error: {argv[0]} {argv[1]}: FloatingPointError: overflow encountered in {where}\n"
+    assert err == f"error: {argv[0]} {argv[1]}: FloatingPointError: {what} encountered in multiply\n"
 
 
 # Miller's recurrence starts above its argument, 2xr = 1e200 and lam r = 1e200 here
@@ -882,7 +883,34 @@ def test_miller_step_cap_refuses_a_table():
         [sys.executable, "-m", "e2fock.cli", *argv], env=module_env(), capture_output=True, text=True, timeout=60
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: table irrep: ValueError: " + _MILLER_CAP.format(0) + "\n"
+    # the first row, k = -3, runs to the largest |n - k| = 6 of the default n grid
+    assert proc.stderr == "error: table irrep: ValueError: " + _MILLER_CAP.format(6) + "\n"
+
+
+# kummer-limit's right side, which overflows to inf, or to NaN where I_{b-1} underflows to 0 as well
+_BESSEL_SIDE = "(b-1)! c^((1-b)/2) I_(b-1)(2 sqrt(c))"
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["verify", "kummer-limit", "--m", "60", "--x", "1e-8"], _BESSEL_SIDE + " is inf at b=60, c=1e-08"),
+        (["verify", "kummer-limit", "--m", "100", "--x", "1e-5"], _BESSEL_SIDE + " is nan at b=100, c=1e-05"),
+        (
+            ["verify", "identity-b", "--x", "1e-200", "--r", "1", "--m", "0", "--k", "2"],
+            "identity-b at m=0, k=2, x=1e-200, r=1: both sides and every term are 0",
+        ),
+    ],
+    ids=["kummer-limit-inf", "kummer-limit-nan", "identity-b-zero"],
+)
+def test_a_side_out_of_the_float_range_is_one_error_record(argv, detail):
+    # a fresh interpreter, so a numpy warning on the way would reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "e2fock.cli", *argv], env=module_env(), capture_output=True, text=True, timeout=60
+    )
+    (rec,) = json_records(proc.stdout)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert not rec["pass"] and rec["detail"] == "error: " + detail
 
 
 def test_closed_pipe_ends_quietly():

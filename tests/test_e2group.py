@@ -3,6 +3,7 @@ import functools
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -14,7 +15,7 @@ from e2fock.e2group import (
     compose,
     identity,
     inverse,
-    irrep_element,
+    irrep_row,
     u_factors,
     u_matrix,
 )
@@ -409,41 +410,50 @@ class TestUFactors:
 
 class TestIrrepElements:
     def test_identity_is_kronecker(self):
-        label = IrrepLabel(1.7)
         for k in (-3, 0, 2):
-            for n in (-3, 0, 2):
-                val = irrep_element(label, k, n, identity())
-                assert val == pytest.approx(1.0 if k == n else 0.0, abs=1e-15)
+            row = irrep_row(IrrepLabel(1.7, k), identity(), 3)
+            assert np.max(np.abs(row - np.eye(7)[3])) <= 1e-15
 
     def test_translation_diagonal_is_j0(self):
         g = GroupElement(1.1, 0.6, 0.0)
-        label = IrrepLabel(2.3)
-        assert irrep_element(label, 0, 0, g) == pytest.approx(bessel_j(0, 2.3 * 1.1), rel=1e-13)
+        (t00,) = irrep_row(IrrepLabel(2.3), g, 0)
+        assert t00 == pytest.approx(bessel_j(0, 2.3 * 1.1), rel=1e-13)
 
     def test_bounded_by_one(self):
-        label = IrrepLabel(3.0)
         for g in GENERIC:
             for k in (-5, 0, 4):
-                for n in (-6, 1, 7):
-                    assert abs(irrep_element(label, k, n, g)) <= 1.0 + 1e-15
+                assert np.all(np.abs(irrep_row(IrrepLabel(3.0, k), g, 11)) <= 1.0 + 1e-15)
 
     def test_row_sum_rule(self):
         # sum_n |t_{kn}|^2 = sum J_{n-k}^2 = 1, truncated at |n-k| <= 60
-        label = IrrepLabel(2.0)
         for g in GENERIC:
-            seq = bessel_j_seq(60, label.lam * g.r)
-            total = seq[0] ** 2 + 2 * np.sum(seq[1:] ** 2)
-            assert total == pytest.approx(1.0, abs=1e-12)
+            for k in (-2, 0, 3):
+                assert np.sum(np.abs(irrep_row(IrrepLabel(2.0, k), g, 60)) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-10, 0.5, 2.0, 6.0])
+    def test_row_matches_mpmath(self, x):
+        # each element against i^d e^{-i((k+d) phi - d psi)} J_d(lam r), J_d from mpmath in 40 digits
+        nmax, psi, phi = 60, 0.7, 0.3
+        g = GroupElement(x / 2.0, psi, phi)
+        with mp.workdps(40):
+            js = [mp.besselj(d, 2 * mp.mpf(g.r)) for d in range(-nmax, nmax + 1)]
+            for k in (-3, 0, 4):
+                row = irrep_row(IrrepLabel(2.0, k), g, nmax)
+                for d, j, t in zip(range(-nmax, nmax + 1), js, row):
+                    if abs(j) > mp.mpf("1e-290"):
+                        ref = mp.mpc(0, 1) ** d * mp.expj(-((k + d) * mp.mpf(phi) - d * mp.mpf(psi))) * j
+                        assert abs(mp.mpc(t) - ref) <= 1e-13 * abs(ref), (k, d)
 
     def test_homomorphism(self):
-        label = IrrepLabel(1.3)
-        trunc = 60
+        # Graf: t_{kn}(g1 g2) = sum_j t_{kj}(g1) t_{jn}(g2), the sum truncated at |j - k| <= 60
+        trunc, ns = 60, (-1, 0, 3)
+        js = range(-trunc, trunc + 1)
         for g1, g2 in [(GENERIC[0], GENERIC[1]), (GENERIC[2], GENERIC[3])]:
             g12 = compose(g1, g2)
             for k in (-2, 0, 1):
-                for n in (-1, 0, 3):
-                    acc = 0j
-                    for j in range(k - trunc, k + trunc + 1):
-                        acc += irrep_element(label, k, j, g1) * irrep_element(label, j, n, g2)
-                    ref = irrep_element(label, k, n, g12)
-                    assert abs(acc - ref) <= 1e-9
+                first, ref = irrep_row(IrrepLabel(1.3, k), g1, trunc), irrep_row(IrrepLabel(1.3, k), g12, 5)
+                # row j of g2 to |n - j| <= trunc + 5, so t_{jn}(g2) sits at index n - j + trunc + 5
+                second = [irrep_row(IrrepLabel(1.3, k + j), g2, trunc + 5) for j in js]
+                for n in ns:
+                    acc = sum(t * row[n - k - j + trunc + 5] for j, t, row in zip(js, first, second))
+                    assert abs(acc - ref[n - k + 5]) <= 1e-9
