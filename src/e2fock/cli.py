@@ -430,8 +430,15 @@ def _csv_value(v):
 def _write_rows(rows, fmt, stream):
     """Write dict rows as JSON lines, or as CSV under a header of the first row's keys."""
     if fmt == "json":
+        # one encoder for every row; it refuses a non-finite float, and only such a row is rewritten with nulls
+        strict = json.JSONEncoder(sort_keys=True, default=repr, allow_nan=False)
+        lenient = json.JSONEncoder(sort_keys=True, default=repr)
         for row in rows:
-            stream.write(json.dumps(_json_value(row), sort_keys=True, default=repr) + "\n")
+            try:
+                line = strict.encode(row)
+            except ValueError:
+                line = lenient.encode(_json_value(row))
+            stream.write(line + "\n")
     else:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(rows[0])

@@ -90,15 +90,18 @@ def memo_scope():
     """Inside the block, compute each intermediate array of the identity checks once.
 
     Those are each U(g), D_k diagonal (of ``addition`` and the orthogonality
-    profiles), Bessel J sequence, Kummer sequence of ``hille-hardy`` (its
-    Laguerre values), 2F0 column (:func:`specfun.hyp2f0_seq`) and
-    log-factorial vector.  The checks read them through one memo keyed by
+    profiles), signed Bessel J row and weight vector of ``identity-b``, 2F0
+    column (:func:`specfun.hyp2f0_seq`) and log-factorial vector.  Kummer
+    values Phi(-n, b; x), which ``identity-a``, ``identity-b`` and
+    ``hille-hardy`` (its Laguerre values) read, come from one recurrence
+    run per (b, x): a request past the run's end continues it, a shorter one
+    reads a slice.  The checks read all of these through one memo keyed by
     the builder and its arguments; it is emptied when the block exits,
     however it exits.  Arrays are read-only whether memoized or not.  On
     the default grids, ``verify identity-b`` builds 51 2F0 columns for its
-    693 checks, one per distinct (m + k, r), and ``verify hille-hardy`` 42
-    Kummer sequences and 14 log-factorial vectors for its 126, one per
-    distinct (nmax, k, x or y) and nmax + k.
+    693 checks, one per distinct (m + k, r), and ``verify hille-hardy`` runs
+    21 Kummer recurrences and builds 14 log-factorial vectors for its 126,
+    one per distinct (k, x or y) and nmax + k.
     """
     global _memo
     _memo = _Memo()
@@ -106,6 +109,22 @@ def memo_scope():
         yield
     finally:
         _memo = None
+
+
+def _kummer_run(nmax: int, b: int, x: float) -> np.ndarray:
+    # Phi(-n, b; x) for n = 0..nmax, read-only: inside a memo_scope() one recurrence run per (b, x),
+    # which a longer request continues and whose longest array counts against the memo's bytes
+    key = (_kummer_run, b, x)
+    head = _memo.get(key) if _memo is not None else None
+    if head is not None and len(head) > nmax:
+        return head[: nmax + 1]
+    values = kummer_phi_seq(nmax, b, x, head)
+    values.flags.writeable = False
+    held = head.nbytes if head is not None else 0
+    if _memo is not None and _memo.nbytes - held + values.nbytes <= _MEMO_BYTES:
+        _memo[key] = values
+        _memo.nbytes += values.nbytes - held
+    return values
 
 
 def _once(build, *args):
@@ -210,7 +229,7 @@ def _vacuum_terms(k: int, x: float, r: float) -> np.ndarray:
     while t > _TERM_EPS * math.exp(r2) and nmax < 400:
         nmax += 1
         t *= r2 / nmax
-    phis = kummer_phi_seq(nmax, 1 + k, x * x)
+    phis = _kummer_run(nmax, 1 + k, x * x)
     weights = np.exp(_log_power(2 * np.arange(nmax + 1), r) - _once(_log_factorials, nmax))
     return weights * phis
 
@@ -232,6 +251,26 @@ def identity_a(k: int, x: float, r: float) -> Residual:
     return Residual(abs(lhs - rhs) / scale)
 
 
+def _identity_b_weights(xr: float) -> np.ndarray:
+    # (-xr)^n / n! for n = 0..80, the running product of the factors -xr/n
+    return np.cumprod(np.concatenate(([1.0], -xr / np.arange(1.0, _IDENTITY_B_TERMS + 1))))
+
+
+def _identity_b_column(q: int, r: float) -> np.ndarray:
+    # 2F0(-q, -n; -1/r^2) for n = 0..80, refused where not finite
+    column = hyp2f0_seq(q, _IDENTITY_B_TERMS, -1.0 / (r * r))
+    if not np.isfinite(column).all():
+        raise OverflowError(f"2F0(-{q}, -n; -1/r^2) is not finite at r={r!r}")
+    return column
+
+
+def _signed_bessel_row(k: int, z: float) -> np.ndarray:
+    # J_{k-n}(z) for n = 0..80, with J_{-j} = (-1)^j J_j
+    js = bessel_j_seq(_IDENTITY_B_TERMS + k, z)
+    orders = k - np.arange(_IDENTITY_B_TERMS + 1)
+    return np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0) * js[np.abs(orders)]
+
+
 def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     """Shifted sandwich of the addition theorem:
 
@@ -243,31 +282,23 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     """
     if m < 0 or k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")
-    lhs = (
-        math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r))
-        * kummer_phi(m, 1 + k, x * x)
-    )
-    js = _once(bessel_j_seq, _IDENTITY_B_TERMS + abs(k), 2 * x * r)
-    column = _once(hyp2f0_seq, m + k, _IDENTITY_B_TERMS, -1.0 / (r * r))
-    if not np.isfinite(column).all():
-        raise OverflowError(f"2F0(-{m + k}, -n; -1/r^2) is not finite at r={r!r}")
-    # Python floats, so a term that overflows does so silently
-    hyps = column.tolist()
-
-    def j_signed(order: int) -> float:
-        return js[order] if order >= 0 else (-1.0) ** (-order) * js[-order]
-
-    rhs, term_max = 0.0, 0.0
-    c = 1.0  # (-xr)^n / n!
-    tail = 0.0
-    for n in range(_IDENTITY_B_TERMS + 1):
-        term = c * hyps[n] * j_signed(k - n)
-        rhs += term
-        term_max = max(term_max, abs(term))
-        tail = abs(term)
-        c *= -(x * r) / (n + 1)
-        if n > 10 and tail < _TERM_EPS * term_max:
-            break
+    phi = float(_kummer_run(m, 1 + k, x * x)[m])
+    lhs = math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r)) * phi
+    js = _once(_signed_bessel_row, k, 2 * x * r)
+    column = _once(_identity_b_column, m + k, r)
+    # one pass over n = 0..80, silent where a weight or term overflows or inf - inf is NaN.  Accumulates run in
+    # order, so each value is the float of a loop that takes one term at a time; term 0 is J_k(2xr),
+    # finite, and fmax skips a NaN term as max(term_max, |term|) does
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _once(_identity_b_weights, x * r) * column * js
+        sizes = abs(terms)
+        term_maxes = np.fmax.accumulate(sizes)
+        # the sum stops at the first n > 10 whose term is below 1e-18 of the largest so far, or at n = 80
+        small = sizes[11:] < _TERM_EPS * term_maxes[11:]
+        n = int(small.argmax())
+        n = 11 + n if small[n] else _IDENTITY_B_TERMS
+        rhs = float(np.add.accumulate(terms)[n])
+    term_max, tail = float(term_maxes[n]), float(sizes[n])
     scale = max(abs(lhs), abs(rhs), term_max)
     if scale == 0.0:
         raise ArithmeticError(f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: both sides and every term are 0")
@@ -366,7 +397,7 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
         raise ValueError("hille_hardy_residual requires zq <= 0.95")
     nmax = min(4000, max(30, int(math.log(_TERM_EPS) / math.log(zq)) + 50))
     # L^k_n = C(n+k, n) Phi(-n, 1+k; .), so the weight (n!/(n+k)!) C(n+k, n)^2 is C(n+k, n)/k!
-    px, py = _once(kummer_phi_seq, nmax, 1 + k, x), _once(kummer_phi_seq, nmax, 1 + k, y)
+    px, py = _kummer_run(nmax, 1 + k, x), _kummer_run(nmax, 1 + k, y)
     ns = np.arange(nmax + 1)
     logf = _once(_log_factorials, nmax + k)
     logw = logf[k:] - logf[: nmax + 1] - 2 * logf[k]

@@ -55,17 +55,22 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def _kummer_terms(b: int, x: float, s: float = 1.0):
+def _kummer_terms(b: int, x: float, s: float = 1.0, start=None):
     # s^n Phi(-n, b; x) for n = 0, 1, 2, ... by the forward degree recurrence, each step
-    # carrying one more factor s (exact at s = 1), so s^n Phi is in range where Phi is not
-    f_prev, f = 1.0, s * (1.0 - x / b)
-    yield f_prev
-    for n in itertools.count(1):
+    # carrying one more factor s (exact at s = 1), so s^n Phi is in range where Phi is not;
+    # from start = (n, value at n - 1, value at n), the values after n
+    if start is None:
+        f_prev, f = 1.0, s * (1.0 - x / b)
+        yield f_prev
         yield f
+        start = (1, f_prev, f)
+    n0, f_prev, f = start
+    for n in itertools.count(n0):
         f_prev, f = f, ((b + 2 * n - x) * s * f - n * s * s * f_prev) / (n + b)
+        yield f
 
 
-def kummer_phi_seq(nmax: int, b: int, x: float) -> np.ndarray:
+def kummer_phi_seq(nmax: int, b: int, x: float, head: np.ndarray | None = None) -> np.ndarray:
     """All values Phi(-n, b; x) for n = 0..nmax, b >= 1 and any finite real x.
 
     Uses the three-term recurrence in the degree,
@@ -78,10 +83,20 @@ def kummer_phi_seq(nmax: int, b: int, x: float) -> np.ndarray:
     x > 0 the power series loses about 2 sqrt(n x) log10(e) digits to
     cancellation, all 16 near n x ~ 340; :func:`kummer_phi_series` sums it
     only where n x is small.
+
+    ``head``, if given, is this function's result for a smaller nmax at the
+    same (b, x).  The run continues from its last two values, so every value
+    is the float of one run from n = 0; a head of one value starts it over.
     """
     if nmax < 0 or b < 1:
         raise ValueError("kummer_phi_seq requires nmax >= 0 and integer b >= 1")
-    return np.fromiter(_kummer_terms(b, x), dtype=float, count=nmax + 1)
+    if head is None or len(head) < 2:
+        return np.fromiter(_kummer_terms(b, x), dtype=float, count=nmax + 1)
+    n = len(head) - 1
+    if n >= nmax:
+        raise ValueError(f"a head of {n + 1} values continues only to a larger nmax, got {nmax}")
+    tail = _kummer_terms(b, x, start=(n, float(head[-2]), float(head[-1])))
+    return np.concatenate((head, np.fromiter(tail, dtype=float, count=nmax - n)))
 
 
 def kummer_phi(n: int, b: int, x: float) -> float:
@@ -136,13 +151,27 @@ def hyp2f0_seq(m: int, nmax: int, x: float) -> np.ndarray:
         raise ValueError("2F0(-m, -n; x) requires m, n >= 0")
     if x == 0.0:
         return np.ones(nmax + 1)
-    ns = np.arange(nmax + 1)
-    steps, out = np.minimum(ns, m), np.ones(nmax + 1)
+    out = np.ones(nmax + 1)  # every entry at step 0
+    run = itertools.islice(_kummer_terms(1 + abs(np.arange(nmax + 1) - m), -1.0 / x, x), 1, None)
     # silent, as Python floats are: lanes past their own step may overflow, and out-of-range values are inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, values in zip(range(min(m, nmax) + 1), _kummer_terms(1 + abs(ns - m), -1.0 / x, x)):
-            out = np.where(steps == step, values, out)
-        return out * [float(math.perm(max(m, n), min(m, n))) for n in range(nmax + 1)]
+        for step, values in zip(range(1, min(m, nmax) + 1), run):
+            # entry n < m is read at step n, every entry n >= m at step m
+            if step < m:
+                out[step] = values[step]
+            else:
+                out[m:] = values[m:]
+        return out * _perms(m, nmax)
+
+
+def _perms(m: int, nmax: int) -> list[float]:
+    # q!/(q-p)! for n = 0..nmax, p = min(m, n), q = max(m, n): exact integer running products, each rounded once
+    perms, perm = [], 1
+    for n in range(nmax + 1):
+        if n:
+            perm = perm * (m - n + 1) if n <= m else perm * n // (n - m)
+        perms.append(float(perm))
+    return perms
 
 
 def hyp2f0_poly(m: int, n: int, x: float) -> float:

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from e2fock.fock import boundary_margin
-from e2fock.specfun import bessel_j
+from e2fock.identities import Residual
+from e2fock.specfun import bessel_j, bessel_j_seq, hyp2f0_seq, kummer_phi, log_factorial
 
 mp.mp.dps = 40
 
@@ -58,6 +59,50 @@ def hyp2f0_per_entry(m: int, n: int, x: float) -> float:
     for j in range(1, p):
         f_prev, f = f, ((b + 2 * j - y) * x * f - j * x * x * f_prev) / (j + b)
     return math.perm(q, p) * (f if p else f_prev)
+
+
+def identity_b_termwise(m: int, k: int, x: float, r: float) -> Residual:
+    """``identities.identity_b`` as a loop over n in Python floats, one term at a time.
+
+    The reference for the check's array pass: it reads the same 2F0 column,
+    Bessel sequence and Kummer value, and must give the same residual and
+    detail, and raise the same error, float for float.
+    """
+    if m < 0 or k < 0 or not (0 < x) or not (0 < r):
+        raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")
+    lhs = (
+        math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r))
+        * kummer_phi(m, 1 + k, x * x)
+    )
+    js = bessel_j_seq(80 + k, 2 * x * r).tolist()
+    column = hyp2f0_seq(m + k, 80, -1.0 / (r * r))
+    if not np.isfinite(column).all():
+        raise OverflowError(f"2F0(-{m + k}, -n; -1/r^2) is not finite at r={r!r}")
+    hyps = column.tolist()
+
+    def j_signed(order: int) -> float:
+        return js[order] if order >= 0 else (-1.0) ** (-order) * js[-order]
+
+    rhs, term_max = 0.0, 0.0
+    c = 1.0  # (-xr)^n / n!
+    tail = 0.0
+    for n in range(81):
+        term = c * hyps[n] * j_signed(k - n)
+        rhs += term
+        term_max = max(term_max, abs(term))
+        tail = abs(term)
+        c *= -(x * r) / (n + 1)
+        if n > 10 and tail < 1e-18 * term_max:
+            break
+    scale = max(abs(lhs), abs(rhs), term_max)
+    if scale == 0.0:
+        raise ArithmeticError(f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: both sides and every term are 0")
+    detail = None
+    residual = abs(lhs - rhs) / scale
+    if tail > 1e-12 * scale:
+        detail = f"non-convergent tail: last term {tail:.3e} vs scale {scale:.3e}"
+        residual = max(residual, tail / scale)
+    return Residual(residual, detail)
 
 
 def laguerre_series(n: int, k: int, x) -> mp.mpf:

@@ -18,6 +18,7 @@ from e2fock import cli, identities
 from e2fock.cli import RunConfig, main, suite_intertwining, suite_unitarity
 from e2fock.e2group import GroupElement, IrrepLabel, u_factors, u_matrix
 from e2fock.fock import annihilator, safe_block, times_diagonal
+from e2fock.specfun import kummer_phi_seq
 
 from conftest import orthogonality_profile_mp
 
@@ -386,12 +387,14 @@ def _counting(monkeypatch, name):
 
 
 def test_hille_hardy_builds_each_laguerre_sequence_once(monkeypatch):
-    # each Laguerre sequence is a Kummer sequence Phi(-n, 1+k; x): 42 distinct
-    # (nmax, 1 + k, x or y) keys on the default grid, x and y sharing values
+    # each Laguerre sequence is a Kummer sequence Phi(-n, 1+k; x): 21 distinct (1 + k, x or y) on
+    # the default grid, x and y sharing values, each run to n = 109 (zq = 0.5) and continued to 443
     built = _counting(monkeypatch, "kummer_phi_seq")
     code, out = run_cli(["verify", "hille-hardy"])
     assert code == 0 and len(json_records(out)) == 126
-    assert len(built) == len(set(built)) == 42
+    starts = [(b, x) for nmax, b, x, head in built if head is None]
+    assert len(starts) == len(set(starts)) == 21
+    assert sorted((nmax, len(head)) for nmax, _, _, head in built if head is not None) == [(443, 110)] * 21
 
 
 def test_identity_b_builds_each_hyp2f0_column_once(monkeypatch):
@@ -413,8 +416,10 @@ def test_hille_hardy_builds_each_log_factorial_vector_once(monkeypatch):
 
 @pytest.mark.parametrize("suite", ["identity-b", "hille-hardy", "identity-a"])
 def test_memo_does_not_change_a_byte(suite, monkeypatch):
+    # neither memoized arrays nor shared Kummer runs: every value computed afresh for its check
     code, memoized = run_cli(["verify", suite])
     monkeypatch.setattr(identities, "_once", lambda build, *args: build(*args))
+    monkeypatch.setattr(identities, "_kummer_run", lambda nmax, b, x: kummer_phi_seq(nmax, b, x))
     assert run_cli(["verify", suite]) == (code, memoized)
 
 
@@ -706,6 +711,17 @@ class TestComputedOnce:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1.0
         assert identities._once(u_factors, g, 8, 8) is not factors
+
+    def test_a_kummer_run_past_the_memo_cap_is_recomputed(self, monkeypatch):
+        monkeypatch.setattr(identities, "_MEMO_BYTES", 8 * 50)
+        with identities.memo_scope():
+            held = identities._kummer_run(40, 3, 2.5)
+            longer = identities._kummer_run(100, 3, 2.5)  # 101 values, over the cap
+            assert identities._memo.nbytes == held.nbytes == 8 * 41
+            assert identities._kummer_run(30, 3, 2.5).base is held
+            again = identities._kummer_run(100, 3, 2.5)
+            assert again is not longer
+            assert again.tobytes() == longer.tobytes() == kummer_phi_seq(100, 3, 2.5).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1011,3 +1027,40 @@ def test_verify_all_json_and_csv_agree_record_by_record():
         assert row["tolerance"] == repr(rec["tolerance"])
         assert row["pass"] == ("true" if rec["pass"] else "false")
         assert row["detail"] == (rec["detail"] if rec["detail"] is not None else "")
+
+
+class TestStrictJsonRows:
+    """Rows are encoded strictly in one pass; only a row with a non-finite float is rewritten with nulls."""
+
+    ROWS = [
+        {"name": "finite", "params": {"x": 0.5, "k": 2}, "residual": 1e-17, "pass": True, "detail": None},
+        {"name": "error", "params": {"x": 1e-200}, "residual": math.inf, "pass": False, "detail": "error: 0/0"},
+        {"name": "param", "params": {"x": math.nan, "y": -math.inf}, "residual": 0.0, "pass": True, "detail": None},
+        {"name": "numpy", "params": {"x": np.float64(math.inf), "n": np.int64(3)}, "residual": np.float64(2.5)},
+    ]
+
+    def test_json_prints_null_for_every_non_finite_float(self):
+        buf = io.StringIO()
+        cli._write_rows(self.ROWS, "json", buf)
+        lines = buf.getvalue().splitlines()
+        # what one lenient json.dumps per row printed, after nulling non-finite floats
+        assert lines == [json.dumps(cli._json_value(row), sort_keys=True, default=repr) for row in self.ROWS]
+        recs = [json.loads(line, parse_constant=pytest.fail) for line in lines]
+        assert recs[1]["residual"] is None and recs[2]["params"] == {"x": None, "y": None}
+        assert recs[3]["params"] == {"n": "np.int64(3)", "x": None} and recs[3]["residual"] == 2.5
+
+    def test_csv_prints_the_float_repr(self):
+        buf = io.StringIO()
+        cli._write_rows(self.ROWS[:3], "csv", buf)
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert [row["residual"] for row in rows] == ["1e-17", "inf", "0.0"]
+        assert rows[2]["params"] == "x=nan;y=-inf"
+
+    def test_an_error_record_is_null_in_json_and_inf_in_csv(self):
+        argv = ["verify", "identity-b", "--m", "3", "--k", "2", "--x", "1e-200", "--r", "1"]
+        (code, out), (csv_code, csv_out) = run_cli(argv), run_cli([*argv, "--format", "csv"])
+        (rec,), (row,) = json_records(out), list(csv.DictReader(io.StringIO(csv_out)))
+        assert code == csv_code == 1
+        assert rec["residual"] is None and row["residual"] == "inf"
+        detail = "error: identity-b at m=3, k=2, x=1e-200, r=1: both sides and every term are 0"
+        assert rec["detail"] == row["detail"] == detail

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +20,7 @@ from e2fock.identities import (
     intertwining_residual,
     kummer_bessel_limit_residual,
     kummer_recurrence_residual,
+    memo_scope,
     orthogonality_bounded_residual,
     orthogonality_grading_residual,
     orthogonality_growth_residual,
@@ -28,7 +31,7 @@ from e2fock.identities import (
 )
 from e2fock.repk import basis_d, inner_product, to_matrix
 
-from conftest import irrep_element_series, orthogonality_profile_mp
+from conftest import identity_b_termwise, irrep_element_series, orthogonality_profile_mp
 
 
 def orthogonality_profile(k, lambda1, lambda2, zmax):
@@ -121,6 +124,56 @@ class TestIdentityB:
     def test_contract_corners(self, m, k, x, r):
         rep = identity_b(m, k, x, r)
         assert rep.residual <= 1e-9
+
+
+def _outcome(check, *point):
+    # the residual's repr and the detail, or the error's type and message
+    try:
+        residual, detail = check(*point)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(residual), detail
+
+
+_DEFAULT_B_GRID = list(itertools.product(range(11), range(7), [0.5, 1.0, 2.0], [0.5, 1.0, 1.5]))
+
+# x and r drawn from the benchmark's span for identity-b, x in [0.5, 2], r in [0.5, 1.5]
+_rng = random.Random(19)
+_SPAN_B_GRID = list(
+    itertools.product(
+        range(11), range(7), [round(_rng.uniform(0.5, 2.0), 4) for _ in range(3)], [round(_rng.uniform(0.5, 1.5), 4)]
+    )
+)
+
+_EDGE_B_POINTS = [
+    (5, 3, 10.0, 5.0),  # the sum has not converged by n = 80
+    (0, 0, 1e-200, 1.0),  # only term 0 survives
+    (3, 2, 1e-200, 1.0),  # both sides and every term are 0: an error
+    (2, 1, 1.0, 1e-200),  # -1/r^2 divides by zero: an error
+    (0, 0, 1e-200, 1e-200),  # both
+    (4, 2, 1.0, 2e5),  # terms near 1e302, an unconverged tail
+    (4, 2, 1.0, 3e5),  # the weights overflow to inf, and inf - inf makes the sum NaN
+    (0, 0, 0.5, 1e200),  # 2xr is past the Bessel recurrence's step cap: an error
+]
+
+
+class TestIdentityBArrayPass:
+    """The n-sum as one array pass gives the term loop's floats, in and out of a memo scope."""
+
+    @pytest.mark.parametrize(
+        "points", [_DEFAULT_B_GRID, _SPAN_B_GRID, _EDGE_B_POINTS], ids=["default", "span", "edge"]
+    )
+    def test_matches_the_term_loop(self, points):
+        # an overflow inside the pass would raise here: the suite turns RuntimeWarning into an error
+        want = [_outcome(identity_b_termwise, *p) for p in points]
+        assert [_outcome(identity_b, *p) for p in points] == want
+        with memo_scope():
+            assert [_outcome(identity_b, *p) for p in points] == want
+
+    def test_edge_points_cover_every_outcome(self):
+        outcomes = [_outcome(identity_b, *p) for p in _EDGE_B_POINTS]
+        assert outcomes[0][1].startswith("non-convergent tail")
+        assert {o[0] for o in outcomes} >= {"ArithmeticError", "ZeroDivisionError", "ValueError", "nan"}
 
 
 class TestAdditionTheorem:

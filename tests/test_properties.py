@@ -227,6 +227,18 @@ class TestMemoizedVectors:
         assert [repr(v) for v in column.tolist()] == [repr(hyp2f0_per_entry(m, n, x)) for n in range(nmax + 1)]
 
     @PROPERTY
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=6), st.integers(1, 12), st.floats(-30.0, 30.0))
+    def test_a_shared_kummer_run_is_kummer_phi_seq(self, requests, b, x):
+        # one recurrence run per (b, x) serves requests in any order, each slice the
+        # floats of a run to its own nmax; the memo holds the longest run's bytes
+        with identities.memo_scope():
+            for nmax in requests:
+                phis = identities._kummer_run(nmax, b, x)
+                assert phis.tobytes() == kummer_phi_seq(nmax, b, x).tobytes()
+                assert not phis.flags.writeable
+            assert identities._memo.nbytes == 8 * (max(requests) + 1)
+
+    @PROPERTY
     @given(st.integers(171, 600))
     def test_log_factorials_are_log_factorial(self, nmax):
         # every vector runs past n = 170, where log_factorial leaves its exact table for lgamma
