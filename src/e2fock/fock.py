@@ -33,47 +33,19 @@ def annihilator(dim: int) -> np.ndarray:
     return a
 
 
-def times_diagonal(A: np.ndarray, values: np.ndarray, offset: int) -> np.ndarray:
-    """A @ M for the M whose only nonzero entries lie on one diagonal.
-
-    ``values`` are M's leading entries along diagonal ``offset``: M[i, i+offset]
-    for offset >= 0, M[i-offset, i] below.  Each column of the product is a
-    column of A times one entry of M, the one nonzero term of the dense
-    product.  When M's entries are real or purely imaginary that term is one
-    rounded float product per part, so the result equals the dense product
-    (up to the sign of zeros) at O(dim^2) cost.
-    """
-    out = np.zeros_like(A)
-    size, lag = len(values), abs(offset)
-    if offset >= 0:
-        out[:, offset : offset + size] = A[:, :size] * values
-    else:
-        out[:, :size] = A[:, lag : lag + size] * values
-    return out
-
-
-def panel_size(dim: int, n: int) -> int:
-    """Leading rows or columns to multiply for the leading n x n block of a product.
-
-    zgemm kernels such as OpenBLAS's fill the output in panels of 4 rows and
-    columns and sum the entries of a partial panel in another order.  Keeping
-    n rounded up to whole panels (at most dim) gives, on such a BLAS, the bits
-    of the full dim x dim product's block; elsewhere it agrees to rounding.
-    """
-    return min(dim, -(-n // 4) * 4)
-
-
 def conjugated_block(factors, values: np.ndarray, offset: int, n: int) -> np.ndarray:
-    """The leading n x n block of U V U*, V as M of :func:`times_diagonal`, from U's factors (row, col, M).
+    """The leading n x n block of U V U* from U's factors (row, col, M) of :func:`e2group.u_factors`.
 
-    As U = D_row M D_col (:func:`e2group.u_factors`), U V U* = D_row M (D_col V D_col*) M^T D_row*, with middle
-    diagonal col[i] v conj(col[j]): two real products of M's leading panel_size rows, then the row phases.
+    V's only nonzero entries are ``values`` on diagonal ``offset``, values[i] at (s + i, s + i + offset) with
+    s = max(-offset, 0); the diagonal may stop short of the corner.  U V U* = D_row M (D_col V D_col*) M^T D_row*
+    and the middle factor keeps V's diagonal, so the block is two real products of column slices of M's first n
+    rows, (M[:n, c] * part) @ M[:n, c + offset].T, then the row phases; M's rows from n on are never read.
     """
     row, col, M = factors
-    i = np.arange(len(values)) + max(-offset, 0)  # V's entries sit at (i, i + offset)
-    mid = col[i] * values * col[i + offset].conj()
-    rows = M[: panel_size(M.shape[1], n)]
-    re, im = ((times_diagonal(rows, part, offset) @ rows.T)[:n, :n] for part in (mid.real, mid.imag))
+    s = max(-offset, 0)
+    c, shifted = slice(s, s + len(values)), slice(s + offset, s + offset + len(values))
+    mid = col[c] * values * col[shifted].conj()
+    re, im = ((M[:n, c] * part) @ M[:n, shifted].T for part in (mid.real, mid.imag))
     return row[:n, None] * (re + 1j * im) * row[:n].conj()
 
 

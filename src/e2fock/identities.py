@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .e2group import GroupElement, IrrepLabel, irrep_row, u_factors
-from .fock import annihilator, conjugated_block, panel_size, safe_block
+from .fock import annihilator, conjugated_block, safe_block
 from .repk import basis_d, inner_product
 from .specfun import (
     bessel_i,
@@ -164,8 +164,8 @@ def worst_rise(values, floor: float) -> float:
 
 def _unitarity_defect(g: GroupElement, dim: int, block: int) -> float:
     # U* U = D_col* M^T M D_col and (M^T M)[i, j] = (-1)^(i+j) (M M^T)[i, j]: M's leading rows give the block
-    M = u_factors(g, dim, panel_size(dim, block))[2]
-    return np.linalg.norm((M @ M.T)[:block, :block] - np.eye(block))
+    M = u_factors(g, dim, block)[2]
+    return np.linalg.norm(M @ M.T - np.eye(block))
 
 
 def _checked_block(dim: int, r: float) -> int:
@@ -188,7 +188,7 @@ def unitarity_decay_residual(g: GroupElement, block: int) -> Residual:
 def intertwining_residual(g: GroupElement, dim: int) -> Residual:
     """Largest entry of U a U* - (e^{i phi} a + r e^{i psi}) on the block of :func:`unitarity_residual`."""
     b = _checked_block(dim, g.r)
-    UaU = conjugated_block(u_factors(g, dim, panel_size(dim, b)), np.sqrt(np.arange(1.0, dim)), 1, b)
+    UaU = conjugated_block(u_factors(g, dim, b), np.sqrt(np.arange(1.0, dim)), 1, b)
     return Residual(np.max(np.abs(UaU - (np.exp(1j * g.phi) * annihilator(b) + g.w * np.eye(b)))))
 
 
@@ -315,7 +315,7 @@ def _basis_diagonal(lam: float, n: int, zmax: int) -> np.ndarray:
     return basis_d(IrrepLabel(lam, n), zmax).diagonal
 
 
-def addition_residual(g: GroupElement, label: IrrepLabel, dim: int = 96) -> Residual:
+def addition_residual(g: GroupElement, label: IrrepLabel, dim: int) -> Residual:
     """Operator addition theorem U(g) D_k U(g)* = sum_n t_{kn}(g) D_n, k = label.k.
 
     Both sides are compared as truncated Fock matrices on the safe block; the n-sum runs over |n - k| <= 60
@@ -360,7 +360,7 @@ def _addition_phase_diagnostic(block, terms) -> str:
     return "per-n coefficient mismatch: " + worst
 
 
-def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, dim: int = 96) -> Residual:
+def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, dim: int) -> Residual:
     """The <0|.|0> element of the addition theorem collapses to identity-a, k = label.k.
 
     Checks that (U D_k U*)_{00} equals both t_{k0}(g) f_0(0) and the
@@ -499,11 +499,8 @@ def classical_limit_error(label: IrrepLabel, r: float, sigma: float) -> float:
         raise ValueError("sigma must be positive")
     zeta_star = round(r * r / sigma)
     lam, a = label.lam, abs(label.k)
-    lhs = (
-        math.exp(a * math.log(lam * r / 2.0) - log_factorial(a) - sigma * lam * lam / 8.0)
-        * _limit_kummer(zeta_star, 1 + a, sigma * lam * lam / 4.0, "r^2/sigma")
-        if r > 0
-        else (1.0 if a == 0 else 0.0) * math.exp(-sigma * lam * lam / 8.0)
+    lhs = math.exp(_log_power(a, lam * r / 2.0) - log_factorial(a) - sigma * lam * lam / 8.0) * _limit_kummer(
+        zeta_star, 1 + a, sigma * lam * lam / 4.0, "r^2/sigma"
     )
     return abs(lhs - bessel_j(a, lam * r))
 

@@ -222,15 +222,20 @@ def basis_d(label: IrrepLabel, zmax: int) -> BasisFunction:
     so statements at the boundary point must be excluded.  Raises ValueError
     where e^{-lam^2/8} underflows to 0 (lam > 77.2), where the prefactor
     underflows to 0 so that f_k vanishes identically (lam = 1e-300, k = 5),
-    or where f_k is not finite.
+    where (lam/2)^a overflows, or where f_k is not finite.
     """
     if zmax < 1:
         raise ValueError("basis_d requires zmax >= 1")
     lam, k = label.lam, label.k
     a = abs(k)
-    pref = (0.5j * lam) ** a / math.factorial(a) * (damping := math.exp(-lam * lam / 8.0))
+    try:
+        power = (0.5 * lam) ** a
+    except OverflowError:
+        raise ValueError(f"basis_d at lam={lam!r}, k={k}: (lam/2)^{a} overflows") from None
+    pref = power / math.factorial(a) * (damping := math.exp(-lam * lam / 8.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        radial = pref * kummer_phi_seq(zmax, 1 + a, lam * lam / 4.0).astype(complex)
+        # i^a exact from a table of four, times the real (lam/2)^a/a! e^{-lam^2/8} Phi
+        radial = np.array([1, 1j, -1, -1j])[a % 4] * (pref * kummer_phi_seq(zmax, 1 + a, lam * lam / 4.0))
     if pref == 0 or not np.all(np.isfinite(radial)):
         why = f"not finite up to zeta = {zmax}"
         if pref == 0:

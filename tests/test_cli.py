@@ -17,7 +17,7 @@ import pytest
 from e2fock import cli, identities
 from e2fock.cli import RunConfig, main, suite_intertwining, suite_unitarity
 from e2fock.e2group import GroupElement, IrrepLabel, u_factors, u_matrix
-from e2fock.fock import annihilator, safe_block, times_diagonal
+from e2fock.fock import annihilator, safe_block
 from e2fock.specfun import kummer_phi_seq
 
 from conftest import orthogonality_profile_mp
@@ -446,16 +446,15 @@ def full_unitarity_defect(U, dim, block):
 
 def full_intertwining_residual(g, dim, b):
     U, a = u_matrix(g, dim), annihilator(dim)
-    Ua = times_diagonal(U, np.diagonal(a, 1), 1)
     target = np.exp(1j * g.phi) * a + g.w * np.eye(dim)
-    return np.max(np.abs((Ua @ U.conj().T - target)[:b, :b]))
+    return np.max(np.abs((U @ a @ U.conj().T - target)[:b, :b]))
 
 
 class TestBlockProducts:
     """The suites multiply only the checked block of flushed operands."""
 
-    # 0.9 at dim 512 is where a block cut to exactly b rows moved intertwining
-    # by 1.1e-14; the last r is the one the monotone record uses
+    # 0.9 at dim 512 is where a complex product of exactly the block's rows
+    # moved intertwining by 1.1e-14; the last r is the one the monotone record uses
     RS = [1e-13, 0.3, 6.0, 3.9, 0.9, 1.7]
 
     @pytest.mark.parametrize("dim", [8, 64, 512])
@@ -491,6 +490,15 @@ def test_verify_all_raises_no_runtime_warning():
         warnings.simplefilter("error", RuntimeWarning)
         code, out = run_cli(["verify", "all"])
     assert code == 0 and len(json_records(out)) == 1246
+
+
+@pytest.mark.parametrize("suite", ["unitarity", "intertwining"])
+def test_products_at_dim_512_raise_no_runtime_warning(suite):
+    # the products read strided column slices of the core
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(["verify", suite, "--dim", "512", "--r", "0.3,3.9"])
+    assert code == 0 and len(json_records(out)) == (3 if suite == "unitarity" else 2)
 
 
 class TestRecurrenceOverflow:
@@ -800,7 +808,7 @@ class TestEveryInputIsRead:
         ),
         (
             ["table", "basis", "--lambda", "1e200", "--k", "3", "--zmax", "2"],
-            "table basis: OverflowError: complex exponentiation",
+            "table basis: ValueError: basis_d at lam=1e+200, k=3: (lam/2)^3 overflows",
         ),
         (
             ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],
@@ -1000,14 +1008,14 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("suite", ["unitarity", "intertwining"])
     def test_core_one_row_short_fails(self, monkeypatch, suite):
-        # at dim 64 the blocks of r = 1 and 1.5 are whole panels (36 and 28
-        # rows), so their rows are all read: a short core raises, not reads past
+        # the products read exactly the block's rows, so a core one row short
+        # raises at every r rather than reading past its end
         factors = identities.u_factors
         _patch_factors(monkeypatch, lambda g, dim, rows: factors(g, dim, rows - 1))
         code, out = run_cli(["verify", suite])
         failed = [r for r in json_records(out) if not r["pass"]]
         assert code == 1
-        assert [r["params"]["r"] for r in failed if r["name"] == suite] == [1.0, 1.5]
+        assert [r["params"]["r"] for r in failed if r["name"] == suite] == [0.5, 1.0, 1.5, 2.0]
         assert all(r["detail"].startswith("error: operands could not be broadcast") for r in failed)
 
 

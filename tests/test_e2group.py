@@ -19,7 +19,7 @@ from e2fock.e2group import (
     u_factors,
     u_matrix,
 )
-from e2fock.fock import annihilator, panel_size, safe_block
+from e2fock.fock import annihilator, safe_block
 from e2fock.specfun import bessel_j, bessel_j_seq, hyp2f0_poly, log_factorial
 
 from conftest import displaced_basis, displaced_vacuum, group_matrix3
@@ -358,7 +358,7 @@ class TestUFactors:
         for r in self.RS:
             g = GroupElement(r, 0.7, 0.3)
             full = u_factors(g, dim, dim)[2]
-            for rows in sorted({2, 5, panel_size(dim, max(safe_block(dim, r), min(dim, 4)))}):
+            for rows in sorted({2, 5, max(safe_block(dim, r), min(dim, 4))}):
                 assert u_factors(g, dim, rows)[2].tobytes() == full[:rows].tobytes(), (dim, r, rows)
                 # the full core's leading columns are those rows, with (-1)^(m+n) below the diagonal
                 assert np.array_equal(full[:, :rows], np.outer(parity, parity[:rows]) * full[:rows].T)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from e2fock.e2group import GroupElement
-from e2fock.fock import annihilator, boundary_margin, conjugated_block, panel_size, safe_block, times_diagonal
+from e2fock.fock import annihilator, boundary_margin, conjugated_block, safe_block
 
 from conftest import displaced_basis, displaced_vacuum
 
@@ -186,42 +186,24 @@ class TestSafeBlock:
         assert (b + 1) + boundary_margin(b, 2.0) > 64
 
 
-def test_panel_size_rounds_up_to_whole_panels_of_four():
-    assert [panel_size(512, n) for n in (1, 4, 5, 8, 509)] == [4, 4, 8, 8, 512]
-    assert [panel_size(dim, n) for dim, n in ((2, 1), (6, 5), (6, 6))] == [2, 6, 6]
-
-
-class TestTimesDiagonal:
-    @pytest.mark.parametrize("offset", [-7, -1, 0, 1, 7])
-    @pytest.mark.parametrize("unit", [1.0, 1j])
-    def test_equals_dense_product(self, offset, unit):
-        # real or purely imaginary entries: the shifted columns are the dense
-        # product's floats, full diagonals and shorter ones alike
-        rng = np.random.default_rng(3)
-        dim = 24
-        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for size in (dim - abs(offset), dim - abs(offset) - 5):
-            values = unit * rng.standard_normal(size)
-            i = np.arange(size)
-            M = np.zeros((dim, dim), dtype=complex)
-            M[(i, i + offset) if offset >= 0 else (i - offset, i)] = values
-            assert np.array_equal(times_diagonal(A, values, offset), A @ M)
-
-
 class TestConjugatedBlock:
     @pytest.mark.parametrize("offset", [-3, 0, 1])
     @pytest.mark.parametrize("n", [1, 5, 8, 24])
     def test_is_the_leading_block_from_the_leading_panel_rows(self, offset, n):
         # against the dense diag(row) M diag(col) V (...)* for unit-modulus phases, a real core and a
-        # complex diagonal V; core rows past the whole panels are never read
+        # complex diagonal V, full or stopping short of the corner as D_k's does in addition;
+        # core rows from n on are NaN, so reading any of them would show
         rng = np.random.default_rng(4)
         dim = 24
         row, col = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, dim)))
         M = rng.standard_normal((dim, dim))
-        values = rng.standard_normal(dim - abs(offset)) + 1j * rng.standard_normal(dim - abs(offset))
         U = row[:, None] * M * col
-        want = (U @ np.diag(values, offset) @ U.conj().T)[:n, :n]
-        M[panel_size(dim, n) :] = np.nan
-        got = conjugated_block((row, col, M), values, offset, n)
-        assert got.shape == (n, n)
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+        M[n:] = np.nan
+        for size in (dim - abs(offset), dim - abs(offset) - 2):
+            values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            i = np.arange(size)
+            V = np.zeros((dim, dim), dtype=complex)
+            V[(i, i + offset) if offset >= 0 else (i - offset, i)] = values
+            got = conjugated_block((row, col, M), values, offset, n)
+            assert got.shape == (n, n)
+            assert np.allclose(got, (U @ V @ U.conj().T)[:n, :n], rtol=1e-13, atol=1e-13), size

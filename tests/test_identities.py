@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from e2fock.e2group import GroupElement, IrrepLabel, identity, u_matrix
-from e2fock import fock
+from e2fock import identities
 from e2fock.fock import safe_block
 from e2fock.identities import (
     Residual,
@@ -206,7 +206,7 @@ class TestAdditionTheorem:
 
     def test_guards_large_lam_r(self):
         with pytest.raises(ValueError):
-            addition_residual(GroupElement(4.0, 0, 0), IrrepLabel(2.0, 0))
+            addition_residual(GroupElement(4.0, 0, 0), IrrepLabel(2.0, 0), dim=96)
 
     @pytest.mark.parametrize("k", [-4, 0, 4])
     def test_lam_r_contract_boundary(self, k):
@@ -245,11 +245,19 @@ class TestAdditionByDiagonals:
 class TestAdditionVacuumRows:
     @pytest.mark.parametrize("dim", [16, 32, 96, 512])
     def test_matches_the_full_product(self, dim, monkeypatch):
-        # (U D_k U*)_00 from U's leading rows against the whole dim x dim product
+        # (U D_k U*)_00 from U's first core row against the whole dense dim x dim product
+        def dense_block(factors, values, offset, n):
+            row, col, M = factors
+            i = np.arange(len(values))
+            V = np.zeros((dim, dim), dtype=complex)
+            V[(i, i + offset) if offset >= 0 else (i - offset, i)] = values
+            U = row[:, None] * M * col
+            return (U @ V @ U.conj().T)[:n, :n]
+
         g = GroupElement(0.5, 0.7, 0.3)
         cases = [(lam, k) for lam in (1.0, 2.0, 4.0) for k in (0, 1, 3, 6)]
         rows = [addition_vacuum_crosscheck(g, IrrepLabel(lam, k), dim=dim) for lam, k in cases]
-        monkeypatch.setattr(fock, "panel_size", lambda dim, n: dim)
+        monkeypatch.setattr(identities, "conjugated_block", dense_block)
         full = [addition_vacuum_crosscheck(g, IrrepLabel(lam, k), dim=dim) for lam, k in cases]
         for a, b in zip(rows, full):
             assert a.residual <= 1e-9 and b.residual <= 1e-9 and abs(a.residual - b.residual) <= 1e-14

@@ -263,7 +263,7 @@ class TestBasisFunctions:
             basis_d(IrrepLabel(80, 3), 10)
         with pytest.raises(ValueError, match="lam=76.0, k=0: the radial part is lost, not finite up to zeta = 1000"):
             basis_d(IrrepLabel(76.0, 0), 1000)
-        with pytest.raises(OverflowError, match="complex exponentiation"):
+        with pytest.raises(ValueError, match=r"lam=1e\+200, k=3: \(lam/2\)\^3 overflows"):
             basis_d(IrrepLabel(1e200, 3), 2)
         assert np.all(np.isfinite(basis_d(IrrepLabel(76.0, 0), 200).radial))
         # (lam/2)^|k|/|k|! underflows at tiny lam: D_k would vanish identically
@@ -272,6 +272,15 @@ class TestBasisFunctions:
             with pytest.raises(ValueError, match=lost):
                 basis_d(IrrepLabel(lam, k), 10)
         assert basis_d(IrrepLabel(1e-300, 1), 10).radial[0] != 0
+
+    @pytest.mark.parametrize("lam", [2.0, 2.3])
+    @pytest.mark.parametrize("k", [0, 3, -3, 6, 160, -161])
+    def test_phase_is_an_exact_power_of_i(self, lam, k):
+        # i^|k| from a table: the radial values are purely real for even |k| and purely imaginary
+        # for odd |k|, exactly; the complex power (i lam/2)^160 leaves an imaginary part of 1e-14
+        radial = basis_d(IrrepLabel(lam, k), 20).radial
+        zero, kept = (radial.real, radial.imag) if k % 2 else (radial.imag, radial.real)
+        assert np.all(zero == 0) and np.any(kept != 0)
 
     @pytest.mark.parametrize("lam,k", [(2.0, 0), (1.7, 4), (1.7, -4), (3.0, 11)])
     def test_diagonal_is_the_fock_matrix_diagonal(self, lam, k):
