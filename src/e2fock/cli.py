@@ -118,7 +118,7 @@ class CheckReport:
     detail: str | None = None
 
 
-def _sweep(cfg, name, equation, tol, axes, check, params=dict):
+def _sweep(cfg, name, equation, tol, axes, check, params=dict, plan=None):
     """Run ``check`` once per point of a suite's grid, each call guarded.
 
     ``axes`` maps each grid flag to its default values; the grid is their
@@ -133,9 +133,15 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict):
     other keyword adds or replaces a param.  A callable detail is called,
     for the note, only when the record fails.  A ValueError or
     ArithmeticError from the check becomes one error record for the point.
+    ``plan``, if given, is handed the list of grid points, each a tuple of
+    axis values, once before the first check; it fills the memo the checks
+    read (:func:`identities.memo_scope`), and changes no record.
     """
+    grid = list(itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())))
+    if plan is not None:
+        plan(grid)
     reports = []
-    for values in itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())):
+    for values in grid:
         point = dict(zip(axes, values))
         base = params(**point)
 
@@ -199,8 +205,11 @@ def suite_recurrence(cfg):
     def params(k, x):
         return {"k": k, "c": x, "zmax": zmax}
 
+    def plan(points):
+        ident.plan_recurrence([(1 + k, x, zmax) for k, x in points])
+
     axes = {"k": range(0, 21), "x": [0.25, 1.0, 4.0, 16.0]}
-    return _sweep(cfg, "recurrence", "kummer-recurrence", cfg.tol("recurrence"), axes, check, params)
+    return _sweep(cfg, "recurrence", "kummer-recurrence", cfg.tol("recurrence"), axes, check, params, plan)
 
 
 def suite_eigen(cfg):
@@ -286,7 +295,8 @@ def suite_identity_a(cfg):
         return report(*ident.identity_a(k, x, r))
 
     axes = {"k": range(0, 11), "x": [0.25, 0.5, 1.0, 2.0], "r": [0.5, 1.0, 2.0]}
-    return _sweep(cfg, "identity-a", "sandwich-identity-a", cfg.tol("identity-a"), axes, check)
+    tol = cfg.tol("identity-a")
+    return _sweep(cfg, "identity-a", "sandwich-identity-a", tol, axes, check, plan=ident.plan_identity_a)
 
 
 def suite_identity_b(cfg):
@@ -294,7 +304,8 @@ def suite_identity_b(cfg):
         return report(*ident.identity_b(m, k, x, r))
 
     axes = {"m": range(0, 11), "k": range(0, 7), "x": [0.5, 1.0, 2.0], "r": [0.5, 1.0, 1.5]}
-    return _sweep(cfg, "identity-b", "sandwich-identity-b", cfg.tol("identity-b"), axes, check)
+    tol = cfg.tol("identity-b")
+    return _sweep(cfg, "identity-b", "sandwich-identity-b", tol, axes, check, plan=ident.plan_identity_b)
 
 
 def suite_hille_hardy(cfg):
@@ -302,7 +313,8 @@ def suite_hille_hardy(cfg):
         return report(*ident.hille_hardy_residual(k, x, y, zq))
 
     axes = {"k": range(0, 7), "x": [0.5, 2.0, 4.0], "y": [0.5, 2.0, 4.0], "zq": [0.5, 0.9]}
-    return _sweep(cfg, "hille-hardy", "laguerre-bilinear-sum", cfg.tol("hille-hardy"), axes, check)
+    tol = cfg.tol("hille-hardy")
+    return _sweep(cfg, "hille-hardy", "laguerre-bilinear-sum", tol, axes, check, plan=ident.plan_hille_hardy)
 
 
 # off-diagonal weight pairs whose first oscillation peak falls well inside the

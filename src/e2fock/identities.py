@@ -43,11 +43,15 @@ __all__ = [
     "unitarity_decay_residual",
     "intertwining_residual",
     "kummer_recurrence_residual",
+    "plan_recurrence",
     "identity_a",
+    "plan_identity_a",
     "identity_b",
+    "plan_identity_b",
     "addition_residual",
     "addition_vacuum_crosscheck",
     "hille_hardy_residual",
+    "plan_hille_hardy",
     "orthogonality_grading_residual",
     "orthogonality_growth_residual",
     "orthogonality_bounded_residual",
@@ -90,18 +94,22 @@ def memo_scope():
     """Inside the block, compute each intermediate array of the identity checks once.
 
     Those are each U(g), D_k diagonal (of ``addition`` and the orthogonality
-    profiles), signed Bessel J row and weight vector of ``identity-b``, 2F0
-    column (:func:`specfun.hyp2f0_seq`) and log-factorial vector.  Kummer
-    values Phi(-n, b; x), which ``identity-a``, ``identity-b`` and
-    ``hille-hardy`` (its Laguerre values) read, come from one recurrence
-    run per (b, x): a request past the run's end continues it, a shorter one
-    reads a slice.  The checks read all of these through one memo keyed by
-    the builder and its arguments; it is emptied when the block exits,
-    however it exits.  Arrays are read-only whether memoized or not.  On
-    the default grids, ``verify identity-b`` builds 51 2F0 columns for its
-    693 checks, one per distinct (m + k, r), and ``verify hille-hardy`` runs
-    21 Kummer recurrences and builds 14 log-factorial vectors for its 126,
-    one per distinct (k, x or y) and nmax + k.
+    profiles), signed Bessel J row, weight vector and n-sum of
+    ``identity-b``, 2F0 column (:func:`specfun.hyp2f0_seq`), log-factorial
+    vector and Kummer run Phi(-n, b; x): one array per (b, x), the longest
+    yet, of which a shorter request reads a slice.  The checks read all of
+    these through one memo keyed by the builder and its arguments; it is
+    emptied when the block exits, however it exits.  Arrays are read-only
+    whether memoized or not.  A suite's plan (``plan_recurrence``,
+    ``plan_identity_a``, ``plan_identity_b``, ``plan_hille_hardy``) fills
+    the memo before its checks run: each Kummer run of its grid to its
+    largest degree, and ``identity-b``'s Bessel rows, as lanes of one array
+    recurrence per block, and ``identity-b``'s n-sums in blocks of points,
+    each the floats its check would compute; an n-sum leaves the memo when
+    its check reads it.  On the default grids,
+    ``verify identity-b`` builds 51 2F0 columns for its 693 checks, one per
+    distinct (m + k, r), and ``verify hille-hardy`` runs its 21 Kummer
+    recurrences as the lanes of one call.
     """
     global _memo
     _memo = _Memo()
@@ -111,19 +119,25 @@ def memo_scope():
         _memo = None
 
 
+def _keep(entries: dict, nbytes: int) -> bool:
+    # hold every entry, charging nbytes for them all, if a memo_scope() is open and has room
+    if _memo is None or _memo.nbytes + nbytes > _MEMO_BYTES:
+        return False
+    _memo.update(entries)
+    _memo.nbytes += nbytes
+    return True
+
+
 def _kummer_run(nmax: int, b: int, x: float) -> np.ndarray:
-    # Phi(-n, b; x) for n = 0..nmax, read-only: inside a memo_scope() one recurrence run per (b, x),
-    # which a longer request continues and whose longest array counts against the memo's bytes
+    # Phi(-n, b; x) for n = 0..nmax, read-only: inside a memo_scope() one array per (b, x), the longest
+    # yet, which counts against the memo's bytes
     key = (_kummer_run, b, x)
-    head = _memo.get(key) if _memo is not None else None
-    if head is not None and len(head) > nmax:
-        return head[: nmax + 1]
-    values = kummer_phi_seq(nmax, b, x, head)
+    held = _memo.get(key) if _memo is not None else None
+    if held is not None and len(held) > nmax:
+        return held[: nmax + 1]
+    values = kummer_phi_seq(nmax, b, x)
     values.flags.writeable = False
-    held = head.nbytes if head is not None else 0
-    if _memo is not None and _memo.nbytes - held + values.nbytes <= _MEMO_BYTES:
-        _memo[key] = values
-        _memo.nbytes += values.nbytes - held
+    _keep({key: values}, values.nbytes - (held.nbytes if held is not None else 0))
     return values
 
 
@@ -136,11 +150,48 @@ def _once(build, *args):
     arrays = value if isinstance(value, tuple) else (value,)
     for array in arrays:
         array.flags.writeable = False
-    nbytes = sum(array.nbytes for array in arrays)
-    if _memo is not None and _memo.nbytes + nbytes <= _MEMO_BYTES:
-        _memo[key] = value
-        _memo.nbytes += nbytes
+    _keep({key: value}, sum(array.nbytes for array in arrays))
     return value
+
+
+# most bytes one block of a plan holds: lanes x (top degree + 1) x 8, or points x 8 x 81 x 8 for
+# identity-b's factors and sums, eight arrays of 81 floats a point
+_BLOCK_BYTES = 2**19
+
+# fewest lanes a block runs together; a numpy step costs about as much as 20 scalar ones, so the
+# lanes of a smaller block are left to their checks' own runs
+_MIN_LANES = 16
+
+
+def _blocks(items, row_bytes):
+    # runs of consecutive items, each at most _BLOCK_BYTES as len(run) x row_bytes(its last item)
+    block = []
+    for item in items:
+        if block and (len(block) + 1) * row_bytes(item) > _BLOCK_BYTES:
+            yield block
+            block = []
+        block.append(item)
+    if block:
+        yield block
+
+
+def _plan_kummer(points, request) -> None:
+    # the runs request(*point) lists, (nmax, b, x) each, held for _kummer_run to each (b, x)'s largest nmax:
+    # lanes of one kummer_phi_seq call per block, sorted by degree, each lane a view of its block's rows.  A
+    # point request raises at, an x no float lane holds exactly or a block of too few lanes is left to the checks
+    tops = {}
+    for point in points:
+        with contextlib.suppress(ValueError, ArithmeticError):
+            for nmax, b, x in request(*point):
+                if nmax >= 0 and b >= 1 and isinstance(x, float):
+                    tops[b, x] = max(tops.get((b, x), 0), nmax)
+    for block in _blocks(sorted((nmax, b, x) for (b, x), nmax in tops.items()), lambda lane: (lane[0] + 1) * 8):
+        if len(block) < _MIN_LANES:
+            continue
+        rows = kummer_phi_seq(block[-1][0], np.array([b for _, b, _ in block]), np.array([x for *_, x in block]))
+        rows.flags.writeable = False
+        if not _keep({(_kummer_run, b, x): row[: nmax + 1] for (nmax, b, x), row in zip(block, rows)}, rows.nbytes):
+            return
 
 
 class Residual(NamedTuple):
@@ -200,7 +251,7 @@ def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
     """
     if zmax < 1:
         raise ValueError(f"recurrence requires zmax >= 1, got {zmax}")
-    phis = kummer_phi_seq(zmax + 1, b, x)
+    phis = _kummer_run(zmax + 1, b, x)
     a = -np.arange(1.0, zmax + 1)  # floats, so any integer x converts
     # an overflowing value or term makes its ratios NaN or inf, reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -209,6 +260,11 @@ def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
     if (unchecked := np.flatnonzero(~np.isfinite(ratios))).size:
         return Residual(math.inf, f"non-finite Kummer value or ratio at zeta={unchecked[0] + 1}")
     return Residual(np.max(ratios))
+
+
+def plan_recurrence(points) -> None:
+    """Fill the open :func:`memo_scope` with the Kummer runs of the recurrence checks at these (b, x, zmax)."""
+    _plan_kummer(points, lambda b, x, zmax: [(zmax + 1, b, x)])
 
 
 def _log_factorials(nmax: int) -> np.ndarray:
@@ -221,14 +277,19 @@ def _log_power(n, r: float):
     return n * math.log(r) if r > 0 else np.where(n == 0, 0.0, -math.inf)
 
 
-def _vacuum_terms(k: int, x: float, r: float) -> np.ndarray:
-    # terms (r^{2n}/n!) Phi(-n, 1+k; x^2) of identity-a's left side, truncated
-    # once the weight r^{2n}/n! drops below 1e-18 relative to e^{r^2}
+def _vacuum_degree(r: float) -> int:
+    # the last n of identity-a's left sum, where the weight r^{2n}/n! drops below 1e-18 relative to e^{r^2}
     r2 = r * r
     nmax, t = 10, r2**10 / math.factorial(10)
     while t > _TERM_EPS * math.exp(r2) and nmax < 400:
         nmax += 1
         t *= r2 / nmax
+    return nmax
+
+
+def _vacuum_terms(k: int, x: float, r: float) -> np.ndarray:
+    # terms (r^{2n}/n!) Phi(-n, 1+k; x^2) of identity-a's left side, truncated at _vacuum_degree(r)
+    nmax = _vacuum_degree(r)
     phis = _kummer_run(nmax, 1 + k, x * x)
     weights = np.exp(_log_power(2 * np.arange(nmax + 1), r) - _once(_log_factorials, nmax))
     return weights * phis
@@ -251,9 +312,15 @@ def identity_a(k: int, x: float, r: float) -> Residual:
     return Residual(abs(lhs - rhs) / scale)
 
 
+def plan_identity_a(points) -> None:
+    """Fill the open :func:`memo_scope` with the Kummer runs of :func:`identity_a` at these (k, x, r)."""
+    _plan_kummer(points, lambda k, x, r: [(_vacuum_degree(r), 1 + k, x * x)])
+
+
 def _identity_b_weights(xr: float) -> np.ndarray:
-    # (-xr)^n / n! for n = 0..80, the running product of the factors -xr/n
-    return np.cumprod(np.concatenate(([1.0], -xr / np.arange(1.0, _IDENTITY_B_TERMS + 1))))
+    # (-xr)^n / n! for n = 0..80, the running product of the factors -xr/n, silent where it overflows
+    with np.errstate(over="ignore"):
+        return np.cumprod(np.concatenate(([1.0], -xr / np.arange(1.0, _IDENTITY_B_TERMS + 1))))
 
 
 def _identity_b_column(q: int, r: float) -> np.ndarray:
@@ -264,11 +331,42 @@ def _identity_b_column(q: int, r: float) -> np.ndarray:
     return column
 
 
-def _signed_bessel_row(k: int, z: float) -> np.ndarray:
-    # J_{k-n}(z) for n = 0..80, with J_{-j} = (-1)^j J_j
-    js = bessel_j_seq(_IDENTITY_B_TERMS + k, z)
+def _signed_bessel_row(k: int, z: float, js=None) -> np.ndarray:
+    # J_{k-n}(z) for n = 0..80, with J_{-j} = (-1)^j J_j, from js = J_0(z)..J_{80+k}(z) if given
+    js = bessel_j_seq(_IDENTITY_B_TERMS + k, z) if js is None else js
     orders = k - np.arange(_IDENTITY_B_TERMS + 1)
     return np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0) * js[np.abs(orders)]
+
+
+def _identity_b_factors(m: int, k: int, x: float, r: float):
+    # the three factors of identity-b's n-sum: J_{k-n}(2xr), 2F0(-m-k, -n; -1/r^2) and (-xr)^n/n!
+    js = _once(_signed_bessel_row, k, 2 * x * r)
+    return js, _once(_identity_b_column, m + k, r), _once(_identity_b_weights, x * r)
+
+
+def _identity_b_sums(factors) -> np.ndarray:
+    # (right side, largest term, last term) of identity-b's n-sum, one row per point's factors, silent where a
+    # weight or term overflows or inf - inf is NaN.  Accumulates run in order along each row, so each value
+    # is the float of a loop that takes one term at a time; term 0 is J_k(2xr), finite, and fmax skips a
+    # NaN term as max(term_max, |term|) does
+    js, columns, weights = (np.array(rows) for rows in zip(*factors))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = weights * columns * js
+        sizes = abs(terms)
+        term_maxes = np.fmax.accumulate(sizes, axis=1)
+        # each sum stops at the first n > 10 whose term is below 1e-18 of the largest so far, or at n = 80
+        small = sizes[:, 11:] < _TERM_EPS * term_maxes[:, 11:]
+        points, first = np.arange(len(terms)), small.argmax(axis=1)
+        n = np.where(small[points, first], 11 + first, _IDENTITY_B_TERMS)
+        sums = np.add.accumulate(terms, axis=1)
+    return np.column_stack((sums[points, n], term_maxes[points, n], sizes[points, n]))
+
+
+def _identity_b_sum(m: int, k: int, x: float, r: float) -> np.ndarray:
+    # (right side, largest term, last term) of identity-b's n-sum at one point: the row a plan left in the
+    # memo for this one check, which takes it out, or computed here
+    held = _memo.pop((_identity_b_sum, m, k, x, r), None) if _memo is not None else None
+    return _identity_b_sums([_identity_b_factors(m, k, x, r)])[0] if held is None else held
 
 
 def identity_b(m: int, k: int, x: float, r: float) -> Residual:
@@ -284,21 +382,7 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
         raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")
     phi = float(_kummer_run(m, 1 + k, x * x)[m])
     lhs = math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r)) * phi
-    js = _once(_signed_bessel_row, k, 2 * x * r)
-    column = _once(_identity_b_column, m + k, r)
-    # one pass over n = 0..80, silent where a weight or term overflows or inf - inf is NaN.  Accumulates run in
-    # order, so each value is the float of a loop that takes one term at a time; term 0 is J_k(2xr),
-    # finite, and fmax skips a NaN term as max(term_max, |term|) does
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _once(_identity_b_weights, x * r) * column * js
-        sizes = abs(terms)
-        term_maxes = np.fmax.accumulate(sizes)
-        # the sum stops at the first n > 10 whose term is below 1e-18 of the largest so far, or at n = 80
-        small = sizes[11:] < _TERM_EPS * term_maxes[11:]
-        n = int(small.argmax())
-        n = 11 + n if small[n] else _IDENTITY_B_TERMS
-        rhs = float(np.add.accumulate(terms)[n])
-    term_max, tail = float(term_maxes[n]), float(sizes[n])
+    rhs, term_max, tail = _identity_b_sum(m, k, x, r).tolist()
     scale = max(abs(lhs), abs(rhs), term_max)
     if scale == 0.0:
         raise ArithmeticError(f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: both sides and every term are 0")
@@ -308,6 +392,33 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
         detail = f"non-convergent tail: last term {tail:.3e} vs scale {scale:.3e}"
         residual = max(residual, tail / scale)
     return Residual(residual, detail)
+
+
+def plan_identity_b(points) -> None:
+    """Fill the open :func:`memo_scope` for :func:`identity_b` at these (m, k, x, r).
+
+    Its Kummer runs and signed Bessel rows come as lanes, and its n-sums in
+    blocks of points; a point whose factors raise is left to its check.
+    """
+    points = [(m, k, x, r) for m, k, x, r in points if m >= 0 and k >= 0 and x > 0 and r > 0]
+    _plan_kummer(points, lambda m, k, x, r: [(m, 1 + k, x * x)])
+    lanes = sorted({(_IDENTITY_B_TERMS + k, k, 2 * x * r) for m, k, x, r in points if isinstance(2 * x * r, float)})
+    for block in _blocks(lanes, lambda lane: (lane[0] + 1) * 8):
+        if len(block) < _MIN_LANES:
+            continue
+        with contextlib.suppress(ValueError, ArithmeticError):
+            js = bessel_j_seq(np.array([n for n, _, _ in block]), np.array([z for *_, z in block]))
+            rows = {(_signed_bessel_row, k, z): _signed_bessel_row(k, z, row) for (_, k, z), row in zip(block, js)}
+            for row in rows.values():
+                row.flags.writeable = False
+            _keep(rows, sum(row.nbytes for row in rows.values()))
+    for block in _blocks(points, lambda _: 8 * (_IDENTITY_B_TERMS + 1) * 8):
+        built = {}
+        for point in block:
+            with contextlib.suppress(ValueError, ArithmeticError):
+                built[(_identity_b_sum, *point)] = _identity_b_factors(*point)
+        sums = _identity_b_sums(built.values()) if built else np.empty((0, 3))
+        _keep(dict(zip(built, sums)), sums.nbytes)
 
 
 def _basis_diagonal(lam: float, n: int, zmax: int) -> np.ndarray:
@@ -385,6 +496,11 @@ def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, dim: int) -> 
     return Residual(max(abs(s1 - s2), abs(s1 - s3)) / scale)
 
 
+def _hille_hardy_degree(zq: float) -> int:
+    # the last n of the bilinear sum, where z^n falls below 1e-18, with 50 more terms
+    return min(4000, max(30, int(math.log(_TERM_EPS) / math.log(zq)) + 50))
+
+
 def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     """Bilinear Laguerre generating function:
 
@@ -395,7 +511,7 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
         raise ValueError("hille_hardy_residual requires k >= 0, x, y > 0, 0 < zq < 1")
     if zq > 0.95:
         raise ValueError("hille_hardy_residual requires zq <= 0.95")
-    nmax = min(4000, max(30, int(math.log(_TERM_EPS) / math.log(zq)) + 50))
+    nmax = _hille_hardy_degree(zq)
     # L^k_n = C(n+k, n) Phi(-n, 1+k; .), so the weight (n!/(n+k)!) C(n+k, n)^2 is C(n+k, n)/k!
     px, py = _kummer_run(nmax, 1 + k, x), _kummer_run(nmax, 1 + k, y)
     ns = np.arange(nmax + 1)
@@ -423,6 +539,13 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
         detail = "slow convergence: term cap reached"
         residual = max(residual, abs(terms[-1]) / scale)
     return Residual(residual, detail)
+
+
+def plan_hille_hardy(points) -> None:
+    """Fill the open :func:`memo_scope` with the Kummer runs of the bilinear sums at these (k, x, y, zq)."""
+    # a point past zq = 0.95 is refused by its check, so its runs are not built
+    points = [(k, x, y, zq) for k, x, y, zq in points if zq <= 0.95]
+    _plan_kummer(points, lambda k, x, y, zq: [(_hille_hardy_degree(zq), 1 + k, v) for v in (x, y)])
 
 
 def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: int) -> np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "kummer_phi_seq",
     "kummer_phi_series",
     "hyp2f0_seq",
-    "hyp2f0_poly",
     "bessel_j",
     "bessel_j_seq",
     "bessel_i",
@@ -55,22 +54,19 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def _kummer_terms(b: int, x: float, s: float = 1.0, start=None):
+def _kummer_terms(b, x, s: float = 1.0):
     # s^n Phi(-n, b; x) for n = 0, 1, 2, ... by the forward degree recurrence, each step
     # carrying one more factor s (exact at s = 1), so s^n Phi is in range where Phi is not;
-    # from start = (n, value at n - 1, value at n), the values after n
-    if start is None:
-        f_prev, f = 1.0, s * (1.0 - x / b)
-        yield f_prev
-        yield f
-        start = (1, f_prev, f)
-    n0, f_prev, f = start
-    for n in itertools.count(n0):
+    # b and x may be arrays, one lane each, whose elementwise steps round as the scalar ones do
+    f_prev, f = 1.0, s * (1.0 - x / b)
+    yield f_prev
+    yield f
+    for n in itertools.count(1):
         f_prev, f = f, ((b + 2 * n - x) * s * f - n * s * s * f_prev) / (n + b)
         yield f
 
 
-def kummer_phi_seq(nmax: int, b: int, x: float, head: np.ndarray | None = None) -> np.ndarray:
+def kummer_phi_seq(nmax: int, b, x) -> np.ndarray:
     """All values Phi(-n, b; x) for n = 0..nmax, b >= 1 and any finite real x.
 
     Uses the three-term recurrence in the degree,
@@ -84,19 +80,24 @@ def kummer_phi_seq(nmax: int, b: int, x: float, head: np.ndarray | None = None) 
     cancellation, all 16 near n x ~ 340; :func:`kummer_phi_series` sums it
     only where n x is small.
 
-    ``head``, if given, is this function's result for a smaller nmax at the
-    same (b, x).  The run continues from its last two values, so every value
-    is the float of one run from n = 0; a head of one value starts it over.
+    With numpy 1-D arrays b and x (or one of them), each (b[i], x[i]) is a
+    lane: the result has one row per lane, all lanes run together, one numpy
+    step per degree, and row i is the scalar call's float array at
+    (b[i], x[i]), bit for bit.  A lane whose values leave the float range
+    turns inf or NaN silently, as Python floats do.
     """
-    if nmax < 0 or b < 1:
+    lanes = isinstance(b, np.ndarray) or isinstance(x, np.ndarray)
+    if nmax < 0 or (np.any(b < 1) if lanes else b < 1):
         raise ValueError("kummer_phi_seq requires nmax >= 0 and integer b >= 1")
-    if head is None or len(head) < 2:
+    if not lanes:
         return np.fromiter(_kummer_terms(b, x), dtype=float, count=nmax + 1)
-    n = len(head) - 1
-    if n >= nmax:
-        raise ValueError(f"a head of {n + 1} values continues only to a larger nmax, got {nmax}")
-    tail = _kummer_terms(b, x, start=(n, float(head[-2]), float(head[-1])))
-    return np.concatenate((head, np.fromiter(tail, dtype=float, count=nmax - n)))
+    # float b: its steps are exact, as the scalar run's integer ones, and skip numpy's int-to-float casts
+    b, x = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(x, dtype=float))
+    out = np.empty((len(b), nmax + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, values in zip(range(nmax + 1), _kummer_terms(b, x)):
+            out[:, n] = values
+    return out
 
 
 def kummer_phi(n: int, b: int, x: float) -> float:
@@ -174,11 +175,6 @@ def _perms(m: int, nmax: int) -> list[float]:
     return perms
 
 
-def hyp2f0_poly(m: int, n: int, x: float) -> float:
-    """Terminating sum 2F0(-m, -n; x), entry n of :func:`hyp2f0_seq`; swapped (m, n) give bit-identical results."""
-    return float(hyp2f0_seq(m, n, x)[n])
-
-
 # most downward steps one Miller recurrence may run, a fraction of a second
 _MAX_MILLER_STEPS = 10**6
 
@@ -189,22 +185,27 @@ def _bessel_start_index(base: int) -> int:
     return base + 40 + int(10.0 * (base + 1) ** (1.0 / 3.0)) + int(2.0 * math.sqrt(base + 1))
 
 
-def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
-    # Miller's normalized downward recurrence (Gautschi, SIAM Rev. 9, 1967):
-    # c_{k-1} = (2k/x) c_k + sign c_{k+1} from a start index well above
-    # max(nmax, x), normalized with c_0 + 2 sum_{k>=1, step | k} c_k.  With
-    # (sign, step) = (-1, 2) that is J_0 + 2 sum J_{2k} = 1, giving J_k(x);
-    # with (+1, 1) it is I_0 + 2 sum I_k = e^x, giving e^{-x} I_k(x).
+def _miller_start(nmax: int, x: float) -> int:
+    # the start index of one Miller recurrence, refused above the cap
     start = _bessel_start_index(max(nmax, int(math.ceil(x))))
     if start > _MAX_MILLER_STEPS:
         raise ValueError(
             f"Bessel argument {x!r} at order {nmax} needs {start:.3g} recurrence steps,"
             f" above the cap of {_MAX_MILLER_STEPS}"
         )
+    return start
+
+
+def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
+    # Miller's normalized downward recurrence (Gautschi, SIAM Rev. 9, 1967):
+    # c_{k-1} = (2k/x) c_k + sign c_{k+1} from a start index well above
+    # max(nmax, x), normalized with c_0 + 2 sum_{k>=1, step | k} c_k.  With
+    # (sign, step) = (-1, 2) that is J_0 + 2 sum J_{2k} = 1, giving J_k(x);
+    # with (+1, 1) it is I_0 + 2 sum I_k = e^x, giving e^{-x} I_k(x).
     out = np.zeros(nmax + 1)
     c_up, c_cur = 0.0, 1e-300
     norm = 0.0
-    for k in range(start, -1, -1):
+    for k in range(_miller_start(nmax, x), -1, -1):
         c_down = (2.0 * (k + 1) / x) * c_cur + sign * c_up
         c_up, c_cur = c_cur, c_down
         if abs(c_cur) > 1e250:
@@ -219,7 +220,29 @@ def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
     return out / (c_cur + norm)
 
 
-def bessel_j_seq(nmax: int, x: float) -> np.ndarray:
+def _miller_lanes(nmax: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # _miller_seq(nmax[i], x[i], -1, 2) in row i, then zeros, all lanes one numpy step per index: a lane
+    # holds its (0, 1e-300) until the index comes down to its own start, and rescales on its own
+    starts = np.array([_miller_start(n, v) for n, v in zip(nmax.tolist(), x.tolist())])
+    width = int(nmax.max()) + 1
+    out = np.zeros((len(x), width))
+    c_up, c_cur, norm = np.zeros(len(x)), np.full(len(x), 1e-300), np.zeros(len(x))
+    for k in range(int(starts.max()), -1, -1):
+        live = starts >= k
+        c_up, c_cur = np.where(live, c_cur, c_up), np.where(live, (2.0 * (k + 1) / x) * c_cur - c_up, c_cur)
+        if (big := np.flatnonzero(abs(c_cur) > 1e250)).size:
+            for lane in (c_cur, c_up, norm, out):
+                lane[big] *= 1e-250
+        if k < width:
+            out[:, k] = c_cur
+        if k > 0 and k % 2 == 0:
+            norm += np.where(live, 2.0 * c_cur, 0.0)
+    out /= (c_cur + norm)[:, None]
+    out[np.arange(width) > nmax[:, None]] = 0.0
+    return out
+
+
+def bessel_j_seq(nmax, x) -> np.ndarray:
     """J_0(x)..J_nmax(x) for x >= 0 by normalized downward recurrence.
 
     Miller's algorithm: recurse J_{k-1} = (2k/x) J_k - J_{k+1} downward from a
@@ -228,14 +251,28 @@ def bessel_j_seq(nmax: int, x: float) -> np.ndarray:
     needs more than 10**6 recurrence steps.  Below x = 1e-30, 0 included,
     where one step could grow past the recurrence's rescaling, each J_k is
     its ascending series, as :func:`bessel_j` computes it.
+
+    With numpy 1-D arrays nmax and x (or one of them), each (nmax[i], x[i])
+    is a lane: row i of the result is the scalar call's float array at
+    (nmax[i], x[i]), bit for bit, then zeros up to the largest nmax.  The
+    lanes' recurrences run together, one numpy step per index, each from its
+    own start index and rescaled on its own.
     """
-    if nmax < 0:
+    lanes = isinstance(nmax, np.ndarray) or isinstance(x, np.ndarray)
+    if np.any(nmax < 0) if lanes else nmax < 0:
         raise ValueError("bessel_j_seq requires nmax >= 0")
-    if x < 0:
+    if np.any(x < 0) if lanes else x < 0:
         raise ValueError("bessel_j_seq requires x >= 0")
-    if x < 1e-30:
-        return np.array([_bessel_j_series(k, x) for k in range(nmax + 1)])
-    return _miller_seq(nmax, x, -1, 2)
+    if not lanes:
+        if x < 1e-30:
+            return np.array([_bessel_j_series(k, x) for k in range(nmax + 1)])
+        return _miller_seq(nmax, x, -1, 2)
+    nmax, x = np.broadcast_arrays(nmax, np.asarray(x, dtype=float))
+    # a lane below x = 1e-30 runs the recurrence at x = 1, and its series then takes its row
+    out = _miller_lanes(nmax, np.where(x < 1e-30, 1.0, x))
+    for i in np.flatnonzero(x < 1e-30):
+        out[i, : nmax[i] + 1] = bessel_j_seq(int(nmax[i]), float(x[i]))
+    return out
 
 
 def _bessel_lead(nu: int, x: float) -> float:

@@ -32,7 +32,9 @@ from e2fock.identities import (
     orthogonality_profile_curve,
 )
 from e2fock.repk import basis_d, eigen_residuals, inner_product
-from e2fock.specfun import hyp2f0_poly, kummer_phi_seq, log_factorial
+from e2fock.specfun import kummer_phi_seq, log_factorial
+
+from conftest import hyp2f0_per_entry
 
 
 def report(num, name, ok, detail=""):
@@ -77,7 +79,7 @@ def test_criterion_2_matrix_element_consistency():
                     (-1.0) ** m
                     * cmath.exp(1j * ((m - n) * g.psi - m * g.phi))
                     * pref
-                    * hyp2f0_poly(m, n, -1.0 / (r * r))
+                    * hyp2f0_per_entry(m, n, -1.0 / (r * r))
                 )
                 got = U[m, n]
                 terms = [

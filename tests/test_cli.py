@@ -388,13 +388,21 @@ def _counting(monkeypatch, name):
 
 def test_hille_hardy_builds_each_laguerre_sequence_once(monkeypatch):
     # each Laguerre sequence is a Kummer sequence Phi(-n, 1+k; x): 21 distinct (1 + k, x or y) on
-    # the default grid, x and y sharing values, each run to n = 109 (zq = 0.5) and continued to 443
+    # the default grid, x and y sharing values, all run as lanes of one call to n = 443 (zq = 0.9)
     built = _counting(monkeypatch, "kummer_phi_seq")
     code, out = run_cli(["verify", "hille-hardy"])
     assert code == 0 and len(json_records(out)) == 126
-    starts = [(b, x) for nmax, b, x, head in built if head is None]
-    assert len(starts) == len(set(starts)) == 21
-    assert sorted((nmax, len(head)) for nmax, _, _, head in built if head is not None) == [(443, 110)] * 21
+    ((nmax, b, x),) = built
+    assert nmax == 443
+    lanes = list(zip(b.tolist(), x.tolist()))
+    assert len(lanes) == len(set(lanes)) == 21
+    assert set(lanes) == {(1 + k, v) for k in range(7) for v in (0.5, 2.0, 4.0)}
+
+
+def test_hille_hardy_plans_no_run_for_a_refused_point(monkeypatch):
+    built = _counting(monkeypatch, "kummer_phi_seq")
+    code, out = run_cli(["verify", "hille-hardy", "--zq", "0.96"])
+    assert code == 1 and len(json_records(out)) == 63 and built == []
 
 
 def test_identity_b_builds_each_hyp2f0_column_once(monkeypatch):
@@ -414,13 +422,86 @@ def test_hille_hardy_builds_each_log_factorial_vector_once(monkeypatch):
     assert sorted(built) == [(n,) for n in [*range(109, 116), *range(443, 450)]]
 
 
-@pytest.mark.parametrize("suite", ["identity-b", "hille-hardy", "identity-a"])
-def test_memo_does_not_change_a_byte(suite, monkeypatch):
-    # neither memoized arrays nor shared Kummer runs: every value computed afresh for its check
-    code, memoized = run_cli(["verify", suite])
+_PLANS = ["plan_recurrence", "plan_identity_a", "plan_identity_b", "plan_hille_hardy"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify", "identity-b"], id="identity-b"),
+        pytest.param(["verify", "hille-hardy"], id="hille-hardy"),
+        pytest.param(["verify", "identity-a"], id="identity-a"),
+        pytest.param(["verify", "recurrence"], id="recurrence"),
+        # every 2F0 column overflows: error records
+        pytest.param(["verify", "identity-b", "--r", "1e-200"], id="identity-b-r-1e-200"),
+        # the weights overflow and the sum is NaN
+        pytest.param(["verify", "identity-b", "--x", "1", "--r", "3e5", "--m", "4", "--k", "2"], id="identity-b-nan"),
+        pytest.param(["verify", "hille-hardy", "--zq", "0.96"], id="hille-hardy-refused"),
+        pytest.param(["verify", "recurrence", "--zmax", "1"], id="recurrence-zmax-1"),
+        # addition-vacuum reads Kummer runs, with no plan
+        pytest.param(["verify", "addition", "--lambda", "1e-300"], id="addition-lambda-1e-300"),
+    ],
+)
+def test_memo_does_not_change_a_byte(argv, monkeypatch):
+    # no plan, no memoized array and no shared Kummer run: every value computed afresh for its check
+    code, planned = run_cli(argv)
+    for plan in _PLANS:
+        monkeypatch.setattr(identities, plan, lambda points: None)
     monkeypatch.setattr(identities, "_once", lambda build, *args: build(*args))
     monkeypatch.setattr(identities, "_kummer_run", lambda nmax, b, x: kummer_phi_seq(nmax, b, x))
-    assert run_cli(["verify", suite]) == (code, memoized)
+    assert run_cli(argv) == (code, planned)
+
+
+def test_each_scalar_suite_runs_its_plan_once(monkeypatch):
+    called = {plan: _counting(monkeypatch, plan) for plan in _PLANS}
+    for suite in ("recurrence", "identity-a", "identity-b", "hille-hardy"):
+        assert run_cli(["verify", suite])[0] == 0
+    assert {plan: [len(points) for (points,) in calls] for plan, calls in called.items()} == {
+        "plan_recurrence": [84],
+        "plan_identity_a": [132],
+        "plan_identity_b": [693],
+        "plan_hille_hardy": [126],
+    }
+
+
+@pytest.mark.parametrize(
+    "suite,cap",
+    # caps that split each suite's default lanes into blocks of at least 16 lanes and a shorter rest
+    [("recurrence", 40000), ("identity-a", 5000), ("identity-b", 1500), ("hille-hardy", 71040)],
+)
+@pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
+def test_a_plan_under_small_caps_changes_no_byte(suite, cap, name, monkeypatch):
+    # lanes split into blocks of at most _BLOCK_BYTES, and past _MEMO_BYTES a plan holds nothing more
+    want = run_cli(["verify", suite])
+    monkeypatch.setattr(identities, name, cap)
+    built = _counting(monkeypatch, "kummer_phi_seq")
+    assert run_cli(["verify", suite]) == want
+    blocks = [(nmax, len(b)) for nmax, b, x in built if isinstance(b, np.ndarray)]
+    assert blocks and all(lanes >= identities._MIN_LANES for _, lanes in blocks)
+    if name == "_BLOCK_BYTES":
+        assert all(8 * (nmax + 1) * lanes <= cap for nmax, lanes in blocks)
+        assert any(not isinstance(b, np.ndarray) for _, b, _ in built)  # the rest, left to the checks
+
+
+@pytest.mark.parametrize(
+    "name,failing",
+    [
+        ("kummer_phi_seq", {"identity-b": 185, "identity-a": 131, "addition-vacuum": 9}),
+        ("bessel_j_seq", {"identity-b": 168}),
+    ],
+)
+def test_a_scaled_primitive_reaches_every_check_that_reads_it(name, failing, monkeypatch):
+    # a lane run that bypassed identities' binding of the primitive would keep its true values, and
+    # the records that read them would pass; with plans or without, the same records fail
+    scaled = getattr(identities, name)
+    monkeypatch.setattr(identities, name, lambda *args: scaled(*args) * (1 + 1e-9))
+    for plans_on in (True, False):
+        if not plans_on:
+            for plan in _PLANS:
+                monkeypatch.setattr(identities, plan, lambda points: None)
+        code, out = run_cli(["verify", "all"])
+        names = [rec["name"] for rec in json_records(out) if not rec["pass"]]
+        assert code == 1 and {n: names.count(n) for n in set(names)} == failing, plans_on
 
 
 def test_addition_diagnostic_skips_diagonals_outside_the_block():

@@ -20,9 +20,9 @@ from e2fock.e2group import (
     u_matrix,
 )
 from e2fock.fock import annihilator, safe_block
-from e2fock.specfun import bessel_j, bessel_j_seq, hyp2f0_poly, log_factorial
+from e2fock.specfun import bessel_j, bessel_j_seq, log_factorial
 
-from conftest import displaced_basis, displaced_vacuum, group_matrix3
+from conftest import displaced_basis, displaced_vacuum, group_matrix3, hyp2f0_per_entry
 
 GENERIC = [
     GroupElement(0.9, 0.3, 1.1),
@@ -143,7 +143,7 @@ class TestMatrixElement:
                     (-1.0) ** m
                     * cmath.exp(1j * ((m - n) * g.psi - m * g.phi))
                     * pref
-                    * hyp2f0_poly(m, n, -1.0 / (r * r))
+                    * hyp2f0_per_entry(m, n, -1.0 / (r * r))
                 )
                 got = U[m, n]
                 # largest term of the 2F0 sum, for the residual scale

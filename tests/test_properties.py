@@ -1,5 +1,6 @@
 """Property tests of layer invariants: the grid parser, strict record output, group laws,
-the Kummer recurrence, the Kummer series and the memoized scalar vectors.
+the Kummer recurrence, the Kummer series, array lanes of the Kummer and Miller recurrences
+and the memoized scalar vectors.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 deterministic.
@@ -20,7 +21,7 @@ from e2fock import identities
 from e2fock.cli import _parse_grid, main
 from e2fock.e2group import GroupElement, compose, identity, inverse
 from e2fock.fock import safe_block
-from e2fock.specfun import hyp2f0_seq, kummer_phi_seq, kummer_phi_series, log_factorial
+from e2fock.specfun import bessel_j_seq, hyp2f0_seq, kummer_phi_seq, kummer_phi_series, log_factorial
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 CLI = settings(PROPERTY, max_examples=12)
@@ -157,6 +158,81 @@ class TestKummerSequence:
                 assert float(abs(got - want)) <= 1e-12 * max(abs(float(want)), largest), (n, b, x)
 
 
+class TestLanes:
+    # an array call runs every lane at once; each row must be the scalar call's floats, bit for bit,
+    # and a lane must be as silent as Python floats where its values leave the float range
+
+    @PROPERTY
+    @given(
+        st.integers(0, 400),
+        st.lists(
+            st.tuples(st.integers(1, 60), st.one_of(st.floats(-60.0, 400.0), st.floats(-1e6, -1e3))),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_kummer_lanes_are_scalar_runs(self, nmax, lanes):
+        # x far below 0 makes Phi grow past 1e308 before n = 400: those lanes turn inf, then NaN
+        b, x = (np.array(v) for v in zip(*lanes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = kummer_phi_seq(nmax, b, x)
+        assert rows.shape == (len(lanes), nmax + 1)
+        for row, (bi, xi) in zip(rows, lanes):
+            assert row.tobytes() == kummer_phi_seq(nmax, bi, xi).tobytes()
+
+    def test_kummer_lanes_overflow_silently(self):
+        b, x = np.array([1, 3, 2]), np.array([-5e3, 2.5, -1e6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = kummer_phi_seq(300, b, x)
+        assert np.isinf(rows[0]).any() and np.isnan(rows[2]).any() and np.isfinite(rows[1]).all()
+        for row, bi, xi in zip(rows, b.tolist(), x.tolist()):
+            assert row.tobytes() == kummer_phi_seq(300, bi, xi).tobytes()
+
+    @PROPERTY
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 200),
+                st.one_of(
+                    st.floats(1e-30, 5.0), st.floats(5.0, 600.0), st.floats(0.0, 1e-30, exclude_max=True)
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_miller_lanes_are_scalar_runs(self, lanes):
+        # each lane starts at its own index and rescales on its own; below x = 1e-30 a lane is its series
+        nmax, x = (np.array(v) for v in zip(*lanes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = bessel_j_seq(nmax, x)
+        assert rows.shape == (len(lanes), max(nmax) + 1)
+        for row, (n, xi) in zip(rows, lanes):
+            assert row[: n + 1].tobytes() == bessel_j_seq(n, xi).tobytes()
+            assert not row[n + 1 :].any()
+
+    def test_miller_lanes_rescale_and_take_the_series(self):
+        # at x = 1e-5 each step grows by 2k/x >= 2e5, so the run rescales by 1e-250 many times
+        nmax, x = np.array([150, 3, 40, 0]), np.array([1e-5, 1e-31, 500.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = bessel_j_seq(nmax, x)
+        for row, n, xi in zip(rows, nmax.tolist(), x.tolist()):
+            assert row[: n + 1].tobytes() == bessel_j_seq(n, xi).tobytes()
+        assert rows[0, 2] > 0 and rows[3, 0] == 1.0
+
+    def test_lanes_refuse_what_the_scalar_call_refuses(self):
+        with pytest.raises(ValueError, match="b >= 1"):
+            kummer_phi_seq(5, np.array([2, 0]), 1.0)
+        with pytest.raises(ValueError, match="x >= 0"):
+            bessel_j_seq(5, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="above the cap"):
+            bessel_j_seq(np.array([3, 3]), np.array([1.0, 2e6]))
+
+
 class TestKummerSeries:
     @settings(PROPERTY, max_examples=200)
     @given(st.floats(0.0, 7.0), st.integers(1, 12), st.floats(0.0, 20.0), st.booleans())
@@ -217,7 +293,7 @@ class TestMemoizedVectors:
     # each entry must be the scalar function's float, signed zeros included
     @PROPERTY
     @given(st.integers(0, 40), st.integers(1, 40), st.floats(0.05, 20.0), st.booleans())
-    def test_hyp2f0_column_is_hyp2f0_poly(self, m, beyond, magnitude, negative):
+    def test_hyp2f0_column_is_the_per_entry_recurrence(self, m, beyond, magnitude, negative):
         # the column runs past n = m, so it holds entries with m above and below n; its
         # lanes that run on past their own step may overflow, and must do so silently
         nmax, x = m + beyond, -magnitude if negative else magnitude
@@ -229,8 +305,8 @@ class TestMemoizedVectors:
     @PROPERTY
     @given(st.lists(st.integers(0, 300), min_size=1, max_size=6), st.integers(1, 12), st.floats(-30.0, 30.0))
     def test_a_shared_kummer_run_is_kummer_phi_seq(self, requests, b, x):
-        # one recurrence run per (b, x) serves requests in any order, each slice the
-        # floats of a run to its own nmax; the memo holds the longest run's bytes
+        # one array per (b, x) serves requests in any order, each slice the floats
+        # of a run to its own nmax; the memo holds the longest run's bytes
         with identities.memo_scope():
             for nmax in requests:
                 phis = identities._kummer_run(nmax, b, x)
