@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .e2group import GroupElement, IrrepLabel, irrep_row, u_factors
+from .e2group import GroupElement, IrrepLabel, act_on_generator, irrep_row, u_factors
 from .fock import annihilator, conjugated_block, safe_block
 from .repk import basis_d, inner_product
 from .specfun import (
@@ -96,17 +96,16 @@ def memo_scope():
     Those are each U(g), D_k diagonal (of ``addition`` and the orthogonality
     profiles), signed Bessel J row, weight vector and n-sum of
     ``identity-b``, 2F0 column (:func:`specfun.hyp2f0_seq`), log-factorial
-    vector and Kummer run Phi(-n, b; x): one array per (b, x), the longest
-    yet, of which a shorter request reads a slice.  The checks read all of
-    these through one memo keyed by the builder and its arguments; it is
+    vector and Kummer run Phi(-n, b; x) for n = 0..nmax.  The checks read all
+    of these through one memo keyed by the builder and its arguments; it is
     emptied when the block exits, however it exits.  Arrays are read-only
     whether memoized or not.  A suite's plan (``plan_recurrence``,
     ``plan_identity_a``, ``plan_identity_b``, ``plan_hille_hardy``) fills
-    the memo before its checks run: each Kummer run of its grid to its
-    largest degree, and ``identity-b``'s Bessel rows, as lanes of one array
-    recurrence per block, and ``identity-b``'s n-sums in blocks of points,
-    each the floats its check would compute; an n-sum leaves the memo when
-    its check reads it.  On the default grids,
+    the memo before its checks run: the Kummer runs of its grid as lanes of
+    one array recurrence per block, each (b, x) run once to its largest
+    degree, and ``identity-b``'s n-sums in blocks of points, each the floats
+    its check would compute; an n-sum leaves the memo when its check reads
+    it.  On the default grids,
     ``verify identity-b`` builds 51 2F0 columns for its 693 checks, one per
     distinct (m + k, r), and ``verify hille-hardy`` runs its 21 Kummer
     recurrences as the lanes of one call.
@@ -126,19 +125,6 @@ def _keep(entries: dict, nbytes: int) -> bool:
     _memo.update(entries)
     _memo.nbytes += nbytes
     return True
-
-
-def _kummer_run(nmax: int, b: int, x: float) -> np.ndarray:
-    # Phi(-n, b; x) for n = 0..nmax, read-only: inside a memo_scope() one array per (b, x), the longest
-    # yet, which counts against the memo's bytes
-    key = (_kummer_run, b, x)
-    held = _memo.get(key) if _memo is not None else None
-    if held is not None and len(held) > nmax:
-        return held[: nmax + 1]
-    values = kummer_phi_seq(nmax, b, x)
-    values.flags.writeable = False
-    _keep({key: values}, values.nbytes - (held.nbytes if held is not None else 0))
-    return values
 
 
 def _once(build, *args):
@@ -176,21 +162,26 @@ def _blocks(items, row_bytes):
 
 
 def _plan_kummer(points, request) -> None:
-    # the runs request(*point) lists, (nmax, b, x) each, held for _kummer_run to each (b, x)'s largest nmax:
-    # lanes of one kummer_phi_seq call per block, sorted by degree, each lane a view of its block's rows.  A
-    # point request raises at, an x no float lane holds exactly or a block of too few lanes is left to the checks
-    tops = {}
+    # the runs request(*point) lists, (nmax, b, x) each, held as _once(kummer_phi_seq, nmax, b, x) reads them:
+    # one lane per (b, x) to its largest nmax, lanes of one kummer_phi_seq call per block sorted by that degree,
+    # and a view of the lane's row for each nmax asked.  A point request raises at, an x no float lane holds
+    # exactly or a block of too few lanes is left to the checks
+    degrees = {}
     for point in points:
         with contextlib.suppress(ValueError, ArithmeticError):
             for nmax, b, x in request(*point):
                 if nmax >= 0 and b >= 1 and isinstance(x, float):
-                    tops[b, x] = max(tops.get((b, x), 0), nmax)
-    for block in _blocks(sorted((nmax, b, x) for (b, x), nmax in tops.items()), lambda lane: (lane[0] + 1) * 8):
+                    degrees.setdefault((b, x), set()).add(nmax)
+    lanes = sorted((max(nmaxes), b, x) for (b, x), nmaxes in degrees.items())
+    for block in _blocks(lanes, lambda lane: (lane[0] + 1) * 8):
         if len(block) < _MIN_LANES:
             continue
         rows = kummer_phi_seq(block[-1][0], np.array([b for _, b, _ in block]), np.array([x for *_, x in block]))
         rows.flags.writeable = False
-        if not _keep({(_kummer_run, b, x): row[: nmax + 1] for (nmax, b, x), row in zip(block, rows)}, rows.nbytes):
+        views = {
+            (kummer_phi_seq, n, b, x): row[: n + 1] for (_, b, x), row in zip(block, rows) for n in degrees[b, x]
+        }
+        if not _keep(views, rows.nbytes):
             return
 
 
@@ -237,10 +228,14 @@ def unitarity_decay_residual(g: GroupElement, block: int) -> Residual:
 
 
 def intertwining_residual(g: GroupElement, dim: int) -> Residual:
-    """Largest entry of U a U* - (e^{i phi} a + r e^{i psi}) on the block of :func:`unitarity_residual`."""
+    """Largest entry of U a U* - (e^{i phi} a + r e^{i psi}) on the block of :func:`unitarity_residual`.
+
+    The pair (e^{i phi}, r e^{i psi}) is g's action on a, from :func:`e2group.act_on_generator`.
+    """
     b = _checked_block(dim, g.r)
     UaU = conjugated_block(u_factors(g, dim, b), np.sqrt(np.arange(1.0, dim)), 1, b)
-    return Residual(np.max(np.abs(UaU - (np.exp(1j * g.phi) * annihilator(b) + g.w * np.eye(b)))))
+    alpha, beta = act_on_generator(g)
+    return Residual(np.max(np.abs(UaU - (alpha * annihilator(b) + beta * np.eye(b)))))
 
 
 def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
@@ -251,7 +246,7 @@ def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
     """
     if zmax < 1:
         raise ValueError(f"recurrence requires zmax >= 1, got {zmax}")
-    phis = _kummer_run(zmax + 1, b, x)
+    phis = _once(kummer_phi_seq, zmax + 1, b, x)
     a = -np.arange(1.0, zmax + 1)  # floats, so any integer x converts
     # an overflowing value or term makes its ratios NaN or inf, reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -290,7 +285,7 @@ def _vacuum_degree(r: float) -> int:
 def _vacuum_terms(k: int, x: float, r: float) -> np.ndarray:
     # terms (r^{2n}/n!) Phi(-n, 1+k; x^2) of identity-a's left side, truncated at _vacuum_degree(r)
     nmax = _vacuum_degree(r)
-    phis = _kummer_run(nmax, 1 + k, x * x)
+    phis = _once(kummer_phi_seq, nmax, 1 + k, x * x)
     weights = np.exp(_log_power(2 * np.arange(nmax + 1), r) - _once(_log_factorials, nmax))
     return weights * phis
 
@@ -331,9 +326,9 @@ def _identity_b_column(q: int, r: float) -> np.ndarray:
     return column
 
 
-def _signed_bessel_row(k: int, z: float, js=None) -> np.ndarray:
-    # J_{k-n}(z) for n = 0..80, with J_{-j} = (-1)^j J_j, from js = J_0(z)..J_{80+k}(z) if given
-    js = bessel_j_seq(_IDENTITY_B_TERMS + k, z) if js is None else js
+def _signed_bessel_row(k: int, z: float) -> np.ndarray:
+    # J_{k-n}(z) for n = 0..80, with J_{-j} = (-1)^j J_j
+    js = bessel_j_seq(_IDENTITY_B_TERMS + k, z)
     orders = k - np.arange(_IDENTITY_B_TERMS + 1)
     return np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0) * js[np.abs(orders)]
 
@@ -380,7 +375,7 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     """
     if m < 0 or k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")
-    phi = float(_kummer_run(m, 1 + k, x * x)[m])
+    phi = float(_once(kummer_phi_seq, m, 1 + k, x * x)[m])
     lhs = math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r)) * phi
     rhs, term_max, tail = _identity_b_sum(m, k, x, r).tolist()
     scale = max(abs(lhs), abs(rhs), term_max)
@@ -395,23 +390,11 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
 
 
 def plan_identity_b(points) -> None:
-    """Fill the open :func:`memo_scope` for :func:`identity_b` at these (m, k, x, r).
+    """Fill the open :func:`memo_scope` with the n-sums of :func:`identity_b` at these (m, k, x, r).
 
-    Its Kummer runs and signed Bessel rows come as lanes, and its n-sums in
-    blocks of points; a point whose factors raise is left to its check.
+    The sums come in blocks of points; a point whose factors raise is left to its check.
     """
     points = [(m, k, x, r) for m, k, x, r in points if m >= 0 and k >= 0 and x > 0 and r > 0]
-    _plan_kummer(points, lambda m, k, x, r: [(m, 1 + k, x * x)])
-    lanes = sorted({(_IDENTITY_B_TERMS + k, k, 2 * x * r) for m, k, x, r in points if isinstance(2 * x * r, float)})
-    for block in _blocks(lanes, lambda lane: (lane[0] + 1) * 8):
-        if len(block) < _MIN_LANES:
-            continue
-        with contextlib.suppress(ValueError, ArithmeticError):
-            js = bessel_j_seq(np.array([n for n, _, _ in block]), np.array([z for *_, z in block]))
-            rows = {(_signed_bessel_row, k, z): _signed_bessel_row(k, z, row) for (_, k, z), row in zip(block, js)}
-            for row in rows.values():
-                row.flags.writeable = False
-            _keep(rows, sum(row.nbytes for row in rows.values()))
     for block in _blocks(points, lambda _: 8 * (_IDENTITY_B_TERMS + 1) * 8):
         built = {}
         for point in block:
@@ -513,7 +496,7 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
         raise ValueError("hille_hardy_residual requires zq <= 0.95")
     nmax = _hille_hardy_degree(zq)
     # L^k_n = C(n+k, n) Phi(-n, 1+k; .), so the weight (n!/(n+k)!) C(n+k, n)^2 is C(n+k, n)/k!
-    px, py = _kummer_run(nmax, 1 + k, x), _kummer_run(nmax, 1 + k, y)
+    px, py = _once(kummer_phi_seq, nmax, 1 + k, x), _once(kummer_phi_seq, nmax, 1 + k, y)
     ns = np.arange(nmax + 1)
     logf = _once(_log_factorials, nmax + k)
     logw = logf[k:] - logf[: nmax + 1] - 2 * logf[k]

@@ -232,7 +232,9 @@ def basis_d(label: IrrepLabel, zmax: int) -> BasisFunction:
         power = (0.5 * lam) ** a
     except OverflowError:
         raise ValueError(f"basis_d at lam={lam!r}, k={k}: (lam/2)^{a} overflows") from None
-    pref = power / math.factorial(a) * (damping := math.exp(-lam * lam / 8.0))
+    # a! / 2^shift is a float, and ldexp restores the scale; shift = 0, so every float is as before, up to a = 170
+    shift = max(0, (factorial := math.factorial(a)).bit_length() - 1023)
+    pref = math.ldexp(power / (factorial / (1 << shift)) * (damping := math.exp(-lam * lam / 8.0)), -shift)
     with np.errstate(over="ignore", invalid="ignore"):
         # i^a exact from a table of four, times the real (lam/2)^a/a! e^{-lam^2/8} Phi
         radial = np.array([1, 1j, -1, -1j])[a % 4] * (pref * kummer_phi_seq(zmax, 1 + a, lam * lam / 4.0))

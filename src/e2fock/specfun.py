@@ -185,27 +185,22 @@ def _bessel_start_index(base: int) -> int:
     return base + 40 + int(10.0 * (base + 1) ** (1.0 / 3.0)) + int(2.0 * math.sqrt(base + 1))
 
 
-def _miller_start(nmax: int, x: float) -> int:
-    # the start index of one Miller recurrence, refused above the cap
-    start = _bessel_start_index(max(nmax, int(math.ceil(x))))
-    if start > _MAX_MILLER_STEPS:
-        raise ValueError(
-            f"Bessel argument {x!r} at order {nmax} needs {start:.3g} recurrence steps,"
-            f" above the cap of {_MAX_MILLER_STEPS}"
-        )
-    return start
-
-
 def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
     # Miller's normalized downward recurrence (Gautschi, SIAM Rev. 9, 1967):
     # c_{k-1} = (2k/x) c_k + sign c_{k+1} from a start index well above
     # max(nmax, x), normalized with c_0 + 2 sum_{k>=1, step | k} c_k.  With
     # (sign, step) = (-1, 2) that is J_0 + 2 sum J_{2k} = 1, giving J_k(x);
     # with (+1, 1) it is I_0 + 2 sum I_k = e^x, giving e^{-x} I_k(x).
+    start = _bessel_start_index(max(nmax, int(math.ceil(x))))
+    if start > _MAX_MILLER_STEPS:
+        raise ValueError(
+            f"Bessel argument {x!r} at order {nmax} needs {start:.3g} recurrence steps,"
+            f" above the cap of {_MAX_MILLER_STEPS}"
+        )
     out = np.zeros(nmax + 1)
     c_up, c_cur = 0.0, 1e-300
     norm = 0.0
-    for k in range(_miller_start(nmax, x), -1, -1):
+    for k in range(start, -1, -1):
         c_down = (2.0 * (k + 1) / x) * c_cur + sign * c_up
         c_up, c_cur = c_cur, c_down
         if abs(c_cur) > 1e250:
@@ -220,29 +215,7 @@ def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
     return out / (c_cur + norm)
 
 
-def _miller_lanes(nmax: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # _miller_seq(nmax[i], x[i], -1, 2) in row i, then zeros, all lanes one numpy step per index: a lane
-    # holds its (0, 1e-300) until the index comes down to its own start, and rescales on its own
-    starts = np.array([_miller_start(n, v) for n, v in zip(nmax.tolist(), x.tolist())])
-    width = int(nmax.max()) + 1
-    out = np.zeros((len(x), width))
-    c_up, c_cur, norm = np.zeros(len(x)), np.full(len(x), 1e-300), np.zeros(len(x))
-    for k in range(int(starts.max()), -1, -1):
-        live = starts >= k
-        c_up, c_cur = np.where(live, c_cur, c_up), np.where(live, (2.0 * (k + 1) / x) * c_cur - c_up, c_cur)
-        if (big := np.flatnonzero(abs(c_cur) > 1e250)).size:
-            for lane in (c_cur, c_up, norm, out):
-                lane[big] *= 1e-250
-        if k < width:
-            out[:, k] = c_cur
-        if k > 0 and k % 2 == 0:
-            norm += np.where(live, 2.0 * c_cur, 0.0)
-    out /= (c_cur + norm)[:, None]
-    out[np.arange(width) > nmax[:, None]] = 0.0
-    return out
-
-
-def bessel_j_seq(nmax, x) -> np.ndarray:
+def bessel_j_seq(nmax: int, x: float) -> np.ndarray:
     """J_0(x)..J_nmax(x) for x >= 0 by normalized downward recurrence.
 
     Miller's algorithm: recurse J_{k-1} = (2k/x) J_k - J_{k+1} downward from a
@@ -251,28 +224,14 @@ def bessel_j_seq(nmax, x) -> np.ndarray:
     needs more than 10**6 recurrence steps.  Below x = 1e-30, 0 included,
     where one step could grow past the recurrence's rescaling, each J_k is
     its ascending series, as :func:`bessel_j` computes it.
-
-    With numpy 1-D arrays nmax and x (or one of them), each (nmax[i], x[i])
-    is a lane: row i of the result is the scalar call's float array at
-    (nmax[i], x[i]), bit for bit, then zeros up to the largest nmax.  The
-    lanes' recurrences run together, one numpy step per index, each from its
-    own start index and rescaled on its own.
     """
-    lanes = isinstance(nmax, np.ndarray) or isinstance(x, np.ndarray)
-    if np.any(nmax < 0) if lanes else nmax < 0:
+    if nmax < 0:
         raise ValueError("bessel_j_seq requires nmax >= 0")
-    if np.any(x < 0) if lanes else x < 0:
+    if x < 0:
         raise ValueError("bessel_j_seq requires x >= 0")
-    if not lanes:
-        if x < 1e-30:
-            return np.array([_bessel_j_series(k, x) for k in range(nmax + 1)])
-        return _miller_seq(nmax, x, -1, 2)
-    nmax, x = np.broadcast_arrays(nmax, np.asarray(x, dtype=float))
-    # a lane below x = 1e-30 runs the recurrence at x = 1, and its series then takes its row
-    out = _miller_lanes(nmax, np.where(x < 1e-30, 1.0, x))
-    for i in np.flatnonzero(x < 1e-30):
-        out[i, : nmax[i] + 1] = bessel_j_seq(int(nmax[i]), float(x[i]))
-    return out
+    if x < 1e-30:
+        return np.array([_bessel_j_series(k, x) for k in range(nmax + 1)])
+    return _miller_seq(nmax, x, -1, 2)
 
 
 def _bessel_lead(nu: int, x: float) -> float:

@@ -424,6 +424,9 @@ def test_hille_hardy_builds_each_log_factorial_vector_once(monkeypatch):
 
 _PLANS = ["plan_recurrence", "plan_identity_a", "plan_identity_b", "plan_hille_hardy"]
 
+# 16 x values over perfbench's recurrence span [0.25, 16]
+_RECURRENCE_XS = ",".join(f"{0.25 + 0.9843 * i:.4f}" for i in range(16))
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -438,18 +441,27 @@ _PLANS = ["plan_recurrence", "plan_identity_a", "plan_identity_b", "plan_hille_h
         pytest.param(["verify", "identity-b", "--x", "1", "--r", "3e5", "--m", "4", "--k", "2"], id="identity-b-nan"),
         pytest.param(["verify", "hille-hardy", "--zq", "0.96"], id="hille-hardy-refused"),
         pytest.param(["verify", "recurrence", "--zmax", "1"], id="recurrence-zmax-1"),
+        # 21 b by 16 x: one block of 324 lanes, and a rest of 12 lanes left to the checks
+        pytest.param(["verify", "recurrence", "--k", "0..20", "--x", _RECURRENCE_XS], id="recurrence-336-lanes"),
         # addition-vacuum reads Kummer runs, with no plan
         pytest.param(["verify", "addition", "--lambda", "1e-300"], id="addition-lambda-1e-300"),
     ],
 )
 def test_memo_does_not_change_a_byte(argv, monkeypatch):
-    # no plan, no memoized array and no shared Kummer run: every value computed afresh for its check
+    # no plan and no memoized array: every value computed afresh for its check
     code, planned = run_cli(argv)
     for plan in _PLANS:
         monkeypatch.setattr(identities, plan, lambda points: None)
     monkeypatch.setattr(identities, "_once", lambda build, *args: build(*args))
-    monkeypatch.setattr(identities, "_kummer_run", lambda nmax, b, x: kummer_phi_seq(nmax, b, x))
     assert run_cli(argv) == (code, planned)
+
+
+def test_a_recurrence_grid_splits_into_a_block_and_a_rest(monkeypatch):
+    # the 336 lanes of the memo-off case above: 324 of 202 values fill a 2^19-byte block, 12 are left over
+    built = _counting(monkeypatch, "kummer_phi_seq")
+    assert run_cli(["verify", "recurrence", "--k", "0..20", "--x", _RECURRENCE_XS])[0] == 0
+    assert [len(b) for _, b, _ in built if isinstance(b, np.ndarray)] == [324]
+    assert sum(not isinstance(b, np.ndarray) for _, b, _ in built) == 12
 
 
 def test_each_scalar_suite_runs_its_plan_once(monkeypatch):
@@ -467,7 +479,7 @@ def test_each_scalar_suite_runs_its_plan_once(monkeypatch):
 @pytest.mark.parametrize(
     "suite,cap",
     # caps that split each suite's default lanes into blocks of at least 16 lanes and a shorter rest
-    [("recurrence", 40000), ("identity-a", 5000), ("identity-b", 1500), ("hille-hardy", 71040)],
+    [("recurrence", 40000), ("identity-a", 5000), ("hille-hardy", 71040)],
 )
 @pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
 def test_a_plan_under_small_caps_changes_no_byte(suite, cap, name, monkeypatch):
@@ -481,6 +493,21 @@ def test_a_plan_under_small_caps_changes_no_byte(suite, cap, name, monkeypatch):
     if name == "_BLOCK_BYTES":
         assert all(8 * (nmax + 1) * lanes <= cap for nmax, lanes in blocks)
         assert any(not isinstance(b, np.ndarray) for _, b, _ in built)  # the rest, left to the checks
+
+
+@pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
+def test_identity_b_sums_under_small_caps_change_no_byte(name, monkeypatch):
+    # the 693 n-sums come in blocks of at most _BLOCK_BYTES at 8 x 81 x 8 bytes a point, and past
+    # _MEMO_BYTES the plan holds no more sums, so their checks compute each one alone
+    want = run_cli(["verify", "identity-b"])
+    monkeypatch.setattr(identities, name, 2**16)
+    built = _counting(monkeypatch, "_identity_b_sums")
+    assert run_cli(["verify", "identity-b"]) == want
+    blocks = [len(factors) for (factors,) in built]
+    if name == "_BLOCK_BYTES":
+        assert blocks == [12] * 57 + [9]
+    else:
+        assert blocks[:7] == [101] * 6 + [87] and blocks[7:] == [1] * 390
 
 
 @pytest.mark.parametrize(
@@ -804,11 +831,11 @@ class TestComputedOnce:
     def test_a_kummer_run_past_the_memo_cap_is_recomputed(self, monkeypatch):
         monkeypatch.setattr(identities, "_MEMO_BYTES", 8 * 50)
         with identities.memo_scope():
-            held = identities._kummer_run(40, 3, 2.5)
-            longer = identities._kummer_run(100, 3, 2.5)  # 101 values, over the cap
+            held = identities._once(kummer_phi_seq, 40, 3, 2.5)
+            assert identities._once(kummer_phi_seq, 40, 3, 2.5) is held
+            longer = identities._once(kummer_phi_seq, 100, 3, 2.5)  # 101 values, over the cap
             assert identities._memo.nbytes == held.nbytes == 8 * 41
-            assert identities._kummer_run(30, 3, 2.5).base is held
-            again = identities._kummer_run(100, 3, 2.5)
+            again = identities._once(kummer_phi_seq, 100, 3, 2.5)
             assert again is not longer
             assert again.tobytes() == longer.tobytes() == kummer_phi_seq(100, 3, 2.5).tobytes()
 
@@ -825,7 +852,7 @@ class TestComputedOnce:
         ["table", "basis", "--lambda", "1e200", "--k", "3", "--zmax", "2"],  # an overflow in a table
         ["table", "profile", "--lambda", "1e200", "--lambda2", "1e200"],
         ["table", "irrep", "--lambda", "1e308", "--r", "1e10"],
-        ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],  # 200! is beyond the float range
+        ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],  # (1/2)^200/200! underflows
         ["table", "profile", "--k", "0", "--lambda", "70", "--lambda2", "70"],  # products below the float range
     ],
 )
@@ -893,7 +920,8 @@ class TestEveryInputIsRead:
         ),
         (
             ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],
-            "table profile: OverflowError: int too large to convert to float",
+            "table profile: ValueError: basis_d at lam=1, k=200: the radial part is lost,"
+            " (lam/2)^200/200! underflows to 0",
         ),
         (["verify", "recurrence", "--lambda", "2"], "verify recurrence: ValueError: the run does not read --lambda"),
         (["verify", "recurrence", "--dim", "64"], "verify recurrence: ValueError: the run does not read --dim"),

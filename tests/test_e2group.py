@@ -296,35 +296,38 @@ def _scaled_matrix_moduli(r: float, d: int, count: int) -> np.ndarray:
     distinct r under several (psi, phi).
     """
     x = r * r
-    s = np.empty(count)
-    s[0] = math.exp(d * math.log(r) - 0.5 * log_factorial(d)) if d > 0 else 1.0
+    # Python floats: each step rounds as numpy's scalars would, without their per-operation overhead
+    s = [math.exp(d * math.log(r) - 0.5 * log_factorial(d)) if d > 0 else 1.0]
     if count > 1:
-        s[1] = (1.0 + d - x) * s[0] / math.sqrt(1.0 + d)
+        s.append((1.0 + d - x) * s[0] / math.sqrt(1.0 + d))
+    prev, cur, root = s[0], s[-1], math.sqrt(1 + d)
     for m in range(1, count - 1):
-        s[m + 1] = ((2 * m + 1 + d - x) * s[m] - math.sqrt(m * (m + d)) * s[m - 1]) / math.sqrt(
-            (m + 1) * (m + 1 + d)
-        )
+        # sqrt((m + 1)(m + 1 + d)) divides this step and multiplies the next
+        next_root = math.sqrt((m + 1) * (m + 1 + d))
+        prev, cur, root = cur, ((2 * m + 1 + d - x) * cur - root * prev) / next_root, next_root
+        s.append(cur)
+    s = np.array(s)
     s.flags.writeable = False
     return s
 
 
 def u_matrix_by_diagonals(g, dim):
-    # reference assembly: one scalar recurrence per diagonal, its phases
-    # evaluated on that diagonal's index arrays, (-1)^d on the phase below
+    # reference assembly: one scalar recurrence per diagonal, entry (m, n) the phase e^{i((m - n) psi - m phi)}
+    # from one np.exp over the index grids, (-1)^d on the phase below, times the moduli of diagonal d = |n - m|
     U = np.zeros((dim, dim), dtype=complex)
     ms = np.arange(dim)
     if g.r < 1e-12:
         U[ms, ms] = np.exp(-1j * ms * g.phi)
         return U
     damp = math.exp(-0.5 * g.r * g.r)
+    moduli = np.zeros(dim * dim)  # entry (m, m + d) at flat index m (dim + 1) + d
     for d in range(dim):
-        vals = damp * _scaled_matrix_moduli(g.r, d, dim - d)
-        m = ms[: dim - d]
-        n = m + d
-        U[m, n] = np.exp(1j * ((m - n) * g.psi - m * g.phi)) * vals
-        if d > 0:
-            U[n, m] = (-1) ** d * np.exp(1j * ((n - m) * g.psi - n * g.phi)) * vals
-    return U
+        moduli[d :: dim + 1][: dim - d] = damp * _scaled_matrix_moduli(g.r, d, dim - d)
+    moduli = moduli.reshape(dim, dim)
+    m, n = np.indices((dim, dim))
+    below = m > n
+    phases = np.where(below & ((m - n) % 2 == 1), -1.0, 1.0) * np.exp(1j * ((m - n) * g.psi - m * g.phi))
+    return phases * np.where(below, moduli.T, moduli)
 
 
 class TestUMatrixBitIdentity:

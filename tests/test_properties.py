@@ -190,47 +190,13 @@ class TestLanes:
         for row, bi, xi in zip(rows, b.tolist(), x.tolist()):
             assert row.tobytes() == kummer_phi_seq(300, bi, xi).tobytes()
 
-    @PROPERTY
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 200),
-                st.one_of(
-                    st.floats(1e-30, 5.0), st.floats(5.0, 600.0), st.floats(0.0, 1e-30, exclude_max=True)
-                ),
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    def test_miller_lanes_are_scalar_runs(self, lanes):
-        # each lane starts at its own index and rescales on its own; below x = 1e-30 a lane is its series
-        nmax, x = (np.array(v) for v in zip(*lanes))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            rows = bessel_j_seq(nmax, x)
-        assert rows.shape == (len(lanes), max(nmax) + 1)
-        for row, (n, xi) in zip(rows, lanes):
-            assert row[: n + 1].tobytes() == bessel_j_seq(n, xi).tobytes()
-            assert not row[n + 1 :].any()
-
-    def test_miller_lanes_rescale_and_take_the_series(self):
-        # at x = 1e-5 each step grows by 2k/x >= 2e5, so the run rescales by 1e-250 many times
-        nmax, x = np.array([150, 3, 40, 0]), np.array([1e-5, 1e-31, 500.0, 0.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            rows = bessel_j_seq(nmax, x)
-        for row, n, xi in zip(rows, nmax.tolist(), x.tolist()):
-            assert row[: n + 1].tobytes() == bessel_j_seq(n, xi).tobytes()
-        assert rows[0, 2] > 0 and rows[3, 0] == 1.0
-
     def test_lanes_refuse_what_the_scalar_call_refuses(self):
         with pytest.raises(ValueError, match="b >= 1"):
             kummer_phi_seq(5, np.array([2, 0]), 1.0)
         with pytest.raises(ValueError, match="x >= 0"):
-            bessel_j_seq(5, np.array([1.0, -1.0]))
+            bessel_j_seq(5, -1.0)
         with pytest.raises(ValueError, match="above the cap"):
-            bessel_j_seq(np.array([3, 3]), np.array([1.0, 2e6]))
+            bessel_j_seq(3, 2e6)
 
 
 class TestKummerSeries:
@@ -305,14 +271,18 @@ class TestMemoizedVectors:
     @PROPERTY
     @given(st.lists(st.integers(0, 300), min_size=1, max_size=6), st.integers(1, 12), st.floats(-30.0, 30.0))
     def test_a_shared_kummer_run_is_kummer_phi_seq(self, requests, b, x):
-        # one array per (b, x) serves requests in any order, each slice the floats
-        # of a run to its own nmax; the memo holds the longest run's bytes
+        # a plan runs one lane per (b, x) to its largest nmax and holds a view of it for each nmax asked:
+        # every request then reads the floats of a run to its own nmax, and the memo holds the lanes' bytes
+        bs = range(b, b + identities._MIN_LANES)
         with identities.memo_scope():
-            for nmax in requests:
-                phis = identities._kummer_run(nmax, b, x)
-                assert phis.tobytes() == kummer_phi_seq(nmax, b, x).tobytes()
-                assert not phis.flags.writeable
-            assert identities._memo.nbytes == 8 * (max(requests) + 1)
+            identities.plan_recurrence([(bi, x, nmax - 1) for bi in bs for nmax in requests])
+            assert identities._memo.nbytes == len(bs) * 8 * (max(requests) + 1)
+            for bi in bs:
+                for nmax in requests:
+                    phis = identities._once(kummer_phi_seq, nmax, bi, x)
+                    assert phis.tobytes() == kummer_phi_seq(nmax, bi, x).tobytes()
+                    assert not phis.flags.writeable
+            assert identities._memo.nbytes == len(bs) * 8 * (max(requests) + 1)  # every read was held
 
     @PROPERTY
     @given(st.integers(171, 600))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
@@ -272,6 +273,21 @@ class TestBasisFunctions:
             with pytest.raises(ValueError, match=lost):
                 basis_d(IrrepLabel(lam, k), 10)
         assert basis_d(IrrepLabel(1e-300, 1), 10).radial[0] != 0
+        # 200! is beyond the float range, but (1/2)^200/200! is what falls below it
+        with pytest.raises(ValueError, match=r"k=200: the radial part is lost, \(lam/2\)\^200/200! underflows"):
+            basis_d(IrrepLabel(1.0, 200), 10)
+
+    @pytest.mark.parametrize("k", [200, -171])
+    def test_winding_past_170_matches_mpmath(self, k):
+        # |k|! is beyond the float range while (lam/2)^|k|/|k|! e^{-lam^2/8} is about 1.2e-275 (k = 200)
+        lam, a = 60.0, abs(k)
+        radial = basis_d(IrrepLabel(lam, k), 100).radial
+        with mpmath.workdps(40):
+            pref = (mpmath.mpf(lam) / 2) ** a / mpmath.factorial(a) * mpmath.exp(-lam * lam / 8)
+            want = [pref * mpmath.hyp1f1(-z, 1 + a, lam * lam / 4) for z in range(101)]
+        got = (radial.imag if a % 2 else radial.real) * (-1) ** (a // 2)  # radial = i^a times the real value
+        for z, (g, w) in enumerate(zip(got.tolist(), want)):
+            assert abs(g - float(w)) <= 1e-13 * abs(float(w)), z
 
     @pytest.mark.parametrize("lam", [2.0, 2.3])
     @pytest.mark.parametrize("k", [0, 3, -3, 6, 160, -161])
