@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,17 +104,12 @@ def _dim(cfg, default, low=8):
     return dim
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """One record of a verify run: pass iff residual <= tolerance."""
-
-    name: str
-    equation: str
-    params: dict
-    residual: float
-    tolerance: float
-    passed: bool
-    detail: str | None = None
+class _Row(dict):
+    # a verify record, keyed by its output columns; row.residual reads row["residual"], as perfbench's tracer does
+    def __getattr__(self, key):
+        if key in self:
+            return self[key]
+        raise AttributeError(key)
 
 
 def _sweep(cfg, name, equation, tol, axes, check, params=dict, plan=None):
@@ -127,10 +121,12 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict, plan=None):
     ``check(report, **point)`` calls a check of :mod:`identities` or
     :mod:`repk`, which does all the arithmetic, and returns one record or a
     list of them, each built by ``report(residual, detail=None)``: the one
-    place a record is built and its pass decided.  It files the residual
-    under this sweep's name, equation, tolerance and ``params(**point)``;
-    keywords ``name``, ``equation`` and ``tolerance`` replace those, and any
-    other keyword adds or replaces a param.  A callable detail is called,
+    place a record is built and its pass decided.  A record is its output
+    row, a dict of the columns name, equation, params, residual, tolerance,
+    pass and detail, in that order.  ``report`` files the residual under
+    this sweep's name, equation, tolerance and ``params(**point)``; keywords
+    ``name``, ``equation`` and ``tolerance`` replace those, and any other
+    keyword adds or replaces a param.  A callable detail is called,
     for the note, only when the record fails.  A ValueError or
     ArithmeticError from the check becomes one error record for the point.
     ``plan``, if given, is handed the list of grid points, each a tuple of
@@ -140,7 +136,7 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict, plan=None):
     grid = list(itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())))
     if plan is not None:
         plan(grid)
-    reports = []
+    rows = []
     for values in grid:
         point = dict(zip(axes, values))
         base = params(**point)
@@ -150,14 +146,17 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict, plan=None):
             passed = residual <= tolerance
             if callable(detail):
                 detail = None if passed else detail()
-            return CheckReport(name, equation, {**base, **extra}, residual, tolerance, passed, detail)
+            return _Row({
+                "name": name, "equation": equation, "params": {**base, **extra},
+                "residual": residual, "tolerance": tolerance, "pass": passed, "detail": detail,
+            })  # fmt: skip
 
         try:
             got = check(report, **point)
         except (ValueError, ArithmeticError) as exc:
             got = report(math.inf, f"error: {exc}")
-        reports.extend(got if isinstance(got, list) else [got])
-    return reports
+        rows.extend(got if isinstance(got, list) else [got])
+    return rows
 
 
 def _ladder(report, values, label, monotone, tolerance, **monotone_params):
@@ -409,19 +408,15 @@ SUITE_NAMES = list(SUITES)
 def run_verify(suite: str, cfg: RunConfig, stream) -> int:
     """Run one suite (or 'all'); stream records; return the exit code."""
     names = SUITE_NAMES if suite == "all" else [suite]
-    reports = []
+    rows = []
     for name in names:
         with ident.memo_scope():
-            reports.extend(SUITES[name](cfg))
-    if not reports:
+            rows.extend(SUITES[name](cfg))
+    if not rows:
         raise ValueError("the grid gives no records, so nothing was checked")
     cfg.check_read()
-    _write_rows([dict(zip(_RECORD_FIELDS, vars(r).values())) for r in reports], cfg.format, stream)
-    return 0 if all(r.passed for r in reports) else 1
-
-
-# a record's columns: CheckReport's fields, in the order its __init__ sets them
-_RECORD_FIELDS = ("name", "equation", "params", "residual", "tolerance", "pass", "detail")
+    _write_rows(rows, cfg.format, stream)
+    return 0 if all(row["pass"] for row in rows) else 1
 
 
 def _json_value(v):
@@ -550,13 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VAL", help="tolerance override")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         for flag in _PARAM_FLAGS:
-            p.add_argument(
-                f"--{flag}",
-                dest=_FLAG_DEST.get(flag, flag),
-                type=str,
-                default=None,
-                help=_FLAG_HELP.get(flag, f"grid for {flag} (a..b ints or comma list)"),
-            )
+            help_text = _FLAG_HELP.get(flag, f"grid for {flag} (a..b ints or comma list)")
+            p.add_argument(f"--{flag}", dest=_FLAG_DEST.get(flag, flag), help=help_text)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=SUITE_NAMES + ["all"])
@@ -591,16 +581,11 @@ def _merge_negative_values(argv):
     # values into their flag as --k=-3..3
     flags = {f"--{flag}" for flag in _PARAM_FLAGS}
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in flags and nxt is not None and nxt.startswith("-") and any(c.isdigit() for c in nxt):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in flags and tok.startswith("-") and any(c.isdigit() for c in tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

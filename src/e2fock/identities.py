@@ -392,7 +392,7 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
 def plan_identity_b(points) -> None:
     """Fill the open :func:`memo_scope` with the n-sums of :func:`identity_b` at these (m, k, x, r).
 
-    The sums come in blocks of points; a point whose factors raise is left to its check.
+    The sums come in blocks of points until the memo refuses one; a point whose factors raise is left to its check.
     """
     points = [(m, k, x, r) for m, k, x, r in points if m >= 0 and k >= 0 and x > 0 and r > 0]
     for block in _blocks(points, lambda _: 8 * (_IDENTITY_B_TERMS + 1) * 8):
@@ -401,7 +401,8 @@ def plan_identity_b(points) -> None:
             with contextlib.suppress(ValueError, ArithmeticError):
                 built[(_identity_b_sum, *point)] = _identity_b_factors(*point)
         sums = _identity_b_sums(built.values()) if built else np.empty((0, 3))
-        _keep(dict(zip(built, sums)), sums.nbytes)
+        if not _keep(dict(zip(built, sums)), sums.nbytes):
+            return
 
 
 def _basis_diagonal(lam: float, n: int, zmax: int) -> np.ndarray:
