@@ -26,7 +26,6 @@ from .e2group import GroupElement, IrrepLabel, act_on_generator, irrep_row, u_fa
 from .fock import annihilator, conjugated_block, safe_block
 from .repk import basis_d, inner_product
 from .specfun import (
-    bessel_i,
     bessel_i_scaled,
     bessel_j,
     bessel_j_seq,
@@ -97,18 +96,17 @@ def memo_scope():
     profiles), signed Bessel J row, weight vector and n-sum of
     ``identity-b``, 2F0 column (:func:`specfun.hyp2f0_seq`), log-factorial
     vector and Kummer run Phi(-n, b; x) for n = 0..nmax.  The checks read all
-    of these through one memo keyed by the builder and its arguments; it is
-    emptied when the block exits, however it exits.  Arrays are read-only
-    whether memoized or not.  A suite's plan (``plan_recurrence``,
-    ``plan_identity_a``, ``plan_identity_b``, ``plan_hille_hardy``) fills
-    the memo before its checks run: the Kummer runs of its grid as lanes of
-    one array recurrence per block, each (b, x) run once to its largest
-    degree, and ``identity-b``'s n-sums in blocks of points, each the floats
-    its check would compute; an n-sum leaves the memo when its check reads
-    it.  On the default grids,
-    ``verify identity-b`` builds 51 2F0 columns for its 693 checks, one per
-    distinct (m + k, r), and ``verify hille-hardy`` runs its 21 Kummer
-    recurrences as the lanes of one call.
+    of these through ``_once``, one memo keyed by the builder and its
+    arguments, emptied when the block exits, however it exits; arrays are
+    read-only whether memoized or not.  A suite's plan (``plan_recurrence``,
+    ``plan_identity_a``, ``plan_identity_b``, ``plan_hille_hardy``) only
+    pre-fills keys ``_once`` reads, before the checks run and a block at a
+    time while the memo has room for the whole block: Kummer runs as lanes
+    of one array recurrence, each (b, x) run once to its largest degree, and
+    ``identity-b``'s n-sums, each the floats its check would compute.  On
+    the default grids, ``verify identity-b`` builds 51 2F0 columns for its
+    693 checks, one per distinct (m + k, r), and ``verify hille-hardy`` runs
+    its 21 Kummer recurrences as the lanes of one call.
     """
     global _memo
     _memo = _Memo()
@@ -118,13 +116,11 @@ def memo_scope():
         _memo = None
 
 
-def _keep(entries: dict, nbytes: int) -> bool:
+def _keep(entries: dict, nbytes: int) -> None:
     # hold every entry, charging nbytes for them all, if a memo_scope() is open and has room
-    if _memo is None or _memo.nbytes + nbytes > _MEMO_BYTES:
-        return False
-    _memo.update(entries)
-    _memo.nbytes += nbytes
-    return True
+    if _memo is not None and _memo.nbytes + nbytes <= _MEMO_BYTES:
+        _memo.update(entries)
+        _memo.nbytes += nbytes
 
 
 def _once(build, *args):
@@ -149,40 +145,44 @@ _BLOCK_BYTES = 2**19
 _MIN_LANES = 16
 
 
-def _blocks(items, row_bytes):
-    # runs of consecutive items, each at most _BLOCK_BYTES as len(run) x row_bytes(its last item)
-    block = []
+def _plan_blocks(items, row_bytes, build) -> None:
+    # fill the open memo_scope() a block at a time: runs of consecutive items, each len(run) x row_bytes(its last
+    # item) <= _BLOCK_BYTES, that build(run) turns into memo entries and the bytes they hold.  All a build adds to
+    # the memo is at most the run's bytes, so the first run the memo has no room for ends the plan, unbuilt
+    blocks = [[]]
     for item in items:
-        if block and (len(block) + 1) * row_bytes(item) > _BLOCK_BYTES:
-            yield block
-            block = []
-        block.append(item)
-    if block:
-        yield block
+        if blocks[-1] and (len(blocks[-1]) + 1) * row_bytes(item) > _BLOCK_BYTES:
+            blocks.append([])
+        blocks[-1].append(item)
+    for block in filter(None, blocks):
+        if _memo is None or _memo.nbytes + len(block) * row_bytes(block[-1]) > _MEMO_BYTES:
+            return
+        _keep(*build(block))
 
 
 def _plan_kummer(points, request) -> None:
-    # the runs request(*point) lists, (nmax, b, x) each, held as _once(kummer_phi_seq, nmax, b, x) reads them:
-    # one lane per (b, x) to its largest nmax, lanes of one kummer_phi_seq call per block sorted by that degree,
-    # and a view of the lane's row for each nmax asked.  A point request raises at, an x no float lane holds
-    # exactly or a block of too few lanes is left to the checks
+    # the runs request(*point) lists, (nmax, b, x) each, held as _once(kummer_phi_seq, nmax, b, x) reads them: a
+    # lane per (b, x) to its largest nmax, one kummer_phi_seq call per block of lanes sorted by it, a view per nmax.
+    # A point request raises at, an x no float lane holds exactly or a block of too few lanes is left to the checks
     degrees = {}
     for point in points:
         with contextlib.suppress(ValueError, ArithmeticError):
             for nmax, b, x in request(*point):
                 if nmax >= 0 and b >= 1 and isinstance(x, float):
                     degrees.setdefault((b, x), set()).add(nmax)
-    lanes = sorted((max(nmaxes), b, x) for (b, x), nmaxes in degrees.items())
-    for block in _blocks(lanes, lambda lane: (lane[0] + 1) * 8):
+
+    def run_lanes(block):
         if len(block) < _MIN_LANES:
-            continue
+            return {}, 0
         rows = kummer_phi_seq(block[-1][0], np.array([b for _, b, _ in block]), np.array([x for *_, x in block]))
         rows.flags.writeable = False
         views = {
             (kummer_phi_seq, n, b, x): row[: n + 1] for (_, b, x), row in zip(block, rows) for n in degrees[b, x]
         }
-        if not _keep(views, rows.nbytes):
-            return
+        return views, rows.nbytes
+
+    lanes = sorted((max(nmaxes), b, x) for (b, x), nmaxes in degrees.items())
+    _plan_blocks(lanes, lambda lane: (lane[0] + 1) * 8, run_lanes)
 
 
 class Residual(NamedTuple):
@@ -300,6 +300,8 @@ def identity_a(k: int, x: float, r: float) -> Residual:
     """
     if k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_a requires k >= 0, x > 0, r > 0")
+    if math.isinf(r * r):
+        raise OverflowError(f"identity-a at k={k}, x={x!r}, r={r!r}: r^2 is outside the float range")
     terms = _vacuum_terms(k, x, r)
     lhs = float(np.sum(terms))
     rhs = math.exp(log_factorial(k) - k * math.log(x * r) + r * r) * bessel_j(k, 2 * x * r)
@@ -358,10 +360,8 @@ def _identity_b_sums(factors) -> np.ndarray:
 
 
 def _identity_b_sum(m: int, k: int, x: float, r: float) -> np.ndarray:
-    # (right side, largest term, last term) of identity-b's n-sum at one point: the row a plan left in the
-    # memo for this one check, which takes it out, or computed here
-    held = _memo.pop((_identity_b_sum, m, k, x, r), None) if _memo is not None else None
-    return _identity_b_sums([_identity_b_factors(m, k, x, r)])[0] if held is None else held
+    # (right side, largest term, last term) of identity-b's n-sum at one point
+    return _identity_b_sums([_identity_b_factors(m, k, x, r)])[0]
 
 
 def identity_b(m: int, k: int, x: float, r: float) -> Residual:
@@ -377,7 +377,7 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
         raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")
     phi = float(_once(kummer_phi_seq, m, 1 + k, x * x)[m])
     lhs = math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r)) * phi
-    rhs, term_max, tail = _identity_b_sum(m, k, x, r).tolist()
+    rhs, term_max, tail = _once(_identity_b_sum, m, k, x, r).tolist()
     scale = max(abs(lhs), abs(rhs), term_max)
     if scale == 0.0:
         raise ArithmeticError(f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: both sides and every term are 0")
@@ -390,19 +390,19 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
 
 
 def plan_identity_b(points) -> None:
-    """Fill the open :func:`memo_scope` with the n-sums of :func:`identity_b` at these (m, k, x, r).
+    """Pre-fill the open :func:`memo_scope` with the n-sums :func:`identity_b` reads at these (m, k, x, r)."""
 
-    The sums come in blocks of points until the memo refuses one; a point whose factors raise is left to its check.
-    """
-    points = [(m, k, x, r) for m, k, x, r in points if m >= 0 and k >= 0 and x > 0 and r > 0]
-    for block in _blocks(points, lambda _: 8 * (_IDENTITY_B_TERMS + 1) * 8):
-        built = {}
+    def sum_points(block):
+        factors = {}
         for point in block:
             with contextlib.suppress(ValueError, ArithmeticError):
-                built[(_identity_b_sum, *point)] = _identity_b_factors(*point)
-        sums = _identity_b_sums(built.values()) if built else np.empty((0, 3))
-        if not _keep(dict(zip(built, sums)), sums.nbytes):
-            return
+                factors[(_identity_b_sum, *point)] = _identity_b_factors(*point)
+        sums = _identity_b_sums(factors.values()) if factors else np.empty((0, 3))
+        sums.flags.writeable = False
+        return dict(zip(factors, sums)), sums.nbytes
+
+    points = [(m, k, x, r) for m, k, x, r in points if m >= 0 and k >= 0 and x > 0 and r > 0]
+    _plan_blocks(points, lambda _: 8 * (_IDENTITY_B_TERMS + 1) * 8, sum_points)
 
 
 def _basis_diagonal(lam: float, n: int, zmax: int) -> np.ndarray:
@@ -481,8 +481,10 @@ def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, dim: int) -> 
 
 
 def _hille_hardy_degree(zq: float) -> int:
-    # the last n of the bilinear sum, where z^n falls below 1e-18, with 50 more terms
-    return min(4000, max(30, int(math.log(_TERM_EPS) / math.log(zq)) + 50))
+    # the last n of the bilinear sum, where z^n falls below 1e-18, with 50 more terms; refused past zq = 0.95
+    if zq > 0.95:
+        raise ValueError("hille_hardy_residual requires zq <= 0.95")
+    return int(math.log(_TERM_EPS) / math.log(zq)) + 50
 
 
 def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
@@ -493,15 +495,16 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     """
     if k < 0 or not (0 < x) or not (0 < y) or not (0 < zq < 1):
         raise ValueError("hille_hardy_residual requires k >= 0, x, y > 0, 0 < zq < 1")
-    if zq > 0.95:
-        raise ValueError("hille_hardy_residual requires zq <= 0.95")
     nmax = _hille_hardy_degree(zq)
+    if math.isinf(x * y * zq):
+        raise OverflowError(f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: x y zq is outside the float range")
     # L^k_n = C(n+k, n) Phi(-n, 1+k; .), so the weight (n!/(n+k)!) C(n+k, n)^2 is C(n+k, n)/k!
     px, py = _once(kummer_phi_seq, nmax, 1 + k, x), _once(kummer_phi_seq, nmax, 1 + k, y)
     ns = np.arange(nmax + 1)
     logf = _once(_log_factorials, nmax + k)
     logw = logf[k:] - logf[: nmax + 1] - 2 * logf[k]
-    terms = np.exp(logw + ns * math.log(zq)) * px * py
+    with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range fails the record, unwarned
+        terms = np.exp(logw + ns * math.log(zq)) * px * py
     lhs = float(np.sum(terms))
 
     arg = 2.0 * math.sqrt(x * y * zq) / (1.0 - zq)
@@ -515,20 +518,12 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     )
     rhs = math.copysign(math.exp(log_rhs_mag), ik)
 
-    term_max = float(np.max(np.abs(terms)))
-    scale = max(abs(lhs), abs(rhs), term_max)
-    residual = abs(lhs - rhs) / scale
-    detail = None
-    if nmax == 4000 and abs(terms[-1]) > 1e-12 * scale:
-        detail = "slow convergence: term cap reached"
-        residual = max(residual, abs(terms[-1]) / scale)
-    return Residual(residual, detail)
+    scale = max(abs(lhs), abs(rhs), float(np.max(np.abs(terms))))
+    return Residual(abs(lhs - rhs) / scale)
 
 
 def plan_hille_hardy(points) -> None:
     """Fill the open :func:`memo_scope` with the Kummer runs of the bilinear sums at these (k, x, y, zq)."""
-    # a point past zq = 0.95 is refused by its check, so its runs are not built
-    points = [(k, x, y, zq) for k, x, y, zq in points if zq <= 0.95]
     _plan_kummer(points, lambda k, x, y, zq: [(_hille_hardy_degree(zq), 1 + k, v) for v in (x, y)])
 
 
@@ -625,7 +620,12 @@ def kummer_bessel_limit_residual(n: int, b: int, c: float) -> float:
     if n < 1 or b < 1 or not (0 < c):
         raise ValueError("kummer_bessel_limit_residual requires n >= 1, b >= 1, c > 0")
     lhs = _limit_kummer(n, b, -c / n, "n")
-    rhs = math.factorial(b - 1) * c ** (0.5 * (1 - b)) * bessel_i(b - 1, 2.0 * math.sqrt(c))
+    ik, log_scale = bessel_i_scaled(b - 1, 2.0 * math.sqrt(c))
+    if b <= 171:  # (b-1)! is a float
+        rhs = math.factorial(b - 1) * c ** (0.5 * (1 - b)) * (ik * math.exp(log_scale))
+    else:  # composed in log space: inf past the float range, 0 where I_(b-1) underflows
+        with np.errstate(over="ignore", divide="ignore"):
+            rhs = float(np.exp(log_factorial(b - 1) + 0.5 * (1 - b) * math.log(c) + log_scale + np.log(ik)))
     if not math.isfinite(rhs) or rhs == 0.0:
         raise ArithmeticError(f"(b-1)! c^((1-b)/2) I_(b-1)(2 sqrt(c)) is {rhs!r} at b={b}, c={c!r}")
     return abs(lhs / rhs - 1.0)

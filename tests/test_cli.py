@@ -486,22 +486,44 @@ def test_each_scalar_suite_runs_its_plan_once(monkeypatch):
 )
 @pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
 def test_a_plan_under_small_caps_changes_no_byte(suite, cap, name, monkeypatch):
-    # lanes split into blocks of at most _BLOCK_BYTES, and past _MEMO_BYTES a plan holds nothing more
-    want = run_cli(["verify", suite])
-    monkeypatch.setattr(identities, name, cap)
+    # lanes split into blocks of at most _BLOCK_BYTES, and a plan builds no block past _MEMO_BYTES
     built = _counting(monkeypatch, "kummer_phi_seq")
+    want = run_cli(["verify", suite])
+    default_blocks = _lane_blocks(built)
+    built.clear()
+    monkeypatch.setattr(identities, name, cap)
     assert run_cli(["verify", suite]) == want
-    blocks = [(nmax, len(b)) for nmax, b, x in built if isinstance(b, np.ndarray)]
-    assert blocks and all(lanes >= identities._MIN_LANES for _, lanes in blocks)
+    blocks = _lane_blocks(built)
+    assert all(lanes >= identities._MIN_LANES for _, lanes in blocks)
     if name == "_BLOCK_BYTES":
-        assert all(8 * (nmax + 1) * lanes <= cap for nmax, lanes in blocks)
+        assert blocks and all(8 * (nmax + 1) * lanes <= cap for nmax, lanes in blocks)
         assert any(not isinstance(b, np.ndarray) for _, b, _ in built)  # the rest, left to the checks
+    else:
+        # the default blocks while the memo has room for them, and not the first it has no room for
+        held = itertools.accumulate(8 * (nmax + 1) * lanes for nmax, lanes in default_blocks)
+        assert blocks == default_blocks[: sum(nbytes <= cap for nbytes in held)]
+
+
+def _lane_blocks(built):
+    # (top degree, lanes) of each lane block among the kummer_phi_seq calls of _counting
+    return [(nmax, len(b)) for nmax, b, _ in built if isinstance(b, np.ndarray)]
+
+
+def test_a_block_the_memo_has_no_room_for_is_not_built(monkeypatch):
+    # the 84 lanes to degree 2001 come in blocks of 32, 32 and 20; the first, 32 x 2002 x 8 bytes, is past a
+    # 2^16-byte memo, so every lane is its check's own run
+    argv = ["verify", "recurrence", "--zmax", "2000"]
+    want = run_cli(argv)
+    monkeypatch.setattr(identities, "_MEMO_BYTES", 2**16)
+    built = _counting(monkeypatch, "kummer_phi_seq")
+    assert run_cli(argv) == want
+    assert _lane_blocks(built) == [] and len(built) == 84
 
 
 @pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
 def test_identity_b_sums_under_small_caps_change_no_byte(name, monkeypatch):
-    # the 693 n-sums come in blocks of at most _BLOCK_BYTES at 8 x 81 x 8 bytes a point; the plan sums no
-    # block after the first one _MEMO_BYTES refuses, so the checks of that block and later compute each sum alone
+    # the 693 n-sums come in blocks of at most _BLOCK_BYTES at 8 x 81 x 8 bytes a point; the plan sums no block
+    # the memo has no room for, so the checks of that block and later compute each sum alone, and once
     want = run_cli(["verify", "identity-b"])
     monkeypatch.setattr(identities, name, 2**16)
     built = _counting(monkeypatch, "_identity_b_sums")
@@ -510,7 +532,8 @@ def test_identity_b_sums_under_small_caps_change_no_byte(name, monkeypatch):
     if name == "_BLOCK_BYTES":
         assert blocks == [12] * 57 + [9]
     else:
-        assert blocks == [101] * 4 + [1] * 390
+        # the first block, 101 points of 5184 bytes, is past the memo's 2^16 bytes
+        assert blocks == [1] * 693
 
 
 @pytest.mark.parametrize(
@@ -709,6 +732,20 @@ class TestLargeDegreesFromTheSeries:
         got = [float(v) for v in rec["detail"].split("residuals ")[1].split(", ")]
         assert got[-1] == rec["residual"] and 0 < got[-1] < 1e-8
         assert all(abs(g - float(w)) <= 1e-14 for g, w in zip(got, want)), (got, want)
+
+    @pytest.mark.parametrize("b,c", [(180, "100"), (200, "1e4")])
+    def test_kummer_limit_past_a_float_factorial(self, b, c):
+        # from b = 172, (b-1)! is no float, so the right side is composed in log space
+        _, out = run_cli(["verify", "kummer-limit", "--m", str(b), "--x", c])
+        rec, mono = json_records(out)
+        with mpmath.workdps(40):
+            cm = mpmath.mpf(c)
+            bessel = mpmath.besseli(b - 1, 2 * mpmath.sqrt(cm))
+            rhs = mpmath.factorial(b - 1) * cm ** (mpmath.mpf(1 - b) / 2) * bessel
+            want = [abs(mpmath.hyp1f1(-n, b, -cm / n) / rhs - 1) for n in (100, 1000, 10000)]
+        got = [float(v) for v in rec["detail"].split("residuals ")[1].split(", ")]
+        assert got[-1] == rec["residual"] and mono["pass"]
+        assert all(abs(g - float(w)) <= 1e-12 for g, w in zip(got, want)), (got, want)
 
     def test_records_are_each_points_own_errors(self):
         # an unsorted r axis with 0 and a point whose series is refused and whose
@@ -1036,8 +1073,17 @@ _BESSEL_SIDE = "(b-1)! c^((1-b)/2) I_(b-1)(2 sqrt(c))"
             ["verify", "identity-b", "--x", "1e-200", "--r", "1", "--m", "0", "--k", "2"],
             "identity-b at m=0, k=2, x=1e-200, r=1: both sides and every term are 0",
         ),
+        # r^2 and x y zq overflow to inf, and so would the weights and terms of the two sums
+        (
+            ["verify", "identity-a", "--k", "0", "--x", "1", "--r", "1e200"],
+            "identity-a at k=0, x=1, r=1e+200: r^2 is outside the float range",
+        ),
+        (
+            ["verify", "hille-hardy", "--k", "0", "--x", "1e300", "--y", "1e300", "--zq", "0.5"],
+            "hille-hardy at k=0, x=1e+300, y=1e+300, zq=0.5: x y zq is outside the float range",
+        ),
     ],
-    ids=["kummer-limit-inf", "kummer-limit-nan", "identity-b-zero"],
+    ids=["kummer-limit-inf", "kummer-limit-nan", "identity-b-zero", "identity-a-r-squared", "hille-hardy-xyzq"],
 )
 def test_a_side_out_of_the_float_range_is_one_error_record(argv, detail):
     # a fresh interpreter, so a numpy warning on the way would reach stderr

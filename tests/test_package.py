@@ -49,6 +49,17 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+def test_only_the_memo_protocol_names_the_memo():
+    # a check reads the memo through _once, and a plan pre-fills it through the block loop and _keep
+    tree = ast.parse((REPO / "src" / "e2fock" / "identities.py").read_text())
+    naming = [
+        getattr(stmt, "name", None) or ast.unparse(stmt)
+        for stmt in tree.body
+        if any(isinstance(node, ast.Name) and node.id == "_memo" for node in ast.walk(stmt))
+    ]
+    assert naming == ["_memo = None", "memo_scope", "_keep", "_once", "_plan_blocks"]
+
+
 def test_no_source_line_is_over_117_characters():
     long = [
         f"{path.name}:{number}"
