@@ -116,11 +116,12 @@ def act_on_generator(g: GroupElement) -> tuple[complex, complex]:
 def u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U(g) = diag(row) M diag(col): its unit-modulus phases and the leading ``rows`` rows of its real core M.
 
-    row[m] = e^{i m (psi - phi)}, col[n] = e^{-i n psi} and M[m, m+d] = (-1)^d M[m+d, m] = e^{-r^2/2} S_m(d), where
-    S_m(d) = r^d sqrt(m!/(m+d)!) L^{(d)}_m(r^2) runs as a self-scaled recurrence in m, one numpy step per row.
-    It stops once ``rows`` rows are filled; each entry is the same float whatever ``rows`` is.  Entries below
-    2^-511 read a zero of their sign, so products of cores never meet subnormal arithmetic and move by at most
-    about dim * 2^-511.  A returned row that overflows (at r = 40, dim 512) raises FloatingPointError.
+    row[m] = e^{i m (psi - phi)}, col[n] = e^{-i n psi} (geometric, as :func:`fock.conjugated_block` needs; ones
+    for a rotation) and M[m, m+d] = (-1)^d M[m+d, m] = e^{-r^2/2} S_m(d), where S_m(d) = r^d sqrt(m!/(m+d)!)
+    L^{(d)}_m(r^2) runs as a self-scaled recurrence in m, one numpy step per row.  It stops once ``rows`` rows
+    are filled; each entry is the same float whatever ``rows`` is.  Entries below 2^-511 read a zero of their
+    sign, so products of cores never meet subnormal arithmetic and move by at most about dim * 2^-511.  A
+    returned row that overflows (at r = 40, dim 512) raises FloatingPointError.
     """
     ms = np.arange(dim)
     if g.r < 1e-12:  # a rotation

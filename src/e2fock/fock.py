@@ -38,15 +38,17 @@ def conjugated_block(factors, values: np.ndarray, offset: int, n: int) -> np.nda
 
     V's only nonzero entries are ``values`` on diagonal ``offset``, values[i] at (s + i, s + i + offset) with
     s = max(-offset, 0); the diagonal may stop short of the corner.  U V U* = D_row M (D_col V D_col*) M^T D_row*
-    and the middle factor keeps V's diagonal, so the block is two real products of column slices of M's first n
-    rows, (M[:n, c] * part) @ M[:n, c + offset].T, then the row phases; M's rows from n on are never read.
+    and col is geometric, so D_col V D_col* is V times one phase, joined to the row phases.  The rest is one real
+    product (M[:n, c] * part) @ M[:n, c + offset].T per nonzero part of ``values``, on M's first n rows only.
     """
     row, col, M = factors
     s = max(-offset, 0)
     c, shifted = slice(s, s + len(values)), slice(s + offset, s + offset + len(values))
-    mid = col[c] * values * col[shifted].conj()
-    re, im = ((M[:n, c] * part) @ M[:n, shifted].T for part in (mid.real, mid.imag))
-    return row[:n, None] * (re + 1j * im) * row[:n].conj()
+    unit, values = (1j, values.imag) if values.imag.any() and not values.real.any() else (1, values)
+    core = (M[:n, c] * values.real) @ M[:n, shifted].T
+    if values.imag.any():
+        core = core + 1j * ((M[:n, c] * values.imag) @ M[:n, shifted].T)
+    return (row[:n] * (unit * col[s] * col[s + offset].conj()))[:, None] * core * row[:n].conj()
 
 
 def boundary_margin(level: int, r: float) -> int:

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .e2group import GroupElement, IrrepLabel, act_on_generator, irrep_row, u_factors
-from .fock import annihilator, conjugated_block, safe_block
+from .fock import conjugated_block, safe_block
 from .repk import basis_d, inner_product
 from .specfun import (
     bessel_i_scaled,
@@ -163,12 +163,12 @@ def _plan_blocks(items, row_bytes, build) -> None:
 def _plan_kummer(points, request) -> None:
     # the runs request(*point) lists, (nmax, b, x) each, held as _once(kummer_phi_seq, nmax, b, x) reads them: a
     # lane per (b, x) to its largest nmax, one kummer_phi_seq call per block of lanes sorted by it, a view per nmax.
-    # A point request raises at, an x no float lane holds exactly or a block of too few lanes is left to the checks
+    # A point request raises at, an x that is no finite float or a block of too few lanes is left to the checks
     degrees = {}
     for point in points:
         with contextlib.suppress(ValueError, ArithmeticError):
             for nmax, b, x in request(*point):
-                if nmax >= 0 and b >= 1 and isinstance(x, float):
+                if nmax >= 0 and b >= 1 and isinstance(x, float) and math.isfinite(x):
                     degrees.setdefault((b, x), set()).add(nmax)
 
     def run_lanes(block):
@@ -207,7 +207,9 @@ def worst_rise(values, floor: float) -> float:
 def _unitarity_defect(g: GroupElement, dim: int, block: int) -> float:
     # U* U = D_col* M^T M D_col and (M^T M)[i, j] = (-1)^(i+j) (M M^T)[i, j]: M's leading rows give the block
     M = u_factors(g, dim, block)[2]
-    return np.linalg.norm(M @ M.T - np.eye(block))
+    gram = M @ M.T
+    np.einsum("ii->i", gram)[...] -= np.ones(block)  # in place on the diagonal; a core short of block rows raises
+    return np.linalg.norm(gram)
 
 
 def _checked_block(dim: int, r: float) -> int:
@@ -235,7 +237,9 @@ def intertwining_residual(g: GroupElement, dim: int) -> Residual:
     b = _checked_block(dim, g.r)
     UaU = conjugated_block(u_factors(g, dim, b), np.sqrt(np.arange(1.0, dim)), 1, b)
     alpha, beta = act_on_generator(g)
-    return Residual(np.max(np.abs(UaU - (alpha * annihilator(b) + beta * np.eye(b)))))
+    np.einsum("ii->i", UaU)[...] -= beta  # then alpha a, whose entries sqrt(n) sit at (n - 1, n)
+    np.einsum("ii->i", UaU[:-1, 1:])[...] -= alpha * np.sqrt(np.arange(1.0, b))
+    return Residual(np.max(np.abs(UaU)))
 
 
 def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
@@ -300,8 +304,9 @@ def identity_a(k: int, x: float, r: float) -> Residual:
     """
     if k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_a requires k >= 0, x > 0, r > 0")
-    if math.isinf(r * r):
-        raise OverflowError(f"identity-a at k={k}, x={x!r}, r={r!r}: r^2 is outside the float range")
+    for name, value in (("x", x), ("r", r)):
+        if math.isinf(value * value):
+            raise OverflowError(f"identity-a at k={k}, x={x!r}, r={r!r}: {name}^2 is outside the float range")
     terms = _vacuum_terms(k, x, r)
     lhs = float(np.sum(terms))
     rhs = math.exp(log_factorial(k) - k * math.log(x * r) + r * r) * bessel_j(k, 2 * x * r)
@@ -503,8 +508,10 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     ns = np.arange(nmax + 1)
     logf = _once(_log_factorials, nmax + k)
     logw = logf[k:] - logf[: nmax + 1] - 2 * logf[k]
-    with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range fails the record, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range is refused below, unwarned
         terms = np.exp(logw + ns * math.log(zq)) * px * py
+    if (outside := np.flatnonzero(~np.isfinite(terms))).size:
+        raise OverflowError(f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: term n={outside[0]} is not finite")
     lhs = float(np.sum(terms))
 
     arg = 2.0 * math.sqrt(x * y * zq) / (1.0 - zq)

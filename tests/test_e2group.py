@@ -397,6 +397,18 @@ class TestUFactors:
                 assert np.max(np.abs(product - u_matrix_by_diagonals(g, dim))) <= bound, (dim, g)
                 assert product.tobytes() == u_matrix(g, dim).tobytes(), (dim, g)
 
+    @pytest.mark.parametrize("dim", [8, 512])
+    def test_column_phases_are_geometric(self, dim):
+        # conjugated_block reads D_col V D_col* on one diagonal as V times one phase, so col[n] must be c^n with
+        # |c| = 1 (e^{-i psi}, or 1 for a rotation), up to the rounding of each angle n psi
+        for r in self.RS:
+            for psi, phi in [(0.7, 0.3), (-2.9, 3.1), (4.0, -7.5)]:
+                g = GroupElement(r, psi, phi)
+                col = u_factors(g, dim, 2)[1]
+                bound = 4 * np.finfo(float).eps * (dim * abs(g.psi) + 1)
+                assert col[0] == 1 and abs(abs(col[1]) - 1) <= bound, (dim, g)
+                assert np.max(np.abs(col[1:] * col[:-1].conj() - col[1])) <= bound, (dim, g)
+
     def test_overflowing_rows_raise(self):
         # at r = 40, dim 512, rows past about 150 overflow; the leading ones are finite and returned as they are
         g = GroupElement(40.0, 0.7, 0.3)

@@ -190,20 +190,23 @@ class TestConjugatedBlock:
     @pytest.mark.parametrize("offset", [-3, 0, 1])
     @pytest.mark.parametrize("n", [1, 5, 8, 24])
     def test_is_the_leading_block_from_the_leading_panel_rows(self, offset, n):
-        # against the dense diag(row) M diag(col) V (...)* for unit-modulus phases, a real core and a
-        # complex diagonal V, full or stopping short of the corner as D_k's does in addition;
-        # core rows from n on are NaN, so reading any of them would show
+        # against the dense diag(row) M diag(col) V (...)* for unit-modulus row phases, geometric column
+        # phases col[j] = e^{-i j psi} as u_factors writes them, a real core and a diagonal V that is zero,
+        # real (a float or a complex array), imaginary or complex, full or stopping short of the corner as
+        # D_k's does in addition; core rows from n on are NaN, so reading any of them would show
         rng = np.random.default_rng(4)
         dim = 24
-        row, col = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, dim)))
+        row = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+        col = np.exp(-1j * np.arange(dim) * rng.uniform(-np.pi, np.pi))
         M = rng.standard_normal((dim, dim))
         U = row[:, None] * M * col
         M[n:] = np.nan
         for size in (dim - abs(offset), dim - abs(offset) - 2):
-            values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            re, im = rng.standard_normal((2, size))
             i = np.arange(size)
-            V = np.zeros((dim, dim), dtype=complex)
-            V[(i, i + offset) if offset >= 0 else (i - offset, i)] = values
-            got = conjugated_block((row, col, M), values, offset, n)
-            assert got.shape == (n, n)
-            assert np.allclose(got, (U @ V @ U.conj().T)[:n, :n], rtol=1e-13, atol=1e-13), size
+            for values in (np.zeros(size), re, re + 0j, 1j * im, re + 1j * im):
+                V = np.zeros((dim, dim), dtype=complex)
+                V[(i, i + offset) if offset >= 0 else (i - offset, i)] = values
+                got = conjugated_block((row, col, M), values, offset, n)
+                assert got.shape == (n, n)
+                assert np.allclose(got, (U @ V @ U.conj().T)[:n, :n], rtol=1e-13, atol=1e-13), (size, values)
