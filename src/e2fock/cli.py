@@ -112,7 +112,7 @@ class _Row(dict):
         raise AttributeError(key)
 
 
-def _sweep(cfg, name, equation, tol, axes, check, params=dict, plan=None):
+def _sweep(cfg, name, equation, tol, axes, check=None, params=dict, grid=None):
     """Run ``check`` once per point of a suite's grid, each call guarded.
 
     ``axes`` maps each grid flag to its default values; the grid is their
@@ -129,15 +129,16 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict, plan=None):
     keyword adds or replaces a param.  A callable detail is called,
     for the note, only when the record fails.  A ValueError or
     ArithmeticError from the check becomes one error record for the point.
-    ``plan``, if given, is handed the list of grid points, each a tuple of
-    axis values, once before the first check; it fills the memo the checks
-    read (:func:`identities.memo_scope`), and changes no record.
+    ``grid``, given in place of ``check``, is the grid form of a check of
+    :mod:`identities`: handed the list of grid points once, each a tuple of
+    axis values, it returns per point, in order, one
+    :class:`identities.Residual`, filed as ``report(*residual)``, or one
+    such error, filed as the point's error record.
     """
-    grid = list(itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())))
-    if plan is not None:
-        plan(grid)
+    points = list(itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())))
+    outcomes = grid(points) if grid is not None else [None] * len(points)
     rows = []
-    for values in grid:
+    for values, outcome in zip(points, outcomes):
         point = dict(zip(axes, values))
         base = params(**point)
 
@@ -152,7 +153,9 @@ def _sweep(cfg, name, equation, tol, axes, check, params=dict, plan=None):
             })  # fmt: skip
 
         try:
-            got = check(report, **point)
+            if isinstance(outcome, Exception):
+                raise outcome
+            got = check(report, **point) if outcome is None else report(*outcome)
         except (ValueError, ArithmeticError) as exc:
             got = report(math.inf, f"error: {exc}")
         rows.extend(got if isinstance(got, list) else [got])
@@ -198,17 +201,14 @@ def suite_intertwining(cfg):
 def suite_recurrence(cfg):
     zmax = cfg.first("zmax", 200)
 
-    def check(report, k, x):
-        return report(*ident.kummer_recurrence_residual(1 + k, x, zmax))
+    def grid(points):
+        return ident.kummer_recurrence_residual.grid([(1 + k, x, zmax) for k, x in points])
 
     def params(k, x):
         return {"k": k, "c": x, "zmax": zmax}
 
-    def plan(points):
-        ident.plan_recurrence([(1 + k, x, zmax) for k, x in points])
-
     axes = {"k": range(0, 21), "x": [0.25, 1.0, 4.0, 16.0]}
-    return _sweep(cfg, "recurrence", "kummer-recurrence", cfg.tol("recurrence"), axes, check, params, plan)
+    return _sweep(cfg, "recurrence", "kummer-recurrence", cfg.tol("recurrence"), axes, params=params, grid=grid)
 
 
 def suite_eigen(cfg):
@@ -290,30 +290,21 @@ def suite_addition(cfg):
 
 
 def suite_identity_a(cfg):
-    def check(report, k, x, r):
-        return report(*ident.identity_a(k, x, r))
-
     axes = {"k": range(0, 11), "x": [0.25, 0.5, 1.0, 2.0], "r": [0.5, 1.0, 2.0]}
     tol = cfg.tol("identity-a")
-    return _sweep(cfg, "identity-a", "sandwich-identity-a", tol, axes, check, plan=ident.plan_identity_a)
+    return _sweep(cfg, "identity-a", "sandwich-identity-a", tol, axes, grid=ident.identity_a.grid)
 
 
 def suite_identity_b(cfg):
-    def check(report, m, k, x, r):
-        return report(*ident.identity_b(m, k, x, r))
-
     axes = {"m": range(0, 11), "k": range(0, 7), "x": [0.5, 1.0, 2.0], "r": [0.5, 1.0, 1.5]}
     tol = cfg.tol("identity-b")
-    return _sweep(cfg, "identity-b", "sandwich-identity-b", tol, axes, check, plan=ident.plan_identity_b)
+    return _sweep(cfg, "identity-b", "sandwich-identity-b", tol, axes, grid=ident.identity_b.grid)
 
 
 def suite_hille_hardy(cfg):
-    def check(report, k, x, y, zq):
-        return report(*ident.hille_hardy_residual(k, x, y, zq))
-
     axes = {"k": range(0, 7), "x": [0.5, 2.0, 4.0], "y": [0.5, 2.0, 4.0], "zq": [0.5, 0.9]}
     tol = cfg.tol("hille-hardy")
-    return _sweep(cfg, "hille-hardy", "laguerre-bilinear-sum", tol, axes, check, plan=ident.plan_hille_hardy)
+    return _sweep(cfg, "hille-hardy", "laguerre-bilinear-sum", tol, axes, grid=ident.hille_hardy_residual.grid)
 
 
 # off-diagonal weight pairs whose first oscillation peak falls well inside the

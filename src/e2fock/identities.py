@@ -8,6 +8,12 @@ Residuals are measured against max(|lhs|, |rhs|, largest term magnitude):
 both sandwich identities have parameter points where the two sides vanish
 identically, so a plain relative error would be 0/0 there.
 
+The four scalar checks (:func:`kummer_recurrence_residual`, :func:`identity_a`,
+:func:`identity_b`, :func:`hille_hardy_residual`) take one point, and their grid
+forms ``check.grid(points)`` give one Residual, or the ValueError or
+ArithmeticError refusing it, per point: a block of points at a time, under one
+byte cap, with the block's Kummer runs as the lanes of one recurrence.
+
 The orthogonality relation and the two limit statements are distributional /
 asymptotic and cannot be a single numeric equality at finite truncation; they
 are exposed as profile and error-ladder computations whose qualitative
@@ -17,7 +23,9 @@ behavior (growth, boundedness, monotone decay) is asserted instead.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,15 +50,11 @@ __all__ = [
     "unitarity_decay_residual",
     "intertwining_residual",
     "kummer_recurrence_residual",
-    "plan_recurrence",
     "identity_a",
-    "plan_identity_a",
     "identity_b",
-    "plan_identity_b",
     "addition_residual",
     "addition_vacuum_crosscheck",
     "hille_hardy_residual",
-    "plan_hille_hardy",
     "orthogonality_grading_residual",
     "orthogonality_growth_residual",
     "orthogonality_bounded_residual",
@@ -78,10 +82,29 @@ _MAX_KUMMER_STEPS = 10**6
 # values are recomputed, not kept (verify all's largest suite memo is 0.36 MB)
 _MEMO_BYTES = 16 * 2**20
 
+# most bytes one block of a grid check holds: lanes x (top degree + 1) x 8 of its Kummer runs, and for identity-b
+# points x 8 x 81 x 8, eight arrays of 81 floats a point for its factors and sums
+_BLOCK_BYTES = 2**20
+
 
 class _Memo(dict):
     # arrays by (builder, *args), and the bytes they hold
     nbytes = 0
+
+    def once(self, build, *args):
+        # build(*args), an array or a tuple of arrays, read-only, and kept here while the memo has room
+        key = (build, *args)
+        if key in self:
+            return self[key]
+        value = build(*args)
+        arrays = value if isinstance(value, tuple) else (value,)
+        for array in arrays:
+            array.flags.writeable = False
+        nbytes = sum(array.nbytes for array in arrays)
+        if self.nbytes + nbytes <= _MEMO_BYTES:
+            self[key] = value
+            self.nbytes += nbytes
+        return value
 
 
 # the memo of the open memo_scope(), None outside one
@@ -90,23 +113,19 @@ _memo = None
 
 @contextlib.contextmanager
 def memo_scope():
-    """Inside the block, compute each intermediate array of the identity checks once.
+    """Inside the block, compute each intermediate array of the operator checks once.
 
-    Those are each U(g), D_k diagonal (of ``addition`` and the orthogonality
-    profiles), signed Bessel J row, weight vector and n-sum of
-    ``identity-b``, 2F0 column (:func:`specfun.hyp2f0_seq`), log-factorial
-    vector and Kummer run Phi(-n, b; x) for n = 0..nmax.  The checks read all
-    of these through ``_once``, one memo keyed by the builder and its
-    arguments, emptied when the block exits, however it exits; arrays are
-    read-only whether memoized or not.  A suite's plan (``plan_recurrence``,
-    ``plan_identity_a``, ``plan_identity_b``, ``plan_hille_hardy``) only
-    pre-fills keys ``_once`` reads, before the checks run and a block at a
-    time while the memo has room for the whole block: Kummer runs as lanes
-    of one array recurrence, each (b, x) run once to its largest degree, and
-    ``identity-b``'s n-sums, each the floats its check would compute.  On
-    the default grids, ``verify identity-b`` builds 51 2F0 columns for its
-    693 checks, one per distinct (m + k, r), and ``verify hille-hardy`` runs
-    its 21 Kummer recurrences as the lanes of one call.
+    Those are the arrays whose values repeat across a suite's points: each
+    U(g) (its factors, :func:`e2group.u_factors`) and each D_k diagonal of
+    ``addition``, ``addition-vacuum`` and the orthogonality profiles, and
+    the log-factorial vectors and Kummer runs Phi(-n, b; x), n = 0..nmax, of
+    ``addition-vacuum``.  The checks read all of these through ``_once``,
+    one memo keyed by the builder and its arguments, emptied when the block
+    exits, however it exits; arrays are read-only whether memoized or not.
+    The four scalar checks read no such memo: their grid forms build the
+    Kummer lanes of the points they are handed, and keep the columns, rows
+    and vectors those points share in a memo of the grid call's own, under
+    the same cap.
     """
     global _memo
     _memo = _Memo()
@@ -116,73 +135,9 @@ def memo_scope():
         _memo = None
 
 
-def _keep(entries: dict, nbytes: int) -> None:
-    # hold every entry, charging nbytes for them all, if a memo_scope() is open and has room
-    if _memo is not None and _memo.nbytes + nbytes <= _MEMO_BYTES:
-        _memo.update(entries)
-        _memo.nbytes += nbytes
-
-
 def _once(build, *args):
-    # build(*args), an array or a tuple of arrays, read-only and memoized while a memo_scope() is open
-    key = (build, *args)
-    if _memo is not None and key in _memo:
-        return _memo[key]
-    value = build(*args)
-    arrays = value if isinstance(value, tuple) else (value,)
-    for array in arrays:
-        array.flags.writeable = False
-    _keep({key: value}, sum(array.nbytes for array in arrays))
-    return value
-
-
-# most bytes one block of a plan holds: lanes x (top degree + 1) x 8, or points x 8 x 81 x 8 for
-# identity-b's factors and sums, eight arrays of 81 floats a point
-_BLOCK_BYTES = 2**19
-
-# fewest lanes a block runs together; a numpy step costs about as much as 20 scalar ones, so the
-# lanes of a smaller block are left to their checks' own runs
-_MIN_LANES = 16
-
-
-def _plan_blocks(items, row_bytes, build) -> None:
-    # fill the open memo_scope() a block at a time: runs of consecutive items, each len(run) x row_bytes(its last
-    # item) <= _BLOCK_BYTES, that build(run) turns into memo entries and the bytes they hold.  All a build adds to
-    # the memo is at most the run's bytes, so the first run the memo has no room for ends the plan, unbuilt
-    blocks = [[]]
-    for item in items:
-        if blocks[-1] and (len(blocks[-1]) + 1) * row_bytes(item) > _BLOCK_BYTES:
-            blocks.append([])
-        blocks[-1].append(item)
-    for block in filter(None, blocks):
-        if _memo is None or _memo.nbytes + len(block) * row_bytes(block[-1]) > _MEMO_BYTES:
-            return
-        _keep(*build(block))
-
-
-def _plan_kummer(points, request) -> None:
-    # the runs request(*point) lists, (nmax, b, x) each, held as _once(kummer_phi_seq, nmax, b, x) reads them: a
-    # lane per (b, x) to its largest nmax, one kummer_phi_seq call per block of lanes sorted by it, a view per nmax.
-    # A point request raises at, an x that is no finite float or a block of too few lanes is left to the checks
-    degrees = {}
-    for point in points:
-        with contextlib.suppress(ValueError, ArithmeticError):
-            for nmax, b, x in request(*point):
-                if nmax >= 0 and b >= 1 and isinstance(x, float) and math.isfinite(x):
-                    degrees.setdefault((b, x), set()).add(nmax)
-
-    def run_lanes(block):
-        if len(block) < _MIN_LANES:
-            return {}, 0
-        rows = kummer_phi_seq(block[-1][0], np.array([b for _, b, _ in block]), np.array([x for *_, x in block]))
-        rows.flags.writeable = False
-        views = {
-            (kummer_phi_seq, n, b, x): row[: n + 1] for (_, b, x), row in zip(block, rows) for n in degrees[b, x]
-        }
-        return views, rows.nbytes
-
-    lanes = sorted((max(nmaxes), b, x) for (b, x), nmaxes in degrees.items())
-    _plan_blocks(lanes, lambda lane: (lane[0] + 1) * 8, run_lanes)
+    # build(*args), memoized while a memo_scope() is open and has room
+    return (_Memo() if _memo is None else _memo).once(build, *args)
 
 
 class Residual(NamedTuple):
@@ -195,6 +150,75 @@ class Residual(NamedTuple):
 
     residual: float
     detail: str | Callable[[], str] | None = None
+
+
+def _grid_residuals(check, points, point_floats=0, batch=None) -> list:
+    """One Residual, or the ValueError or ArithmeticError refusing it, per point of a grid check.
+
+    ``check(*point)`` is a generator: it refuses its point or yields the Kummer runs (nmax, b, x) it reads, each
+    with nmax >= 0 and b >= 1 as kummer_phi_seq requires, and is sent their values Phi(-n, b; x) for n = 0..nmax
+    with the call's cache, where cache(build, *args) builds each array once while the arrays kept hold at most
+    _MEMO_BYTES; given a ``batch``, it may then yield a row of batch's inputs and be sent batch's row for it; it
+    returns its Residual.  Each block of points runs its lanes, one per distinct (b, x), as one kummer_phi_seq
+    call, each lane the scalar run's floats bit for bit (a block of one point runs them as scalar runs, without a
+    numpy step per degree), and its rows as one batch call.
+    """
+
+    def advance(step, *args):
+        # step the check: what it yields next, its Residual once it returns, or the error refusing its point
+        try:
+            return step(*args)
+        except StopIteration as stop:
+            return stop.value
+        except (ValueError, ArithmeticError) as exc:
+            return exc
+
+    cache = _Memo().once
+    checks = [check(*point) for point in points]
+    outcomes = [advance(next, check) for check in checks]
+    waiting = [i for i, runs in enumerate(outcomes) if not isinstance(runs, Exception)]
+    while waiting:
+        # the next block: one point, or as many as fit in _BLOCK_BYTES with every lane run to the block's largest
+        # nmax and point_floats floats a point
+        block, lanes, top = [], {}, 0
+        for i in waiting:
+            degree = max(top, *(nmax for nmax, _, _ in outcomes[i]))
+            wanted = dict.fromkeys((b, x) for _, b, x in outcomes[i] if (b, x) not in lanes)
+            floats = (len(lanes) + len(wanted)) * (degree + 1) + (len(block) + 1) * point_floats
+            if block and 8 * floats > _BLOCK_BYTES:
+                break
+            block.append(i)
+            lanes |= wanted
+            top = degree
+        waiting = waiting[len(block) :]
+        if len(block) == 1:
+            rows = {(b, x): kummer_phi_seq(top, b, x) for b, x in lanes}
+        else:
+            rows = dict(zip(lanes, kummer_phi_seq(top, *(np.array(values, dtype=float) for values in zip(*lanes)))))
+        for i in block:
+            runs = [rows[b, x][: nmax + 1] for nmax, b, x in outcomes[i]]
+            outcomes[i] = advance(checks[i].send, (runs, cache))
+        if batched := [i for i in block if not isinstance(outcomes[i], (Residual, Exception))]:
+            for i, row in zip(batched, batch([outcomes[i] for i in batched]).tolist()):
+                outcomes[i] = advance(checks[i].send, row)
+    return outcomes
+
+
+def _grid_check(check, point_floats=0, batch=None):
+    # a generator check of _grid_residuals as a function of one point, which returns its Residual or raises its
+    # refusal, and whose .grid(points) runs it over a grid
+    def grid(points):
+        return _grid_residuals(check, points, point_floats, batch)
+
+    @functools.wraps(check)
+    def one(*point):
+        (outcome,) = grid([point])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    one.grid = grid
+    return one
 
 
 def worst_rise(values, floor: float) -> float:
@@ -242,6 +266,7 @@ def intertwining_residual(g: GroupElement, dim: int) -> Residual:
     return Residual(np.max(np.abs(UaU)))
 
 
+@_grid_check
 def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
     """Worst row of a Phi(a+1) + (a - b) Phi(a-1) + (b - 2a - x) Phi(a) = 0 at a = -1..-zmax, Phi = Phi(., b; x).
 
@@ -250,7 +275,9 @@ def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
     """
     if zmax < 1:
         raise ValueError(f"recurrence requires zmax >= 1, got {zmax}")
-    phis = _once(kummer_phi_seq, zmax + 1, b, x)
+    if b < 1:
+        raise ValueError(f"recurrence requires b >= 1, got {b}")
+    (phis,), _ = yield [(zmax + 1, b, float(x))]
     a = -np.arange(1.0, zmax + 1)  # floats, so any integer x converts
     # an overflowing value or term makes its ratios NaN or inf, reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,11 +286,6 @@ def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
     if (unchecked := np.flatnonzero(~np.isfinite(ratios))).size:
         return Residual(math.inf, f"non-finite Kummer value or ratio at zeta={unchecked[0] + 1}")
     return Residual(np.max(ratios))
-
-
-def plan_recurrence(points) -> None:
-    """Fill the open :func:`memo_scope` with the Kummer runs of the recurrence checks at these (b, x, zmax)."""
-    _plan_kummer(points, lambda b, x, zmax: [(zmax + 1, b, x)])
 
 
 def _log_factorials(nmax: int) -> np.ndarray:
@@ -286,14 +308,13 @@ def _vacuum_degree(r: float) -> int:
     return nmax
 
 
-def _vacuum_terms(k: int, x: float, r: float) -> np.ndarray:
-    # terms (r^{2n}/n!) Phi(-n, 1+k; x^2) of identity-a's left side, truncated at _vacuum_degree(r)
-    nmax = _vacuum_degree(r)
-    phis = _once(kummer_phi_seq, nmax, 1 + k, x * x)
-    weights = np.exp(_log_power(2 * np.arange(nmax + 1), r) - _once(_log_factorials, nmax))
-    return weights * phis
+def _vacuum_terms(r: float, phis: np.ndarray, logf: np.ndarray) -> np.ndarray:
+    # terms (r^{2n}/n!) Phi(-n, 1+k; x^2) of identity-a's left side, truncated at _vacuum_degree(r), from
+    # phis = Phi(-n, 1+k; x^2) and logf = log n! for n up to there
+    return np.exp(_log_power(2 * np.arange(len(phis)), r) - logf) * phis
 
 
+@_grid_check
 def identity_a(k: int, x: float, r: float) -> Residual:
     """Vacuum sandwich of the addition theorem:
 
@@ -307,16 +328,13 @@ def identity_a(k: int, x: float, r: float) -> Residual:
     for name, value in (("x", x), ("r", r)):
         if math.isinf(value * value):
             raise OverflowError(f"identity-a at k={k}, x={x!r}, r={r!r}: {name}^2 is outside the float range")
-    terms = _vacuum_terms(k, x, r)
+    nmax = _vacuum_degree(r)
+    (phis,), cache = yield [(nmax, 1 + k, x * x)]
+    terms = _vacuum_terms(r, phis, cache(_log_factorials, nmax))
     lhs = float(np.sum(terms))
     rhs = math.exp(log_factorial(k) - k * math.log(x * r) + r * r) * bessel_j(k, 2 * x * r)
     scale = max(abs(lhs), abs(rhs), float(np.max(np.abs(terms))))
     return Residual(abs(lhs - rhs) / scale)
-
-
-def plan_identity_a(points) -> None:
-    """Fill the open :func:`memo_scope` with the Kummer runs of :func:`identity_a` at these (k, x, r)."""
-    _plan_kummer(points, lambda k, x, r: [(_vacuum_degree(r), 1 + k, x * x)])
 
 
 def _identity_b_weights(xr: float) -> np.ndarray:
@@ -340,12 +358,6 @@ def _signed_bessel_row(k: int, z: float) -> np.ndarray:
     return np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0) * js[np.abs(orders)]
 
 
-def _identity_b_factors(m: int, k: int, x: float, r: float):
-    # the three factors of identity-b's n-sum: J_{k-n}(2xr), 2F0(-m-k, -n; -1/r^2) and (-xr)^n/n!
-    js = _once(_signed_bessel_row, k, 2 * x * r)
-    return js, _once(_identity_b_column, m + k, r), _once(_identity_b_weights, x * r)
-
-
 def _identity_b_sums(factors) -> np.ndarray:
     # (right side, largest term, last term) of identity-b's n-sum, one row per point's factors, silent where a
     # weight or term overflows or inf - inf is NaN.  Accumulates run in order along each row, so each value
@@ -364,11 +376,8 @@ def _identity_b_sums(factors) -> np.ndarray:
     return np.column_stack((sums[points, n], term_maxes[points, n], sizes[points, n]))
 
 
-def _identity_b_sum(m: int, k: int, x: float, r: float) -> np.ndarray:
-    # (right side, largest term, last term) of identity-b's n-sum at one point
-    return _identity_b_sums([_identity_b_factors(m, k, x, r)])[0]
-
-
+# the n-sums of a block of points are one 2-D pass, eight arrays of 81 floats a point
+@functools.partial(_grid_check, point_floats=8 * (_IDENTITY_B_TERMS + 1), batch=_identity_b_sums)
 def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     """Shifted sandwich of the addition theorem:
 
@@ -380,9 +389,12 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     """
     if m < 0 or k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")
-    phi = float(_once(kummer_phi_seq, m, 1 + k, x * x)[m])
+    (phis,), cache = yield [(m, 1 + k, float(x * x))]
+    phi = float(phis[m])
     lhs = math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r)) * phi
-    rhs, term_max, tail = _once(_identity_b_sum, m, k, x, r).tolist()
+    # the n-sum's factors J_{k-n}(2xr), 2F0(-m-k, -n; -1/r^2), (-xr)^n/n!, for (right side, largest, last term)
+    js = cache(_signed_bessel_row, k, 2 * x * r)
+    rhs, term_max, tail = yield js, cache(_identity_b_column, m + k, r), cache(_identity_b_weights, x * r)
     scale = max(abs(lhs), abs(rhs), term_max)
     if scale == 0.0:
         raise ArithmeticError(f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: both sides and every term are 0")
@@ -392,22 +404,6 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
         detail = f"non-convergent tail: last term {tail:.3e} vs scale {scale:.3e}"
         residual = max(residual, tail / scale)
     return Residual(residual, detail)
-
-
-def plan_identity_b(points) -> None:
-    """Pre-fill the open :func:`memo_scope` with the n-sums :func:`identity_b` reads at these (m, k, x, r)."""
-
-    def sum_points(block):
-        factors = {}
-        for point in block:
-            with contextlib.suppress(ValueError, ArithmeticError):
-                factors[(_identity_b_sum, *point)] = _identity_b_factors(*point)
-        sums = _identity_b_sums(factors.values()) if factors else np.empty((0, 3))
-        sums.flags.writeable = False
-        return dict(zip(factors, sums)), sums.nbytes
-
-    points = [(m, k, x, r) for m, k, x, r in points if m >= 0 and k >= 0 and x > 0 and r > 0]
-    _plan_blocks(points, lambda _: 8 * (_IDENTITY_B_TERMS + 1) * 8, sum_points)
 
 
 def _basis_diagonal(lam: float, n: int, zmax: int) -> np.ndarray:
@@ -474,24 +470,28 @@ def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, dim: int) -> 
     s1 = complex(conjugated_block(_once(u_factors, g, dim, dim), dk, -k, 1)[0, 0])
     s3 = irrep_row(label, g, k)[0] * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
-    lhs_sum = float(np.sum(_vacuum_terms(k, lam / 2.0, r)))
+    nmax, x = _vacuum_degree(r), lam / 2.0
+    phis = _once(kummer_phi_seq, nmax, 1 + k, x * x)
+    lhs_sum = float(np.sum(_vacuum_terms(r, phis, _once(_log_factorials, nmax))))
     s2 = (
         np.exp(-1j * k * g.psi)
         * math.exp(-r * r + _log_power(k, r) - log_factorial(k) - lam * lam / 8.0)
         * (1j * lam / 2.0) ** k
         * lhs_sum
     )
-    scale = max(abs(s1), abs(s3), 1e-300)
-    return Residual(max(abs(s1 - s2), abs(s1 - s3)) / scale)
+    difference = max(abs(s1 - s2), abs(s1 - s3))
+    if r == 0.0 and k != 0:  # U(g) is diagonal and t_k0(g) = 0: each side is exactly 0, so any difference is a fault
+        return Residual(difference)
+    # elsewhere a scale below the normal range is refused: there a zero against a subnormal would read as agreement
+    if (scale := max(abs(s1), abs(s3))) < sys.float_info.min:
+        raise ArithmeticError(
+            f"addition-vacuum at lam={lam!r}, k={k}, r={r!r}: the scale max(|(U D_k U*)_00|, |t_k0(g) f_0(0)|)"
+            f" is {float(scale)!r}, below the normal float range"
+        )
+    return Residual(difference / scale)
 
 
-def _hille_hardy_degree(zq: float) -> int:
-    # the last n of the bilinear sum, where z^n falls below 1e-18, with 50 more terms; refused past zq = 0.95
-    if zq > 0.95:
-        raise ValueError("hille_hardy_residual requires zq <= 0.95")
-    return int(math.log(_TERM_EPS) / math.log(zq)) + 50
-
-
+@_grid_check
 def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     """Bilinear Laguerre generating function:
 
@@ -500,13 +500,16 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     """
     if k < 0 or not (0 < x) or not (0 < y) or not (0 < zq < 1):
         raise ValueError("hille_hardy_residual requires k >= 0, x, y > 0, 0 < zq < 1")
-    nmax = _hille_hardy_degree(zq)
+    # the last n of the sum, where z^n falls below 1e-18, with 50 more terms; refused past zq = 0.95
+    if zq > 0.95:
+        raise ValueError("hille_hardy_residual requires zq <= 0.95")
+    nmax = int(math.log(_TERM_EPS) / math.log(zq)) + 50
     if math.isinf(x * y * zq):
         raise OverflowError(f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: x y zq is outside the float range")
     # L^k_n = C(n+k, n) Phi(-n, 1+k; .), so the weight (n!/(n+k)!) C(n+k, n)^2 is C(n+k, n)/k!
-    px, py = _once(kummer_phi_seq, nmax, 1 + k, x), _once(kummer_phi_seq, nmax, 1 + k, y)
+    (px, py), cache = yield [(nmax, 1 + k, x), (nmax, 1 + k, y)]
     ns = np.arange(nmax + 1)
-    logf = _once(_log_factorials, nmax + k)
+    logf = cache(_log_factorials, nmax + k)
     logw = logf[k:] - logf[: nmax + 1] - 2 * logf[k]
     with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range is refused below, unwarned
         terms = np.exp(logw + ns * math.log(zq)) * px * py
@@ -527,11 +530,6 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
 
     scale = max(abs(lhs), abs(rhs), float(np.max(np.abs(terms))))
     return Residual(abs(lhs - rhs) / scale)
-
-
-def plan_hille_hardy(points) -> None:
-    """Fill the open :func:`memo_scope` with the Kummer runs of the bilinear sums at these (k, x, y, zq)."""
-    _plan_kummer(points, lambda k, x, y, zq: [(_hille_hardy_degree(zq), 1 + k, v) for v in (x, y)])
 
 
 def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: int) -> np.ndarray:
@@ -630,7 +628,7 @@ def kummer_bessel_limit_residual(n: int, b: int, c: float) -> float:
     ik, log_scale = bessel_i_scaled(b - 1, 2.0 * math.sqrt(c))
     if b <= 171:  # (b-1)! is a float
         rhs = math.factorial(b - 1) * c ** (0.5 * (1 - b)) * (ik * math.exp(log_scale))
-    else:  # composed in log space: inf past the float range, 0 where I_(b-1) underflows
+    else:  # composed in log space: inf past the float range, 0 below it
         with np.errstate(over="ignore", divide="ignore"):
             rhs = float(np.exp(log_factorial(b - 1) + 0.5 * (1 - b) * math.log(c) + log_scale + np.log(ik)))
     if not math.isfinite(rhs) or rhs == 0.0:

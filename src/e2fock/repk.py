@@ -20,6 +20,7 @@ are built from Kummer functions by :func:`basis_d`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -286,8 +287,14 @@ def bracket_residual(F: AlgebraFunction) -> float:
 
 
 def adjoint_residual(F: AlgebraFunction, G: AlgebraFunction) -> float:
-    """Defect of the real structure (pF, G) = (F, p*G), (hF, G) = (F, hG), relative to the largest product."""
+    """Defect of the real structure (pF, G) = (F, p*G), (hF, G) = (F, hG), relative to the largest product.
+
+    Raises ArithmeticError where that product is below the normal float range, where a zero against a
+    subnormal would read as agreement.
+    """
     lhs, rhs = inner_product(op_p(F), G), inner_product(F, adjoint_p(G))
     h_lhs, h_rhs = inner_product(op_h(F), G), inner_product(F, op_h(G))
-    scale = max(abs(lhs), abs(rhs), abs(h_lhs), abs(h_rhs), 1e-300)
+    if (scale := max(abs(lhs), abs(rhs), abs(h_lhs), abs(h_rhs))) < sys.float_info.min:
+        products = "|(pF, G)|, |(F, p*G)|, |(hF, G)|, |(F, hG)|"
+        raise ArithmeticError(f"adjoint pairing: the largest of {products} is {float(scale)!r}, below normal floats")
     return max(abs(lhs - rhs), abs(h_lhs - h_rhs)) / scale

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "hyp2f0_seq",
     "bessel_j",
     "bessel_j_seq",
-    "bessel_i",
     "bessel_i_scaled",
 ]
 
@@ -273,9 +273,9 @@ def bessel_j(nu: int, x: float) -> float:
     return sign * float(bessel_j_seq(nu, x)[nu])
 
 
-def _bessel_i_series(nu: int, x: float) -> float:
+def _bessel_i_series(nu: int, x: float, term: float) -> float:
+    # I_nu(x)'s ascending series from its first term, (x/2)^nu/nu!, or that series divided by its first term at 1.0
     q = 0.25 * x * x
-    term = _bessel_lead(nu, x)
     s = 0.0
     j = 0
     while True:
@@ -290,25 +290,20 @@ def bessel_i_scaled(nu: int, x: float) -> tuple[float, float]:
     """Modified Bessel I_nu(x) as ``(value, log_scale)``, I_nu(x) = value * e^log_scale.
 
     Returns ``(e^{-x} I_nu(x), x)`` for x > 500, where the plain value would
-    be huge, and ``(I_nu(x), 0.0)`` otherwise.  Raises ValueError where
-    max(nu, x) needs more than 10**6 recurrence steps.
+    be huge; for 0 < x <= 30 where the plain value would fall below the
+    normal float range, ``(I_nu(x) / t, log t)`` with t = (x/2)^nu / nu!,
+    the series' first term; and ``(I_nu(x), 0.0)`` otherwise.  Raises
+    ValueError where max(nu, x) needs more than 10**6 recurrence steps.
     """
     if x < 0:
         raise ValueError("bessel_i_scaled requires x >= 0")
     nu = abs(nu)
     if x <= 30.0:
-        return _bessel_i_series(nu, x), 0.0
+        if (value := _bessel_i_series(nu, x, _bessel_lead(nu, x))) >= sys.float_info.min or x == 0.0:
+            return value, 0.0
+        # log t from log x, since x/2 itself is 0 at x = 5e-324
+        return _bessel_i_series(nu, x, 1.0), nu * (math.log(x) - math.log(2.0)) - log_factorial(nu)
     scaled = _miller_seq(nu, x, 1, 1)[nu]
     if x > 500.0:
         return scaled, x
     return scaled * math.exp(x), 0.0
-
-
-def bessel_i(nu: int, x: float) -> float:
-    """Modified Bessel function of the first kind, integer order, x >= 0.
-
-    For x > 500 prefer :func:`bessel_i_scaled`; the plain value overflows
-    near x ~ 709.
-    """
-    value, log_scale = bessel_i_scaled(nu, x)
-    return value * math.exp(log_scale)

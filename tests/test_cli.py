@@ -402,7 +402,7 @@ def test_hille_hardy_builds_each_laguerre_sequence_once(monkeypatch):
     assert set(lanes) == {(1 + k, v) for k in range(7) for v in (0.5, 2.0, 4.0)}
 
 
-def test_hille_hardy_plans_no_run_for_a_refused_point(monkeypatch):
+def test_hille_hardy_runs_no_lane_for_a_refused_point(monkeypatch):
     built = _counting(monkeypatch, "kummer_phi_seq")
     code, out = run_cli(["verify", "hille-hardy", "--zq", "0.96"])
     assert code == 1 and len(json_records(out)) == 63 and built == []
@@ -417,6 +417,16 @@ def test_identity_b_builds_each_hyp2f0_column_once(monkeypatch):
     assert {(m, nmax) for m, nmax, _ in built} == {(m, 80) for m in range(17)}
 
 
+def test_a_grid_keeps_its_shared_arrays_under_the_memo_cap(monkeypatch):
+    # at 4 KiB a grid call keeps only its first six 81-float arrays, so a 2F0 column it did not keep is built again
+    # for each point that reads it (689 builds for 693 points, 51 at the default cap), with the same output
+    want = run_cli(["verify", "identity-b"])
+    built = _counting(monkeypatch, "hyp2f0_seq")
+    monkeypatch.setattr(identities, "_MEMO_BYTES", 2**12)
+    assert run_cli(["verify", "identity-b"]) == want
+    assert len(set(built)) == 51 and len(built) == 689
+
+
 def test_hille_hardy_builds_each_log_factorial_vector_once(monkeypatch):
     # nmax is 109 at zq = 0.5 and 443 at zq = 0.9; k runs 0..6
     built = _counting(monkeypatch, "_log_factorials")
@@ -425,7 +435,7 @@ def test_hille_hardy_builds_each_log_factorial_vector_once(monkeypatch):
     assert sorted(built) == [(n,) for n in [*range(109, 116), *range(443, 450)]]
 
 
-_PLANS = ["plan_recurrence", "plan_identity_a", "plan_identity_b", "plan_hille_hardy"]
+_GRID_CHECKS = ["kummer_recurrence_residual", "identity_a", "identity_b", "hille_hardy_residual"]
 
 # 16 x values over perfbench's recurrence span [0.25, 16]
 _RECURRENCE_XS = ",".join(f"{0.25 + 0.9843 * i:.4f}" for i in range(16))
@@ -444,49 +454,69 @@ _RECURRENCE_XS = ",".join(f"{0.25 + 0.9843 * i:.4f}" for i in range(16))
         pytest.param(["verify", "identity-b", "--x", "1", "--r", "3e5", "--m", "4", "--k", "2"], id="identity-b-nan"),
         pytest.param(["verify", "hille-hardy", "--zq", "0.96"], id="hille-hardy-refused"),
         pytest.param(["verify", "recurrence", "--zmax", "1"], id="recurrence-zmax-1"),
-        # 21 b by 16 x: one block of 324 lanes, and a rest of 12 lanes left to the checks
+        # 21 b by 16 x: 336 lanes in one block
         pytest.param(["verify", "recurrence", "--k", "0..20", "--x", _RECURRENCE_XS], id="recurrence-336-lanes"),
-        # addition-vacuum reads Kummer runs, with no plan
+        # addition-vacuum reads memoized Kummer runs
         pytest.param(["verify", "addition", "--lambda", "1e-300"], id="addition-lambda-1e-300"),
     ],
 )
 def test_memo_does_not_change_a_byte(argv, monkeypatch):
-    # no plan and no memoized array: every value computed afresh for its check
-    code, planned = run_cli(argv)
-    for plan in _PLANS:
-        monkeypatch.setattr(identities, plan, lambda points: None)
+    # each grid form run one point at a time and no memoized array: every value computed afresh for its point
+    want = run_cli(argv)
+    for name in _GRID_CHECKS:
+        check = getattr(identities, name)
+        monkeypatch.setattr(check, "grid", lambda points, grid=check.grid: [grid([point])[0] for point in points])
     monkeypatch.setattr(identities, "_once", lambda build, *args: build(*args))
-    assert run_cli(argv) == (code, planned)
+    assert run_cli(argv) == want
+
+
+def _lane_blocks(built):
+    # (top degree, lanes) of each kummer_phi_seq call that _counting saw run lanes
+    return [(nmax, len(b)) for nmax, b, _ in built if isinstance(b, np.ndarray)]
 
 
 def test_a_recurrence_grid_splits_into_a_block_and_a_rest(monkeypatch):
-    # the 336 lanes of the memo-off case above: 324 of 202 values fill a 2^19-byte block, 12 are left over
+    # the 336 lanes of the recurrence-336-lanes case above fit one 2^20-byte block at 202 values a lane; at 402
+    # values, 326 fill a block and 10 are the rest
     built = _counting(monkeypatch, "kummer_phi_seq")
     assert run_cli(["verify", "recurrence", "--k", "0..20", "--x", _RECURRENCE_XS])[0] == 0
-    assert [len(b) for _, b, _ in built if isinstance(b, np.ndarray)] == [324]
-    assert sum(not isinstance(b, np.ndarray) for _, b, _ in built) == 12
+    assert run_cli(["verify", "recurrence", "--k", "0..20", "--x", _RECURRENCE_XS, "--zmax", "400"])[0] == 0
+    assert _lane_blocks(built) == [(201, 336), (401, 326), (401, 10)] and len(built) == 3
 
 
-def test_each_scalar_suite_runs_its_plan_once(monkeypatch):
-    called = {plan: _counting(monkeypatch, plan) for plan in _PLANS}
+def _counting_grid(monkeypatch, name):
+    # the number of points of every call to identities.<name>.grid, which still runs
+    calls, grid = [], getattr(identities, name).grid
+
+    def counting(points):
+        calls.append(len(points))
+        return grid(points)
+
+    monkeypatch.setattr(getattr(identities, name), "grid", counting)
+    return calls
+
+
+def test_each_scalar_suite_runs_its_grid_form_once(monkeypatch):
+    called = {name: _counting_grid(monkeypatch, name) for name in _GRID_CHECKS}
     for suite in ("recurrence", "identity-a", "identity-b", "hille-hardy"):
         assert run_cli(["verify", suite])[0] == 0
-    assert {plan: [len(points) for (points,) in calls] for plan, calls in called.items()} == {
-        "plan_recurrence": [84],
-        "plan_identity_a": [132],
-        "plan_identity_b": [693],
-        "plan_hille_hardy": [126],
+    assert called == {
+        "kummer_recurrence_residual": [84],
+        "identity_a": [132],
+        "identity_b": [693],
+        "hille_hardy_residual": [126],
     }
 
 
 @pytest.mark.parametrize(
     "suite,cap",
-    # caps that split each suite's default lanes into blocks of at least 16 lanes and a shorter rest
+    # caps that split each suite's default lanes into several blocks
     [("recurrence", 40000), ("identity-a", 5000), ("hille-hardy", 71040)],
 )
 @pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
 def test_a_plan_under_small_caps_changes_no_byte(suite, cap, name, monkeypatch):
-    # lanes split into blocks of at most _BLOCK_BYTES, and a plan builds no block past _MEMO_BYTES
+    # a grid's plan is the blocks its lanes run in, each of at most _BLOCK_BYTES; _MEMO_BYTES caps only the arrays
+    # a grid keeps in its cache, so it moves no block
     built = _counting(monkeypatch, "kummer_phi_seq")
     want = run_cli(["verify", suite])
     default_blocks = _lane_blocks(built)
@@ -494,34 +524,33 @@ def test_a_plan_under_small_caps_changes_no_byte(suite, cap, name, monkeypatch):
     monkeypatch.setattr(identities, name, cap)
     assert run_cli(["verify", suite]) == want
     blocks = _lane_blocks(built)
-    assert all(lanes >= identities._MIN_LANES for _, lanes in blocks)
+    assert len(blocks) == len(built)  # every run is a lane of a block
     if name == "_BLOCK_BYTES":
-        assert blocks and all(8 * (nmax + 1) * lanes <= cap for nmax, lanes in blocks)
-        assert any(not isinstance(b, np.ndarray) for _, b, _ in built)  # the rest, left to the checks
+        assert len(blocks) > len(default_blocks) == 1
+        assert all(8 * (nmax + 1) * lanes <= cap for nmax, lanes in blocks)
     else:
-        # the default blocks while the memo has room for them, and not the first it has no room for
-        held = itertools.accumulate(8 * (nmax + 1) * lanes for nmax, lanes in default_blocks)
-        assert blocks == default_blocks[: sum(nbytes <= cap for nbytes in held)]
+        assert blocks == default_blocks
 
 
-def _lane_blocks(built):
-    # (top degree, lanes) of each lane block among the kummer_phi_seq calls of _counting
-    return [(nmax, len(b)) for nmax, b, _ in built if isinstance(b, np.ndarray)]
-
-
-def test_a_block_the_memo_has_no_room_for_is_not_built(monkeypatch):
-    # the 84 lanes to degree 2001 come in blocks of 32, 32 and 20; the first, 32 x 2002 x 8 bytes, is past a
-    # 2^16-byte memo, so every lane is its check's own run
-    argv = ["verify", "recurrence", "--zmax", "2000"]
-    want = run_cli(argv)
-    monkeypatch.setattr(identities, "_MEMO_BYTES", 2**16)
+def test_a_grid_past_the_block_cap_runs_in_blocks(monkeypatch):
+    # the 84 lanes to degree 2001 hold 1.3 MB: 2^20 bytes hold 65 of them and 2^19 bytes 32; under a cap below
+    # one lane, each point is a block of its own, run as its scalar run
     built = _counting(monkeypatch, "kummer_phi_seq")
-    assert run_cli(argv) == want
-    assert _lane_blocks(built) == [] and len(built) == 84
+    for argv, caps in (
+        (["verify", "recurrence", "--zmax", "2000"], {2**20: [65, 19], 2**19: [32, 32, 20]}),
+        (["verify", "recurrence", "--k", "0..2"], {2**20: [12], 1: ["scalar"] * 12}),
+    ):
+        outputs = []
+        for cap, lanes in caps.items():
+            built.clear()
+            monkeypatch.setattr(identities, "_BLOCK_BYTES", cap)
+            outputs.append(run_cli(argv))
+            assert [len(b) if isinstance(b, np.ndarray) else "scalar" for _, b, _ in built] == lanes
+        assert outputs[0] == outputs[1]
 
 
-def test_a_plan_runs_no_lane_its_checks_refuse(monkeypatch):
-    # x^2 = inf at all 21 points, enough lanes for a block; identity_a refuses each point before it reads a run
+def test_a_grid_runs_no_lane_its_checks_refuse(monkeypatch):
+    # x^2 = inf at all 21 points; identity_a refuses each point before it asks for a run
     built = _counting(monkeypatch, "kummer_phi_seq")
     code, out = run_cli(["verify", "identity-a", "--k", "0..20", "--x", "1e200", "--r", "1e-200"])
     recs = json_records(out)
@@ -531,18 +560,22 @@ def test_a_plan_runs_no_lane_its_checks_refuse(monkeypatch):
 
 @pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
 def test_identity_b_sums_under_small_caps_change_no_byte(name, monkeypatch):
-    # the 693 n-sums come in blocks of at most _BLOCK_BYTES at 8 x 81 x 8 bytes a point; the plan sums no block
-    # the memo has no room for, so the checks of that block and later compute each sum alone, and once
+    # the 693 n-sums come in blocks of at most _BLOCK_BYTES at 8 x 81 x 8 bytes a point, with the points' short
+    # Kummer lanes; the grid reads no memo, so a small _MEMO_BYTES leaves the default blocks
     want = run_cli(["verify", "identity-b"])
     monkeypatch.setattr(identities, name, 2**16)
-    built = _counting(monkeypatch, "_identity_b_sums")
+    blocks, grid_residuals = [], identities._grid_residuals
+
+    def counting(check, points, point_floats=0, batch=None):
+        return grid_residuals(check, points, point_floats, lambda rows: blocks.append(len(rows)) or batch(rows))
+
+    monkeypatch.setattr(identities, "_grid_residuals", counting)
     assert run_cli(["verify", "identity-b"]) == want
-    blocks = [len(factors) for (factors,) in built]
     if name == "_BLOCK_BYTES":
         assert blocks == [12] * 57 + [9]
     else:
-        # the first block, 101 points of 5184 bytes, is past the memo's 2^16 bytes
-        assert blocks == [1] * 693
+        # the default 2^20 bytes hold 202 points, or 201 once the points' lanes run to m = 10
+        assert blocks == [202, 202, 201, 88]
 
 
 @pytest.mark.parametrize(
@@ -556,16 +589,12 @@ def test_identity_b_sums_under_small_caps_change_no_byte(name, monkeypatch):
 )
 def test_a_scaled_primitive_reaches_every_check_that_reads_it(name, failing, monkeypatch):
     # a lane run that bypassed identities' binding of the primitive would keep its true values, and
-    # the records that read them would pass; with plans or without, the same records fail
+    # the records that read them would pass
     scaled = getattr(identities, name)
     monkeypatch.setattr(identities, name, lambda *args: scaled(*args) * (1 + 1e-9))
-    for plans_on in (True, False):
-        if not plans_on:
-            for plan in _PLANS:
-                monkeypatch.setattr(identities, plan, lambda points: None)
-        code, out = run_cli(["verify", "all"])
-        names = [rec["name"] for rec in json_records(out) if not rec["pass"]]
-        assert code == 1 and {n: names.count(n) for n in set(names)} == failing, plans_on
+    code, out = run_cli(["verify", "all"])
+    names = [rec["name"] for rec in json_records(out) if not rec["pass"]]
+    assert code == 1 and {n: names.count(n) for n in set(names)} == failing
 
 
 def test_addition_diagnostic_skips_diagonals_outside_the_block():
@@ -671,6 +700,17 @@ class TestRecurrenceOverflow:
                 rec = recs[k, x]
                 assert not rec["pass"] and rec["residual"] is None
                 assert rec["detail"] == f"non-finite Kummer value or ratio at zeta={zeta}"
+
+    def test_a_negative_k_is_an_error_record_of_its_own(self):
+        # b = 1 + k < 1 at k = -1: those four points are refused, and the other twelve still run as one block
+        code, out = run_cli(["verify", "recurrence", "--k=-1..2"])
+        recs = json_records(out)
+        assert code == 1 and len(recs) == 16
+        for rec in recs:
+            if rec["params"]["k"] == -1:
+                assert not rec["pass"] and rec["detail"] == "error: recurrence requires b >= 1, got 0"
+            else:
+                assert rec["pass"]
 
     @pytest.mark.parametrize("zmax", ["0", "-1"])
     def test_empty_zeta_range_is_an_error(self, zmax):
@@ -822,6 +862,17 @@ def test_division_by_zero_is_an_error_record(argv):
     errors = [r for r in json_records(out) if r["residual"] is None]
     assert all(r["detail"].startswith("error: ") and not r["pass"] for r in errors)
     assert "error: float division by zero" in {r["detail"] for r in errors}
+
+
+def test_a_vacuum_scale_below_the_normal_range_is_an_error_record():
+    # s1 = (U D_k U*)_00 is exactly 0 and s3 = t_k0(g) f_0(0) is subnormal at both lam; over a 1e-300 floor the
+    # two once read as agreement, with residuals 1.8e-22 and 2.7e-16
+    code, out = run_cli(["verify", "addition", "--dim", "512", "--lambda", "3.72,4.0", "--r", "1", "--k", "200"])
+    vacuum = [rec for rec in json_records(out) if rec["name"] == "addition-vacuum"]
+    assert code == 1 and [rec["params"]["lam"] for rec in vacuum] == [3.72, 4.0]
+    for rec, s3 in zip(vacuum, ("1.8e-322", "2.7032016e-316")):
+        assert not rec["pass"] and rec["residual"] is None
+        assert rec["detail"].endswith(f"|t_k0(g) f_0(0)|) is {s3}, below the normal float range")
 
 
 def test_an_underflowed_block_norm_is_an_error_record(capfd):

@@ -288,6 +288,11 @@ class TestHilleHardy:
         rep = hille_hardy_residual(6, 4.0, 4.0, 0.95)
         assert rep.residual <= 1e-8
 
+    def test_a_bessel_side_below_the_normal_range(self):
+        # I_4(2 sqrt(xyz)/(1-z)) is about 1.6e-398 here; it once underflowed to 0 and its log refused the point
+        rep = hille_hardy_residual(4, 1e-200, 100.0, 0.3)
+        assert rep.residual <= 1e-13
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             hille_hardy_residual(0, 1.0, 1.0, 0.99)

@@ -19,9 +19,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 class TestPublicApi:
     def test_names_and_order_are_pinned(self):
-        # 57 names: every layer module's __all__ in order, then __version__
+        # 52 names: every layer module's __all__ in order, then __version__
         digest = hashlib.sha256(json.dumps(e2fock.__all__).encode()).hexdigest()
-        assert digest == "06a2606f2a1b3e3ff1ac1a4c8d89e7b8039ef11acaccb40e0df44d23b24be071"
+        assert digest == "b56509dea011fbe8292c6d45cdde0505cb0b3ab58be49c60f9c1d06021bf7bf0"
 
     def test_each_name_is_its_defining_module_object(self):
         for module in LAYERS:
@@ -50,14 +50,14 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_only_the_memo_protocol_names_the_memo():
-    # a check reads the memo through _once, and a plan pre-fills it through the block loop and _keep
+    # a check reads and fills the memo through _once only: nothing pre-fills it
     tree = ast.parse((REPO / "src" / "e2fock" / "identities.py").read_text())
     naming = [
         getattr(stmt, "name", None) or ast.unparse(stmt)
         for stmt in tree.body
         if any(isinstance(node, ast.Name) and node.id == "_memo" for node in ast.walk(stmt))
     ]
-    assert naming == ["_memo = None", "memo_scope", "_keep", "_once", "_plan_blocks"]
+    assert naming == ["_memo = None", "memo_scope", "_once"]
 
 
 def test_no_source_line_is_over_117_characters():

@@ -271,18 +271,25 @@ class TestMemoizedVectors:
     @PROPERTY
     @given(st.lists(st.integers(0, 300), min_size=1, max_size=6), st.integers(1, 12), st.floats(-30.0, 30.0))
     def test_a_shared_kummer_run_is_kummer_phi_seq(self, requests, b, x):
-        # a plan runs one lane per (b, x) to its largest nmax and holds a view of it for each nmax asked:
-        # every request then reads the floats of a run to its own nmax, and the memo holds the lanes' bytes
-        bs = range(b, b + identities._MIN_LANES)
-        with identities.memo_scope():
-            identities.plan_recurrence([(bi, x, nmax - 1) for bi in bs for nmax in requests])
-            assert identities._memo.nbytes == len(bs) * 8 * (max(requests) + 1)
-            for bi in bs:
-                for nmax in requests:
-                    phis = identities._once(kummer_phi_seq, nmax, bi, x)
-                    assert phis.tobytes() == kummer_phi_seq(nmax, bi, x).tobytes()
-                    assert not phis.flags.writeable
-            assert identities._memo.nbytes == len(bs) * 8 * (max(requests) + 1)  # every read was held
+        # a grid runs one lane per (b, x) to its largest nmax, and each point reads the floats of a run to its own
+        # nmax: here 16 b by the requested degrees, one block of 16 lanes
+        built = []
+
+        def lanes(nmax, bs, xs):
+            built.append(len(bs))
+            return kummer_phi_seq(nmax, bs, xs)
+
+        def check(bi, nmax):
+            (phis,), _ = yield [(nmax, bi, x)]
+            return identities.Residual(phis)
+
+        points = [(bi, nmax) for bi in range(b, b + 16) for nmax in requests]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(identities, "kummer_phi_seq", lanes)
+            got = identities._grid_residuals(check, points)
+        assert built == [16]
+        for (bi, nmax), (phis, _) in zip(points, got):
+            assert phis.tobytes() == kummer_phi_seq(nmax, bi, x).tobytes()
 
     @PROPERTY
     @given(st.integers(171, 600))
@@ -298,6 +305,19 @@ def test_kummer_limit_residual_is_mpmaths():
     main(["verify", "kummer-limit", "--n", "10000,100000", "--m", "10", "--x", "0.5"], stream=buf)
     rec = json.loads(buf.getvalue().splitlines()[0])
     n, b, c = 100000, 10, mpmath.mpf(0.5)
+    with mpmath.workdps(40):
+        bessel = mpmath.factorial(b - 1) * c ** ((1 - b) / mpmath.mpf(2)) * mpmath.besseli(b - 1, 2 * mpmath.sqrt(c))
+        want = float(abs(mpmath.hyp1f1(-n, b, -c / n) / bessel - 1))
+    assert abs(rec["residual"] - want) <= 0.01 * want, (rec["residual"], want)
+
+
+def test_a_kummer_limit_past_the_normal_range_is_mpmaths():
+    # (b-1)! c^((1-b)/2) I_(b-1)(2 sqrt(c)) is 1.18 at b = 300, c = 50, but I_299(14.1), about 1e-358, once
+    # underflowed to 0 and the record was an error
+    buf = io.StringIO()
+    assert main(["verify", "kummer-limit", "--m", "300", "--x", "50"], stream=buf) == 0
+    rec = json.loads(buf.getvalue().splitlines()[0])
+    n, b, c = 10000, 300, mpmath.mpf(50)
     with mpmath.workdps(40):
         bessel = mpmath.factorial(b - 1) * c ** ((1 - b) / mpmath.mpf(2)) * mpmath.besseli(b - 1, 2 * mpmath.sqrt(c))
         want = float(abs(mpmath.hyp1f1(-n, b, -c / n) / bessel - 1))

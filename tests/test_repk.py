@@ -204,6 +204,13 @@ class TestAdjoints:
         monkeypatch.setattr(repk, "adjoint_p", op_pbar)
         assert adjoint_residual(F, G) > 0.1
 
+    def test_adjoint_residual_refuses_products_below_the_normal_range(self):
+        # coefficients 1e-160 make every product subnormal, about 4e-319 and 2e-318; over a 1e-300 floor their
+        # rounding once read as a defect of 5e-24
+        F = algebra_function({0: np.full(21, 1e-160 + 0j), 1: np.full(21, 1e-160 + 0j)}, 20)
+        with pytest.raises(ArithmeticError, match=r"\|\(F, hG\)\| is 2\.309974e-318, below normal floats"):
+            adjoint_residual(F, F)
+
 
 class TestBracketResidual:
     def test_exact_on_integer_coefficients(self, rng):

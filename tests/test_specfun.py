@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -7,7 +8,6 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from e2fock.specfun import (
-    bessel_i,
     bessel_i_scaled,
     bessel_j,
     bessel_j_seq,
@@ -224,7 +224,9 @@ class TestBesselJ:
         assert bessel_j(0, 5e-324) == 1.0
         assert bessel_j(1, 5e-324) == 0.0
         assert bessel_j_seq(3, 5e-324).tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert bessel_i(1, 5e-324) == 0.0 and bessel_i(0, 5e-324) == 1.0
+        # I_1(5e-324) = 2.5e-324 is subnormal, so it comes as the first term's log
+        assert bessel_i_scaled(0, 5e-324) == (1.0, 0.0)
+        assert bessel_i_scaled(1, 5e-324) == (1.0, pytest.approx(math.log(5e-324) - math.log(2.0), rel=1e-15))
 
     def test_large_argument(self):
         assert bessel_j(3, 10000.0) == pytest.approx(float(mp.besselj(3, 10000.0)), rel=1e-10)
@@ -239,13 +241,13 @@ class TestBesselJ:
 
 class TestBesselI:
     def test_at_zero(self):
-        assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(2, 0.0) == 0.0
+        assert bessel_i_scaled(0, 0.0) == (1.0, 0.0)
+        assert bessel_i_scaled(2, 0.0) == (0.0, 0.0)
 
     def test_i0_of_one_frozen(self):
         ref = sum(0.25**j / math.factorial(j) ** 2 for j in range(30))
         assert abs(ref - 1.2660658777520084) < 1e-15
-        assert bessel_i(0, 1.0) == pytest.approx(ref, rel=1e-14)
+        assert bessel_i_scaled(0, 1.0) == (pytest.approx(ref, rel=1e-14), 0.0)
 
     @pytest.mark.parametrize("x", [0.3, 2.0, 10.0, 50.0, 156.0, 400.0])
     def test_against_mpmath(self, x):
@@ -265,7 +267,17 @@ class TestBesselI:
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
-            bessel_i(0, -1.0)
+            bessel_i_scaled(0, -1.0)
+
+    @pytest.mark.parametrize("nu,x", [(299, 14.142135623730951), (170, 1.41), (5, 1e-70), (40, 30.0)])
+    def test_a_value_below_the_normal_range_is_log_scaled(self, nu, x):
+        # I_299(14.1) is about 1e-358: the series over its first term, with that term's log as the scale
+        value, log_scale = bessel_i_scaled(nu, x)
+        want = mp.log(mp.besseli(nu, mp.mpf(x)))
+        if want >= math.log(sys.float_info.min):
+            assert log_scale == 0.0 and value == pytest.approx(float(mp.exp(want)), rel=1e-13)
+        else:
+            assert 1.0 <= value < 2.0 and math.log(value) + log_scale == pytest.approx(float(want), rel=1e-14)
 
     def test_series_recurrence_seam(self):
         # evaluation switches from series to normalized recurrence at x = 30
@@ -314,14 +326,6 @@ class TestLogFactorial:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             log_factorial(-1)
-
-
-def test_specvalue_reconstruction():
-    # bessel_i is the scaled pair's value * e^log_scale, bit for bit, on both sides of x = 500
-    for nu, x in ((3, 0.5), (2, 10.0), (0, 400.0), (1, 600.0)):
-        value, log_scale = bessel_i_scaled(nu, x)
-        assert log_scale == (x if x > 500.0 else 0.0)
-        assert bessel_i(nu, x) == value * math.exp(log_scale)
 
 
 def _kummer_loop(nmax, b, x):
