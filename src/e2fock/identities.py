@@ -11,8 +11,10 @@ identically, so a plain relative error would be 0/0 there.
 The four scalar checks (:func:`kummer_recurrence_residual`, :func:`identity_a`,
 :func:`identity_b`, :func:`hille_hardy_residual`) take one point, and their grid
 forms ``check.grid(points)`` give one Residual, or the ValueError or
-ArithmeticError refusing it, per point: a block of points at a time, under one
-byte cap, with the block's Kummer runs as the lanes of one recurrence.
+ArithmeticError refusing it, per point.  Each is an array kernel: it refuses
+points in Python, runs a block's Kummer runs as the lanes of one recurrence,
+forms the terms of points that share a term count as the rows of one 2-D array,
+and closes each point's residual in Python floats.
 
 The orthogonality relation and the two limit statements are distributional /
 asymptotic and cannot be a single numeric equality at finite truncation; they
@@ -82,8 +84,8 @@ _MAX_KUMMER_STEPS = 10**6
 # values are recomputed, not kept (verify all's largest suite memo is 0.36 MB)
 _MEMO_BYTES = 16 * 2**20
 
-# most bytes one block of a grid check holds: lanes x (top degree + 1) x 8 of its Kummer runs, and for identity-b
-# points x 8 x 81 x 8, eight arrays of 81 floats a point for its factors and sums
+# most bytes one block of a grid check holds, lanes x (top degree + 1) x 8 of its Kummer runs and 81 x 8 for each
+# of identity-b's factor rows, and most bytes of 2-D arrays one pass of a kernel holds
 _BLOCK_BYTES = 2**20
 
 
@@ -122,10 +124,8 @@ def memo_scope():
     ``addition-vacuum``.  The checks read all of these through ``_once``,
     one memo keyed by the builder and its arguments, emptied when the block
     exits, however it exits; arrays are read-only whether memoized or not.
-    The four scalar checks read no such memo: their grid forms build the
-    Kummer lanes of the points they are handed, and keep the columns, rows
-    and vectors those points share in a memo of the grid call's own, under
-    the same cap.
+    The four scalar checks read no memo: their grid forms build what a block
+    of points shares once for the block.
     """
     global _memo
     _memo = _Memo()
@@ -152,73 +152,84 @@ class Residual(NamedTuple):
     detail: str | Callable[[], str] | None = None
 
 
-def _grid_residuals(check, points, point_floats=0, batch=None) -> list:
+def _caught(build, *args):
+    # build(*args), or the ValueError or ArithmeticError refusing it
+    try:
+        return build(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
+def _grid_outcomes(request, kernel, points) -> list:
     """One Residual, or the ValueError or ArithmeticError refusing it, per point of a grid check.
 
-    ``check(*point)`` is a generator: it refuses its point or yields the Kummer runs (nmax, b, x) it reads, each
-    with nmax >= 0 and b >= 1 as kummer_phi_seq requires, and is sent their values Phi(-n, b; x) for n = 0..nmax
-    with the call's cache, where cache(build, *args) builds each array once while the arrays kept hold at most
-    _MEMO_BYTES; given a ``batch``, it may then yield a row of batch's inputs and be sent batch's row for it; it
-    returns its Residual.  Each block of points runs its lanes, one per distinct (b, x), as one kummer_phi_seq
-    call, each lane the scalar run's floats bit for bit (a block of one point runs them as scalar runs, without a
-    numpy step per degree), and its rows as one batch call.
+    ``request(*point)`` refuses its point or gives the Kummer runs (nmax, b, x) it reads, each with nmax >= 0 and
+    b >= 1 as kummer_phi_seq requires, and the keys (build, *args) of the 81-float rows it reads.  The points go in
+    blocks: one point, or as many as fit in _BLOCK_BYTES with one lane per distinct (b, x), run to the block's top
+    degree, and one row per distinct key.  A block runs its lanes as one kummer_phi_seq call, each lane the scalar
+    run's floats bit for bit (a block of one point runs scalar runs, without a numpy step per degree), and builds
+    each row once, or the error refusing it.  ``kernel(points, runs, values, rows)`` yields (j, outcome) for each
+    point j of the block: ``runs[j]`` lists (nmax, lane) for its runs, ``values[lane]`` holding Phi(-n, b; x) for
+    n up to the top degree, and ``rows[j]`` lists its rows.
     """
-
-    def advance(step, *args):
-        # step the check: what it yields next, its Residual once it returns, or the error refusing its point
-        try:
-            return step(*args)
-        except StopIteration as stop:
-            return stop.value
-        except (ValueError, ArithmeticError) as exc:
-            return exc
-
-    cache = _Memo().once
-    checks = [check(*point) for point in points]
-    outcomes = [advance(next, check) for check in checks]
-    waiting = [i for i, runs in enumerate(outcomes) if not isinstance(runs, Exception)]
+    outcomes = [_caught(request, *point) for point in points]
+    waiting = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
     while waiting:
-        # the next block: one point, or as many as fit in _BLOCK_BYTES with every lane run to the block's largest
-        # nmax and point_floats floats a point
-        block, lanes, top = [], {}, 0
+        block, lanes, keys, top = [], {}, {}, 0
         for i in waiting:
-            degree = max(top, *(nmax for nmax, _, _ in outcomes[i]))
-            wanted = dict.fromkeys((b, x) for _, b, x in outcomes[i] if (b, x) not in lanes)
-            floats = (len(lanes) + len(wanted)) * (degree + 1) + (len(block) + 1) * point_floats
+            runs, rows = outcomes[i]
+            degree, wanted = top, {}
+            for nmax, b, x in runs:
+                degree = max(degree, nmax)
+                if (b, x) not in lanes:
+                    wanted[b, x] = None
+            built = {key: None for key in rows if key not in keys}
+            floats = (len(lanes) + len(wanted)) * (degree + 1) + (len(keys) + len(built)) * (_IDENTITY_B_TERMS + 1)
             if block and 8 * floats > _BLOCK_BYTES:
                 break
             block.append(i)
             lanes |= wanted
+            keys |= built
             top = degree
         waiting = waiting[len(block) :]
         if len(block) == 1:
-            rows = {(b, x): kummer_phi_seq(top, b, x) for b, x in lanes}
+            values = np.array([kummer_phi_seq(top, b, x) for b, x in lanes])
         else:
-            rows = dict(zip(lanes, kummer_phi_seq(top, *(np.array(values, dtype=float) for values in zip(*lanes)))))
-        for i in block:
-            runs = [rows[b, x][: nmax + 1] for nmax, b, x in outcomes[i]]
-            outcomes[i] = advance(checks[i].send, (runs, cache))
-        if batched := [i for i in block if not isinstance(outcomes[i], (Residual, Exception))]:
-            for i, row in zip(batched, batch([outcomes[i] for i in batched]).tolist()):
-                outcomes[i] = advance(checks[i].send, row)
+            values = kummer_phi_seq(top, *(np.array(column, dtype=float) for column in zip(*lanes)))
+        lanes, keys = {lane: row for row, lane in enumerate(lanes)}, {key: _caught(*key) for key in keys}
+        runs = [[(nmax, lanes[b, x]) for nmax, b, x in outcomes[i][0]] for i in block]
+        rows = [[keys[key] for key in outcomes[i][1]] for i in block]
+        for j, outcome in kernel([points[i] for i in block], runs, values, rows):
+            outcomes[block[j]] = outcome
     return outcomes
 
 
-def _grid_check(check, point_floats=0, batch=None):
-    # a generator check of _grid_residuals as a function of one point, which returns its Residual or raises its
-    # refusal, and whose .grid(points) runs it over a grid
-    def grid(points):
-        return _grid_residuals(check, points, point_floats, batch)
+def _passes(keys, arrays):
+    # (key, positions) for the positions of each key in keys, in order of first appearance, split so that the
+    # arrays 2-D temporaries of a pass, key[0] floats a position each, hold at most _BLOCK_BYTES
+    groups = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
+    for key, js in groups.items():
+        step = max(1, _BLOCK_BYTES // (8 * arrays * key[0]))
+        yield from ((key, js[start : start + step]) for start in range(0, len(js), step))
 
-    @functools.wraps(check)
-    def one(*point):
-        (outcome,) = grid([point])
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
 
-    one.grid = grid
-    return one
+def _grid_check(kernel):
+    # the check whose request is the decorated function: a function of one point, which returns its Residual or
+    # raises its refusal, and whose .grid(points) runs it over a grid
+    def decorate(request):
+        @functools.wraps(request)
+        def one(*point):
+            (outcome,) = _grid_outcomes(request, kernel, [point])
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        one.grid = functools.partial(_grid_outcomes, request, kernel)
+        return one
+
+    return decorate
 
 
 def worst_rise(values, floor: float) -> float:
@@ -266,7 +277,23 @@ def intertwining_residual(g: GroupElement, dim: int) -> Residual:
     return Residual(np.max(np.abs(UaU)))
 
 
-@_grid_check
+def _recurrence_kernel(points, runs, values, _):
+    # each point's worst row ratio, one 2-D pass per zmax
+    for (steps,), js in _passes([(nmax,) for ((nmax, _),) in runs], 8):
+        phis = values[[runs[j][0][1] for j in js], : steps + 1]
+        b, x = (np.array([[float(points[j][axis])] for j in js]) for axis in (0, 1))
+        a = -np.arange(1.0, steps)
+        # an overflowing value or term makes its ratios NaN or inf, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            t1, t2, t3 = a * phis[:, :-2], (a - b) * phis[:, 2:], (b - 2 * a - x) * phis[:, 1:-1]
+            ratios = abs(t1 + t2 + t3) / np.maximum(np.maximum(abs(t1), abs(t2)), abs(t3))
+        unchecked = ~np.isfinite(ratios)
+        for j, worst, bad, first in zip(js, ratios.max(axis=1), unchecked.any(axis=1), unchecked.argmax(axis=1)):
+            detail = f"non-finite Kummer value or ratio at zeta={first + 1}"
+            yield j, Residual(math.inf, detail) if bad else Residual(worst)
+
+
+@_grid_check(_recurrence_kernel)
 def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
     """Worst row of a Phi(a+1) + (a - b) Phi(a-1) + (b - 2a - x) Phi(a) = 0 at a = -1..-zmax, Phi = Phi(., b; x).
 
@@ -277,15 +304,7 @@ def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
         raise ValueError(f"recurrence requires zmax >= 1, got {zmax}")
     if b < 1:
         raise ValueError(f"recurrence requires b >= 1, got {b}")
-    (phis,), _ = yield [(zmax + 1, b, float(x))]
-    a = -np.arange(1.0, zmax + 1)  # floats, so any integer x converts
-    # an overflowing value or term makes its ratios NaN or inf, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        t1, t2, t3 = a * phis[:-2], (a - b) * phis[2:], (b - 2 * a - x) * phis[1:-1]
-        ratios = abs(t1 + t2 + t3) / np.maximum(np.maximum(abs(t1), abs(t2)), abs(t3))
-    if (unchecked := np.flatnonzero(~np.isfinite(ratios))).size:
-        return Residual(math.inf, f"non-finite Kummer value or ratio at zeta={unchecked[0] + 1}")
-    return Residual(np.max(ratios))
+    return [(zmax + 1, b, float(x))], ()
 
 
 def _log_factorials(nmax: int) -> np.ndarray:
@@ -311,10 +330,23 @@ def _vacuum_degree(r: float) -> int:
 def _vacuum_terms(r: float, phis: np.ndarray, logf: np.ndarray) -> np.ndarray:
     # terms (r^{2n}/n!) Phi(-n, 1+k; x^2) of identity-a's left side, truncated at _vacuum_degree(r), from
     # phis = Phi(-n, 1+k; x^2) and logf = log n! for n up to there
-    return np.exp(_log_power(2 * np.arange(len(phis)), r) - logf) * phis
+    return np.exp(_log_power(2 * np.arange(phis.shape[-1]), r) - logf) * phis
 
 
-@_grid_check
+def _identity_a_kernel(points, runs, values, _):
+    # each point's left sum and largest term, one 2-D pass per r
+    for (steps, r), js in _passes([(nmax + 1, r) for ((nmax, _),), (_, _, r) in zip(runs, points)], 4):
+        terms = _vacuum_terms(r, values[[runs[j][0][1] for j in js], :steps], _log_factorials(steps - 1))
+        for j, lhs, largest in zip(js, terms.sum(axis=1).tolist(), abs(terms).max(axis=1).tolist()):
+            yield j, _caught(_identity_a_residual, *points[j], lhs, largest)
+
+
+def _identity_a_residual(k: int, x: float, r: float, lhs: float, largest: float) -> Residual:
+    rhs = math.exp(log_factorial(k) - k * math.log(x * r) + r * r) * bessel_j(k, 2 * x * r)
+    return Residual(abs(lhs - rhs) / max(abs(lhs), abs(rhs), largest))
+
+
+@_grid_check(_identity_a_kernel)
 def identity_a(k: int, x: float, r: float) -> Residual:
     """Vacuum sandwich of the addition theorem:
 
@@ -328,13 +360,7 @@ def identity_a(k: int, x: float, r: float) -> Residual:
     for name, value in (("x", x), ("r", r)):
         if math.isinf(value * value):
             raise OverflowError(f"identity-a at k={k}, x={x!r}, r={r!r}: {name}^2 is outside the float range")
-    nmax = _vacuum_degree(r)
-    (phis,), cache = yield [(nmax, 1 + k, x * x)]
-    terms = _vacuum_terms(r, phis, cache(_log_factorials, nmax))
-    lhs = float(np.sum(terms))
-    rhs = math.exp(log_factorial(k) - k * math.log(x * r) + r * r) * bessel_j(k, 2 * x * r)
-    scale = max(abs(lhs), abs(rhs), float(np.max(np.abs(terms))))
-    return Residual(abs(lhs - rhs) / scale)
+    return [(_vacuum_degree(r), 1 + k, x * x)], ()
 
 
 def _identity_b_weights(xr: float) -> np.ndarray:
@@ -376,8 +402,34 @@ def _identity_b_sums(factors) -> np.ndarray:
     return np.column_stack((sums[points, n], term_maxes[points, n], sizes[points, n]))
 
 
-# the n-sums of a block of points are one 2-D pass, eight arrays of 81 floats a point
-@functools.partial(_grid_check, point_floats=8 * (_IDENTITY_B_TERMS + 1), batch=_identity_b_sums)
+def _identity_b_kernel(points, runs, values, rows):
+    # the n-sums of the points whose factor rows were built, in 2-D passes of 8 x 81 floats a point
+    summed = [j for j, factors in enumerate(rows) if not any(isinstance(row, Exception) for row in factors)]
+    sums = {}
+    for _, js in _passes([(_IDENTITY_B_TERMS + 1,)] * len(summed), 8):
+        sums.update(zip((summed[j] for j in js), _identity_b_sums([rows[summed[j]] for j in js]).tolist()))
+    phis = values[[lane for ((_, lane),) in runs], [m for m, *_ in points]].tolist()
+    for j, (point, phi, factors) in enumerate(zip(points, phis, rows)):
+        yield j, _caught(_identity_b_residual, *point, phi, factors, sums.get(j))
+
+
+def _identity_b_residual(m: int, k: int, x: float, r: float, phi: float, factors, sums) -> Residual:
+    lhs = math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r)) * phi
+    if sums is None:  # the first factor row refused
+        raise next(row for row in factors if isinstance(row, Exception))
+    rhs, term_max, tail = sums
+    scale = max(abs(lhs), abs(rhs), term_max)
+    if scale == 0.0:
+        raise ArithmeticError(f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: both sides and every term are 0")
+    detail = None
+    residual = abs(lhs - rhs) / scale
+    if tail > 1e-12 * scale:
+        detail = f"non-convergent tail: last term {tail:.3e} vs scale {scale:.3e}"
+        residual = max(residual, tail / scale)
+    return Residual(residual, detail)
+
+
+@_grid_check(_identity_b_kernel)
 def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     """Shifted sandwich of the addition theorem:
 
@@ -389,21 +441,9 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     """
     if m < 0 or k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")
-    (phis,), cache = yield [(m, 1 + k, float(x * x))]
-    phi = float(phis[m])
-    lhs = math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r)) * phi
-    # the n-sum's factors J_{k-n}(2xr), 2F0(-m-k, -n; -1/r^2), (-xr)^n/n!, for (right side, largest, last term)
-    js = cache(_signed_bessel_row, k, 2 * x * r)
-    rhs, term_max, tail = yield js, cache(_identity_b_column, m + k, r), cache(_identity_b_weights, x * r)
-    scale = max(abs(lhs), abs(rhs), term_max)
-    if scale == 0.0:
-        raise ArithmeticError(f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: both sides and every term are 0")
-    detail = None
-    residual = abs(lhs - rhs) / scale
-    if tail > 1e-12 * scale:
-        detail = f"non-convergent tail: last term {tail:.3e} vs scale {scale:.3e}"
-        residual = max(residual, tail / scale)
-    return Residual(residual, detail)
+    # the n-sum's factors J_{k-n}(2xr), 2F0(-m-k, -n; -1/r^2), (-xr)^n/n!
+    rows = (_signed_bessel_row, k, 2 * x * r), (_identity_b_column, m + k, r), (_identity_b_weights, x * r)
+    return [(m, 1 + k, float(x * x))], rows
 
 
 def _basis_diagonal(lam: float, n: int, zmax: int) -> np.ndarray:
@@ -491,7 +531,39 @@ def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, dim: int) -> 
     return Residual(difference / scale)
 
 
-@_grid_check
+def _hille_hardy_kernel(points, runs, values, _):
+    # each point's sum and largest term, one 2-D pass per (k, zq); L^k_n = C(n+k, n) Phi(-n, 1+k; .), so the
+    # weight (n!/(n+k)!) C(n+k, n)^2 is C(n+k, n)/k!
+    for (steps, k, zq), js in _passes([(run[0] + 1, k, zq) for (run, _), (k, *_, zq) in zip(runs, points)], 4):
+        logf = _log_factorials(steps - 1 + k)
+        logw = logf[k:] - logf[:steps] - 2 * logf[k]
+        px, py = (values[[runs[j][axis][1] for j in js], :steps] for axis in (0, 1))
+        # a term past the float range is refused, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.exp(logw + np.arange(steps) * math.log(zq)) * px * py
+            sums, largest = terms.sum(axis=1).tolist(), abs(terms).max(axis=1).tolist()
+        outside = ~np.isfinite(terms)
+        for j, *found in zip(js, sums, largest, outside.any(axis=1), outside.argmax(axis=1)):
+            yield j, _caught(_hille_hardy_residual, *points[j], *found)
+
+
+def _hille_hardy_residual(k: int, x: float, y: float, zq: float, lhs: float, largest: float, bad, first) -> Residual:
+    if bad:
+        raise OverflowError(f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: term n={first} is not finite")
+    arg = 2.0 * math.sqrt(x * y * zq) / (1.0 - zq)
+    ik, ik_log_scale = bessel_i_scaled(k, arg)
+    log_rhs_mag = (
+        -0.5 * k * math.log(x * y * zq)
+        - math.log(1.0 - zq)
+        - zq * (x + y) / (1.0 - zq)
+        + math.log(abs(ik))
+        + ik_log_scale
+    )
+    rhs = math.copysign(math.exp(log_rhs_mag), ik)
+    return Residual(abs(lhs - rhs) / max(abs(lhs), abs(rhs), largest))
+
+
+@_grid_check(_hille_hardy_kernel)
 def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     """Bilinear Laguerre generating function:
 
@@ -506,30 +578,7 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     nmax = int(math.log(_TERM_EPS) / math.log(zq)) + 50
     if math.isinf(x * y * zq):
         raise OverflowError(f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: x y zq is outside the float range")
-    # L^k_n = C(n+k, n) Phi(-n, 1+k; .), so the weight (n!/(n+k)!) C(n+k, n)^2 is C(n+k, n)/k!
-    (px, py), cache = yield [(nmax, 1 + k, x), (nmax, 1 + k, y)]
-    ns = np.arange(nmax + 1)
-    logf = cache(_log_factorials, nmax + k)
-    logw = logf[k:] - logf[: nmax + 1] - 2 * logf[k]
-    with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range is refused below, unwarned
-        terms = np.exp(logw + ns * math.log(zq)) * px * py
-    if (outside := np.flatnonzero(~np.isfinite(terms))).size:
-        raise OverflowError(f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: term n={outside[0]} is not finite")
-    lhs = float(np.sum(terms))
-
-    arg = 2.0 * math.sqrt(x * y * zq) / (1.0 - zq)
-    ik, ik_log_scale = bessel_i_scaled(k, arg)
-    log_rhs_mag = (
-        -0.5 * k * math.log(x * y * zq)
-        - math.log(1.0 - zq)
-        - zq * (x + y) / (1.0 - zq)
-        + math.log(abs(ik))
-        + ik_log_scale
-    )
-    rhs = math.copysign(math.exp(log_rhs_mag), ik)
-
-    scale = max(abs(lhs), abs(rhs), float(np.max(np.abs(terms))))
-    return Residual(abs(lhs - rhs) / scale)
+    return [(nmax, 1 + k, x), (nmax, 1 + k, y)], ()
 
 
 def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: int) -> np.ndarray:
@@ -626,8 +675,8 @@ def kummer_bessel_limit_residual(n: int, b: int, c: float) -> float:
         raise ValueError("kummer_bessel_limit_residual requires n >= 1, b >= 1, c > 0")
     lhs = _limit_kummer(n, b, -c / n, "n")
     ik, log_scale = bessel_i_scaled(b - 1, 2.0 * math.sqrt(c))
-    if b <= 171:  # (b-1)! is a float
-        rhs = math.factorial(b - 1) * c ** (0.5 * (1 - b)) * (ik * math.exp(log_scale))
+    if b <= 171 and not log_scale:  # (b-1)! is a float, and I_(b-1) is not scaled
+        rhs = math.factorial(b - 1) * c ** (0.5 * (1 - b)) * ik
     else:  # composed in log space: inf past the float range, 0 below it
         with np.errstate(over="ignore", divide="ignore"):
             rhs = float(np.exp(log_factorial(b - 1) + 0.5 * (1 - b) * math.log(c) + log_scale + np.log(ik)))

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -418,13 +419,18 @@ def test_identity_b_builds_each_hyp2f0_column_once(monkeypatch):
 
 
 def test_a_grid_keeps_its_shared_arrays_under_the_memo_cap(monkeypatch):
-    # at 4 KiB a grid call keeps only its first six 81-float arrays, so a 2F0 column it did not keep is built again
-    # for each point that reads it (689 builds for 693 points, 51 at the default cap), with the same output
+    # a grid builds each 81-float row once per block and reads no memo: at a 4 KiB memo cap it still builds the 51
+    # 2F0 columns once each; at a 64 KiB block cap the 693 points fill two blocks, 558 and 135 points, and the
+    # second builds again the 15 columns it shares with the first, with the same output
     want = run_cli(["verify", "identity-b"])
     built = _counting(monkeypatch, "hyp2f0_seq")
     monkeypatch.setattr(identities, "_MEMO_BYTES", 2**12)
     assert run_cli(["verify", "identity-b"]) == want
-    assert len(set(built)) == 51 and len(built) == 689
+    assert len(set(built)) == len(built) == 51
+    built.clear()
+    monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**16)
+    assert run_cli(["verify", "identity-b"]) == want
+    assert len(set(built)) == 51 and len(built) == 66
 
 
 def test_hille_hardy_builds_each_log_factorial_vector_once(monkeypatch):
@@ -461,7 +467,8 @@ _RECURRENCE_XS = ",".join(f"{0.25 + 0.9843 * i:.4f}" for i in range(16))
     ],
 )
 def test_memo_does_not_change_a_byte(argv, monkeypatch):
-    # each grid form run one point at a time and no memoized array: every value computed afresh for its point
+    # each grid form run one point at a time, its kernel's 2-D passes one row each, and no memoized array: every
+    # value computed afresh for its point
     want = run_cli(argv)
     for name in _GRID_CHECKS:
         check = getattr(identities, name)
@@ -515,8 +522,8 @@ def test_each_scalar_suite_runs_its_grid_form_once(monkeypatch):
 )
 @pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
 def test_a_plan_under_small_caps_changes_no_byte(suite, cap, name, monkeypatch):
-    # a grid's plan is the blocks its lanes run in, each of at most _BLOCK_BYTES; _MEMO_BYTES caps only the arrays
-    # a grid keeps in its cache, so it moves no block
+    # a grid's plan is the blocks its lanes run in, each of at most _BLOCK_BYTES; the grid reads no memo, so
+    # _MEMO_BYTES moves no block
     built = _counting(monkeypatch, "kummer_phi_seq")
     want = run_cli(["verify", suite])
     default_blocks = _lane_blocks(built)
@@ -549,6 +556,44 @@ def test_a_grid_past_the_block_cap_runs_in_blocks(monkeypatch):
         assert outputs[0] == outputs[1]
 
 
+def _grid_peak(check, points):
+    # the outcomes of check.grid(points), and the peak bytes the call traced
+    tracemalloc.start()
+    try:
+        return check.grid(points), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "name,points,multiple",
+    [
+        # the points of verify recurrence --k 0..40 --x <16 values> --zmax 2000: 656 lanes of 2002 floats, 10.0 MiB,
+        # and 2-D passes of eight arrays of 2001 floats a point, 80 MiB, if each were one array; measured 2.3
+        pytest.param(
+            "kummer_recurrence_residual",
+            [(1 + k, 0.25 + 0.9843 * i, 2000) for k in range(41) for i in range(16)],
+            3,
+            id="recurrence",
+        ),
+        # 3360 points of eight arrays of 81 floats each, 16.6 MiB in one pass; the rest of the peak is the points'
+        # requests and outcomes, about 1 KiB a point; measured 4.5
+        pytest.param(
+            "identity_b",
+            list(itertools.product(range(21), range(10), [0.5, 0.9, 1.3, 1.7], [0.6, 0.9, 1.2, 1.5])),
+            6,
+            id="identity-b",
+        ),
+    ],
+)
+def test_a_grid_holds_a_bounded_multiple_of_the_block_cap(name, points, multiple, monkeypatch):
+    check = getattr(identities, name)
+    want, peak = _grid_peak(check, points)
+    assert peak < multiple * identities._BLOCK_BYTES
+    monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**19)
+    assert [repr(outcome) for outcome in check.grid(points)] == [repr(outcome) for outcome in want]
+
+
 def test_a_grid_runs_no_lane_its_checks_refuse(monkeypatch):
     # x^2 = inf at all 21 points; identity_a refuses each point before it asks for a run
     built = _counting(monkeypatch, "kummer_phi_seq")
@@ -560,22 +605,18 @@ def test_a_grid_runs_no_lane_its_checks_refuse(monkeypatch):
 
 @pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
 def test_identity_b_sums_under_small_caps_change_no_byte(name, monkeypatch):
-    # the 693 n-sums come in blocks of at most _BLOCK_BYTES at 8 x 81 x 8 bytes a point, with the points' short
-    # Kummer lanes; the grid reads no memo, so a small _MEMO_BYTES leaves the default blocks
+    # the 693 n-sums come in 2-D passes of at most _BLOCK_BYTES at 8 x 81 x 8 bytes a point, split where the
+    # points' rows fill a block; the grid reads no memo, so a small _MEMO_BYTES leaves the default passes
     want = run_cli(["verify", "identity-b"])
     monkeypatch.setattr(identities, name, 2**16)
-    blocks, grid_residuals = [], identities._grid_residuals
-
-    def counting(check, points, point_floats=0, batch=None):
-        return grid_residuals(check, points, point_floats, lambda rows: blocks.append(len(rows)) or batch(rows))
-
-    monkeypatch.setattr(identities, "_grid_residuals", counting)
+    passes = _counting(monkeypatch, "_identity_b_sums")
     assert run_cli(["verify", "identity-b"]) == want
     if name == "_BLOCK_BYTES":
-        assert blocks == [12] * 57 + [9]
+        # 2^16 bytes hold 12 points; the blocks hold 558 and 135 points
+        assert [len(factors) for factors, in passes] == [12] * 46 + [6] + [12] * 11 + [3]
     else:
-        # the default 2^20 bytes hold 202 points, or 201 once the points' lanes run to m = 10
-        assert blocks == [202, 202, 201, 88]
+        # the default 2^20 bytes hold 202 points
+        assert [len(factors) for factors, in passes] == [202, 202, 202, 87]
 
 
 @pytest.mark.parametrize(
@@ -1134,15 +1175,15 @@ def test_miller_step_cap_refuses_a_table():
     assert proc.stderr == "error: table irrep: ValueError: " + _MILLER_CAP.format(6) + "\n"
 
 
-# kummer-limit's right side, which overflows to inf, or to NaN where I_{b-1} underflows to 0 as well
+# kummer-limit's right side, which overflows to inf, or is 0 where I_{b-1}, at 2 sqrt(c) = 40, underflows
 _BESSEL_SIDE = "(b-1)! c^((1-b)/2) I_(b-1)(2 sqrt(c))"
 
 
 @pytest.mark.parametrize(
     "argv, detail",
     [
-        (["verify", "kummer-limit", "--m", "60", "--x", "1e-8"], _BESSEL_SIDE + " is inf at b=60, c=1e-08"),
-        (["verify", "kummer-limit", "--m", "100", "--x", "1e-5"], _BESSEL_SIDE + " is nan at b=100, c=1e-05"),
+        (["verify", "kummer-limit", "--m", "1", "--x", "2e5"], _BESSEL_SIDE + " is inf at b=1, c=200000.0"),
+        (["verify", "kummer-limit", "--m", "3000", "--x", "400"], _BESSEL_SIDE + " is 0.0 at b=3000, c=400"),
         (
             ["verify", "identity-b", "--x", "1e-200", "--r", "1", "--m", "0", "--k", "2"],
             "identity-b at m=0, k=2, x=1e-200, r=1: both sides and every term are 0",
@@ -1168,7 +1209,7 @@ _BESSEL_SIDE = "(b-1)! c^((1-b)/2) I_(b-1)(2 sqrt(c))"
     ],
     ids=[
         "kummer-limit-inf",
-        "kummer-limit-nan",
+        "kummer-limit-zero",
         "identity-b-zero",
         "identity-a-r-squared",
         "hille-hardy-xyzq",
@@ -1184,6 +1225,14 @@ def test_a_side_out_of_the_float_range_is_one_error_record(argv, detail):
     (rec,) = json_records(proc.stdout)
     assert (proc.returncode, proc.stderr) == (1, "")
     assert not rec["pass"] and rec["detail"] == "error: " + detail
+
+
+def test_python_m_e2fock_is_the_command():
+    argv = ["verify", "recurrence", "--k", "0", "--x", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "e2fock", *argv], env=module_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (*run_cli(argv), "")
 
 
 def test_closed_pipe_ends_quietly():

@@ -279,16 +279,19 @@ class TestMemoizedVectors:
             built.append(len(bs))
             return kummer_phi_seq(nmax, bs, xs)
 
-        def check(bi, nmax):
-            (phis,), _ = yield [(nmax, bi, x)]
-            return identities.Residual(phis)
+        def request(bi, nmax):
+            return [(nmax, bi, x)], ()
+
+        def kernel(points, runs, values, rows):
+            for j, ((nmax, lane),) in enumerate(runs):
+                yield j, values[lane, : nmax + 1]
 
         points = [(bi, nmax) for bi in range(b, b + 16) for nmax in requests]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(identities, "kummer_phi_seq", lanes)
-            got = identities._grid_residuals(check, points)
+            got = identities._grid_outcomes(request, kernel, points)
         assert built == [16]
-        for (bi, nmax), (phis, _) in zip(points, got):
+        for (bi, nmax), phis in zip(points, got):
             assert phis.tobytes() == kummer_phi_seq(nmax, bi, x).tobytes()
 
     @PROPERTY
@@ -297,6 +300,50 @@ class TestMemoizedVectors:
         # every vector runs past n = 170, where log_factorial leaves its exact table for lgamma
         logf = identities._log_factorials(nmax)
         assert [repr(v) for v in logf.tolist()] == [repr(log_factorial(n)) for n in range(nmax + 1)]
+
+
+# each coordinate's values hold ones a check refuses (negative k or m, x <= 0, zq > 0.95), ones whose square
+# overflows or underflows, and ordinary ones; points drawn from so few values repeat
+_KERNEL_POINTS = {
+    "kummer_recurrence_residual": ([-1, 0, 1, 3, 12], [0.25, 3.0, 16.0, -2.0, 1e-200, 1e200], [0, 1, 7, 60]),
+    # r = 0.5 and 0.55 share a term count, 14, so one 2-D pass holds both
+    "identity_a": ([-1, 0, 3, 12], [0.25, 1.0, 2.0, 0.0, 1e-200, 1e200], [0.5, 0.55, 2.0, -1.0, 1e-200, 1e200]),
+    # 2xr = 2e200 is past the Bessel recurrence's cap, and xr = 60 makes a non-convergent tail
+    "identity_b": ([-1, 0, 2, 7], [-1, 0, 3], [0.5, 1.0, 2.0, 0.0, 1e-200, 1e200], [0.5, 1.5, 1e-200, 60.0]),
+    "hille_hardy_residual": ([-1, 0, 4], [0.5, 4.0, 0.0, 1e-200, 1e5, 1e200], [0.5, 800.0, 1e200], [0.3, 0.95, 0.96]),
+}
+
+
+def _described(outcome):
+    # a Residual as its residual's repr and its detail, an error as its type and message
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    return repr(outcome.residual), outcome.detail
+
+
+def _one_point(check, point):
+    try:
+        return _described(check(*point))
+    except (ValueError, ArithmeticError) as exc:
+        return _described(exc)
+
+
+class TestGridKernels:
+    # a grid gives each point what the one-point call gives it, whatever else the grid holds: 2**10 bytes hold
+    # about one point's lanes, rows or 2-D pass, so there a grid runs in several blocks and passes
+    @pytest.mark.parametrize("cap", [None, 2**10], ids=["default-cap", "small-cap"])
+    @pytest.mark.parametrize("name", list(_KERNEL_POINTS))
+    @PROPERTY
+    @given(data=st.data())
+    def test_a_grid_gives_each_point_its_one_point_outcome(self, name, cap, data):
+        check = getattr(identities, name)
+        points = data.draw(st.lists(st.tuples(*map(st.sampled_from, _KERNEL_POINTS[name])), min_size=1, max_size=10))
+        points += points[:2]
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(identities, "_BLOCK_BYTES", cap)
+            got = check.grid(points)
+        assert [_described(outcome) for outcome in got] == [_one_point(check, point) for point in points]
 
 
 def test_kummer_limit_residual_is_mpmaths():
@@ -322,3 +369,18 @@ def test_a_kummer_limit_past_the_normal_range_is_mpmaths():
         bessel = mpmath.factorial(b - 1) * c ** ((1 - b) / mpmath.mpf(2)) * mpmath.besseli(b - 1, 2 * mpmath.sqrt(c))
         want = float(abs(mpmath.hyp1f1(-n, b, -c / n) / bessel - 1))
     assert abs(rec["residual"] - want) <= 0.01 * want, (rec["residual"], want)
+
+
+@pytest.mark.parametrize("m, x", [(171, 0.5), (170, 0.5), (150, 0.01)])
+def test_a_kummer_limit_with_a_log_scaled_bessel_value_is_mpmaths(m, x):
+    # I_(b-1)(2 sqrt(c)) is below the normal range here, and (b-1)! c^((1-b)/2) times it was once inf * 0, an
+    # error record; each rung |lhs/rhs - 1| is now mpmath's to 1e-14, so both sides are, relative to their value
+    buf = io.StringIO()
+    assert main(["verify", "kummer-limit", "--m", str(m), "--x", str(x)], stream=buf) == 0
+    rec = json.loads(buf.getvalue().splitlines()[0])
+    rungs = [float(v) for v in rec["detail"].split("residuals ")[1].split(", ")]
+    b, c = m, mpmath.mpf(x)
+    with mpmath.workdps(40):
+        bessel = mpmath.factorial(b - 1) * c ** ((1 - b) / mpmath.mpf(2)) * mpmath.besseli(b - 1, 2 * mpmath.sqrt(c))
+        want = [float(abs(mpmath.hyp1f1(-n, b, -c / n) / bessel - 1)) for n in (100, 1000, 10000)]
+    assert rec["pass"] and max(abs(got - w) for got, w in zip(rungs, want)) <= 1e-14, (rungs, want)
