@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -34,21 +35,30 @@ from .repk import adjoint_residual, algebra_function, basis_d, bracket_residual,
 
 TABLE_KINDS = ["u-matrix", "irrep", "basis", "profile"]
 
-# every tolerance a suite reads, by its --tol name and default; one suite a line
-_TOLERANCES = {
-    "unitarity": 1e-8, "unitarity-monotone": 0.0,
-    "intertwining": 1e-8,
-    "recurrence": 1e-10,
-    "eigen": 1e-10, "eigen-grading": 0.0,
-    "lie-algebra": 0.0, "lie-algebra-adjoint": 1e-10,
-    "addition": 1e-7, "addition-vacuum": 1e-9,
-    "identity-a": 1e-10,
-    "identity-b": 1e-9,
-    "hille-hardy": 1e-8,
-    "orthogonality-grading": 0.0, "orthogonality-diagonal-growth": 0.0, "orthogonality-offdiagonal-bounded": 0.0,
-    "classical-limit": 1e-2, "classical-limit-monotone": 0.0,
-    "kummer-limit": 1e-2, "kummer-limit-monotone": 0.0,
-}  # fmt: skip
+# every record a suite files, by name: its equation, its --tol name and that tolerance's default; suites in order
+_RECORDS = {
+    "unitarity": ("unitarity", "unitarity", 1e-8),
+    "unitarity-monotone": ("unitarity", "unitarity-monotone", 0.0),
+    "intertwining": ("intertwining", "intertwining", 1e-8),
+    "recurrence": ("kummer-recurrence", "recurrence", 1e-10),
+    "eigen-casimir": ("eigen-casimir", "eigen", 1e-10),
+    "eigen-grading": ("eigen-grading", "eigen-grading", 0.0),
+    "lie-bracket": ("lie-brackets", "lie-algebra", 0.0),
+    "adjoint-pairing": ("adjoint-structure", "lie-algebra-adjoint", 1e-10),
+    "addition": ("addition-theorem", "addition", 1e-7),
+    "addition-vacuum": ("addition-vacuum-element", "addition-vacuum", 1e-9),
+    "identity-a": ("sandwich-identity-a", "identity-a", 1e-10),
+    "identity-b": ("sandwich-identity-b", "identity-b", 1e-9),
+    "hille-hardy": ("laguerre-bilinear-sum", "hille-hardy", 1e-8),
+    "orthogonality-grading": ("orthogonality-grading", "orthogonality-grading", 0.0),
+    "orthogonality-diagonal-growth": ("orthogonality-profile", "orthogonality-diagonal-growth", 0.0),
+    "orthogonality-offdiagonal-bounded": ("orthogonality-profile", "orthogonality-offdiagonal-bounded", 0.0),
+    "classical-limit": ("classical-limit", "classical-limit", 1e-2),
+    "classical-limit-monotone": ("classical-limit", "classical-limit-monotone", 0.0),
+    "kummer-limit": ("kummer-bessel-limit", "kummer-limit", 1e-2),
+    "kummer-limit-monotone": ("kummer-bessel-limit", "kummer-limit-monotone", 0.0),
+}
+_TOLERANCES = {tol: default for _, tol, default in _RECORDS.values()}
 
 # largest Fock truncation a verify run or a u-matrix table may ask for
 _MAX_DIM = 512
@@ -112,43 +122,41 @@ class _Row(dict):
         raise AttributeError(key)
 
 
-def _sweep(cfg, name, equation, tol, axes, check=None, params=dict, grid=None):
-    """Run ``check`` once per point of a suite's grid, each call guarded.
+def _sweep(cfg, names, axes, check, params=dict):
+    """Run ``check`` over a suite's grid, each point guarded, and file its records under ``names``.
 
-    ``axes`` maps each grid flag to its default values; the grid is their
-    product in declaration order, a flag given on the command line replacing
-    its default (an axis that is no flag keeps its declared values).
-    ``check(report, **point)`` calls a check of :mod:`identities` or
-    :mod:`repk`, which does all the arithmetic, and returns one record or a
-    list of them, each built by ``report(residual, detail=None)``: the one
-    place a record is built and its pass decided.  A record is its output
-    row, a dict of the columns name, equation, params, residual, tolerance,
-    pass and detail, in that order.  ``report`` files the residual under
-    this sweep's name, equation, tolerance and ``params(**point)``; keywords
-    ``name``, ``equation`` and ``tolerance`` replace those, and any other
-    keyword adds or replaces a param.  A callable detail is called,
-    for the note, only when the record fails.  A ValueError or
-    ArithmeticError from the check becomes one error record for the point.
-    ``grid``, given in place of ``check``, is the grid form of a check of
-    :mod:`identities`: handed the list of grid points once, each a tuple of
-    axis values, it returns per point, in order, one
-    :class:`identities.Residual`, filed as ``report(*residual)``, or one
-    such error, filed as the point's error record.
+    ``names`` are rows of ``_RECORDS``; each one's tolerance is read before
+    the first check.  ``axes`` maps each grid flag to its default values; the
+    grid is their product in declaration order, a flag given on the command
+    line replacing its default (an axis that is no flag keeps its values).
+    A check with a grid form, such as ``identities.identity_a.grid``, gets
+    the list of points once, each a tuple of axis values, and gives per
+    point one :class:`identities.Residual`, filed as ``report(*residual)``,
+    or the ValueError or ArithmeticError refusing the point.  Any other
+    check is called as ``check(report, **point)`` and returns one record or
+    a list of them.  ``report(residual, detail=None)`` builds every record
+    and decides its pass: a dict of the columns name, equation, params,
+    residual, tolerance, pass and detail, in that order, filed under
+    ``names[0]`` or the row ``name=``, with ``params(**point)`` updated by
+    any other keyword.  A callable detail is called only when the record
+    fails.  A ValueError or ArithmeticError from a check becomes one error
+    record for the point.
     """
+    tolerances = {name: cfg.tol(_RECORDS[name][1]) for name in names}
     points = list(itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())))
-    outcomes = grid(points) if grid is not None else [None] * len(points)
+    outcomes = check.grid(points) if hasattr(check, "grid") else [None] * len(points)
     rows = []
     for values, outcome in zip(points, outcomes):
         point = dict(zip(axes, values))
         base = params(**point)
 
-        def report(residual, detail=None, name=name, equation=equation, tolerance=tol, **extra):
-            residual = float(residual)
+        def report(residual, detail=None, name=names[0], **extra):
+            residual, tolerance = float(residual), tolerances[name]
             passed = residual <= tolerance
             if callable(detail):
                 detail = None if passed else detail()
             return _Row({
-                "name": name, "equation": equation, "params": {**base, **extra},
+                "name": name, "equation": _RECORDS[name][0], "params": {**base, **extra},
                 "residual": residual, "tolerance": tolerance, "pass": passed, "detail": detail,
             })  # fmt: skip
 
@@ -162,12 +170,11 @@ def _sweep(cfg, name, equation, tol, axes, check=None, params=dict, grid=None):
     return rows
 
 
-def _ladder(report, values, label, monotone, tolerance, **monotone_params):
-    # a decreasing error ladder: its last rung against the sweep's tolerance,
-    # and its worst step up as the record ``monotone``
+def _ladder(report, values, label, monotone, **monotone_params):
+    # a decreasing error ladder: its last rung, and its worst step up as the record ``monotone``
     return [
         report(values[-1], label + ", ".join(repr(v) for v in values)),
-        report(ident.worst_rise(values, -math.inf), name=monotone, tolerance=tolerance, **monotone_params),
+        report(ident.worst_rise(values, -math.inf), name=monotone, **monotone_params),
     ]
 
 
@@ -183,19 +190,15 @@ def suite_unitarity(cfg):
             return []
         return report(*ident.unitarity_decay_residual(GroupElement(r, psi, phi), block), block=block)
 
-    axes = {"dim": [_dim(cfg, 64)], **_GROUP_AXES}
-    tol_mono = cfg.tol("unitarity-monotone")
-    return _sweep(cfg, "unitarity", "unitarity", cfg.tol("unitarity"), axes, unitary) + _sweep(
-        cfg, "unitarity-monotone", "unitarity", tol_mono, {}, monotone, lambda: {"r": r, "dims": "32..128"}
-    )
+    unitarity = _sweep(cfg, ["unitarity"], {"dim": [_dim(cfg, 64)], **_GROUP_AXES}, unitary)
+    return unitarity + _sweep(cfg, ["unitarity-monotone"], {}, monotone, lambda: {"r": r, "dims": "32..128"})
 
 
 def suite_intertwining(cfg):
     def check(report, dim, r, psi, phi):
         return report(*ident.intertwining_residual(GroupElement(r, psi, phi), dim))
 
-    axes = {"dim": [_dim(cfg, 64)], **_GROUP_AXES}
-    return _sweep(cfg, "intertwining", "intertwining", cfg.tol("intertwining"), axes, check)
+    return _sweep(cfg, ["intertwining"], {"dim": [_dim(cfg, 64)], **_GROUP_AXES}, check)
 
 
 def suite_recurrence(cfg):
@@ -208,24 +211,22 @@ def suite_recurrence(cfg):
         return {"k": k, "c": x, "zmax": zmax}
 
     axes = {"k": range(0, 21), "x": [0.25, 1.0, 4.0, 16.0]}
-    return _sweep(cfg, "recurrence", "kummer-recurrence", cfg.tol("recurrence"), axes, params=params, grid=grid)
+    return _sweep(cfg, ["recurrence"], axes, types.SimpleNamespace(grid=grid), params)
 
 
 def suite_eigen(cfg):
-    zmax, tol_grading = cfg.first("zmax", 200), cfg.tol("eigen-grading")
+    zmax = cfg.first("zmax", 200)
 
     def check(report, lam, k):
         c1, c2 = eigen_residuals(IrrepLabel(lam, k), zmax)
-        return [
-            report(c1, "p p* = p* p (commuting translations); both orderings evaluated"),
-            report(c2, name="eigen-grading", equation="eigen-grading", tolerance=tol_grading),
-        ]
+        note = "p p* = p* p (commuting translations); both orderings evaluated"
+        return [report(c1, note), report(c2, name="eigen-grading")]
 
     def params(lam, k):
         return {"lam": lam, "k": k, "zmax": zmax}
 
     axes = {"lam": [1.0, 4.0, 8.0], "k": [-20, -5, 0, 5, 20]}
-    return _sweep(cfg, "eigen-casimir", "eigen-casimir", cfg.tol("eigen"), axes, check, params)
+    return _sweep(cfg, ["eigen-casimir", "eigen-grading"], axes, check, params)
 
 
 def _random_algebra_function(rng, zmax, windings, integer=False):
@@ -250,15 +251,11 @@ def suite_lie_algebra(cfg):
         return report(adjoint_residual(F, G), zmax=20, seed=seed)
 
     trials = {"trial": range(4)}
-    return _sweep(cfg, "lie-bracket", "lie-brackets", cfg.tol("lie-algebra"), trials, bracket) + _sweep(
-        cfg, "adjoint-pairing", "adjoint-structure", cfg.tol("lie-algebra-adjoint"), trials, pairing
-    )
+    return _sweep(cfg, ["lie-bracket"], trials, bracket) + _sweep(cfg, ["adjoint-pairing"], trials, pairing)
 
 
 def suite_addition(cfg):
     dim = _dim(cfg, 96)
-    theorem = ("addition", "addition-theorem", cfg.tol("addition"))
-    vacuum = ("addition-vacuum", "addition-vacuum-element", cfg.tol("addition-vacuum"))
     k_theorem, k_vacuum = cfg.values("k", [-4, -2, 0, 1, 3, 4]), cfg.values("k", [0, 2, 4])
 
     def pair(report, lam, r, psi, phi):
@@ -278,33 +275,29 @@ def suite_addition(cfg):
         def params(k):
             return {"lam": lam, "k": k, "r": g.r, "psi": g.psi, "phi": g.phi, "dim": dim}
 
-        return _sweep(cfg, *theorem, {"k": k_theorem}, residual, params) + _sweep(
-            cfg, *vacuum, {"k": k_vacuum}, crosscheck, params
-        )
+        theorem = _sweep(cfg, ["addition"], {"k": k_theorem}, residual, params)
+        return theorem + _sweep(cfg, ["addition-vacuum"], {"k": k_vacuum}, crosscheck, params)
 
     def params(lam, r, psi, phi):
         return {"lam": lam, "r": r, "psi": psi, "phi": phi, "dim": dim}
 
     axes = {"lam": [1.0, 2.0], "r": [0.5, 1.0, 2.0], "psi": [_PSI], "phi": [_PHI]}
-    return _sweep(cfg, *theorem, axes, pair, params)
+    return _sweep(cfg, ["addition", "addition-vacuum"], axes, pair, params)
 
 
 def suite_identity_a(cfg):
     axes = {"k": range(0, 11), "x": [0.25, 0.5, 1.0, 2.0], "r": [0.5, 1.0, 2.0]}
-    tol = cfg.tol("identity-a")
-    return _sweep(cfg, "identity-a", "sandwich-identity-a", tol, axes, grid=ident.identity_a.grid)
+    return _sweep(cfg, ["identity-a"], axes, ident.identity_a)
 
 
 def suite_identity_b(cfg):
     axes = {"m": range(0, 11), "k": range(0, 7), "x": [0.5, 1.0, 2.0], "r": [0.5, 1.0, 1.5]}
-    tol = cfg.tol("identity-b")
-    return _sweep(cfg, "identity-b", "sandwich-identity-b", tol, axes, grid=ident.identity_b.grid)
+    return _sweep(cfg, ["identity-b"], axes, ident.identity_b)
 
 
 def suite_hille_hardy(cfg):
     axes = {"k": range(0, 7), "x": [0.5, 2.0, 4.0], "y": [0.5, 2.0, 4.0], "zq": [0.5, 0.9]}
-    tol = cfg.tol("hille-hardy")
-    return _sweep(cfg, "hille-hardy", "laguerre-bilinear-sum", tol, axes, grid=ident.hille_hardy_residual.grid)
+    return _sweep(cfg, ["hille-hardy"], axes, ident.hille_hardy_residual)
 
 
 # off-diagonal weight pairs whose first oscillation peak falls well inside the
@@ -325,9 +318,6 @@ def suite_orthogonality(cfg):
     def bounded(report, pair):
         return report(*ident.orthogonality_bounded_residual(*pair, zmax))
 
-    def sweep(name, equation, axes, check, params):
-        return _sweep(cfg, "orthogonality-" + name, equation, cfg.tol("orthogonality-" + name), axes, check, params)
-
     def grading_params(windings):
         return {"k1": windings[0], "k2": windings[1], "lam1": 2.0, "lam2": 3.0}
 
@@ -339,9 +329,9 @@ def suite_orthogonality(cfg):
 
     windings, lams = [(-2, 0), (0, 1), (1, 3), (-2, 3)], {"lam": [1.0, 2.0, 4.0], "k": [0, 1]}
     return (
-        sweep("grading", "orthogonality-grading", {"windings": windings}, grading, grading_params)
-        + sweep("diagonal-growth", "orthogonality-profile", lams, growth, growth_params)
-        + sweep("offdiagonal-bounded", "orthogonality-profile", {"pair": _PROFILE_PAIRS}, bounded, bounded_params)
+        _sweep(cfg, ["orthogonality-grading"], {"windings": windings}, grading, grading_params)
+        + _sweep(cfg, ["orthogonality-diagonal-growth"], lams, growth, growth_params)
+        + _sweep(cfg, ["orthogonality-offdiagonal-bounded"], {"pair": _PROFILE_PAIRS}, bounded, bounded_params)
     )
 
 
@@ -349,34 +339,33 @@ _SIGMA_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 def suite_classical_limit(cfg):
-    tol_mono = cfg.tol("classical-limit-monotone")
     sigmas = tuple(cfg.values("sigma", _SIGMA_LADDER))
     sigma_label = "1e-1..1e-4" if sigmas == _SIGMA_LADDER else ",".join(repr(s) for s in sigmas)
     axes = {"lam": [1.0, 2.0, 4.0], "k": [0, 2, 5, 8], "r": [0.8, 1.0, 2.0]}
 
     def check(report, lam, k, r):
         errs = [ident.classical_limit_error(IrrepLabel(lam, k), r, s) for s in sigmas]
-        return _ladder(report, errs, "errors ", "classical-limit-monotone", tol_mono, sigmas=sigma_label)
+        return _ladder(report, errs, "errors ", "classical-limit-monotone", sigmas=sigma_label)
 
     def params(lam, k, r):
         return {"lam": lam, "k": k, "r": r, "sigma": sigmas[-1]}
 
-    return _sweep(cfg, "classical-limit", "classical-limit", cfg.tol("classical-limit"), axes, check, params)
+    return _sweep(cfg, ["classical-limit", "classical-limit-monotone"], axes, check, params)
 
 
 def suite_kummer_limit(cfg):
-    ns, tol_mono = cfg.values("n", [100, 1000, 10000]), cfg.tol("kummer-limit-monotone")
+    ns = cfg.values("n", [100, 1000, 10000])
 
     def check(report, m, x):
         resids = [ident.kummer_bessel_limit_residual(n, m, x) for n in ns]
         label = "evaluated as Phi(-n, b; -c/n); residuals "
-        return _ladder(report, resids, label, "kummer-limit-monotone", tol_mono, n=",".join(map(str, ns)))
+        return _ladder(report, resids, label, "kummer-limit-monotone", n=",".join(map(str, ns)))
 
     def params(m, x):
         return {"b": m, "c": x, "n": ns[-1]}
 
     axes = {"m": [1, 2, 3, 10], "x": [0.5, 4.0, 9.0]}
-    return _sweep(cfg, "kummer-limit", "kummer-bessel-limit", cfg.tol("kummer-limit"), axes, check, params)
+    return _sweep(cfg, ["kummer-limit", "kummer-limit-monotone"], axes, check, params)
 
 
 SUITES = {

@@ -119,13 +119,15 @@ def memo_scope():
 
     Those are the arrays whose values repeat across a suite's points: each
     U(g) (its factors, :func:`e2group.u_factors`) and each D_k diagonal of
-    ``addition``, ``addition-vacuum`` and the orthogonality profiles, and
-    the log-factorial vectors and Kummer runs Phi(-n, b; x), n = 0..nmax, of
-    ``addition-vacuum``.  The checks read all of these through ``_once``,
-    one memo keyed by the builder and its arguments, emptied when the block
-    exits, however it exits; arrays are read-only whether memoized or not.
-    The four scalar checks read no memo: their grid forms build what a block
-    of points shares once for the block.
+    ``addition``, ``addition-vacuum`` and the orthogonality profiles.  The
+    checks read these through ``_once``, one memo keyed by the builder and
+    its arguments, emptied when the block exits, however it exits; arrays
+    read through ``_once`` are read-only whether memoized or not.
+    ``addition-vacuum`` builds its Kummer run Phi(-n, 1+k; x), n = 0..nmax,
+    and its log-factorial vector afresh: in ``verify all`` no run repeats,
+    and a vector costs a few microseconds.  The four scalar checks read no
+    memo: their grid forms build what a block of points shares once for the
+    block.
     """
     global _memo
     _memo = _Memo()
@@ -511,8 +513,7 @@ def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, dim: int) -> 
     s3 = irrep_row(label, g, k)[0] * basis_d(IrrepLabel(lam, 0), 4).radial[0]
 
     nmax, x = _vacuum_degree(r), lam / 2.0
-    phis = _once(kummer_phi_seq, nmax, 1 + k, x * x)
-    lhs_sum = float(np.sum(_vacuum_terms(r, phis, _once(_log_factorials, nmax))))
+    lhs_sum = float(np.sum(_vacuum_terms(r, kummer_phi_seq(nmax, 1 + k, x * x), _log_factorials(nmax))))
     s2 = (
         np.exp(-1j * k * g.psi)
         * math.exp(-r * r + _log_power(k, r) - log_factorial(k) - lam * lam / 8.0)

@@ -303,7 +303,7 @@ def bessel_i_scaled(nu: int, x: float) -> tuple[float, float]:
             return value, 0.0
         # log t from log x, since x/2 itself is 0 at x = 5e-324
         return _bessel_i_series(nu, x, 1.0), nu * (math.log(x) - math.log(2.0)) - log_factorial(nu)
-    scaled = _miller_seq(nu, x, 1, 1)[nu]
+    scaled = float(_miller_seq(nu, x, 1, 1)[nu])
     if x > 500.0:
         return scaled, x
     return scaled * math.exp(x), 0.0

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -257,7 +258,8 @@ def test_report_decides_each_pass_and_calls_a_detail_only_on_failure():
         return "diagnosed"
 
     residuals = [0.0, 1e-3, 2e-3, math.inf, math.nan]
-    recs = cli._sweep(RunConfig(), "demo", "demo-equation", 1e-3, {"x": residuals}, lambda report, x: report(x, diagnose))
+    cfg = RunConfig({"kummer-limit": 1e-3})
+    recs = cli._sweep(cfg, ["kummer-limit"], {"x": residuals}, lambda report, x: report(x, diagnose))
     passes = [r["pass"] for r in recs]
     assert passes == [r["residual"] <= r["tolerance"] for r in recs] == [True, True, False, False, False]
     assert [r["detail"] for r in recs] == [None, None, "diagnosed", "diagnosed", "diagnosed"]
@@ -462,7 +464,7 @@ _RECURRENCE_XS = ",".join(f"{0.25 + 0.9843 * i:.4f}" for i in range(16))
         pytest.param(["verify", "recurrence", "--zmax", "1"], id="recurrence-zmax-1"),
         # 21 b by 16 x: 336 lanes in one block
         pytest.param(["verify", "recurrence", "--k", "0..20", "--x", _RECURRENCE_XS], id="recurrence-336-lanes"),
-        # addition-vacuum reads memoized Kummer runs
+        # addition reads memoized U(g) factors and D_k diagonals
         pytest.param(["verify", "addition", "--lambda", "1e-300"], id="addition-lambda-1e-300"),
     ],
 )
@@ -762,6 +764,14 @@ class TestRecurrenceOverflow:
 
 
 class TestLadderLabels:
+    def test_kummer_limit_writes_its_rungs_as_floats(self):
+        # I_9(2 sqrt(600)) is an entry of Miller's recurrence array; a numpy scalar would print as np.float64(...)
+        _, out = run_cli(["verify", "kummer-limit", "--m", "10", "--x", "600"])
+        rec = json_records(out)[0]
+        assert rec["detail"] == (
+            "evaluated as Phi(-n, b; -c/n); residuals 0.848995483692207, 0.17975587022749295, 0.019711765828015038"
+        )
+
     def test_kummer_limit_labels_its_n_ladder(self):
         _, out = run_cli(["verify", "kummer-limit", "--m", "1", "--x", "4", "--n", "10,100"])
         mono = [r for r in json_records(out) if r["name"] == "kummer-limit-monotone"]
@@ -1015,6 +1025,41 @@ def test_refused_with_an_error_message(argv, capsys):
     code, out = run_cli(argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestRecordTable:
+    @pytest.fixture(scope="class")
+    def filed(self):
+        # per suite of a default run: the record names it files and the --tol names it reads
+        runs = {}
+        for suite, run in cli.SUITES.items():
+            cfg = RunConfig()
+            with identities.memo_scope():
+                names = {rec["name"] for rec in run(cfg)}
+            runs[suite] = names, {name for name in cfg.read if name in cli._TOLERANCES}
+        return runs
+
+    def test_every_record_names_a_row_and_every_row_is_filed(self, filed):
+        names = set().union(*(names for names, _ in filed.values()))
+        assert names == set(cli._RECORDS)
+
+    def test_readme_lists_each_suites_tolerances_and_defaults(self, filed):
+        text = (pathlib.Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+        rows = text.split("| suite | `--tol` names |\n|---|---|\n", 1)[1].split("\n\n", 1)[0].splitlines()
+        listed = {}
+        for row in rows:
+            _, suite, cell, _ = row.split("|")
+            common = re.search(r"\(all (\S+)\)", cell)
+            names = re.findall(r"`([a-z-]+)`(?: \((\S+)\))?", cell)
+            listed[suite.strip(" `")] = {name: float(default or common[1]) for name, default in names}
+        assert list(listed) == list(cli.SUITES)
+        for suite, (_, tols) in filed.items():
+            assert listed[suite] == {name: cli._TOLERANCES[name] for name in tols}, suite
+
+    def test_each_suite_is_a_public_module_level_function(self):
+        # perfbench's tracer wraps a suite through its module-level binding
+        for suite, run in cli.SUITES.items():
+            assert run.__name__ == "suite_" + suite.replace("-", "_") and getattr(cli, run.__name__) is run
 
 
 class TestEveryInputIsRead:
