@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -514,6 +515,7 @@ def _parse_grid(flag: str, text: str) -> list:
     return vals
 
 
+@functools.cache  # one parser a process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="e2fock",

@@ -84,8 +84,8 @@ _MAX_KUMMER_STEPS = 10**6
 # values are recomputed, not kept (verify all's largest suite memo is 0.36 MB)
 _MEMO_BYTES = 16 * 2**20
 
-# most bytes one block of a grid check holds, lanes x (top degree + 1) x 8 of its Kummer runs and 81 x 8 for each
-# of identity-b's factor rows, and most bytes of 2-D arrays one pass of a kernel holds
+# most bytes a block of a grid check holds, 8 a float: Kummer lanes x (top degree + 1), (row lanes + keys a point x
+# (min(e, 80) + 1)) x (81 + e), e the top first argument, over identity-b's Bessel and 2F0 tables; a 2-D pass too
 _BLOCK_BYTES = 2**20
 
 
@@ -166,18 +166,19 @@ def _grid_outcomes(request, kernel, points) -> list:
     """One Residual, or the ValueError or ArithmeticError refusing it, per point of a grid check.
 
     ``request(*point)`` refuses its point or gives the Kummer runs (nmax, b, x) it reads, each with nmax >= 0 and
-    b >= 1 as kummer_phi_seq requires, and the keys (build, *args) of the 81-float rows it reads.  The points go in
-    blocks: one point, or as many as fit in _BLOCK_BYTES with one lane per distinct (b, x), run to the block's top
-    degree, and one row per distinct key.  A block runs its lanes as one kummer_phi_seq call, each lane the scalar
-    run's floats bit for bit (a block of one point runs scalar runs, without a numpy step per degree), and builds
-    each row once, or the error refusing it.  ``kernel(points, runs, values, rows)`` yields (j, outcome) for each
-    point j of the block: ``runs[j]`` lists (nmax, lane) for its runs, ``values[lane]`` holding Phi(-n, b; x) for
-    n up to the top degree, and ``rows[j]`` lists its rows.
+    b >= 1 as kummer_phi_seq requires, and the keys (build, *lane) of its rows, each point's i-th of one build.  The
+    points go in blocks: one point, or as many as fit in _BLOCK_BYTES with one lane per distinct (b, x), run to the
+    block's top degree, and one per distinct key.  A block runs its Kummer lanes as one kummer_phi_seq call, each
+    the scalar run's floats bit for bit (a block of one point runs scalar runs, without a numpy step per degree),
+    and a build's lanes as one table build(lanes), a row per lane, where build([lane]), a scalar call, refuses a
+    lane whose row among several is not finite.  ``kernel(points, runs, values, (tables, rows))`` yields (j,
+    outcome) for each point j: ``runs[j]`` lists (nmax, lane) for its runs, ``values[lane]`` holding Phi(-n, b; x)
+    to the top degree, and ``rows[j]`` its keys' rows in ``tables``, a table a build, or the errors refusing them.
     """
     outcomes = [_caught(request, *point) for point in points]
     waiting = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
     while waiting:
-        block, lanes, keys, top = [], {}, {}, 0
+        block, lanes, keys, top, widest = [], {}, {}, 0, 0
         for i in waiting:
             runs, rows = outcomes[i]
             degree, wanted = top, {}
@@ -186,22 +187,33 @@ def _grid_outcomes(request, kernel, points) -> list:
                 if (b, x) not in lanes:
                     wanted[b, x] = None
             built = {key: None for key in rows if key not in keys}
-            floats = (len(lanes) + len(wanted)) * (degree + 1) + (len(keys) + len(built)) * (_IDENTITY_B_TERMS + 1)
+            extent = max([widest, *(key[1] for key in built)]) if built else widest
+            held = (len(keys) + len(built) + len(rows) * (min(extent, 80) + 1)) * (81 + extent)
+            floats = (len(lanes) + len(wanted)) * (degree + 1) + held
             if block and 8 * floats > _BLOCK_BYTES:
                 break
             block.append(i)
             lanes |= wanted
             keys |= built
-            top = degree
+            top, widest = degree, extent
         waiting = waiting[len(block) :]
         if len(block) == 1:
             values = np.array([kummer_phi_seq(top, b, x) for b, x in lanes])
         else:
             values = kummer_phi_seq(top, *(np.array(column, dtype=float) for column in zip(*lanes)))
-        lanes, keys = {lane: row for row, lane in enumerate(lanes)}, {key: _caught(*key) for key in keys}
+        lanes, kinds, tables = {lane: row for row, lane in enumerate(lanes)}, {}, {}
         runs = [[(nmax, lanes[b, x]) for nmax, b, x in outcomes[i][0]] for i in block]
+        for build, *lane in keys:
+            kinds.setdefault(build, []).append(tuple(lane))
+        for build, group in kinds.items():
+            tables[build] = table = _caught(build, group)
+            refused = isinstance(table, Exception)
+            finite = [True] * len(group) if refused or len(group) == 1 else np.isfinite(table).all(1)
+            for i, (lane, kept) in enumerate(zip(group, finite)):
+                keys[build, *lane] = table if refused else i if kept else _caught(build, [lane])
         rows = [[keys[key] for key in outcomes[i][1]] for i in block]
-        for j, outcome in kernel([points[i] for i in block], runs, values, rows):
+        tables = [tables[build] for build, *_ in outcomes[block[0]][1]]
+        for j, outcome in kernel([points[i] for i in block], runs, values, (tables, rows)):
             outcomes[block[j]] = outcome
     return outcomes
 
@@ -365,35 +377,34 @@ def identity_a(k: int, x: float, r: float) -> Residual:
     return [(_vacuum_degree(r), 1 + k, x * x)], ()
 
 
-def _identity_b_weights(xr: float) -> np.ndarray:
-    # (-xr)^n / n! for n = 0..80, the running product of the factors -xr/n, silent where it overflows
-    with np.errstate(over="ignore"):
-        return np.cumprod(np.concatenate(([1.0], -xr / np.arange(1.0, _IDENTITY_B_TERMS + 1))))
+def _hyp2f0_rows(lanes) -> np.ndarray:
+    # 2F0(-q, -n; -1/r^2), n = 0..80, a row per lane (q, r), a lane call per r; a lone lane refuses a non-finite one
+    qs, rs = (np.array(axis) for axis in zip(*lanes))
+    out = np.empty((len(lanes), _IDENTITY_B_TERMS + 1))
+    for r in dict.fromkeys(rs.tolist()):
+        q = qs[rs == r] if len(lanes) > 1 else lanes[0][0]
+        out[rs == r] = hyp2f0_seq(q, _IDENTITY_B_TERMS, -1.0 / (r * r)) if r * r or len(lanes) == 1 else math.nan
+    if len(lanes) == 1 and not np.isfinite(out).all():
+        raise OverflowError(f"2F0(-{lanes[0][0]}, -n; -1/r^2) is not finite at r={lanes[0][1]!r}")
+    return out
 
 
-def _identity_b_column(q: int, r: float) -> np.ndarray:
-    # 2F0(-q, -n; -1/r^2) for n = 0..80, refused where not finite
-    column = hyp2f0_seq(q, _IDENTITY_B_TERMS, -1.0 / (r * r))
-    if not np.isfinite(column).all():
-        raise OverflowError(f"2F0(-{q}, -n; -1/r^2) is not finite at r={r!r}")
-    return column
+def _bessel_rows(lanes) -> np.ndarray:
+    # J_{k-n}(z) for n = 0..80, a row per lane (k, z), with J_{-j} = (-1)^j J_j; a lone lane is a scalar call
+    k, z = lanes[0] if len(lanes) == 1 else (np.array(axis) for axis in zip(*lanes))
+    js = np.atleast_2d(bessel_j_seq(_IDENTITY_B_TERMS + k, z))
+    orders = np.reshape(k, (-1, 1)) - np.arange(_IDENTITY_B_TERMS + 1)
+    return np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0) * np.take_along_axis(js, abs(orders), axis=1)
 
 
-def _signed_bessel_row(k: int, z: float) -> np.ndarray:
-    # J_{k-n}(z) for n = 0..80, with J_{-j} = (-1)^j J_j
-    js = bessel_j_seq(_IDENTITY_B_TERMS + k, z)
-    orders = k - np.arange(_IDENTITY_B_TERMS + 1)
-    return np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0) * js[np.abs(orders)]
-
-
-def _identity_b_sums(factors) -> np.ndarray:
-    # (right side, largest term, last term) of identity-b's n-sum, one row per point's factors, silent where a
-    # weight or term overflows or inf - inf is NaN.  Accumulates run in order along each row, so each value
-    # is the float of a loop that takes one term at a time; term 0 is J_k(2xr), finite, and fmax skips a
-    # NaN term as max(term_max, |term|) does
-    js, columns, weights = (np.array(rows) for rows in zip(*factors))
+def _identity_b_sums(js, columns, xrs) -> np.ndarray:
+    # (right side, largest term, last term) of identity-b's n-sum, one row per point's factor rows and weights
+    # (-xr)^n/n!, the running products of the factors -xr/n, silent where a weight or term overflows or inf - inf
+    # is NaN.  Accumulates run in order along each row, so each value is the float of a loop that takes one term
+    # at a time; term 0 is J_k(2xr), finite, and fmax skips a NaN term as max(term_max, |term|) does
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = weights * columns * js
+        factors = -np.array(xrs)[:, None] / np.arange(1.0, _IDENTITY_B_TERMS + 1)
+        terms = np.cumprod(np.column_stack((np.ones(len(xrs)), factors)), axis=1) * columns * js
         sizes = abs(terms)
         term_maxes = np.fmax.accumulate(sizes, axis=1)
         # each sum stops at the first n > 10 whose term is below 1e-18 of the largest so far, or at n = 80
@@ -406,10 +417,13 @@ def _identity_b_sums(factors) -> np.ndarray:
 
 def _identity_b_kernel(points, runs, values, rows):
     # the n-sums of the points whose factor rows were built, in 2-D passes of 8 x 81 floats a point
+    tables, rows = rows
     summed = [j for j, factors in enumerate(rows) if not any(isinstance(row, Exception) for row in factors)]
     sums = {}
     for _, js in _passes([(_IDENTITY_B_TERMS + 1,)] * len(summed), 8):
-        sums.update(zip((summed[j] for j in js), _identity_b_sums([rows[summed[j]] for j in js]).tolist()))
+        js = [summed[j] for j in js]
+        factors = [table[list(picked)] for table, picked in zip(tables, zip(*(rows[j] for j in js)))]
+        sums.update(zip(js, _identity_b_sums(*factors, [points[j][2] * points[j][3] for j in js]).tolist()))
     phis = values[[lane for ((_, lane),) in runs], [m for m, *_ in points]].tolist()
     for j, (point, phi, factors) in enumerate(zip(points, phis, rows)):
         yield j, _caught(_identity_b_residual, *point, phi, factors, sums.get(j))
@@ -443,8 +457,8 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     """
     if m < 0 or k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")
-    # the n-sum's factors J_{k-n}(2xr), 2F0(-m-k, -n; -1/r^2), (-xr)^n/n!
-    rows = (_signed_bessel_row, k, 2 * x * r), (_identity_b_column, m + k, r), (_identity_b_weights, x * r)
+    # the n-sum's factors J_{k-n}(2xr) and 2F0(-m-k, -n; -1/r^2); the kernel forms the weights (-xr)^n/n!
+    rows = (_bessel_rows, k, 2 * x * r), (_hyp2f0_rows, m + k, r)
     return [(m, 1 + k, float(x * x))], rows
 
 

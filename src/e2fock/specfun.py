@@ -1,17 +1,16 @@
 """Stable scalar special functions used throughout the package.
 
-Everything here is polynomial or integer-order: the Kummer function
-Phi(-n, b; x) with nonpositive-integer first argument, the terminating
-2F0 sum, integer-order Bessel J and I, and log-factorials.  Evaluation
-strategies are chosen for stability at large degree (three-term
-recurrences, Miller-style normalized downward recurrence), never naive
-alternating series.
+Everything here is polynomial or integer-order: the Kummer function Phi(-n, b; x) with nonpositive-integer first
+argument, the terminating 2F0 sum, integer-order Bessel J and I, and log-factorials.  Evaluation strategies are
+chosen for stability at large degree (three-term recurrences, Miller-style normalized downward recurrence), never
+naive alternating series.  Given numpy arrays, kummer_phi_seq, hyp2f0_seq and bessel_j_seq run their lanes as one
+recurrence, a numpy step per index, each lane the scalar call's floats bit for bit.
 
 The confluent family is computed by one recurrence, the Kummer degree
 recurrence: the Laguerre polynomial is L^(k)_n(x) = C(n+k, n) Phi(-n, 1+k; x),
 and the terminating 2F0(-m, -n; x) = (q!/(q-p)!) x^p Phi(-p, 1+q-p; -1/x)
-with p = min(m, n) and q = max(m, n) (DLMF 13.6, 18.5).  A 2F0 column
-n = 0..nmax is one run of that recurrence on the vector b = 1 + |m - n|.
+with p = min(m, n) and q = max(m, n) (DLMF 13.6, 18.5).  2F0 columns at one x
+are one run of that recurrence on the lanes b = 1 + |m - n| of all their m.
 
 The Kummer polynomial is also summed as its series, by
 :func:`kummer_phi_series`, for large n at small n|x|: the sum stops once a
@@ -22,6 +21,7 @@ the recurrence as the fallback.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -43,6 +43,7 @@ __all__ = [
 # logs of exact integer factorials (<= 1 ulp each); beyond 170! the factorial
 # overflows double and lgamma's ~2 ulp sits below representability anyway
 _LOG_FACTORIAL_TABLE = tuple(math.log(math.factorial(n)) for n in range(171))
+_FLOAT_PAST = 2**1024 - 2**970  # the least integer that float() rounds past the float range
 
 
 def log_factorial(n: int) -> float:
@@ -139,39 +140,40 @@ def kummer_phi_series(n: int, b: int, x: float) -> float | None:
     return s if size <= _SERIES_MAX_LOSS * max(abs(s), 1.0) else None
 
 
-def hyp2f0_seq(m: int, nmax: int, x: float) -> np.ndarray:
+def hyp2f0_seq(m, nmax: int, x: float) -> np.ndarray:
     """Terminating sums 2F0(-m, -n; x) = sum_j (-m)_j (-n)_j x^j / j! for n = 0..nmax, by one Kummer recurrence.
 
-    Entry n is (q!/(q-p)!) x^p Phi(-p, 1+q-p; -1/x), p = min(m, n), q = max(m, n): the
-    recurrence runs on the vector b = 1 + |m - n| and entry n is read at step p, so it is
-    the float of a recurrence for that entry alone.  Carrying x^p through the recurrence keeps
-    a value in range where x^p or Phi alone is not.  A 2F0 value beyond the float range is
-    inf or NaN; q!/(q-p)! above 1e308 raises OverflowError.
+    Entry n is (q!/(q-p)!) x^p Phi(-p, 1+q-p; -1/x), p = min(m, n), q = max(m, n), read at step p of the
+    recurrence's lane b = 1 + |m - n|: the float of a recurrence for that entry alone.  Carrying x^p through the
+    recurrence keeps a value in range where x^p or Phi alone is not.  A 2F0 value beyond the float range is inf
+    or NaN; q!/(q-p)! above 1e308 raises OverflowError.  With a numpy 1-D array m, row i is the scalar call's
+    column at m[i], bit for bit, NaN where that call raises: a lane b runs the same floats whatever m reads it.
     """
-    if m < 0 or nmax < 0:
+    lanes, ms = isinstance(m, np.ndarray), np.atleast_1d(m)
+    if nmax < 0 or np.any(ms < 0):
         raise ValueError("2F0(-m, -n; x) requires m, n >= 0")
     if x == 0.0:
-        return np.ones(nmax + 1)
-    out = np.ones(nmax + 1)  # every entry at step 0
-    run = itertools.islice(_kummer_terms(1 + abs(np.arange(nmax + 1) - m), -1.0 / x, x), 1, None)
+        return np.ones((len(ms), nmax + 1) if lanes else nmax + 1)
+    steps, bs = np.minimum(ms[:, None], np.arange(nmax + 1)), abs(ms[:, None] - np.arange(nmax + 1))
+    table = np.empty((int(steps.max()) + 1, int(bs.max() - bs.min()) + 1))  # row p: step p of b = 1 + bs.min()..
+    run = _kummer_terms(np.arange(1.0, 1.0 + table.shape[1]) + bs.min(), -1.0 / x, x)
     # silent, as Python floats are: lanes past their own step may overflow, and out-of-range values are inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, values in zip(range(1, min(m, nmax) + 1), run):
-            # entry n < m is read at step n, every entry n >= m at step m
-            if step < m:
-                out[step] = values[step]
-            else:
-                out[m:] = values[m:]
-        return out * _perms(m, nmax)
+        for row, values in zip(table, run):
+            row[:] = values
+        out = table[steps, bs - bs.min()] * [_perms(q, nmax, lanes) for q in ms.tolist()]
+    return out if lanes else out[0]
 
 
-def _perms(m: int, nmax: int) -> list[float]:
-    # q!/(q-p)! for n = 0..nmax, p = min(m, n), q = max(m, n): exact integer running products, each rounded once
+@functools.lru_cache(maxsize=1024)
+def _perms(m: int, nmax: int, lane: bool = False) -> list[float]:
+    # q!/(q-p)! for n = 0..nmax, p = min(m, n), q = max(m, n): exact integer running products, each rounded once,
+    # raising OverflowError past the float range, or for a lane NaN there; kept per (m, nmax), read-only
     perms, perm = [], 1
     for n in range(nmax + 1):
         if n:
             perm = perm * (m - n + 1) if n <= m else perm * n // (n - m)
-        perms.append(float(perm))
+        perms.append(float(perm) if not lane or perm < _FLOAT_PAST else math.nan)
     return perms
 
 
@@ -185,12 +187,31 @@ def _bessel_start_index(base: int) -> int:
     return base + 40 + int(10.0 * (base + 1) ** (1.0 / 3.0)) + int(2.0 * math.sqrt(base + 1))
 
 
-def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
+def _miller_seq(nmax, x, sign: int, step: int) -> np.ndarray:
     # Miller's normalized downward recurrence (Gautschi, SIAM Rev. 9, 1967):
     # c_{k-1} = (2k/x) c_k + sign c_{k+1} from a start index well above
     # max(nmax, x), normalized with c_0 + 2 sum_{k>=1, step | k} c_k.  With
     # (sign, step) = (-1, 2) that is J_0 + 2 sum J_{2k} = 1, giving J_k(x);
-    # with (+1, 1) it is I_0 + 2 sum I_k = e^x, giving e^{-x} I_k(x).
+    # with (+1, 1) it is I_0 + 2 sum I_k = e^x, giving e^{-x} I_k(x).  With arrays nmax and x, a row per lane
+    # (nmax[i], x[i]), all lanes run as one recurrence: a lane is (0, 0) above its own start index, (0, 1e-300)
+    # there, and rescales on its own, the others multiplied by 1.0, so row i up to nmax[i] is the scalar run's
+    # floats, or NaN where the step cap, or x = inf, refuses the lane
+    if isinstance(x, np.ndarray):
+        starts = [_bessel_start_index(max(n, math.ceil(min(2e6, v)))) for n, v in zip(nmax.tolist(), x.tolist())]
+        starts = np.where(refused := np.array(starts) > _MAX_MILLER_STEPS, -1, starts)
+        out = np.zeros((len(x), int(nmax.max()) + 1))
+        c_up, c_cur, norm = np.zeros((3, len(x)))
+        for k in range(int(starts.max()), -1, -1):
+            c_cur[starts == k] = 1e-300
+            c_up, c_cur = c_cur, (2.0 * (k + 1) / x) * c_cur + sign * c_up
+            if (big := abs(c_cur) > 1e250).any():
+                scale = np.where(big, 1e-250, 1.0)
+                c_cur, c_up, norm, out = c_cur * scale, c_up * scale, norm * scale, out * scale[:, None]
+            if k < out.shape[1]:
+                out[:, k] = c_cur
+            if k > 0 and k % step == 0:
+                norm += 2.0 * c_cur
+        return out / np.where(refused, math.nan, c_cur + norm)[:, None]
     start = _bessel_start_index(max(nmax, int(math.ceil(x))))
     if start > _MAX_MILLER_STEPS:
         raise ValueError(
@@ -198,15 +219,11 @@ def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
             f" above the cap of {_MAX_MILLER_STEPS}"
         )
     out = np.zeros(nmax + 1)
-    c_up, c_cur = 0.0, 1e-300
-    norm = 0.0
+    c_up, c_cur, norm = 0.0, 1e-300, 0.0
     for k in range(start, -1, -1):
-        c_down = (2.0 * (k + 1) / x) * c_cur + sign * c_up
-        c_up, c_cur = c_cur, c_down
+        c_up, c_cur = c_cur, (2.0 * (k + 1) / x) * c_cur + sign * c_up
         if abs(c_cur) > 1e250:
-            c_cur *= 1e-250
-            c_up *= 1e-250
-            norm *= 1e-250
+            c_cur, c_up, norm = c_cur * 1e-250, c_up * 1e-250, norm * 1e-250
             out *= 1e-250
         if k <= nmax:
             out[k] = c_cur
@@ -215,7 +232,7 @@ def _miller_seq(nmax: int, x: float, sign: int, step: int) -> np.ndarray:
     return out / (c_cur + norm)
 
 
-def bessel_j_seq(nmax: int, x: float) -> np.ndarray:
+def bessel_j_seq(nmax, x) -> np.ndarray:
     """J_0(x)..J_nmax(x) for x >= 0 by normalized downward recurrence.
 
     Miller's algorithm: recurse J_{k-1} = (2k/x) J_k - J_{k+1} downward from a
@@ -223,12 +240,19 @@ def bessel_j_seq(nmax: int, x: float) -> np.ndarray:
     J_0 + 2 sum_{k>=1} J_{2k} = 1.  Raises ValueError where max(nmax, x)
     needs more than 10**6 recurrence steps.  Below x = 1e-30, 0 included,
     where one step could grow past the recurrence's rescaling, each J_k is
-    its ascending series, as :func:`bessel_j` computes it.
+    its ascending series, as :func:`bessel_j` computes it.  With numpy 1-D
+    arrays nmax and x, row i up to nmax[i] is the scalar call's floats at
+    (nmax[i], x[i]), the Miller runs one recurrence, or NaN where it refuses.
     """
-    if nmax < 0:
+    if np.any(nmax < 0):
         raise ValueError("bessel_j_seq requires nmax >= 0")
-    if x < 0:
+    if np.any(x < 0):
         raise ValueError("bessel_j_seq requires x >= 0")
+    if isinstance(x, np.ndarray):  # a series lane's Miller run, at x = 1, gives way to its series
+        out = _miller_seq(nmax, np.where(x < 1e-30, 1.0, x), -1, 2)
+        for i in np.flatnonzero(x < 1e-30).tolist():
+            out[i, : nmax[i] + 1] = bessel_j_seq(int(nmax[i]), float(x[i]))
+        return out
     if x < 1e-30:
         return np.array([_bessel_j_series(k, x) for k in range(nmax + 1)])
     return _miller_seq(nmax, x, -1, 2)

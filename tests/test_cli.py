@@ -66,6 +66,19 @@ class TestVerifyExitCodes:
         code, _ = run_cli(["verify", "unitarity", "--dim", "4"])
         assert code == 2
 
+    def test_one_parser_serves_every_call_in_a_process(self, capsys):
+        # main builds its parser once a process; an appended --tol override does not carry into the next call, and
+        # an argv the parser refuses between two calls still exits 2
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["verify", "recurrence", "--k", "0..3", "--x", "1,4"]
+        code, out = run_cli([*argv, "--tol", "recurrence=1e-300", "--tol", "recurrence=1e-290"])
+        assert code == 1 and {rec["tolerance"] for rec in json_records(out)} == {1e-290}
+        assert run_cli([*argv, "--no-such-flag"]) == (2, "")
+        assert run_cli(["verify", "recurrence", "--tol"]) == (2, "")
+        code, out = run_cli(argv)
+        assert code == 0 and {rec["tolerance"] for rec in json_records(out)} == {1e-10}
+        assert cli.build_parser().parse_args(["verify", "recurrence"]).tol == []
+
     def test_precondition_violation_yields_error_record(self):
         # zq = 0.99 is outside the convergence contract: the record reports
         # the error instead of crashing, and the run exits nonzero
@@ -412,27 +425,72 @@ def test_hille_hardy_runs_no_lane_for_a_refused_point(monkeypatch):
 
 
 def test_identity_b_builds_each_hyp2f0_column_once(monkeypatch):
-    # 17 distinct m + k times 3 r on the default grid, each column 81 entries long
-    built = _counting(monkeypatch, "hyp2f0_seq")
+    # the default grid is one block: its 51 2F0 columns, 17 distinct m + k at each of 3 r, are one hyp2f0_seq lane
+    # call per r, and its 49 Bessel rows, 7 k by 7 distinct 2xr, one bessel_j_seq lane call to order 80 + k
+    columns, rows = _counting(monkeypatch, "hyp2f0_seq"), _counting(monkeypatch, "bessel_j_seq")
     code, out = run_cli(["verify", "identity-b"])
     assert code == 0 and len(json_records(out)) == 693
-    assert len(built) == len(set(built)) == 51
-    assert {(m, nmax) for m, nmax, _ in built} == {(m, 80) for m in range(17)}
+    assert [(m.tolist(), nmax, x) for m, nmax, x in columns] == [
+        (list(range(17)), 80, -1.0 / (r * r)) for r in (0.5, 1.0, 1.5)
+    ]
+    ((nmax, z),) = rows
+    assert len(set(zip(nmax.tolist(), z.tolist()))) == len(z) == 49 and set(nmax.tolist()) == set(range(80, 87))
+
+
+def _lane_calls(monkeypatch, names):
+    # (name, lanes, bytes) of every call to identities.<name> for each name, which still runs: lanes is None for a
+    # scalar call
+    calls = []
+    for name in names:
+        build = getattr(identities, name)
+
+        def counting(*args, build=build, name=name):
+            value = build(*args)
+            lanes = next((len(arg) for arg in args[:2] if isinstance(arg, np.ndarray)), None)
+            calls.append((name, lanes, value.nbytes))
+            return value
+
+        monkeypatch.setattr(identities, name, counting)
+    return calls
 
 
 def test_a_grid_keeps_its_shared_arrays_under_the_memo_cap(monkeypatch):
-    # a grid builds each 81-float row once per block and reads no memo: at a 4 KiB memo cap it still builds the 51
-    # 2F0 columns once each; at a 64 KiB block cap the 693 points fill two blocks, 558 and 135 points, and the
-    # second builds again the 15 columns it shares with the first, with the same output
+    # a grid builds its factor rows as one lane table a kind a block and reads no memo: at a 4 KiB memo cap it makes
+    # the same three hyp2f0_seq lane calls and one bessel_j_seq lane call; at a 64 KiB block cap the 693 points fill
+    # 11 blocks, each a Kummer lane call, a Bessel lane call and a 2F0 lane call for each of its 3 r, with the same
+    # output, and no lane array past the cap
     want = run_cli(["verify", "identity-b"])
-    built = _counting(monkeypatch, "hyp2f0_seq")
+    calls = _lane_calls(monkeypatch, ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq"])
     monkeypatch.setattr(identities, "_MEMO_BYTES", 2**12)
     assert run_cli(["verify", "identity-b"]) == want
-    assert len(set(built)) == len(built) == 51
-    built.clear()
+    assert [(name, lanes) for name, lanes, _ in calls] == [
+        ("kummer_phi_seq", 21), ("bessel_j_seq", 49), ("hyp2f0_seq", 17), ("hyp2f0_seq", 17), ("hyp2f0_seq", 17)
+    ]
+    calls.clear()
     monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**16)
     assert run_cli(["verify", "identity-b"]) == want
-    assert len(set(built)) == 51 and len(built) == 66
+    block = ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq", "hyp2f0_seq", "hyp2f0_seq"]
+    assert [name for name, _, _ in calls] == block * 11
+    bessel_lanes = [lanes for name, lanes, _ in calls if name == "bessel_j_seq"]
+    assert bessel_lanes == [49, 49, 45, 46, 45, 42, 39, 37, 35, 35, 20]
+    assert None not in [lanes for _, lanes, _ in calls] and max(nbytes for *_, nbytes in calls) <= 2**16
+
+
+def test_identity_b_at_a_wide_k_keeps_its_lane_arrays_under_the_block_cap(monkeypatch):
+    # at k = 400 a Bessel lane holds 481 floats and a 2F0 table 81 x 91: a 64 KiB block holds one point, its rows
+    # scalar calls, and the default cap holds the 99 points in one block of lane calls; the bytes never change
+    want = run_cli(["verify", "identity-b", "--k", "400"])
+    calls = _lane_calls(monkeypatch, ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq"])
+    monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**16)
+    assert run_cli(["verify", "identity-b", "--k", "400"]) == want
+    assert len(calls) == 3 * 99 and {lanes for _, lanes, _ in calls} == {None}
+    assert max(nbytes for *_, nbytes in calls) <= 2**16
+    calls.clear()
+    monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**20)
+    assert run_cli(["verify", "identity-b", "--k", "400"]) == want
+    assert [(name, lanes) for name, lanes, _ in calls] == [
+        ("kummer_phi_seq", 3), ("bessel_j_seq", 7), ("hyp2f0_seq", 11), ("hyp2f0_seq", 11), ("hyp2f0_seq", 11)
+    ]
 
 
 def test_hille_hardy_builds_each_log_factorial_vector_once(monkeypatch):
@@ -614,11 +672,15 @@ def test_identity_b_sums_under_small_caps_change_no_byte(name, monkeypatch):
     passes = _counting(monkeypatch, "_identity_b_sums")
     assert run_cli(["verify", "identity-b"]) == want
     if name == "_BLOCK_BYTES":
-        # 2^16 bytes hold 12 points; the blocks hold 558 and 135 points
-        assert [len(factors) for factors, in passes] == [12] * 46 + [6] + [12] * 11 + [3]
+        # 2^16 bytes hold 12 points; the 11 blocks hold 180, 72, 58, 59, 58, 54, 50, 47, 44, 45 and 26 points
+        last = [None, None, 10, 11, 10, 6, 2, 11, 8, 9, 2]
+        assert [len(xrs) for *_, xrs in passes] == [
+            size for points, end in zip([180, 72, 58, 59, 58, 54, 50, 47, 44, 45, 26], last)
+            for size in [12] * (points // 12) + ([end] if end else [])
+        ]
     else:
         # the default 2^20 bytes hold 202 points
-        assert [len(factors) for factors, in passes] == [202, 202, 202, 87]
+        assert [len(xrs) for *_, xrs in passes] == [202, 202, 202, 87]
 
 
 @pytest.mark.parametrize(

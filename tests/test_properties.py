@@ -8,16 +8,17 @@ deterministic.
 
 import io
 import json
+import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import group_matrix3, hyp2f0_per_entry
-from e2fock import identities
+from e2fock import identities, specfun
 from e2fock.cli import _parse_grid, main
 from e2fock.e2group import GroupElement, compose, identity, inverse
 from e2fock.fock import safe_block
@@ -197,6 +198,85 @@ class TestLanes:
             bessel_j_seq(5, -1.0)
         with pytest.raises(ValueError, match="above the cap"):
             bessel_j_seq(3, 2e6)
+
+    @PROPERTY
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 410),
+                # x from 1e-29 to 1e3, above and below nmax; below 1e-30 the series; 2e6 past the step cap; inf
+                st.one_of(st.floats(-29.0, 3.0).map(lambda e: 10.0**e), st.sampled_from([0.0, 5e-324, 3e-31, 2e6])),
+            ),
+            min_size=2,
+            max_size=10,
+        ),
+        st.booleans(),
+    )
+    @example([(80, 1e6), (5, 2.0), (410, 1e3), (9, 3e-31), (0, 0.0)], True)
+    def test_bessel_lanes_are_scalar_runs(self, lanes, infinite):
+        # each lane starts its own recurrence, at max(nmax, x) well above, and rescales on its own; a lane the
+        # scalar call refuses is NaN, and the others are untouched by it
+        nmax, x = (np.array(v) for v in zip(*lanes))
+        if infinite:
+            x[-1] = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = bessel_j_seq(nmax, x)
+        assert rows.shape == (len(lanes), nmax.max() + 1)
+        for row, n, v in zip(rows, nmax.tolist(), x.tolist()):
+            try:
+                want = bessel_j_seq(n, v)
+            except (ValueError, OverflowError):
+                assert np.isnan(row).all() and v > 9e5, (n, v)
+                continue
+            assert row[: n + 1].tobytes() == want.tobytes(), (n, v)
+
+    def test_the_step_cap_refuses_its_own_lane_alone(self):
+        # the scalar call's refusal, its message unchanged, reaches identity-b at its point, the block's other
+        # points read their own rows
+        rows = bessel_j_seq(np.array([5, 80, 9]), np.array([2.0, 1e6, 1e-31]))
+        assert np.isnan(rows[1]).all() and np.isfinite(rows[[0, 2]]).all()
+        for i, (n, v) in enumerate([(5, 2.0), (9, 1e-31)]):
+            assert rows[2 * i, : n + 1].tobytes() == bessel_j_seq(n, v).tobytes()
+        with pytest.raises(ValueError) as refusal:
+            bessel_j_seq(80, 1e6)
+        assert str(refusal.value) == (
+            "Bessel argument 1000000.0 at order 80 needs 1e+06 recurrence steps, above the cap of 1000000"
+        )
+        records = _strict_records(["verify", "identity-b", "--m", "0,1", "--k", "0", "--x", "0.5,5e5", "--r", "1"])
+        assert [rec["detail"] for rec in records if rec["residual"] is None] == [f"error: {refusal.value}"] * 2
+        assert sum(rec["pass"] for rec in records) == 2
+
+    def test_modified_bessel_lanes_are_scalar_runs(self):
+        # the lanes of e^{-x} I_k(x), the recurrence with sign +1 that bessel_i_scaled runs above x = 30
+        nmax, x = np.array([0, 40, 7, 300]), np.array([31.0, 250.0, 600.0, 45.5])
+        rows = specfun._miller_seq(nmax, x, 1, 1)
+        for row, n, v in zip(rows, nmax.tolist(), x.tolist()):
+            assert row[: n + 1].tobytes() == specfun._miller_seq(n, v, 1, 1).tobytes()
+
+    @PROPERTY
+    @given(
+        # m = 0, m on both sides of the 80 entries, and 7200, whose q!/(q-p)! leaves the float range at n = 80
+        st.lists(st.one_of(st.integers(0, 300), st.sampled_from([0, 80, 81, 7200])), min_size=1, max_size=6),
+        st.integers(0, 120),
+        st.one_of(st.floats(-30.0, 30.0), st.sampled_from([0.0, -1e200, 1e200, -1e-300, 1e160])),
+    )
+    @example([0, 7200, 81, 5], 90, -1.5)
+    @example([3, 40, 0], 80, 1e200)
+    def test_hyp2f0_lanes_are_scalar_columns(self, ms, nmax, x):
+        # one Kummer run serves every m at this x; a column past the float range is inf or NaN as the scalar
+        # call's is, and a lane whose q!/(q-p)! the scalar call refuses is NaN from there on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = hyp2f0_seq(np.array(ms), nmax, x)
+        assert rows.shape == (len(ms), nmax + 1)
+        for row, m in zip(rows, ms):
+            try:
+                want = hyp2f0_seq(m, nmax, x)
+            except OverflowError:
+                assert m == 7200 and nmax >= 80 and np.isnan(row[80:]).all() and x != 0.0
+                continue
+            assert row.tobytes() == want.tobytes(), (m, nmax, x)
 
 
 class TestKummerSeries:
