@@ -38,6 +38,9 @@ _TWO_PI = 2.0 * math.pi
 # a product of two floats of at least this size is a normal float
 _UNDERFLOW_FLOOR = 2.0**-511
 
+# rows of u_factors' root table, and columns of its lower-triangle blocks
+_CHUNK = 64
+
 
 def _wrap_angle(x: float) -> float:
     # normalize to (-pi, pi]
@@ -118,30 +121,40 @@ def u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndar
 
     row[m] = e^{i m (psi - phi)}, col[n] = e^{-i n psi} (geometric, as :func:`fock.conjugated_block` needs; ones
     for a rotation) and M[m, m+d] = (-1)^d M[m+d, m] = e^{-r^2/2} S_m(d), where S_m(d) = r^d sqrt(m!/(m+d)!)
-    L^{(d)}_m(r^2) runs as a self-scaled recurrence in m, one numpy step per row.  It stops once ``rows`` rows
-    are filled; each entry is the same float whatever ``rows`` is.  Entries below 2^-511 read a zero of their
-    sign, so products of cores never meet subnormal arithmetic and move by at most about dim * 2^-511.  A
-    returned row that overflows (at r = 40, dim 512) raises FloatingPointError.
+    L^{(d)}_m(r^2) runs as a self-scaled recurrence in m: row m is written in place from rows m-1 and m-2 by four
+    numpy calls, its roots sqrt(m (m+d)) read from one table per 64 rows, and the entries below the diagonal are
+    filled after the loop as signed transposes, 64 columns at a time.  It stops once ``rows`` rows are filled;
+    each entry is the same float whatever ``rows`` is.  Entries below 2^-511 read a zero of their sign, so
+    products of cores never meet subnormal arithmetic and move by at most about dim * 2^-511.  A returned row
+    that overflows (at r = 40, dim 512) raises FloatingPointError.
     """
     ms = np.arange(dim)
     if g.r < 1e-12:  # a rotation
         return np.exp(-1j * ms * g.phi), np.ones(dim), np.eye(rows, dim)
-    x, log_r = g.r * g.r, math.log(g.r)
-    parity = 1 - 2 * (ms % 2)  # (-1)^d for the entries below the diagonal, which the recurrence never reads
-    M = np.empty((rows, dim))
+    x, log_r, whole = g.r * g.r, math.log(g.r), ms.astype(float)
+    M, spare = np.empty((rows, dim)), np.empty(dim)
     M[0] = [math.exp(d * log_r - 0.5 * log_factorial(d)) if d > 0 else 1.0 for d in range(dim)]
-    M[:, 0] = M[0, :rows] * parity[:rows]
     coef = np.arange(2 * dim - 1) - x  # coef[2m+1+d] = 2m+1+d - x
-    root = np.sqrt(ms[1:])  # sqrt(m (m+d)) at m = 1
     with np.errstate(over="raise", invalid="raise"):
         for m in range(1, rows):
-            # row m from rows m-1 and m-2; sqrt((m-1)(m-1+d)) is the last row's root, one entry shorter
-            step = coef[2 * m - 1 : m - 1 + dim] * M[m - 1, m - 1 : -1]
+            if m % _CHUNK == 1:  # sqrt(j n) for the next 64 rows j and the columns n >= m, from exact products
+                roots, first = np.sqrt(np.multiply.outer(whole[m:rows][:_CHUNK], whole[m:])), m
+            # S_m(d) = ((2m-1+d - x) S_{m-1}(d) - sqrt((m-1)(m-1+d)) S_{m-2}(d)) / sqrt(m (m+d)), at column m+d
+            row, root = M[m, m:], roots[m - first, m - first :]
+            np.multiply(coef[2 * m - 1 : m - 1 + dim], M[m - 1, m - 1 : -1], out=row)
             if m > 1:
-                lag, root = root[:-1], np.sqrt(m * ms[m:])
-                step -= lag * M[m - 2, m - 2 : -2]
-            step /= root
-            M[m, m:], M[m:, m] = step, step[: rows - m] * parity[: rows - m]
+                np.subtract(row, np.multiply(lag, M[m - 2, m - 2 : -2], out=spare[m:]), out=row)
+            np.divide(row, root, out=row)
+            lag = root[:-1]  # the next row's sqrt((m-1)(m-1+d)), one entry shorter
+    # M[m+d, m] = (-1)^d M[m, m+d], 64 columns at a time: the rows below their diagonal block as one signed
+    # transpose, then the block's own lower triangle, read only where the loop wrote
+    parity = 1.0 - 2 * (ms[:rows] % 2)
+    signs, below = np.multiply.outer(parity, parity[:_CHUNK]), np.tri(_CHUNK, k=-1, dtype=bool)
+    for c in range(0, rows, _CHUNK):
+        e = min(c + _CHUNK, rows)
+        np.multiply(M[c:e, e:rows].T, signs[e:, : e - c], out=M[e:, c:e])
+        corner = M[c:e, c:e]
+        np.multiply(corner.T, signs[c:e, : e - c], out=corner, where=below[: e - c, : e - c])
     M *= math.exp(-0.5 * g.r * g.r)
     np.multiply(M, 0.0, out=M, where=np.abs(M) < _UNDERFLOW_FLOOR)
     return np.exp(1j * ms * (g.psi - g.phi)), np.exp(-1j * ms * g.psi), M

@@ -84,8 +84,9 @@ _MAX_KUMMER_STEPS = 10**6
 # values are recomputed, not kept (verify all's largest suite memo is 0.36 MB)
 _MEMO_BYTES = 16 * 2**20
 
-# most bytes a block of a grid check holds, 8 a float: Kummer lanes x (top degree + 1), (row lanes + keys a point x
-# (min(e, 80) + 1)) x (81 + e), e the top first argument, over identity-b's Bessel and 2F0 tables; a 2-D pass too
+# most bytes a block of a grid check holds, 8 a float: Kummer lanes x (top degree + 1), (row lanes + min(e, 80) + 1)
+# x (81 + e), e the top first argument, over identity-b's Bessel rows and the one 2F0 table a lane call builds at a
+# time; a 2-D pass too
 _BLOCK_BYTES = 2**20
 
 
@@ -188,7 +189,7 @@ def _grid_outcomes(request, kernel, points) -> list:
                     wanted[b, x] = None
             built = {key: None for key in rows if key not in keys}
             extent = max([widest, *(key[1] for key in built)]) if built else widest
-            held = (len(keys) + len(built) + len(rows) * (min(extent, 80) + 1)) * (81 + extent)
+            held = (len(keys) + len(built) + (min(extent, 80) + 1 if rows else 0)) * (81 + extent)
             floats = (len(lanes) + len(wanted)) * (degree + 1) + held
             if block and 8 * floats > _BLOCK_BYTES:
                 break
@@ -442,6 +443,10 @@ def _identity_b_residual(m: int, k: int, x: float, r: float, phi: float, factors
     if tail > 1e-12 * scale:
         detail = f"non-convergent tail: last term {tail:.3e} vs scale {scale:.3e}"
         residual = max(residual, tail / scale)
+    elif not math.isfinite(rhs):
+        detail = f"the n-sum overflows: its weights (-xr)^n/n! or terms leave the float range, and it reads {rhs}"
+    elif tail >= term_max:
+        detail = f"the n-sum still rises at n = 80: its last term {tail:.3e} is its largest"
     return Residual(residual, detail)
 
 
@@ -454,6 +459,7 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
 
     The sum runs to n = 80 at most; a last term above 1e-12 of the scale is
     a non-convergent tail, named in the detail and counted in the residual.
+    A sum that overflows, or whose last term is its largest, says so too.
     """
     if m < 0 or k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")

@@ -102,6 +102,10 @@ def identity_b_termwise(m: int, k: int, x: float, r: float) -> Residual:
     if tail > 1e-12 * scale:
         detail = f"non-convergent tail: last term {tail:.3e} vs scale {scale:.3e}"
         residual = max(residual, tail / scale)
+    elif not math.isfinite(rhs):
+        detail = f"the n-sum overflows: its weights (-xr)^n/n! or terms leave the float range, and it reads {rhs}"
+    elif tail >= term_max:
+        detail = f"the n-sum still rises at n = 80: its last term {tail:.3e} is its largest"
     return Residual(residual, detail)
 
 

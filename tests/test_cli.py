@@ -457,7 +457,7 @@ def _lane_calls(monkeypatch, names):
 def test_a_grid_keeps_its_shared_arrays_under_the_memo_cap(monkeypatch):
     # a grid builds its factor rows as one lane table a kind a block and reads no memo: at a 4 KiB memo cap it makes
     # the same three hyp2f0_seq lane calls and one bessel_j_seq lane call; at a 64 KiB block cap the 693 points fill
-    # 11 blocks, each a Kummer lane call, a Bessel lane call and a 2F0 lane call for each of its 3 r, with the same
+    # 6 blocks, each a Kummer lane call, a Bessel lane call and a 2F0 lane call for each of its 3 r, with the same
     # output, and no lane array past the cap
     want = run_cli(["verify", "identity-b"])
     calls = _lane_calls(monkeypatch, ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq"])
@@ -470,9 +470,9 @@ def test_a_grid_keeps_its_shared_arrays_under_the_memo_cap(monkeypatch):
     monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**16)
     assert run_cli(["verify", "identity-b"]) == want
     block = ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq", "hyp2f0_seq", "hyp2f0_seq"]
-    assert [name for name, _, _ in calls] == block * 11
+    assert [name for name, _, _ in calls] == block * 6
     bessel_lanes = [lanes for name, lanes, _ in calls if name == "bessel_j_seq"]
-    assert bessel_lanes == [49, 49, 45, 46, 45, 42, 39, 37, 35, 35, 20]
+    assert bessel_lanes == [49, 49, 49, 48, 48, 8]
     assert None not in [lanes for _, lanes, _ in calls] and max(nbytes for *_, nbytes in calls) <= 2**16
 
 
@@ -491,6 +491,21 @@ def test_identity_b_at_a_wide_k_keeps_its_lane_arrays_under_the_block_cap(monkey
     assert [(name, lanes) for name, lanes, _ in calls] == [
         ("kummer_phi_seq", 3), ("bessel_j_seq", 7), ("hyp2f0_seq", 11), ("hyp2f0_seq", 11), ("hyp2f0_seq", 11)
     ]
+
+
+def test_identity_b_at_a_wide_m_charges_one_2f0_table_a_block(monkeypatch):
+    # the 2F0 lane calls run one at a time, so a block is charged one 2F0 table, not one a row key: at m = 1000 the
+    # default cap holds the 63 points in 3 blocks of lane calls (63 one-point blocks when each key was charged a
+    # table), no lane array past the cap, and the bytes are those of one point at a time
+    argv = ["verify", "identity-b", "--m", "1000"]
+    calls = _lane_calls(monkeypatch, ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq"])
+    want = run_cli(argv)
+    assert [lanes for name, lanes, _ in calls if name == "kummer_phi_seq"] == [9, 9, 3]
+    assert None not in [lanes for _, lanes, _ in calls]
+    assert max(nbytes for *_, nbytes in calls) <= identities._BLOCK_BYTES
+    grid = identities.identity_b.grid
+    monkeypatch.setattr(identities.identity_b, "grid", lambda points: [grid([point])[0] for point in points])
+    assert run_cli(argv) == want
 
 
 def test_hille_hardy_builds_each_log_factorial_vector_once(monkeypatch):
@@ -672,11 +687,9 @@ def test_identity_b_sums_under_small_caps_change_no_byte(name, monkeypatch):
     passes = _counting(monkeypatch, "_identity_b_sums")
     assert run_cli(["verify", "identity-b"]) == want
     if name == "_BLOCK_BYTES":
-        # 2^16 bytes hold 12 points; the 11 blocks hold 180, 72, 58, 59, 58, 54, 50, 47, 44, 45 and 26 points
-        last = [None, None, 10, 11, 10, 6, 2, 11, 8, 9, 2]
+        # 2^16 bytes hold 12 points; the 6 blocks hold 306, 189, 65, 61, 62 and 10 points
         assert [len(xrs) for *_, xrs in passes] == [
-            size for points, end in zip([180, 72, 58, 59, 58, 54, 50, 47, 44, 45, 26], last)
-            for size in [12] * (points // 12) + ([end] if end else [])
+            size for points in [306, 189, 65, 61, 62, 10] for size in [12] * (points // 12) + [points % 12]
         ]
     else:
         # the default 2^20 bytes hold 202 points

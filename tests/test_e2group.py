@@ -366,6 +366,16 @@ class TestUFactors:
                 # the full core's leading columns are those rows, with (-1)^(m+n) below the diagonal
                 assert np.array_equal(full[:, :rows], np.outer(parity, parity[:rows]) * full[:rows].T)
 
+    @staticmethod
+    def _per_diagonal_core(r, dim):
+        # the full core from one scalar recurrence per diagonal, (-1)^d below the diagonal, and no floor
+        ref = np.empty((dim, dim))
+        for d in range(dim):
+            vals = math.exp(-0.5 * r * r) * _scaled_matrix_moduli(r, d, dim - d)
+            m = np.arange(dim - d)
+            ref[m, m + d], ref[m + d, m] = vals, (-1) ** d * vals
+        return ref
+
     @pytest.mark.parametrize("dim", [17, 512])
     def test_core_zeroes_entries_below_the_floor(self, dim):
         # bit for bit the per-diagonal recurrence, (-1)^d below the diagonal, except that entries below
@@ -373,16 +383,25 @@ class TestUFactors:
         floor, negative_flushed = 2.0**-511, False
         for r in (0.3, 2.0, 6.0) + ((40.0,) if dim <= 17 else ()):
             M = u_factors(GroupElement(r, 0.7, 0.3), dim, dim)[2]
-            ref = np.empty((dim, dim))
-            for d in range(dim):
-                vals = math.exp(-0.5 * r * r) * _scaled_matrix_moduli(r, d, dim - d)
-                m = np.arange(dim - d)
-                ref[m, m + d], ref[m + d, m] = vals, (-1) ** d * vals
+            ref = self._per_diagonal_core(r, dim)
             small = np.abs(ref) < floor
             negative_flushed |= np.any(small & np.signbit(ref))
             assert M.tobytes() == np.where(small, np.copysign(0.0, ref), ref).tobytes(), r
             assert np.all(M[M != 0.0] ** 2 >= np.finfo(float).tiny), r
         assert negative_flushed
+
+    @pytest.mark.parametrize("dim", [65, 129, 130, 512])
+    def test_cores_of_every_height_are_the_per_diagonal_recurrence(self, dim):
+        # heights on both sides of the 64-row root tables and lower-triangle blocks: each core is the leading rows
+        # of the per-diagonal recurrence, bit for bit, under the same floor and sign rule, and warns of nothing
+        for r in (0.3, 2.0, 6.0):
+            ref = self._per_diagonal_core(r, dim)
+            ref = np.where(np.abs(ref) < 2.0**-511, np.copysign(0.0, ref), ref)
+            for rows in sorted({1, 2, 63, 64, 65, 127, 128, 129, dim} & set(range(1, dim + 1))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    M = u_factors(GroupElement(r, 0.7, 0.3), dim, rows)[2]
+                assert M.shape == (rows, dim) and M.tobytes() == ref[:rows].tobytes(), (dim, r, rows)
 
     @pytest.mark.parametrize("dim", [8, 64, 512])
     def test_factors_multiply_to_u_matrix(self, dim):

@@ -154,6 +154,8 @@ _EDGE_B_POINTS = [
     (4, 2, 1.0, 2e5),  # terms near 1e302, an unconverged tail
     (4, 2, 1.0, 3e5),  # the weights overflow to inf, and inf - inf makes the sum NaN
     (0, 0, 0.5, 1e200),  # 2xr is past the Bessel recurrence's step cap: an error
+    (0, 150, 0.5, 0.5),  # every term below 1e-98 and the last the largest: the sum still rises at n = 80
+    (0, 400, 0.5, 0.5),  # every term 0, the last among them
 ]
 
 
@@ -174,6 +176,10 @@ class TestIdentityBArrayPass:
         outcomes = [_outcome(identity_b, *p) for p in _EDGE_B_POINTS]
         assert outcomes[0][1].startswith("non-convergent tail")
         assert {o[0] for o in outcomes} >= {"ArithmeticError", "ZeroDivisionError", "ValueError", "nan"}
+        # a failing record says why: a NaN sum that it overflows, a sum whose last term is its largest that it rises
+        assert all(detail for residual, detail in outcomes if residual in ("nan", "1.0"))
+        assert outcomes[6][0] == "nan" and outcomes[6][1].startswith("the n-sum overflows")
+        assert [detail.split(":")[0] for _, detail in outcomes[-2:]] == ["the n-sum still rises at n = 80"] * 2
 
 
 class TestAdditionTheorem:
