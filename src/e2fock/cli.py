@@ -12,7 +12,9 @@ Integer grids accept inclusive ranges ``a..b``; real grids accept comma
 lists.  ``--dim`` (the Fock truncation) and ``--seed`` (the lie-algebra
 suite's random draws) take one integer each and, like every grid flag, are
 refused where the run does not read them.  Identical configurations produce
-byte-identical output on one numpy/BLAS build and thread count.
+byte-identical output on one numpy/BLAS build and thread count.  A suite
+hands a check with a grid form all its points at once, and the grid builds
+what they share once; nothing is kept from one suite or run to the next.
 """
 
 from __future__ import annotations
@@ -257,7 +259,15 @@ def suite_lie_algebra(cfg):
 
 def suite_addition(cfg):
     dim = _dim(cfg, 96)
-    k_theorem, k_vacuum = cfg.values("k", [-4, -2, 0, 1, 3, 4]), cfg.values("k", [0, 2, 4])
+    ks = {"addition": cfg.values("k", [-4, -2, 0, 1, 3, 4]), "addition-vacuum": cfg.values("k", [0, 2, 4])}
+    axes = {"lam": [1.0, 2.0], "r": [0.5, 1.0, 2.0], "psi": [_PSI], "phi": [_PHI]}
+    # each record's outcome by (g, label), both checks' points as one grid call, which builds what they share once;
+    # a refused group element or label is no point, and its sweep below files the refusal; a vacuum k < 0 files none
+    points = itertools.product(*(cfg.values(flag, default) for flag, default in axes.items()))
+    groups = [(GroupElement(r, psi, phi), lam) for lam, r, psi, phi in points if r >= 0 and lam > 0]
+    keys = {name: [(g, IrrepLabel(lam, k)) for g, lam in groups for k in ks[name]] for name in ks}
+    found = ident.addition_grid(*([(g, label, dim) for g, label in keys[name]] for name in ks))
+    outcomes = {name: dict(zip(keys[name], got)) for name, got in zip(ks, found)}
 
     def pair(report, lam, r, psi, phi):
         # every addition record of one group element, then every vacuum record
@@ -265,24 +275,22 @@ def suite_addition(cfg):
         if lam * g.r > 6.0:
             return []
 
-        def residual(report, k):
-            return report(*ident.addition_residual(g, IrrepLabel(lam, k), dim=dim))
-
-        def crosscheck(report, k):
-            if k < 0:
+        def check(report, k, name):
+            if name == "addition-vacuum" and k < 0:
                 return []
-            return report(*ident.addition_vacuum_crosscheck(g, IrrepLabel(lam, k), dim=dim))
+            if isinstance(got := outcomes[name][g, IrrepLabel(lam, k)], Exception):
+                raise got
+            return report(*got)
 
         def params(k):
             return {"lam": lam, "k": k, "r": g.r, "psi": g.psi, "phi": g.phi, "dim": dim}
 
-        theorem = _sweep(cfg, ["addition"], {"k": k_theorem}, residual, params)
-        return theorem + _sweep(cfg, ["addition-vacuum"], {"k": k_vacuum}, crosscheck, params)
+        sweeps = (_sweep(cfg, [name], {"k": ks[name]}, functools.partial(check, name=name), params) for name in ks)
+        return list(itertools.chain(*sweeps))
 
     def params(lam, r, psi, phi):
         return {"lam": lam, "r": r, "psi": psi, "phi": phi, "dim": dim}
 
-    axes = {"lam": [1.0, 2.0], "r": [0.5, 1.0, 2.0], "psi": [_PSI], "phi": [_PHI]}
     return _sweep(cfg, ["addition", "addition-vacuum"], axes, pair, params)
 
 
@@ -391,8 +399,7 @@ def run_verify(suite: str, cfg: RunConfig, stream) -> int:
     names = SUITE_NAMES if suite == "all" else [suite]
     rows = []
     for name in names:
-        with ident.memo_scope():
-            rows.extend(SUITES[name](cfg))
+        rows.extend(SUITES[name](cfg))
     if not rows:
         raise ValueError("the grid gives no records, so nothing was checked")
     cfg.check_read()

@@ -31,6 +31,7 @@ __all__ = [
     "u_factors",
     "u_matrix",
     "irrep_row",
+    "irrep_rows",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -178,6 +179,14 @@ def irrep_row(label: IrrepLabel, g: GroupElement, nmax: int) -> np.ndarray:
     t^lam_{kn}(g) = i^{n-k} e^{-i(n phi + (k-n) psi)} J_{n-k}(lam r) (Graf's theorem, DLMF 10.23(ii)), i^d exact from
     a table of four and every J from one :func:`specfun.bessel_j_seq` run to order nmax, with J_{-m} = (-1)^m J_m.
     """
+    return irrep_rows([(label, g)], nmax)[0]
+
+
+def irrep_rows(pairs, nmax: int) -> list[np.ndarray]:
+    """:func:`irrep_row` of each (label, g) in ``pairs``, the same floats, from one Bessel run per distinct lam r."""
     d = np.arange(-nmax, nmax + 1)
-    js = bessel_j_seq(nmax, label.lam * g.r)[np.abs(d)] * np.where(d < 0, (-1.0) ** d, 1.0)
-    return np.array([1, 1j, -1, -1j])[d % 4] * np.exp(-1j * ((label.k + d) * g.phi - d * g.psi)) * js
+    units, signs, runs = np.array([1, 1j, -1, -1j])[d % 4], np.where(d < 0, (-1.0) ** d, 1.0), {}
+    for label, g in pairs:
+        if (x := label.lam * g.r) not in runs:
+            runs[x] = bessel_j_seq(nmax, x)[np.abs(d)] * signs
+    return [units * np.exp(-1j * ((label.k + d) * g.phi - d * g.psi)) * runs[label.lam * g.r] for label, g in pairs]

@@ -16,6 +16,12 @@ points in Python, runs a block's Kummer runs as the lanes of one recurrence,
 forms the terms of points that share a term count as the rows of one 2-D array,
 and closes each point's residual in Python floats.
 
+The two addition checks share one grid form, :func:`addition_grid`, which
+builds what their points share once for the call: each U(g)'s factors, one
+table of D_n diagonals per dim (a Kummer lane call per lam) and the Bessel
+rows of t_{kn}(g), one run per distinct lam r.  No check keeps anything
+between calls.
+
 The orthogonality relation and the two limit statements are distributional /
 asymptotic and cannot be a single numeric equality at finite truncation; they
 are exposed as profile and error-ladder computations whose qualitative
@@ -24,7 +30,6 @@ behavior (growth, boundedness, monotone decay) is asserted instead.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import sys
@@ -32,9 +37,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .e2group import GroupElement, IrrepLabel, act_on_generator, irrep_row, u_factors
+from .e2group import GroupElement, IrrepLabel, act_on_generator, irrep_row, irrep_rows, u_factors
 from .fock import conjugated_block, safe_block
-from .repk import basis_d, inner_product
+from .repk import basis_d, basis_diagonals, inner_product
 from .specfun import (
     bessel_i_scaled,
     bessel_j,
@@ -64,7 +69,7 @@ __all__ = [
     "classical_limit_error",
     "kummer_bessel_limit_residual",
     "worst_rise",
-    "memo_scope",
+    "addition_grid",
 ]
 
 _TERM_EPS = 1e-18
@@ -80,67 +85,10 @@ _DEFECT_FLOOR = 1e-13
 # series is refused, a fraction of a second
 _MAX_KUMMER_STEPS = 10**6
 
-# most array bytes the memo holds, the factors of eight dim-512 U(g); past it,
-# values are recomputed, not kept (verify all's largest suite memo is 0.36 MB)
-_MEMO_BYTES = 16 * 2**20
-
 # most bytes a block of a grid check holds, 8 a float: Kummer lanes x (top degree + 1), (row lanes + min(e, 80) + 1)
 # x (81 + e), e the top first argument, over identity-b's Bessel rows and the one 2F0 table a lane call builds at a
 # time; a 2-D pass too
 _BLOCK_BYTES = 2**20
-
-
-class _Memo(dict):
-    # arrays by (builder, *args), and the bytes they hold
-    nbytes = 0
-
-    def once(self, build, *args):
-        # build(*args), an array or a tuple of arrays, read-only, and kept here while the memo has room
-        key = (build, *args)
-        if key in self:
-            return self[key]
-        value = build(*args)
-        arrays = value if isinstance(value, tuple) else (value,)
-        for array in arrays:
-            array.flags.writeable = False
-        nbytes = sum(array.nbytes for array in arrays)
-        if self.nbytes + nbytes <= _MEMO_BYTES:
-            self[key] = value
-            self.nbytes += nbytes
-        return value
-
-
-# the memo of the open memo_scope(), None outside one
-_memo = None
-
-
-@contextlib.contextmanager
-def memo_scope():
-    """Inside the block, compute each intermediate array of the operator checks once.
-
-    Those are the arrays whose values repeat across a suite's points: each
-    U(g) (its factors, :func:`e2group.u_factors`) and each D_k diagonal of
-    ``addition``, ``addition-vacuum`` and the orthogonality profiles.  The
-    checks read these through ``_once``, one memo keyed by the builder and
-    its arguments, emptied when the block exits, however it exits; arrays
-    read through ``_once`` are read-only whether memoized or not.
-    ``addition-vacuum`` builds its Kummer run Phi(-n, 1+k; x), n = 0..nmax,
-    and its log-factorial vector afresh: in ``verify all`` no run repeats,
-    and a vector costs a few microseconds.  The four scalar checks read no
-    memo: their grid forms build what a block of points shares once for the
-    block.
-    """
-    global _memo
-    _memo = _Memo()
-    try:
-        yield
-    finally:
-        _memo = None
-
-
-def _once(build, *args):
-    # build(*args), memoized while a memo_scope() is open and has room
-    return (_Memo() if _memo is None else _memo).once(build, *args)
 
 
 class Residual(NamedTuple):
@@ -161,6 +109,13 @@ def _caught(build, *args):
         return build(*args)
     except (ValueError, ArithmeticError) as exc:
         return exc
+
+
+def _value(built):
+    # a shared object a point reads, or the refusal met when it was built
+    if isinstance(built, Exception):
+        raise built
+    return built
 
 
 def _grid_outcomes(request, kernel, points) -> list:
@@ -236,10 +191,7 @@ def _grid_check(kernel):
     def decorate(request):
         @functools.wraps(request)
         def one(*point):
-            (outcome,) = _grid_outcomes(request, kernel, [point])
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
+            return _value(_grid_outcomes(request, kernel, [point])[0])
 
         one.grid = functools.partial(_grid_outcomes, request, kernel)
         return one
@@ -333,10 +285,14 @@ def _log_power(n, r: float):
 
 
 def _vacuum_degree(r: float) -> int:
-    # the last n of identity-a's left sum, where the weight r^{2n}/n! drops below 1e-18 relative to e^{r^2}
+    # the last n of identity-a's left sum: the first n >= 10 past the weights' peak near r^2 whose weight r^{2n}/n!
+    # is below 1e-18 of their sum e^{r^2}, refused past 400
     r2 = r * r
-    nmax, t = 10, r2**10 / math.factorial(10)
-    while t > _TERM_EPS * math.exp(r2) and nmax < 400:
+    nmax, t = 10, r2**10 / math.factorial(10) if r2 <= 400 else math.inf
+    while nmax < r2 or t > _TERM_EPS * math.exp(r2):
+        if nmax == 400:
+            why = "the vacuum sum's weights r^(2n)/n! fall below 1e-18 of e^(r^2) past n = 400"
+            raise ArithmeticError(f"r={r!r}: {why}")
         nmax += 1
         t *= r2 / nmax
     return nmax
@@ -468,42 +424,74 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
     return [(m, 1 + k, float(x * x))], rows
 
 
-def _basis_diagonal(lam: float, n: int, zmax: int) -> np.ndarray:
-    # D_n's entries on its Fock diagonal -n for zeta = 0..zmax
-    return basis_d(IrrepLabel(lam, n), zmax).diagonal
+def addition_grid(theorem, vacuum) -> tuple[list, list]:
+    """One Residual, or the ValueError or ArithmeticError refusing it, per point (g, label, dim) of each check.
+
+    ``theorem`` holds points of :func:`addition_residual`, ``vacuum`` of :func:`addition_vacuum_crosscheck`.  What
+    they share is built once: U(g)'s factors per (g, dim), every t_{kn}(g) of the theorem from one Bessel run per
+    distinct lam r (:func:`e2group.irrep_rows`), and per dim one table of the D_n diagonals the points read
+    (:func:`repk.basis_diagonals`).  A point reads them in the order its check once built them, so it meets the
+    refusal it met then.
+    """
+    far = ValueError("addition_residual requires lam * r <= 6")
+    negative = ValueError("vacuum cross-check uses k >= 0")
+    theorem = [(far if label.lam * g.r > 6.0 else None, (g, label, dim)) for g, label, dim in theorem]
+    vacuum = [(negative if label.k < 0 else None, (g, label, dim)) for g, label, dim in vacuum]
+    kept, sums, windings = [point for got, point in theorem if got is None], {}, {}
+    blocks = {key: safe_block(*key) for key in {(dim, g.r) for g, _, dim in kept}}
+    for (g, label, dim), row in zip(kept, irrep_rows([(label, g) for g, label, _ in kept], _ADDITION_NMAX)):
+        # the n-sum's n and t_kn(g): n = k - 60..k + 60 where |t_kn(g)| >= 1e-16 and D_n meets the safe block
+        ns = np.arange(label.k - _ADDITION_NMAX, label.k + _ADDITION_NMAX + 1)
+        read = ~(abs(row) < 1e-16) & (abs(ns) < blocks[dim, g.r])
+        sums[g, label, dim] = blocks[dim, g.r], ns[read].tolist(), row[read]
+        windings.setdefault(dim, {}).setdefault(label.lam, set()).update(ns[read].tolist())
+    kept += [point for got, point in vacuum if got is None]
+    for g, label, dim in kept:
+        windings.setdefault(dim, {}).setdefault(label.lam, set()).add(label.k)
+    factors = {key: _caught(u_factors, *key, key[1]) for key in dict.fromkeys((g, dim) for g, _, dim in kept)}
+    diagonals = {dim: basis_diagonals(lams, dim) for dim, lams in windings.items()}
+    return tuple(
+        [got or _caught(check, *p, diagonals[p[2]], factors[p[0], p[2]], sums) for got, p in points]
+        for points, check in ((theorem, _addition_residual), (vacuum, _vacuum_residual))
+    )
 
 
 def addition_residual(g: GroupElement, label: IrrepLabel, dim: int) -> Residual:
     """Operator addition theorem U(g) D_k U(g)* = sum_n t_{kn}(g) D_n, k = label.k.
 
     Both sides are compared as truncated Fock matrices on the safe block; the n-sum runs over |n - k| <= 60
-    where |t_{kn}(g)| >= 1e-16, every t_{kn} from one :func:`e2group.irrep_row`.  The residual is the Frobenius
-    norm of the difference relative to that of D_k's block.  Each D_n occupies the single diagonal -n, so the
-    right side is written diagonal by diagonal into the block.  The detail is a callable that fits each D_n's
-    coefficient to the left side and names the worst mismatches against t_{kn}(g).
+    where |t_{kn}(g)| >= 1e-16, every t_{kn} from one Bessel run (:func:`e2group.irrep_rows`).  The residual is
+    the Frobenius norm of the difference relative to that of D_k's block.  Each D_n occupies the single diagonal
+    -n, so the right side is written diagonal by diagonal into the block, through a strided view of it.  The
+    detail is a callable that fits each D_n's coefficient to the left side and names the worst mismatches against
+    t_{kn}(g).  :func:`addition_grid` checks many points at once.
     """
+    return _value(addition_grid([(g, label, dim)], [])[0][0])
+
+
+def _addition_residual(g, label, dim, diagonals, factors, sums) -> Residual:
     lam, k = label.lam, label.k
-    if lam * g.r > 6.0:
-        raise ValueError("addition_residual requires lam * r <= 6")
-    b = safe_block(dim, g.r)
-    dk = _once(_basis_diagonal, lam, k, dim - abs(k) - 2)
-    lhs = conjugated_block(_once(u_factors, g, dim, dim), dk, -k, b)
+    b, ns, ts = sums[g, label, dim]
+    dk, factors = _value(diagonals[lam, k]), _value(factors)
+    lhs = conjugated_block(factors, dk, -k, b)
 
     rhs = np.zeros((b, b), dtype=complex)
-    terms = {}  # n -> (t_{kn}(g), D_n's entries in the block)
-    for n, t in zip(range(k - _ADDITION_NMAX, k + _ADDITION_NMAX + 1), irrep_row(label, g, _ADDITION_NMAX)):
-        if abs(t) < 1e-16 or abs(n) >= b:
-            continue
-        i = np.arange(b - abs(n))
-        dn = _once(_basis_diagonal, lam, n, dim - abs(n) - 2)[: len(i)]
-        terms[n] = t, dn
-        rhs[(i + n, i) if n >= 0 else (i, i - n)] = t * dn
+    flat = rhs.reshape(-1)
+    for n, t in zip(ns, ts):
+        dn = _value(diagonals[lam, n])[: b - abs(n)]
+        flat[n * b if n >= 0 else -n :: b + 1][: len(dn)] = t * dn  # diagonal -n: (i + n, i) or (i, i - n)
 
     num = float(np.linalg.norm(lhs - rhs))
     den = float(np.linalg.norm(dk[: max(b - abs(k), 0)]))
     if den == 0.0:
         raise ValueError(f"addition at lam={lam!r}, k={k}: the norm of D_k's block underflows to 0")
-    return Residual(num / den, lambda: _addition_phase_diagnostic(lhs, terms))
+
+    def diagnostic():
+        # built again from the shared objects, so that a grid holds no block for each record until it is filed
+        terms = {n: (t, diagonals[lam, n][: b - abs(n)]) for n, t in zip(ns, ts)}  # n -> (t_{kn}(g), D_n's entries)
+        return _addition_phase_diagnostic(conjugated_block(factors, dk, -k, b), terms)
+
+    return Residual(num / den, diagnostic)
 
 
 def _addition_phase_diagnostic(block, terms) -> str:
@@ -524,13 +512,16 @@ def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, dim: int) -> 
     Checks that (U D_k U*)_{00} equals both t_{k0}(g) f_0(0) and the
     e^{-ik psi} e^{-r^2} r^k (i lam/2)^k/k! e^{-lam^2/8}-weighted left sum of
     identity-a, tying the operator statement to the scalar identity.
+    :func:`addition_grid` checks many points at once.
     """
+    return _value(addition_grid([], [(g, label, dim)])[1][0])
+
+
+def _vacuum_residual(g, label, dim, diagonals, factors, _) -> Residual:
     lam, k, r = label.lam, label.k, g.r
-    if k < 0:
-        raise ValueError("vacuum cross-check uses k >= 0")
-    dk = _once(_basis_diagonal, lam, k, dim - k - 2)
-    s1 = complex(conjugated_block(_once(u_factors, g, dim, dim), dk, -k, 1)[0, 0])
-    s3 = irrep_row(label, g, k)[0] * basis_d(IrrepLabel(lam, 0), 4).radial[0]
+    dk = _value(diagonals[lam, k])
+    s1 = complex(conjugated_block(_value(factors), dk, -k, 1)[0, 0])
+    s3 = irrep_row(label, g, k)[0] * math.exp(-lam * lam / 8.0)  # t_k0(g) f_0(0)
 
     nmax, x = _vacuum_degree(r), lam / 2.0
     lhs_sum = float(np.sum(_vacuum_terms(r, kummer_phi_seq(nmax, 1 + k, x * x), _log_factorials(nmax))))
@@ -581,7 +572,12 @@ def _hille_hardy_residual(k: int, x: float, y: float, zq: float, lhs: float, lar
         + ik_log_scale
     )
     rhs = math.copysign(math.exp(log_rhs_mag), ik)
-    return Residual(abs(lhs - rhs) / max(abs(lhs), abs(rhs), largest))
+    if (scale := max(abs(lhs), abs(rhs), largest)) < sys.float_info.min:
+        raise ArithmeticError(
+            f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: the scale max(|lhs|, |rhs|, largest term)"
+            f" is {scale!r}, below the normal float range"
+        )
+    return Residual(abs(lhs - rhs) / scale)
 
 
 @_grid_check(_hille_hardy_kernel)
@@ -614,7 +610,8 @@ def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: in
     turns NaN, so a value below the float range is refused, not read as 0.
     """
     with np.errstate(over="raise", under="raise", invalid="raise"):
-        d1, d2 = (_once(_basis_diagonal, lam, k, zmax) for lam in (lambda1, lambda2))
+        d1 = basis_d(IrrepLabel(lambda1, k), zmax).diagonal
+        d2 = d1 if lambda2 == lambda1 else basis_d(IrrepLabel(lambda2, k), zmax).diagonal
         return np.cumsum((d1.conj() * d2).real)
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "op_h",
     "adjoint_p",
     "basis_d",
+    "basis_diagonals",
     "eigen_residuals",
     "bracket_residual",
     "adjoint_residual",
@@ -214,6 +215,30 @@ def adjoint_p(F: AlgebraFunction) -> AlgebraFunction:
     return op_pbar(F).scaled(-1.0)
 
 
+def _radial(lam: float, k: int, zmax: int, kummer) -> np.ndarray:
+    # f_k(zeta) for zeta = 0..zmax, reading Phi(-zeta, 1+|k|; lam^2/4) from kummer(zmax, 1+|k|, lam^2/4), or the
+    # ValueError basis_d raises
+    if zmax < 1:
+        raise ValueError("basis_d requires zmax >= 1")
+    a = abs(k)
+    try:
+        power = (0.5 * lam) ** a
+    except OverflowError:
+        raise ValueError(f"basis_d at lam={lam!r}, k={k}: (lam/2)^{a} overflows") from None
+    # a! / 2^shift is a float, and ldexp restores the scale; shift = 0, so every float is as before, up to a = 170
+    shift = max(0, (factorial := math.factorial(a)).bit_length() - 1023)
+    pref = math.ldexp(power / (factorial / (1 << shift)) * (damping := math.exp(-lam * lam / 8.0)), -shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # i^a exact from a table of four, times the real (lam/2)^a/a! e^{-lam^2/8} Phi
+        radial = np.array([1, 1j, -1, -1j])[a % 4] * (pref * kummer(zmax, 1 + a, lam * lam / 4.0))
+    if pref == 0 or not np.all(np.isfinite(radial)):
+        why = f"not finite up to zeta = {zmax}"
+        if pref == 0:
+            why = "e^(-lam^2/8) underflows to 0" if damping == 0 else f"(lam/2)^{a}/{a}! underflows to 0"
+        raise ValueError(f"basis_d at lam={lam!r}, k={k}: the radial part is lost, {why}")
+    return radial
+
+
 def basis_d(label: IrrepLabel, zmax: int) -> BasisFunction:
     """Eigenbasis element D_k with radial part a Kummer polynomial sequence.
 
@@ -225,26 +250,34 @@ def basis_d(label: IrrepLabel, zmax: int) -> BasisFunction:
     underflows to 0 so that f_k vanishes identically (lam = 1e-300, k = 5),
     where (lam/2)^a overflows, or where f_k is not finite.
     """
-    if zmax < 1:
-        raise ValueError("basis_d requires zmax >= 1")
-    lam, k = label.lam, label.k
-    a = abs(k)
-    try:
-        power = (0.5 * lam) ** a
-    except OverflowError:
-        raise ValueError(f"basis_d at lam={lam!r}, k={k}: (lam/2)^{a} overflows") from None
-    # a! / 2^shift is a float, and ldexp restores the scale; shift = 0, so every float is as before, up to a = 170
-    shift = max(0, (factorial := math.factorial(a)).bit_length() - 1023)
-    pref = math.ldexp(power / (factorial / (1 << shift)) * (damping := math.exp(-lam * lam / 8.0)), -shift)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # i^a exact from a table of four, times the real (lam/2)^a/a! e^{-lam^2/8} Phi
-        radial = np.array([1, 1j, -1, -1j])[a % 4] * (pref * kummer_phi_seq(zmax, 1 + a, lam * lam / 4.0))
-    if pref == 0 or not np.all(np.isfinite(radial)):
-        why = f"not finite up to zeta = {zmax}"
-        if pref == 0:
-            why = "e^(-lam^2/8) underflows to 0" if damping == 0 else f"(lam/2)^{a}/{a}! underflows to 0"
-        raise ValueError(f"basis_d at lam={lam!r}, k={k}: the radial part is lost, {why}")
-    return BasisFunction(label, algebra_function({-k: radial}, zmax))
+    radial = _radial(label.lam, label.k, zmax, kummer_phi_seq)
+    return BasisFunction(label, algebra_function({-label.k: radial}, zmax))
+
+
+def basis_diagonals(windings: Mapping[float, set], dim: int) -> dict:
+    """D_n's Fock diagonal ``basis_d(IrrepLabel(lam, n), dim - |n| - 2).diagonal``, the same floats, by (lam, n).
+
+    ``windings`` maps each lam to the n wanted; an entry that basis_d refuses is its ValueError instead.  Per lam,
+    one kummer_phi_seq call runs a lane b = 1 + |n| per distinct |n| to the top degree, and D_n reads its lane's
+    prefix to its own zmax = dim - |n| - 2, tested for finiteness there only; D_n and D_-n share their entries.
+    The winding roots of each |n| are one table for every lam.  Entries too large for floats are inf, silently.
+    """
+    out, roots = {}, {}
+    for lam, ns in windings.items():
+        lanes, built = sorted({abs(n) for n in ns if abs(n) <= dim - 3}), {}  # the |n| with zmax >= 1
+        if lanes:
+            runs = dict(zip(lanes, kummer_phi_seq(dim - 2 - lanes[0], 1.0 + np.array(lanes), lam * lam / 4.0)))
+        for n, a in ((n, abs(n)) for n in ns):
+            try:
+                if a not in built:
+                    radial = _radial(lam, n, dim - a - 2, lambda zmax, b, x: runs[a][: zmax + 1])
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        root = roots[a] if a in roots else roots.setdefault(a, _winding_roots(a, dim - a - 2))
+                        built[a] = radial * root
+                out[lam, n] = built[a]
+            except ValueError as exc:
+                out[lam, n] = exc
+    return out
 
 
 def eigen_residuals(label: IrrepLabel, zmax: int) -> tuple[float, float]:

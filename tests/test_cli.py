@@ -16,7 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from e2fock import cli, identities
+from e2fock import cli, e2group, identities, repk
 from e2fock.cli import RunConfig, main, suite_intertwining, suite_unitarity
 from e2fock.e2group import GroupElement, IrrepLabel, act_on_generator, u_factors, u_matrix
 from e2fock.fock import safe_block
@@ -454,15 +454,12 @@ def _lane_calls(monkeypatch, names):
     return calls
 
 
-def test_a_grid_keeps_its_shared_arrays_under_the_memo_cap(monkeypatch):
-    # a grid builds its factor rows as one lane table a kind a block and reads no memo: at a 4 KiB memo cap it makes
-    # the same three hyp2f0_seq lane calls and one bessel_j_seq lane call; at a 64 KiB block cap the 693 points fill
-    # 6 blocks, each a Kummer lane call, a Bessel lane call and a 2F0 lane call for each of its 3 r, with the same
-    # output, and no lane array past the cap
-    want = run_cli(["verify", "identity-b"])
+def test_a_grid_keeps_its_shared_arrays_under_the_block_cap(monkeypatch):
+    # a grid builds its factor rows as one lane table a kind a block: by default three hyp2f0_seq lane calls and one
+    # bessel_j_seq lane call; at a 64 KiB block cap the 693 points fill 6 blocks, each a Kummer lane call, a Bessel
+    # lane call and a 2F0 lane call for each of its 3 r, with the same output, and no lane array past the cap
     calls = _lane_calls(monkeypatch, ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq"])
-    monkeypatch.setattr(identities, "_MEMO_BYTES", 2**12)
-    assert run_cli(["verify", "identity-b"]) == want
+    want = run_cli(["verify", "identity-b"])
     assert [(name, lanes) for name, lanes, _ in calls] == [
         ("kummer_phi_seq", 21), ("bessel_j_seq", 49), ("hyp2f0_seq", 17), ("hyp2f0_seq", 17), ("hyp2f0_seq", 17)
     ]
@@ -537,18 +534,26 @@ _RECURRENCE_XS = ",".join(f"{0.25 + 0.9843 * i:.4f}" for i in range(16))
         pytest.param(["verify", "recurrence", "--zmax", "1"], id="recurrence-zmax-1"),
         # 21 b by 16 x: 336 lanes in one block
         pytest.param(["verify", "recurrence", "--k", "0..20", "--x", _RECURRENCE_XS], id="recurrence-336-lanes"),
-        # addition reads memoized U(g) factors and D_k diagonals
+        # every D_n of a lam, every U(g) and every Bessel row is built once for both addition checks
         pytest.param(["verify", "addition", "--lambda", "1e-300"], id="addition-lambda-1e-300"),
+        pytest.param(["verify", "addition"], id="addition"),
+        # three failing records, whose diagnostics build their left sides again
+        pytest.param(["verify", "addition", "--dim", "32"], id="addition-dim-32"),
     ],
 )
 def test_memo_does_not_change_a_byte(argv, monkeypatch):
-    # each grid form run one point at a time, its kernel's 2-D passes one row each, and no memoized array: every
-    # value computed afresh for its point
+    # each grid form run one point at a time, its kernel's 2-D passes one row each: nothing shared between points,
+    # every value computed afresh for its point
     want = run_cli(argv)
     for name in _GRID_CHECKS:
         check = getattr(identities, name)
         monkeypatch.setattr(check, "grid", lambda points, grid=check.grid: [grid([point])[0] for point in points])
-    monkeypatch.setattr(identities, "_once", lambda build, *args: build(*args))
+    grid = identities.addition_grid
+    monkeypatch.setattr(
+        identities,
+        "addition_grid",
+        lambda theorem, vacuum: ([grid([p], [])[0][0] for p in theorem], [grid([], [p])[1][0] for p in vacuum]),
+    )
     assert run_cli(argv) == want
 
 
@@ -595,10 +600,9 @@ def test_each_scalar_suite_runs_its_grid_form_once(monkeypatch):
     # caps that split each suite's default lanes into several blocks
     [("recurrence", 40000), ("identity-a", 5000), ("hille-hardy", 71040)],
 )
-@pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
+@pytest.mark.parametrize("name", ["_BLOCK_BYTES"])
 def test_a_plan_under_small_caps_changes_no_byte(suite, cap, name, monkeypatch):
-    # a grid's plan is the blocks its lanes run in, each of at most _BLOCK_BYTES; the grid reads no memo, so
-    # _MEMO_BYTES moves no block
+    # a grid's plan is the blocks its lanes run in, each of at most _BLOCK_BYTES
     built = _counting(monkeypatch, "kummer_phi_seq")
     want = run_cli(["verify", suite])
     default_blocks = _lane_blocks(built)
@@ -607,11 +611,8 @@ def test_a_plan_under_small_caps_changes_no_byte(suite, cap, name, monkeypatch):
     assert run_cli(["verify", suite]) == want
     blocks = _lane_blocks(built)
     assert len(blocks) == len(built)  # every run is a lane of a block
-    if name == "_BLOCK_BYTES":
-        assert len(blocks) > len(default_blocks) == 1
-        assert all(8 * (nmax + 1) * lanes <= cap for nmax, lanes in blocks)
-    else:
-        assert blocks == default_blocks
+    assert len(blocks) > len(default_blocks) == 1
+    assert all(8 * (nmax + 1) * lanes <= cap for nmax, lanes in blocks)
 
 
 def test_a_grid_past_the_block_cap_runs_in_blocks(monkeypatch):
@@ -678,22 +679,20 @@ def test_a_grid_runs_no_lane_its_checks_refuse(monkeypatch):
     assert all(rec["detail"].endswith(": x^2 is outside the float range") for rec in recs)
 
 
-@pytest.mark.parametrize("name", ["_BLOCK_BYTES", "_MEMO_BYTES"])
+@pytest.mark.parametrize("name", ["_BLOCK_BYTES"])
 def test_identity_b_sums_under_small_caps_change_no_byte(name, monkeypatch):
     # the 693 n-sums come in 2-D passes of at most _BLOCK_BYTES at 8 x 81 x 8 bytes a point, split where the
-    # points' rows fill a block; the grid reads no memo, so a small _MEMO_BYTES leaves the default passes
-    want = run_cli(["verify", "identity-b"])
-    monkeypatch.setattr(identities, name, 2**16)
+    # points' rows fill a block: the default 2^20 bytes hold 202 points, 2^16 bytes 12
     passes = _counting(monkeypatch, "_identity_b_sums")
+    want = run_cli(["verify", "identity-b"])
+    assert [len(xrs) for *_, xrs in passes] == [202, 202, 202, 87]
+    passes.clear()
+    monkeypatch.setattr(identities, name, 2**16)
     assert run_cli(["verify", "identity-b"]) == want
-    if name == "_BLOCK_BYTES":
-        # 2^16 bytes hold 12 points; the 6 blocks hold 306, 189, 65, 61, 62 and 10 points
-        assert [len(xrs) for *_, xrs in passes] == [
-            size for points in [306, 189, 65, 61, 62, 10] for size in [12] * (points // 12) + [points % 12]
-        ]
-    else:
-        # the default 2^20 bytes hold 202 points
-        assert [len(xrs) for *_, xrs in passes] == [202, 202, 202, 87]
+    # the 6 blocks hold 306, 189, 65, 61, 62 and 10 points
+    assert [len(xrs) for *_, xrs in passes] == [
+        size for points in [306, 189, 65, 61, 62, 10] for size in [12] * (points // 12) + [points % 12]
+    ]
 
 
 @pytest.mark.parametrize(
@@ -1001,6 +1000,39 @@ def test_a_vacuum_scale_below_the_normal_range_is_an_error_record():
         assert rec["detail"].endswith(f"|t_k0(g) f_0(0)|) is {s3}, below the normal float range")
 
 
+@pytest.mark.parametrize("k,scale", [(176, "5.0864671309e-313"), (178, "1.993125e-317"), (185, "0.0")])
+def test_a_hille_hardy_scale_below_the_normal_range_is_an_error_record(k, scale, capfd):
+    # both sides subnormal: at k = 178 they once agreed to residual 0.0 on about 22 bits, and at k = 185 every term
+    # is 0 and the record read "float division by zero"
+    code, out = run_cli(["verify", "hille-hardy", "--k", str(k), "--x", "1", "--y", "1", "--zq", "0.1"])
+    (rec,) = json_records(out)
+    assert code == 1 and capfd.readouterr().err == "" and not rec["pass"] and rec["residual"] is None
+    assert rec["detail"] == (
+        f"error: hille-hardy at k={k}, x=1, y=1, zq=0.1: the scale max(|lhs|, |rhs|, largest term) is {scale},"
+        " below the normal float range"
+    )
+
+
+@pytest.mark.parametrize(
+    "passing,refused",
+    [
+        (["identity-a", "--k", "0", "--x", "0.5", "--r", "9"], ["identity-a", "--k", "0", "--x", "0.5", "--r", "20"]),
+        (["addition", "--lambda", "0.5", "--r", "9", "--dim", "512"], ["addition", "--lambda", "0.25", "--r", "20"]),
+    ],
+)
+def test_the_vacuum_sum_runs_past_the_peak_of_its_weights(passing, refused):
+    # from r ~ 8.29 the vacuum sum stopped at n = 10, before its weights peak near r^2, and failed at residual 1.0
+    # with no detail; it now passes there, and at r = 20 it needs more than 400 terms and is refused by name
+    code, out = run_cli(["verify", *passing])
+    assert code == 0 and all(rec["pass"] for rec in json_records(out))
+    code, out = run_cli(["verify", *refused])
+    recs = [rec for rec in json_records(out) if rec["name"] in ("identity-a", "addition-vacuum")]
+    assert code == 1 and recs and all(
+        rec["detail"] == "error: r=20: the vacuum sum's weights r^(2n)/n! fall below 1e-18 of e^(r^2) past n = 400"
+        for rec in recs
+    )
+
+
 def test_an_underflowed_block_norm_is_an_error_record(capfd):
     # D_1's entries, about 5e-301, are in range, but the squares in the norm of its block are not;
     # the run once divided by that norm of 0
@@ -1040,44 +1072,40 @@ class TestOrthogonalityZmax:
 
 
 class TestComputedOnce:
-    def test_memo_is_dropped_after_main(self):
-        run_cli(["verify", "addition", "--dim", "32", "--r", "0.5"])
-        assert identities._memo is None
+    """One verify all builds each U(g) of addition, each lam's D_n table and each lam r's Bessel row once."""
 
-    def test_memo_is_dropped_when_a_check_raises(self, monkeypatch):
-        held = []
+    @pytest.fixture(scope="class")
+    def built(self):
+        # the arguments of every call to the builders the addition grid reads, through the bindings it reads
+        calls = {"u_factors": [], "basis_diagonals": [], "kummer_phi_seq": [], "bessel_j_seq": []}
+        modules = {"u_factors": identities, "basis_diagonals": identities, "kummer_phi_seq": repk}
+        modules["bessel_j_seq"] = e2group
+        with pytest.MonkeyPatch.context() as patch:
+            for name, module in modules.items():
 
-        def broken(*args):
-            held.append(len(identities._memo))
-            raise RuntimeError("broken irrep row")
+                def counting(*args, build=getattr(module, name), name=name):
+                    calls[name].append(args)
+                    return build(*args)
 
-        monkeypatch.setattr(identities, "irrep_row", broken)
-        with pytest.raises(RuntimeError):
-            run_cli(["verify", "addition", "--dim", "32", "--r", "0.5"])
-        assert held and held[0] > 0
-        assert identities._memo is None
+                patch.setattr(module, name, counting)
+            code, out = run_cli(["verify", "all"])
+        assert code == 0 and len(json_records(out)) == 1246
+        return calls
 
-    def test_memoized_arrays_are_shared_and_read_only(self):
-        g = GroupElement(0.5, 0.7, 0.3)
-        with identities.memo_scope():
-            factors = identities._once(u_factors, g, 8, 8)
-            assert identities._once(u_factors, g, 8, 8) is factors
-            assert identities._memo.nbytes == sum(a.nbytes for a in factors)
-            for array in factors:
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 1.0
-        assert identities._once(u_factors, g, 8, 8) is not factors
+    def test_each_u_of_addition_is_built_once(self, built):
+        # the 6 (lam, g) of the default grid hold 3 group elements; unitarity and intertwining build their blocks
+        assert [(g.r, dim) for g, dim, rows in built["u_factors"] if rows == dim] == [(0.5, 96), (1.0, 96), (2.0, 96)]
 
-    def test_a_kummer_run_past_the_memo_cap_is_recomputed(self, monkeypatch):
-        monkeypatch.setattr(identities, "_MEMO_BYTES", 8 * 50)
-        with identities.memo_scope():
-            held = identities._once(kummer_phi_seq, 40, 3, 2.5)
-            assert identities._once(kummer_phi_seq, 40, 3, 2.5) is held
-            longer = identities._once(kummer_phi_seq, 100, 3, 2.5)  # 101 values, over the cap
-            assert identities._memo.nbytes == held.nbytes == 8 * 41
-            again = identities._once(kummer_phi_seq, 100, 3, 2.5)
-            assert again is not longer
-            assert again.tobytes() == longer.tobytes() == kummer_phi_seq(100, 3, 2.5).tobytes()
+    def test_each_lam_builds_its_d_n_table_once(self, built):
+        # one table call for the run's dim, one Kummer lane call for each lam, a lane for each |n| read
+        ((windings, dim),) = built["basis_diagonals"]
+        assert dim == 96 and list(windings) == [1.0, 2.0]
+        lanes = [(nmax, x) for nmax, b, x in built["kummer_phi_seq"] if isinstance(b, np.ndarray)]
+        assert lanes == [(94, 0.25), (94, 1.0)]
+
+    def test_each_lam_r_builds_its_bessel_row_once(self, built):
+        # lam r is 0.5, 1, 2, 1, 2, 4 over the 6 (lam, g); addition-vacuum keeps its own order-k runs
+        assert [x for nmax, x in built["bessel_j_seq"] if nmax == 60] == [0.5, 1.0, 2.0, 4.0]
 
 
 @pytest.mark.parametrize(
@@ -1109,8 +1137,7 @@ class TestRecordTable:
         runs = {}
         for suite, run in cli.SUITES.items():
             cfg = RunConfig()
-            with identities.memo_scope():
-                names = {rec["name"] for rec in run(cfg)}
+            names = {rec["name"] for rec in run(cfg)}
             runs[suite] = names, {name for name in cfg.read if name in cli._TOLERANCES}
         return runs
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from e2fock import e2group
 from e2fock.e2group import (
     GroupElement,
     IrrepLabel,
@@ -16,6 +17,7 @@ from e2fock.e2group import (
     identity,
     inverse,
     irrep_row,
+    irrep_rows,
     u_factors,
     u_matrix,
 )
@@ -477,6 +479,21 @@ class TestIrrepElements:
                     if abs(j) > mp.mpf("1e-290"):
                         ref = mp.mpc(0, 1) ** d * mp.expj(-((k + d) * mp.mpf(phi) - d * mp.mpf(psi))) * j
                         assert abs(mp.mpc(t) - ref) <= 1e-13 * abs(ref), (k, d)
+
+    def test_rows_that_share_lam_r_share_one_bessel_run(self, monkeypatch):
+        # (2, r) and (1, 2r) share lam r, and with it one Bessel run; each row is the floats of its own call
+        runs = []
+
+        def counting(nmax, x):
+            runs.append(x)
+            return bessel_j_seq(nmax, x)
+
+        pairs = [(IrrepLabel(lam, k), GroupElement(r, psi, 0.3)) for lam, r in ((2.0, 0.5), (1.0, 1.0), (2.0, 2.0))
+                 for k in (-3, 0, 4) for psi in (0.7, -1.1)]  # fmt: skip
+        want = [irrep_row(label, g, 60).tobytes() for label, g in pairs]
+        monkeypatch.setattr(e2group, "bessel_j_seq", counting)
+        assert [row.tobytes() for row in irrep_rows(pairs, 60)] == want
+        assert runs == [1.0, 4.0]
 
     def test_homomorphism(self):
         # Graf: t_{kn}(g1 g2) = sum_j t_{kj}(g1) t_{jn}(g2), the sum truncated at |j - k| <= 60

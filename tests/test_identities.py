@@ -20,7 +20,6 @@ from e2fock.identities import (
     intertwining_residual,
     kummer_bessel_limit_residual,
     kummer_recurrence_residual,
-    memo_scope,
     orthogonality_bounded_residual,
     orthogonality_grading_residual,
     orthogonality_growth_residual,
@@ -86,6 +85,35 @@ class TestIdentityA:
             identity_a(-1, 1.0, 1.0)
         with pytest.raises(ValueError):
             identity_a(0, 0.0, 1.0)
+
+
+def _old_vacuum_degree(r):
+    # the scan as it stood before it started at the weights' peak: from n = 10, to 400 at most
+    r2 = r * r
+    nmax, t = 10, r2**10 / math.factorial(10)
+    while t > 1e-18 * math.exp(r2) and nmax < 400:
+        nmax += 1
+        t *= r2 / nmax
+    return nmax
+
+
+class TestVacuumDegree:
+    def test_every_degree_up_to_r_8_2_is_the_scan_from_10(self):
+        # below r^2 ~ 68.7 the 1e-18 test first holds past the weights' peak, so starting the scan there moves no
+        # degree: the default grids keep their term counts
+        rs = [i / 100 for i in range(1, 821)] + [1e-8, 0.125, math.sqrt(68.0)]
+        assert [identities._vacuum_degree(r) for r in rs] == [_old_vacuum_degree(r) for r in rs]
+
+    def test_the_scan_no_longer_stops_on_the_rising_side(self):
+        # from r ~ 8.29 the old scan stopped at n = 10, before the peak near r^2, and both checks read 1.0
+        assert _old_vacuum_degree(9.0) == 10 and identities._vacuum_degree(9.0) == 172
+        assert identity_a(0, 0.5, 9.0).residual <= 1e-12
+
+    @pytest.mark.parametrize("r", [17.0, 20.0, 26.7, 1e200])
+    def test_a_sum_past_400_terms_is_refused(self, r):
+        # r = 17 once summed short and failed at 1.7e-9; past r ~ 26.6 e^(r^2) overflowed with "math range error"
+        with pytest.raises(ArithmeticError, match=r"vacuum sum's weights .* past n = 400"):
+            identities._vacuum_degree(r)
 
 
 class TestIdentityB:
@@ -160,7 +188,7 @@ _EDGE_B_POINTS = [
 
 
 class TestIdentityBArrayPass:
-    """The n-sum as one array pass gives the term loop's floats, in and out of a memo scope."""
+    """The n-sum as one array pass gives the term loop's floats."""
 
     @pytest.mark.parametrize(
         "points", [_DEFAULT_B_GRID, _SPAN_B_GRID, _EDGE_B_POINTS], ids=["default", "span", "edge"]
@@ -169,8 +197,6 @@ class TestIdentityBArrayPass:
         # an overflow inside the pass would raise here: the suite turns RuntimeWarning into an error
         want = [_outcome(identity_b_termwise, *p) for p in points]
         assert [_outcome(identity_b, *p) for p in points] == want
-        with memo_scope():
-            assert [_outcome(identity_b, *p) for p in points] == want
 
     def test_edge_points_cover_every_outcome(self):
         outcomes = [_outcome(identity_b, *p) for p in _EDGE_B_POINTS]

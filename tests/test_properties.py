@@ -1,6 +1,7 @@
 """Property tests of layer invariants: the grid parser, strict record output, group laws,
-the Kummer recurrence, the Kummer series, array lanes of the Kummer and Miller recurrences
-and the memoized scalar vectors.
+the Kummer recurrence, the Kummer series, array lanes of the Kummer and Miller recurrences,
+the scalar vectors a grid shares, the D_n tables and Bessel rows of the addition checks, and
+the vacuum sum's term count.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 deterministic.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import group_matrix3, hyp2f0_per_entry
 from e2fock import identities, specfun
 from e2fock.cli import _parse_grid, main
-from e2fock.e2group import GroupElement, compose, identity, inverse
+from e2fock.e2group import GroupElement, IrrepLabel, compose, identity, inverse
 from e2fock.fock import safe_block
 from e2fock.specfun import bessel_j_seq, hyp2f0_seq, kummer_phi_seq, kummer_phi_series, log_factorial
 
@@ -424,6 +425,28 @@ class TestGridKernels:
                 patch.setattr(identities, "_BLOCK_BYTES", cap)
             got = check.grid(points)
         assert [_described(outcome) for outcome in got] == [_one_point(check, point) for point in points]
+
+
+class TestVacuumSums:
+    # over r <= 26, where e^(r^2) still fits a float, k <= 10 and x <= 2 (lam = 2x), each check passes or is refused
+    # by name, never failing at residual ~1 with no reason as it did from r ~ 8.29
+    @PROPERTY
+    @given(st.integers(0, 10), st.floats(0.01, 2.0), st.floats(0.05, 26.0))
+    def test_identity_a_passes_or_is_refused(self, k, x, r):
+        try:
+            assert identities.identity_a(k, x, r).residual <= 1e-10
+        except ArithmeticError as exc:
+            assert "past n = 400" in str(exc) or str(exc) == "math range error"
+
+    @settings(PROPERTY, max_examples=12)
+    @given(st.integers(0, 10), st.floats(0.01, 2.0), st.floats(0.05, 26.0))
+    def test_addition_vacuum_passes_or_is_refused(self, k, x, r):
+        try:
+            rep = identities.addition_vacuum_crosscheck(GroupElement(r, 0.7, 0.3), IrrepLabel(2 * x, k), dim=512)
+        except (ValueError, ArithmeticError) as exc:
+            assert "past n = 400" in str(exc) or "below the normal float range" in str(exc), str(exc)
+        else:
+            assert rep.residual <= 1e-9
 
 
 def test_kummer_limit_residual_is_mpmaths():

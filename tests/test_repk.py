@@ -14,6 +14,7 @@ from e2fock.repk import (
     adjoint_residual,
     algebra_function,
     basis_d,
+    basis_diagonals,
     bracket_residual,
     eigen_residuals,
     inner_product,
@@ -321,6 +322,50 @@ class TestBasisFunctions:
         resid = (k + 1 + zeta) * f[zeta + 1] + (lam**2 / 4 - 2 * zeta - k - 1) * f[zeta] + zeta * f[zeta - 1]
         scale = max(abs(f[zeta - 1]), abs(f[zeta]), abs(f[zeta + 1])) * (k + 1 + 2 * zeta)
         assert abs(resid) <= 1e-11 * scale
+
+
+
+def _raised(entry):
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+def _entry(build):
+    # an array's bytes, or the message of the ValueError refusing it
+    try:
+        return build().tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestBasisDiagonals:
+    """Every entry of a D_n table is basis_d's diagonal, float for float, or basis_d's refusal, word for word."""
+
+    @pytest.mark.parametrize(
+        "windings,dim",
+        [
+            ({1.0: {-5, 0, 3, 5}, 2.0: {-64, -1, 0, 2}}, 96),
+            # (lam/2)^n/n! underflows from small n on at 1e-300; 1e20 loses e^(-lam^2/8), and (lam/2)^n overflows
+            ({1e-300: {-3, 0, 1, 5}, 1e20: {0, 7}, 1e200: {-3, 2}}, 32),
+            # zmax = dim - |n| - 2 below 1 for |n| >= 6
+            ({3.0: {-7, -6, -5, 0, 6, 9}}, 8),
+        ],
+    )
+    def test_each_entry_is_basis_ds(self, windings, dim):
+        table = basis_diagonals(windings, dim)
+        assert set(table) == {(lam, n) for lam, ns in windings.items() for n in ns}
+        for (lam, n), entry in table.items():
+            want = _entry(lambda: basis_d(IrrepLabel(lam, n), dim - abs(n) - 2).diagonal)
+            assert _entry(lambda: _raised(entry)) == want, (lam, n)
+
+    def test_a_lane_is_tested_only_to_its_own_zmax(self):
+        # at lam = 77, D_0's lane overflows from zeta = 311 and D_4's from 341: at dim 346 D_4 runs to the top degree
+        # 344 for D_0's sake, past its own zmax 340, and its prefix is finite, as basis_d finds
+        table = basis_diagonals({77.0: {0, 4, -4}}, 346)
+        assert str(table[77.0, 0]) == "basis_d at lam=77.0, k=0: the radial part is lost, not finite up to zeta = 344"
+        for n in (4, -4):
+            assert table[77.0, n].tobytes() == basis_d(IrrepLabel(77.0, n), 340).diagonal.tobytes()
 
 
 class TestEigenEquations:
