@@ -6,7 +6,8 @@ residual and, where the check found more than that number says, a detail.
 The verifier only holds the tolerances, decides each pass and files records.
 Residuals are measured against max(|lhs|, |rhs|, largest term magnitude):
 both sandwich identities have parameter points where the two sides vanish
-identically, so a plain relative error would be 0/0 there.
+identically, so a plain relative error would be 0/0 there, and a scale below
+the normal float range is refused where it is formed (:func:`repk.normal_scale`).
 
 The four scalar checks (:func:`kummer_recurrence_residual`, :func:`identity_a`,
 :func:`identity_b`, :func:`hille_hardy_residual`) take one point, and their grid
@@ -32,14 +33,13 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .e2group import GroupElement, IrrepLabel, act_on_generator, irrep_row, irrep_rows, u_factors
 from .fock import conjugated_block, safe_block
-from .repk import basis_d, basis_diagonals, inner_product
+from .repk import basis_d, basis_diagonals, inner_product, normal_scale
 from .specfun import (
     bessel_i_scaled,
     bessel_j,
@@ -391,9 +391,8 @@ def _identity_b_residual(m: int, k: int, x: float, r: float, phi: float, factors
     if sums is None:  # the first factor row refused
         raise next(row for row in factors if isinstance(row, Exception))
     rhs, term_max, tail = sums
-    scale = max(abs(lhs), abs(rhs), term_max)
-    if scale == 0.0:
-        raise ArithmeticError(f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: both sides and every term are 0")
+    what = f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: the scale max(|lhs|, |rhs|, largest term)"
+    scale = normal_scale(max(abs(lhs), abs(rhs), term_max), what)
     detail = None
     residual = abs(lhs - rhs) / scale
     if tail > 1e-12 * scale:
@@ -483,8 +482,7 @@ def _addition_residual(g, label, dim, diagonals, factors, sums) -> Residual:
 
     num = float(np.linalg.norm(lhs - rhs))
     den = float(np.linalg.norm(dk[: max(b - abs(k), 0)]))
-    if den == 0.0:
-        raise ValueError(f"addition at lam={lam!r}, k={k}: the norm of D_k's block underflows to 0")
+    normal_scale(den, f"addition at lam={lam!r}, k={k}: the norm of D_k's block")
 
     def diagnostic():
         # built again from the shared objects, so that a grid holds no block for each record until it is filed
@@ -534,13 +532,8 @@ def _vacuum_residual(g, label, dim, diagonals, factors, _) -> Residual:
     difference = max(abs(s1 - s2), abs(s1 - s3))
     if r == 0.0 and k != 0:  # U(g) is diagonal and t_k0(g) = 0: each side is exactly 0, so any difference is a fault
         return Residual(difference)
-    # elsewhere a scale below the normal range is refused: there a zero against a subnormal would read as agreement
-    if (scale := max(abs(s1), abs(s3))) < sys.float_info.min:
-        raise ArithmeticError(
-            f"addition-vacuum at lam={lam!r}, k={k}, r={r!r}: the scale max(|(U D_k U*)_00|, |t_k0(g) f_0(0)|)"
-            f" is {float(scale)!r}, below the normal float range"
-        )
-    return Residual(difference / scale)
+    what = f"addition-vacuum at lam={lam!r}, k={k}, r={r!r}: the scale max(|(U D_k U*)_00|, |t_k0(g) f_0(0)|)"
+    return Residual(difference / normal_scale(max(abs(s1), abs(s3)), what))
 
 
 def _hille_hardy_kernel(points, runs, values, _):
@@ -572,12 +565,8 @@ def _hille_hardy_residual(k: int, x: float, y: float, zq: float, lhs: float, lar
         + ik_log_scale
     )
     rhs = math.copysign(math.exp(log_rhs_mag), ik)
-    if (scale := max(abs(lhs), abs(rhs), largest)) < sys.float_info.min:
-        raise ArithmeticError(
-            f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: the scale max(|lhs|, |rhs|, largest term)"
-            f" is {scale!r}, below the normal float range"
-        )
-    return Residual(abs(lhs - rhs) / scale)
+    what = f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: the scale max(|lhs|, |rhs|, largest term)"
+    return Residual(abs(lhs - rhs) / normal_scale(max(abs(lhs), abs(rhs), largest), what))
 
 
 @_grid_check(_hille_hardy_kernel)

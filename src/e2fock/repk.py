@@ -44,6 +44,7 @@ __all__ = [
     "eigen_residuals",
     "bracket_residual",
     "adjoint_residual",
+    "normal_scale",
 ]
 
 
@@ -216,8 +217,7 @@ def adjoint_p(F: AlgebraFunction) -> AlgebraFunction:
 
 
 def _radial(lam: float, k: int, zmax: int, kummer) -> np.ndarray:
-    # f_k(zeta) for zeta = 0..zmax, reading Phi(-zeta, 1+|k|; lam^2/4) from kummer(zmax, 1+|k|, lam^2/4), or the
-    # ValueError basis_d raises
+    # f_k(zeta), zeta = 0..zmax, with Phi(-zeta, 1+|k|; lam^2/4) from kummer(zmax, 1+|k|, lam^2/4); raises as basis_d
     if zmax < 1:
         raise ValueError("basis_d requires zmax >= 1")
     a = abs(k)
@@ -227,15 +227,13 @@ def _radial(lam: float, k: int, zmax: int, kummer) -> np.ndarray:
         raise ValueError(f"basis_d at lam={lam!r}, k={k}: (lam/2)^{a} overflows") from None
     # a! / 2^shift is a float, and ldexp restores the scale; shift = 0, so every float is as before, up to a = 170
     shift = max(0, (factorial := math.factorial(a)).bit_length() - 1023)
-    pref = math.ldexp(power / (factorial / (1 << shift)) * (damping := math.exp(-lam * lam / 8.0)), -shift)
+    pref = math.ldexp(power / (factorial / (1 << shift)) * math.exp(-lam * lam / 8.0), -shift)
+    normal_scale(pref, f"basis_d at lam={lam!r}, k={k}: the prefactor (lam/2)^{a}/{a}! e^(-lam^2/8)")
     with np.errstate(over="ignore", invalid="ignore"):
         # i^a exact from a table of four, times the real (lam/2)^a/a! e^{-lam^2/8} Phi
         radial = np.array([1, 1j, -1, -1j])[a % 4] * (pref * kummer(zmax, 1 + a, lam * lam / 4.0))
-    if pref == 0 or not np.all(np.isfinite(radial)):
-        why = f"not finite up to zeta = {zmax}"
-        if pref == 0:
-            why = "e^(-lam^2/8) underflows to 0" if damping == 0 else f"(lam/2)^{a}/{a}! underflows to 0"
-        raise ValueError(f"basis_d at lam={lam!r}, k={k}: the radial part is lost, {why}")
+    if not np.all(np.isfinite(radial)):
+        raise ValueError(f"basis_d at lam={lam!r}, k={k}: the radial part is lost, not finite up to zeta = {zmax}")
     return radial
 
 
@@ -245,10 +243,9 @@ def basis_d(label: IrrepLabel, zmax: int) -> BasisFunction:
     f_k(zeta) = ((i lam)^a / (2^a a!)) e^{-lam^2/8} Phi(-zeta, 1+a; lam^2/4)
     with a = |k|; stored at winding -k (z*^k f for k >= 0, f z^|k| for k < 0).
     The true eigenfunction has infinite radial support; zmax is a truncation,
-    so statements at the boundary point must be excluded.  Raises ValueError
-    where e^{-lam^2/8} underflows to 0 (lam > 77.2), where the prefactor
-    underflows to 0 so that f_k vanishes identically (lam = 1e-300, k = 5),
-    where (lam/2)^a overflows, or where f_k is not finite.
+    so statements at the boundary point must be excluded.  Raises ArithmeticError
+    where the prefactor (lam/2)^a/a! e^{-lam^2/8} is below the normal float range
+    (lam > 75.3 at k = 0), ValueError where (lam/2)^a overflows or f_k is not finite.
     """
     radial = _radial(label.lam, label.k, zmax, kummer_phi_seq)
     return BasisFunction(label, algebra_function({-label.k: radial}, zmax))
@@ -257,7 +254,7 @@ def basis_d(label: IrrepLabel, zmax: int) -> BasisFunction:
 def basis_diagonals(windings: Mapping[float, set], dim: int) -> dict:
     """D_n's Fock diagonal ``basis_d(IrrepLabel(lam, n), dim - |n| - 2).diagonal``, the same floats, by (lam, n).
 
-    ``windings`` maps each lam to the n wanted; an entry that basis_d refuses is its ValueError instead.  Per lam,
+    ``windings`` maps each lam to the n wanted; an entry that basis_d refuses is its refusal instead.  Per lam,
     one kummer_phi_seq call runs a lane b = 1 + |n| per distinct |n| to the top degree, and D_n reads its lane's
     prefix to its own zmax = dim - |n| - 2, tested for finiteness there only; D_n and D_-n share their entries.
     The winding roots of each |n| are one table for every lam.  Entries too large for floats are inf, silently.
@@ -275,7 +272,7 @@ def basis_diagonals(windings: Mapping[float, set], dim: int) -> dict:
                         root = roots[a] if a in roots else roots.setdefault(a, _winding_roots(a, dim - a - 2))
                         built[a] = radial * root
                 out[lam, n] = built[a]
-            except ValueError as exc:
+            except (ValueError, ArithmeticError) as exc:
                 out[lam, n] = exc
     return out
 
@@ -322,12 +319,24 @@ def bracket_residual(F: AlgebraFunction) -> float:
 def adjoint_residual(F: AlgebraFunction, G: AlgebraFunction) -> float:
     """Defect of the real structure (pF, G) = (F, p*G), (hF, G) = (F, hG), relative to the largest product.
 
-    Raises ArithmeticError where that product is below the normal float range, where a zero against a
-    subnormal would read as agreement.
+    Raises ArithmeticError where that product is below the normal float range (:func:`normal_scale`).
     """
     lhs, rhs = inner_product(op_p(F), G), inner_product(F, adjoint_p(G))
     h_lhs, h_rhs = inner_product(op_h(F), G), inner_product(F, op_h(G))
-    if (scale := max(abs(lhs), abs(rhs), abs(h_lhs), abs(h_rhs))) < sys.float_info.min:
-        products = "|(pF, G)|, |(F, p*G)|, |(hF, G)|, |(F, hG)|"
-        raise ArithmeticError(f"adjoint pairing: the largest of {products} is {float(scale)!r}, below normal floats")
+    scale = max(abs(lhs), abs(rhs), abs(h_lhs), abs(h_rhs))
+    normal_scale(scale, "adjoint pairing: the largest of |(pF, G)|, |(F, p*G)|, |(hF, G)|, |(F, hG)|")
     return max(abs(lhs - rhs), abs(h_lhs - h_rhs)) / scale
+
+
+def normal_scale(scale: float, what: str) -> float:
+    """``scale``, or ArithmeticError where it is below the normal float range (0 included), ``what`` naming it.
+
+    A subnormal value keeps its magnitude but not its digits, so a relative residual of 0 against one checks
+    nothing; each check that can form such a scale refuses it here.  Needing no test: identity-a's scale is at
+    least its n = 0 term, 1; kummer-limit's right side sum_j (b-1)! c^j / (j! (j+b-1)!) is at least 1, so its
+    ``rhs == 0.0`` guard catches an inf * 0 float failure; unitarity, intertwining and classical-limit have
+    absolute residuals.
+    """
+    if scale < sys.float_info.min:
+        raise ArithmeticError(f"{what} is {float(scale)!r}, below the normal float range")
+    return scale

@@ -9,6 +9,7 @@ two independent routes against each other.
 
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -95,8 +96,11 @@ def identity_b_termwise(m: int, k: int, x: float, r: float) -> Residual:
         if n > 10 and tail < 1e-18 * term_max:
             break
     scale = max(abs(lhs), abs(rhs), term_max)
-    if scale == 0.0:
-        raise ArithmeticError(f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: both sides and every term are 0")
+    if scale < sys.float_info.min:
+        raise ArithmeticError(
+            f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: the scale max(|lhs|, |rhs|, largest term) is {scale!r},"
+            " below the normal float range"
+        )
     detail = None
     residual = abs(lhs - rhs) / scale
     if tail > 1e-12 * scale:

@@ -311,7 +311,7 @@ def test_addition_holds_at_the_identity_translation(argv):
     ],
 )
 def test_an_underflowed_eigenbasis_fails_its_records(argv, records):
-    # e^{-lam^2/8} is 0.0 above lam ~ 77.2, so D_k is lost: each point is an error record naming lam
+    # e^{-lam^2/8} is 0.0 above lam ~ 77.2, so D_k's prefactor is too: each point is an error record naming lam
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out = run_cli(argv)
@@ -320,7 +320,7 @@ def test_an_underflowed_eigenbasis_fails_its_records(argv, records):
     for r in recs:
         assert not r["pass"] and r["residual"] is None
         assert r["detail"].startswith(f"error: basis_d at lam={r['params']['lam']!r}, k=")
-        assert r["detail"].endswith("the radial part is lost, e^(-lam^2/8) underflows to 0")
+        assert r["detail"].endswith(" e^(-lam^2/8) is 0.0, below the normal float range")
 
 
 @pytest.mark.parametrize(
@@ -342,8 +342,8 @@ def test_a_vanished_eigenbasis_fails_its_records(argv, capfd):
         k = r["params"]["k"]
         assert not r["pass"] and r["residual"] is None
         assert r["detail"] == (
-            f"error: basis_d at lam={r['params']['lam']!r}, k={k}: the radial part is lost, "
-            f"(lam/2)^{k}/{k}! underflows to 0"
+            f"error: basis_d at lam={r['params']['lam']!r}, k={k}: the prefactor (lam/2)^{k}/{k}! e^(-lam^2/8)"
+            " is 0.0, below the normal float range"
         )
 
 
@@ -600,14 +600,13 @@ def test_each_scalar_suite_runs_its_grid_form_once(monkeypatch):
     # caps that split each suite's default lanes into several blocks
     [("recurrence", 40000), ("identity-a", 5000), ("hille-hardy", 71040)],
 )
-@pytest.mark.parametrize("name", ["_BLOCK_BYTES"])
-def test_a_plan_under_small_caps_changes_no_byte(suite, cap, name, monkeypatch):
-    # a grid's plan is the blocks its lanes run in, each of at most _BLOCK_BYTES
+def test_blocks_under_small_caps_change_no_byte(suite, cap, monkeypatch):
+    # a grid's lanes run in blocks of at most _BLOCK_BYTES each; more, smaller blocks give the same bytes
     built = _counting(monkeypatch, "kummer_phi_seq")
     want = run_cli(["verify", suite])
     default_blocks = _lane_blocks(built)
     built.clear()
-    monkeypatch.setattr(identities, name, cap)
+    monkeypatch.setattr(identities, "_BLOCK_BYTES", cap)
     assert run_cli(["verify", suite]) == want
     blocks = _lane_blocks(built)
     assert len(blocks) == len(built)  # every run is a lane of a block
@@ -679,15 +678,14 @@ def test_a_grid_runs_no_lane_its_checks_refuse(monkeypatch):
     assert all(rec["detail"].endswith(": x^2 is outside the float range") for rec in recs)
 
 
-@pytest.mark.parametrize("name", ["_BLOCK_BYTES"])
-def test_identity_b_sums_under_small_caps_change_no_byte(name, monkeypatch):
+def test_identity_b_sums_under_small_caps_change_no_byte(monkeypatch):
     # the 693 n-sums come in 2-D passes of at most _BLOCK_BYTES at 8 x 81 x 8 bytes a point, split where the
     # points' rows fill a block: the default 2^20 bytes hold 202 points, 2^16 bytes 12
     passes = _counting(monkeypatch, "_identity_b_sums")
     want = run_cli(["verify", "identity-b"])
     assert [len(xrs) for *_, xrs in passes] == [202, 202, 202, 87]
     passes.clear()
-    monkeypatch.setattr(identities, name, 2**16)
+    monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**16)
     assert run_cli(["verify", "identity-b"]) == want
     # the 6 blocks hold 306, 189, 65, 61, 62 and 10 points
     assert [len(xrs) for *_, xrs in passes] == [
@@ -990,14 +988,16 @@ def test_division_by_zero_is_an_error_record(argv):
 
 
 def test_a_vacuum_scale_below_the_normal_range_is_an_error_record():
-    # s1 = (U D_k U*)_00 is exactly 0 and s3 = t_k0(g) f_0(0) is subnormal at both lam; over a 1e-300 floor the
-    # two once read as agreement, with residuals 1.8e-22 and 2.7e-16
-    code, out = run_cli(["verify", "addition", "--dim", "512", "--lambda", "3.72,4.0", "--r", "1", "--k", "200"])
-    vacuum = [rec for rec in json_records(out) if rec["name"] == "addition-vacuum"]
-    assert code == 1 and [rec["params"]["lam"] for rec in vacuum] == [3.72, 4.0]
-    for rec, s3 in zip(vacuum, ("1.8e-322", "2.7032016e-316")):
-        assert not rec["pass"] and rec["residual"] is None
-        assert rec["detail"].endswith(f"|t_k0(g) f_0(0)|) is {s3}, below the normal float range")
+    # D_20's prefactor is normal, but t_k0(g) f_0(0), about (lam r/2)^20/20! e^(-lam^2/8), is subnormal at these
+    # r and (U D_k U*)_00 is no larger: a zero against it would read as agreement, while addition passes
+    for lam, r, s3 in (("1", "5e-15", "3.2990488500326e-311"), ("2", "1e-15", "2.49306e-319")):
+        code, out = run_cli(["verify", "addition", "--lambda", lam, "--r", r, "--k", "20"])
+        addition, vacuum = json_records(out)
+        assert code == 1 and addition["pass"] and not vacuum["pass"] and vacuum["residual"] is None
+        assert vacuum["detail"] == (
+            f"error: addition-vacuum at lam={lam}, k=20, r={r}: the scale max(|(U D_k U*)_00|, |t_k0(g) f_0(0)|)"
+            f" is {s3}, below the normal float range"
+        )
 
 
 @pytest.mark.parametrize("k,scale", [(176, "5.0864671309e-313"), (178, "1.993125e-317"), (185, "0.0")])
@@ -1011,6 +1011,52 @@ def test_a_hille_hardy_scale_below_the_normal_range_is_an_error_record(k, scale,
         f"error: hille-hardy at k={k}, x=1, y=1, zq=0.1: the scale max(|lhs|, |rhs|, largest term) is {scale},"
         " below the normal float range"
     )
+
+
+def _prefactor_refusal(lam, k, value):
+    return (
+        f"error: basis_d at lam={lam}, k={k}: the prefactor (lam/2)^{k}/{k}! e^(-lam^2/8) is {value},"
+        " below the normal float range"
+    )
+
+
+def _identity_b_refusal(m, x, value):
+    return (
+        f"error: identity-b at m={m}, k=2, x={x}, r=1: the scale max(|lhs|, |rhs|, largest term) is {value},"
+        " below the normal float range"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,details",
+    [
+        # values near 1e-310 once agreed at residual 0.0
+        (
+            ["identity-b", "--x", "1e-155", "--k", "2", "--m", "0", "--r", "1"],
+            [_identity_b_refusal(0, "1e-155", "1e-310")],
+        ),
+        # once passed at 0.0 and 2.5e-10
+        (
+            ["identity-b", "--x", "1e-157", "--k", "2", "--m", "0,3", "--r", "1"],
+            [_identity_b_refusal(0, "1e-157", "1e-314"), _identity_b_refusal(3, "1e-157", "1.00000000026e-313")],
+        ),
+        # a prefactor of 1.25e-321 once passed; at k = 200 the eigen records once failed at 2.3e-7 and 0.1998 unnamed
+        (["eigen", "--lambda", "1e-160", "--k", "2"], [_prefactor_refusal("1e-160", 2, "1.25e-321")]),
+        (["eigen", "--lambda", "4", "--k", "200"], [_prefactor_refusal(4, 200, "2.7575381e-316")]),
+        (["eigen", "--lambda", "3.72", "--k", "200"], [_prefactor_refusal(3.72, 200, "1.8e-322")]),
+        # each D_200 is refused where it is built, and both addition checks file its refusal
+        (
+            ["addition", "--dim", "512", "--lambda", "3.72,4.0", "--r", "1", "--k", "200"],
+            [_prefactor_refusal(3.72, 200, "1.8e-322")] * 2 + [_prefactor_refusal(4.0, 200, "2.7575381e-316")] * 2,
+        ),
+    ],
+    ids=["identity-b-1e-155", "identity-b-1e-157", "eigen-1e-160", "eigen-4-200", "eigen-3.72-200", "addition-200"],
+)
+def test_a_scale_below_the_normal_range_is_an_error_record_naming_it(argv, details, capfd):
+    code, out = run_cli(["verify", *argv])
+    recs = json_records(out)
+    assert code == 1 and capfd.readouterr().err == ""
+    assert [(rec["pass"], rec["residual"], rec["detail"]) for rec in recs] == [(False, None, d) for d in details]
 
 
 @pytest.mark.parametrize(
@@ -1041,7 +1087,9 @@ def test_an_underflowed_block_norm_is_an_error_record(capfd):
     assert code == 1 and capfd.readouterr().err == ""
     addition = recs["addition"]
     assert not addition["pass"] and addition["residual"] is None
-    assert addition["detail"] == "error: addition at lam=1e-300, k=1: the norm of D_k's block underflows to 0"
+    assert addition["detail"] == (
+        "error: addition at lam=1e-300, k=1: the norm of D_k's block is 0.0, below the normal float range"
+    )
     code, out = run_cli(["verify", "addition", "--lambda", "1e-300"])
     assert code == 1 and not any("division by zero" in (r["detail"] or "") for r in json_records(out))
 
@@ -1213,8 +1261,8 @@ class TestEveryInputIsRead:
     [
         (
             ["table", "profile", "--lambda", "1e200", "--lambda2", "1e200"],
-            "table profile: ValueError: basis_d at lam=1e+200, k=0: the radial part is lost,"
-            " e^(-lam^2/8) underflows to 0",
+            "table profile: ArithmeticError: basis_d at lam=1e+200, k=0: the prefactor (lam/2)^0/0! e^(-lam^2/8)"
+            " is 0.0, below the normal float range",
         ),
         (
             ["table", "basis", "--lambda", "1e200", "--k", "3", "--zmax", "2"],
@@ -1222,8 +1270,8 @@ class TestEveryInputIsRead:
         ),
         (
             ["table", "profile", "--k", "200", "--lambda", "60", "--lambda2", "1"],
-            "table profile: ValueError: basis_d at lam=1, k=200: the radial part is lost,"
-            " (lam/2)^200/200! underflows to 0",
+            "table profile: ArithmeticError: basis_d at lam=1, k=200: the prefactor (lam/2)^200/200! e^(-lam^2/8)"
+            " is 0.0, below the normal float range",
         ),
         (["verify", "recurrence", "--lambda", "2"], "verify recurrence: ValueError: the run does not read --lambda"),
         (["verify", "recurrence", "--dim", "64"], "verify recurrence: ValueError: the run does not read --dim"),
@@ -1252,7 +1300,13 @@ class TestEveryInputIsRead:
         (["table", "basis", "--zmax", "-4"], "table basis: ValueError: --zmax must be >= 1 here, got -4"),
         (
             ["table", "basis", "--lambda", "80", "--k", "3"],
-            "table basis: ValueError: basis_d at lam=80, k=3: the radial part is lost, e^(-lam^2/8) underflows to 0",
+            "table basis: ArithmeticError: basis_d at lam=80, k=3: the prefactor (lam/2)^3/3! e^(-lam^2/8) is 0.0,"
+            " below the normal float range",
+        ),
+        (
+            ["table", "profile", "--k", "200", "--lambda", "3.72", "--lambda2", "3.72"],
+            "table profile: ArithmeticError: basis_d at lam=3.72, k=200: the prefactor (lam/2)^200/200! e^(-lam^2/8)"
+            " is 1.8e-322, below the normal float range",
         ),
     ],
     ids=[
@@ -1273,6 +1327,7 @@ class TestEveryInputIsRead:
         "zero-basis-zmax",
         "negative-basis-zmax",
         "basis-underflow",
+        "profile-subnormal-prefactor",
     ],
 )
 def test_error_message_names_the_run_and_the_exception(argv, message, capsys):
@@ -1333,7 +1388,8 @@ _BESSEL_SIDE = "(b-1)! c^((1-b)/2) I_(b-1)(2 sqrt(c))"
         (["verify", "kummer-limit", "--m", "3000", "--x", "400"], _BESSEL_SIDE + " is 0.0 at b=3000, c=400"),
         (
             ["verify", "identity-b", "--x", "1e-200", "--r", "1", "--m", "0", "--k", "2"],
-            "identity-b at m=0, k=2, x=1e-200, r=1: both sides and every term are 0",
+            "identity-b at m=0, k=2, x=1e-200, r=1: the scale max(|lhs|, |rhs|, largest term) is 0.0,"
+            " below the normal float range",
         ),
         # r^2 and x y zq overflow to inf, and so would the weights and terms of the two sums
         (
@@ -1515,5 +1571,8 @@ class TestStrictJsonRows:
         (rec,), (row,) = json_records(out), list(csv.DictReader(io.StringIO(csv_out)))
         assert code == csv_code == 1
         assert rec["residual"] is None and row["residual"] == "inf"
-        detail = "error: identity-b at m=3, k=2, x=1e-200, r=1: both sides and every term are 0"
+        detail = (
+            "error: identity-b at m=3, k=2, x=1e-200, r=1: the scale max(|lhs|, |rhs|, largest term) is 0.0,"
+            " below the normal float range"
+        )
         assert rec["detail"] == row["detail"] == detail

@@ -176,7 +176,7 @@ _SPAN_B_GRID = list(
 _EDGE_B_POINTS = [
     (5, 3, 10.0, 5.0),  # the sum has not converged by n = 80
     (0, 0, 1e-200, 1.0),  # only term 0 survives
-    (3, 2, 1e-200, 1.0),  # both sides and every term are 0: an error
+    (3, 2, 1e-200, 1.0),  # both sides and every term are 0, a scale below the normal range: an error
     (2, 1, 1.0, 1e-200),  # -1/r^2 divides by zero: an error
     (0, 0, 1e-200, 1e-200),  # both
     (4, 2, 1.0, 2e5),  # terms near 1e302, an unconverged tail

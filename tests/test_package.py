@@ -19,9 +19,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 class TestPublicApi:
     def test_names_and_order_are_pinned(self):
-        # 54 names: every layer module's __all__ in order, then __version__
+        # 55 names: every layer module's __all__ in order, then __version__
         digest = hashlib.sha256(json.dumps(e2fock.__all__).encode()).hexdigest()
-        assert digest == "1169caa4e3d991c332e739632bcea6b27ccea5e9e970e7c9cc02f17673131584"
+        assert digest == "8dfc1d045c6fd50de5e509102c92f7c82e83bd8a6044e64549c9599b3989cb57"
 
     def test_each_name_is_its_defining_module_object(self):
         for module in LAYERS:
@@ -47,6 +47,19 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_only_normal_scale_refuses_below_the_normal_float_range():
+    # one rule for scales below the normal range: sys.float_info.min is read by repk.normal_scale, and otherwise
+    # only by bessel_i_scaled to choose its regime, not to refuse
+    reads = [
+        f"{path.name} {getattr(top, 'name', '<module>')}"
+        for path in sorted((REPO / "src" / "e2fock").glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "min" and ast.unparse(node.value) == "sys.float_info"
+    ]
+    assert reads == ["repk.py normal_scale", "specfun.py bessel_i_scaled"]
 
 
 def test_no_source_line_is_over_117_characters():

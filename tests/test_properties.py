@@ -1,7 +1,7 @@
 """Property tests of layer invariants: the grid parser, strict record output, group laws,
 the Kummer recurrence, the Kummer series, array lanes of the Kummer and Miller recurrences,
-the scalar vectors a grid shares, the D_n tables and Bessel rows of the addition checks, and
-the vacuum sum's term count.
+the scalar vectors a grid shares, the D_n tables and Bessel rows of the addition checks, the
+vacuum sum's term count, and the normal float range of each passing record's scale.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 deterministic.
@@ -10,6 +10,7 @@ deterministic.
 import io
 import json
 import math
+import sys
 import warnings
 
 import mpmath
@@ -447,6 +448,65 @@ class TestVacuumSums:
             assert "past n = 400" in str(exc) or "below the normal float range" in str(exc), str(exc)
         else:
             assert rep.residual <= 1e-9
+
+
+def _records(*argv):
+    buf = io.StringIO()
+    main(["verify", *argv], stream=buf)
+    return [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: min(10.0**e, high))
+
+
+def _identity_b_scale(m, k, x, r):
+    # max(|lhs|, |rhs|, largest term) of identity-b at 30 digits, every term to n = 40 past which they fall
+    # factorially; the two sides agree, so |lhs| stands for both.  Phi(-m, 1+k; z) and 2F0(-p, -n; z) are their
+    # terminating sums, which mpmath's hyp1f1 and hyp2f0 do not always converge to (Phi(-1, 1; 1) = 0)
+    with mpmath.workdps(30):
+        x, r, p = mpmath.mpf(x), mpmath.mpf(r), m + k
+        phi = mpmath.fsum((-x * x) ** j * mpmath.binomial(m, j) / mpmath.rf(1 + k, j) for j in range(m + 1))
+        lhs = mpmath.binomial(m + k, k) * (x / r) ** k * phi
+
+        def term(n):
+            hyp = mpmath.fsum(
+                mpmath.binomial(p, j) * mpmath.binomial(n, j) * mpmath.factorial(j) * (-1 / (r * r)) ** j
+                for j in range(min(p, n) + 1)
+            )
+            return (-x * r) ** n / mpmath.factorial(n) * hyp * mpmath.besselj(k - n, 2 * x * r)
+
+        return max([abs(lhs)] + [abs(term(n)) for n in range(41)])
+
+
+class TestScalesBelowTheNormalRange:
+    # a record passes only on a scale in the normal float range, computed here independently; any other record
+    # fails with a detail, and a scale below the range is refused by name
+    @settings(PROPERTY, max_examples=80)
+    @given(
+        _log_uniform(1e-200, 77.0),
+        st.integers(-250, 250),
+        _log_uniform(1e-200, 2.0),
+        st.integers(0, 6),
+        st.integers(0, 10),
+        st.floats(0.5, 1.5),
+    )
+    def test_a_pass_has_a_normal_scale(self, lam, k, x, kb, m, r):
+        a = abs(k)
+        log_prefactor = a * math.log(lam / 2) - math.lgamma(a + 1) - lam * lam / 8
+        checks = [
+            (_records("eigen", "--lambda", repr(lam), "--k", str(k)), log_prefactor),
+            (
+                _records("identity-b", "--m", str(m), "--k", str(kb), "--x", repr(x), "--r", repr(r)),
+                float(mpmath.log(_identity_b_scale(m, kb, x, r))),
+            ),
+        ]
+        edge = math.log(sys.float_info.min)  # 1e-9 either side of it is left to rounding
+        for recs, log_scale in checks:
+            for rec in recs:
+                assert rec["pass"] or rec["detail"], rec
+                refused = not rec["pass"] and rec["detail"].endswith(", below the normal float range")
+                assert refused if log_scale < edge - 1e-9 else not refused or log_scale < edge + 1e-9, rec
 
 
 def test_kummer_limit_residual_is_mpmaths():

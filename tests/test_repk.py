@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -23,7 +24,7 @@ from e2fock.repk import (
     op_pbar,
     to_matrix,
 )
-from e2fock.specfun import kummer_phi, log_factorial
+from e2fock.specfun import kummer_phi, kummer_phi_seq, log_factorial
 
 
 def hs_norm(F):
@@ -209,7 +210,7 @@ class TestAdjoints:
         # coefficients 1e-160 make every product subnormal, about 4e-319 and 2e-318; over a 1e-300 floor their
         # rounding once read as a defect of 5e-24
         F = algebra_function({0: np.full(21, 1e-160 + 0j), 1: np.full(21, 1e-160 + 0j)}, 20)
-        with pytest.raises(ArithmeticError, match=r"\|\(F, hG\)\| is 2\.309974e-318, below normal floats"):
+        with pytest.raises(ArithmeticError, match=r"\|\(F, hG\)\| is 2\.309974e-318, below the normal float range$"):
             adjoint_residual(F, F)
 
 
@@ -267,22 +268,29 @@ class TestBasisFunctions:
         assert kummer_recurrence_residual(1 + k, lam * lam / 4.0, 200).residual <= 1e-10
 
     def test_lost_radial_part_is_refused(self):
-        # e^{-lam^2/8} is 0.0 above lam ~ 77.2; just below it the Kummer values overflow first
-        with pytest.raises(ValueError, match=r"lam=80, k=3: the radial part is lost, e\^\(-lam\^2/8\) underflows"):
+        def prefactor(lam, k, value):
+            # the exact refusal of a prefactor (lam/2)^|k|/|k|! e^{-lam^2/8} below the normal float range
+            a = abs(k)
+            what = f"basis_d at lam={lam!r}, k={k}: the prefactor (lam/2)^{a}/{a}! e^(-lam^2/8) is {value}"
+            return re.escape(what + ", below the normal float range") + "$"
+
+        # e^{-lam^2/8} is subnormal above lam ~ 75.3 and 0.0 above 77.2; just below 75.3 the Kummer values overflow
+        with pytest.raises(ArithmeticError, match=prefactor(80, 3, "0.0")):
             basis_d(IrrepLabel(80, 3), 10)
-        with pytest.raises(ValueError, match="lam=76.0, k=0: the radial part is lost, not finite up to zeta = 1000"):
-            basis_d(IrrepLabel(76.0, 0), 1000)
+        with pytest.raises(ArithmeticError, match=prefactor(76.0, 0, "2.7503253126e-314")):
+            basis_d(IrrepLabel(76.0, 0), 200)
+        with pytest.raises(ValueError, match="lam=75.2, k=0: the radial part is lost, not finite up to zeta = 1000"):
+            basis_d(IrrepLabel(75.2, 0), 1000)
         with pytest.raises(ValueError, match=r"lam=1e\+200, k=3: \(lam/2\)\^3 overflows"):
             basis_d(IrrepLabel(1e200, 3), 2)
-        assert np.all(np.isfinite(basis_d(IrrepLabel(76.0, 0), 200).radial))
+        assert np.all(np.isfinite(basis_d(IrrepLabel(75.2, 0), 200).radial))
         # (lam/2)^|k|/|k|! underflows at tiny lam: D_k would vanish identically
         for lam, k in ((1e-300, 5), (1e-300, -2), (1e-30, 20)):
-            lost = rf"k={k}: the radial part is lost, \(lam/2\)\^{abs(k)}/{abs(k)}! underflows to 0"
-            with pytest.raises(ValueError, match=lost):
+            with pytest.raises(ArithmeticError, match=prefactor(lam, k, "0.0")):
                 basis_d(IrrepLabel(lam, k), 10)
         assert basis_d(IrrepLabel(1e-300, 1), 10).radial[0] != 0
         # 200! is beyond the float range, but (1/2)^200/200! is what falls below it
-        with pytest.raises(ValueError, match=r"k=200: the radial part is lost, \(lam/2\)\^200/200! underflows"):
+        with pytest.raises(ArithmeticError, match=prefactor(1.0, 200, "0.0")):
             basis_d(IrrepLabel(1.0, 200), 10)
 
     @pytest.mark.parametrize("k", [200, -171])
@@ -332,10 +340,10 @@ def _raised(entry):
 
 
 def _entry(build):
-    # an array's bytes, or the message of the ValueError refusing it
+    # an array's bytes, or the message of the ValueError or ArithmeticError refusing it
     try:
         return build().tobytes()
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         return str(exc)
 
 
@@ -350,6 +358,8 @@ class TestBasisDiagonals:
             ({1e-300: {-3, 0, 1, 5}, 1e20: {0, 7}, 1e200: {-3, 2}}, 32),
             # zmax = dim - |n| - 2 below 1 for |n| >= 6
             ({3.0: {-7, -6, -5, 0, 6, 9}}, 8),
+            # D_0's lane overflows from zeta = 352 at lam = 75.2; at 77 the prefactor is subnormal up to |n| ~ 22
+            ({75.2: {-1, 0, 2}, 77.0: {0, 4, 30}}, 356),
         ],
     )
     def test_each_entry_is_basis_ds(self, windings, dim):
@@ -359,13 +369,19 @@ class TestBasisDiagonals:
             want = _entry(lambda: basis_d(IrrepLabel(lam, n), dim - abs(n) - 2).diagonal)
             assert _entry(lambda: _raised(entry)) == want, (lam, n)
 
-    def test_a_lane_is_tested_only_to_its_own_zmax(self):
-        # at lam = 77, D_0's lane overflows from zeta = 311 and D_4's from 341: at dim 346 D_4 runs to the top degree
-        # 344 for D_0's sake, past its own zmax 340, and its prefix is finite, as basis_d finds
-        table = basis_diagonals({77.0: {0, 4, -4}}, 346)
-        assert str(table[77.0, 0]) == "basis_d at lam=77.0, k=0: the radial part is lost, not finite up to zeta = 344"
+    def test_a_lane_is_tested_only_to_its_own_zmax(self, monkeypatch):
+        # at dim 346 D_4's lane runs to the top degree 344 for D_0's sake, past D_4's own zmax 340: made inf past
+        # 340, it refuses D_0 and keeps D_4, as basis_d finds.  No real lane does so with a normal prefactor
+        def inf_past_340(nmax, b, x):
+            rows = np.array(kummer_phi_seq(nmax, b, x))
+            rows[..., 341:] = math.inf
+            return rows
+
+        monkeypatch.setattr(repk, "kummer_phi_seq", inf_past_340)
+        table = basis_diagonals({2.0: {0, 4, -4}}, 346)
+        assert str(table[2.0, 0]) == "basis_d at lam=2.0, k=0: the radial part is lost, not finite up to zeta = 344"
         for n in (4, -4):
-            assert table[77.0, n].tobytes() == basis_d(IrrepLabel(77.0, n), 340).diagonal.tobytes()
+            assert table[2.0, n].tobytes() == basis_d(IrrepLabel(2.0, n), 340).diagonal.tobytes()
 
 
 class TestEigenEquations:
