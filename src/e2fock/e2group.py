@@ -124,10 +124,11 @@ def u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndar
     for a rotation) and M[m, m+d] = (-1)^d M[m+d, m] = e^{-r^2/2} S_m(d), where S_m(d) = r^d sqrt(m!/(m+d)!)
     L^{(d)}_m(r^2) runs as a self-scaled recurrence in m: row m is written in place from rows m-1 and m-2 by four
     numpy calls, its roots sqrt(m (m+d)) read from one table per 64 rows, and the entries below the diagonal are
-    filled after the loop as signed transposes, 64 columns at a time.  It stops once ``rows`` rows are filled;
-    each entry is the same float whatever ``rows`` is.  Entries below 2^-511 read a zero of their sign, so
-    products of cores never meet subnormal arithmetic and move by at most about dim * 2^-511.  A returned row
-    that overflows (at r = 40, dim 512) raises FloatingPointError.
+    filled after the loop as signed transposes, 64 columns at a time; each 64 rows, once complete, are damped by
+    e^{-r^2/2} and flushed while in cache.  It stops once ``rows`` rows are filled; each entry is the same float
+    whatever ``rows`` is.  Entries below 2^-511 read a zero of their sign, so products of cores never meet
+    subnormal arithmetic and move by at most about dim * 2^-511.  A returned row that overflows (at r = 40, dim
+    512) raises FloatingPointError.
     """
     ms = np.arange(dim)
     if g.r < 1e-12:  # a rotation
@@ -148,16 +149,17 @@ def u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndar
             np.divide(row, root, out=row)
             lag = root[:-1]  # the next row's sqrt((m-1)(m-1+d)), one entry shorter
     # M[m+d, m] = (-1)^d M[m, m+d], 64 columns at a time: the rows below their diagonal block as one signed
-    # transpose, then the block's own lower triangle, read only where the loop wrote
-    parity = 1.0 - 2 * (ms[:rows] % 2)
+    # transpose, then the block's own lower triangle, read only where the loop wrote.  Rows c..e are then
+    # complete, and are damped and flushed while they are in cache
+    parity, damping = 1.0 - 2 * (ms[:rows] % 2), math.exp(-0.5 * g.r * g.r)
     signs, below = np.multiply.outer(parity, parity[:_CHUNK]), np.tri(_CHUNK, k=-1, dtype=bool)
     for c in range(0, rows, _CHUNK):
         e = min(c + _CHUNK, rows)
         np.multiply(M[c:e, e:rows].T, signs[e:, : e - c], out=M[e:, c:e])
-        corner = M[c:e, c:e]
+        corner, block = M[c:e, c:e], M[c:e]
         np.multiply(corner.T, signs[c:e, : e - c], out=corner, where=below[: e - c, : e - c])
-    M *= math.exp(-0.5 * g.r * g.r)
-    np.multiply(M, 0.0, out=M, where=np.abs(M) < _UNDERFLOW_FLOOR)
+        block *= damping
+        np.multiply(block, 0.0, out=block, where=np.abs(block) < _UNDERFLOW_FLOOR)
     return np.exp(1j * ms * (g.psi - g.phi)), np.exp(-1j * ms * g.psi), M
 
 

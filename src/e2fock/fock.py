@@ -39,7 +39,8 @@ def conjugated_block(factors, values: np.ndarray, offset: int, n: int) -> np.nda
     V's only nonzero entries are ``values`` on diagonal ``offset``, values[i] at (s + i, s + i + offset) with
     s = max(-offset, 0); the diagonal may stop short of the corner.  U V U* = D_row M (D_col V D_col*) M^T D_row*
     and col is geometric, so D_col V D_col* is V times one phase, joined to the row phases.  The rest is one real
-    product (M[:n, c] * part) @ M[:n, c + offset].T per nonzero part of ``values``, on M's first n rows only.
+    product (M[:n, c] * part) @ M[:n, c + offset].T per nonzero part of ``values``, on M's first n rows only.  It
+    serves the two addition checks; intertwining forms the same real product and never the complex block.
     """
     row, col, M = factors
     s = max(-offset, 0)

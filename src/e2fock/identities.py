@@ -234,14 +234,28 @@ def unitarity_decay_residual(g: GroupElement, block: int) -> Residual:
 def intertwining_residual(g: GroupElement, dim: int) -> Residual:
     """Largest entry of U a U* - (e^{i phi} a + r e^{i psi}) on the block of :func:`unitarity_residual`.
 
-    The pair (e^{i phi}, r e^{i psi}) is g's action on a, from :func:`e2group.act_on_generator`.
+    The pair (e^{i phi}, r e^{i psi}) is g's action on a, from :func:`e2group.act_on_generator`.  U a U* is
+    p_i C_ij q_j with the real core product C = (M * sqrt(n)) @ M^T of :func:`fock.conjugated_block` and unit
+    phases p, q, so no complex block is formed.  The two bands the identity subtracts are evaluated as
+    :func:`fock.conjugated_block` and the subtraction would, entry by entry.  Off them a unit phase moves |C_ij|
+    only by rounding, a few eps relative (Higham, Accuracy and Stability, sec. 3.6), so |p_i C_ij q_j| is formed
+    only where |C_ij| is within 2^-40 of the off-band maximum: the residual is the complex block's float.
     """
     b = _checked_block(dim, g.r)
-    UaU = conjugated_block(u_factors(g, dim, b), np.sqrt(np.arange(1.0, dim)), 1, b)
+    row, col, M = u_factors(g, dim, b)
+    roots = np.sqrt(np.arange(1.0, dim))  # a's entries, sqrt(n) at (n - 1, n)
+    C = (M[:, :-1] * roots) @ M[:, 1:].T
     alpha, beta = act_on_generator(g)
-    np.einsum("ii->i", UaU)[...] -= beta  # then alpha a, whose entries sqrt(n) sit at (n - 1, n)
-    np.einsum("ii->i", UaU[:-1, 1:])[...] -= alpha * np.sqrt(np.arange(1.0, b))
-    return Residual(np.max(np.abs(UaU)))
+    p, q = row[:b] * (col[0] * col[1].conj()), row[:b].conj()
+    diagonal, upper = np.einsum("ii->i", C), np.einsum("ii->i", C[:-1, 1:])
+    bands = [(p * diagonal) * q - beta, (p[:-1] * upper) * q[1:] - alpha * roots[: b - 1]]
+    diagonal[...], upper[...] = 0.0, 0.0
+    # |p c q| is even in c, as rounding to nearest is, so C's magnitudes serve.  Every nonzero entry is formed
+    # below 2^-970, where rounding is not relative, and every entry where C is not finite, as the cut is nan
+    top = np.abs(C, out=C).max()
+    ij = np.flatnonzero(~(C <= (top - top * 2**-40 if not top <= 2**-970 else 0.0)))
+    i, j = np.divmod(ij, b)
+    return Residual(np.max(np.abs(np.concatenate([*bands, (p[i] * C.reshape(-1)[ij]) * q[j]]))))
 
 
 def _recurrence_kernel(points, runs, values, _):
@@ -532,8 +546,14 @@ def _vacuum_residual(g, label, dim, diagonals, factors, _) -> Residual:
     difference = max(abs(s1 - s2), abs(s1 - s3))
     if r == 0.0 and k != 0:  # U(g) is diagonal and t_k0(g) = 0: each side is exactly 0, so any difference is a fault
         return Residual(difference)
-    what = f"addition-vacuum at lam={lam!r}, k={k}, r={r!r}: the scale max(|(U D_k U*)_00|, |t_k0(g) f_0(0)|)"
-    return Residual(difference / normal_scale(max(abs(s1), abs(s3)), what))
+    where = f"addition-vacuum at lam={lam!r}, k={k}, r={r!r}"
+    scale = normal_scale(max(abs(s1), abs(s3)), f"{where}: the scale max(|(U D_k U*)_00|, |t_k0(g) f_0(0)|)")
+    if s1 == 0:  # s1 sums M[0, i + k] D_k[i] M[0, i] over the core's row 0, M[0, d] = e^(-r^2/2) r^d/sqrt(d!)
+        raise ArithmeticError(
+            f"{where}: (U D_k U*)_00 reads 0 where t_k0(g) f_0(0) is {float(abs(s3))!r}: U(g)'s core flushes entries"
+            " below 2^-511 to 0"
+        )
+    return Residual(difference / scale)
 
 
 def _hille_hardy_kernel(points, runs, values, _):

@@ -19,7 +19,7 @@ import pytest
 from e2fock import cli, e2group, identities, repk
 from e2fock.cli import RunConfig, main, suite_intertwining, suite_unitarity
 from e2fock.e2group import GroupElement, IrrepLabel, act_on_generator, u_factors, u_matrix
-from e2fock.fock import safe_block
+from e2fock.fock import conjugated_block, safe_block
 from e2fock.specfun import kummer_phi_seq
 
 from conftest import orthogonality_profile_mp
@@ -541,7 +541,7 @@ _RECURRENCE_XS = ",".join(f"{0.25 + 0.9843 * i:.4f}" for i in range(16))
         pytest.param(["verify", "addition", "--dim", "32"], id="addition-dim-32"),
     ],
 )
-def test_memo_does_not_change_a_byte(argv, monkeypatch):
+def test_grid_forms_one_point_at_a_time_change_no_byte(argv, monkeypatch):
     # each grid form run one point at a time, its kernel's 2-D passes one row each: nothing shared between points,
     # every value computed afresh for its point
     want = run_cli(argv)
@@ -747,6 +747,16 @@ def long_double_intertwining_residual(g, dim, b):
     return float(np.max(np.abs(block)))
 
 
+def complex_intertwining_residual(g, dim):
+    # the complex form on the checked block: U a U* from conjugated_block, then the two subtractions and abs
+    b = max(safe_block(dim, g.r), min(dim, 4))
+    block = conjugated_block(identities.u_factors(g, dim, b), np.sqrt(np.arange(1.0, dim)), 1, b)
+    alpha, beta = act_on_generator(g)
+    np.einsum("ii->i", block)[...] -= beta
+    np.einsum("ii->i", block[:-1, 1:])[...] -= alpha * np.sqrt(np.arange(1.0, b))
+    return np.max(np.abs(block))
+
+
 class TestBlockProducts:
     """The suites multiply only the checked block of flushed operands."""
 
@@ -784,6 +794,50 @@ class TestBlockProducts:
             exact = long_double_intertwining_residual(g, dim, b)
             assert abs(rec["residual"] - exact) <= 8 * np.finfo(float).eps * math.sqrt(b), (dim, r, rec, exact)
             assert rec["pass"] == (exact <= rec["tolerance"])
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 64, 97, 130, 300, 512])
+    def test_intertwining_is_the_complex_blocks_float(self, dim):
+        # the real core's residual against the complex block's, float for float: rotations (r below 1e-12), tiny
+        # r whose cores flush most entries, and r up to 13, with angles in every quadrant
+        rng = np.random.default_rng(dim)
+        rs = [*self.RS, 0.0, 1e-12 * rng.random(), *10.0 ** rng.uniform(-11, -3, 2), *rng.uniform(0, 13, 5)]
+        for r in rs:
+            g = GroupElement(r, *rng.uniform(-4, 4, 2))
+            assert identities.intertwining_residual(g, dim).residual == complex_intertwining_residual(g, dim), (r, g)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e300])
+    def test_intertwining_of_a_core_out_of_range_is_the_complex_blocks_float(self, monkeypatch, value):
+        # an inf or nan in the core, reaching C on a band or off them, has every entry of C formed; 1e300 keeps
+        # C finite and large
+        factors = identities.u_factors
+
+        def spoiled(g, dim, rows, at):
+            row, col, M = factors(g, dim, rows)
+            M[at] = value
+            return row, col, M
+
+        for at in [(0, 0), (1, 5), (3, 2), (0, 1)]:
+            monkeypatch.setattr(identities, "u_factors", lambda g, dim, rows: spoiled(g, dim, rows, at))
+            for g in (GroupElement(0.3, 0.7, 0.3), GroupElement(0.0, 0.0, 0.0), GroupElement(2.0, 0.0, 0.0)):
+                with np.errstate(all="ignore"):
+                    got = identities.intertwining_residual(g, 16).residual
+                    want = complex_intertwining_residual(g, 16)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (at, g, got, want)
+
+    def test_intertwining_forms_no_complex_block(self):
+        # at dim 512, r = 0.3 (b = 481): U(g)'s core, its scaled copy and the real product hold 2 b dim + b^2
+        # floats; the complex form holds the core, the real product and two complex b x b blocks at once, 11.4 MB
+        # traced where the real core takes 5.8 MB
+        g, dim = GroupElement(0.3, 0.7, 0.3), 512
+        b = safe_block(dim, g.r)
+        identities.intertwining_residual(g, dim)
+        tracemalloc.start()
+        try:
+            identities.intertwining_residual(g, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b == 481 and peak < 8 * (2 * b * dim + 2 * b * b), peak
 
 
 def test_verify_all_raises_no_runtime_warning():
@@ -997,6 +1051,19 @@ def test_a_vacuum_scale_below_the_normal_range_is_an_error_record():
         assert vacuum["detail"] == (
             f"error: addition-vacuum at lam={lam}, k=20, r={r}: the scale max(|(U D_k U*)_00|, |t_k0(g) f_0(0)|)"
             f" is {s3}, below the normal float range"
+        )
+
+
+def test_a_vacuum_element_flushed_to_zero_is_an_error_record():
+    # t_k0(g) f_0(0) is normal, but (U D_k U*)_00 sums M[0, i + 20] D_20[i] M[0, i], and M[0, d] = e^(-r^2/2)
+    # r^d/sqrt(d!) falls below 2^-511 before d = 20 at these r, so U(g)'s core holds 0 there and the sum reads 0
+    for lam, r, s3 in (("2", "1e-14", "2.4930336596959905e-299"), ("1", "1e-10", "3.459303446971762e-225")):
+        code, out = run_cli(["verify", "addition", "--lambda", lam, "--r", r, "--k", "20"])
+        addition, vacuum = json_records(out)
+        assert code == 1 and addition["pass"] and not vacuum["pass"] and vacuum["residual"] is None
+        assert vacuum["detail"] == (
+            f"error: addition-vacuum at lam={lam}, k=20, r={r}: (U D_k U*)_00 reads 0 where t_k0(g) f_0(0) is {s3}:"
+            " U(g)'s core flushes entries below 2^-511 to 0"
         )
 
 
