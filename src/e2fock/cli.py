@@ -181,10 +181,22 @@ def _ladder(report, values, label, monotone, **monotone_params):
     ]
 
 
-def suite_unitarity(cfg):
-    def unitary(report, dim, r, psi, phi):
-        return report(*ident.unitarity_residual(GroupElement(r, psi, phi), dim))
+def _on_group_elements(check):
+    # check's grid form over the points (dim, r, psi, phi), as (g, dim); a point that is no group element is refused
+    def grid(points):
+        elements = []
+        for dim, *g in points:
+            try:
+                elements.append((GroupElement(*g), dim))
+            except ValueError as exc:
+                elements.append(exc)
+        found = iter(check.grid([point for point in elements if not isinstance(point, Exception)]))
+        return [point if isinstance(point, Exception) else next(found) for point in elements]
 
+    return types.SimpleNamespace(grid=grid)
+
+
+def suite_unitarity(cfg):
     # the fixed-block truncation defect under dim doubling, on the last group element
     r, psi, phi = cfg.values("r", [1.5])[-1], cfg.values("psi", [_PSI])[-1], cfg.values("phi", [_PHI])[-1]
 
@@ -193,15 +205,14 @@ def suite_unitarity(cfg):
             return []
         return report(*ident.unitarity_decay_residual(GroupElement(r, psi, phi), block), block=block)
 
-    unitarity = _sweep(cfg, ["unitarity"], {"dim": [_dim(cfg, 64)], **_GROUP_AXES}, unitary)
+    axes = {"dim": [_dim(cfg, 64)], **_GROUP_AXES}
+    unitarity = _sweep(cfg, ["unitarity"], axes, _on_group_elements(ident.unitarity_residual))
     return unitarity + _sweep(cfg, ["unitarity-monotone"], {}, monotone, lambda: {"r": r, "dims": "32..128"})
 
 
 def suite_intertwining(cfg):
-    def check(report, dim, r, psi, phi):
-        return report(*ident.intertwining_residual(GroupElement(r, psi, phi), dim))
-
-    return _sweep(cfg, ["intertwining"], {"dim": [_dim(cfg, 64)], **_GROUP_AXES}, check)
+    axes = {"dim": [_dim(cfg, 64)], **_GROUP_AXES}
+    return _sweep(cfg, ["intertwining"], axes, _on_group_elements(ident.intertwining_residual))
 
 
 def suite_recurrence(cfg):

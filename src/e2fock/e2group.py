@@ -14,6 +14,7 @@ Bessel sequence.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,7 +118,7 @@ def act_on_generator(g: GroupElement) -> tuple[complex, complex]:
     return cmath.exp(1j * g.phi), g.w
 
 
-def u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def u_factors(g: GroupElement, dim: int, rows: int, *, out=None, scratch=None) -> tuple[np.ndarray, ...]:
     """U(g) = diag(row) M diag(col): its unit-modulus phases and the leading ``rows`` rows of its real core M.
 
     row[m] = e^{i m (psi - phi)}, col[n] = e^{-i n psi} (geometric, as :func:`fock.conjugated_block` needs; ones
@@ -128,19 +129,24 @@ def u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndar
     e^{-r^2/2} and flushed while in cache.  It stops once ``rows`` rows are filled; each entry is the same float
     whatever ``rows`` is.  Entries below 2^-511 read a zero of their sign, so products of cores never meet
     subnormal arithmetic and move by at most about dim * 2^-511.  A returned row that overflows (at r = 40, dim
-    512) raises FloatingPointError.
+    512) raises FloatingPointError.  M is written into the head of the flat float array ``out``, and the root
+    tables, the signs and the flush's |block| into the first 64 (rows + dim) floats of ``scratch``, where given.
     """
     ms = np.arange(dim)
+    M = (np.empty(rows * dim) if out is None else out[: rows * dim]).reshape(rows, dim)
     if g.r < 1e-12:  # a rotation
-        return np.exp(-1j * ms * g.phi), np.ones(dim), np.eye(rows, dim)
-    x, log_r, whole = g.r * g.r, math.log(g.r), ms.astype(float)
-    M, spare = np.empty((rows, dim)), np.empty(dim)
-    M[0] = [math.exp(d * log_r - 0.5 * log_factorial(d)) if d > 0 else 1.0 for d in range(dim)]
+        M.fill(0.0)
+        np.fill_diagonal(M, 1.0)
+        return np.exp(-1j * ms * g.phi), np.ones(dim), M
+    scratch = np.empty(_CHUNK * (rows + dim)) if scratch is None else scratch
+    x, log_r, whole, spare = g.r * g.r, math.log(g.r), ms.astype(float), np.empty(dim)
+    M[0] = list(map(math.exp, (whole * log_r - _half_log_factorials(dim)).tolist()))
     coef = np.arange(2 * dim - 1) - x  # coef[2m+1+d] = 2m+1+d - x
     with np.errstate(over="raise", invalid="raise"):
         for m in range(1, rows):
             if m % _CHUNK == 1:  # sqrt(j n) for the next 64 rows j and the columns n >= m, from exact products
-                roots, first = np.sqrt(np.multiply.outer(whole[m:rows][:_CHUNK], whole[m:])), m
+                roots, first = scratch[: min(rows - m, _CHUNK) * (dim - m)].reshape(-1, dim - m), m
+                np.sqrt(np.multiply.outer(whole[m:rows][:_CHUNK], whole[m:], out=roots), out=roots)
             # S_m(d) = ((2m-1+d - x) S_{m-1}(d) - sqrt((m-1)(m-1+d)) S_{m-2}(d)) / sqrt(m (m+d)), at column m+d
             row, root = M[m, m:], roots[m - first, m - first :]
             np.multiply(coef[2 * m - 1 : m - 1 + dim], M[m - 1, m - 1 : -1], out=row)
@@ -150,17 +156,27 @@ def u_factors(g: GroupElement, dim: int, rows: int) -> tuple[np.ndarray, np.ndar
             lag = root[:-1]  # the next row's sqrt((m-1)(m-1+d)), one entry shorter
     # M[m+d, m] = (-1)^d M[m, m+d], 64 columns at a time: the rows below their diagonal block as one signed
     # transpose, then the block's own lower triangle, read only where the loop wrote.  Rows c..e are then
-    # complete, and are damped and flushed while they are in cache
+    # complete, and are damped and flushed (by a factor 1 or 0, which keeps a zero's sign) while in cache
     parity, damping = 1.0 - 2 * (ms[:rows] % 2), math.exp(-0.5 * g.r * g.r)
-    signs, below = np.multiply.outer(parity, parity[:_CHUNK]), np.tri(_CHUNK, k=-1, dtype=bool)
+    signs = np.multiply.outer(parity, parity[:_CHUNK], out=scratch[: rows * min(rows, _CHUNK)].reshape(rows, -1))
+    below = np.tri(_CHUNK, k=-1, dtype=bool)
     for c in range(0, rows, _CHUNK):
         e = min(c + _CHUNK, rows)
         np.multiply(M[c:e, e:rows].T, signs[e:, : e - c], out=M[e:, c:e])
         corner, block = M[c:e, c:e], M[c:e]
         np.multiply(corner.T, signs[c:e, : e - c], out=corner, where=below[: e - c, : e - c])
         block *= damping
-        np.multiply(block, 0.0, out=block, where=np.abs(block) < _UNDERFLOW_FLOOR)
+        kept = np.abs(block, out=scratch[rows * _CHUNK :][: block.size].reshape(block.shape))
+        block *= np.greater_equal(kept, _UNDERFLOW_FLOOR, out=kept)
     return np.exp(1j * ms * (g.psi - g.phi)), np.exp(-1j * ms * g.psi), M
+
+
+@functools.lru_cache
+def _half_log_factorials(dim: int) -> np.ndarray:
+    # 0.5 * log_factorial(d) for d < dim, a constant table held once per dim, read only
+    half = 0.5 * np.array([log_factorial(d) for d in range(dim)])
+    half.flags.writeable = False
+    return half
 
 
 def u_matrix(g: GroupElement, dim: int) -> np.ndarray:

@@ -8,6 +8,7 @@ live near the top of the basis, so every quantitative statement is made on a
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -40,7 +41,8 @@ def conjugated_block(factors, values: np.ndarray, offset: int, n: int) -> np.nda
     s = max(-offset, 0); the diagonal may stop short of the corner.  U V U* = D_row M (D_col V D_col*) M^T D_row*
     and col is geometric, so D_col V D_col* is V times one phase, joined to the row phases.  The rest is one real
     product (M[:n, c] * part) @ M[:n, c + offset].T per nonzero part of ``values``, on M's first n rows only.  It
-    serves the two addition checks; intertwining forms the same real product and never the complex block.
+    serves the two addition checks; intertwining forms the same real product, and the complex block only to name
+    the worst entry of a record that fails.
     """
     row, col, M = factors
     s = max(-offset, 0)
@@ -65,11 +67,9 @@ def boundary_margin(level: int, r: float) -> int:
 def safe_block(dim: int, r: float) -> int:
     """Largest B such that levels < B survive an r-displacement at this dim.
 
-    B satisfies B + ceil(4 + 4 r sqrt(B)) <= dim.  On the leading B x B block
-    the truncated U(g) is unitary and intertwines to ~1e-13 for dim >= 64.
+    B satisfies B + ceil(4 + 4 r sqrt(B)) <= dim, found by bisection, as the
+    left side increases with B.  On the leading B x B block the truncated
+    U(g) is unitary and intertwines to ~1e-13 for dim >= 64.
     """
     _check_dim(dim)
-    b = dim
-    while b > 0 and b + boundary_margin(b - 1, r) > dim:
-        b -= 1
-    return b
+    return bisect.bisect_right(range(1, dim + 1), dim, key=lambda b: b + boundary_margin(b - 1, r))

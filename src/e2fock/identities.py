@@ -15,7 +15,9 @@ forms ``check.grid(points)`` give one Residual, or the ValueError or
 ArithmeticError refusing it, per point.  Each is an array kernel: it refuses
 points in Python, runs a block's Kummer runs as the lanes of one recurrence,
 forms the terms of points that share a term count as the rows of one 2-D array,
-and closes each point's residual in Python floats.
+and closes each point's residual in Python floats.  The two U(g) checks,
+:func:`unitarity_residual` and :func:`intertwining_residual`, have grid forms
+too, which build every point's core and products into one workspace.
 
 The two addition checks share one grid form, :func:`addition_grid`, which
 builds what their points share once for the call: each U(g)'s factors, one
@@ -95,8 +97,8 @@ class Residual(NamedTuple):
     """A check's scale-free residual, and what it found beyond that number.
 
     ``detail`` is None, a note, or a zero-argument callable that builds the
-    note (:func:`addition_residual`'s diagnostic, too costly to build for a
-    record that passes).
+    note (:func:`addition_residual`'s diagnostic and the U(g) checks' worst
+    entry, too costly to build for a record that passes).
     """
 
     residual: float
@@ -206,29 +208,86 @@ def worst_rise(values, floor: float) -> float:
     return max(b - max(a, floor) for a, b in zip(values, values[1:]))
 
 
-def _unitarity_defect(g: GroupElement, dim: int, block: int) -> float:
-    # U* U = D_col* M^T M D_col and (M^T M)[i, j] = (-1)^(i+j) (M M^T)[i, j]: M's leading rows give the block
-    M = u_factors(g, dim, block)[2]
-    gram = M @ M.T
-    np.einsum("ii->i", gram)[...] -= np.ones(block)  # in place on the diagonal; a core short of block rows raises
-    return np.linalg.norm(gram)
-
-
 def _checked_block(dim: int, r: float) -> int:
     # the block the U(g) checks read: the safe block, at least min(dim, 4) rows
     return max(safe_block(dim, r), min(dim, 4))
 
 
+def _u_grid(points, check, scaled: bool) -> list:
+    # check(g, dim, b, core, copy, product) per point (g, dim), or the ValueError or ArithmeticError refusing it, all
+    # built into one workspace of flat buffers sized for the grid's largest checked block b, so that each point
+    # reuses the pages the one before it faulted in: the core, its scaled copy (where ``scaled``) and the product,
+    # which is u_factors' scratch of 64 (b + dim) floats while the core is built
+    blocks = [_caught(_checked_block, dim, g.r) for g, dim in points]
+    sizes = [(b, dim) for b, (_, dim) in zip(blocks, points) if not isinstance(b, Exception)] or [(0, 0)]
+    core = np.empty(max(b * dim for b, dim in sizes))
+    work = core, np.empty(len(core) if scaled else 0), np.empty(max(max(b * b, 64 * (b + dim)) for b, dim in sizes))
+    return [b if isinstance(b, Exception) else _caught(check, *point, b, *work) for b, point in zip(blocks, points)]
+
+
+def _worst_entry(defect: np.ndarray, what: str) -> str:
+    # where the largest |entry| of a check's b x b defect block sits, and the entry at level 0
+    i, j = np.unravel_index(np.argmax(defect), defect.shape)
+    b, worst, first = len(defect), float(defect[i, j]), float(defect[0, 0])
+    return f"largest |{what}| is {worst:.3e} at (i, j) = ({i}, {j}) of the {b} x {b} block; at (0, 0) {first:.3e}"
+
+
+def _unitarity(g: GroupElement, dim: int, b: int, core, _, product) -> Residual:
+    # U* U = D_col* M^T M D_col and (M^T M)[i, j] = (-1)^(i+j) (M M^T)[i, j]: M's leading rows give the block
+    M = u_factors(g, dim, b, out=core, scratch=product)[2]
+    gram = np.matmul(M, M.T, out=product[: len(M) ** 2].reshape(len(M), -1))  # syrk, as M @ M.T
+    np.einsum("ii->i", gram)[...] -= np.ones(b)  # in place on the diagonal; a core short of b rows raises
+
+    def detail():  # built again, as the workspace holds a later point by the time a record fails
+        M = u_factors(g, dim, b)[2]
+        return _worst_entry(abs(M @ M.T - np.eye(b)), "(U*U - 1)_ij")
+
+    return Residual(np.linalg.norm(gram), detail)
+
+
 def unitarity_residual(g: GroupElement, dim: int) -> Residual:
-    """||U* U - 1|| (Frobenius) on the safe block, at least min(dim, 4) rows, of the dim-truncated U(g)."""
-    return Residual(_unitarity_defect(g, dim, _checked_block(dim, g.r)))
+    """||U* U - 1|| (Frobenius) on the safe block, at least min(dim, 4) rows, of the dim-truncated U(g).
+
+    A one-point grid: ``unitarity_residual.grid(points)`` builds each point (g, dim) into one workspace.  A failing
+    residual's detail names the largest entry of U* U - 1 and where it sits.
+    """
+    return _value(_u_grid([(g, dim)], _unitarity, False)[0])
+
+
+unitarity_residual.grid = functools.partial(_u_grid, check=_unitarity, scaled=False)
 
 
 def unitarity_decay_residual(g: GroupElement, block: int) -> Residual:
     """Worst rise of the unitarity defect on a fixed block at dims 32, 64, 128, each from max(last, 1e-13)."""
-    defects = [float(_unitarity_defect(g, dim, block)) for dim in (32, 64, 128)]
+    work = np.empty(128 * block), None, np.empty(max(block * block, 64 * (block + 128)))
+    defects = [float(_unitarity(g, dim, block, *work).residual) for dim in (32, 64, 128)]
     detail = "defects " + ", ".join(repr(d) for d in defects) + f" (floor {_DEFECT_FLOOR})"
     return Residual(worst_rise(defects, _DEFECT_FLOOR), detail)
+
+
+def _intertwining(g: GroupElement, dim: int, b: int, core, copy, product) -> Residual:
+    row, col, M = u_factors(g, dim, b, out=core, scratch=product)
+    roots, n = np.sqrt(np.arange(1.0, dim)), len(M)  # a's entries, sqrt(n) at (n - 1, n)
+    scaled = np.multiply(M[:, :-1], roots, out=copy[: n * (dim - 1)].reshape(n, -1))
+    C = np.matmul(scaled, M[:, 1:].T, out=product[: n * n].reshape(n, n))
+    alpha, beta = act_on_generator(g)
+    p, q = row[:b] * (col[0] * col[1].conj()), row[:b].conj()
+    diagonal, upper = np.einsum("ii->i", C), np.einsum("ii->i", C[:-1, 1:])
+    bands = [(p * diagonal) * q - beta, (p[:-1] * upper) * q[1:] - alpha * roots[: b - 1]]
+    diagonal[...], upper[...] = 0.0, 0.0
+    # |p c q| is even in c, as rounding to nearest is, so C's magnitudes serve.  Every nonzero entry is formed
+    # below 2^-970, where rounding is not relative, and every entry where C is not finite, as the cut is nan.  The
+    # mask is made in the scaled copy, idle by now
+    top, low = np.abs(C, out=C).max(), copy.view(bool)[: n * n].reshape(n, n)
+    np.less_equal(C, top - top * 2**-40 if not top <= 2**-970 else 0.0, out=low)
+    i, j = np.divmod(ij := np.flatnonzero(np.logical_not(low, out=low)), b)
+
+    def detail():  # the complex block of fock.conjugated_block, less the action
+        block = conjugated_block(u_factors(g, dim, b), roots, 1, b)
+        block -= beta * np.eye(b) + alpha * np.diag(roots[: b - 1], 1)
+        return _worst_entry(abs(block), "(U a U* - e^(i phi) a - r e^(i psi))_ij")
+
+    return Residual(np.max(np.abs(np.concatenate([*bands, (p[i] * C.reshape(-1)[ij]) * q[j]]))), detail)
 
 
 def intertwining_residual(g: GroupElement, dim: int) -> Residual:
@@ -239,23 +298,13 @@ def intertwining_residual(g: GroupElement, dim: int) -> Residual:
     phases p, q, so no complex block is formed.  The two bands the identity subtracts are evaluated as
     :func:`fock.conjugated_block` and the subtraction would, entry by entry.  Off them a unit phase moves |C_ij|
     only by rounding, a few eps relative (Higham, Accuracy and Stability, sec. 3.6), so |p_i C_ij q_j| is formed
-    only where |C_ij| is within 2^-40 of the off-band maximum: the residual is the complex block's float.
+    only where |C_ij| is within 2^-40 of the off-band maximum: the residual is the complex block's float.  It has
+    a grid form and a detail as :func:`unitarity_residual` has.
     """
-    b = _checked_block(dim, g.r)
-    row, col, M = u_factors(g, dim, b)
-    roots = np.sqrt(np.arange(1.0, dim))  # a's entries, sqrt(n) at (n - 1, n)
-    C = (M[:, :-1] * roots) @ M[:, 1:].T
-    alpha, beta = act_on_generator(g)
-    p, q = row[:b] * (col[0] * col[1].conj()), row[:b].conj()
-    diagonal, upper = np.einsum("ii->i", C), np.einsum("ii->i", C[:-1, 1:])
-    bands = [(p * diagonal) * q - beta, (p[:-1] * upper) * q[1:] - alpha * roots[: b - 1]]
-    diagonal[...], upper[...] = 0.0, 0.0
-    # |p c q| is even in c, as rounding to nearest is, so C's magnitudes serve.  Every nonzero entry is formed
-    # below 2^-970, where rounding is not relative, and every entry where C is not finite, as the cut is nan
-    top = np.abs(C, out=C).max()
-    ij = np.flatnonzero(~(C <= (top - top * 2**-40 if not top <= 2**-970 else 0.0)))
-    i, j = np.divmod(ij, b)
-    return Residual(np.max(np.abs(np.concatenate([*bands, (p[i] * C.reshape(-1)[ij]) * q[j]]))))
+    return _value(_u_grid([(g, dim)], _intertwining, True)[0])
+
+
+intertwining_residual.grid = functools.partial(_u_grid, check=_intertwining, scaled=True)
 
 
 def _recurrence_kernel(points, runs, values, _):
@@ -453,11 +502,13 @@ def addition_grid(theorem, vacuum) -> tuple[list, list]:
     kept, sums, windings = [point for got, point in theorem if got is None], {}, {}
     blocks = {key: safe_block(*key) for key in {(dim, g.r) for g, _, dim in kept}}
     for (g, label, dim), row in zip(kept, irrep_rows([(label, g) for g, label, _ in kept], _ADDITION_NMAX)):
-        # the n-sum's n and t_kn(g): n = k - 60..k + 60 where |t_kn(g)| >= 1e-16 and D_n meets the safe block
-        ns = np.arange(label.k - _ADDITION_NMAX, label.k + _ADDITION_NMAX + 1)
-        read = ~(abs(row) < 1e-16) & (abs(ns) < blocks[dim, g.r])
-        sums[g, label, dim] = blocks[dim, g.r], ns[read].tolist(), row[read]
-        windings.setdefault(dim, {}).setdefault(label.lam, set()).update(ns[read].tolist())
+        # the n-sum's candidate n and t_kn(g): n = k - 60..k + 60 where D_n meets the safe block b and |t_kn| sqrt(b)
+        # >= 1e-16 |D_k[0]|, as D_n's entries are at most 1 (D_n is an angular Fourier mode of U(lam/2, psi, 0))
+        b, a, ns = blocks[dim, g.r], abs(label.k), np.arange(label.k - _ADDITION_NMAX, label.k + _ADDITION_NMAX + 1)
+        d0 = math.exp(_log_power(a, label.lam / 2) - label.lam**2 / 8 - 0.5 * log_factorial(a))  # |D_k[0]|
+        near = (abs(ns) < b) & ~(abs(row) * math.sqrt(b) < 1e-16 * d0)
+        sums[g, label, dim] = b, ns[near].tolist(), row[near].tolist()
+        windings.setdefault(dim, {}).setdefault(label.lam, set()).update(ns[near].tolist())
     kept += [point for got, point in vacuum if got is None]
     for g, label, dim in kept:
         windings.setdefault(dim, {}).setdefault(label.lam, set()).add(label.k)
@@ -473,7 +524,8 @@ def addition_residual(g: GroupElement, label: IrrepLabel, dim: int) -> Residual:
     """Operator addition theorem U(g) D_k U(g)* = sum_n t_{kn}(g) D_n, k = label.k.
 
     Both sides are compared as truncated Fock matrices on the safe block; the n-sum runs over |n - k| <= 60
-    where |t_{kn}(g)| >= 1e-16, every t_{kn} from one Bessel run (:func:`e2group.irrep_rows`).  The residual is
+    where |t_{kn}(g)| >= 1e-16 or, on the block, |t_{kn}(g)| ||D_n|| >= 1e-16 ||D_k||, every t_{kn} from one Bessel
+    run (:func:`e2group.irrep_rows`).  The residual is
     the Frobenius norm of the difference relative to that of D_k's block.  Each D_n occupies the single diagonal
     -n, so the right side is written diagonal by diagonal into the block, through a strided view of it.  The
     detail is a callable that fits each D_n's coefficient to the left side and names the worst mismatches against
@@ -487,20 +539,28 @@ def _addition_residual(g, label, dim, diagonals, factors, sums) -> Residual:
     b, ns, ts = sums[g, label, dim]
     dk, factors = _value(diagonals[lam, k]), _value(factors)
     lhs = conjugated_block(factors, dk, -k, b)
+    den = float(np.linalg.norm(dk[: max(b - abs(k), 0)]))
 
     rhs = np.zeros((b, b), dtype=complex)
-    flat = rhs.reshape(-1)
+    flat, kept = rhs.reshape(-1), set()
     for n, t in zip(ns, ts):
-        dn = _value(diagonals[lam, n])[: b - abs(n)]
+        dn, size, floor = diagonals[lam, n], abs(t), 1e-16 * den
+        # a term below 1e-16 counts where D_n outweighs D_k: |t_kn| ||D_n|| >= 1e-16 ||D_k||, on the block.  D_n's
+        # entries are at most 1, so |t_kn| sqrt(b - |n|) < 1e-16 ||D_k|| rules a term out without a norm
+        if size < 1e-16 and (isinstance(dn, Exception) or size * math.sqrt(b - abs(n)) < floor):
+            continue
+        if size < 1e-16 and size * np.linalg.norm(dn[: b - abs(n)]) < floor:
+            continue
+        kept.add(n)
+        dn = _value(dn)[: b - abs(n)]
         flat[n * b if n >= 0 else -n :: b + 1][: len(dn)] = t * dn  # diagonal -n: (i + n, i) or (i, i - n)
 
     num = float(np.linalg.norm(lhs - rhs))
-    den = float(np.linalg.norm(dk[: max(b - abs(k), 0)]))
     normal_scale(den, f"addition at lam={lam!r}, k={k}: the norm of D_k's block")
 
     def diagnostic():
         # built again from the shared objects, so that a grid holds no block for each record until it is filed
-        terms = {n: (t, diagonals[lam, n][: b - abs(n)]) for n, t in zip(ns, ts)}  # n -> (t_{kn}(g), D_n's entries)
+        terms = {n: (t, diagonals[lam, n][: b - abs(n)]) for n, t in zip(ns, ts) if n in kept}  # n -> (t_kn, D_n)
         return _addition_phase_diagnostic(conjugated_block(factors, dk, -k, b), terms)
 
     return Residual(num / den, diagnostic)

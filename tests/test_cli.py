@@ -728,6 +728,24 @@ def test_addition_diagnostic_skips_diagonals_outside_the_block():
         assert r["pass"] or r["detail"].startswith("per-n coefficient mismatch: n=")
 
 
+@pytest.mark.parametrize(
+    "argv, worst",
+    [
+        (["--lambda", "0.001", "--k", "5", "--r", "0.5"], 1e-10),  # failed at 1.8e-6: 9.6e-12 now
+        (["--lambda", "0.01", "--k", "6", "--r", "0.5"], 1e-10),  # failed at 1.2e-7: 4.0e-11 now
+        (["--lambda", "3e-16", "--k", "1"], 1e-12),  # failed at 0.083 (r = 0.5): 2.3e-14 now
+    ],
+)
+def test_an_addition_term_below_1e_16_counts_where_d_n_outweighs_d_k(argv, worst):
+    # at small lam, D_n with |n| < |k| outweighs D_k by far, so t_kn below 1e-16 still moves the sum: each term
+    # with |t_kn| ||D_n|| >= 1e-16 ||D_k|| on the block is kept, where dropping it failed with a per-n coefficient
+    # mismatch
+    code, out = run_cli(["verify", "addition", *argv])
+    recs = json_records(out)
+    assert code == 0 and all(r["pass"] for r in recs)
+    assert max(r["residual"] for r in recs if r["name"] == "addition") < worst
+
+
 def full_unitarity_defect(U, dim, block):
     # the whole dim x dim product, then its leading block
     return np.linalg.norm((U.conj().T @ U - np.eye(dim))[:block, :block])
@@ -811,13 +829,13 @@ class TestBlockProducts:
         # C finite and large
         factors = identities.u_factors
 
-        def spoiled(g, dim, rows, at):
-            row, col, M = factors(g, dim, rows)
+        def spoiled(g, dim, rows, at, **buffers):
+            row, col, M = factors(g, dim, rows, **buffers)
             M[at] = value
             return row, col, M
 
         for at in [(0, 0), (1, 5), (3, 2), (0, 1)]:
-            monkeypatch.setattr(identities, "u_factors", lambda g, dim, rows: spoiled(g, dim, rows, at))
+            monkeypatch.setattr(identities, "u_factors", lambda g, dim, rows, **kw: spoiled(g, dim, rows, at, **kw))
             for g in (GroupElement(0.3, 0.7, 0.3), GroupElement(0.0, 0.0, 0.0), GroupElement(2.0, 0.0, 0.0)):
                 with np.errstate(all="ignore"):
                     got = identities.intertwining_residual(g, 16).residual
@@ -838,6 +856,97 @@ class TestBlockProducts:
         finally:
             tracemalloc.stop()
         assert b == 481 and peak < 8 * (2 * b * dim + 2 * b * b), peak
+
+    # every r in [1e-11, 13] at 1e-11, 1e-7, 1e-3 and a draw in each unit, a rotation, 40 (a fully flushed core at
+    # dim 512) and -1, no group element
+    GRID_RS = [0.0, 1e-13, *10.0 ** np.arange(-11.0, 0.0, 4.0), *(np.arange(13) + 0.5), 13.0, 40.0, -1.0]
+
+    @pytest.mark.parametrize("suite", ["unitarity", "intertwining"])
+    def test_a_grid_is_its_one_point_calls(self, suite):
+        # a shuffled grid over every dim, so that small and large blocks follow each other in one workspace, gives
+        # each point the float, detail and refusal of a call on that point alone
+        check = getattr(identities, f"{suite}_residual")
+        rng = np.random.default_rng(7)
+        points = [(dim, r, *rng.uniform(-4, 4, 2)) for dim in (2, 8, 64, 97, 300, 512) for r in self.GRID_RS]
+        points = [points[i] for i in rng.permutation(len(points))]
+        for point, got in zip(points, cli._on_group_elements(check).grid(points)):
+            dim, r, psi, phi = point
+            try:
+                want = check(GroupElement(r, psi, phi), dim)
+            except (ValueError, ArithmeticError) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc), point
+                continue
+            assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes(), point
+            if not got.residual <= 1e-8:
+                assert got.detail() == want.detail(), point
+
+    @pytest.mark.parametrize("suite", ["unitarity", "intertwining"])
+    def test_a_grid_builds_every_core_into_one_buffer(self, monkeypatch, suite):
+        # the cores of a 6-point dim-512 grid are all written into the same memory, not one new array each
+        cores, factors = [], identities.u_factors
+
+        def recording(g, dim, rows, **buffers):
+            row, col, M = factors(g, dim, rows, **buffers)
+            if dim == 512:
+                cores.append(M)
+            return row, col, M
+
+        monkeypatch.setattr(identities, "u_factors", recording)
+        code, out = run_cli(["verify", suite, "--dim", "512", "--r", "0.3,0.9,1.7,3.9,6,13"])
+        assert code == 0 and len(cores) == 6
+        assert all(np.shares_memory(M, cores[0]) for M in cores[1:])
+
+    def test_an_intertwining_grid_forms_no_complex_block(self):
+        # the bound of test_intertwining_forms_no_complex_block, for a whole 6-point grid at dim 512 whose largest
+        # block is r = 0.3's: one workspace of core, scaled copy and product
+        dim, rs = 512, [0.3, 0.9, 1.7, 3.9, 6.0, 13.0]
+        points = [(GroupElement(r, 0.7, 0.3), dim) for r in rs]
+        b = safe_block(dim, 0.3)
+        identities.intertwining_residual.grid(points)
+        tracemalloc.start()
+        try:
+            got = identities.intertwining_residual.grid(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(residual <= 1e-8 for residual, _ in got)
+        assert b == 481 and peak < 8 * (2 * b * dim + 2 * b * b), peak
+
+    @pytest.mark.parametrize(
+        "suite, details",
+        [
+            (
+                "unitarity",
+                [
+                    "largest |(U*U - 1)_ij| is 1.437e-01 at (i, j) = (49, 49) of the 50 x 50 block;"
+                    " at (0, 0) 4.230e-14",
+                    "largest |(U*U - 1)_ij| is 3.876e-01 at (i, j) = (33, 33) of the 34 x 34 block;"
+                    " at (0, 0) 4.395e-08",
+                    "largest |(U*U - 1)_ij| is 1.000e+00 at (i, j) = (0, 0) of the 23 x 23 block;"
+                    " at (0, 0) 1.000e+00",
+                ],
+            ),
+            (
+                "intertwining",
+                [
+                    "largest |(U a U* - e^(i phi) a - r e^(i psi))_ij| is 3.319e+00 at (i, j) = (49, 49)"
+                    " of the 50 x 50 block; at (0, 0) 6.782e-13",
+                    "largest |(U a U* - e^(i phi) a - r e^(i psi))_ij| is 9.509e+00 at (i, j) = (33, 33)"
+                    " of the 34 x 34 block; at (0, 0) 1.132e-06",
+                    "largest |(U a U* - e^(i phi) a - r e^(i psi))_ij| is 2.500e+01 at (i, j) = (0, 0)"
+                    " of the 23 x 23 block; at (0, 0) 2.500e+01",
+                ],
+            ),
+        ],
+    )
+    def test_a_failing_record_names_its_worst_entry(self, suite, details):
+        # past r = 13 at dim 512 the safe block's margin leaves out the r^2 shift of the classical edge, and the
+        # defect sits in the block's last level; at r = 25 even level 0 reaches past dim
+        code, out = run_cli(["verify", suite, "--dim", "512", "--r", "16,20,25"])
+        recs = [r for r in json_records(out) if r["name"] == suite]
+        assert code == 1 and [r["detail"] for r in recs] == details
+        code, out = run_cli(["verify", suite, "--dim", "512", "--r", "0.5,13"])
+        assert code == 0 and all(r["detail"] is None for r in json_records(out) if r["name"] == suite)
 
 
 def test_verify_all_raises_no_runtime_warning():
@@ -1198,9 +1307,9 @@ class TestComputedOnce:
         with pytest.MonkeyPatch.context() as patch:
             for name, module in modules.items():
 
-                def counting(*args, build=getattr(module, name), name=name):
+                def counting(*args, build=getattr(module, name), name=name, **buffers):
                     calls[name].append(args)
-                    return build(*args)
+                    return build(*args, **buffers)
 
                 patch.setattr(module, name, counting)
             code, out = run_cli(["verify", "all"])
@@ -1313,9 +1422,9 @@ class TestEveryInputIsRead:
     def test_unitarity_monotone_takes_the_last_group_element(self, monkeypatch):
         built, factors = [], identities.u_factors
 
-        def recording(g, dim, rows):
+        def recording(g, dim, rows, **buffers):
             built.append((g.r, g.psi, g.phi, dim))
-            return factors(g, dim, rows)
+            return factors(g, dim, rows, **buffers)
 
         monkeypatch.setattr(identities, "u_factors", recording)
         code, out = run_cli(["verify", "unitarity", "--r", "0.5,1", "--psi", "0.1,0.2", "--phi", "0.3,0.4"])
@@ -1541,7 +1650,7 @@ class TestFaultInjection:
     )
     def test_mutated_factor(self, monkeypatch, mutate, unitarity_fails):
         factors = identities.u_factors
-        _patch_factors(monkeypatch, lambda g, dim, rows: mutate(*factors(g, dim, rows)))
+        _patch_factors(monkeypatch, lambda g, dim, rows, **kw: mutate(*factors(g, dim, rows, **kw)))
         code, out = run_cli(["verify", "intertwining"])
         recs = json_records(out)
         assert code == 1 and len(recs) == 4
@@ -1563,7 +1672,7 @@ class TestFaultInjection:
         # the (0, 0) entry: row phase 0 is 1 and row 0 of M has no lower entries, so
         # it is blind to the row and sign mutations and fails only for k != 0
         factors = identities.u_factors
-        _patch_factors(monkeypatch, lambda g, dim, rows: mutate(*factors(g, dim, rows)))
+        _patch_factors(monkeypatch, lambda g, dim, rows, **kw: mutate(*factors(g, dim, rows, **kw)))
         code, out = run_cli(["verify", "addition"])
         recs = json_records(out)
         addition = [r for r in recs if r["name"] == "addition"]
@@ -1579,7 +1688,7 @@ class TestFaultInjection:
         # the products read exactly the block's rows, so a core one row short
         # raises at every r rather than reading past its end
         factors = identities.u_factors
-        _patch_factors(monkeypatch, lambda g, dim, rows: factors(g, dim, rows - 1))
+        _patch_factors(monkeypatch, lambda g, dim, rows, **kw: factors(g, dim, rows - 1, **kw))
         code, out = run_cli(["verify", suite])
         failed = [r for r in json_records(out) if not r["pass"]]
         assert code == 1

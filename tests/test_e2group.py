@@ -430,6 +430,31 @@ class TestUFactors:
                 assert col[0] == 1 and abs(abs(col[1]) - 1) <= bound, (dim, g)
                 assert np.max(np.abs(col[1:] * col[:-1].conj() - col[1])) <= bound, (dim, g)
 
+    @pytest.mark.parametrize("dim", [2, 3, 64, 65, 130, 512])
+    def test_cores_built_into_caller_buffers_are_the_allocated_cores(self, dim):
+        # a core written into a caller's array, its temporaries in a caller's scratch, is the allocated core byte
+        # for byte (signed zeros too), whatever the buffers held before, and is a view of the caller's array
+        rng = np.random.default_rng(dim)
+        out, scratch = np.empty(dim * dim), np.empty(64 * 2 * dim)
+        for r in [0.0, 1e-13, 1e-9, 0.3, 2.0, 6.0, 13.0]:
+            g = GroupElement(r, *rng.uniform(-4, 4, 2))
+            for rows in sorted({1, 2, 64, 65, dim} & set(range(1, dim + 1))):
+                out[:], scratch[:] = rng.choice([np.nan, -0.0, 1e300]), rng.choice([np.nan, -np.inf, 7.0])
+                row, col, M = u_factors(g, dim, rows, out=out, scratch=scratch)
+                want = u_factors(g, dim, rows)
+                assert [f.tobytes() for f in (row, col, M)] == [f.tobytes() for f in want], (dim, r, rows)
+                assert M.shape == (rows, dim) and np.shares_memory(M, out)
+
+    @pytest.mark.parametrize("dim", [2, 97, 512])
+    def test_row_zero_is_the_scalar_formula(self, dim):
+        # r^d / sqrt(d!) as exp(d log r - log(d!) / 2) in Python floats, damped and flushed like every row
+        for r in [1e-9, 0.3, 1.0, 2.0, 6.0, 13.0]:
+            log_r = math.log(r)
+            row = [math.exp(d * log_r - 0.5 * log_factorial(d)) if d > 0 else 1.0 for d in range(dim)]
+            row = np.array(row) * math.exp(-0.5 * r * r)
+            row[np.abs(row) < 2.0**-511] = 0.0
+            assert u_factors(GroupElement(r, 0.7, 0.3), dim, 1)[2][0].tobytes() == row.tobytes(), (dim, r)
+
     def test_overflowing_rows_raise(self):
         # at r = 40, dim 512, rows past about 150 overflow; the leading ones are finite and returned as they are
         g = GroupElement(40.0, 0.7, 0.3)

@@ -185,6 +185,18 @@ class TestSafeBlock:
         assert b + boundary_margin(b - 1, 2.0) <= 64
         assert (b + 1) + boundary_margin(b, 2.0) > 64
 
+    def test_bisection_is_the_linear_scan(self):
+        # the largest B with B + margin(B - 1) <= dim, found by stepping down from dim one level at a time
+        def scanned(dim, r):
+            b = dim
+            while b > 0 and b + boundary_margin(b - 1, r) > dim:
+                b -= 1
+            return b
+
+        rs = [0.0, 1e-12, 0.3, 0.5, 0.9, 1.7, 2.0, 3.9, 6.0, 13.0, 16.0, 20.0, 25.0, 40.0]
+        for dim in range(2, 513):
+            assert [safe_block(dim, r) for r in rs] == [scanned(dim, r) for r in rs], dim
+
 
 class TestConjugatedBlock:
     @pytest.mark.parametrize("offset", [-3, 0, 1])
