@@ -13,8 +13,8 @@ lists.  ``--dim`` (the Fock truncation) and ``--seed`` (the lie-algebra
 suite's random draws) take one integer each and, like every grid flag, are
 refused where the run does not read them.  Identical configurations produce
 byte-identical output on one numpy/BLAS build and thread count.  A suite
-hands a check with a grid form all its points at once, and the grid builds
-what they share once; nothing is kept from one suite or run to the next.
+maps its grid to its check's points; a grid form takes all not refused at
+once and builds what they share once, and nothing outlives a suite or run.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-import types
 
 import numpy as np
 
@@ -67,7 +66,6 @@ _TOLERANCES = {tol: default for _, tol, default in _RECORDS.values()}
 _MAX_DIM = 512
 
 _PSI, _PHI = 0.7, 0.3
-_GROUP_AXES = {"r": [0.5, 1.0, 1.5, 2.0], "psi": [_PSI], "phi": [_PHI]}
 
 
 class RunConfig:
@@ -125,33 +123,34 @@ class _Row(dict):
         raise AttributeError(key)
 
 
-def _sweep(cfg, names, axes, check, params=dict):
+def _sweep(cfg, names, axes, check, params=dict, point=lambda *values: values):
     """Run ``check`` over a suite's grid, each point guarded, and file its records under ``names``.
 
     ``names`` are rows of ``_RECORDS``; each one's tolerance is read before
     the first check.  ``axes`` maps each grid flag to its default values; the
     grid is their product in declaration order, a flag given on the command
     line replacing its default (an axis that is no flag keeps its values).
-    A check with a grid form, such as ``identities.identity_a.grid``, gets
-    the list of points once, each a tuple of axis values, and gives per
-    point one :class:`identities.Residual`, filed as ``report(*residual)``,
-    or the ValueError or ArithmeticError refusing the point.  Any other
-    check is called as ``check(report, **point)`` and returns one record or
-    a list of them.  ``report(residual, detail=None)`` builds every record
-    and decides its pass: a dict of the columns name, equation, params,
-    residual, tolerance, pass and detail, in that order, filed under
-    ``names[0]`` or the row ``name=``, with ``params(**point)`` updated by
-    any other keyword.  A callable detail is called only when the record
-    fails.  A ValueError or ArithmeticError from a check becomes one error
-    record for the point.
+    ``point(*values)`` maps a grid point to its check's point, by default the
+    tuple of values.  A check with a grid form, such as ``identity_a.grid``,
+    gets the points the map does not refuse in one call, in order, and gives
+    per point a Residual, filed as ``report(*residual)``, or the error that
+    refuses it.  Any other check is ``check(report, **named)``, ``named``
+    the values by flag, and returns a record or a list.  ``report(residual,
+    detail=None)`` decides a record's pass and builds it: the columns name,
+    equation, params, residual, tolerance, pass and detail, under ``names[0]``
+    or the row ``name=``, params ``params(**named)`` updated by any other
+    keyword, a callable detail called only when the record fails.  A
+    ValueError or ArithmeticError from the map or the check is an error record.
     """
     tolerances = {name: cfg.tol(_RECORDS[name][1]) for name in names}
-    points = list(itertools.product(*(cfg.values(flag, default) for flag, default in axes.items())))
-    outcomes = check.grid(points) if hasattr(check, "grid") else [None] * len(points)
+    grid, outcomes = _mapped(cfg, axes, point)
+    if hasattr(check, "grid"):
+        found = iter(check.grid([got for got in outcomes if not isinstance(got, Exception)]))
+        outcomes = [got if isinstance(got, Exception) else next(found) for got in outcomes]
     rows = []
-    for values, outcome in zip(points, outcomes):
-        point = dict(zip(axes, values))
-        base = params(**point)
+    for values, outcome in zip(grid, outcomes):
+        named = dict(zip(axes, values))
+        base = params(**named)
 
         def report(residual, detail=None, name=names[0], **extra):
             residual, tolerance = float(residual), tolerances[name]
@@ -166,11 +165,22 @@ def _sweep(cfg, names, axes, check, params=dict):
         try:
             if isinstance(outcome, Exception):
                 raise outcome
-            got = check(report, **point) if outcome is None else report(*outcome)
+            got = report(*outcome) if hasattr(check, "grid") else check(report, **named)
         except (ValueError, ArithmeticError) as exc:
             got = report(math.inf, f"error: {exc}")
         rows.extend(got if isinstance(got, list) else [got])
     return rows
+
+
+def _mapped(cfg, axes, point):
+    # a grid's points, each its axis values, and per point point(*values) or the ValueError or ArithmeticError raised
+    grid, mapped = list(itertools.product(*(cfg.values(flag, default) for flag, default in axes.items()))), []
+    for values in grid:
+        try:
+            mapped.append(point(*values))
+        except (ValueError, ArithmeticError) as exc:
+            mapped.append(exc)
+    return grid, mapped
 
 
 def _ladder(report, values, label, monotone, **monotone_params):
@@ -181,19 +191,9 @@ def _ladder(report, values, label, monotone, **monotone_params):
     ]
 
 
-def _on_group_elements(check):
-    # check's grid form over the points (dim, r, psi, phi), as (g, dim); a point that is no group element is refused
-    def grid(points):
-        elements = []
-        for dim, *g in points:
-            try:
-                elements.append((GroupElement(*g), dim))
-            except ValueError as exc:
-                elements.append(exc)
-        found = iter(check.grid([point for point in elements if not isinstance(point, Exception)]))
-        return [point if isinstance(point, Exception) else next(found) for point in elements]
-
-    return types.SimpleNamespace(grid=grid)
+def _u_sweep(cfg, name, check):
+    axes = {"dim": [_dim(cfg, 64)], "r": [0.5, 1.0, 1.5, 2.0], "psi": [_PSI], "phi": [_PHI]}
+    return _sweep(cfg, [name], axes, check, point=lambda dim, r, psi, phi: (GroupElement(r, psi, phi), dim))
 
 
 def suite_unitarity(cfg):
@@ -205,27 +205,22 @@ def suite_unitarity(cfg):
             return []
         return report(*ident.unitarity_decay_residual(GroupElement(r, psi, phi), block), block=block)
 
-    axes = {"dim": [_dim(cfg, 64)], **_GROUP_AXES}
-    unitarity = _sweep(cfg, ["unitarity"], axes, _on_group_elements(ident.unitarity_residual))
+    unitarity = _u_sweep(cfg, "unitarity", ident.unitarity_residual)
     return unitarity + _sweep(cfg, ["unitarity-monotone"], {}, monotone, lambda: {"r": r, "dims": "32..128"})
 
 
 def suite_intertwining(cfg):
-    axes = {"dim": [_dim(cfg, 64)], **_GROUP_AXES}
-    return _sweep(cfg, ["intertwining"], axes, _on_group_elements(ident.intertwining_residual))
+    return _u_sweep(cfg, "intertwining", ident.intertwining_residual)
 
 
 def suite_recurrence(cfg):
     zmax = cfg.first("zmax", 200)
 
-    def grid(points):
-        return ident.kummer_recurrence_residual.grid([(1 + k, x, zmax) for k, x in points])
-
     def params(k, x):
         return {"k": k, "c": x, "zmax": zmax}
 
     axes = {"k": range(0, 21), "x": [0.25, 1.0, 4.0, 16.0]}
-    return _sweep(cfg, ["recurrence"], axes, types.SimpleNamespace(grid=grid), params)
+    return _sweep(cfg, ["recurrence"], axes, ident.kummer_recurrence_residual, params, lambda k, x: (1 + k, x, zmax))
 
 
 def suite_eigen(cfg):
@@ -273,10 +268,10 @@ def suite_addition(cfg):
     ks = {"addition": cfg.values("k", [-4, -2, 0, 1, 3, 4]), "addition-vacuum": cfg.values("k", [0, 2, 4])}
     axes = {"lam": [1.0, 2.0], "r": [0.5, 1.0, 2.0], "psi": [_PSI], "phi": [_PHI]}
     # each record's outcome by (g, label), both checks' points as one grid call, which builds what they share once;
-    # a refused group element or label is no point, and its sweep below files the refusal; a vacuum k < 0 files none
-    points = itertools.product(*(cfg.values(flag, default) for flag, default in axes.items()))
-    groups = [(GroupElement(r, psi, phi), lam) for lam, r, psi, phi in points if r >= 0 and lam > 0]
-    keys = {name: [(g, IrrepLabel(lam, k)) for g, lam in groups for k in ks[name]] for name in ks}
+    # a point the map refuses is left to its sweep below, which files the refusal; a vacuum k < 0 files none
+    _, points = _mapped(cfg, axes, lambda lam, r, psi, phi: (GroupElement(r, psi, phi), IrrepLabel(lam)))
+    groups = [point for point in points if not isinstance(point, Exception)]
+    keys = {name: [(g, IrrepLabel(label.lam, k)) for g, label in groups for k in ks[name]] for name in ks}
     found = ident.addition_grid(*([(g, label, dim) for g, label in keys[name]] for name in ks))
     outcomes = {name: dict(zip(keys[name], got)) for name, got in zip(ks, found)}
 

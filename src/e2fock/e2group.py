@@ -128,9 +128,9 @@ def u_factors(g: GroupElement, dim: int, rows: int, *, out=None, scratch=None) -
     filled after the loop as signed transposes, 64 columns at a time; each 64 rows, once complete, are damped by
     e^{-r^2/2} and flushed while in cache.  It stops once ``rows`` rows are filled; each entry is the same float
     whatever ``rows`` is.  Entries below 2^-511 read a zero of their sign, so products of cores never meet
-    subnormal arithmetic and move by at most about dim * 2^-511.  A returned row that overflows (at r = 40, dim
-    512) raises FloatingPointError.  M is written into the head of the flat float array ``out``, and the root
-    tables, the signs and the flush's |block| into the first 64 (rows + dim) floats of ``scratch``, where given.
+    subnormal arithmetic and move by at most about dim * 2^-511.  Row 0 overflowing undamped (r = 60, dim 512)
+    raises OverflowError, a later row (r = 40) FloatingPointError.  M is written into the head of the flat array
+    ``out``, and the root tables, signs and flush's |block| into the first 64 (rows + dim) floats of ``scratch``.
     """
     ms = np.arange(dim)
     M = (np.empty(rows * dim) if out is None else out[: rows * dim]).reshape(rows, dim)
@@ -140,7 +140,10 @@ def u_factors(g: GroupElement, dim: int, rows: int, *, out=None, scratch=None) -
         return np.exp(-1j * ms * g.phi), np.ones(dim), M
     scratch = np.empty(_CHUNK * (rows + dim)) if scratch is None else scratch
     x, log_r, whole, spare = g.r * g.r, math.log(g.r), ms.astype(float), np.empty(dim)
-    M[0] = list(map(math.exp, (whole * log_r - _half_log_factorials(dim)).tolist()))
+    logs = whole * log_r - _half_log_factorials(dim)  # row 0 before its damping: d log r - log(d!)/2
+    if (past := np.flatnonzero(logs > math.log(np.finfo(float).max))).size:
+        raise OverflowError(f"U(g) at r={g.r}, dim {dim}: row 0's undamped r^d/sqrt(d!) overflows at d = {past[0]}")
+    M[0] = list(map(math.exp, logs.tolist()))
     coef = np.arange(2 * dim - 1) - x  # coef[2m+1+d] = 2m+1+d - x
     with np.errstate(over="raise", invalid="raise"):
         for m in range(1, rows):

@@ -20,10 +20,10 @@ and closes each point's residual in Python floats.  The two U(g) checks,
 too, which build every point's core and products into one workspace.
 
 The two addition checks share one grid form, :func:`addition_grid`, which
-builds what their points share once for the call: each U(g)'s factors, one
-table of D_n diagonals per dim (a Kummer lane call per lam) and the Bessel
-rows of t_{kn}(g), one run per distinct lam r.  No check keeps anything
-between calls.
+builds what their points share once for the call: each U(g)'s factors to the
+rows they read, one table of D_n diagonals per dim (a Kummer lane call per
+lam) and the Bessel rows of t_{kn}(g), one run per distinct lam r.  No check
+keeps anything between calls.
 
 The orthogonality relation and the two limit statements are distributional /
 asymptotic and cannot be a single numeric equality at finite truncation; they
@@ -87,9 +87,9 @@ _DEFECT_FLOOR = 1e-13
 # series is refused, a fraction of a second
 _MAX_KUMMER_STEPS = 10**6
 
-# most bytes a block of a grid check holds, 8 a float: Kummer lanes x (top degree + 1), (row lanes + min(e, 80) + 1)
-# x (81 + e), e the top first argument, over identity-b's Bessel rows and the one 2F0 table a lane call builds at a
-# time; a 2-D pass too
+# most bytes a block of a grid check holds, 8 a float: Kummer lanes x (top degree + 1), (row lanes + min(e, T) + 1)
+# x (T + 1 + e), T = _IDENTITY_B_TERMS and e the top first argument, over identity-b's Bessel rows and the one 2F0
+# table a lane call builds at a time; a 2-D pass too
 _BLOCK_BYTES = 2**20
 
 
@@ -146,7 +146,8 @@ def _grid_outcomes(request, kernel, points) -> list:
                     wanted[b, x] = None
             built = {key: None for key in rows if key not in keys}
             extent = max([widest, *(key[1] for key in built)]) if built else widest
-            held = (len(keys) + len(built) + (min(extent, 80) + 1 if rows else 0)) * (81 + extent)
+            rows_held = min(extent, _IDENTITY_B_TERMS) + 1 if rows else 0
+            held = (len(keys) + len(built) + rows_held) * (_IDENTITY_B_TERMS + 1 + extent)
             floats = (len(lanes) + len(wanted)) * (degree + 1) + held
             if block and 8 * floats > _BLOCK_BYTES:
                 break
@@ -168,7 +169,7 @@ def _grid_outcomes(request, kernel, points) -> list:
             refused = isinstance(table, Exception)
             finite = [True] * len(group) if refused or len(group) == 1 else np.isfinite(table).all(1)
             for i, (lane, kept) in enumerate(zip(group, finite)):
-                keys[build, *lane] = table if refused else i if kept else _caught(build, [lane])
+                keys[(build, *lane)] = table if refused else i if kept else _caught(build, [lane])
         rows = [[keys[key] for key in outcomes[i][1]] for i in block]
         tables = [tables[build] for build, *_ in outcomes[block[0]][1]]
         for j, outcome in kernel([points[i] for i in block], runs, values, (tables, rows)):
@@ -213,15 +214,18 @@ def _checked_block(dim: int, r: float) -> int:
     return max(safe_block(dim, r), min(dim, 4))
 
 
+def _workspace(sizes, scaled: bool) -> tuple:
+    # flat buffers for the largest (b, dim) of ``sizes``: the core, its copy and the product, u_factors' scratch
+    core = np.empty(max(b * dim for b, dim in sizes))
+    return core, np.empty(len(core) if scaled else 0), np.empty(max(max(b * b, 64 * (b + dim)) for b, dim in sizes))
+
+
 def _u_grid(points, check, scaled: bool) -> list:
-    # check(g, dim, b, core, copy, product) per point (g, dim), or the ValueError or ArithmeticError refusing it, all
-    # built into one workspace of flat buffers sized for the grid's largest checked block b, so that each point
-    # reuses the pages the one before it faulted in: the core, its scaled copy (where ``scaled``) and the product,
-    # which is u_factors' scratch of 64 (b + dim) floats while the core is built
+    # check(g, dim, b, *workspace) per point (g, dim), or the error refusing it, all built into one workspace sized
+    # for the grid's largest checked block b, so that each point reuses the pages the one before it faulted in
     blocks = [_caught(_checked_block, dim, g.r) for g, dim in points]
     sizes = [(b, dim) for b, (_, dim) in zip(blocks, points) if not isinstance(b, Exception)] or [(0, 0)]
-    core = np.empty(max(b * dim for b, dim in sizes))
-    work = core, np.empty(len(core) if scaled else 0), np.empty(max(max(b * b, 64 * (b + dim)) for b, dim in sizes))
+    work = _workspace(sizes, scaled)
     return [b if isinstance(b, Exception) else _caught(check, *point, b, *work) for b, point in zip(blocks, points)]
 
 
@@ -259,7 +263,7 @@ unitarity_residual.grid = functools.partial(_u_grid, check=_unitarity, scaled=Fa
 
 def unitarity_decay_residual(g: GroupElement, block: int) -> Residual:
     """Worst rise of the unitarity defect on a fixed block at dims 32, 64, 128, each from max(last, 1e-13)."""
-    work = np.empty(128 * block), None, np.empty(max(block * block, 64 * (block + 128)))
+    work = _workspace([(block, 128)], False)
     defects = [float(_unitarity(g, dim, block, *work).residual) for dim in (32, 64, 128)]
     detail = "defects " + ", ".join(repr(d) for d in defects) + f" (floor {_DEFECT_FLOOR})"
     return Residual(worst_rise(defects, _DEFECT_FLOOR), detail)
@@ -464,7 +468,7 @@ def _identity_b_residual(m: int, k: int, x: float, r: float, phi: float, factors
     elif not math.isfinite(rhs):
         detail = f"the n-sum overflows: its weights (-xr)^n/n! or terms leave the float range, and it reads {rhs}"
     elif tail >= term_max:
-        detail = f"the n-sum still rises at n = 80: its last term {tail:.3e} is its largest"
+        detail = f"the n-sum still rises at n = {_IDENTITY_B_TERMS}: its last term {tail:.3e} is its largest"
     return Residual(residual, detail)
 
 
@@ -490,21 +494,21 @@ def addition_grid(theorem, vacuum) -> tuple[list, list]:
     """One Residual, or the ValueError or ArithmeticError refusing it, per point (g, label, dim) of each check.
 
     ``theorem`` holds points of :func:`addition_residual`, ``vacuum`` of :func:`addition_vacuum_crosscheck`.  What
-    they share is built once: U(g)'s factors per (g, dim), every t_{kn}(g) of the theorem from one Bessel run per
-    distinct lam r (:func:`e2group.irrep_rows`), and per dim one table of the D_n diagonals the points read
-    (:func:`repk.basis_diagonals`).  A point reads them in the order its check once built them, so it meets the
-    refusal it met then.
+    they share is built once: U(g)'s factors per (g, dim) to the rows its points read (the safe block, or row 0),
+    every t_{kn}(g) of the theorem from one Bessel run per distinct lam r (:func:`e2group.irrep_rows`), and per dim
+    one table of the D_n diagonals the points read (:func:`repk.basis_diagonals`).  A point reads them in the order
+    its check once built them, so it meets the refusal it met then.
     """
     far = ValueError("addition_residual requires lam * r <= 6")
     negative = ValueError("vacuum cross-check uses k >= 0")
     theorem = [(far if label.lam * g.r > 6.0 else None, (g, label, dim)) for g, label, dim in theorem]
     vacuum = [(negative if label.k < 0 else None, (g, label, dim)) for g, label, dim in vacuum]
     kept, sums, windings = [point for got, point in theorem if got is None], {}, {}
-    blocks = {key: safe_block(*key) for key in {(dim, g.r) for g, _, dim in kept}}
+    depth = {(g, dim): safe_block(dim, g.r) for g, _, dim in kept}  # the rows of U(g)'s core the theorem reads
     for (g, label, dim), row in zip(kept, irrep_rows([(label, g) for g, label, _ in kept], _ADDITION_NMAX)):
         # the n-sum's candidate n and t_kn(g): n = k - 60..k + 60 where D_n meets the safe block b and |t_kn| sqrt(b)
         # >= 1e-16 |D_k[0]|, as D_n's entries are at most 1 (D_n is an angular Fourier mode of U(lam/2, psi, 0))
-        b, a, ns = blocks[dim, g.r], abs(label.k), np.arange(label.k - _ADDITION_NMAX, label.k + _ADDITION_NMAX + 1)
+        b, a, ns = depth[g, dim], abs(label.k), np.arange(label.k - _ADDITION_NMAX, label.k + _ADDITION_NMAX + 1)
         d0 = math.exp(_log_power(a, label.lam / 2) - label.lam**2 / 8 - 0.5 * log_factorial(a))  # |D_k[0]|
         near = (abs(ns) < b) & ~(abs(row) * math.sqrt(b) < 1e-16 * d0)
         sums[g, label, dim] = b, ns[near].tolist(), row[near].tolist()
@@ -512,7 +516,7 @@ def addition_grid(theorem, vacuum) -> tuple[list, list]:
     kept += [point for got, point in vacuum if got is None]
     for g, label, dim in kept:
         windings.setdefault(dim, {}).setdefault(label.lam, set()).add(label.k)
-    factors = {key: _caught(u_factors, *key, key[1]) for key in dict.fromkeys((g, dim) for g, _, dim in kept)}
+    factors = {key: _caught(u_factors, *key, max(depth.get(key, 1), 1)) for key in {(g, dim) for g, _, dim in kept}}
     diagonals = {dim: basis_diagonals(lams, dim) for dim, lams in windings.items()}
     return tuple(
         [got or _caught(check, *p, diagonals[p[2]], factors[p[0], p[2]], sums) for got, p in points]
@@ -544,12 +548,9 @@ def _addition_residual(g, label, dim, diagonals, factors, sums) -> Residual:
     rhs = np.zeros((b, b), dtype=complex)
     flat, kept = rhs.reshape(-1), set()
     for n, t in zip(ns, ts):
-        dn, size, floor = diagonals[lam, n], abs(t), 1e-16 * den
-        # a term below 1e-16 counts where D_n outweighs D_k: |t_kn| ||D_n|| >= 1e-16 ||D_k||, on the block.  D_n's
-        # entries are at most 1, so |t_kn| sqrt(b - |n|) < 1e-16 ||D_k|| rules a term out without a norm
-        if size < 1e-16 and (isinstance(dn, Exception) or size * math.sqrt(b - abs(n)) < floor):
-            continue
-        if size < 1e-16 and size * np.linalg.norm(dn[: b - abs(n)]) < floor:
+        dn, size = diagonals[lam, n], abs(t)
+        # a term below 1e-16 counts where D_n outweighs D_k: |t_kn| ||D_n|| >= 1e-16 ||D_k||, on the block
+        if size < 1e-16 and (isinstance(dn, Exception) or size * np.linalg.norm(dn[: b - abs(n)]) < 1e-16 * den):
             continue
         kept.add(n)
         dn = _value(dn)[: b - abs(n)]

@@ -869,16 +869,18 @@ class TestBlockProducts:
         rng = np.random.default_rng(7)
         points = [(dim, r, *rng.uniform(-4, 4, 2)) for dim in (2, 8, 64, 97, 300, 512) for r in self.GRID_RS]
         points = [points[i] for i in rng.permutation(len(points))]
-        for point, got in zip(points, cli._on_group_elements(check).grid(points)):
+        # the points as one axis, each mapped to (g, dim) as the U(g) suites map theirs
+        axes, to_check = {"point": points}, lambda point: (GroupElement(*point[1:]), point[0])
+        for point, got in zip(points, cli._sweep(RunConfig(), [suite], axes, check, point=to_check)):
             dim, r, psi, phi = point
             try:
                 want = check(GroupElement(r, psi, phi), dim)
             except (ValueError, ArithmeticError) as exc:
-                assert type(got) is type(exc) and str(got) == str(exc), point
+                assert (got.residual, got.detail) == (math.inf, f"error: {exc}"), point
                 continue
             assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes(), point
             if not got.residual <= 1e-8:
-                assert got.detail() == want.detail(), point
+                assert got.detail == want.detail(), point
 
     @pytest.mark.parametrize("suite", ["unitarity", "intertwining"])
     def test_a_grid_builds_every_core_into_one_buffer(self, monkeypatch, suite):
@@ -1317,8 +1319,10 @@ class TestComputedOnce:
         return calls
 
     def test_each_u_of_addition_is_built_once(self, built):
-        # the 6 (lam, g) of the default grid hold 3 group elements; unitarity and intertwining build their blocks
-        assert [(g.r, dim) for g, dim, rows in built["u_factors"] if rows == dim] == [(0.5, 96), (1.0, 96), (2.0, 96)]
+        # the 6 (lam, g) of the default grid hold 3 group elements, each built to its safe block at dim 96;
+        # unitarity and intertwining build theirs at dim 64
+        cores = sorted((g.r, rows) for g, dim, rows in built["u_factors"] if dim == 96)
+        assert cores == [(0.5, safe_block(96, 0.5)), (1.0, safe_block(96, 1.0)), (2.0, safe_block(96, 2.0))]
 
     def test_each_lam_builds_its_d_n_table_once(self, built):
         # one table call for the run's dim, one Kummer lane call for each lam, a lane for each |n| read
@@ -1330,6 +1334,52 @@ class TestComputedOnce:
     def test_each_lam_r_builds_its_bessel_row_once(self, built):
         # lam r is 0.5, 1, 2, 1, 2, 4 over the 6 (lam, g); addition-vacuum keeps its own order-k runs
         assert [x for nmax, x in built["bessel_j_seq"] if nmax == 60] == [0.5, 1.0, 2.0, 4.0]
+
+
+def test_addition_builds_each_core_to_the_rows_it_reads(monkeypatch):
+    # r = 0.5 is a theorem point's, read to its safe block; at lam r = 8 > 6 the vacuum alone reads r = 4's row 0,
+    # as it reads r = 2's at dim 8, where the theorem's safe block is empty
+    built, factors = [], identities.u_factors
+
+    def recording(g, dim, rows, **buffers):
+        built.append((g.r, dim, rows))
+        return factors(g, dim, rows, **buffers)
+
+    monkeypatch.setattr(identities, "u_factors", recording)
+    assert run_cli(["verify", "addition", "--lambda", "2", "--r", "0.5,4", "--k", "0", "--dim", "64"])[0] == 0
+    assert sorted(built) == [(0.5, 64, safe_block(64, 0.5)), (4, 64, 1)] and safe_block(64, 0.5) == 46
+    built.clear()
+    assert run_cli(["verify", "addition", "--lambda", "1", "--r", "2", "--k", "0", "--dim", "8"])[0] == 1
+    assert built == [(2, 8, 1)] and safe_block(8, 2) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, check, grid, details",
+    [
+        (
+            ["verify", "unitarity", "--r", "-1,0.5,-2,1"],
+            "unitarity_residual",
+            [(GroupElement(0.5, 0.7, 0.3), 64), (GroupElement(1, 0.7, 0.3), 64)],
+            ["error: translation modulus r must be >= 0", None] * 2,
+        ),
+        (
+            # the map refuses no k; the grid's own request refuses b = 1 + k < 1
+            ["verify", "recurrence", "--k", "-2,0,-1,3"],
+            "kummer_recurrence_residual",
+            [(1 + k, x, 200) for k in (-2, 0, -1, 3) for x in (0.25, 1.0, 4.0, 16.0)],
+            [f"error: recurrence requires b >= 1, got {b}" if b < 1 else None for b in (-1, 1, 0, 4) for _ in range(4)],
+        ),
+    ],
+    ids=["unitarity", "recurrence"],
+)
+def test_refusals_land_in_place_and_the_grid_runs_once_on_the_rest(monkeypatch, argv, check, grid, details):
+    check, calls = getattr(identities, check), []
+    monkeypatch.setattr(check, "grid", lambda points, grid=check.grid: calls.append(points) or grid(points))
+    code, out = run_cli(argv)
+    records = [rec for rec in json_records(out) if rec["name"] != "unitarity-monotone"]
+    assert code == 1 and calls == [grid]
+    assert [rec["detail"] for rec in records] == details
+    assert [rec["residual"] is None for rec in records] == [detail is not None for detail in details]
 
 
 @pytest.mark.parametrize(
@@ -1484,6 +1534,10 @@ class TestEveryInputIsRead:
             "table profile: ArithmeticError: basis_d at lam=3.72, k=200: the prefactor (lam/2)^200/200! e^(-lam^2/8)"
             " is 1.8e-322, below the normal float range",
         ),
+        (
+            ["table", "u-matrix", "--dim", "8", "--r", "1e200"],
+            "table u-matrix: OverflowError: U(g) at r=1e+200, dim 8: row 0's undamped r^d/sqrt(d!) overflows at d = 2",
+        ),
     ],
     ids=[
         "profile-gaussian-underflow",
@@ -1504,6 +1558,7 @@ class TestEveryInputIsRead:
         "negative-basis-zmax",
         "basis-underflow",
         "profile-subnormal-prefactor",
+        "u-matrix-row-0-overflow",
     ],
 )
 def test_error_message_names_the_run_and_the_exception(argv, message, capsys):
@@ -1585,6 +1640,11 @@ _BESSEL_SIDE = "(b-1)! c^((1-b)/2) I_(b-1)(2 sqrt(c))"
             ["verify", "hille-hardy", "--k", "0", "--x", "1e5", "--y", "800", "--zq", "0.5"],
             "hille-hardy at k=0, x=100000.0, y=800, zq=0.5: term n=65 is not finite",
         ),
+        (
+            # row 0 of U(g), r^d/sqrt(d!) before the damping e^(-r^2/2), once ended the record as "math range error"
+            ["verify", "unitarity", "--dim", "512", "--r", "60"],
+            "U(g) at r=60, dim 512: row 0's undamped r^d/sqrt(d!) overflows at d = 469",
+        ),
     ],
     ids=[
         "kummer-limit-inf",
@@ -1594,6 +1654,7 @@ _BESSEL_SIDE = "(b-1)! c^((1-b)/2) I_(b-1)(2 sqrt(c))"
         "hille-hardy-xyzq",
         "identity-a-x-squared",
         "hille-hardy-term",
+        "u-row-0",
     ],
 )
 def test_a_side_out_of_the_float_range_is_one_error_record(argv, detail):
