@@ -126,21 +126,14 @@ class _Row(dict):
 def _sweep(cfg, names, axes, check, params=dict, point=lambda *values: values):
     """Run ``check`` over a suite's grid, each point guarded, and file its records under ``names``.
 
-    ``names`` are rows of ``_RECORDS``; each one's tolerance is read before
-    the first check.  ``axes`` maps each grid flag to its default values; the
-    grid is their product in declaration order, a flag given on the command
-    line replacing its default (an axis that is no flag keeps its values).
-    ``point(*values)`` maps a grid point to its check's point, by default the
-    tuple of values.  A check with a grid form, such as ``identity_a.grid``,
-    gets the points the map does not refuse in one call, in order, and gives
-    per point a Residual, filed as ``report(*residual)``, or the error that
-    refuses it.  Any other check is ``check(report, **named)``, ``named``
-    the values by flag, and returns a record or a list.  ``report(residual,
-    detail=None)`` decides a record's pass and builds it: the columns name,
-    equation, params, residual, tolerance, pass and detail, under ``names[0]``
-    or the row ``name=``, params ``params(**named)`` updated by any other
-    keyword, a callable detail called only when the record fails.  A
-    ValueError or ArithmeticError from the map or the check is an error record.
+    ``names`` are rows of ``_RECORDS``, their tolerances read before the first check.  The grid is the product of
+    ``axes`` in order, each flag's default values, a flag given replacing its own (an axis no flag names keeps them);
+    ``point(*values)`` maps a grid point to its check's point.  A check with a grid form, as ``identity_a.grid``,
+    gets the points the map does not refuse in one call, in order, and gives per point a Residual, filed as
+    ``report(*residual)``, or the error refusing it; any other check, ``check(report, **named)`` with the values by
+    flag, returns a record or a list.  ``report(residual, detail=None)`` decides a record's pass and builds it under
+    ``names[0]`` or the row ``name=``, params ``params(**named)`` updated by any other keyword, a callable detail
+    called only when the record fails.  A ValueError or ArithmeticError from the map or the check is an error record.
     """
     tolerances = {name: cfg.tol(_RECORDS[name][1]) for name in names}
     grid, outcomes = _mapped(cfg, axes, point)

@@ -1,33 +1,20 @@
 """Machine-checkable verification of the global identities of the theory.
 
-Every check of ``e2fock verify`` computes here (:mod:`repk` has the Lie
-brackets and eigen-equations) and returns a :class:`Residual`: a scale-free
-residual and, where the check found more than that number says, a detail.
-The verifier only holds the tolerances, decides each pass and files records.
-Residuals are measured against max(|lhs|, |rhs|, largest term magnitude):
-both sandwich identities have parameter points where the two sides vanish
-identically, so a plain relative error would be 0/0 there, and a scale below
-the normal float range is refused where it is formed (:func:`repk.normal_scale`).
+Every check of ``e2fock verify`` computes here (:mod:`repk` has the Lie brackets and eigen-equations) and returns a
+:class:`Residual`: a scale-free residual and, where the check found more than that number says, a detail.  The
+verifier only holds the tolerances, decides each pass and files records.  Residuals are measured against max(|lhs|,
+|rhs|, largest term magnitude): both sandwich identities have parameter points where the two sides vanish
+identically, so a plain relative error would be 0/0 there, and a scale below the normal float range is refused where
+it is formed (:func:`repk.normal_scale`).
 
-The four scalar checks (:func:`kummer_recurrence_residual`, :func:`identity_a`,
-:func:`identity_b`, :func:`hille_hardy_residual`) take one point, and their grid
-forms ``check.grid(points)`` give one Residual, or the ValueError or
-ArithmeticError refusing it, per point.  Each is an array kernel: it refuses
-points in Python, runs a block's Kummer runs as the lanes of one recurrence,
-forms the terms of points that share a term count as the rows of one 2-D array,
-and closes each point's residual in Python floats.  The two U(g) checks,
-:func:`unitarity_residual` and :func:`intertwining_residual`, have grid forms
-too, which build every point's core and products into one workspace.
+The four scalar checks, the two U(g) checks and the two addition checks (:func:`addition_grid`) have grid forms:
+``check.grid(points)`` gives one Residual, or the ValueError or ArithmeticError refusing it, per point, and builds
+what the points share once for the call.  A scalar check runs its Kummer values as lanes of one recurrence and its
+terms as rows of 2-D arrays; identity-b builds its Bessel and 2F0 factor tables, and hille-hardy one Miller run per
+I_k argument and start index.  No check keeps anything between calls.
 
-The two addition checks share one grid form, :func:`addition_grid`, which
-builds what their points share once for the call: each U(g)'s factors to the
-rows they read, one table of D_n diagonals per dim (a Kummer lane call per
-lam) and the Bessel rows of t_{kn}(g), one run per distinct lam r.  No check
-keeps anything between calls.
-
-The orthogonality relation and the two limit statements are distributional /
-asymptotic and cannot be a single numeric equality at finite truncation; they
-are exposed as profile and error-ladder computations whose qualitative
+The orthogonality relation and the two limit statements are distributional / asymptotic and cannot be a single
+numeric equality at finite truncation; they are exposed as profile and error-ladder computations whose qualitative
 behavior (growth, boundedness, monotone decay) is asserted instead.
 """
 
@@ -87,18 +74,16 @@ _DEFECT_FLOOR = 1e-13
 # series is refused, a fraction of a second
 _MAX_KUMMER_STEPS = 10**6
 
-# most bytes a block of a grid check holds, 8 a float: Kummer lanes x (top degree + 1), (row lanes + min(e, T) + 1)
-# x (T + 1 + e), T = _IDENTITY_B_TERMS and e the top first argument, over identity-b's Bessel rows and the one 2F0
-# table a lane call builds at a time; a 2-D pass too
+# most bytes a grid block holds, 8 a float: Kummer lanes x (top degree + 1); apart, identity-b's factor rows and the
+# one 2F0 table built at a time, (rows + min(e, T) + 1) x (T + 1 + e), T = _IDENTITY_B_TERMS, e the top m + k
 _BLOCK_BYTES = 2**20
 
 
 class Residual(NamedTuple):
     """A check's scale-free residual, and what it found beyond that number.
 
-    ``detail`` is None, a note, or a zero-argument callable that builds the
-    note (:func:`addition_residual`'s diagnostic and the U(g) checks' worst
-    entry, too costly to build for a record that passes).
+    ``detail`` is None, a note, or a zero-argument callable that builds the note (:func:`addition_residual`'s
+    diagnostic and the U(g) checks' worst entry, too costly to build for a record that passes).
     """
 
     residual: float
@@ -123,58 +108,41 @@ def _value(built):
 def _grid_outcomes(request, kernel, points) -> list:
     """One Residual, or the ValueError or ArithmeticError refusing it, per point of a grid check.
 
-    ``request(*point)`` refuses its point or gives the Kummer runs (nmax, b, x) it reads, each with nmax >= 0 and
-    b >= 1 as kummer_phi_seq requires, and the keys (build, *lane) of its rows, each point's i-th of one build.  The
-    points go in blocks: one point, or as many as fit in _BLOCK_BYTES with one lane per distinct (b, x), run to the
-    block's top degree, and one per distinct key.  A block runs its Kummer lanes as one kummer_phi_seq call, each
-    the scalar run's floats bit for bit (a block of one point runs scalar runs, without a numpy step per degree),
-    and a build's lanes as one table build(lanes), a row per lane, where build([lane]), a scalar call, refuses a
-    lane whose row among several is not finite.  ``kernel(points, runs, values, (tables, rows))`` yields (j,
-    outcome) for each point j: ``runs[j]`` lists (nmax, lane) for its runs, ``values[lane]`` holding Phi(-n, b; x)
-    to the top degree, and ``rows[j]`` its keys' rows in ``tables``, a table a build, or the errors refusing them.
+    ``request(*point)`` refuses its point or gives the Kummer runs (nmax, b, x) it reads, nmax >= 0 and b >= 1.
+    ``kernel(blocks)`` yields (i, outcome) for each point i of the blocks of :func:`_kummer_blocks`, and builds
+    what the points share over all blocks itself.
     """
     outcomes = [_caught(request, *point) for point in points]
-    waiting = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    for i, outcome in kernel(_kummer_blocks(points, list(outcomes))):  # a copy, as outcomes fill in while blocks run
+        outcomes[i] = outcome
+    return outcomes
+
+
+def _kummer_blocks(points, requests):
+    # (indices, points, runs, values) per block of consecutive points whose request gave runs, as many as fit in
+    # _BLOCK_BYTES with a lane per distinct (b, x) run to the top degree by one kummer_phi_seq call (scalar runs for
+    # one point): runs[j] lists (nmax, lane) for a block's j-th point, values[lane] holding Phi(-n, b; x)
+    waiting = [i for i, runs in enumerate(requests) if not isinstance(runs, Exception)]
     while waiting:
-        block, lanes, keys, top, widest = [], {}, {}, 0, 0
+        block, lanes, top = [], {}, 0
         for i in waiting:
-            runs, rows = outcomes[i]
             degree, wanted = top, {}
-            for nmax, b, x in runs:
+            for nmax, b, x in requests[i]:
                 degree = max(degree, nmax)
                 if (b, x) not in lanes:
-                    wanted[b, x] = None
-            built = {key: None for key in rows if key not in keys}
-            extent = max([widest, *(key[1] for key in built)]) if built else widest
-            rows_held = min(extent, _IDENTITY_B_TERMS) + 1 if rows else 0
-            held = (len(keys) + len(built) + rows_held) * (_IDENTITY_B_TERMS + 1 + extent)
-            floats = (len(lanes) + len(wanted)) * (degree + 1) + held
-            if block and 8 * floats > _BLOCK_BYTES:
+                    wanted.setdefault((b, x), len(lanes) + len(wanted))
+            if block and 8 * (len(lanes) + len(wanted)) * (degree + 1) > _BLOCK_BYTES:
                 break
             block.append(i)
             lanes |= wanted
-            keys |= built
-            top, widest = degree, extent
+            top = degree
         waiting = waiting[len(block) :]
         if len(block) == 1:
             values = np.array([kummer_phi_seq(top, b, x) for b, x in lanes])
         else:
             values = kummer_phi_seq(top, *(np.array(column, dtype=float) for column in zip(*lanes)))
-        lanes, kinds, tables = {lane: row for row, lane in enumerate(lanes)}, {}, {}
-        runs = [[(nmax, lanes[b, x]) for nmax, b, x in outcomes[i][0]] for i in block]
-        for build, *lane in keys:
-            kinds.setdefault(build, []).append(tuple(lane))
-        for build, group in kinds.items():
-            tables[build] = table = _caught(build, group)
-            refused = isinstance(table, Exception)
-            finite = [True] * len(group) if refused or len(group) == 1 else np.isfinite(table).all(1)
-            for i, (lane, kept) in enumerate(zip(group, finite)):
-                keys[(build, *lane)] = table if refused else i if kept else _caught(build, [lane])
-        rows = [[keys[key] for key in outcomes[i][1]] for i in block]
-        tables = [tables[build] for build, *_ in outcomes[block[0]][1]]
-        for j, outcome in kernel([points[i] for i in block], runs, values, (tables, rows)):
-            outcomes[block[j]] = outcome
-    return outcomes
+        runs = [[(nmax, lanes[b, x]) for nmax, b, x in requests[i]] for i in block]
+        yield block, [points[i] for i in block], runs, values
 
 
 def _passes(keys, arrays):
@@ -297,13 +265,9 @@ def _intertwining(g: GroupElement, dim: int, b: int, core, copy, product) -> Res
 def intertwining_residual(g: GroupElement, dim: int) -> Residual:
     """Largest entry of U a U* - (e^{i phi} a + r e^{i psi}) on the block of :func:`unitarity_residual`.
 
-    The pair (e^{i phi}, r e^{i psi}) is g's action on a, from :func:`e2group.act_on_generator`.  U a U* is
-    p_i C_ij q_j with the real core product C = (M * sqrt(n)) @ M^T of :func:`fock.conjugated_block` and unit
-    phases p, q, so no complex block is formed.  The two bands the identity subtracts are evaluated as
-    :func:`fock.conjugated_block` and the subtraction would, entry by entry.  Off them a unit phase moves |C_ij|
-    only by rounding, a few eps relative (Higham, Accuracy and Stability, sec. 3.6), so |p_i C_ij q_j| is formed
-    only where |C_ij| is within 2^-40 of the off-band maximum: the residual is the complex block's float.  It has
-    a grid form and a detail as :func:`unitarity_residual` has.
+    U a U* is p_i C_ij q_j, from the real core product C of :func:`fock.conjugated_block` and unit phases p, q, and
+    the residual is the complex block's float without forming it (README, "Determinism and performance").
+    It has a grid form and a detail as :func:`unitarity_residual` has.
     """
     return _value(_u_grid([(g, dim)], _intertwining, True)[0])
 
@@ -311,20 +275,21 @@ def intertwining_residual(g: GroupElement, dim: int) -> Residual:
 intertwining_residual.grid = functools.partial(_u_grid, check=_intertwining, scaled=True)
 
 
-def _recurrence_kernel(points, runs, values, _):
-    # each point's worst row ratio, one 2-D pass per zmax
-    for (steps,), js in _passes([(nmax,) for ((nmax, _),) in runs], 8):
-        phis = values[[runs[j][0][1] for j in js], : steps + 1]
-        b, x = (np.array([[float(points[j][axis])] for j in js]) for axis in (0, 1))
-        a = -np.arange(1.0, steps)
-        # an overflowing value or term makes its ratios NaN or inf, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            t1, t2, t3 = a * phis[:, :-2], (a - b) * phis[:, 2:], (b - 2 * a - x) * phis[:, 1:-1]
-            ratios = abs(t1 + t2 + t3) / np.maximum(np.maximum(abs(t1), abs(t2)), abs(t3))
-        unchecked = ~np.isfinite(ratios)
-        for j, worst, bad, first in zip(js, ratios.max(axis=1), unchecked.any(axis=1), unchecked.argmax(axis=1)):
-            detail = f"non-finite Kummer value or ratio at zeta={first + 1}"
-            yield j, Residual(math.inf, detail) if bad else Residual(worst)
+def _recurrence_kernel(blocks):
+    # each point's worst row ratio, one 2-D pass per zmax of a block
+    for block, points, runs, values in blocks:
+        for (steps,), js in _passes([(nmax,) for ((nmax, _),) in runs], 8):
+            phis = values[[runs[j][0][1] for j in js], : steps + 1]
+            b, x = (np.array([[float(points[j][axis])] for j in js]) for axis in (0, 1))
+            a = -np.arange(1.0, steps)
+            # an overflowing value or term makes its ratios NaN or inf, reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                t1, t2, t3 = a * phis[:, :-2], (a - b) * phis[:, 2:], (b - 2 * a - x) * phis[:, 1:-1]
+                ratios = abs(t1 + t2 + t3) / np.maximum(np.maximum(abs(t1), abs(t2)), abs(t3))
+            unchecked = ~np.isfinite(ratios)
+            for j, worst, bad, first in zip(js, ratios.max(axis=1), unchecked.any(axis=1), unchecked.argmax(axis=1)):
+                detail = f"non-finite Kummer value or ratio at zeta={first + 1}" if bad else None
+                yield block[j], Residual(math.inf, detail) if bad else Residual(worst)
 
 
 @_grid_check(_recurrence_kernel)
@@ -338,7 +303,7 @@ def kummer_recurrence_residual(b: int, x: float, zmax: int) -> Residual:
         raise ValueError(f"recurrence requires zmax >= 1, got {zmax}")
     if b < 1:
         raise ValueError(f"recurrence requires b >= 1, got {b}")
-    return [(zmax + 1, b, float(x))], ()
+    return [(zmax + 1, b, float(x))]
 
 
 def _log_factorials(nmax: int) -> np.ndarray:
@@ -371,12 +336,13 @@ def _vacuum_terms(r: float, phis: np.ndarray, logf: np.ndarray) -> np.ndarray:
     return np.exp(_log_power(2 * np.arange(phis.shape[-1]), r) - logf) * phis
 
 
-def _identity_a_kernel(points, runs, values, _):
-    # each point's left sum and largest term, one 2-D pass per r
-    for (steps, r), js in _passes([(nmax + 1, r) for ((nmax, _),), (_, _, r) in zip(runs, points)], 4):
-        terms = _vacuum_terms(r, values[[runs[j][0][1] for j in js], :steps], _log_factorials(steps - 1))
-        for j, lhs, largest in zip(js, terms.sum(axis=1).tolist(), abs(terms).max(axis=1).tolist()):
-            yield j, _caught(_identity_a_residual, *points[j], lhs, largest)
+def _identity_a_kernel(blocks):
+    # each point's left sum and largest term, one 2-D pass per r of a block
+    for block, points, runs, values in blocks:
+        for (steps, r), js in _passes([(nmax + 1, r) for ((nmax, _),), (_, _, r) in zip(runs, points)], 4):
+            terms = _vacuum_terms(r, values[[runs[j][0][1] for j in js], :steps], _log_factorials(steps - 1))
+            for j, lhs, largest in zip(js, terms.sum(axis=1).tolist(), abs(terms).max(axis=1).tolist()):
+                yield block[j], _caught(_identity_a_residual, *points[j], lhs, largest)
 
 
 def _identity_a_residual(k: int, x: float, r: float, lhs: float, largest: float) -> Residual:
@@ -398,7 +364,7 @@ def identity_a(k: int, x: float, r: float) -> Residual:
     for name, value in (("x", x), ("r", r)):
         if math.isinf(value * value):
             raise OverflowError(f"identity-a at k={k}, x={x!r}, r={r!r}: {name}^2 is outside the float range")
-    return [(_vacuum_degree(r), 1 + k, x * x)], ()
+    return [(_vacuum_degree(r), 1 + k, x * x)]
 
 
 def _hyp2f0_rows(lanes) -> np.ndarray:
@@ -439,37 +405,70 @@ def _identity_b_sums(js, columns, xrs) -> np.ndarray:
     return np.column_stack((sums[points, n], term_maxes[points, n], sizes[points, n]))
 
 
-def _identity_b_kernel(points, runs, values, rows):
-    # the n-sums of the points whose factor rows were built, in 2-D passes of 8 x 81 floats a point
-    tables, rows = rows
-    summed = [j for j, factors in enumerate(rows) if not any(isinstance(row, Exception) for row in factors)]
-    sums = {}
-    for _, js in _passes([(_IDENTITY_B_TERMS + 1,)] * len(summed), 8):
-        js = [summed[j] for j in js]
-        factors = [table[list(picked)] for table, picked in zip(tables, zip(*(rows[j] for j in js)))]
-        sums.update(zip(js, _identity_b_sums(*factors, [points[j][2] * points[j][3] for j in js]).tolist()))
-    phis = values[[lane for ((_, lane),) in runs], [m for m, *_ in points]].tolist()
-    for j, (point, phi, factors) in enumerate(zip(points, phis, rows)):
-        yield j, _caught(_identity_b_residual, *point, phi, factors, sums.get(j))
+def _factor_rows(build, lanes) -> tuple:
+    # build(lanes), a row per lane, and {row: the error refusing it}: a lone lane, and a lane whose row among several
+    # is not finite, is built alone, a scalar call, which refuses it with the message a one-point call gives
+    lanes, refused = list(lanes), {}
+    table = build(lanes) if len(lanes) > 1 else np.full((1, _IDENTITY_B_TERMS + 1), math.nan)
+    for i in np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist():
+        try:
+            table[i] = build([lanes[i]])
+        except (ValueError, ArithmeticError) as exc:
+            refused[i] = exc
+    return table, refused
 
 
-def _identity_b_residual(m: int, k: int, x: float, r: float, phi: float, factors, sums) -> Residual:
+def _identity_b_kernel(blocks):
+    # the n-sums of consecutive points whose factor tables fit in _BLOCK_BYTES, over all blocks: rows J_{k-n}(2xr)
+    # from one Bessel lane call and 2F0(-m-k, -n; -1/r^2) from a 2F0 lane call per r, in 2-D passes of 8 x 81 floats
+    # a point; a point one of whose rows is refused meets the first refusal
+    indices, points, phis = [], [], []
+    for block, block_points, runs, values in blocks:
+        indices += block
+        points += block_points
+        phis += values[[lane for ((_, lane),) in runs], [m for m, *_ in block_points]].tolist()
+    start = 0
+    while start < len(points):
+        bessel, hyp, widest, rows = {}, {}, 0, []
+        for m, k, x, r in points[start:]:
+            jl, hl = (k, 2 * x * r), (m + k, r)
+            if jl not in bessel or hl not in hyp:  # a point whose rows are held adds nothing, as m + k <= widest
+                extent = max(widest, m + k)
+                held = len(bessel) + (jl not in bessel) + len(hyp) + (hl not in hyp) + min(extent, _IDENTITY_B_TERMS)
+                if rows and 8 * (held + 1) * (_IDENTITY_B_TERMS + 1 + extent) > _BLOCK_BYTES:
+                    break
+                bessel.setdefault(jl, len(bessel)), hyp.setdefault(hl, len(hyp))
+                widest = extent
+            rows.append((bessel[jl], hyp[hl]))
+        block, start = range(start, start + len(rows)), start + len(rows)
+        (js, refused_j), (columns, refused_2f0) = _factor_rows(_bessel_rows, bessel), _factor_rows(_hyp2f0_rows, hyp)
+        rows, sums = np.array(rows), []
+        for _, group in _passes([(_IDENTITY_B_TERMS + 1,)] * len(block), 8):
+            xrs = [points[block[i]][2] * points[block[i]][3] for i in group]
+            sums += _identity_b_sums(js[rows[group, 0]], columns[rows[group, 1]], xrs).tolist()
+        for (b, c), j, found in zip(rows.tolist(), block, sums):
+            refusal = refused_j.get(b) or refused_2f0.get(c)
+            yield indices[j], _caught(_identity_b_residual, *points[j], phis[j], refusal or found)
+
+
+def _tailed(residual: float, tail: float, scale: float, detail: str | None = None) -> Residual:
+    # the Residual, unless a last term above 1e-12 of the scale makes a non-convergent tail, named and counted in it
+    if not tail > 1e-12 * scale:
+        return Residual(residual, detail)
+    return Residual(max(residual, tail / scale), f"non-convergent tail: last term {tail:.3e} vs scale {scale:.3e}")
+
+
+def _identity_b_residual(m: int, k: int, x: float, r: float, phi: float, sums) -> Residual:
     lhs = math.exp(log_factorial(m + k) - log_factorial(m) - log_factorial(k) + k * math.log(x / r)) * phi
-    if sums is None:  # the first factor row refused
-        raise next(row for row in factors if isinstance(row, Exception))
-    rhs, term_max, tail = sums
-    what = f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: the scale max(|lhs|, |rhs|, largest term)"
+    rhs, term_max, tail = _value(sums)  # or the first refusal of its factor rows
+    what = lambda: f"identity-b at m={m}, k={k}, x={x!r}, r={r!r}: the scale max(|lhs|, |rhs|, largest term)"
     scale = normal_scale(max(abs(lhs), abs(rhs), term_max), what)
     detail = None
-    residual = abs(lhs - rhs) / scale
-    if tail > 1e-12 * scale:
-        detail = f"non-convergent tail: last term {tail:.3e} vs scale {scale:.3e}"
-        residual = max(residual, tail / scale)
-    elif not math.isfinite(rhs):
+    if not math.isfinite(rhs):
         detail = f"the n-sum overflows: its weights (-xr)^n/n! or terms leave the float range, and it reads {rhs}"
     elif tail >= term_max:
         detail = f"the n-sum still rises at n = {_IDENTITY_B_TERMS}: its last term {tail:.3e} is its largest"
-    return Residual(residual, detail)
+    return _tailed(abs(lhs - rhs) / scale, tail, scale, detail)
 
 
 @_grid_check(_identity_b_kernel)
@@ -479,25 +478,20 @@ def identity_b(m: int, k: int, x: float, r: float) -> Residual:
         ((m+k)!/(m! k!)) (x/r)^k Phi(-m, 1+k; x^2)
             = sum_{n>=0} ((-xr)^n/n!) 2F0(-m-k, -n; -1/r^2) J_{k-n}(2xr).
 
-    The sum runs to n = 80 at most; a last term above 1e-12 of the scale is
-    a non-convergent tail, named in the detail and counted in the residual.
-    A sum that overflows, or whose last term is its largest, says so too.
+    The sum runs to n = 80 at most; a last term above 1e-12 of the scale is a non-convergent tail, named in the
+    detail and counted in the residual.  A sum that overflows, or whose last term is its largest, says so too.
     """
     if m < 0 or k < 0 or not (0 < x) or not (0 < r):
         raise ValueError("identity_b requires m, k >= 0, x > 0, r > 0")
-    # the n-sum's factors J_{k-n}(2xr) and 2F0(-m-k, -n; -1/r^2); the kernel forms the weights (-xr)^n/n!
-    rows = (_bessel_rows, k, 2 * x * r), (_hyp2f0_rows, m + k, r)
-    return [(m, 1 + k, float(x * x))], rows
+    return [(m, 1 + k, float(x * x))]
 
 
 def addition_grid(theorem, vacuum) -> tuple[list, list]:
     """One Residual, or the ValueError or ArithmeticError refusing it, per point (g, label, dim) of each check.
 
-    ``theorem`` holds points of :func:`addition_residual`, ``vacuum`` of :func:`addition_vacuum_crosscheck`.  What
-    they share is built once: U(g)'s factors per (g, dim) to the rows its points read (the safe block, or row 0),
-    every t_{kn}(g) of the theorem from one Bessel run per distinct lam r (:func:`e2group.irrep_rows`), and per dim
-    one table of the D_n diagonals the points read (:func:`repk.basis_diagonals`).  A point reads them in the order
-    its check once built them, so it meets the refusal it met then.
+    ``theorem`` holds points of :func:`addition_residual`, ``vacuum`` of :func:`addition_vacuum_crosscheck`.  U(g)'s
+    factors, the t_{kn}(g) rows and the D_n diagonals are built once (README, "Determinism and performance"); a point
+    reads them in the order its check once built them, so it meets the refusal it met then.
     """
     far = ValueError("addition_residual requires lam * r <= 6")
     negative = ValueError("vacuum cross-check uses k >= 0")
@@ -527,13 +521,10 @@ def addition_grid(theorem, vacuum) -> tuple[list, list]:
 def addition_residual(g: GroupElement, label: IrrepLabel, dim: int) -> Residual:
     """Operator addition theorem U(g) D_k U(g)* = sum_n t_{kn}(g) D_n, k = label.k.
 
-    Both sides are compared as truncated Fock matrices on the safe block; the n-sum runs over |n - k| <= 60
-    where |t_{kn}(g)| >= 1e-16 or, on the block, |t_{kn}(g)| ||D_n|| >= 1e-16 ||D_k||, every t_{kn} from one Bessel
-    run (:func:`e2group.irrep_rows`).  The residual is
-    the Frobenius norm of the difference relative to that of D_k's block.  Each D_n occupies the single diagonal
-    -n, so the right side is written diagonal by diagonal into the block, through a strided view of it.  The
-    detail is a callable that fits each D_n's coefficient to the left side and names the worst mismatches against
-    t_{kn}(g).  :func:`addition_grid` checks many points at once.
+    Both sides are compared as truncated Fock matrices on the safe block, over |n - k| <= 60 where |t_{kn}(g)|
+    >= 1e-16 or, on the block, |t_{kn}(g)| ||D_n|| >= 1e-16 ||D_k||; the residual is the Frobenius norm of the
+    difference relative to that of D_k's block.  The detail is a callable that fits each D_n's coefficient to the
+    left side and names the worst mismatches against t_{kn}(g).  :func:`addition_grid` checks many points at once.
     """
     return _value(addition_grid([(g, label, dim)], [])[0][0])
 
@@ -557,7 +548,7 @@ def _addition_residual(g, label, dim, diagonals, factors, sums) -> Residual:
         flat[n * b if n >= 0 else -n :: b + 1][: len(dn)] = t * dn  # diagonal -n: (i + n, i) or (i, i - n)
 
     num = float(np.linalg.norm(lhs - rhs))
-    normal_scale(den, f"addition at lam={lam!r}, k={k}: the norm of D_k's block")
+    normal_scale(den, lambda: f"addition at lam={lam!r}, k={k}: the norm of D_k's block")
 
     def diagnostic():
         # built again from the shared objects, so that a grid holds no block for each record until it is filed
@@ -582,9 +573,8 @@ def _addition_phase_diagnostic(block, terms) -> str:
 def addition_vacuum_crosscheck(g: GroupElement, label: IrrepLabel, dim: int) -> Residual:
     """The <0|.|0> element of the addition theorem collapses to identity-a, k = label.k.
 
-    Checks that (U D_k U*)_{00} equals both t_{k0}(g) f_0(0) and the
-    e^{-ik psi} e^{-r^2} r^k (i lam/2)^k/k! e^{-lam^2/8}-weighted left sum of
-    identity-a, tying the operator statement to the scalar identity.
+    Checks that (U D_k U*)_{00} equals both t_{k0}(g) f_0(0) and the e^{-ik psi} e^{-r^2} r^k (i lam/2)^k/k!
+    e^{-lam^2/8}-weighted left sum of identity-a, tying the operator statement to the scalar identity.
     :func:`addition_grid` checks many points at once.
     """
     return _value(addition_grid([], [(g, label, dim)])[1][0])
@@ -607,37 +597,50 @@ def _vacuum_residual(g, label, dim, diagonals, factors, _) -> Residual:
     difference = max(abs(s1 - s2), abs(s1 - s3))
     if r == 0.0 and k != 0:  # U(g) is diagonal and t_k0(g) = 0: each side is exactly 0, so any difference is a fault
         return Residual(difference)
-    where = f"addition-vacuum at lam={lam!r}, k={k}, r={r!r}"
-    scale = normal_scale(max(abs(s1), abs(s3)), f"{where}: the scale max(|(U D_k U*)_00|, |t_k0(g) f_0(0)|)")
+    where = lambda: f"addition-vacuum at lam={lam!r}, k={k}, r={r!r}"  # formatted for a refusal alone
+    what = lambda: f"{where()}: the scale max(|(U D_k U*)_00|, |t_k0(g) f_0(0)|)"
+    scale = normal_scale(max(abs(s1), abs(s3)), what)
     if s1 == 0:  # s1 sums M[0, i + k] D_k[i] M[0, i] over the core's row 0, M[0, d] = e^(-r^2/2) r^d/sqrt(d!)
         raise ArithmeticError(
-            f"{where}: (U D_k U*)_00 reads 0 where t_k0(g) f_0(0) is {float(abs(s3))!r}: U(g)'s core flushes entries"
-            " below 2^-511 to 0"
+            f"{where()}: (U D_k U*)_00 reads 0 where t_k0(g) f_0(0) is {float(abs(s3))!r}: U(g)'s core flushes"
+            " entries below 2^-511 to 0"
         )
     return Residual(difference / scale)
 
 
-def _hille_hardy_kernel(points, runs, values, _):
-    # each point's sum and largest term, one 2-D pass per (k, zq); L^k_n = C(n+k, n) Phi(-n, 1+k; .), so the
-    # weight (n!/(n+k)!) C(n+k, n)^2 is C(n+k, n)/k!
-    for (steps, k, zq), js in _passes([(run[0] + 1, k, zq) for (run, _), (k, *_, zq) in zip(runs, points)], 4):
-        logf = _log_factorials(steps - 1 + k)
-        logw = logf[k:] - logf[:steps] - 2 * logf[k]
-        px, py = (values[[runs[j][axis][1] for j in js], :steps] for axis in (0, 1))
-        # a term past the float range is refused, unwarned
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.exp(logw + np.arange(steps) * math.log(zq)) * px * py
-            sums, largest = terms.sum(axis=1).tolist(), abs(terms).max(axis=1).tolist()
-        outside = ~np.isfinite(terms)
-        for j, *found in zip(js, sums, largest, outside.any(axis=1), outside.argmax(axis=1)):
-            yield j, _caught(_hille_hardy_residual, *points[j], *found)
+def _hille_hardy_kernel(blocks):
+    # each point's sum, largest and last terms, one 2-D pass per (k, zq) of a block over one log n! vector; L^k_n =
+    # C(n+k, n) Phi(-n, 1+k; .), so the weight (n!/(n+k)!) C(n+k, n)^2 is C(n+k, n)/k!.  Then, over all blocks, the
+    # I_k of each argument from one bessel_i_scaled call over its orders: a Miller run per max(k, ceil(argument))
+    found, orders, shared = {}, {}, {}
+    for block, points, runs, values in blocks:
+        logf = _log_factorials(max(nmax + k for ((nmax, _), _), (k, *_) in zip(runs, points)))
+        for (steps, k, zq), js in _passes([(run[0] + 1, k, zq) for (run, _), (k, *_, zq) in zip(runs, points)], 4):
+            logw = logf[k : k + steps] - logf[:steps] - 2 * logf[k]
+            px, py = (values[[runs[j][axis][1] for j in js], :steps] for axis in (0, 1))
+            # a term past the float range is refused, unwarned
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = np.exp(logw + np.arange(steps) * math.log(zq)) * px * py
+                sums, largest, last = terms.sum(axis=1).tolist(), abs(terms).max(axis=1).tolist(), abs(terms[:, -1])
+            outside = ~np.isfinite(terms)
+            got = zip(sums, largest, last.tolist(), outside.any(axis=1), outside.argmax(axis=1))
+            found.update((block[j], (points[j], point_sums)) for j, point_sums in zip(js, got))
+    args = {i: 2.0 * math.sqrt(x * y * zq) / (1.0 - zq) for i, ((_, x, y, zq), _) in found.items()}
+    for i, ((k, *_), sums) in found.items():
+        if not sums[3]:  # the orders each argument's points with finite terms read
+            orders.setdefault(args[i], {})[k] = None
+    for arg, ks in orders.items():  # a refused call leaves each point to its own call, which refuses it by name
+        if not isinstance(pairs := _caught(bessel_i_scaled, list(ks), arg), Exception):
+            shared.update(zip([(k, arg) for k in ks], pairs))
+    for i, (point, sums) in found.items():
+        yield i, _caught(_hille_hardy_residual, *point, args[i], sums, shared.get((point[0], args[i])))
 
 
-def _hille_hardy_residual(k: int, x: float, y: float, zq: float, lhs: float, largest: float, bad, first) -> Residual:
+def _hille_hardy_residual(k: int, x: float, y: float, zq: float, arg: float, sums: tuple, ik) -> Residual:
+    lhs, largest, tail, bad, first = sums
     if bad:
         raise OverflowError(f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: term n={first} is not finite")
-    arg = 2.0 * math.sqrt(x * y * zq) / (1.0 - zq)
-    ik, ik_log_scale = bessel_i_scaled(k, arg)
+    ik, ik_log_scale = ik or bessel_i_scaled(k, arg)
     log_rhs_mag = (
         -0.5 * k * math.log(x * y * zq)
         - math.log(1.0 - zq)
@@ -646,8 +649,9 @@ def _hille_hardy_residual(k: int, x: float, y: float, zq: float, lhs: float, lar
         + ik_log_scale
     )
     rhs = math.copysign(math.exp(log_rhs_mag), ik)
-    what = f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: the scale max(|lhs|, |rhs|, largest term)"
-    return Residual(abs(lhs - rhs) / normal_scale(max(abs(lhs), abs(rhs), largest), what))
+    what = lambda: f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: the scale max(|lhs|, |rhs|, largest term)"
+    scale = normal_scale(max(abs(lhs), abs(rhs), largest), what)
+    return _tailed(abs(lhs - rhs) / scale, tail, scale)
 
 
 @_grid_check(_hille_hardy_kernel)
@@ -656,6 +660,8 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
 
         sum_n (n!/(n+k)!) L^k_n(x) L^k_n(y) z^n
             = (xyz)^{-k/2} (1-z)^{-1} e^{-z(x+y)/(1-z)} I_k(2 sqrt(xyz)/(1-z)).
+
+    A last term above 1e-12 of the scale is a non-convergent tail, named in the detail and counted in the residual.
     """
     if k < 0 or not (0 < x) or not (0 < y) or not (0 < zq < 1):
         raise ValueError("hille_hardy_residual requires k >= 0, x, y > 0, 0 < zq < 1")
@@ -665,19 +671,17 @@ def hille_hardy_residual(k: int, x: float, y: float, zq: float) -> Residual:
     nmax = int(math.log(_TERM_EPS) / math.log(zq)) + 50
     if math.isinf(x * y * zq):
         raise OverflowError(f"hille-hardy at k={k}, x={x!r}, y={y!r}, zq={zq!r}: x y zq is outside the float range")
-    return [(nmax, 1 + k, x), (nmax, 1 + k, y)], ()
+    return [(nmax, 1 + k, x), (nmax, 1 + k, y)]
 
 
 def orthogonality_profile_curve(k: int, lambda1: float, lambda2: float, zmax: int) -> np.ndarray:
     """Running values of the truncated inner product (D^l1_k, D^l2_k).
 
-    Entry z is the sum over zeta <= z of the products of the two Fock
-    diagonals of :func:`repk.basis_d`.  Different windings are exactly
-    orthogonal (the trace grading), so only equal k is of interest; the
-    diagonal l1 = l2 grows without bound (delta normalization) while
-    off-diagonal values oscillate boundedly.  Raises FloatingPointError
-    where a diagonal entry, a product or a sum overflows, underflows or
-    turns NaN, so a value below the float range is refused, not read as 0.
+    Entry z is the sum over zeta <= z of the products of the two Fock diagonals of :func:`repk.basis_d`.  Different
+    windings are exactly orthogonal (the trace grading), so only equal k is of interest; the diagonal l1 = l2 grows
+    without bound (delta normalization) while off-diagonal values oscillate boundedly.  Raises FloatingPointError
+    where a diagonal entry, a product or a sum overflows, underflows or turns NaN, so a value below the float range
+    is refused, not read as 0.
     """
     with np.errstate(over="raise", under="raise", invalid="raise"):
         d1 = basis_d(IrrepLabel(lambda1, k), zmax).diagonal
@@ -727,17 +731,15 @@ def _limit_kummer(n: int, b: int, x: float, degree: str) -> float:
 def classical_limit_error(label: IrrepLabel, r: float, sigma: float) -> float:
     """Distance between the rescaled basis element and the plane matrix element.
 
-    After the commutator rescaling by sigma, D_k evaluated at the classical
-    point z = r e^{i psi}/sqrt(sigma) (i.e. zeta* = r^2/sigma, nearest
-    integer) tends to t_{k0}(g(r, psi, 0)) as sigma -> 0.  The unit-modulus
-    phases agree identically on both sides, whatever psi, leaving
+    After the commutator rescaling by sigma, D_k evaluated at the classical point z = r e^{i psi}/sqrt(sigma) (i.e.
+    zeta* = r^2/sigma, nearest integer) tends to t_{k0}(g(r, psi, 0)) as sigma -> 0.  The unit-modulus phases agree
+    identically on both sides, whatever psi, leaving
 
         | (lam r/2)^a/a! e^{-sigma lam^2/8} Phi(-zeta*, 1+a; sigma lam^2/4)
           - J_a(lam r) |,   a = |k|.
 
-    The Kummer value comes from its series, whose n x = (lam r/2)^2 stays
-    small however small sigma is.  Raises ValueError when sigma <= 0, or when
-    the series is refused and zeta* exceeds 10**6 recurrence steps.
+    The Kummer value comes from its series, whose n x = (lam r/2)^2 stays small however small sigma is.  Raises
+    ValueError when sigma <= 0, or when the series is refused and zeta* exceeds 10**6 recurrence steps.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -752,12 +754,10 @@ def classical_limit_error(label: IrrepLabel, r: float, sigma: float) -> float:
 def kummer_bessel_limit_residual(n: int, b: int, c: float) -> float:
     """Large-degree Kummer-to-Bessel asymptotic.
 
-    Evaluates Phi(-n, b; -c/n) against (b-1)! c^{(1-b)/2} I_{b-1}(2 sqrt(c))
-    and returns |ratio - 1|.  The first argument goes to -infinity with a
-    negative argument scaling -c/n: that is the sign pattern under which the
-    modified-Bessel limit is actually approached.  The Kummer value comes
-    from its series (all terms positive, n x = -c); where that is refused,
-    degrees above 10**6 raise ValueError, since the recurrence costs n steps.
+    Evaluates Phi(-n, b; -c/n) against (b-1)! c^{(1-b)/2} I_{b-1}(2 sqrt(c)) and returns |ratio - 1|.  The first
+    argument goes to -infinity with a negative argument scaling -c/n: that is the sign pattern under which the
+    modified-Bessel limit is actually approached.  The Kummer value comes from its series (all terms positive, n x =
+    -c); where that is refused, degrees above 10**6 raise ValueError, since the recurrence costs n steps.
     """
     if n < 1 or b < 1 or not (0 < c):
         raise ValueError("kummer_bessel_limit_residual requires n >= 1, b >= 1, c > 0")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -228,7 +228,7 @@ def _radial(lam: float, k: int, zmax: int, kummer) -> np.ndarray:
     # a! / 2^shift is a float, and ldexp restores the scale; shift = 0, so every float is as before, up to a = 170
     shift = max(0, (factorial := math.factorial(a)).bit_length() - 1023)
     pref = math.ldexp(power / (factorial / (1 << shift)) * math.exp(-lam * lam / 8.0), -shift)
-    normal_scale(pref, f"basis_d at lam={lam!r}, k={k}: the prefactor (lam/2)^{a}/{a}! e^(-lam^2/8)")
+    normal_scale(pref, lambda: f"basis_d at lam={lam!r}, k={k}: the prefactor (lam/2)^{a}/{a}! e^(-lam^2/8)")
     with np.errstate(over="ignore", invalid="ignore"):
         # i^a exact from a table of four, times the real (lam/2)^a/a! e^{-lam^2/8} Phi
         radial = np.array([1, 1j, -1, -1j])[a % 4] * (pref * kummer(zmax, 1 + a, lam * lam / 4.0))
@@ -328,15 +328,16 @@ def adjoint_residual(F: AlgebraFunction, G: AlgebraFunction) -> float:
     return max(abs(lhs - rhs), abs(h_lhs - h_rhs)) / scale
 
 
-def normal_scale(scale: float, what: str) -> float:
+def normal_scale(scale: float, what: str | Callable[[], str]) -> float:
     """``scale``, or ArithmeticError where it is below the normal float range (0 included), ``what`` naming it.
 
-    A subnormal value keeps its magnitude but not its digits, so a relative residual of 0 against one checks
-    nothing; each check that can form such a scale refuses it here.  Needing no test: identity-a's scale is at
-    least its n = 0 term, 1; kummer-limit's right side sum_j (b-1)! c^j / (j! (j+b-1)!) is at least 1, so its
-    ``rhs == 0.0`` guard catches an inf * 0 float failure; unitarity, intertwining and classical-limit have
-    absolute residuals.
+    ``what`` is a string, or a callable of no argument called for a refusal alone.  A subnormal value keeps its
+    magnitude but not its digits, so a relative residual of 0 against one checks nothing; each check that can form
+    such a scale refuses it here.  Needing no test: identity-a's scale is at least its n = 0 term, 1; kummer-limit's
+    right side sum_j (b-1)! c^j / (j! (j+b-1)!) is at least 1, so its ``rhs == 0.0`` guard catches an inf * 0
+    float failure; unitarity, intertwining and classical-limit have absolute residuals.
     """
     if scale < sys.float_info.min:
+        what = what() if callable(what) else what
         raise ArithmeticError(f"{what} is {float(scale)!r}, below the normal float range")
     return scale

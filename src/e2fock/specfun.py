@@ -310,7 +310,7 @@ def _bessel_i_series(nu: int, x: float, term: float) -> float:
             return s
 
 
-def bessel_i_scaled(nu: int, x: float) -> tuple[float, float]:
+def bessel_i_scaled(nu: int | list[int], x: float) -> tuple[float, float] | list[tuple[float, float]]:
     """Modified Bessel I_nu(x) as ``(value, log_scale)``, I_nu(x) = value * e^log_scale.
 
     Returns ``(e^{-x} I_nu(x), x)`` for x > 500, where the plain value would
@@ -318,16 +318,22 @@ def bessel_i_scaled(nu: int, x: float) -> tuple[float, float]:
     normal float range, ``(I_nu(x) / t, log t)`` with t = (x/2)^nu / nu!,
     the series' first term; and ``(I_nu(x), 0.0)`` otherwise.  Raises
     ValueError where max(nu, x) needs more than 10**6 recurrence steps.
+    Given a list of orders, their pairs in a list: above x = 30 the orders that share max(|nu|, ceil(x)), which
+    alone sets a Miller run's start, read one run, as a run gives every order below its start.
     """
     if x < 0:
         raise ValueError("bessel_i_scaled requires x >= 0")
+    if isinstance(nu, list) and x <= 30.0:
+        return [bessel_i_scaled(n, x) for n in nu]
+    if isinstance(nu, list):
+        tops = {max(n, math.ceil(x)): n for n in sorted(map(abs, nu))}  # each run to the largest order it serves
+        runs = {key: _miller_seq(top, x, 1, 1) for key, top in tops.items()}
+        scaled = [float(runs[max(n, math.ceil(x))][n]) for n in map(abs, nu)]
+        return [(value, x) if x > 500.0 else (value * math.exp(x), 0.0) for value in scaled]
     nu = abs(nu)
     if x <= 30.0:
         if (value := _bessel_i_series(nu, x, _bessel_lead(nu, x))) >= sys.float_info.min or x == 0.0:
             return value, 0.0
         # log t from log x, since x/2 itself is 0 at x = 5e-324
         return _bessel_i_series(nu, x, 1.0), nu * (math.log(x) - math.log(2.0)) - log_factorial(nu)
-    scaled = float(_miller_seq(nu, x, 1, 1)[nu])
-    if x > 500.0:
-        return scaled, x
-    return scaled * math.exp(x), 0.0
+    return bessel_i_scaled([nu], x)[0]

@@ -418,6 +418,69 @@ def test_hille_hardy_builds_each_laguerre_sequence_once(monkeypatch):
     assert set(lanes) == {(1 + k, v) for k in range(7) for v in (0.5, 2.0, 4.0)}
 
 
+@pytest.mark.parametrize(
+    "argv,calls,blocks",
+    [
+        # the arguments 2 sqrt(xy zq)/(1 - zq) past 30 are 37.9, 53.7 and 75.9, at zq = 0.9 and xy = 4, 8 and 16,
+        # each read by k = 0..6, below its ceiling: one Miller run each, where one a point made 28
+        (["verify", "hille-hardy"], 3, 7),
+        # a seeded scalar-special grid: 12 such arguments, where one a point made 84
+        (
+            ["verify", "hille-hardy", "--k", "0..6", "--x", "1.3685,2.1275,2.3558,3.4161"]
+            + ["--y", "1.1313,1.9973,3.0694,3.4943", "--zq", "0.5664,0.6336,0.6843,0.7870,0.8906"],
+            12,
+            28,
+        ),
+    ],
+    ids=["default", "seeded"],
+)
+def test_hille_hardy_runs_one_miller_run_per_argument(argv, calls, blocks, monkeypatch):
+    # orders sharing an argument above 30 and max(k, ceil(argument)) share a Miller run, as its start index depends
+    # on that max alone, over the whole grid call: at a 16 KiB block cap the Kummer lanes run in 7 or 28 blocks, and
+    # the runs do not repeat; the records are those of one I_k at a time
+    from e2fock import specfun
+
+    want = run_cli(argv)
+    runs, miller = [], specfun._miller_seq
+    monkeypatch.setattr(specfun, "_miller_seq", lambda *args: runs.append(args) or miller(*args))
+    lanes = _lane_calls(monkeypatch, ["kummer_phi_seq"])
+    for cap, lane_calls in [(identities._BLOCK_BYTES, 1), (2**14, blocks)]:
+        runs.clear(), lanes.clear()
+        monkeypatch.setattr(identities, "_BLOCK_BYTES", cap)
+        assert run_cli(argv) == want and want[0] == 0 and len(lanes) == lane_calls
+        assert [(sign, step) for _, _, sign, step in runs] == [(1, 1)] * calls
+        assert len({x for _, x, _, _ in runs}) == calls
+    grid = identities.hille_hardy_residual.grid
+    monkeypatch.setattr(
+        identities.hille_hardy_residual, "grid", lambda points: [grid([point])[0] for point in points]
+    )
+    assert run_cli(argv) == want
+
+
+@pytest.mark.parametrize(
+    "argv,details",
+    [
+        # the weights C(n+k, n) zq^n peak near n = 9k and fall slowly past it, so the sum's last term, n = 443, still
+        # counts
+        (
+            ["verify", "hille-hardy", "--k", "28,40,60", "--x", "0.5", "--y", "0.5", "--zq", "0.9"],
+            ["1.123e-13 vs scale 8.709e-05", "2.772e-15 vs scale 2.609e-11", "1.324e-27 vs scale 2.142e-25"],
+        ),
+        # L_n(500) still grows at the sum's last term, n = 109
+        (
+            ["verify", "hille-hardy", "--k", "0", "--x", "500", "--y", "500", "--zq", "0.5"],
+            ["6.263e+174 vs scale 1.650e+178"],
+        ),
+    ],
+    ids=["wide-k", "wide-x"],
+)
+def test_hille_hardy_names_a_non_convergent_tail(argv, details):
+    code, out = run_cli(argv)
+    recs = json_records(out)
+    assert code == 1 and [rec["pass"] for rec in recs] == [False] * len(details)
+    assert [rec["detail"] for rec in recs] == [f"non-convergent tail: last term {d}" for d in details]
+
+
 def test_hille_hardy_runs_no_lane_for_a_refused_point(monkeypatch):
     built = _counting(monkeypatch, "kummer_phi_seq")
     code, out = run_cli(["verify", "hille-hardy", "--zq", "0.96"])
@@ -455,9 +518,10 @@ def _lane_calls(monkeypatch, names):
 
 
 def test_a_grid_keeps_its_shared_arrays_under_the_block_cap(monkeypatch):
-    # a grid builds its factor rows as one lane table a kind a block: by default three hyp2f0_seq lane calls and one
-    # bessel_j_seq lane call; at a 64 KiB block cap the 693 points fill 6 blocks, each a Kummer lane call, a Bessel
-    # lane call and a 2F0 lane call for each of its 3 r, with the same output, and no lane array past the cap
+    # identity-b's kernel builds its factor rows as one lane table a kind a block: by default three hyp2f0_seq lane
+    # calls and one bessel_j_seq lane call; at a 64 KiB block cap the 693 points' Kummer lanes are still one call,
+    # and their tables fill 5 blocks, each a Bessel lane call and a 2F0 lane call for each of its 3 r, with the same
+    # output, and no lane array past the cap
     calls = _lane_calls(monkeypatch, ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq"])
     want = run_cli(["verify", "identity-b"])
     assert [(name, lanes) for name, lanes, _ in calls] == [
@@ -466,21 +530,24 @@ def test_a_grid_keeps_its_shared_arrays_under_the_block_cap(monkeypatch):
     calls.clear()
     monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**16)
     assert run_cli(["verify", "identity-b"]) == want
-    block = ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq", "hyp2f0_seq", "hyp2f0_seq"]
-    assert [name for name, _, _ in calls] == block * 6
+    block = ["bessel_j_seq", "hyp2f0_seq", "hyp2f0_seq", "hyp2f0_seq"]
+    assert [name for name, _, _ in calls] == ["kummer_phi_seq", *block * 5]
     bessel_lanes = [lanes for name, lanes, _ in calls if name == "bessel_j_seq"]
-    assert bessel_lanes == [49, 49, 49, 48, 48, 8]
+    assert bessel_lanes == [49, 49, 49, 49, 7]
     assert None not in [lanes for _, lanes, _ in calls] and max(nbytes for *_, nbytes in calls) <= 2**16
 
 
 def test_identity_b_at_a_wide_k_keeps_its_lane_arrays_under_the_block_cap(monkeypatch):
-    # at k = 400 a Bessel lane holds 481 floats and a 2F0 table 81 x 91: a 64 KiB block holds one point, its rows
-    # scalar calls, and the default cap holds the 99 points in one block of lane calls; the bytes never change
+    # at k = 400 a Bessel lane holds 481 floats and a 2F0 table 81 x 91: a 64 KiB block of tables holds one point,
+    # its rows scalar calls, while the 3 Kummer lanes are one lane call; the default cap holds the 99 points in one
+    # block of lane calls; the bytes never change
     want = run_cli(["verify", "identity-b", "--k", "400"])
     calls = _lane_calls(monkeypatch, ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq"])
     monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**16)
     assert run_cli(["verify", "identity-b", "--k", "400"]) == want
-    assert len(calls) == 3 * 99 and {lanes for _, lanes, _ in calls} == {None}
+    assert [(name, lanes) for name, lanes, _ in calls] == [
+        ("kummer_phi_seq", 3), *[("bessel_j_seq", None), ("hyp2f0_seq", None)] * 99
+    ]
     assert max(nbytes for *_, nbytes in calls) <= 2**16
     calls.clear()
     monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**20)
@@ -492,12 +559,14 @@ def test_identity_b_at_a_wide_k_keeps_its_lane_arrays_under_the_block_cap(monkey
 
 def test_identity_b_at_a_wide_m_charges_one_2f0_table_a_block(monkeypatch):
     # the 2F0 lane calls run one at a time, so a block is charged one 2F0 table, not one a row key: at m = 1000 the
-    # default cap holds the 63 points in 3 blocks of lane calls (63 one-point blocks when each key was charged a
-    # table), no lane array past the cap, and the bytes are those of one point at a time
+    # default cap holds the 63 points' Kummer lanes in one lane call and their tables in 2 blocks of lane calls (63
+    # one-point blocks when each key was charged a table), no lane array past the cap, and the bytes are those of one
+    # point at a time
     argv = ["verify", "identity-b", "--m", "1000"]
     calls = _lane_calls(monkeypatch, ["kummer_phi_seq", "bessel_j_seq", "hyp2f0_seq"])
     want = run_cli(argv)
-    assert [lanes for name, lanes, _ in calls if name == "kummer_phi_seq"] == [9, 9, 3]
+    assert [lanes for name, lanes, _ in calls if name == "kummer_phi_seq"] == [21]
+    assert [lanes for name, lanes, _ in calls if name == "bessel_j_seq"] == [27, 22]
     assert None not in [lanes for _, lanes, _ in calls]
     assert max(nbytes for *_, nbytes in calls) <= identities._BLOCK_BYTES
     grid = identities.identity_b.grid
@@ -506,11 +575,12 @@ def test_identity_b_at_a_wide_m_charges_one_2f0_table_a_block(monkeypatch):
 
 
 def test_hille_hardy_builds_each_log_factorial_vector_once(monkeypatch):
-    # nmax is 109 at zq = 0.5 and 443 at zq = 0.9; k runs 0..6
+    # nmax is 109 at zq = 0.5 and 443 at zq = 0.9 and k runs 0..6: the 14 passes, one a (k, zq), slice one vector of
+    # log n! to n = 443 + 6
     built = _counting(monkeypatch, "_log_factorials")
     code, out = run_cli(["verify", "hille-hardy"])
     assert code == 0 and len(json_records(out)) == 126
-    assert sorted(built) == [(n,) for n in [*range(109, 116), *range(443, 450)]]
+    assert built == [(449,)]
 
 
 _GRID_CHECKS = ["kummer_recurrence_residual", "identity_a", "identity_b", "hille_hardy_residual"]
@@ -659,6 +729,14 @@ def _grid_peak(check, points):
             6,
             id="identity-b",
         ),
+        # 640 points at k = 400..439, whose factor rows of 481 to 520 floats, not their Kummer runs, fill the blocks:
+        # 6 blocks of tables of about 115 Bessel rows and 58 2F0 columns each, the Kummer lanes one call; measured 1.5
+        pytest.param(
+            "identity_b",
+            list(itertools.product(range(4), range(400, 440), [0.5, 1.3], [0.6, 1.5])),
+            3,
+            id="identity-b-wide-k",
+        ),
     ],
 )
 def test_a_grid_holds_a_bounded_multiple_of_the_block_cap(name, points, multiple, monkeypatch):
@@ -680,16 +758,16 @@ def test_a_grid_runs_no_lane_its_checks_refuse(monkeypatch):
 
 def test_identity_b_sums_under_small_caps_change_no_byte(monkeypatch):
     # the 693 n-sums come in 2-D passes of at most _BLOCK_BYTES at 8 x 81 x 8 bytes a point, split where the
-    # points' rows fill a block: the default 2^20 bytes hold 202 points, 2^16 bytes 12
+    # points' factor tables fill a block: the default 2^20 bytes hold 202 points, 2^16 bytes 12
     passes = _counting(monkeypatch, "_identity_b_sums")
     want = run_cli(["verify", "identity-b"])
     assert [len(xrs) for *_, xrs in passes] == [202, 202, 202, 87]
     passes.clear()
     monkeypatch.setattr(identities, "_BLOCK_BYTES", 2**16)
     assert run_cli(["verify", "identity-b"]) == want
-    # the 6 blocks hold 306, 189, 65, 61, 62 and 10 points
+    # the 5 blocks of tables hold 306, 189, 126, 63 and 9 points
     assert [len(xrs) for *_, xrs in passes] == [
-        size for points in [306, 189, 65, 61, 62, 10] for size in [12] * (points // 12) + [points % 12]
+        size for points in [306, 189, 126, 63, 9] for size in [12] * (points // 12) + [points % 12]
     ]
 
 

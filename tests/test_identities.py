@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import mpmath as mp
 import numpy as np
@@ -30,7 +31,7 @@ from e2fock.identities import (
 )
 from e2fock.repk import basis_d, inner_product, to_matrix
 
-from conftest import identity_b_termwise, irrep_element_series, orthogonality_profile_mp
+from conftest import identity_b_termwise, irrep_element_series, laguerre_series, orthogonality_profile_mp
 
 
 def orthogonality_profile(k, lambda1, lambda2, zmax):
@@ -328,6 +329,21 @@ class TestHilleHardy:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             hille_hardy_residual(0, 1.0, 1.0, 0.99)
+
+    @pytest.mark.parametrize("k,x,y,zq", [(28, 0.5, 0.5, 0.9), (60, 0.5, 0.5, 0.9), (0, 500.0, 500.0, 0.5)])
+    def test_a_non_convergent_tail_names_itself(self, k, x, y, zq):
+        # the sum stops at n = int(log(1e-18)/log(zq)) + 50 while its weights C(n+k, n) zq^n or its Laguerre values
+        # still matter there: the detail names the last term, here against its value in 60 digits, and that term
+        # over the scale is at most the residual
+        rep = hille_hardy_residual(k, x, y, zq)
+        match = re.fullmatch(r"non-convergent tail: last term (\S+) vs scale (\S+)", rep.detail)
+        tail, scale = float(match[1]), float(match[2])
+        n = int(math.log(1e-18) / math.log(zq)) + 50
+        with mp.workdps(60):
+            weight = mp.factorial(n) / mp.factorial(n + k) * mp.mpf(zq) ** n
+            last = weight * laguerre_series(n, k, x) * laguerre_series(n, k, y)
+        assert tail == pytest.approx(float(abs(last)), rel=1e-3)
+        assert tail > 1e-12 * scale and rep.residual >= tail / scale * (1 - 1e-3)
 
 
 class TestOrthogonality:

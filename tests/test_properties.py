@@ -362,11 +362,12 @@ class TestMemoizedVectors:
             return kummer_phi_seq(nmax, bs, xs)
 
         def request(bi, nmax):
-            return [(nmax, bi, x)], ()
+            return [(nmax, bi, x)]
 
-        def kernel(points, runs, values, rows):
-            for j, ((nmax, lane),) in enumerate(runs):
-                yield j, values[lane, : nmax + 1]
+        def kernel(blocks):
+            for block, _, runs, values in blocks:
+                for j, ((nmax, lane),) in enumerate(runs):
+                    yield block[j], values[lane, : nmax + 1]
 
         points = [(bi, nmax) for bi in range(b, b + 16) for nmax in requests]
         with pytest.MonkeyPatch.context() as patch:
@@ -390,9 +391,18 @@ _KERNEL_POINTS = {
     "kummer_recurrence_residual": ([-1, 0, 1, 3, 12], [0.25, 3.0, 16.0, -2.0, 1e-200, 1e200], [0, 1, 7, 60]),
     # r = 0.5 and 0.55 share a term count, 14, so one 2-D pass holds both
     "identity_a": ([-1, 0, 3, 12], [0.25, 1.0, 2.0, 0.0, 1e-200, 1e200], [0.5, 0.55, 2.0, -1.0, 1e-200, 1e200]),
-    # 2xr = 2e200 is past the Bessel recurrence's cap, and xr = 60 makes a non-convergent tail
-    "identity_b": ([-1, 0, 2, 7], [-1, 0, 3], [0.5, 1.0, 2.0, 0.0, 1e-200, 1e200], [0.5, 1.5, 1e-200, 60.0]),
-    "hille_hardy_residual": ([-1, 0, 4], [0.5, 4.0, 0.0, 1e-200, 1e5, 1e200], [0.5, 800.0, 1e200], [0.3, 0.95, 0.96]),
+    # 2xr = 2e200 is past the Bessel recurrence's cap, and xr = 60 makes a non-convergent tail.  At k = 1400 a
+    # point's factor rows, 1481 or more floats each, outweigh its Kummer run: the default block holds the 2F0 table
+    # and about 7 rows, so a grid of a few such points runs in several blocks of tables over one of Kummer lanes
+    "identity_b": ([-1, 0, 2, 7], [-1, 0, 3, 1400], [0.5, 1.0, 2.0, 0.0, 1e-200, 1e200], [0.5, 1.5, 1e-200, 60.0]),
+    # x = y = 4 at zq = 0.8 is the argument 35.78 of I_k, past the series: k = 4 reads the Miller run to
+    # ceil(35.78) = 36 that every k <= 36 shares, and k = 40 its own run
+    "hille_hardy_residual": (
+        [-1, 0, 4, 40],
+        [0.5, 4.0, 0.0, 1e-200, 1e5, 1e200],
+        [0.5, 4.0, 800.0, 1e200],
+        [0.3, 0.8, 0.95, 0.96],
+    ),
 }
 
 
@@ -426,6 +436,20 @@ class TestGridKernels:
                 patch.setattr(identities, "_BLOCK_BYTES", cap)
             got = check.grid(points)
         assert [_described(outcome) for outcome in got] == [_one_point(check, point) for point in points]
+
+
+def test_orders_sharing_a_miller_run_give_their_one_point_outcomes(monkeypatch):
+    # at x = y = 4, zq = 0.8 the argument of I_k is 35.78: k = 0, 4 and 36 read one Miller run to 36, k = 37 and 40
+    # runs of their own, and a point with non-finite terms (x = 1e5, y = 800) runs none
+    from e2fock import specfun
+
+    points = [(k, 4.0, 4.0, 0.8) for k in (4, 40, 0, 36, 37, 4)] + [(0, 1e5, 800.0, 0.5)]
+    want = [_one_point(identities.hille_hardy_residual, point) for point in points]
+    runs, miller = [], specfun._miller_seq
+    monkeypatch.setattr(specfun, "_miller_seq", lambda *args: runs.append(args[:2]) or miller(*args))
+    assert [_described(outcome) for outcome in identities.hille_hardy_residual.grid(points)] == want
+    arg = 2.0 * math.sqrt(4.0 * 4.0 * 0.8) / (1.0 - 0.8)
+    assert math.ceil(arg) == 36 and sorted(runs) == [(36, arg), (37, arg), (40, arg)]
 
 
 class TestVacuumSums:

@@ -269,6 +269,14 @@ class TestBesselI:
         with pytest.raises(ValueError):
             bessel_i_scaled(0, -1.0)
 
+    @pytest.mark.parametrize("x", [0.3, 29.999, 30.5, 35.78, 100.3, 500.0, 600.0])
+    def test_a_list_of_orders_gives_the_scalar_pairs(self, x):
+        # orders below, at and above ceil(x), repeated and negative: above x = 30 the orders up to ceil(x) read one
+        # Miller run and each order above it its own, and every pair is the scalar call's floats
+        top = math.ceil(x)
+        orders = [0, 1, 4, top - 1, top, -top, top + 1, top + 7, 3 * top, 4, 0]
+        assert bessel_i_scaled(orders, x) == [bessel_i_scaled(nu, x) for nu in orders]
+
     @pytest.mark.parametrize("nu,x", [(299, 14.142135623730951), (170, 1.41), (5, 1e-70), (40, 30.0)])
     def test_a_value_below_the_normal_range_is_log_scaled(self, nu, x):
         # I_299(14.1) is about 1e-358: the series over its first term, with that term's log as the scale
